@@ -867,13 +867,12 @@ mod tests {
             });
             ids.into_inner()
         };
-        let first = observe(&pool);
-        let second = observe(&pool);
-        assert!(!first.is_empty());
-        assert!(
-            second.is_subset(&first),
-            "scope 2 ran on threads outside the persistent pool: {second:?} vs {first:?}"
-        );
+        // Which of the three workers pick tasks up differs from scope to
+        // scope, so one scope's threads need not be a subset of another's;
+        // fresh spawns per scope would show up as more than three ids.
+        let seen: HashSet<ThreadId> = (0..8).flat_map(|_| observe(&pool)).collect();
+        assert!(!seen.is_empty());
+        assert!(seen.len() <= 3, "scopes ran on threads outside the persistent pool: {seen:?}");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! 1. assemble worker input ([`crate::input`], union or join mode) — by
 //!    default **streamed** chunk-by-chunk straight into the partitioner, so
-//!    the full table union never materializes;
+//!    the full table union never materializes; the static edge table stays
+//!    out of it when the run reads edges from the session's
+//!    [`crate::projection::EdgeProjection`], resolved once before superstep 0;
 //! 2. hash-partition it on vertex id (vertex batching,
 //!    [`vertexica_storage::partition::StreamingPartitioner`]);
 //! 3. run worker UDFs in parallel, one per partition, on the **shared
@@ -53,6 +55,7 @@ use crate::apply::{
 use crate::config::VertexicaConfig;
 use crate::error::{VertexicaError, VertexicaResult};
 use crate::input::{assemble, assemble_chunks};
+use crate::projection::EdgeProjection;
 use crate::session::{vertex_schema, GraphSession};
 use crate::worker::VertexWorker;
 
@@ -161,6 +164,16 @@ pub struct RunStats {
     pub per_superstep: Vec<SuperstepStats>,
     /// Final aggregator values.
     pub aggregates: FxHashMap<String, f64>,
+    /// Seconds this run spent building the session's
+    /// [`EdgeProjection`] before superstep 0: the one-off cost of the first
+    /// run after a load or an edge mutation. 0.0 when the cached projection
+    /// was still current, and when the run streams edge rows instead
+    /// (budgeted or 3-way-join runs). Included in
+    /// [`total_secs`](Self::total_secs).
+    pub projection_build_secs: f64,
+    /// Heap bytes of the projection the run read its edges from (0 when it
+    /// streamed edge rows) — memory held outside the buffer pool.
+    pub projection_bytes: usize,
 }
 
 /// Initializes the vertex table with the program's initial values (and
@@ -170,8 +183,32 @@ pub fn initialize_vertices<P: VertexProgram>(
     program: &P,
 ) -> VertexicaResult<u64> {
     let n = session.num_vertices()?;
-    initialize_vertices_with_total(session, program, n, Vec::new())?;
+    initialize_vertices_with_total(session, program, n, Vec::new(), None)?;
     Ok(n)
+}
+
+/// `(id, out-degree)` of every vertex-table row, ascending by id. With the
+/// run's edge projection at hand only the vertex id column is scanned and
+/// each degree is the length of the vertex's CSR range; without one, the
+/// relational [`GraphSession::out_degrees`].
+fn vertex_degrees(
+    session: &GraphSession,
+    edges: Option<&EdgeProjection>,
+) -> VertexicaResult<Vec<(vertexica_common::VertexId, u64)>> {
+    let Some(edges) = edges else { return session.out_degrees() };
+    let mut ids: Vec<i64> = Vec::new();
+    let mut cursor = session.db().scan_cursor(&session.vertex_table(), Some(&[0]), &[])?;
+    while let Some(batch) = cursor.next_batch()? {
+        let column = batch
+            .column(0)
+            .as_int()
+            .ok_or_else(|| VertexicaError::Runtime("vertex table: id is not BIGINT".into()))?;
+        ids.extend_from_slice(column);
+    }
+    // The relational form groups and orders by id.
+    ids.sort_unstable();
+    ids.dedup();
+    Ok(ids.into_iter().map(|id| (id as u64, edges.out_edges(id as u64).len() as u64)).collect())
 }
 
 /// [`initialize_vertices`] with the *global* vertex count supplied by the
@@ -180,7 +217,8 @@ pub fn initialize_vertices<P: VertexProgram>(
 /// must reflect the whole graph — so the sharded coordinator passes the
 /// cross-shard total while each shard initializes just its local rows.
 /// Out-degrees are computed locally, which is exact because every vertex's
-/// outbound edges are colocated with it by the ownership hash.
+/// outbound edges are colocated with it by the ownership hash — from `edges`
+/// when the run has a projection (`vertex_degrees`).
 ///
 /// `extra` rides the same grouped catalog commit as the vertex/message
 /// initialization — the sharded coordinator passes its freshly stamped
@@ -191,8 +229,9 @@ pub(crate) fn initialize_vertices_with_total<P: VertexProgram>(
     program: &P,
     num_vertices: u64,
     extra: Vec<(String, vertexica_storage::Table)>,
+    edges: Option<&EdgeProjection>,
 ) -> VertexicaResult<()> {
-    let degrees = session.out_degrees()?;
+    let degrees = vertex_degrees(session, edges)?;
     let n = num_vertices;
     let mut ids = ColumnBuilder::with_capacity(DataType::Int, degrees.len());
     let mut values = ColumnBuilder::with_capacity(DataType::Blob, degrees.len());
@@ -250,19 +289,28 @@ pub fn run_program<P: VertexProgram + 'static>(
     if let Some(budget) = config.memory_budget_bytes {
         session.db().catalog().buffer_pool().set_budget(Some(budget));
     }
-    let num_vertices = initialize_vertices(session, program.as_ref())?;
+    let (edges, projection_build_secs) = crate::projection::for_run(session, config)?;
+    let num_vertices = session.num_vertices()?;
+    initialize_vertices_with_total(
+        session,
+        program.as_ref(),
+        num_vertices,
+        Vec::new(),
+        edges.as_deref(),
+    )?;
     if config.durable {
         // Flush the freshly initialized vertex/message tables so recovery
         // from a crash in superstep 0 starts from the initialized state
         // instead of replaying graph loading.
         session.db().checkpoint()?;
     }
-    let stats = superstep_loop(session, program, config, num_vertices, 0, FxHashMap::default())?;
+    let mut stats =
+        superstep_loop(session, program, config, num_vertices, 0, FxHashMap::default(), edges)?;
     if config.durable {
         // Land the final state in segment files and truncate the log.
         session.db().checkpoint()?;
     }
-    let mut stats = stats;
+    stats.projection_build_secs = projection_build_secs;
     stats.total_secs = total.elapsed_secs();
     Ok(stats)
 }
@@ -285,6 +333,7 @@ pub fn resume_program<P: VertexProgram + 'static>(
         session.db().catalog().buffer_pool().set_budget(Some(budget));
     }
     let state = crate::checkpoint::restore(session, dir)?;
+    let (edges, projection_build_secs) = crate::projection::for_run(session, config)?;
     let num_vertices = session.num_vertices()?;
     let mut stats = superstep_loop(
         session,
@@ -293,10 +342,12 @@ pub fn resume_program<P: VertexProgram + 'static>(
         num_vertices,
         state.superstep + 1,
         state.aggregates,
+        edges,
     )?;
     if config.durable {
         session.db().checkpoint()?;
     }
+    stats.projection_build_secs = projection_build_secs;
     stats.total_secs = total.elapsed_secs();
     Ok(stats)
 }
@@ -329,12 +380,18 @@ fn run_streaming_compute(
     session: &GraphSession,
     config: &VertexicaConfig,
     worker: &Arc<dyn TransformUdf>,
+    edge_rows: bool,
     sink: &(dyn Fn(usize, Vec<vertexica_storage::RecordBatch>) -> vertexica_sql::SqlResult<()>
           + Sync),
 ) -> VertexicaResult<ExecProfile> {
     let num_partitions = config.num_partitions.max(1);
     if config.pipelined {
-        let plan = crate::input::partition_row_plan(session, config.input_mode, num_partitions)?;
+        let plan = crate::input::partition_row_plan(
+            session,
+            config.input_mode,
+            num_partitions,
+            edge_rows,
+        )?;
         let report = session.db().run_transform_pipelined(
             worker,
             vec![0],
@@ -346,6 +403,7 @@ fn run_streaming_compute(
                     config.input_mode,
                     config.stream_chunk_rows,
                     config.streaming_scan,
+                    edge_rows,
                     &mut |chunk| chunk_sink(chunk).map_err(VertexicaError::from),
                 )
                 .map_err(|e| match e {
@@ -374,6 +432,7 @@ fn run_streaming_compute(
         config.input_mode,
         config.stream_chunk_rows,
         config.streaming_scan,
+        edge_rows,
         &mut |chunk| {
             let bytes = chunk.estimated_bytes();
             total += bytes;
@@ -403,8 +462,13 @@ fn superstep_loop<P: VertexProgram + 'static>(
     num_vertices: u64,
     start_superstep: u64,
     mut prev_aggregates: FxHashMap<String, f64>,
+    edges: Option<Arc<EdgeProjection>>,
 ) -> VertexicaResult<RunStats> {
-    let mut stats = RunStats::default();
+    let mut stats = RunStats {
+        projection_bytes: edges.as_ref().map_or(0, |e| e.estimated_bytes()),
+        ..RunStats::default()
+    };
+    let edge_rows = edges.is_none();
     let max_supersteps = config.max_supersteps.min(program.max_supersteps());
     let mut superstep = start_superstep;
 
@@ -412,9 +476,11 @@ fn superstep_loop<P: VertexProgram + 'static>(
         if superstep >= max_supersteps {
             break;
         }
-        // Termination: after superstep 0, stop when no messages are pending
-        // and every vertex has halted.
-        if superstep > start_superstep || start_superstep > 0 {
+        // Termination: stop when no messages are pending and every vertex
+        // has halted. Within a run the previous superstep's outcome already
+        // says so (the break at the loop bottom); only a *resumed* run has
+        // to ask the tables, once, for the state it restored.
+        if superstep == start_superstep && start_superstep > 0 {
             let pending = session
                 .db()
                 .query_int(&format!("SELECT COUNT(*) FROM {}", session.message_table()))?;
@@ -453,6 +519,7 @@ fn superstep_loop<P: VertexProgram + 'static>(
             prev_aggregates: Arc::new(prev_aggregates.clone()),
             use_combiner: config.use_combiner,
             pool: Some(session.db().runtime().clone()),
+            edges: edges.clone(),
         });
         let (outcome, profile, apply_secs) = if config.streaming && config.parallel_apply {
             // Segment-parallel apply: each partition's output is parsed and
@@ -460,30 +527,34 @@ fn superstep_loop<P: VertexProgram + 'static>(
             // table writes are per-bucket segment builds on the same pool,
             // committed by an atomic catalog-level contents swap.
             let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
-            let profile = run_streaming_compute(session, config, &worker, &|idx, out| {
-                apply.absorb(idx, &out).map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))
-            })?;
+            let profile =
+                run_streaming_compute(session, config, &worker, edge_rows, &|idx, out| {
+                    apply.absorb(idx, &out).map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))
+                })?;
             let sw = Stopwatch::start();
             let outcome = apply_parallel(session, program.as_ref(), config, apply, num_vertices)?;
             (outcome, profile, sw.elapsed_secs())
         } else if config.streaming {
             let template = OutputAccumulator::for_program(program.as_ref());
             let acc = Mutex::new(template.fork());
-            let profile = run_streaming_compute(session, config, &worker, &|idx, out| {
-                // Parse outside the shared lock (absorb clones every blob);
-                // only the cheap vector merge is serialized.
-                let mut local = template.fork();
-                local.absorb(idx, &out).map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))?;
-                acc.lock().merge(local);
-                Ok(())
-            })?;
+            let profile =
+                run_streaming_compute(session, config, &worker, edge_rows, &|idx, out| {
+                    // Parse outside the shared lock (absorb clones every
+                    // blob); only the cheap vector merge is serialized.
+                    let mut local = template.fork();
+                    local
+                        .absorb(idx, &out)
+                        .map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))?;
+                    acc.lock().merge(local);
+                    Ok(())
+                })?;
             let sw = Stopwatch::start();
             let acc = acc.into_inner();
             let outcome = apply_accumulated(session, program.as_ref(), config, acc, num_vertices)?;
             (outcome, profile, sw.elapsed_secs())
         } else {
             let sw = Stopwatch::start();
-            let input = assemble(session, config.input_mode, config.streaming_scan)?;
+            let input = assemble(session, config.input_mode, config.streaming_scan, edge_rows)?;
             let bytes: usize = input.iter().map(|b| b.estimated_bytes()).sum();
             let partitions = if config.num_partitions <= 1 {
                 vec![input]
@@ -697,6 +768,28 @@ mod tests {
         assert!(stats.per_superstep[0].messages > 0);
         // Final superstep emits nothing.
         assert_eq!(stats.per_superstep.last().unwrap().messages, 0);
+    }
+
+    #[test]
+    fn projection_degrees_agree_with_the_relational_form() {
+        let db = Arc::new(Database::new());
+        let g = GraphSession::create(db, "g").unwrap();
+        // Vertices 0..5; 3 and 4 have no out-edges; 9 is an edge-only source
+        // (never in the vertex table), so neither form reports it.
+        g.load_edges(&EdgeList::new(
+            5,
+            vec![(0, 1), (0, 2), (0, 2), (1, 1), (2, 0)]
+                .into_iter()
+                .map(|(s, d)| vertexica_common::graph::Edge::new(s, d))
+                .collect(),
+        ))
+        .unwrap();
+        g.add_edge(9, 0, 1.0, 0, None).unwrap();
+        let (projection, _) = g.edge_projection().unwrap();
+        assert_eq!(projection.out_edges(9).len(), 1);
+        let from_projection = vertex_degrees(&g, Some(&projection)).unwrap();
+        assert_eq!(from_projection, vec![(0, 3), (1, 1), (2, 1), (3, 0), (4, 0)]);
+        assert_eq!(from_projection, g.out_degrees().unwrap());
     }
 
     #[test]

@@ -62,13 +62,20 @@ pub(crate) fn message_union_batch(batch: &RecordBatch) -> VertexicaResult<Record
 /// [`assemble_chunks`]. `streaming_scan` only affects the join mode's
 /// engine-side execution (streaming vs eager SQL join) — the output is
 /// bitwise-identical either way.
+///
+/// `edge_rows` (here and in [`assemble_chunks`] / [`partition_row_plan`])
+/// says whether the table union carries the edge table. It is false when
+/// the workers read edges from the session's
+/// [`EdgeProjection`](crate::projection::EdgeProjection); the 3-way join
+/// always carries its edges and ignores it.
 pub fn assemble(
     session: &GraphSession,
     mode: InputMode,
     streaming_scan: bool,
+    edge_rows: bool,
 ) -> VertexicaResult<Vec<RecordBatch>> {
     match mode {
-        InputMode::TableUnion => assemble_union(session),
+        InputMode::TableUnion => assemble_union(session, edge_rows),
         InputMode::ThreeWayJoin => assemble_join(session, streaming_scan),
     }
 }
@@ -83,7 +90,12 @@ const UNION_SOURCES: [(SourceKind, Option<&[usize]>); 3] = [
     (SourceKind::Message, None),
 ];
 
-#[derive(Clone, Copy)]
+/// [`UNION_SOURCES`], without the edge table unless `edge_rows`.
+fn union_sources(edge_rows: bool) -> impl Iterator<Item = (SourceKind, Option<&'static [usize]>)> {
+    UNION_SOURCES.into_iter().filter(move |(kind, _)| edge_rows || *kind != SourceKind::Edge)
+}
+
+#[derive(Clone, Copy, PartialEq)]
 enum SourceKind {
     Vertex,
     Edge,
@@ -160,6 +172,7 @@ pub fn assemble_chunks(
     mode: InputMode,
     chunk_rows: usize,
     streaming_scan: bool,
+    edge_rows: bool,
     sink: &mut dyn FnMut(RecordBatch) -> VertexicaResult<()>,
 ) -> VertexicaResult<usize> {
     let chunk_rows = chunk_rows.max(1);
@@ -167,7 +180,7 @@ pub fn assemble_chunks(
         InputMode::TableUnion => {
             let schema = union_schema();
             let mut peak_resident = 0usize;
-            for (kind, projection) in UNION_SOURCES {
+            for (kind, projection) in union_sources(edge_rows) {
                 let table = kind.table(session);
                 if streaming_scan {
                     // Pull-based: exactly one decoded scan batch in flight.
@@ -239,16 +252,17 @@ pub fn partition_row_plan(
     session: &GraphSession,
     mode: InputMode,
     num_partitions: usize,
+    edge_rows: bool,
 ) -> VertexicaResult<Option<Vec<u64>>> {
     let num_partitions = num_partitions.max(1);
     let mut plan = vec![0u64; num_partitions];
     match mode {
         InputMode::TableUnion => {
-            // The three sources' key columns: vertex id, edge src, message
+            // The sources' key columns: vertex id, edge src, message
             // recipient — each is column 0 of its table and becomes `vid`
             // (the partition key) in the union schema.
-            for table in [session.vertex_table(), session.edge_table(), session.message_table()] {
-                let mut cursor = session.db().scan_cursor(&table, Some(&[0]), &[])?;
+            for (kind, _) in union_sources(edge_rows) {
+                let mut cursor = session.db().scan_cursor(&kind.table(session), Some(&[0]), &[])?;
                 while let Some(batch) = cursor.next_batch()? {
                     if num_partitions == 1 {
                         plan[0] += batch.num_rows() as u64;
@@ -325,18 +339,25 @@ pub fn partition_row_plan(
 }
 
 /// The paper's strategy: rename to a common schema and UNION ALL.
-fn assemble_union(session: &GraphSession) -> VertexicaResult<Vec<RecordBatch>> {
+fn assemble_union(session: &GraphSession, edge_rows: bool) -> VertexicaResult<Vec<RecordBatch>> {
+    let edges = if edge_rows {
+        format!(
+            "SELECT src, 1, dst, weight, CAST(NULL AS VARBINARY), CAST(NULL AS BOOLEAN) FROM {} \
+             UNION ALL ",
+            session.edge_table()
+        )
+    } else {
+        String::new()
+    };
     let sql = format!(
         "SELECT id AS vid, 0 AS kind, CAST(NULL AS BIGINT) AS other, \
                 CAST(NULL AS FLOAT) AS weight, value AS payload, halted \
          FROM {v} \
          UNION ALL \
-         SELECT src, 1, dst, weight, CAST(NULL AS VARBINARY), CAST(NULL AS BOOLEAN) FROM {e} \
-         UNION ALL \
+         {edges}\
          SELECT recipient, 2, sender, CAST(NULL AS FLOAT), value, CAST(NULL AS BOOLEAN) \
          FROM {m}",
         v = session.vertex_table(),
-        e = session.edge_table(),
         m = session.message_table(),
     );
     let batches = session.db().execute(&sql)?.into_batches()?;
@@ -618,7 +639,7 @@ mod tests {
         let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (2, 1, 2.0f64.to_bytes())]).unwrap();
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
 
-        let batches = assemble(&g, InputMode::TableUnion, true).unwrap();
+        let batches = assemble(&g, InputMode::TableUnion, true, true).unwrap();
         assert_eq!(count_kind(&batches, KIND_VERTEX), 3);
         assert_eq!(count_kind(&batches, KIND_EDGE), 3);
         assert_eq!(count_kind(&batches, KIND_MESSAGE), 2);
@@ -630,9 +651,9 @@ mod tests {
         let msgs = message_batch(&[(0, 1, 1.5f64.to_bytes()), (0, 2, 2.5f64.to_bytes())]).unwrap();
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
 
-        let union = assemble(&g, InputMode::TableUnion, true).unwrap();
+        let union = assemble(&g, InputMode::TableUnion, true, true).unwrap();
         for streaming_scan in [true, false] {
-            let join = assemble(&g, InputMode::ThreeWayJoin, streaming_scan).unwrap();
+            let join = assemble(&g, InputMode::ThreeWayJoin, streaming_scan, true).unwrap();
             for kind in [KIND_VERTEX, KIND_EDGE, KIND_MESSAGE] {
                 assert_eq!(
                     count_kind(&union, kind),
@@ -646,14 +667,14 @@ mod tests {
     #[test]
     fn empty_message_table_still_assembles() {
         let g = session_with_graph();
-        let batches = assemble(&g, InputMode::TableUnion, true).unwrap();
+        let batches = assemble(&g, InputMode::TableUnion, true, true).unwrap();
         assert_eq!(count_kind(&batches, KIND_MESSAGE), 0);
         assert_eq!(count_kind(&batches, KIND_VERTEX), 3);
     }
 
     fn collect_chunks(g: &GraphSession, mode: InputMode, streaming_scan: bool) -> Vec<RecordBatch> {
         let mut chunks = Vec::new();
-        assemble_chunks(g, mode, STREAM_CHUNK_ROWS, streaming_scan, &mut |b| {
+        assemble_chunks(g, mode, STREAM_CHUNK_ROWS, streaming_scan, true, &mut |b| {
             chunks.push(b);
             Ok(())
         })
@@ -674,7 +695,7 @@ mod tests {
         let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (1, 0, 2.0f64.to_bytes())]).unwrap();
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
 
-        let materialized = assemble(&g, InputMode::TableUnion, true).unwrap();
+        let materialized = assemble(&g, InputMode::TableUnion, true, true).unwrap();
         for streaming_scan in [true, false] {
             let streamed = collect_chunks(&g, InputMode::TableUnion, streaming_scan);
             // Same rows (as a multiset), same canonical schema.
@@ -699,9 +720,9 @@ mod tests {
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
         // All four {materialized, chunked} × {streaming join, eager SQL
         // join} combinations must produce the same multiset.
-        let reference = assemble(&g, InputMode::ThreeWayJoin, false).unwrap();
+        let reference = assemble(&g, InputMode::ThreeWayJoin, false, true).unwrap();
         for streaming_scan in [true, false] {
-            let materialized = assemble(&g, InputMode::ThreeWayJoin, streaming_scan).unwrap();
+            let materialized = assemble(&g, InputMode::ThreeWayJoin, streaming_scan, true).unwrap();
             let streamed = collect_chunks(&g, InputMode::ThreeWayJoin, streaming_scan);
             assert_eq!(
                 sorted_rows(&reference),
@@ -732,6 +753,7 @@ mod tests {
                 InputMode::TableUnion,
                 STREAM_CHUNK_ROWS,
                 streaming_scan,
+                true,
                 &mut |_| Ok(()),
             )
             .unwrap()
@@ -772,7 +794,7 @@ mod tests {
     fn custom_chunk_cap_bounds_every_chunk() {
         let g = session_with_graph();
         let mut sizes = Vec::new();
-        assemble_chunks(&g, InputMode::TableUnion, 2, true, &mut |b| {
+        assemble_chunks(&g, InputMode::TableUnion, 2, true, true, &mut |b| {
             sizes.push(b.num_rows());
             Ok(())
         })
@@ -784,13 +806,18 @@ mod tests {
     /// The plan-vs-scatter invariant for a given mode and scan path: the
     /// prescan's per-partition counts must equal what assemble actually
     /// delivers, at several partition counts.
-    fn assert_plan_matches_scatter(g: &GraphSession, mode: InputMode, streaming_scan: bool) {
+    fn assert_plan_matches_scatter(
+        g: &GraphSession,
+        mode: InputMode,
+        streaming_scan: bool,
+        edge_rows: bool,
+    ) {
         use vertexica_storage::partition::StreamingPartitioner;
         for parts in [1usize, 3, 8] {
-            let plan = partition_row_plan(g, mode, parts).unwrap().unwrap();
+            let plan = partition_row_plan(g, mode, parts, edge_rows).unwrap().unwrap();
             assert_eq!(plan.len(), parts);
             let mut partitioner = StreamingPartitioner::new(vec![0], parts);
-            assemble_chunks(g, mode, STREAM_CHUNK_ROWS, streaming_scan, &mut |b| {
+            assemble_chunks(g, mode, STREAM_CHUNK_ROWS, streaming_scan, edge_rows, &mut |b| {
                 partitioner.push(&b).map_err(VertexicaError::from)
             })
             .unwrap();
@@ -813,8 +840,40 @@ mod tests {
         let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (1, 0, 2.0f64.to_bytes())]).unwrap();
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
         for streaming_scan in [true, false] {
-            assert_plan_matches_scatter(&g, InputMode::TableUnion, streaming_scan);
+            for edge_rows in [true, false] {
+                assert_plan_matches_scatter(&g, InputMode::TableUnion, streaming_scan, edge_rows);
+            }
         }
+    }
+
+    /// With `edge_rows` off (the workers read the edge projection) every
+    /// assemble form carries the vertex and message tables only.
+    #[test]
+    fn without_edge_rows_the_union_leaves_the_edge_table_out() {
+        let g = session_with_graph();
+        let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (1, 0, 2.0f64.to_bytes())]).unwrap();
+        g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
+        let materialized = assemble(&g, InputMode::TableUnion, true, false).unwrap();
+        let kinds = [KIND_VERTEX, KIND_EDGE, KIND_MESSAGE].map(|k| count_kind(&materialized, k));
+        assert_eq!(kinds, [3, 0, 2]);
+        for streaming_scan in [true, false] {
+            let mut chunks = Vec::new();
+            assemble_chunks(
+                &g,
+                InputMode::TableUnion,
+                STREAM_CHUNK_ROWS,
+                streaming_scan,
+                false,
+                &mut |b| {
+                    chunks.push(b);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(sorted_rows(&materialized), sorted_rows(&chunks));
+        }
+        let plan = partition_row_plan(&g, InputMode::TableUnion, 3, false).unwrap().unwrap();
+        assert_eq!(plan.iter().sum::<u64>(), 5);
     }
 
     /// The join mode now has a row plan too (it is how its partitions seal):
@@ -841,7 +900,7 @@ mod tests {
             ))
             .unwrap();
         for streaming_scan in [true, false] {
-            assert_plan_matches_scatter(&g, InputMode::ThreeWayJoin, streaming_scan);
+            assert_plan_matches_scatter(&g, InputMode::ThreeWayJoin, streaming_scan, true);
         }
     }
 
@@ -855,14 +914,14 @@ mod tests {
         // still be global (same multiset as the one-shot reshape).
         for streaming_scan in [true, false] {
             let mut chunks = Vec::new();
-            assemble_chunks(&g, InputMode::ThreeWayJoin, 2, streaming_scan, &mut |b| {
+            assemble_chunks(&g, InputMode::ThreeWayJoin, 2, streaming_scan, true, &mut |b| {
                 chunks.push(b);
                 Ok(())
             })
             .unwrap();
             assert!(chunks.len() > 1, "expected the join replay to stream in pieces");
             assert!(chunks.iter().all(|b| b.num_rows() <= 2));
-            let materialized = assemble(&g, InputMode::ThreeWayJoin, streaming_scan).unwrap();
+            let materialized = assemble(&g, InputMode::ThreeWayJoin, streaming_scan, true).unwrap();
             assert_eq!(
                 sorted_rows(&materialized),
                 sorted_rows(&chunks),

@@ -11,6 +11,8 @@
 //!   pool sized to the core count);
 //! * [`input`] assembles worker input either as a **table union** (the
 //!   paper's key optimization) or as the naive **3-way join** baseline;
+//! * [`projection`] keeps the static edge table out of that per-superstep
+//!   input: a sorted CSR image built once and borrowed by every worker;
 //! * [`apply`] writes superstep results back using the **update-vs-replace**
 //!   policy (in-place updates below a change-ratio threshold, left-join +
 //!   table-swap replacement above it);
@@ -26,6 +28,7 @@ pub mod error;
 pub mod input;
 pub mod mutation;
 pub mod pipeline;
+pub mod projection;
 pub mod session;
 pub mod shard;
 pub mod worker;
@@ -33,6 +36,7 @@ pub mod worker;
 pub use config::{InputMode, VertexicaConfig};
 pub use coordinator::{run_program, RunStats, SuperstepStats};
 pub use error::{VertexicaError, VertexicaResult};
+pub use projection::EdgeProjection;
 pub use session::GraphSession;
 pub use shard::{
     repair_if_needed, resume_sharded, run_sharded, ShardedDatabase, ShardedGraphSession,

@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use vertexica_common::graph::{Edge, EdgeList, VertexId};
+use vertexica_common::sync::Mutex;
 use vertexica_common::VertexData;
 use vertexica_sql::Database;
 use vertexica_storage::{
@@ -19,18 +20,26 @@ use vertexica_storage::{
 };
 
 use crate::error::{VertexicaError, VertexicaResult};
+use crate::projection::EdgeProjection;
 
 /// A graph stored relationally, plus the database it lives in.
 #[derive(Clone)]
 pub struct GraphSession {
     db: Arc<Database>,
     name: String,
+    /// The cached edge projection ([`GraphSession::edge_projection`]), shared
+    /// by every clone of this session.
+    pub(crate) projection: Arc<Mutex<Option<Arc<EdgeProjection>>>>,
 }
 
 impl GraphSession {
+    fn unchecked(db: Arc<Database>, name: &str) -> Self {
+        GraphSession { db, name: name.to_ascii_lowercase(), projection: Arc::new(Mutex::new(None)) }
+    }
+
     /// Creates the vertex/edge/message tables for a new graph.
     pub fn create(db: Arc<Database>, name: &str) -> VertexicaResult<Self> {
-        let session = GraphSession { db, name: name.to_ascii_lowercase() };
+        let session = GraphSession::unchecked(db, name);
         let catalog = session.db.catalog();
         catalog.create_table(
             &session.vertex_table(),
@@ -52,7 +61,7 @@ impl GraphSession {
 
     /// Opens an existing graph by name.
     pub fn open(db: Arc<Database>, name: &str) -> VertexicaResult<Self> {
-        let session = GraphSession { db, name: name.to_ascii_lowercase() };
+        let session = GraphSession::unchecked(db, name);
         // Validate all three tables exist.
         for t in [session.vertex_table(), session.edge_table(), session.message_table()] {
             session.db.catalog().get(&t)?;

@@ -86,6 +86,7 @@ use crate::coordinator::{
 };
 use crate::error::{VertexicaError, VertexicaResult};
 use crate::input::{assemble_chunks, message_union_batch};
+use crate::projection::EdgeProjection;
 use crate::session::{message_schema, GraphSession};
 use crate::worker::VertexWorker;
 
@@ -583,18 +584,22 @@ impl CountsBoard {
 /// One shard's contribution to every destination's row plan:
 /// `counts[d][p]` = union-schema rows from this shard's tables whose key
 /// hashes to shard `d`, partition `p`. Key columns only — same cost shape as
-/// [`crate::input::partition_row_plan`], which this generalizes. Vertex and
-/// edge rows are owner-local by construction (the load hashed them here),
-/// but hashing the owner anyway keeps the plan consistent with the scatter
-/// by definition rather than by convention.
+/// [`crate::input::partition_row_plan`], which this generalizes (including
+/// `edge_rows`: the edge table is counted only when the assemble will stream
+/// it). Vertex and edge rows are owner-local by construction (the load hashed
+/// them here), but hashing the owner anyway keeps the plan consistent with
+/// the scatter by definition rather than by convention.
 fn prescan_counts(
     sess: &GraphSession,
     num_shards: usize,
     num_partitions: usize,
+    edge_rows: bool,
 ) -> VertexicaResult<Vec<Vec<u64>>> {
     let parts = num_partitions.max(1);
     let mut counts = vec![vec![0u64; parts]; num_shards];
-    for table in [sess.vertex_table(), sess.edge_table(), sess.message_table()] {
+    let edge_table = edge_rows.then(|| sess.edge_table());
+    let tables = [Some(sess.vertex_table()), edge_table, Some(sess.message_table())];
+    for table in tables.into_iter().flatten() {
         let mut cursor = sess.db().scan_cursor(&table, Some(&[0]), &[])?;
         while let Some(batch) = cursor.next_batch()? {
             let keys = batch.column(0);
@@ -647,7 +652,9 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     prev_aggregates: &FxHashMap<String, f64>,
     meta_table: &str,
     msg_prev_table: &str,
+    edges: Option<Arc<EdgeProjection>>,
 ) -> VertexicaResult<ShardReport> {
+    let edge_rows = edges.is_none();
     let n = exchange.num_shards();
     let parts = config.num_partitions.max(1);
     let db = sess.db();
@@ -669,7 +676,7 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     // Control plane: plan every destination's per-partition row counts and
     // swap matrices with the peers. expected[p] = what partition p of THIS
     // shard will receive from all N sources — the seal thresholds.
-    let counts = prescan_counts(sess, n, parts)?;
+    let counts = prescan_counts(sess, n, parts, edge_rows)?;
     let matrix = exchange.counts.exchange(shard, counts, &exchange.abort)?;
     let expected: Vec<u64> = (0..parts).map(|p| matrix.iter().map(|m| m[shard][p]).sum()).collect();
     let input_rows: u64 = expected.iter().sum();
@@ -689,6 +696,7 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
         prev_aggregates: Arc::new(prev_aggregates.clone()),
         use_combiner: config.use_combiner,
         pool: Some(db.runtime().clone()),
+        edges,
     });
     let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
 
@@ -708,6 +716,7 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
                 config.input_mode,
                 config.stream_chunk_rows,
                 config.streaming_scan,
+                edge_rows,
                 &mut |chunk| {
                     if exchange.aborted() {
                         return Err(VertexicaError::Runtime("sharded superstep aborted".into()));
@@ -883,7 +892,8 @@ pub fn run_sharded<P: VertexProgram + 'static>(
     // meta table rides each shard's init commit so a crash can never
     // separate an initialized shard from its stamp.
     let meta_table = ss.meta_table();
-    for sess in ss.shard_sessions() {
+    let (edges, projection_build_secs) = shard_projections(ss, &c)?;
+    for (sess, edges) in ss.shard_sessions().iter().zip(&edges) {
         let meta = meta_fresh_table(
             sess,
             &meta_table,
@@ -894,17 +904,37 @@ pub fn run_sharded<P: VertexProgram + 'static>(
             program.as_ref(),
             num_vertices,
             vec![(meta_table.clone(), meta)],
+            edges.as_deref(),
         )?;
     }
     if c.durable {
         ss.db.checkpoint()?;
     }
-    let mut stats = superstep_loop_sharded(ss, program, &c, num_vertices, 0, FxHashMap::default())?;
+    let mut stats =
+        superstep_loop_sharded(ss, program, &c, num_vertices, 0, FxHashMap::default(), &edges)?;
     if c.durable {
         ss.db.checkpoint()?;
     }
+    stats.projection_build_secs = projection_build_secs;
     stats.total_secs = total.elapsed_secs();
     Ok(stats)
+}
+
+/// Every shard session's edge projection for a run under `config` (shard
+/// order; `None`s when the run streams edge rows), and the summed build
+/// seconds — the shards build one after another on the coordinator thread.
+fn shard_projections(
+    ss: &ShardedGraphSession,
+    config: &VertexicaConfig,
+) -> VertexicaResult<(Vec<Option<Arc<EdgeProjection>>>, f64)> {
+    let mut edges = Vec::with_capacity(ss.num_shards());
+    let mut build_secs = 0.0;
+    for sess in ss.shard_sessions() {
+        let (projection, secs) = crate::projection::for_run(sess, config)?;
+        edges.push(projection);
+        build_secs += secs;
+    }
+    Ok((edges, build_secs))
 }
 
 /// Resumes a sharded run from per-shard checkpoints written by
@@ -964,6 +994,7 @@ pub fn resume_sharded<P: VertexProgram + 'static>(
             &state.aggregates,
         )?;
     }
+    let (edges, projection_build_secs) = shard_projections(ss, &c)?;
     let mut stats = superstep_loop_sharded(
         ss,
         program,
@@ -971,10 +1002,12 @@ pub fn resume_sharded<P: VertexProgram + 'static>(
         num_vertices,
         state.superstep + 1,
         state.aggregates.clone(),
+        &edges,
     )?;
     if c.durable {
         ss.db.checkpoint()?;
     }
+    stats.projection_build_secs = projection_build_secs;
     stats.total_secs = total.elapsed_secs();
     Ok(stats)
 }
@@ -986,13 +1019,17 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
     num_vertices: u64,
     start_superstep: u64,
     mut prev_aggregates: FxHashMap<String, f64>,
+    edges: &[Option<Arc<EdgeProjection>>],
 ) -> VertexicaResult<RunStats> {
     let n = ss.num_shards();
     let meta_table = ss.meta_table();
     let msg_prev_table = ss.message_prev_table();
     let agg_specs: FxHashMap<String, AggKind> =
         program.aggregators().into_iter().map(|s| (s.name.to_string(), s.kind)).collect();
-    let mut stats = RunStats::default();
+    let mut stats = RunStats {
+        projection_bytes: edges.iter().flatten().map(|e| e.estimated_bytes()).sum(),
+        ..RunStats::default()
+    };
     let max_supersteps = config.max_supersteps.min(program.max_supersteps());
     let mut superstep = start_superstep;
 
@@ -1003,7 +1040,9 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
         // Two-phase halting vote, phase one: sum per-shard pending/active
         // counts. The vote (here and the post-apply phase two below) is the
         // only superstep-wide synchronization point — rows never barrier.
-        if superstep > start_superstep || start_superstep > 0 {
+        // Within a run phase two of the previous superstep already decided
+        // it; only a *resumed* run asks the tables, once.
+        if superstep == start_superstep && start_superstep > 0 {
             let mut pending = 0i64;
             let mut active = 0i64;
             for sess in ss.shard_sessions() {
@@ -1035,6 +1074,7 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
                     let prev = &prev_aggregates;
                     let meta_table = meta_table.as_str();
                     let msg_prev_table = msg_prev_table.as_str();
+                    let edges = edges[k].clone();
                     scope.spawn(move || {
                         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                             run_shard_superstep(
@@ -1048,6 +1088,7 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
                                 prev,
                                 meta_table,
                                 msg_prev_table,
+                                edges,
                             )
                         }))
                         .unwrap_or_else(|_| {
@@ -1298,6 +1339,8 @@ fn repair_shard<P: VertexProgram + 'static>(
     let msg_prev_segments =
         db.encode_segments_for(&msg_prev_table, db.scan_table(&sess.message_table(), None, &[])?)?;
 
+    let (edges, _) = crate::projection::for_run(sess, config)?;
+    let edge_rows = edges.is_none();
     let worker: Arc<dyn TransformUdf> = Arc::new(VertexWorker {
         program: program.clone(),
         superstep,
@@ -1305,6 +1348,7 @@ fn repair_shard<P: VertexProgram + 'static>(
         prev_aggregates: Arc::new(agg_in.clone()),
         use_combiner: config.use_combiner,
         pool: Some(db.runtime().clone()),
+        edges,
     });
     let parts = config.num_partitions.max(1);
     let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
@@ -1320,6 +1364,7 @@ fn repair_shard<P: VertexProgram + 'static>(
                 config.input_mode,
                 config.stream_chunk_rows,
                 config.streaming_scan,
+                edge_rows,
                 &mut |chunk| {
                     for (d, piece) in split_batch(&chunk, &[0], n).map_err(VertexicaError::from)? {
                         // Own rows feed the worker. Remote-owned rows in the
@@ -1505,13 +1550,15 @@ mod tests {
         let db = ShardedDatabase::new(2);
         let ss = ShardedGraphSession::create(db, "g").unwrap();
         ss.load_edges(&chain_graph()).unwrap();
-        let mut total = 0u64;
-        for sess in ss.shard_sessions() {
-            let counts = prescan_counts(sess, 2, 4).unwrap();
-            total += counts.iter().flatten().sum::<u64>();
+        // vertices (+ edges, when they stream as rows); no messages yet.
+        for (edge_rows, rows) in [(true, 32 + 40), (false, 32)] {
+            let mut total = 0u64;
+            for sess in ss.shard_sessions() {
+                let counts = prescan_counts(sess, 2, 4, edge_rows).unwrap();
+                total += counts.iter().flatten().sum::<u64>();
+            }
+            assert_eq!(total, rows, "edge_rows = {edge_rows}");
         }
-        // vertices + edges (no messages yet).
-        assert_eq!(total, 32 + 40);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! number of cores" (§2.2). Each worker receives one hash partition of the
 //! table union, sorts it by vertex id (vertex batching, §2.3), reconstructs
 //! each vertex's value/edges/messages, runs `compute`, and emits new vertex
-//! states, outgoing messages and aggregator contributions as rows.
+//! states, outgoing messages and aggregator contributions as rows. A
+//! vertex's edges come either from the partition's own edge rows or, when the
+//! run has one, from the session's [`EdgeProjection`] — then the partition
+//! holds vertex and message rows only.
 
 use std::sync::Arc;
 
@@ -15,9 +18,12 @@ use vertexica_common::pregel::{AggKind, VertexContext, VertexProgram};
 use vertexica_common::runtime::WorkerPool;
 use vertexica_common::VertexData;
 use vertexica_sql::{SqlError, SqlResult, TransformUdf};
-use vertexica_storage::{ColumnBuilder, DataType, Field, RecordBatch, Schema, Value};
+use vertexica_storage::{
+    Bitmap, Column, ColumnBuilder, DataType, Field, RecordBatch, Schema, Value,
+};
 
 use crate::input::{KIND_EDGE, KIND_MESSAGE, KIND_VERTEX};
+use crate::projection::{cmp_weight, EdgeProjection};
 
 /// Partitions at or above this row count sort their canonical input order
 /// on the pool (chunk sorts in parallel + pairwise merges) instead of on
@@ -62,6 +68,100 @@ pub struct VertexWorker<P: VertexProgram> {
     /// The shared runtime pool, for sorting big partitions with nested
     /// parallelism (`None`: always sort on the calling thread).
     pub pool: Option<Arc<WorkerPool>>,
+    /// Where out-edges come from: the session's sorted edge projection, or
+    /// (`None`) the `KIND_EDGE` rows of the partition itself. Never both — an
+    /// edge row reaching a worker that holds a projection is an error.
+    pub edges: Option<Arc<EdgeProjection>>,
+}
+
+/// One nullable union-schema column as its raw typed slice plus validity.
+struct Nullable<'a, T> {
+    data: &'a [T],
+    validity: Option<&'a Bitmap>,
+}
+
+impl<'a, T> Nullable<'a, T> {
+    fn of(
+        column: &'a Column,
+        typed: impl FnOnce(&'a Column) -> Option<&'a [T]>,
+        what: &str,
+    ) -> SqlResult<Self> {
+        let data = typed(column).ok_or_else(|| SqlError::Udf(format!("{what} column mistyped")))?;
+        Ok(Nullable { data, validity: column.validity() })
+    }
+
+    #[inline]
+    fn get(&self, row: usize) -> Option<&'a T> {
+        match self.validity {
+            Some(valid) if !valid.get(row) => None,
+            _ => Some(&self.data[row]),
+        }
+    }
+}
+
+/// One input row of a partition: which batch, which row in it. The worker
+/// sorts these instead of merging the batches first — the rows never move.
+#[derive(Clone, Copy)]
+struct RowRef {
+    batch: u32,
+    row: u32,
+}
+
+/// The six union-schema columns of one partition batch, as typed slices.
+///
+/// [`RowKeys::cmp`] is the worker's canonical **total** order: (vid, kind)
+/// first — the paper's per-partition sort, vertex tuple leading its edges and
+/// messages — then every remaining column as a tiebreak. A mere (vid, kind)
+/// key leaves ties (a vertex's edges, its messages) in input order, which
+/// silently couples compute to the physical row order of the underlying
+/// tables; the segment-parallel apply path writes those tables in a different
+/// (but content-equal) order than the serial one. With a total order, any two
+/// runs that agree on partition *contents* produce bitwise-identical compute
+/// — which the config-matrix equivalence harness asserts. Rows tying on every
+/// column are interchangeable, so `sort_unstable` (and any run-merge order in
+/// the parallel sort) is safe.
+///
+/// The order is `Value::total_cmp` column by column, computed without boxing
+/// a `Value`: each column holds one type, so only that type's arm of
+/// `Value::total_cmp` can ever run — `i64::cmp`, `f64::total_cmp`,
+/// lexicographic bytes, `false < true` — and its NULL-sorts-first rule is
+/// `Option`'s `None < Some`.
+struct RowKeys<'a> {
+    vids: &'a [i64],
+    kinds: &'a [i64],
+    other: Nullable<'a, i64>,
+    weight: Nullable<'a, f64>,
+    payload: Nullable<'a, Vec<u8>>,
+    halted: Nullable<'a, bool>,
+}
+
+impl<'a> RowKeys<'a> {
+    fn of(batch: &'a RecordBatch) -> SqlResult<Self> {
+        if batch.num_columns() != 6 {
+            return Err(SqlError::Udf("worker input is not in the union schema".into()));
+        }
+        let key = |i: usize, what: &str| {
+            batch.column(i).as_int().ok_or_else(|| SqlError::Udf(format!("{what} must be BIGINT")))
+        };
+        Ok(RowKeys {
+            vids: key(0, "vid column")?,
+            kinds: key(1, "kind column")?,
+            other: Nullable::of(batch.column(2), Column::as_int, "other")?,
+            weight: Nullable::of(batch.column(3), Column::as_float, "weight")?,
+            payload: Nullable::of(batch.column(4), Column::as_blob, "payload")?,
+            halted: Nullable::of(batch.column(5), Column::as_bool, "halted")?,
+        })
+    }
+
+    /// Orders row `a` of `self` against row `b` of `other`.
+    fn cmp(&self, a: usize, other: &RowKeys<'_>, b: usize) -> std::cmp::Ordering {
+        (self.vids[a], self.kinds[a])
+            .cmp(&(other.vids[b], other.kinds[b]))
+            .then_with(|| self.other.get(a).cmp(&other.other.get(b)))
+            .then_with(|| cmp_weight(self.weight.get(a).copied(), other.weight.get(b).copied()))
+            .then_with(|| self.payload.get(a).cmp(&other.payload.get(b)))
+            .then_with(|| self.halted.get(a).cmp(&other.halted.get(b)))
+    }
 }
 
 /// The `VertexContext` handed to user compute functions.
@@ -123,10 +223,10 @@ impl<'a, P: VertexProgram> VertexContext<P::Value, P::Message> for WorkerCtx<'a,
 /// tying rows are byte-identical under the total order, so merge order
 /// cannot change compute.
 fn merge_runs(
-    a: Vec<usize>,
-    b: Vec<usize>,
-    cmp: &impl Fn(usize, usize) -> std::cmp::Ordering,
-) -> Vec<usize> {
+    a: Vec<RowRef>,
+    b: Vec<RowRef>,
+    cmp: &impl Fn(RowRef, RowRef) -> std::cmp::Ordering,
+) -> Vec<RowRef> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut ai, mut bi) = (0, 0);
     while ai < a.len() && bi < b.len() {
@@ -165,51 +265,24 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
     }
 
     fn execute(&self, partition: Vec<RecordBatch>) -> SqlResult<Vec<RecordBatch>> {
-        // Merge the partition and sort row indices by (vid, kind): the
-        // paper's per-partition sort on vertex id, with the vertex tuple
-        // leading its edges and messages.
-        let schema = partition
-            .first()
-            .map(|b| b.schema().clone())
-            .unwrap_or_else(crate::input::union_schema);
-        let merged = RecordBatch::concat(schema, &partition)?;
-        let n = merged.num_rows();
-        let vid_col = merged.column(0);
-        let kind_col = merged.column(1);
-        let other_col = merged.column(2);
-        let weight_col = merged.column(3);
-        let payload_col = merged.column(4);
-        let halted_col = merged.column(5);
-
-        let vids =
-            vid_col.as_int().ok_or_else(|| SqlError::Udf("vid column must be BIGINT".into()))?;
-        let kinds =
-            kind_col.as_int().ok_or_else(|| SqlError::Udf("kind column must be BIGINT".into()))?;
-
-        // Canonical **total** order: (vid, kind) first — the paper's
-        // per-partition sort — then every remaining column as a tiebreak.
-        // A mere (vid, kind) key leaves ties (a vertex's edges, its
-        // messages) in input order, which silently couples compute to the
-        // physical row order of the underlying tables; the segment-parallel
-        // apply path writes those tables in a different (but content-equal)
-        // order than the serial one. With a total order, any two runs that
-        // agree on partition *contents* produce bitwise-identical compute —
-        // which the config-matrix equivalence harness asserts. Rows tying on
-        // every column are interchangeable, so `sort_unstable` (and any
-        // run-merge order in the parallel sort) is safe.
-        let tiebreak_cols = [other_col, weight_col, payload_col, halted_col];
-        let cmp = |a: usize, b: usize| {
-            (vids[a], kinds[a]).cmp(&(vids[b], kinds[b])).then_with(|| {
-                for col in tiebreak_cols {
-                    let ord = col.value(a).total_cmp(&col.value(b));
-                    if !ord.is_eq() {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            })
+        // Sort the partition's rows by (vid, kind, …): the paper's
+        // per-partition sort on vertex id, with the vertex tuple leading its
+        // edges and messages.
+        let keys: Vec<RowKeys<'_>> = partition.iter().map(RowKeys::of).collect::<SqlResult<_>>()?;
+        let at = |r: RowRef| (&keys[r.batch as usize], r.row as usize);
+        let cmp = |a: RowRef, b: RowRef| {
+            let ((ka, ra), (kb, rb)) = (at(a), at(b));
+            ka.cmp(ra, kb, rb)
         };
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: Vec<RowRef> = Vec::new();
+        for (b, batch) in partition.iter().enumerate() {
+            let (Ok(batch_idx), Ok(rows)) = (u32::try_from(b), u32::try_from(batch.num_rows()))
+            else {
+                return Err(SqlError::Udf("partition too large for 32-bit row references".into()));
+            };
+            order.extend((0..rows).map(|row| RowRef { batch: batch_idx, row }));
+        }
+        let n = order.len();
         let lanes = self.pool.as_ref().map_or(1, |p| p.size());
         if n >= PARALLEL_SORT_MIN_ROWS && lanes > 1 {
             // Big partition: sort contiguous runs as pool tasks — a nested
@@ -222,7 +295,8 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
                     s.spawn(move || run.sort_unstable_by(|&a, &b| cmp(a, b)));
                 }
             });
-            let mut runs: Vec<Vec<usize>> = order.chunks(run_len).map(<[usize]>::to_vec).collect();
+            let mut runs: Vec<Vec<RowRef>> =
+                order.chunks(run_len).map(<[RowRef]>::to_vec).collect();
             while runs.len() > 1 {
                 let mut next = Vec::with_capacity(runs.len().div_ceil(2));
                 let mut it = runs.into_iter();
@@ -248,28 +322,40 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
             self.program.aggregators().into_iter().map(|s| (s.name.to_string(), s.kind)).collect();
 
         // Walk vertex groups.
+        let mut row_edges: Vec<Edge> = Vec::new();
+        let mut msgs: Vec<P::Message> = Vec::new();
         let mut i = 0usize;
         while i < n {
-            let vid = vids[order[i]] as VertexId;
+            let (first, row) = at(order[i]);
+            let vid = first.vids[row] as VertexId;
             let mut j = i;
-            let mut vertex_row: Option<usize> = None;
-            let mut edges: Vec<Edge> = Vec::new();
-            let mut msgs: Vec<P::Message> = Vec::new();
-            while j < n && vids[order[j]] as VertexId == vid {
-                let row = order[j];
-                match kinds[row] {
-                    KIND_VERTEX => vertex_row = Some(row),
+            let mut vertex_row: Option<RowRef> = None;
+            row_edges.clear();
+            msgs.clear();
+            while j < n {
+                let (k, row) = at(order[j]);
+                if k.vids[row] as VertexId != vid {
+                    break;
+                }
+                match k.kinds[row] {
+                    KIND_VERTEX => vertex_row = Some(order[j]),
                     KIND_EDGE => {
-                        let dst = other_col.value(row).as_int().unwrap_or(0) as VertexId;
-                        let w = weight_col.value(row).as_float().unwrap_or(1.0);
-                        edges.push(Edge::weighted(vid, dst, w));
+                        if self.edges.is_some() {
+                            return Err(SqlError::Udf(format!(
+                                "edge row for vertex {vid} reached a worker that reads edges \
+                                 from the projection"
+                            )));
+                        }
+                        let dst = k.other.get(row).copied().unwrap_or(0) as VertexId;
+                        let w = k.weight.get(row).copied().unwrap_or(1.0);
+                        row_edges.push(Edge::weighted(vid, dst, w));
                     }
                     KIND_MESSAGE => {
-                        let bytes = match payload_col.value(row) {
-                            Value::Blob(b) => b,
-                            _ => return Err(SqlError::Udf("message payload not a blob".into())),
-                        };
-                        msgs.push(Self::decode_message(&bytes)?);
+                        let bytes = k
+                            .payload
+                            .get(row)
+                            .ok_or_else(|| SqlError::Udf("message payload not a blob".into()))?;
+                        msgs.push(Self::decode_message(bytes)?);
                     }
                     other => {
                         return Err(SqlError::Udf(format!("unknown tuple kind {other}")));
@@ -281,28 +367,29 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
 
             // Messages addressed to a vertex that doesn't exist are dropped
             // (consistent with Pregel's default resolver-less behaviour).
-            let Some(vrow) = vertex_row else { continue };
+            let Some((k, vrow)) = vertex_row.map(at) else { continue };
 
-            let old_halted = halted_col.value(vrow).as_bool().unwrap_or(false);
+            let old_halted = k.halted.get(vrow).copied().unwrap_or(false);
             let active = self.superstep == 0 || !old_halted || !msgs.is_empty();
             if !active {
                 continue;
             }
-            let old_bytes = match payload_col.value(vrow) {
-                Value::Blob(b) => b,
-                Value::Null => {
-                    return Err(SqlError::Udf(format!("vertex {vid} has no initialized value")))
-                }
-                _ => return Err(SqlError::Udf("vertex payload not a blob".into())),
+            let old_bytes = k
+                .payload
+                .get(vrow)
+                .ok_or_else(|| SqlError::Udf(format!("vertex {vid} has no initialized value")))?;
+            let value = Self::decode_value(old_bytes)?;
+            let edges: &[Edge] = match &self.edges {
+                Some(projection) => projection.out_edges(vid),
+                None => &row_edges,
             };
-            let value = Self::decode_value(&old_bytes)?;
 
             let mut ctx: WorkerCtx<'_, P> = WorkerCtx {
                 id: vid,
                 superstep: self.superstep,
                 num_vertices: self.num_vertices,
                 value,
-                edges: &edges,
+                edges,
                 sent: Vec::new(),
                 voted_halt: false,
                 agg_out: Vec::new(),
@@ -313,7 +400,7 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
             // Vertex state delta.
             let new_bytes = ctx.value.to_bytes();
             let new_halted = ctx.voted_halt;
-            if new_bytes != old_bytes || new_halted != old_halted {
+            if new_bytes != *old_bytes || new_halted != old_halted {
                 state_rows.push((vid, new_bytes, new_halted));
             }
 
@@ -507,6 +594,7 @@ mod tests {
             prev_aggregates: Arc::new(FxHashMap::default()),
             use_combiner: combiner,
             pool: None,
+            edges: None,
         }
     }
 
@@ -643,6 +731,76 @@ mod tests {
             out.iter().flat_map(|b| (0..b.num_rows()).map(move |i| b.row(i))).collect()
         };
         assert_eq!(rows_of(&serial), rows_of(&pooled));
+    }
+
+    fn all_rows(out: &[RecordBatch]) -> Vec<Vec<Value>> {
+        out.iter().flat_map(RecordBatch::rows).collect()
+    }
+
+    #[test]
+    fn projection_worker_matches_edge_row_worker_and_rejects_edge_rows() {
+        use vertexica_common::graph::EdgeList;
+        let edges = [(0, 1), (1, 2), (0, 2), (0, 1)];
+        let g = crate::GraphSession::create(Arc::new(vertexica_sql::Database::new()), "g").unwrap();
+        g.load_edges(&EdgeList::from_pairs(edges)).unwrap();
+        let (projection, _) = g.edge_projection().unwrap();
+        let mut from_projection = worker(0, false);
+        from_projection.edges = Some(projection);
+
+        let vertices = [(0, 0.0, false), (1, 1.0, false), (2, 2.0, false)];
+        let msgs = [(2, 0, 5.0), (2, 1, 4.0)];
+        let with_rows = worker(0, false).execute(vec![build_input(&vertices, &edges, &msgs)]);
+        let without = from_projection.execute(vec![build_input(&vertices, &[], &msgs)]);
+        assert_eq!(all_rows(&with_rows.unwrap()), all_rows(&without.unwrap()));
+
+        // The two edge sources never merge: a stray edge row is an error.
+        let stray = from_projection.execute(vec![build_input(&vertices, &[(0, 1)], &[])]);
+        assert!(matches!(stray, Err(SqlError::Udf(msg)) if msg.contains("projection")));
+    }
+
+    #[test]
+    fn typed_row_order_is_the_value_total_cmp_chain() {
+        // Every pair of rows — across two batches, with NULLs, NaN, -0.0 and
+        // an empty blob beside a NULL one — must order exactly as the boxed
+        // `Value::total_cmp` comparison of all six columns does.
+        let blob = |b: &[u8]| Value::Blob(b.to_vec());
+        let tails: Vec<[Value; 4]> = vec![
+            [Value::Null, Value::Null, Value::Null, Value::Null],
+            [Value::Int(-1), Value::Float(f64::NAN), blob(b""), Value::Bool(false)],
+            [Value::Int(-1), Value::Float(-0.0), blob(b"\x00"), Value::Bool(true)],
+            [Value::Int(-1), Value::Float(0.0), blob(b"\x00\x01"), Value::Null],
+            [Value::Int(7), Value::Float(-f64::NAN), blob(b"\xff"), Value::Bool(true)],
+            [Value::Int(7), Value::Null, Value::Null, Value::Bool(false)],
+            [Value::Int(i64::MAX), Value::Float(f64::NEG_INFINITY), blob(b"\x00"), Value::Null],
+        ];
+        let mut rows = Vec::new();
+        for (vid, kind) in [(i64::MIN, 0), (3, 2), (3, 0), (3, 1), (i64::MAX, 2)] {
+            for tail in &tails {
+                let mut row = vec![Value::Int(vid), Value::Int(kind)];
+                row.extend(tail.iter().cloned());
+                rows.push(row);
+            }
+        }
+        let (front, back) = rows.split_at(rows.len() / 2);
+        let batches = [
+            RecordBatch::from_rows(union_schema(), front).unwrap(),
+            RecordBatch::from_rows(union_schema(), back).unwrap(),
+        ];
+        let keys: Vec<RowKeys<'_>> = batches.iter().map(|b| RowKeys::of(b).unwrap()).collect();
+        let all: Vec<(usize, usize)> =
+            (0..2).flat_map(|b| (0..batches[b].num_rows()).map(move |r| (b, r))).collect();
+        for &(ba, ra) in &all {
+            for &(bb, rb) in &all {
+                let boxed = batches[ba]
+                    .row(ra)
+                    .iter()
+                    .zip(batches[bb].row(rb).iter())
+                    .map(|(x, y)| x.total_cmp(y))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal);
+                assert_eq!(keys[ba].cmp(ra, &keys[bb], rb), boxed, "({ba},{ra}) vs ({bb},{rb})");
+            }
+        }
     }
 
     #[test]

@@ -328,6 +328,18 @@ fn unpack_rowid(id: u64) -> (u32, u32) {
     ((id >> 32) as u32, id as u32)
 }
 
+/// Source of [`Table::data_version`] stamps. One counter for the whole
+/// process, so a table swapped in under an existing name (replace, swap,
+/// rename, recovery) can never carry a stamp an older table once had.
+/// `Relaxed` suffices: only uniqueness of the drawn values matters, and each
+/// value is published through the owning table's lock.
+static NEXT_DATA_VERSION: vertexica_common::sync::AtomicU64 =
+    vertexica_common::sync::AtomicU64::new(1);
+
+fn next_data_version() -> u64 {
+    NEXT_DATA_VERSION.fetch_add(1, vertexica_common::sync::Ordering::Relaxed)
+}
+
 /// A table: schema + WOS + ROS segments + delete vectors.
 #[derive(Debug)]
 pub struct Table {
@@ -337,6 +349,8 @@ pub struct Table {
     wos: Vec<Row>,
     segments: Vec<SegmentHandle>,
     delete_vectors: Vec<Bitmap>,
+    /// See [`Table::data_version`].
+    data_version: u64,
     /// Monotonic count of segments skipped by zone-map pruning across all
     /// scans of this table handle — observability for "did the pruning
     /// predicate actually avoid decoding that segment?" (regression-tested
@@ -375,6 +389,7 @@ impl Table {
             wos: Vec::new(),
             segments: Vec::new(),
             delete_vectors: Vec::new(),
+            data_version: next_data_version(),
             segments_pruned: Arc::new(vertexica_common::sync::AtomicU64::new(0)),
             blocks_pruned: Arc::new(vertexica_common::sync::AtomicU64::new(0)),
             bytes_decoded: Arc::new(vertexica_common::sync::AtomicU64::new(0)),
@@ -491,6 +506,24 @@ impl Table {
         self.bytes_decoded.load(vertexica_common::sync::Ordering::Relaxed)
     }
 
+    /// A stamp identifying this table's current logical contents (its live
+    /// rows as a multiset): redrawn from a process-wide counter when the table
+    /// is created and once by every apply half that adds, deletes or replaces
+    /// rows (so logged and replayed DML alike), so two reads that return the
+    /// same stamp saw the same rows. Moveout and mergeout re-house the same
+    /// rows — new row ids and scan order, same contents — and leave it alone.
+    /// Derived read-only images (the core crate's edge projection) cache
+    /// against it.
+    pub fn data_version(&self) -> u64 {
+        self.data_version
+    }
+
+    /// Redraws [`Table::data_version`]. Every apply half that changes the
+    /// table's rows calls this exactly once.
+    fn touch(&mut self) {
+        self.data_version = next_data_version();
+    }
+
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -557,7 +590,7 @@ impl Table {
                 &wal::payload_insert_rows(&self.name, std::slice::from_ref(&row)),
             )?;
         }
-        self.insert_row_unlogged(row)
+        self.insert_rows_unlogged(vec![row])
     }
 
     /// Inserts many rows (one WAL record for the whole batch).
@@ -572,15 +605,23 @@ impl Table {
                 w.log_data(&self.name, &wal::payload_insert_rows(&self.name, &checked))?;
             }
         }
-        for row in checked {
-            self.insert_row_unlogged(row)?;
-        }
+        self.insert_rows_unlogged(checked)?;
         Ok(n)
     }
 
-    /// Apply half of [`Table::insert_row`]: pushes an already-validated row
-    /// and runs the (deterministic) auto-moveout check. Shared with replay.
-    pub(crate) fn insert_row_unlogged(&mut self, row: Row) -> StorageResult<()> {
+    /// Apply half of [`Table::insert_row`] / [`Table::insert_rows`] for
+    /// already-validated rows. Shared with replay.
+    pub(crate) fn insert_rows_unlogged(&mut self, rows: Vec<Row>) -> StorageResult<()> {
+        self.touch();
+        for row in rows {
+            self.push_wos_row(row)?;
+        }
+        Ok(())
+    }
+
+    /// Pushes one row into the WOS and runs the (deterministic) auto-moveout
+    /// check.
+    fn push_wos_row(&mut self, row: Row) -> StorageResult<()> {
         self.wos.push(row);
         if self.wos.len() >= self.options.moveout_threshold {
             self.moveout_unlogged()?;
@@ -631,6 +672,7 @@ impl Table {
     /// Apply half of [`Table::adopt_segment`]: pushes an already-validated,
     /// non-empty segment. Shared with replay.
     pub(crate) fn adopt_segment_unlogged(&mut self, seg: Segment) {
+        self.touch();
         self.push_ros_segment(seg);
     }
 
@@ -659,7 +701,7 @@ impl Table {
     }
 
     /// Apply half of [`Table::moveout`] — also the auto-moveout inside
-    /// [`Table::insert_row_unlogged`], which is *not* logged separately:
+    /// [`Table::insert_rows_unlogged`], which is *not* logged separately:
     /// replaying the inserts reproduces it (the threshold check is
     /// deterministic, and the sort is stable).
     pub(crate) fn moveout_unlogged(&mut self) -> StorageResult<()> {
@@ -719,7 +761,7 @@ impl Table {
         if merged.num_rows() > 0 {
             let seg = Segment::build(&self.schema, &merged, self.options.compress)?;
             if seg.num_rows() > 0 {
-                self.adopt_segment_unlogged(seg);
+                self.push_ros_segment(seg);
             }
         }
         Ok(())
@@ -840,6 +882,11 @@ impl Table {
 
     /// Apply half of [`Table::delete_rowids`]. Shared with replay.
     pub(crate) fn delete_rowids_unlogged(&mut self, rowids: &[u64]) -> usize {
+        self.touch();
+        self.mark_deleted(rowids)
+    }
+
+    fn mark_deleted(&mut self, rowids: &[u64]) -> usize {
         let mut wos_dead: Vec<u32> = Vec::new();
         let mut n = 0usize;
         for &id in rowids {
@@ -890,9 +937,10 @@ impl Table {
         updates: Vec<(u64, Row)>,
     ) -> StorageResult<usize> {
         let ids: Vec<u64> = updates.iter().map(|(id, _)| *id).collect();
-        let n = self.delete_rowids_unlogged(&ids);
+        self.touch();
+        let n = self.mark_deleted(&ids);
         for (_, row) in updates {
-            self.insert_row_unlogged(row)?;
+            self.push_wos_row(row)?;
         }
         Ok(n)
     }
@@ -908,6 +956,7 @@ impl Table {
 
     /// Apply half of [`Table::truncate`]. Shared with replay.
     pub(crate) fn truncate_unlogged(&mut self) {
+        self.touch();
         self.wos.clear();
         self.segments.clear();
         self.delete_vectors.clear();
@@ -1365,6 +1414,57 @@ mod tests {
         t.truncate().unwrap();
         assert_eq!(t.num_rows(), 0);
         assert!(t.scan(None, &[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn data_version_follows_row_changes_not_rehousing() {
+        let mut t = small_table();
+        let mut seen = std::collections::HashSet::from([small_table().data_version()]);
+        let mut fresh = |t: &Table, what: &str| {
+            assert!(seen.insert(t.data_version()), "{what} reused a stamp");
+        };
+        fresh(&t, "a second table with the same contents");
+        t.insert_row(vec![Value::Int(3), Value::Int(0), Value::Float(1.0)]).unwrap();
+        fresh(&t, "insert_row");
+        let batch = t.scan(None, &[]).unwrap().remove(0);
+        t.append_batch(&batch).unwrap();
+        fresh(&t, "append_batch");
+        let rowid = t.scan_with_rowids(None, &[]).unwrap()[0].1[0];
+        t.update_rows(vec![(rowid, vec![Value::Int(0), Value::Int(1), Value::Float(2.0)])])
+            .unwrap();
+        fresh(&t, "update_rows");
+        t.delete_rowids(&[rowid]).unwrap();
+        fresh(&t, "delete_rowids");
+
+        let row = || vec![Value::Int(7), Value::Int(8), Value::Float(1.0)];
+        t.insert_rows(vec![row(), row(), row()]).unwrap();
+        fresh(&t, "insert_rows");
+
+        // Reads and re-housing the same rows (WOS → ROS, segment merge) leave
+        // the stamp alone.
+        let before = t.data_version();
+        let live = |t: &Table| {
+            let mut rows: Vec<String> = t
+                .scan(None, &[])
+                .unwrap()
+                .iter()
+                .flat_map(RecordBatch::rows)
+                .map(|r| format!("{r:?}"))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let rows = live(&t);
+        assert!(t.wos_rows() > 0 && t.delete_vectors().iter().any(Bitmap::any));
+        t.scan_cursor(Some(&[0]), &[]).unwrap();
+        t.moveout().unwrap();
+        t.mergeout().unwrap();
+        assert_eq!((t.wos_rows(), t.num_segments()), (0, 1));
+        assert_eq!(live(&t), rows);
+        assert_eq!(t.data_version(), before);
+
+        t.truncate().unwrap();
+        fresh(&t, "truncate");
     }
 
     #[test]

@@ -1013,11 +1013,7 @@ pub fn open_durable(dir: impl AsRef<Path>, sync: bool) -> StorageResult<Arc<Cata
         match record {
             WalRecord::InsertRows { table, rows } => {
                 if seq >= watermark_of(&metas, &table) {
-                    let t = catalog.get(&table)?;
-                    let mut guard = t.write();
-                    for row in rows {
-                        guard.insert_row_unlogged(row)?;
-                    }
+                    catalog.get(&table)?.write().insert_rows_unlogged(rows)?;
                 }
             }
             WalRecord::AdoptSegment { table, segment } => {

@@ -337,8 +337,14 @@ fn streaming_stats_report_bounded_peak_bytes() {
     // message table's segment count — follows num_workers under the
     // segment-parallel apply path; the defaults track the host's core count
     // and the CI ablation env.)
-    let base =
-        VertexicaConfig::default().with_combiner(false).with_workers(4).with_parallel_apply(true);
+    // (chunk rows pinned below the vertex count: with edges read from the
+    // projection, superstep 0's input is the 400-row vertex table alone, and
+    // it must still arrive as several chunks for the bound to mean anything.)
+    let base = VertexicaConfig::default()
+        .with_combiner(false)
+        .with_workers(4)
+        .with_parallel_apply(true)
+        .with_stream_chunk_rows(64);
     let session = session_for(&graph);
     let stats = run_program(
         &session,

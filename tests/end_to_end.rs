@@ -181,3 +181,91 @@ fn checkpoint_save_restore_api() {
     assert_eq!(before, after);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Dynamic graphs through the edge projection: every kind of edge-table DML
+/// between two runs forces exactly one rebuild, and the run after it matches
+/// `algorithms::reference` on the mutated graph.
+#[test]
+fn edge_mutations_between_runs_rebuild_the_projection() {
+    use vertexica_algorithms::reference;
+
+    let mut graph = erdos_renyi(40, 160, 33);
+    let session = GraphSession::create(Arc::new(Database::new()), "dyn").unwrap();
+    session.load_edges(&graph).unwrap();
+    // Pinned: a budgeted buffer pool (the out-of-core CI mode budgets every
+    // pool by default) makes a run stream edge rows and build no projection.
+    session.db().catalog().buffer_pool().set_budget(None);
+    let config = VertexicaConfig::default().with_memory_budget(None);
+
+    // One PageRank run (does it build?) and one SSSP run on the same state
+    // (a cache hit), both against the reference.
+    let run_and_check = |graph: &EdgeList, what: &str| -> f64 {
+        let stats = run_program(&session, Arc::new(PageRank::new(6, 0.85)), &config).unwrap();
+        assert!(stats.projection_bytes > 0, "{what}");
+        let ranks: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+        let expected = reference::pagerank(graph, 6, 0.85);
+        assert_eq!(ranks.len(), expected.len(), "{what}");
+        for ((id, got), want) in ranks.iter().zip(&expected) {
+            assert!((got - want).abs() < 1e-9, "{what}: rank of {id}: {got} vs {want}");
+        }
+        let again = run_program(&session, Arc::new(Sssp::new(0)), &config).unwrap();
+        assert_eq!(again.projection_build_secs, 0.0, "{what}: no DML since the last run");
+        let dist: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+        for ((id, got), want) in dist.iter().zip(&reference::sssp(graph, 0)) {
+            let same = if want.is_finite() { (got - want).abs() < 1e-9 } else { got == want };
+            assert!(same, "{what}: distance of {id}: {got} vs {want}");
+        }
+        stats.projection_build_secs
+    };
+
+    assert!(run_and_check(&graph, "first run") > 0.0, "the first run builds");
+    assert_eq!(run_and_check(&graph, "second run"), 0.0, "nothing changed: cache hit");
+
+    let e0 = graph.edges[0];
+    let last = graph.num_vertices - 1;
+    type Mutation = Box<dyn Fn(&GraphSession, &mut EdgeList)>;
+    let mutations: Vec<(&str, Mutation)> = vec![
+        (
+            "add_edge",
+            Box::new(|s, g| {
+                s.add_edge(3, 17, 0.25, 0, None).unwrap();
+                g.edges.push(Edge::weighted(3, 17, 0.25));
+            }),
+        ),
+        (
+            "update_edge_weight",
+            Box::new(move |s, g| {
+                assert!(s.update_edge_weight(e0.src, e0.dst, 7.5).unwrap() >= 1);
+                for e in g.edges.iter_mut().filter(|e| (e.src, e.dst) == (e0.src, e0.dst)) {
+                    e.weight = 7.5;
+                }
+            }),
+        ),
+        (
+            "remove_edge",
+            Box::new(move |s, g| {
+                assert!(s.remove_edge(e0.src, e0.dst).unwrap() >= 1);
+                g.edges.retain(|e| (e.src, e.dst) != (e0.src, e0.dst));
+            }),
+        ),
+        (
+            "remove_vertex",
+            Box::new(move |s, g| {
+                assert_eq!(s.remove_vertex(last).unwrap(), 1);
+                g.edges.retain(|e| e.src != last && e.dst != last);
+                g.num_vertices -= 1;
+            }),
+        ),
+        (
+            "raw DELETE",
+            Box::new(|s, g| {
+                s.db().execute("DELETE FROM dyn_edge WHERE src = 5 OR dst = 11").unwrap();
+                g.edges.retain(|e| e.src != 5 && e.dst != 11);
+            }),
+        ),
+    ];
+    for (what, mutate) in &mutations {
+        mutate(&session, &mut graph);
+        assert!(run_and_check(&graph, what) > 0.0, "{what} must force a rebuild");
+    }
+}

@@ -308,4 +308,80 @@ proptest! {
             }
         }
     }
+
+    /// The edge projection's adjacency for every `src` equals a straight
+    /// scan of the edge table grouped by `src` and ordered by `(dst, weight)`
+    /// (NULL first, IEEE total order, NULL then read as 1.0) — whatever the
+    /// table's physical shape: several ROS segments, rows still in the WOS,
+    /// rows masked by delete vectors, duplicates, self-loops, NaN / -0.0 /
+    /// negative / NULL weights.
+    #[test]
+    fn edge_projection_equals_a_sorted_scan(
+        rows in proptest::collection::vec((0i64..8, 0i64..8, arb_weight()), 0..60),
+        segment_rows in 1usize..20,
+        wos_rows in 0usize..10,
+        deleted_src in 0i64..10,
+    ) {
+        use vertexica::session::edge_schema;
+        use vertexica::storage::{RecordBatch, Value};
+        let edge_row = |&(s, d, w): &(i64, i64, Option<f64>)| {
+            let w = w.map_or(Value::Null, Value::Float);
+            vec![Value::Int(s), Value::Int(d), w, Value::Int(0), Value::Null]
+        };
+        let session = session_for(&EdgeList::new(8, vec![]));
+        let table = session.db().catalog().get(&session.edge_table()).unwrap();
+        let (ros, wos) = rows.split_at(rows.len() - wos_rows.min(rows.len()));
+        for chunk in ros.chunks(segment_rows) {
+            let rows: Vec<_> = chunk.iter().map(edge_row).collect();
+            table.write().append_batch(&RecordBatch::from_rows(edge_schema(), &rows).unwrap()).unwrap();
+        }
+        session
+            .db()
+            .execute(&format!("DELETE FROM {} WHERE src = {deleted_src}", session.edge_table()))
+            .unwrap();
+        table.write().insert_rows(wos.iter().map(edge_row).collect()).unwrap();
+
+        let mut expected: Vec<(i64, i64, Option<f64>)> = rows
+            .iter()
+            .enumerate()
+            .filter(|(i, r)| *i >= ros.len() || r.0 != deleted_src)
+            .map(|(_, r)| *r)
+            .collect();
+        expected.sort_by(|a, b| {
+            (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| match (a.2, b.2) {
+                (Some(x), Some(y)) => x.total_cmp(&y),
+                (x, y) => x.is_some().cmp(&y.is_some()),
+            })
+        });
+        prop_assert_eq!(table.read().num_rows(), expected.len());
+
+        let (projection, _) = session.edge_projection().unwrap();
+        prop_assert_eq!(projection.num_edges(), expected.len());
+        for src in 0..10i64 {
+            let want: Vec<(i64, u64)> = expected
+                .iter()
+                .filter(|r| r.0 == src)
+                .map(|r| (r.1, r.2.unwrap_or(1.0).to_bits()))
+                .collect();
+            let got: Vec<(i64, u64)> = projection
+                .out_edges(src as VertexId)
+                .iter()
+                .map(|e| (e.dst as i64, e.weight.to_bits()))
+                .collect();
+            prop_assert_eq!(got, want, "out-edges of {}", src);
+        }
+    }
+}
+
+/// Edge weights the projection's order has to get right: NULL, NaN of both
+/// signs, both zeros, and ordinary negative and positive values.
+fn arb_weight() -> impl Strategy<Value = Option<f64>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(f64::NAN)),
+        Just(Some(-f64::NAN)),
+        Just(Some(-0.0)),
+        Just(Some(0.0)),
+        (-4.0f64..4.0).prop_map(Some),
+    ]
 }
