@@ -17,10 +17,13 @@
 //!   literal mechanism, kept for ablation via
 //!   [`VertexicaConfig::with_parallel_apply`]`(false)`;
 //! * the **segment-parallel** path ([`apply_parallel`], default): each
-//!   partition's output is parsed and canonicalized **on the pool worker
-//!   that finished it** ([`ParallelApply::absorb`]), the new vertex/message
-//!   tables are built as per-bucket ROS segments in parallel on the same
-//!   pool, and the commit is an atomic catalog-level contents swap
+//!   partition's output is read as typed column slices **on the pool worker
+//!   that finished it** and references to its rows are scattered into apply
+//!   buckets ([`ParallelApply::absorb`]; the payload bytes stay in the
+//!   worker's output column), the new vertex/message tables are built as
+//!   per-bucket ROS segments in parallel on the same pool — each gathers its
+//!   payloads once, in sorted order — and the commit is an atomic
+//!   catalog-level contents swap
 //!   ([`vertexica_sql::Database::replace_table_segmented`]). Canonicalizing
 //!   sorts at every segment boundary keep the two paths bitwise-identical —
 //!   which `tests/cross_engine_equivalence.rs`'s config-matrix harness
@@ -32,12 +35,14 @@ use vertexica_common::hash::FxHashMap;
 use vertexica_common::pregel::{AggKind, VertexProgram};
 use vertexica_common::VertexData;
 use vertexica_storage::partition::{hash_partition, int_key_partition};
-use vertexica_storage::{RecordBatch, TableOptions, Value};
+use vertexica_storage::{
+    BlobData, Column, ColumnBuilder, DataType, RecordBatch, TableOptions, Value,
+};
 
 use crate::config::VertexicaConfig;
 use crate::error::{VertexicaError, VertexicaResult};
-use crate::session::{message_batch, message_schema, vertex_schema, GraphSession};
-use crate::worker::{OUT_AGGREGATE, OUT_MESSAGE, OUT_STATE};
+use crate::session::{message_schema, vertex_schema, GraphSession};
+use crate::worker::{Nullable, OUT_AGGREGATE, OUT_MESSAGE, OUT_STATE};
 
 /// What a superstep did, as observed by the coordinator.
 #[derive(Debug, Clone, Default)]
@@ -117,56 +122,115 @@ impl OutputAccumulator {
     pub fn absorb(&mut self, partition: usize, batches: &[RecordBatch]) -> VertexicaResult<()> {
         let _ = partition;
         for batch in batches {
-            for i in 0..batch.num_rows() {
-                let row = batch.row(i);
-                let kind = row[0].as_int().unwrap_or(-1);
-                match kind {
-                    OUT_STATE => {
-                        let vid = row[1].as_int().ok_or_else(|| {
-                            VertexicaError::Runtime("state row without vid".into())
-                        })?;
-                        let Value::Blob(bytes) = row[3].clone() else {
-                            return Err(VertexicaError::Runtime(
-                                "state row without payload".into(),
-                            ));
-                        };
-                        let halted = row[4].as_bool().unwrap_or(false);
-                        self.updates.push((vid, bytes, halted));
+            let rows = OutputRows::of(batch)?;
+            for row in 0..batch.num_rows() {
+                match rows.get(row, &self.agg_specs)? {
+                    OutputRow::State { vid, value, halted } => {
+                        self.updates.push((vid, value.to_vec(), halted));
                     }
-                    OUT_MESSAGE => {
-                        let to = row[1].as_int().unwrap_or(0) as u64;
-                        let from = row[2].as_int().unwrap_or(0) as u64;
-                        let Value::Blob(bytes) = row[3].clone() else {
-                            return Err(VertexicaError::Runtime(
-                                "message row without payload".into(),
-                            ));
-                        };
-                        self.messages.push((to, from, bytes));
+                    OutputRow::Message { to, from, payload } => {
+                        self.messages.push((to, from, payload.to_vec()));
                     }
-                    OUT_AGGREGATE => {
-                        let Value::Str(name) = row[5].clone() else {
-                            return Err(VertexicaError::Runtime(
-                                "aggregate row without name".into(),
-                            ));
-                        };
-                        let vid = row[1].as_int().ok_or_else(|| {
-                            VertexicaError::Runtime("aggregate row without vid".into())
-                        })?;
-                        let v = row[6].as_float().unwrap_or(0.0);
-                        if !self.agg_specs.contains_key(&name) {
-                            return Err(VertexicaError::Runtime(format!(
-                                "unknown aggregator {name}"
-                            )));
-                        }
-                        self.agg_partials.push((name, vid, v));
-                    }
-                    other => {
-                        return Err(VertexicaError::Runtime(format!("bad output kind {other}")));
+                    OutputRow::Aggregate { name, vid, value } => {
+                        self.agg_partials.push((name.to_string(), vid, value));
                     }
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// One worker output batch ([`crate::worker::worker_output_schema`]) as
+/// typed column slices: both apply paths read rows through this, so neither
+/// boxes a `Value` per cell, and a NULL or mistyped cell is an error naming
+/// the row kind and column instead of a silent default.
+struct OutputRows<'a> {
+    kind: Nullable<'a, [i64]>,
+    vid: Nullable<'a, [i64]>,
+    other: Nullable<'a, [i64]>,
+    payload: Nullable<'a, BlobData>,
+    halted: Nullable<'a, [bool]>,
+    agg_name: Nullable<'a, [String]>,
+    agg_value: Nullable<'a, [f64]>,
+}
+
+/// One worker output row, borrowed from its batch. Every field is a cell the
+/// worker always writes; a NULL there is an error, not a default.
+enum OutputRow<'a> {
+    State { vid: i64, value: &'a [u8], halted: bool },
+    Message { to: u64, from: u64, payload: &'a [u8] },
+    Aggregate { name: &'a str, vid: i64, value: f64 },
+}
+
+impl<'a> OutputRows<'a> {
+    fn of(batch: &'a RecordBatch) -> VertexicaResult<Self> {
+        if batch.num_columns() != 7 {
+            return Err(VertexicaError::Runtime(format!(
+                "worker output has {} columns, not the 7 of the output schema",
+                batch.num_columns()
+            )));
+        }
+        fn typed<'a, D: ?Sized>(
+            batch: &'a RecordBatch,
+            index: usize,
+            read: impl FnOnce(&'a Column) -> Option<&'a D>,
+        ) -> VertexicaResult<Nullable<'a, D>> {
+            let column = batch.column(index);
+            Nullable::of(column, read).ok_or_else(|| {
+                VertexicaError::Runtime(format!(
+                    "worker output column {index} mistyped: {}",
+                    column.dtype()
+                ))
+            })
+        }
+        Ok(OutputRows {
+            kind: typed(batch, 0, Column::as_int)?,
+            vid: typed(batch, 1, Column::as_int)?,
+            other: typed(batch, 2, Column::as_int)?,
+            payload: typed(batch, 3, Column::as_blob)?,
+            halted: typed(batch, 4, Column::as_bool)?,
+            agg_name: typed(batch, 5, Column::as_str)?,
+            agg_value: typed(batch, 6, Column::as_float)?,
+        })
+    }
+
+    /// Row `row`, by kind. An aggregate row's name is checked against the
+    /// program's declared aggregators.
+    fn get(
+        &self,
+        row: usize,
+        specs: &FxHashMap<String, AggKind>,
+    ) -> VertexicaResult<OutputRow<'a>> {
+        // The error for a NULL in a cell a worker always writes.
+        let cell = |kind: &'static str, column: &'static str| {
+            move || VertexicaError::Runtime(format!("{kind} row: NULL {column}"))
+        };
+        // A NULL kind is no valid kind.
+        match self.kind.get(row).copied().unwrap_or(-1) {
+            OUT_STATE => Ok(OutputRow::State {
+                vid: *self.vid.get(row).ok_or_else(cell("state", "vid"))?,
+                value: self.payload.get(row).ok_or_else(cell("state", "payload"))?,
+                halted: *self.halted.get(row).ok_or_else(cell("state", "halted"))?,
+            }),
+            OUT_MESSAGE => Ok(OutputRow::Message {
+                to: *self.vid.get(row).ok_or_else(cell("message", "vid (recipient)"))? as u64,
+                from: *self.other.get(row).ok_or_else(cell("message", "other (sender)"))? as u64,
+                payload: self.payload.get(row).ok_or_else(cell("message", "payload"))?,
+            }),
+            OUT_AGGREGATE => {
+                let name = self.agg_name.get(row).ok_or_else(cell("aggregate", "agg_name"))?;
+                if !specs.contains_key(name) {
+                    return Err(VertexicaError::Runtime(format!("unknown aggregator {name}")));
+                }
+                Ok(OutputRow::Aggregate {
+                    name,
+                    vid: *self.vid.get(row).ok_or_else(cell("aggregate", "vid"))?,
+                    value: *self.agg_value.get(row).ok_or_else(cell("aggregate", "agg_value"))?,
+                })
+            }
+            other => Err(VertexicaError::Runtime(format!("bad output kind {other}"))),
+        }
     }
 }
 
@@ -194,21 +258,66 @@ pub fn apply_outputs<P: VertexProgram>(
     apply_accumulated(session, program, config, acc, total_vertices)
 }
 
-/// Folds message partials addressed to the same recipient with the program's
-/// combiner, preserving the serial path's exact fold order: `messages` must
-/// arrive sorted by `(recipient, sender, payload)`, and partials for one
-/// recipient are combined in that order. Both apply paths call this — the
-/// serial one over the globally sorted message vector, the parallel one per
-/// recipient-hash bucket (a restriction of the same sorted order, so every
-/// per-recipient fold sequence is identical bit for bit).
-fn combine_messages<P: VertexProgram>(
+/// The three column builders of one message-table segment
+/// ([`message_schema`]): payload bytes are copied (or encoded) into the value
+/// column's buffer once, here.
+struct MessageColumns {
+    recipient: ColumnBuilder,
+    sender: ColumnBuilder,
+    value: ColumnBuilder,
+}
+
+impl MessageColumns {
+    fn with_capacity(rows: usize) -> Self {
+        MessageColumns {
+            recipient: ColumnBuilder::with_capacity(DataType::Int, rows),
+            sender: ColumnBuilder::with_capacity(DataType::Int, rows),
+            value: ColumnBuilder::with_capacity(DataType::Blob, rows),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.recipient.len()
+    }
+
+    fn push(&mut self, to: u64, from: u64, payload: &[u8]) {
+        self.recipient.push_int(to as i64);
+        self.sender.push_int(from as i64);
+        self.value.push_blob(payload);
+    }
+
+    fn push_encoded<M: VertexData>(&mut self, to: u64, from: u64, message: &M) {
+        self.recipient.push_int(to as i64);
+        self.sender.push_int(from as i64);
+        self.value.push_blob_with(|buf| message.encode(buf));
+    }
+
+    fn finish(self) -> VertexicaResult<RecordBatch> {
+        let columns = vec![self.recipient.finish(), self.sender.finish(), self.value.finish()];
+        RecordBatch::new(message_schema(), columns).map_err(VertexicaError::from)
+    }
+}
+
+/// Builds the message-table rows for `messages`, which must arrive sorted by
+/// `(recipient, sender, payload)`. With `use_combiner`, partials addressed
+/// to the same recipient are folded with the program's combiner in exactly
+/// that order. Both apply paths call this — the serial one over the globally
+/// sorted message vector, the parallel one per recipient-hash bucket (a
+/// restriction of the same sorted order, so every per-recipient fold
+/// sequence is identical bit for bit).
+fn message_rows<'a, P: VertexProgram>(
     program: &P,
-    messages: Vec<(u64, u64, Vec<u8>)>,
-) -> VertexicaResult<Vec<(u64, u64, Vec<u8>)>> {
+    use_combiner: bool,
+    messages: impl ExactSizeIterator<Item = (u64, u64, &'a [u8])>,
+) -> VertexicaResult<MessageColumns> {
+    let mut out = MessageColumns::with_capacity(messages.len());
+    if !use_combiner {
+        messages.for_each(|(to, from, bytes)| out.push(to, from, bytes));
+        return Ok(out);
+    }
     let mut folded: FxHashMap<u64, (u64, P::Message)> = FxHashMap::default();
-    let mut passthrough: Vec<(u64, u64, Vec<u8>)> = Vec::new();
     for (to, from, bytes) in messages {
-        let Some(m) = P::Message::from_bytes(&bytes) else {
+        let Some(m) = P::Message::from_bytes(bytes) else {
             return Err(VertexicaError::Codec("cannot decode message for combine".into()));
         };
         match folded.remove(&to) {
@@ -220,17 +329,16 @@ fn combine_messages<P: VertexProgram>(
                     folded.insert(to, (sender, c));
                 }
                 None => {
-                    passthrough.push((to, sender, existing.to_bytes()));
-                    passthrough.push((to, from, m.to_bytes()));
+                    out.push_encoded(to, sender, &existing);
+                    out.push_encoded(to, from, &m);
                 }
             },
         }
     }
-    let mut messages = passthrough;
     for (to, (from, m)) in folded {
-        messages.push((to, from, m.to_bytes()));
+        out.push_encoded(to, from, &m);
     }
-    Ok(messages)
+    Ok(out)
 }
 
 /// Applies accumulated worker outputs to the graph's tables: cross-partition
@@ -258,15 +366,16 @@ pub fn apply_accumulated<P: VertexProgram>(
         entry.1 = kind.combine(entry.1, *v);
     }
 
+    // ---- messages: always replace (fresh table each superstep) ----
     // Cross-partition combine: workers pre-combined within partitions; fold
     // partials addressed to the same recipient once more.
-    if config.use_combiner {
-        messages = combine_messages(program, messages)?;
-    }
-
-    // ---- messages: always replace (fresh table each superstep) ----
-    let num_messages = messages.len();
-    replace_messages(session, &messages)?;
+    let rows = message_rows(
+        program,
+        config.use_combiner,
+        messages.iter().map(|(to, from, bytes)| (*to, *from, bytes.as_slice())),
+    )?;
+    let num_messages = rows.len();
+    replace_messages(session, rows.finish()?)?;
 
     // ---- vertices: update vs replace ----
     let change_ratio =
@@ -296,22 +405,54 @@ pub fn apply_accumulated<P: VertexProgram>(
     })
 }
 
-/// Parsed state rows for one apply bucket: `(vid, encoded value, halted)`.
+/// Parsed state rows for the in-place update arm: `(vid, encoded value,
+/// halted)`.
 type UpdateRows = Vec<(i64, Vec<u8>, bool)>;
-/// Parsed message rows for one apply bucket: `(recipient, sender, payload)`.
-type MessageRows = Vec<(u64, u64, Vec<u8>)>;
+
+/// Where a payload lives in a partition's retained worker output: which
+/// batch, which row. Apply scatters and sorts these; the bytes stay where
+/// the worker encoded them until a segment's column gathers them.
+#[derive(Clone, Copy)]
+struct CellRef {
+    batch: u32,
+    row: u32,
+}
+
+/// One state row of a partition's output.
+struct UpdateRef {
+    vid: i64,
+    halted: bool,
+    payload: CellRef,
+}
+
+/// One message row of a partition's output.
+struct MessageRef {
+    to: u64,
+    from: u64,
+    payload: CellRef,
+}
+
+/// One apply bucket's references, grouped by the delta (its index in
+/// partition order) whose payload columns they point into.
+type BucketRefs<R> = Vec<(usize, Vec<R>)>;
+
+/// One row of a rebuilt vertex segment: `(id, value, halted)`, the last two
+/// NULL as stored.
+type VertexRow<'a> = (i64, Option<&'a [u8]>, Option<bool>);
 
 /// One partition's parsed worker output, **pre-scattered into apply
 /// buckets** — the per-partition segment builder state that replaces the
 /// single [`OutputAccumulator`] drain on the parallel apply path.
 struct PartitionDelta {
     partition: usize,
+    /// The payload column of each absorbed output batch; [`CellRef::batch`]
+    /// indexes this.
+    payloads: Vec<Column>,
     /// Updates scattered by vertex-id hash: `updates[bucket]`.
-    updates: Vec<UpdateRows>,
+    updates: Vec<Vec<UpdateRef>>,
     /// Messages scattered by recipient hash: `messages[bucket]`.
-    messages: Vec<MessageRows>,
+    messages: Vec<Vec<MessageRef>>,
     agg_partials: Vec<(String, i64, f64)>,
-    num_updates: usize,
 }
 
 /// Collector for the segment-parallel apply path.
@@ -343,56 +484,49 @@ impl ParallelApply {
         }
     }
 
-    /// Parses one partition's worker output, scatters it into apply
-    /// buckets, and files it under its partition index. Safe to call
-    /// concurrently from pool workers; all the parsing and scattering
-    /// happens outside the shared lock.
+    /// Parses one partition's worker output, scatters references to its
+    /// rows into apply buckets, and files it under its partition index. The
+    /// payload columns are retained (an `Arc` clone each), not copied. Safe
+    /// to call concurrently from pool workers; all the parsing and
+    /// scattering happens outside the shared lock.
     pub fn absorb(&self, partition: usize, batches: &[RecordBatch]) -> VertexicaResult<()> {
-        let mut acc = OutputAccumulator { agg_specs: self.agg_specs.clone(), ..Default::default() };
-        acc.absorb(partition, batches)?;
-        let OutputAccumulator { updates, messages, agg_partials, .. } = acc;
-        let num_updates = updates.len();
-        let mut upd_buckets: Vec<UpdateRows> = (0..self.buckets).map(|_| Vec::new()).collect();
-        for u in updates {
-            upd_buckets[int_key_partition(u.0, self.buckets)].push(u);
-        }
-        let mut msg_buckets: Vec<MessageRows> = (0..self.buckets).map(|_| Vec::new()).collect();
-        for m in messages {
-            msg_buckets[int_key_partition(m.0 as i64, self.buckets)].push(m);
-        }
-        self.deltas.lock().push(PartitionDelta {
+        let too_large =
+            || VertexicaError::Runtime("worker output too large for 32-bit row references".into());
+        let mut delta = PartitionDelta {
             partition,
-            updates: upd_buckets,
-            messages: msg_buckets,
-            agg_partials,
-            num_updates,
-        });
+            payloads: Vec::with_capacity(batches.len()),
+            updates: (0..self.buckets).map(|_| Vec::new()).collect(),
+            messages: (0..self.buckets).map(|_| Vec::new()).collect(),
+            agg_partials: Vec::new(),
+        };
+        for batch in batches {
+            let rows = OutputRows::of(batch)?;
+            let batch_index = u32::try_from(delta.payloads.len()).map_err(|_| too_large())?;
+            let num_rows = u32::try_from(batch.num_rows()).map_err(|_| too_large())?;
+            for row in 0..num_rows {
+                let payload = CellRef { batch: batch_index, row };
+                match rows.get(row as usize, &self.agg_specs)? {
+                    OutputRow::State { vid, halted, .. } => {
+                        delta.updates[int_key_partition(vid, self.buckets)].push(UpdateRef {
+                            vid,
+                            halted,
+                            payload,
+                        });
+                    }
+                    OutputRow::Message { to, from, .. } => {
+                        delta.messages[int_key_partition(to as i64, self.buckets)]
+                            .push(MessageRef { to, from, payload });
+                    }
+                    OutputRow::Aggregate { name, vid, value } => {
+                        delta.agg_partials.push((name.to_string(), vid, value));
+                    }
+                }
+            }
+            delta.payloads.push(batch.column(3).clone());
+        }
+        self.deltas.lock().push(delta);
         Ok(())
     }
-}
-
-/// Builds one message-table segment batch by moving (not cloning) the
-/// bucket's payloads into column builders.
-fn message_segment(bucket: MessageRows) -> VertexicaResult<RecordBatch> {
-    let mut rec = vertexica_storage::ColumnBuilder::with_capacity(
-        vertexica_storage::DataType::Int,
-        bucket.len(),
-    );
-    let mut snd = vertexica_storage::ColumnBuilder::with_capacity(
-        vertexica_storage::DataType::Int,
-        bucket.len(),
-    );
-    let mut val = vertexica_storage::ColumnBuilder::with_capacity(
-        vertexica_storage::DataType::Blob,
-        bucket.len(),
-    );
-    for (r, s, v) in bucket {
-        rec.push_int(r as i64);
-        snd.push_int(s as i64);
-        val.push(Value::Blob(v)).map_err(VertexicaError::from)?;
-    }
-    RecordBatch::new(message_schema(), vec![rec.finish(), snd.finish(), val.finish()])
-        .map_err(VertexicaError::from)
 }
 
 /// The segment-parallel apply path: scatter per-partition deltas into
@@ -446,9 +580,44 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
     deltas.sort_by_key(|d| d.partition);
     let pool = session.db().runtime().clone();
 
+    // Transpose the per-partition deltas into per-bucket lists. `absorb`
+    // already scattered each partition's rows by hash, so this moves whole
+    // vectors of references (O(partitions × buckets) pointer swaps), never
+    // individual rows; each list remembers which delta's payload columns
+    // its references point into.
+    let mut payloads: Vec<Vec<Column>> = Vec::with_capacity(deltas.len());
+    let mut msg_buckets: Vec<BucketRefs<MessageRef>> = (0..buckets).map(|_| Vec::new()).collect();
+    let mut upd_buckets: Vec<BucketRefs<UpdateRef>> = (0..buckets).map(|_| Vec::new()).collect();
+    let mut agg_partials: Vec<(String, i64, f64)> = Vec::new();
+    let mut vertex_changes = 0usize;
+    for (d, delta) in deltas.into_iter().enumerate() {
+        payloads.push(delta.payloads);
+        for (b, refs) in delta.messages.into_iter().enumerate() {
+            msg_buckets[b].push((d, refs));
+        }
+        for (b, refs) in delta.updates.into_iter().enumerate() {
+            vertex_changes += refs.len();
+            upd_buckets[b].push((d, refs));
+        }
+        agg_partials.extend(delta.agg_partials);
+    }
+    let cells: Vec<Vec<&BlobData>> = payloads
+        .iter()
+        .map(|columns| {
+            columns
+                .iter()
+                .map(|c| {
+                    c.as_blob().ok_or_else(|| {
+                        VertexicaError::Runtime("absorbed payload column is not a blob".into())
+                    })
+                })
+                .collect()
+        })
+        .collect::<VertexicaResult<_>>()?;
+    // The bytes a reference from delta `d` points at.
+    let payload = |d: usize, at: CellRef| cells[d][at.batch as usize].get(at.row as usize);
+
     // ---- aggregators: identical fold order to the serial path ----
-    let mut agg_partials: Vec<(String, i64, f64)> =
-        deltas.iter_mut().flat_map(|d| std::mem::take(&mut d.agg_partials)).collect();
     agg_partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
     let mut agg: FxHashMap<String, (AggKind, f64)> = FxHashMap::default();
     for (name, _, v) in &agg_partials {
@@ -458,35 +627,28 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
     }
 
     // ---- update-vs-replace decision (needs the global delta size) ----
-    let vertex_changes: usize = deltas.iter().map(|d| d.num_updates).sum();
     let change_ratio =
         if total_vertices == 0 { 0.0 } else { vertex_changes as f64 / total_vertices as f64 };
     let replaced = vertex_changes > 0 && change_ratio >= config.replace_threshold;
 
-    // ---- messages: transpose per-partition buckets, build in parallel ----
-    // `absorb` already scattered each partition's messages by recipient
-    // hash, so this transpose moves whole vectors (O(partitions × buckets)
-    // pointer swaps), never individual rows.
-    let mut msg_buckets: Vec<Vec<MessageRows>> = (0..buckets).map(|_| Vec::new()).collect();
-    for d in &mut deltas {
-        for (b, v) in std::mem::take(&mut d.messages).into_iter().enumerate() {
-            msg_buckets[b].push(v);
-        }
-    }
+    // ---- messages: build each bucket's segment in parallel ----
     let use_combiner = config.use_combiner;
     let msg_results: Vec<VertexicaResult<(usize, RecordBatch)>> =
         pool.map_indexed(msg_buckets, |_, parts| {
-            let mut bucket: MessageRows = parts.into_iter().flatten().collect();
-            // Canonicalizing sort at the segment boundary: the bucket holds
-            // the same rows in the same relative order as the serial path's
-            // globally sorted vector restricted to this bucket, so the
-            // per-recipient combine below folds identically.
-            bucket.sort();
-            if use_combiner {
-                bucket = combine_messages(program, bucket)?;
+            let mut bucket: Vec<(u64, u64, &[u8])> =
+                Vec::with_capacity(parts.iter().map(|(_, refs)| refs.len()).sum());
+            for (d, refs) in &parts {
+                bucket.extend(refs.iter().map(|m| (m.to, m.from, payload(*d, m.payload))));
             }
-            let count = bucket.len();
-            Ok((count, message_segment(bucket)?))
+            // Canonicalizing sort at the segment boundary, over borrowed
+            // payload slices: the bucket holds the same rows in the same
+            // relative order as the serial path's globally sorted vector
+            // restricted to this bucket, so the per-recipient combine folds
+            // identically. Rows that tie are identical, so an unstable sort
+            // cannot reorder anything observable.
+            bucket.sort_unstable();
+            let rows = message_rows(program, use_combiner, bucket.into_iter())?;
+            Ok((rows.len(), rows.finish()?))
         });
     let mut num_messages = 0usize;
     let mut msg_batches = Vec::with_capacity(buckets);
@@ -518,63 +680,56 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
                 old_buckets[b].extend(v);
             }
         }
-        let mut upd_buckets: Vec<Vec<UpdateRows>> = (0..buckets).map(|_| Vec::new()).collect();
-        for d in &mut deltas {
-            for (b, v) in std::mem::take(&mut d.updates).into_iter().enumerate() {
-                upd_buckets[b].push(v);
-            }
-        }
-        let work: Vec<(Vec<RecordBatch>, Vec<UpdateRows>)> =
-            old_buckets.into_iter().zip(upd_buckets).collect();
+        let work: Vec<(Vec<RecordBatch>, BucketRefs<UpdateRef>)> =
+            old_buckets.into_iter().zip(std::mem::take(&mut upd_buckets)).collect();
         let results: Vec<VertexicaResult<(RecordBatch, i64)>> =
             pool.map_indexed(work, |_, (old_batches, upd_parts)| {
                 // Vertex ids are unique across partitions, so inserts never
                 // collide.
-                let ovr: FxHashMap<i64, (Vec<u8>, bool)> = upd_parts
-                    .into_iter()
-                    .flatten()
-                    .map(|(id, bytes, halted)| (id, (bytes, halted)))
+                let ovr: FxHashMap<i64, (&[u8], bool)> = upd_parts
+                    .iter()
+                    .flat_map(|(d, refs)| {
+                        refs.iter().map(|u| (u.vid, (payload(*d, u.payload), u.halted)))
+                    })
                     .collect();
-                let mut rows: Vec<(i64, Value, Value)> = Vec::new();
+                let mut rows: Vec<VertexRow<'_>> = Vec::new();
                 for batch in &old_batches {
-                    let ids = batch.column(0);
+                    let mistyped =
+                        || VertexicaError::Runtime("vertex table column mistyped".into());
+                    let ids = Nullable::of(batch.column(0), Column::as_int).ok_or_else(mistyped)?;
+                    let values =
+                        Nullable::of(batch.column(1), Column::as_blob).ok_or_else(mistyped)?;
+                    let halted =
+                        Nullable::of(batch.column(2), Column::as_bool).ok_or_else(mistyped)?;
                     for i in 0..batch.num_rows() {
-                        let id = ids.value(i).as_int().ok_or_else(|| {
+                        let id = *ids.get(i).ok_or_else(|| {
                             VertexicaError::Runtime("vertex row without id".into())
                         })?;
-                        match ovr.get(&id) {
-                            Some((bytes, halted)) => {
-                                rows.push((id, Value::Blob(bytes.clone()), Value::Bool(*halted)))
-                            }
+                        rows.push(match ovr.get(&id) {
+                            Some(&(bytes, halt)) => (id, Some(bytes), Some(halt)),
                             // LEFT JOIN + COALESCE: untouched rows survive
                             // as-is; updates without an old row are dropped.
-                            None => {
-                                rows.push((id, batch.column(1).value(i), batch.column(2).value(i)))
-                            }
-                        }
+                            None => (id, values.get(i), halted.get(i).copied()),
+                        });
                     }
                 }
                 rows.sort_by_key(|r| r.0);
-                let mut ids = vertexica_storage::ColumnBuilder::with_capacity(
-                    vertexica_storage::DataType::Int,
-                    rows.len(),
-                );
-                let mut values = vertexica_storage::ColumnBuilder::with_capacity(
-                    vertexica_storage::DataType::Blob,
-                    rows.len(),
-                );
-                let mut halted = vertexica_storage::ColumnBuilder::with_capacity(
-                    vertexica_storage::DataType::Bool,
-                    rows.len(),
-                );
+                let mut ids = ColumnBuilder::with_capacity(DataType::Int, rows.len());
+                let mut values = ColumnBuilder::with_capacity(DataType::Blob, rows.len());
+                let mut halted = ColumnBuilder::with_capacity(DataType::Bool, rows.len());
                 let mut active = 0i64;
                 for (id, value, halt) in rows {
-                    if halt == Value::Bool(false) {
+                    if halt == Some(false) {
                         active += 1;
                     }
                     ids.push_int(id);
-                    values.push(value).map_err(VertexicaError::from)?;
-                    halted.push(halt).map_err(VertexicaError::from)?;
+                    match value {
+                        Some(bytes) => values.push_blob(bytes),
+                        None => values.push_null(),
+                    }
+                    halted
+                        .push(halt.map_or(Value::Null, Value::Bool))
+                        .map_err(VertexicaError::from)?;
                 }
                 let batch = RecordBatch::new(
                     vertex_schema(),
@@ -617,8 +772,13 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
         // The *update* arm mutates the vertex table directly (delete +
         // re-insert); it is inherently per-row, not atomic with the message
         // swap — exactly the trade the paper's threshold policy makes.
-        let mut updates: UpdateRows =
-            deltas.iter_mut().flat_map(|d| std::mem::take(&mut d.updates)).flatten().collect();
+        let mut updates: UpdateRows = upd_buckets
+            .iter()
+            .flatten()
+            .flat_map(|(d, refs)| {
+                refs.iter().map(|u| (u.vid, payload(*d, u.payload).to_vec(), u.halted))
+            })
+            .collect();
         updates.sort();
         update_vertices_in_place(session, &updates)?;
     }
@@ -649,19 +809,13 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
 
 /// Swaps in a fresh message table containing exactly this superstep's
 /// messages.
-fn replace_messages(
-    session: &GraphSession,
-    messages: &[(u64, u64, Vec<u8>)],
-) -> VertexicaResult<()> {
+fn replace_messages(session: &GraphSession, messages: RecordBatch) -> VertexicaResult<()> {
     let catalog = session.db().catalog();
     let tmp = format!("{}_message_new", session.name());
     catalog.drop_table_if_exists(&tmp)?;
     catalog.create_table(&tmp, message_schema(), TableOptions::default().sorted_by(vec![0]))?;
-    if !messages.is_empty() {
-        let batch = message_batch(
-            &messages.iter().map(|(a, b, c)| (*a, *b, c.clone())).collect::<Vec<_>>(),
-        )?;
-        session.db().append_batches(&tmp, &[batch])?;
+    if messages.num_rows() > 0 {
+        session.db().append_batches(&tmp, &[messages])?;
     }
     catalog.swap(&session.message_table(), &tmp)?;
     catalog.drop_table_if_exists(&tmp)?;
@@ -736,6 +890,7 @@ fn update_vertices_in_place(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::message_batch;
     use crate::worker::worker_output_schema;
     use std::sync::Arc;
     use vertexica_common::graph::EdgeList;
@@ -872,6 +1027,84 @@ mod tests {
         let outcome = apply_outputs(&g, &Noop, &cfg, vec![out], 4).unwrap();
         assert!(outcome.all_halted);
         assert!(outcome.replaced); // threshold 0 forces replace
+    }
+
+    /// A program with one declared aggregator, so an aggregate row's name
+    /// passes the spec check and the row's other cells get looked at.
+    struct Counting;
+    impl VertexProgram for Counting {
+        type Value = f64;
+        type Message = f64;
+        fn initial_value(&self, _id: VertexId, _init: &InitContext) -> f64 {
+            0.0
+        }
+        fn compute(&self, _ctx: &mut dyn VertexContext<f64, f64>, _messages: &[f64]) {}
+        fn aggregators(&self) -> Vec<vertexica_common::pregel::AggregatorSpec> {
+            vec![vertexica_common::pregel::AggregatorSpec { name: "n", kind: AggKind::Sum }]
+        }
+    }
+
+    /// Feeds `batch` through the parallel and the serial apply path; both
+    /// must refuse it with a runtime error naming `row_kind` and `column`,
+    /// and leave the tables as they were.
+    fn assert_both_paths_reject(batch: RecordBatch, row_kind: &str, column: &str) {
+        for parallel in [true, false] {
+            let g = setup();
+            let before: Vec<(VertexId, f64)> = g.vertex_values().unwrap();
+            let cfg = VertexicaConfig::default().with_combiner(false).with_parallel_apply(parallel);
+            let err = apply_outputs(&g, &Counting, &cfg, vec![batch.clone()], 4).unwrap_err();
+            let VertexicaError::Runtime(msg) = &err else {
+                panic!("parallel={parallel}: expected a runtime error, got {err:?}");
+            };
+            assert!(
+                msg.contains(row_kind) && msg.contains(column),
+                "parallel={parallel}: {msg:?} should name {row_kind:?} and {column:?}"
+            );
+            assert_eq!(g.vertex_values::<f64>().unwrap(), before);
+            let n = g.db().query_int(&format!("SELECT COUNT(*) FROM {}", g.message_table()));
+            assert_eq!(n.unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn malformed_output_rows_are_typed_errors_on_both_paths() {
+        let with = |mut row: Vec<Value>, column: usize, cell: Value| {
+            row[column] = cell;
+            out_batch(vec![row])
+        };
+        // A message to or from nobody used to become a message to or from
+        // vertex 0.
+        assert_both_paths_reject(with(msg_row(2, 0, 1.0), 1, Value::Null), "message", "recipient");
+        assert_both_paths_reject(with(msg_row(2, 0, 1.0), 2, Value::Null), "message", "sender");
+        assert_both_paths_reject(with(msg_row(2, 0, 1.0), 3, Value::Null), "message", "payload");
+        // A state row's NULL halt flag used to read as "not halted".
+        assert_both_paths_reject(with(state_row(1, 7.5, true), 4, Value::Null), "state", "halted");
+        assert_both_paths_reject(with(state_row(1, 7.5, true), 1, Value::Null), "state", "vid");
+        // An aggregate row's NULL value used to fold in as 0.0.
+        let agg_row = vec![
+            Value::Int(OUT_AGGREGATE),
+            Value::Int(1),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Str("n".into()),
+            Value::Float(1.0),
+        ];
+        assert_both_paths_reject(with(agg_row.clone(), 6, Value::Null), "aggregate", "agg_value");
+        assert_both_paths_reject(with(agg_row, 1, Value::Null), "aggregate", "vid");
+    }
+
+    #[test]
+    fn mistyped_output_column_is_a_typed_error_on_both_paths() {
+        // The recipient column as FLOAT: the same rows under a schema the
+        // worker never produces.
+        let mut fields = worker_output_schema().fields.clone();
+        fields[1].dtype = vertexica_storage::DataType::Float;
+        let mut row = msg_row(2, 0, 1.0);
+        row[1] = Value::Float(2.0);
+        let schema = vertexica_storage::Schema::new(fields);
+        let batch = RecordBatch::from_rows(schema, &[row]).unwrap();
+        assert_both_paths_reject(batch, "column 1", "mistyped");
     }
 
     #[test]

@@ -240,7 +240,7 @@ pub(crate) fn initialize_vertices_with_total<P: VertexProgram>(
         let init = InitContext { num_vertices: n, out_degree: *deg };
         let v = program.initial_value(*id, &init);
         ids.push_int(*id as i64);
-        values.push(Value::Blob(v.to_bytes())).map_err(VertexicaError::from)?;
+        values.push_blob_with(|buf| v.encode(buf));
         halted.push(Value::Bool(false)).map_err(VertexicaError::from)?;
     }
     let batch =

@@ -257,16 +257,16 @@ impl GraphSession {
             self.db.runtime().map_indexed(batches, |_, batch| {
                 let ids = batch.column(0);
                 let vals = batch.column(1);
+                let cells = vals
+                    .as_blob()
+                    .ok_or_else(|| VertexicaError::Codec("vertex value is not a blob".into()))?;
                 let mut out = Vec::with_capacity(batch.num_rows());
                 for i in 0..batch.num_rows() {
                     let id = ids.value(i).as_int().unwrap_or(0) as VertexId;
                     if vals.is_null(i) {
                         continue;
                     }
-                    let Value::Blob(bytes) = vals.value(i) else {
-                        return Err(VertexicaError::Codec("vertex value is not a blob".into()));
-                    };
-                    let v = V::from_bytes(&bytes).ok_or_else(|| {
+                    let v = V::from_bytes(cells.get(i)).ok_or_else(|| {
                         VertexicaError::Codec(format!("cannot decode value of vertex {id}"))
                     })?;
                     out.push((id, v));
@@ -330,7 +330,7 @@ pub fn message_batch(messages: &[(VertexId, VertexId, Vec<u8>)]) -> VertexicaRes
     for (r, s, v) in messages {
         rec.push_int(*r as i64);
         snd.push_int(*s as i64);
-        val.push(Value::Blob(v.clone())).map_err(VertexicaError::from)?;
+        val.push_blob(v);
     }
     let cols: Vec<Column> = vec![rec.finish(), snd.finish(), val.finish()];
     RecordBatch::new(message_schema(), cols).map_err(VertexicaError::from)

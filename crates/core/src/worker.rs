@@ -19,7 +19,7 @@ use vertexica_common::runtime::WorkerPool;
 use vertexica_common::VertexData;
 use vertexica_sql::{SqlError, SqlResult, TransformUdf};
 use vertexica_storage::{
-    Bitmap, Column, ColumnBuilder, DataType, Field, RecordBatch, Schema, Value,
+    Bitmap, BlobData, Column, ColumnBuilder, DataType, Field, RecordBatch, Schema, Value,
 };
 
 use crate::input::{KIND_EDGE, KIND_MESSAGE, KIND_VERTEX};
@@ -74,28 +74,40 @@ pub struct VertexWorker<P: VertexProgram> {
     pub edges: Option<Arc<EdgeProjection>>,
 }
 
-/// One nullable union-schema column as its raw typed slice plus validity.
-struct Nullable<'a, T> {
-    data: &'a [T],
+/// One nullable column as its typed storage (`[T]`, or [`BlobData`] for a
+/// blob column) plus validity — how the worker and apply read rows without
+/// boxing a `Value`.
+pub(crate) struct Nullable<'a, D: ?Sized> {
+    data: &'a D,
     validity: Option<&'a Bitmap>,
 }
 
-impl<'a, T> Nullable<'a, T> {
-    fn of(
+impl<'a, D: ?Sized> Nullable<'a, D> {
+    /// `None` when `column` is not of the type `typed` reads.
+    pub(crate) fn of(
         column: &'a Column,
-        typed: impl FnOnce(&'a Column) -> Option<&'a [T]>,
-        what: &str,
-    ) -> SqlResult<Self> {
-        let data = typed(column).ok_or_else(|| SqlError::Udf(format!("{what} column mistyped")))?;
-        Ok(Nullable { data, validity: column.validity() })
+        typed: impl FnOnce(&'a Column) -> Option<&'a D>,
+    ) -> Option<Self> {
+        Some(Nullable { data: typed(column)?, validity: column.validity() })
     }
 
     #[inline]
-    fn get(&self, row: usize) -> Option<&'a T> {
-        match self.validity {
-            Some(valid) if !valid.get(row) => None,
-            _ => Some(&self.data[row]),
-        }
+    fn is_valid(&self, row: usize) -> bool {
+        self.validity.is_none_or(|valid| valid.get(row))
+    }
+}
+
+impl<'a, T> Nullable<'a, [T]> {
+    #[inline]
+    pub(crate) fn get(&self, row: usize) -> Option<&'a T> {
+        self.is_valid(row).then(|| &self.data[row])
+    }
+}
+
+impl<'a> Nullable<'a, BlobData> {
+    #[inline]
+    pub(crate) fn get(&self, row: usize) -> Option<&'a [u8]> {
+        self.is_valid(row).then(|| self.data.get(row))
     }
 }
 
@@ -129,10 +141,10 @@ struct RowRef {
 struct RowKeys<'a> {
     vids: &'a [i64],
     kinds: &'a [i64],
-    other: Nullable<'a, i64>,
-    weight: Nullable<'a, f64>,
-    payload: Nullable<'a, Vec<u8>>,
-    halted: Nullable<'a, bool>,
+    other: Nullable<'a, [i64]>,
+    weight: Nullable<'a, [f64]>,
+    payload: Nullable<'a, BlobData>,
+    halted: Nullable<'a, [bool]>,
 }
 
 impl<'a> RowKeys<'a> {
@@ -143,13 +155,18 @@ impl<'a> RowKeys<'a> {
         let key = |i: usize, what: &str| {
             batch.column(i).as_int().ok_or_else(|| SqlError::Udf(format!("{what} must be BIGINT")))
         };
+        let mistyped = |what: &str| SqlError::Udf(format!("{what} column mistyped"));
         Ok(RowKeys {
             vids: key(0, "vid column")?,
             kinds: key(1, "kind column")?,
-            other: Nullable::of(batch.column(2), Column::as_int, "other")?,
-            weight: Nullable::of(batch.column(3), Column::as_float, "weight")?,
-            payload: Nullable::of(batch.column(4), Column::as_blob, "payload")?,
-            halted: Nullable::of(batch.column(5), Column::as_bool, "halted")?,
+            other: Nullable::of(batch.column(2), Column::as_int)
+                .ok_or_else(|| mistyped("other"))?,
+            weight: Nullable::of(batch.column(3), Column::as_float)
+                .ok_or_else(|| mistyped("weight"))?,
+            payload: Nullable::of(batch.column(4), Column::as_blob)
+                .ok_or_else(|| mistyped("payload"))?,
+            halted: Nullable::of(batch.column(5), Column::as_bool)
+                .ok_or_else(|| mistyped("halted"))?,
         })
     }
 
@@ -313,17 +330,20 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
             order.sort_unstable_by(|&a, &b| cmp(a, b));
         }
 
-        // Outputs.
-        let mut state_rows: Vec<(VertexId, Vec<u8>, bool)> = Vec::new();
-        let mut messages: Vec<(VertexId, VertexId, Vec<u8>)> = Vec::new();
+        // Outputs: rows go into the output batch's column builders as they
+        // are produced, payloads encoded straight into the blob column.
+        let mut out = OutputColumns::new();
         let mut combined: FxHashMap<VertexId, (VertexId, P::Message)> = FxHashMap::default();
-        let mut agg_partials: Vec<(VertexId, String, f64)> = Vec::new();
         let agg_specs: FxHashMap<String, AggKind> =
             self.program.aggregators().into_iter().map(|s| (s.name.to_string(), s.kind)).collect();
 
-        // Walk vertex groups.
+        // Walk vertex groups. The per-vertex buffers are reused across
+        // vertices, so a vertex costs no allocation of the worker's own.
         let mut row_edges: Vec<Edge> = Vec::new();
         let mut msgs: Vec<P::Message> = Vec::new();
+        let mut sent: Vec<(VertexId, P::Message)> = Vec::new();
+        let mut agg_out: Vec<(String, f64)> = Vec::new();
+        let mut new_bytes: Vec<u8> = Vec::new();
         let mut i = 0usize;
         while i < n {
             let (first, row) = at(order[i]);
@@ -390,22 +410,24 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
                 num_vertices: self.num_vertices,
                 value,
                 edges,
-                sent: Vec::new(),
+                sent: std::mem::take(&mut sent),
                 voted_halt: false,
-                agg_out: Vec::new(),
+                agg_out: std::mem::take(&mut agg_out),
                 prev_aggregates: &self.prev_aggregates,
             };
             self.program.compute(&mut ctx, &msgs);
 
             // Vertex state delta.
-            let new_bytes = ctx.value.to_bytes();
+            new_bytes.clear();
+            ctx.value.encode(&mut new_bytes);
             let new_halted = ctx.voted_halt;
-            if new_bytes != *old_bytes || new_halted != old_halted {
-                state_rows.push((vid, new_bytes, new_halted));
+            if new_bytes != old_bytes || new_halted != old_halted {
+                out.state(vid, &new_bytes, new_halted)?;
             }
 
             // Outgoing messages (optionally pre-combined per recipient).
-            for (to, m) in ctx.sent {
+            sent = ctx.sent;
+            for (to, m) in sent.drain(..) {
                 if self.use_combiner {
                     match combined.remove(&to) {
                         None => {
@@ -418,14 +440,14 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
                                 }
                                 None => {
                                     // No combiner: flush both as plain rows.
-                                    messages.push((to, sender, existing.to_bytes()));
-                                    messages.push((to, vid, m.to_bytes()));
+                                    out.message(to, sender, &existing);
+                                    out.message(to, vid, &m);
                                 }
                             }
                         }
                     }
                 } else {
-                    messages.push((to, vid, m.to_bytes()));
+                    out.message(to, vid, &m);
                 }
             }
 
@@ -435,8 +457,9 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
             // aggregates invariant to partition and shard membership: the
             // apply stage folds all partials in (name, vid) order, which is
             // the same total order however the vertices were scattered.
+            agg_out = ctx.agg_out;
             let mut per_vertex: Vec<(String, f64)> = Vec::new();
-            for (name, v) in ctx.agg_out {
+            for (name, v) in agg_out.drain(..) {
                 let Some(kind) = agg_specs.get(&name).copied() else {
                     return Err(SqlError::Udf(format!("unknown aggregator {name}")));
                 };
@@ -446,65 +469,89 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
                 }
             }
             for (name, v) in per_vertex {
-                agg_partials.push((vid, name, v));
+                out.aggregate(vid, name, v)?;
             }
         }
         for (to, (sender, m)) in combined {
-            messages.push((to, sender, m.to_bytes()));
+            out.message(to, sender, &m);
         }
+        Ok(vec![out.finish()?])
+    }
+}
 
-        // Materialize the output batch.
-        let out_schema = worker_output_schema();
-        let total = state_rows.len() + messages.len() + agg_partials.len();
-        let mut kind_b = ColumnBuilder::with_capacity(DataType::Int, total);
-        let mut vid_b = ColumnBuilder::with_capacity(DataType::Int, total);
-        let mut other_b = ColumnBuilder::with_capacity(DataType::Int, total);
-        let mut payload_b = ColumnBuilder::with_capacity(DataType::Blob, total);
-        let mut halted_b = ColumnBuilder::with_capacity(DataType::Bool, total);
-        let mut name_b = ColumnBuilder::with_capacity(DataType::Str, total);
-        let mut value_b = ColumnBuilder::with_capacity(DataType::Float, total);
+/// The column builders of one worker output batch
+/// ([`worker_output_schema`]). Rows of the three kinds interleave in the
+/// order compute produced them; apply canonicalizes, so the order carries no
+/// meaning.
+struct OutputColumns {
+    kind: ColumnBuilder,
+    vid: ColumnBuilder,
+    other: ColumnBuilder,
+    payload: ColumnBuilder,
+    halted: ColumnBuilder,
+    agg_name: ColumnBuilder,
+    agg_value: ColumnBuilder,
+}
 
-        for (vid, bytes, halted) in state_rows {
-            kind_b.push_int(OUT_STATE);
-            vid_b.push_int(vid as i64);
-            other_b.push_null();
-            payload_b.push(Value::Blob(bytes))?;
-            halted_b.push(Value::Bool(halted))?;
-            name_b.push_null();
-            value_b.push_null();
+impl OutputColumns {
+    fn new() -> Self {
+        OutputColumns {
+            kind: ColumnBuilder::new(DataType::Int),
+            vid: ColumnBuilder::new(DataType::Int),
+            other: ColumnBuilder::new(DataType::Int),
+            payload: ColumnBuilder::new(DataType::Blob),
+            halted: ColumnBuilder::new(DataType::Bool),
+            agg_name: ColumnBuilder::new(DataType::Str),
+            agg_value: ColumnBuilder::new(DataType::Float),
         }
-        for (to, from, bytes) in messages {
-            kind_b.push_int(OUT_MESSAGE);
-            vid_b.push_int(to as i64);
-            other_b.push_int(from as i64);
-            payload_b.push(Value::Blob(bytes))?;
-            halted_b.push_null();
-            name_b.push_null();
-            value_b.push_null();
-        }
-        for (vid, name, v) in agg_partials {
-            kind_b.push_int(OUT_AGGREGATE);
-            vid_b.push_int(vid as i64);
-            other_b.push_null();
-            payload_b.push_null();
-            halted_b.push_null();
-            name_b.push(Value::Str(name))?;
-            value_b.push_float(v);
-        }
+    }
 
-        let batch = RecordBatch::new(
-            out_schema,
-            vec![
-                kind_b.finish(),
-                vid_b.finish(),
-                other_b.finish(),
-                payload_b.finish(),
-                halted_b.finish(),
-                name_b.finish(),
-                value_b.finish(),
-            ],
-        )?;
-        Ok(vec![batch])
+    fn state(&mut self, vid: VertexId, value: &[u8], halted: bool) -> SqlResult<()> {
+        self.kind.push_int(OUT_STATE);
+        self.vid.push_int(vid as i64);
+        self.other.push_null();
+        self.payload.push_blob(value);
+        self.halted.push(Value::Bool(halted))?;
+        self.agg_name.push_null();
+        self.agg_value.push_null();
+        Ok(())
+    }
+
+    fn message<M: VertexData>(&mut self, to: VertexId, from: VertexId, message: &M) {
+        self.kind.push_int(OUT_MESSAGE);
+        self.vid.push_int(to as i64);
+        self.other.push_int(from as i64);
+        self.payload.push_blob_with(|buf| message.encode(buf));
+        self.halted.push_null();
+        self.agg_name.push_null();
+        self.agg_value.push_null();
+    }
+
+    fn aggregate(&mut self, vid: VertexId, name: String, value: f64) -> SqlResult<()> {
+        self.kind.push_int(OUT_AGGREGATE);
+        self.vid.push_int(vid as i64);
+        self.other.push_null();
+        self.payload.push_null();
+        self.halted.push_null();
+        self.agg_name.push(Value::Str(name))?;
+        self.agg_value.push_float(value);
+        Ok(())
+    }
+
+    fn finish(self) -> SqlResult<RecordBatch> {
+        let columns = [
+            self.kind,
+            self.vid,
+            self.other,
+            self.payload,
+            self.halted,
+            self.agg_name,
+            self.agg_value,
+        ];
+        Ok(RecordBatch::new(
+            worker_output_schema(),
+            columns.into_iter().map(ColumnBuilder::finish).collect(),
+        )?)
     }
 }
 
@@ -772,6 +819,10 @@ mod tests {
             [Value::Int(7), Value::Float(-f64::NAN), blob(b"\xff"), Value::Bool(true)],
             [Value::Int(7), Value::Null, Value::Null, Value::Bool(false)],
             [Value::Int(i64::MAX), Value::Float(f64::NEG_INFINITY), blob(b"\x00"), Value::Null],
+            // Alike but for a NULL against an empty payload: both are
+            // zero-length cells, and only validity orders them.
+            [Value::Int(9), Value::Float(1.0), Value::Null, Value::Bool(true)],
+            [Value::Int(9), Value::Float(1.0), blob(b""), Value::Bool(true)],
         ];
         let mut rows = Vec::new();
         for (vid, kind) in [(i64::MIN, 0), (3, 2), (3, 0), (3, 1), (i64::MAX, 2)] {
@@ -801,6 +852,10 @@ mod tests {
                 assert_eq!(keys[ba].cmp(ra, &keys[bb], rb), boxed, "({ba},{ra}) vs ({bb},{rb})");
             }
         }
+        // The NULL/empty pair closes the last group: NULL sorts first.
+        let (null, empty) = (batches[1].num_rows() - 2, batches[1].num_rows() - 1);
+        assert_eq!((keys[1].payload.get(null), keys[1].payload.get(empty)), (None, Some(&[][..])));
+        assert!(keys[1].cmp(null, &keys[1], empty).is_lt());
     }
 
     #[test]

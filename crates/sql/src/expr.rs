@@ -732,7 +732,9 @@ fn compare_kernel(l: &Column, op: BinaryOp, r: &Column) -> Option<Column> {
             Some(ordered(l, l.as_bool().unwrap(), op, r, r.as_bool().unwrap()))
         }
         (DataType::Blob, DataType::Blob) => {
-            Some(ordered(l, l.as_blob().unwrap(), op, r, r.as_blob().unwrap()))
+            let a: Vec<&[u8]> = l.as_blob().unwrap().iter().collect();
+            let b: Vec<&[u8]> = r.as_blob().unwrap().iter().collect();
+            Some(ordered(l, &a, op, r, &b))
         }
         _ => None,
     }

@@ -200,7 +200,7 @@ fn gather_selected(
     sel: &vertexica_storage::Bitmap,
     referenced: &[usize],
 ) -> SqlResult<RecordBatch> {
-    use vertexica_storage::ColumnData;
+    use vertexica_storage::{BlobData, ColumnData};
     let k = sel.count_ones();
     let mut cols = Vec::with_capacity(batch.num_columns());
     for i in 0..batch.num_columns() {
@@ -212,7 +212,7 @@ fn gather_selected(
                 DataType::Int => ColumnData::Int(vec![0; k]),
                 DataType::Float => ColumnData::Float(vec![0.0; k]),
                 DataType::Str => ColumnData::Str(vec![String::new(); k]),
-                DataType::Blob => ColumnData::Blob(vec![Vec::new(); k]),
+                DataType::Blob => ColumnData::Blob(BlobData::empty_cells(k)),
             };
             cols.push(Column::new(data, None));
         }

@@ -14,6 +14,100 @@ use crate::bitmap::Bitmap;
 use crate::error::{StorageError, StorageResult};
 use crate::value::{DataType, Value};
 
+/// The cells of a blob column: every cell's bytes back to back in one
+/// buffer, and one offset per cell boundary. Cell `i` is
+/// `bytes[offsets[i]..offsets[i + 1]]`, so a column of a million 8-byte
+/// payloads is two allocations, not a million. A NULL cell is a zero-length
+/// range like an empty blob; the column's validity bitmap tells them apart.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlobData {
+    bytes: Vec<u8>,
+    /// `len() + 1` non-decreasing offsets into `bytes`, starting at 0.
+    offsets: Vec<usize>,
+}
+
+impl Default for BlobData {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
+}
+
+impl BlobData {
+    /// An empty buffer with room for `cells` cells totalling `bytes` bytes.
+    pub fn with_capacity(cells: usize, bytes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(cells + 1);
+        offsets.push(0);
+        BlobData { bytes: Vec::with_capacity(bytes), offsets }
+    }
+
+    /// `cells` zero-length cells.
+    pub fn empty_cells(cells: usize) -> Self {
+        BlobData { bytes: Vec::new(), offsets: vec![0; cells + 1] }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total payload bytes across all cells.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The bytes of cell `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// All cells in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.offsets.windows(2).map(|w| &self.bytes[w[0]..w[1]])
+    }
+
+    /// Appends one cell.
+    #[inline]
+    pub fn push(&mut self, cell: &[u8]) {
+        self.bytes.extend_from_slice(cell);
+        self.offsets.push(self.bytes.len());
+    }
+
+    /// Appends one cell whose bytes `write` appends to the buffer — how an
+    /// encoder writes a payload straight into the column.
+    #[inline]
+    pub fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.bytes.len();
+        write(&mut self.bytes);
+        assert!(self.bytes.len() >= start, "a blob cell writer may only append");
+        self.offsets.push(self.bytes.len());
+    }
+
+    /// Appends the cells `[start, end)` of `other`: one byte copy, offsets
+    /// shifted.
+    fn extend_from_range(&mut self, other: &BlobData, start: usize, end: usize) {
+        let (from, to) = (other.offsets[start], other.offsets[end]);
+        let shift = self.bytes.len();
+        self.bytes.extend_from_slice(&other.bytes[from..to]);
+        self.offsets.extend(other.offsets[start + 1..=end].iter().map(|o| o - from + shift));
+    }
+
+    /// The cells at `indices` (which may repeat or reorder), gathered into a
+    /// new buffer sized once.
+    fn take(&self, indices: &[usize]) -> BlobData {
+        let total = indices.iter().map(|&i| self.offsets[i + 1] - self.offsets[i]).sum();
+        let mut out = BlobData::with_capacity(indices.len(), total);
+        for &i in indices {
+            out.push(self.get(i));
+        }
+        out
+    }
+}
+
 /// The typed backing storage of a column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
@@ -21,7 +115,7 @@ pub enum ColumnData {
     Int(Vec<i64>),
     Float(Vec<f64>),
     Str(Vec<String>),
-    Blob(Vec<Vec<u8>>),
+    Blob(BlobData),
 }
 
 impl ColumnData {
@@ -71,7 +165,7 @@ impl Column {
             DataType::Int => ColumnData::Int(vec![]),
             DataType::Float => ColumnData::Float(vec![]),
             DataType::Str => ColumnData::Str(vec![]),
-            DataType::Blob => ColumnData::Blob(vec![]),
+            DataType::Blob => ColumnData::Blob(BlobData::default()),
         };
         Column { data: Arc::new(data), validity: None }
     }
@@ -87,6 +181,19 @@ impl Column {
 
     /// Column of `n` copies of one value.
     pub fn repeat(dtype: DataType, value: &Value, n: usize) -> StorageResult<Self> {
+        if dtype == DataType::Blob {
+            if value.is_null() {
+                let all_null = (n > 0).then(|| Bitmap::zeros(n));
+                return Ok(Column::new(ColumnData::Blob(BlobData::empty_cells(n)), all_null));
+            }
+            let value = value.coerce(dtype)?;
+            let cell = value.as_blob().expect("coerce guarantees matching type");
+            let mut cells = BlobData::with_capacity(n, n * cell.len());
+            for _ in 0..n {
+                cells.push(cell);
+            }
+            return Ok(Column::new(ColumnData::Blob(cells), None));
+        }
         let mut b = ColumnBuilder::with_capacity(dtype, n);
         for _ in 0..n {
             b.push(value.clone())?;
@@ -123,15 +230,16 @@ impl Column {
 
     /// Estimated heap footprint of this column's data in bytes. Used by the
     /// streaming superstep pipeline to report peak in-flight batch sizes;
-    /// an estimate (variable-width headers are approximated), not an exact
-    /// allocator measurement.
+    /// an estimate (string headers are approximated), not an exact allocator
+    /// measurement. A blob column counts its payload bytes plus one offset
+    /// per cell boundary — what its two buffers hold.
     pub fn estimated_bytes(&self) -> usize {
         let data = match &*self.data {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Int(v) => v.len() * 8,
             ColumnData::Float(v) => v.len() * 8,
             ColumnData::Str(v) => v.iter().map(|s| s.len() + std::mem::size_of::<String>()).sum(),
-            ColumnData::Blob(v) => v.iter().map(|b| b.len() + std::mem::size_of::<Vec<u8>>()).sum(),
+            ColumnData::Blob(v) => v.byte_len() + v.offsets.len() * std::mem::size_of::<usize>(),
         };
         data + self.validity.as_ref().map_or(0, |v| v.len().div_ceil(8))
     }
@@ -146,7 +254,7 @@ impl Column {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Str(v) => Value::Str(v[i].clone()),
-            ColumnData::Blob(v) => Value::Blob(v[i].clone()),
+            ColumnData::Blob(v) => Value::Blob(v.get(i).to_vec()),
         }
     }
 
@@ -185,7 +293,10 @@ impl Column {
         }
     }
 
-    pub fn as_blob(&self) -> Option<&[Vec<u8>]> {
+    /// Typed access to a Blob column's cells. As with the other accessors,
+    /// NULL cells (zero-length here) must be told apart from empty blobs via
+    /// [`Column::is_null`].
+    pub fn as_blob(&self) -> Option<&BlobData> {
         match &*self.data {
             ColumnData::Blob(v) => Some(v),
             _ => None,
@@ -210,9 +321,7 @@ impl Column {
             ColumnData::Int(v) => ColumnData::Int(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Float(v) => ColumnData::Float(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Str(v) => ColumnData::Str(indices.iter().map(|&i| v[i].clone()).collect()),
-            ColumnData::Blob(v) => {
-                ColumnData::Blob(indices.iter().map(|&i| v[i].clone()).collect())
-            }
+            ColumnData::Blob(v) => ColumnData::Blob(v.take(indices)),
         };
         let validity = self
             .validity
@@ -233,7 +342,11 @@ impl Column {
             ColumnData::Int(v) => ColumnData::Int(v[start..end].to_vec()),
             ColumnData::Float(v) => ColumnData::Float(v[start..end].to_vec()),
             ColumnData::Str(v) => ColumnData::Str(v[start..end].to_vec()),
-            ColumnData::Blob(v) => ColumnData::Blob(v[start..end].to_vec()),
+            ColumnData::Blob(v) => {
+                let mut cells = BlobData::with_capacity(len, v.offsets[end] - v.offsets[start]);
+                cells.extend_from_range(v, start, end);
+                ColumnData::Blob(cells)
+            }
         };
         let validity = self
             .validity
@@ -278,7 +391,7 @@ impl Column {
                     // Int/Float join keys behave when coerced upstream.
                     ColumnData::Float(v) => mix64(v[i].to_bits()),
                     ColumnData::Str(v) => hash_bytes(v[i].as_bytes()),
-                    ColumnData::Blob(v) => hash_bytes(&v[i]),
+                    ColumnData::Blob(v) => hash_bytes(v.get(i)),
                 }
             };
             *slot = mix64(slot.rotate_left(23) ^ h);
@@ -315,7 +428,7 @@ impl ColumnBuilder {
             DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
             DataType::Str => ColumnData::Str(Vec::with_capacity(cap)),
-            DataType::Blob => ColumnData::Blob(Vec::with_capacity(cap)),
+            DataType::Blob => ColumnData::Blob(BlobData::with_capacity(cap, 0)),
         };
         ColumnBuilder { dtype, data, validity: Bitmap::zeros(0), has_null: false }
     }
@@ -334,6 +447,11 @@ impl ColumnBuilder {
             self.push_null();
             return Ok(());
         }
+        if let (ColumnData::Blob(cells), Value::Blob(x)) = (&mut self.data, &value) {
+            cells.push(x);
+            self.validity.push(true);
+            return Ok(());
+        }
         let value = value.coerce(self.dtype)?;
         self.validity.push(true);
         match (&mut self.data, value) {
@@ -341,7 +459,6 @@ impl ColumnBuilder {
             (ColumnData::Int(v), Value::Int(x)) => v.push(x),
             (ColumnData::Float(v), Value::Float(x)) => v.push(x),
             (ColumnData::Str(v), Value::Str(x)) => v.push(x),
-            (ColumnData::Blob(v), Value::Blob(x)) => v.push(x),
             _ => unreachable!("coerce guarantees matching type"),
         }
         Ok(())
@@ -355,7 +472,7 @@ impl ColumnBuilder {
             ColumnData::Int(v) => v.push(0),
             ColumnData::Float(v) => v.push(0.0),
             ColumnData::Str(v) => v.push(String::new()),
-            ColumnData::Blob(v) => v.push(Vec::new()),
+            ColumnData::Blob(v) => v.push(&[]),
         }
     }
 
@@ -376,9 +493,33 @@ impl ColumnBuilder {
         }
     }
 
+    /// Appends a non-null blob cell by copying `cell` into the column's
+    /// buffer.
+    pub fn push_blob(&mut self, cell: &[u8]) {
+        self.push_blob_with(|buf| buf.extend_from_slice(cell));
+    }
+
+    /// Appends a non-null blob cell whose bytes `write` appends to the
+    /// column's buffer (see [`BlobData::push_with`]).
+    pub fn push_blob_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        debug_assert_eq!(self.dtype, DataType::Blob);
+        if let ColumnData::Blob(cells) = &mut self.data {
+            cells.push_with(write);
+            self.validity.push(true);
+        }
+    }
+
     /// Appends every row of `other` (must have the same type).
     pub fn extend_from(&mut self, other: &Column) {
         debug_assert_eq!(self.dtype, other.dtype());
+        if let (ColumnData::Blob(cells), ColumnData::Blob(more)) = (&mut self.data, &*other.data) {
+            cells.extend_from_range(more, 0, more.len());
+            for i in 0..other.len() {
+                self.validity.push(!other.is_null(i));
+            }
+            self.has_null |= other.validity.is_some();
+            return;
+        }
         for i in 0..other.len() {
             if other.is_null(i) {
                 self.push_null();
@@ -519,6 +660,27 @@ mod tests {
         a.hash_combine(&mut h);
         b.hash_combine(&mut h);
         assert_ne!(h[0], h[1]);
+    }
+
+    #[test]
+    fn blob_cells_share_one_buffer_and_null_is_not_empty() {
+        let mut b = ColumnBuilder::new(DataType::Blob);
+        b.push_blob(b"ab");
+        b.push_null();
+        b.push_blob(b"");
+        b.push_blob_with(|buf| buf.extend_from_slice(b"cde"));
+        b.push(Value::Blob(vec![9])).unwrap();
+        let c = b.finish();
+        let cells = c.as_blob().unwrap();
+        assert_eq!(cells.iter().collect::<Vec<_>>(), [&b"ab"[..], b"", b"", b"cde", b"\x09"]);
+        assert_eq!(cells.byte_len(), 6);
+        // Rows 1 and 2 are both zero-length; validity tells NULL from empty.
+        assert_eq!((c.value(1), c.value(2)), (Value::Null, Value::Blob(vec![])));
+        assert_eq!(c.null_count(), 1);
+        let t = c.take(&[3, 1, 3]);
+        assert_eq!(t.value(0), Value::Blob(b"cde".to_vec()));
+        assert!(t.is_null(1));
+        assert_eq!(t.as_blob().unwrap().byte_len(), 6);
     }
 
     #[test]

@@ -33,12 +33,10 @@ impl EncodedColumn {
             return EncodedColumn::Plain(col.clone());
         }
         // Count runs of equal adjacent values.
-        let mut runs = 1usize;
-        for i in 1..n {
-            if col.value(i) != col.value(i - 1) {
-                runs += 1;
-            }
-        }
+        let runs = match blob_cells(col) {
+            Some(cell) => 1 + (1..n).filter(|&i| cell(i) != cell(i - 1)).count(),
+            None => 1 + (1..n).filter(|&i| col.value(i) != col.value(i - 1)).count(),
+        };
         if runs * 2 <= n {
             return Self::encode_rle(col);
         }
@@ -62,6 +60,16 @@ impl EncodedColumn {
     /// Forces run-length encoding.
     pub fn encode_rle(col: &Column) -> EncodedColumn {
         let mut runs: Vec<(u32, Value)> = Vec::new();
+        if let Some(cell) = blob_cells(col) {
+            // One boxed `Value` per run, not per row.
+            for i in 0..col.len() {
+                match runs.last_mut() {
+                    Some((count, _)) if cell(i) == cell(i - 1) && *count < u32::MAX => *count += 1,
+                    _ => runs.push((1, cell(i).map_or(Value::Null, |c| Value::Blob(c.to_vec())))),
+                }
+            }
+            return EncodedColumn::Rle { dtype: col.dtype(), runs };
+        }
         for i in 0..col.len() {
             let v = col.value(i);
             match runs.last_mut() {
@@ -106,9 +114,7 @@ impl EncodedColumn {
                 let total: usize = runs.iter().map(|(c, _)| *c as usize).sum();
                 let mut b = ColumnBuilder::with_capacity(*dtype, total);
                 for (count, v) in runs {
-                    for _ in 0..*count {
-                        b.push(v.clone())?;
-                    }
+                    push_run(&mut b, *dtype, v, *count as usize)?;
                 }
                 Ok(b.finish())
             }
@@ -160,9 +166,7 @@ impl EncodedColumn {
                     let take = (count - skip).min(want);
                     skip = 0;
                     want -= take;
-                    for _ in 0..take {
-                        b.push(v.clone())?;
-                    }
+                    push_run(&mut b, *dtype, v, take)?;
                 }
                 Ok(b.finish())
             }
@@ -216,6 +220,28 @@ impl EncodedColumn {
             }
         }
     }
+}
+
+/// The cells of a blob column as `Option<&[u8]>` (`None` for NULL), whose
+/// equality is exactly the boxed `Value`'s: NULL equals NULL only, an empty
+/// blob is not NULL. `None` when `col` is not a blob column.
+fn blob_cells<'a>(col: &'a Column) -> Option<impl Fn(usize) -> Option<&'a [u8]> + 'a> {
+    let cells = col.as_blob()?;
+    Some(move |i: usize| (!col.is_null(i)).then(|| cells.get(i)))
+}
+
+/// Appends `count` copies of an RLE run's value to a `dtype` builder. A blob
+/// run copies its bytes straight into the column buffer.
+fn push_run(b: &mut ColumnBuilder, dtype: DataType, v: &Value, count: usize) -> StorageResult<()> {
+    match (dtype, v) {
+        (DataType::Blob, Value::Blob(cell)) => (0..count).for_each(|_| b.push_blob(cell)),
+        _ => {
+            for _ in 0..count {
+                b.push(v.clone())?;
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub use batch::RecordBatch;
 pub use bitmap::Bitmap;
 pub use buffer_pool::{BufferPool, PinnedSegment, PoolStats, SegmentHandle, SpillAddr};
 pub use catalog::Catalog;
-pub use column::{Column, ColumnBuilder, ColumnData};
+pub use column::{BlobData, Column, ColumnBuilder, ColumnData};
 pub use error::{StorageError, StorageResult};
 pub use table::{
     ColumnPredicate, PredicateOp, Row, ScanCursor, Segment, Table, TableOptions, BLOCK_ROWS,

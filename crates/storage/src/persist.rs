@@ -22,7 +22,7 @@ use bytes::{Buf, BufMut};
 
 use crate::batch::RecordBatch;
 use crate::bitmap::Bitmap;
-use crate::column::Column;
+use crate::column::{Column, ColumnBuilder};
 use crate::encoding::EncodedColumn;
 use crate::error::{StorageError, StorageResult};
 use crate::table::{Row, Segment, Table, TableOptions, ZoneMap};
@@ -72,6 +72,9 @@ pub(crate) fn dtype_from_tag(tag: u8) -> StorageResult<DataType> {
     })
 }
 
+/// [`put_value`]'s tag for a non-null blob.
+const TAG_BLOB: u8 = 5;
+
 pub(crate) fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => buf.put_u8(0),
@@ -91,12 +94,30 @@ pub(crate) fn put_value(buf: &mut Vec<u8>, v: &Value) {
             buf.put_u8(4);
             put_str(buf, x);
         }
-        Value::Blob(x) => {
-            buf.put_u8(5);
-            buf.put_u32_le(x.len() as u32);
-            buf.extend_from_slice(x);
-        }
+        Value::Blob(x) => put_blob_value(buf, x),
     }
+}
+
+/// A non-null blob exactly as [`put_value`] writes `Value::Blob`: tag, `u32`
+/// length, bytes.
+fn put_blob_value(buf: &mut Vec<u8>, cell: &[u8]) {
+    buf.put_u8(TAG_BLOB);
+    buf.put_u32_le(cell.len() as u32);
+    buf.extend_from_slice(cell);
+}
+
+/// Reads the length and bytes that follow a blob tag.
+fn get_blob_body<'a>(buf: &mut &'a [u8]) -> StorageResult<&'a [u8]> {
+    if buf.len() < 4 {
+        return Err(StorageError::Corrupt("truncated blob length".into()));
+    }
+    let len = buf.get_u32_le() as usize;
+    if buf.len() < len {
+        return Err(StorageError::Corrupt("truncated blob body".into()));
+    }
+    let (body, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(body)
 }
 
 pub(crate) fn get_value(buf: &mut &[u8]) -> StorageResult<Value> {
@@ -125,18 +146,7 @@ pub(crate) fn get_value(buf: &mut &[u8]) -> StorageResult<Value> {
             Value::Float(buf.get_f64_le())
         }
         4 => Value::Str(get_str(buf)?),
-        5 => {
-            if buf.len() < 4 {
-                return Err(StorageError::Corrupt("truncated blob length".into()));
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.len() < len {
-                return Err(StorageError::Corrupt("truncated blob body".into()));
-            }
-            let b = buf[..len].to_vec();
-            buf.advance(len);
-            Value::Blob(b)
-        }
+        TAG_BLOB => Value::Blob(get_blob_body(buf)?.to_vec()),
         _ => return Err(StorageError::Corrupt(format!("bad value tag {tag}"))),
     })
 }
@@ -147,6 +157,17 @@ pub(crate) fn put_encoded_column(buf: &mut Vec<u8>, col: &EncodedColumn) {
             buf.put_u8(0);
             buf.put_u8(dtype_tag(c.dtype()));
             buf.put_u64_le(c.len() as u64);
+            if let Some(cells) = c.as_blob() {
+                // The same bytes as `put_value` per cell, from borrowed slices.
+                for (i, cell) in cells.iter().enumerate() {
+                    if c.is_null(i) {
+                        put_value(buf, &Value::Null);
+                    } else {
+                        put_blob_value(buf, cell);
+                    }
+                }
+                return;
+            }
             for i in 0..c.len() {
                 put_value(buf, &c.value(i));
             }
@@ -186,6 +207,21 @@ pub(crate) fn get_encoded_column(buf: &mut &[u8]) -> StorageResult<EncodedColumn
             }
             let dtype = dtype_from_tag(buf.get_u8())?;
             let len = buf.get_u64_le() as usize;
+            if dtype == DataType::Blob {
+                // Cell bytes go from the file image into the column buffer;
+                // anything but a blob tag takes the boxed path, which keeps
+                // its NULL handling and its type error.
+                let mut cells = ColumnBuilder::with_capacity(dtype, len.min(1 << 22));
+                for _ in 0..len {
+                    if buf.first() == Some(&TAG_BLOB) {
+                        buf.advance(1);
+                        cells.push_blob(get_blob_body(buf)?);
+                    } else {
+                        cells.push(get_value(buf)?)?;
+                    }
+                }
+                return Ok(EncodedColumn::Plain(cells.finish()));
+            }
             let mut values = Vec::with_capacity(len.min(1 << 22));
             for _ in 0..len {
                 values.push(get_value(buf)?);

@@ -131,6 +131,28 @@ impl ZoneMap {
     }
 
     fn from_column_range(col: &Column, start: usize, len: usize) -> ZoneMap {
+        if let Some(cells) = col.as_blob() {
+            // Same order as the boxed loop below (`Value::total_cmp` on two
+            // blobs is lexicographic bytes), over borrowed slices: only the
+            // two winners are copied out.
+            let mut bounds: Option<(&[u8], &[u8])> = None;
+            let mut null_count = 0usize;
+            for i in start..start + len {
+                if col.is_null(i) {
+                    null_count += 1;
+                    continue;
+                }
+                let cell = cells.get(i);
+                bounds = Some(match bounds {
+                    None => (cell, cell),
+                    Some((min, max)) => (min.min(cell), max.max(cell)),
+                });
+            }
+            let (min, max) = bounds.map_or((Value::Null, Value::Null), |(min, max)| {
+                (Value::Blob(min.to_vec()), Value::Blob(max.to_vec()))
+            });
+            return ZoneMap { min, max, null_count };
+        }
         let mut min = Value::Null;
         let mut max = Value::Null;
         let mut null_count = 0usize;

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use vertexica_storage::encoding::EncodedColumn;
 use vertexica_storage::persist;
 use vertexica_storage::{
-    Bitmap, Column, ColumnPredicate, DataType, Field, PredicateOp, RecordBatch, Schema, Table,
-    TableOptions, Value,
+    Bitmap, Column, ColumnBuilder, ColumnPredicate, DataType, Field, PredicateOp, RecordBatch,
+    Schema, Segment, Table, TableOptions, Value, BLOCK_ROWS,
 };
 
 fn arb_value_for(dtype: DataType) -> BoxedStrategy<Value> {
@@ -53,8 +53,386 @@ fn arb_column() -> impl Strategy<Value = (DataType, Vec<Value>)> {
     })
 }
 
+/// The model a blob column is held against: one boxed cell per row, `None`
+/// for NULL — the layout the column used to have.
+type BlobModel = Vec<Option<Vec<u8>>>;
+
+fn arb_blob_cells(max: usize) -> impl Strategy<Value = BlobModel> {
+    // Short cells over a tiny alphabet: NULLs, empty blobs, duplicates and
+    // prefixes of one another all come up often.
+    proptest::collection::vec(proptest::option::of(proptest::collection::vec(0u8..3, 0..4)), 0..max)
+}
+
+/// Builds a blob column from `cells`, choosing for each cell one of the
+/// builder's entry points by `how`.
+fn build_blob(cells: &BlobModel, how: &[u8]) -> Column {
+    let mut b = ColumnBuilder::new(DataType::Blob);
+    for (i, cell) in cells.iter().enumerate() {
+        match (cell, how[i % how.len()] % 3) {
+            (None, 0) => b.push(Value::Null).unwrap(),
+            (None, _) => b.push_null(),
+            (Some(bytes), 0) => b.push(Value::Blob(bytes.clone())).unwrap(),
+            (Some(bytes), 1) => b.push_blob(bytes),
+            (Some(bytes), _) => b.push_blob_with(|buf| buf.extend_from_slice(bytes)),
+        }
+    }
+    assert_eq!(b.len(), cells.len());
+    b.finish()
+}
+
+fn boxed(cell: &Option<Vec<u8>>) -> Value {
+    cell.clone().map_or(Value::Null, Value::Blob)
+}
+
+/// `col` holds exactly `model`: through the boxed accessor, through the typed
+/// one, and in its NULL bookkeeping.
+fn assert_blob_column_is(col: &Column, model: &[Option<Vec<u8>>]) {
+    assert_eq!(col.dtype(), DataType::Blob);
+    assert_eq!(col.len(), model.len());
+    assert_eq!(col.is_empty(), model.is_empty());
+    let cells = col.as_blob().unwrap();
+    assert_eq!(cells.len(), model.len());
+    for (i, want) in model.iter().enumerate() {
+        assert_eq!(col.value(i), boxed(want), "row {i}");
+        assert_eq!(col.is_null(i), want.is_none(), "row {i}");
+        // A NULL cell is a zero-length range; only validity tells it from
+        // an empty blob.
+        assert_eq!(cells.get(i), want.as_deref().unwrap_or(&[]), "row {i}");
+    }
+    assert_eq!(cells.iter().count(), model.len());
+    let nulls = model.iter().filter(|c| c.is_none()).count();
+    assert_eq!(col.null_count(), nulls);
+    assert_eq!(col.validity().is_some(), nulls > 0);
+    let payload: usize = model.iter().flatten().map(Vec::len).sum();
+    assert_eq!(cells.byte_len(), payload);
+    let validity_bytes = if nulls > 0 { model.len().div_ceil(8) } else { 0 };
+    assert_eq!(
+        col.estimated_bytes(),
+        payload + (model.len() + 1) * std::mem::size_of::<usize>() + validity_bytes
+    );
+}
+
+/// Min, max and NULL count of `values` under `Value::total_cmp`, the way
+/// the zone-map loop computes them over boxed cells.
+fn boxed_zone(values: &[Value]) -> (Value, Value, usize) {
+    let (mut min, mut max, mut nulls) = (Value::Null, Value::Null, 0);
+    for v in values {
+        if v.is_null() {
+            nulls += 1;
+            continue;
+        }
+        if min.is_null() || v.total_cmp(&min).is_lt() {
+            min = v.clone();
+        }
+        if max.is_null() || v.total_cmp(&max).is_gt() {
+            max = v.clone();
+        }
+    }
+    (min, max, nulls)
+}
+
+fn blob_schema() -> std::sync::Arc<Schema> {
+    Schema::new(vec![Field::new("b", DataType::Blob)])
+}
+
+/// A hand-assembled little-endian byte string.
+#[derive(Default)]
+struct Bytes(Vec<u8>);
+
+impl Bytes {
+    fn raw(mut self, bytes: &[u8]) -> Self {
+        self.0.extend_from_slice(bytes);
+        self
+    }
+    fn u8(self, v: u8) -> Self {
+        self.raw(&[v])
+    }
+    fn u32(self, v: u32) -> Self {
+        self.raw(&v.to_le_bytes())
+    }
+    fn u64(self, v: u64) -> Self {
+        self.raw(&v.to_le_bytes())
+    }
+    /// A `Value::Blob`: tag 5, `u32` length, bytes.
+    fn blob(self, cell: &[u8]) -> Self {
+        self.u8(5).u32(cell.len() as u32).raw(cell)
+    }
+    /// A `Value::Null`: tag 0.
+    fn null(self) -> Self {
+        self.u8(0)
+    }
+}
+
+/// The VXTB2 image of a table `g (b VARBINARY)` holding one segment: the
+/// hand-written column encoding and zone map spliced between the header and
+/// trailer every such image shares.
+fn golden_image(compress: bool, rows: u64, column: Bytes, zone_map: Bytes) -> Vec<u8> {
+    let body = Bytes::default()
+        .raw(b"VXTB2\n")
+        .u32(1)
+        .raw(b"g") // table name
+        .u32(1) // one field:
+        .u32(1)
+        .raw(b"b") //   name
+        .u8(4) //   dtype tag: Blob
+        .u8(1) //   nullable
+        .u64(7) // options: moveout threshold
+        .u8(compress as u8) //   compress
+        .u32(0) //   no sort key
+        .u32(0) // no WOS rows
+        .u32(1) // one segment:
+        .u64(rows)
+        .u32(1) //   one column
+        .raw(&column.0)
+        .raw(&zone_map.0)
+        .u32(0) //   block zone maps elided (single block)
+        .u64(rows) // delete vector: `rows` bits, none set
+        .raw(&vec![0u8; (rows as usize).div_ceil(8)]);
+    let crc = vertexica_storage::wal::crc32(&body.0);
+    body.u32(crc).0
+}
+
+fn golden_table(compress: bool, cells: &BlobModel) -> Table {
+    let mut options = TableOptions::default().with_moveout_threshold(7);
+    options.compress = compress;
+    let mut t = Table::new("g", blob_schema(), options);
+    let batch = RecordBatch::new(blob_schema(), vec![build_blob(cells, &[1])]).unwrap();
+    t.append_batch(&batch).unwrap();
+    t
+}
+
+/// The on-disk bytes of a blob column — Plain and RLE — are pinned to a
+/// hand-written expectation, so the in-memory layout can change without the
+/// format drifting: a file written before the flat layout reads back, and a
+/// file written now is what the old reader expects.
+#[test]
+fn blob_column_vxtb2_bytes_are_golden() {
+    let cell = |b: &[u8]| Some(b.to_vec());
+
+    // Plain: one value per cell, NULL as a bare tag.
+    let plain_cells = vec![cell(b"\xde\xad"), None, cell(b""), cell(b"\x00")];
+    let plain = golden_image(
+        false,
+        4,
+        Bytes::default()
+            .u8(0) // Plain
+            .u8(4) // Blob
+            .u64(4)
+            .blob(b"\xde\xad")
+            .null()
+            .blob(b"")
+            .blob(b"\x00"),
+        Bytes::default().blob(b"").blob(b"\xde\xad").u64(1), // min, max, NULL count
+    );
+
+    // RLE: (run length, value) pairs; a NULL run and an empty-blob run are
+    // different runs.
+    let rle_cells = vec![
+        cell(b"\xaa"),
+        cell(b"\xaa"),
+        cell(b"\xaa"),
+        None,
+        None,
+        cell(b""),
+        cell(b""),
+        cell(b""),
+    ];
+    let rle = golden_image(
+        true,
+        8,
+        Bytes::default()
+            .u8(1) // RLE
+            .u8(4) // Blob
+            .u32(3)
+            .u32(3)
+            .blob(b"\xaa")
+            .u32(2)
+            .null()
+            .u32(3)
+            .blob(b""),
+        Bytes::default().blob(b"").blob(b"\xaa").u64(2),
+    );
+
+    for (compress, cells, golden) in [(false, plain_cells, plain), (true, rle_cells, rle)] {
+        let table = golden_table(compress, &cells);
+        let image = persist::table_to_bytes_physical(&table).unwrap();
+        assert_eq!(image, golden, "compress={compress}: written image drifted");
+        let back = persist::table_from_bytes_physical(&golden).unwrap();
+        let scanned = back.scan(None, &[]).unwrap();
+        assert_eq!(scanned.len(), 1);
+        assert_blob_column_is(scanned[0].column(0), &cells);
+        assert_eq!(persist::table_to_bytes_physical(&back).unwrap(), golden);
+    }
+}
+
+/// A cell of another type inside a plain blob column is a typed error, not
+/// a panic or a reinterpretation.
+#[test]
+fn plain_blob_column_rejects_a_foreign_cell() {
+    let image = golden_image(
+        false,
+        1,
+        Bytes::default().u8(0).u8(4).u64(1).u8(2).u64(9), // an Int cell
+        Bytes::default().null().null().u64(0),
+    );
+    assert!(persist::table_from_bytes_physical(&image).is_err());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The flat blob column behaves exactly like a `Vec<Option<Vec<u8>>>`
+    /// under every way of building and reshaping it.
+    #[test]
+    fn flat_blob_column_matches_boxed_model(
+        cells in arb_blob_cells(60),
+        more in arb_blob_cells(20),
+        how in proptest::collection::vec(any::<u8>(), 1..8),
+        picks in proptest::collection::vec(any::<usize>(), 0..90),
+        mask in proptest::collection::vec(any::<bool>(), 60),
+        bounds in (any::<usize>(), any::<usize>()),
+        copies in 0usize..5,
+    ) {
+        let col = build_blob(&cells, &how);
+        assert_blob_column_is(&col, &cells);
+        let n = cells.len();
+
+        // take: repeats and reorders.
+        let indices: Vec<usize> = if n == 0 { vec![] } else { picks.iter().map(|p| p % n).collect() };
+        let taken: BlobModel = indices.iter().map(|&i| cells[i].clone()).collect();
+        assert_blob_column_is(&col.take(&indices), &taken);
+
+        // slice: any in-bounds range, empty ones included.
+        let start = bounds.0 % (n + 1);
+        let len = bounds.1 % (n - start + 1);
+        assert_blob_column_is(&col.slice(start, len), &cells[start..start + len]);
+
+        // filter.
+        let selection = Bitmap::from_iter_bool(mask.iter().copied().take(n));
+        let kept: BlobModel =
+            cells.iter().zip(&mask).filter(|(_, keep)| **keep).map(|(c, _)| c.clone()).collect();
+        assert_blob_column_is(&col.filter(&selection), &kept);
+
+        // concat and extend_from, with a 0-row column in the middle.
+        let other = build_blob(&more, &how);
+        let joined: BlobModel = cells.iter().chain(&more).cloned().collect();
+        let concat = Column::concat(&[col.clone(), Column::empty(DataType::Blob), other.clone()]);
+        assert_blob_column_is(&concat.unwrap(), &joined);
+        let mut b = ColumnBuilder::new(DataType::Blob);
+        b.extend_from(&col);
+        b.extend_from(&Column::empty(DataType::Blob));
+        b.extend_from(&other);
+        assert_blob_column_is(&b.finish(), &joined);
+
+        // repeat: a blob, an empty blob, NULL.
+        for cell in cells.iter().take(3).cloned().chain([None, Some(vec![])]) {
+            let repeated = Column::repeat(DataType::Blob, &boxed(&cell), copies).unwrap();
+            assert_blob_column_is(&repeated, &vec![cell; copies]);
+        }
+
+        // Hash partitioning hashes cells, not offsets: equal cells agree
+        // wherever they sit, and NULL does not hash like the empty blob.
+        let mut hashes = vec![0u64; n];
+        col.hash_combine(&mut hashes);
+        for i in 0..n {
+            for j in 0..i {
+                if cells[i] == cells[j] {
+                    prop_assert_eq!(hashes[i], hashes[j]);
+                }
+                if cells[i].is_none() && cells[j].as_deref() == Some(&[]) {
+                    prop_assert_ne!(hashes[i], hashes[j]);
+                }
+            }
+        }
+    }
+
+    /// Zone maps (per segment and per block) and the Plain-vs-RLE choice of
+    /// a blob column equal what the boxed `Value` loops compute on the same
+    /// cells, and the encoded column decodes back to them.
+    #[test]
+    fn blob_zone_maps_and_encoding_choice_equal_boxed(
+        runs in proptest::collection::vec(
+            (proptest::option::of(proptest::collection::vec(0u8..3, 0..4)), 1usize..5),
+            0..120,
+        ),
+        tiles in 1usize..9,
+    ) {
+        // Runs of equal cells (so RLE is sometimes chosen), tiled past one
+        // block (so per-block zone maps exist).
+        let once: BlobModel =
+            runs.iter().flat_map(|(cell, len)| std::iter::repeat_n(cell.clone(), *len)).collect();
+        let cells: BlobModel = std::iter::repeat_n(once, tiles).flatten().collect();
+        let values: Vec<Value> = cells.iter().map(boxed).collect();
+        let n = cells.len();
+        let batch = RecordBatch::new(blob_schema(), vec![build_blob(&cells, &[1])]).unwrap();
+
+        for compress in [false, true] {
+            let seg = Segment::build(&blob_schema(), &batch, compress).unwrap();
+            let (min, max, nulls) = boxed_zone(&values);
+            let zm = seg.zone_map(0);
+            prop_assert_eq!((&zm.min, &zm.max, zm.null_count), (&min, &max, nulls));
+            if n > BLOCK_ROWS {
+                for b in 0..seg.num_blocks() {
+                    let (start, len) = seg.block_range(b);
+                    let (min, max, nulls) = boxed_zone(&values[start..start + len]);
+                    let zm = seg.block_zone_map(0, b);
+                    prop_assert_eq!((&zm.min, &zm.max, zm.null_count), (&min, &max, nulls));
+                }
+            }
+
+            let boxed_runs = 1 + (1..n).filter(|&i| values[i] != values[i - 1]).count();
+            let want_rle = compress && n > 0 && boxed_runs * 2 <= n;
+            let encoded = seg.encoded_column(0);
+            prop_assert_eq!(matches!(encoded, EncodedColumn::Rle { .. }), want_rle);
+            prop_assert_eq!(matches!(encoded, EncodedColumn::Plain(_)), !want_rle);
+            if let EncodedColumn::Rle { runs, .. } = encoded {
+                prop_assert_eq!(runs.len(), boxed_runs);
+            }
+            assert_blob_column_is(&encoded.decode().unwrap(), &cells);
+            let start = n / 3;
+            assert_blob_column_is(
+                &encoded.decode_range(start, n - start).unwrap(),
+                &cells[start..],
+            );
+        }
+    }
+
+    /// A table with a blob column survives both on-disk formats: the
+    /// physical image re-serializes bitwise, the logical one scans equal.
+    #[test]
+    fn blob_tables_persist_losslessly(
+        cells in arb_blob_cells(150),
+        moveout in 4usize..40,
+        compress in any::<bool>(),
+    ) {
+        let schema = Schema::new(vec![
+            Field::not_null("id", DataType::Int),
+            Field::new("b", DataType::Blob),
+        ]);
+        let mut options = TableOptions::default().with_moveout_threshold(moveout);
+        options.compress = compress;
+        let mut t = Table::new("t", schema, options);
+        for (i, cell) in cells.iter().enumerate() {
+            t.insert_row(vec![Value::Int(i as i64), boxed(cell)]).unwrap();
+        }
+        let rows = |t: &Table| -> Vec<Vec<Value>> {
+            let mut rows: Vec<Vec<Value>> =
+                t.scan(None, &[]).unwrap().iter().flat_map(|b| b.rows()).collect();
+            rows.sort_by_key(|r| r[0].as_int());
+            rows
+        };
+        let want: Vec<Vec<Value>> =
+            cells.iter().enumerate().map(|(i, c)| vec![Value::Int(i as i64), boxed(c)]).collect();
+        prop_assert_eq!(rows(&t), want.clone());
+
+        let image = persist::table_to_bytes_physical(&t).unwrap();
+        let back = persist::table_from_bytes_physical(&image).unwrap();
+        prop_assert_eq!(rows(&back), want.clone());
+        prop_assert_eq!(persist::table_to_bytes_physical(&back).unwrap(), image);
+
+        let logical = persist::table_from_bytes(&persist::table_to_bytes(&t).unwrap()).unwrap();
+        prop_assert_eq!(rows(&logical), want);
+    }
 
     /// Every encoding decodes back to exactly the input values.
     #[test]

@@ -462,3 +462,86 @@ fn physical_persist_truncations_all_error() {
         assert!(persist::table_from_bytes_physical(&bytes).is_err(), "flip at {pos} undetected");
     }
 }
+
+/// A checkpoint written before any payload existed, then one blob-heavy
+/// apply (every vertex value replaced, a thousand messages with payloads of
+/// every length from empty up) riding the WAL: reopening replays the apply's
+/// flushed images on top of the checkpoint and must land on the live
+/// catalog bit for bit — and so must a reopen from the next checkpoint,
+/// where the same cells come back from `.vxtb` files instead.
+#[test]
+fn checkpoint_before_a_blob_heavy_apply_reopens_bitwise() {
+    use vertexica::apply::apply_outputs;
+    use vertexica::sql::Database;
+    use vertexica::worker::{worker_output_schema, OUT_MESSAGE, OUT_STATE};
+    use vertexica::{GraphSession, VertexicaConfig};
+    use vertexica_common::graph::EdgeList;
+    use vertexica_common::pregel::{InitContext, VertexContext, VertexProgram};
+    use vertexica_storage::RecordBatch;
+
+    struct Noop;
+    impl VertexProgram for Noop {
+        type Value = f64;
+        type Message = f64;
+        fn initial_value(&self, _id: u64, _init: &InitContext) -> f64 {
+            0.0
+        }
+        fn compute(&self, _ctx: &mut dyn VertexContext<f64, f64>, _messages: &[f64]) {}
+    }
+
+    const N: u64 = 96;
+    let dir = temp_dir("blob_apply");
+    let db = Arc::new(Database::open(&dir).unwrap());
+    let g = GraphSession::create(db.clone(), "g").unwrap();
+    g.load_edges(&EdgeList::from_pairs((0..N).map(|v| (v, (v + 1) % N)))).unwrap();
+    db.checkpoint().unwrap();
+
+    let payload =
+        |seed: u64| -> Vec<u8> { (0..seed % 17).map(|i| (seed * 31 + i) as u8).collect() };
+    let mut rows = Vec::new();
+    for v in 0..N {
+        rows.push(vec![
+            Value::Int(OUT_STATE),
+            Value::Int(v as i64),
+            Value::Null,
+            Value::Blob(payload(v + 1)),
+            Value::Bool(v % 3 == 0),
+            Value::Null,
+            Value::Null,
+        ]);
+    }
+    for m in 0..1000u64 {
+        rows.push(vec![
+            Value::Int(OUT_MESSAGE),
+            Value::Int((m * 7 % N) as i64),
+            Value::Int((m % N) as i64),
+            Value::Blob(payload(m)),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ]);
+    }
+    let out = RecordBatch::from_rows(worker_output_schema(), &rows).unwrap();
+    let config = VertexicaConfig::default()
+        .with_workers(2)
+        .with_combiner(false)
+        .with_replace_threshold(0.0)
+        .with_parallel_apply(true)
+        .with_durable(true);
+    let outcome = apply_outputs(&g, &Noop, &config, vec![out], N).unwrap();
+    assert!(outcome.replaced);
+    assert_eq!((outcome.vertex_changes, outcome.messages), (N as usize, 1000));
+
+    let live = catalog_image(db.catalog());
+    drop(g);
+    drop(db);
+
+    let replayed = Database::open(&dir).unwrap();
+    assert_eq!(catalog_image(replayed.catalog()), live, "WAL replay over the old checkpoint");
+    replayed.checkpoint().unwrap();
+    drop(replayed);
+    let reloaded = Database::open(&dir).unwrap();
+    assert_eq!(catalog_image(reloaded.catalog()), live, "reload from the new checkpoint");
+    drop(reloaded);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -83,11 +83,67 @@ fn crash_child_worker() {
         .with_workers(2)
         .with_partitions(4)
         .with_replace_threshold(0.0)
+        // Pinned: the parent watches for the table images only the grouped
+        // segment commit flushes, whatever the CI mode's default apply path.
+        .with_parallel_apply(true)
         .with_durable(true)
         .with_max_supersteps(u64::MAX);
     // Never returns (the program never halts); the parent kills us.
     run_program(&session, Arc::new(SuperstepStamp), &config).expect("child: run");
     unreachable!("SuperstepStamp never halts");
+}
+
+/// A spawned child that is killed and reaped when this goes out of scope —
+/// including when an assertion in the parent panics first. The children
+/// here never exit on their own, so one that outlives its test keeps two
+/// cores busy until someone notices.
+struct ChildGuard(std::process::Child);
+
+impl ChildGuard {
+    /// Re-invokes this test binary to run only `test`, armed through
+    /// `env_var`.
+    fn spawn(test: &str, env_var: &str, value: &Path) -> ChildGuard {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", test, "--nocapture", "--test-threads=1"])
+            .env(env_var, value)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn child");
+        ChildGuard(child)
+    }
+
+    fn assert_running(&mut self) {
+        assert!(self.0.try_wait().unwrap().is_none(), "child exited prematurely");
+    }
+}
+
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        // SIGKILL, then reap. Both fail only if the child is already gone,
+        // which is the state this wants.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The leak this guards against: a parent assertion firing before the
+/// explicit kill. The guard's drop runs during the unwind and must leave no
+/// process behind.
+#[cfg(target_os = "linux")]
+#[test]
+fn child_guard_dropped_by_a_panic_leaves_no_live_child() {
+    let pid = std::sync::OnceLock::new();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let sleeper = std::process::Command::new("sleep").arg("3600").spawn().expect("spawn sleep");
+        let mut guard = ChildGuard(sleeper);
+        pid.set(guard.0.id()).unwrap();
+        guard.assert_running();
+        panic!("a parent assertion fires before the explicit kill");
+    }));
+    assert!(unwound.is_err());
+    let proc_entry = Path::new("/proc").join(pid.get().unwrap().to_string());
+    assert!(!proc_entry.exists(), "{} outlived its guard", proc_entry.display());
 }
 
 fn catalog_image(catalog: &vertexica_storage::Catalog) -> Vec<(String, Vec<u8>)> {
@@ -129,14 +185,7 @@ fn kill9_mid_superstep_recovers_to_a_committed_superstep() {
     ));
     std::fs::create_dir_all(&dir).unwrap();
 
-    let exe = std::env::current_exe().unwrap();
-    let mut child = std::process::Command::new(&exe)
-        .args(["--exact", "crash_child_worker", "--nocapture", "--test-threads=1"])
-        .env("VERTEXICA_CRASH_CHILD_DIR", &dir)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn child");
+    let mut child = ChildGuard::spawn("crash_child_worker", "VERTEXICA_CRASH_CHILD_DIR", &dir);
 
     // Wait for the durable baseline, then for WAL growth proving committed
     // supersteps are in flight.
@@ -144,19 +193,18 @@ fn kill9_mid_superstep_recovers_to_a_committed_superstep() {
     let ready = dir.join("READY");
     while !ready.exists() {
         assert!(Instant::now() < deadline, "child never became ready");
-        assert!(child.try_wait().unwrap().is_none(), "child exited prematurely");
+        child.assert_running();
         std::thread::sleep(Duration::from_millis(10));
     }
     let baseline = max_file_id(&dir);
     while max_file_id(&dir) < baseline + 8 {
         assert!(Instant::now() < deadline, "child never committed supersteps");
-        assert!(child.try_wait().unwrap().is_none(), "child exited prematurely");
+        child.assert_running();
         std::thread::sleep(Duration::from_millis(5));
     }
     // Let an arbitrary number of further supersteps land, then SIGKILL.
     std::thread::sleep(Duration::from_millis(150));
-    child.kill().expect("kill -9 child");
-    child.wait().expect("reap child");
+    drop(child); // kill -9 and reap
 
     // ---- recovery ----
     let db = Arc::new(Database::open(&dir).expect("recovery must succeed at any kill point"));
@@ -220,20 +268,14 @@ fn kill9_mid_superstep_sharded_recovers_and_repairs() {
     ));
     std::fs::create_dir_all(&dir).unwrap();
 
-    let exe = std::env::current_exe().unwrap();
-    let mut child = std::process::Command::new(&exe)
-        .args(["--exact", "sharded_crash_child_worker", "--nocapture", "--test-threads=1"])
-        .env("VERTEXICA_SHARD_CRASH_CHILD_DIR", &dir)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn child");
+    let mut child =
+        ChildGuard::spawn("sharded_crash_child_worker", "VERTEXICA_SHARD_CRASH_CHILD_DIR", &dir);
 
     let deadline = Instant::now() + Duration::from_secs(60);
     let ready = dir.join("READY");
     while !ready.exists() {
         assert!(Instant::now() < deadline, "child never became ready");
-        assert!(child.try_wait().unwrap().is_none(), "child exited prematurely");
+        child.assert_running();
         std::thread::sleep(Duration::from_millis(10));
     }
     // Both shards must provably commit supersteps before the kill.
@@ -243,12 +285,11 @@ fn kill9_mid_superstep_sharded_recovers_and_repairs() {
         || max_file_id(&dir.join("shard1")) < base1 + 8
     {
         assert!(Instant::now() < deadline, "child never committed sharded supersteps");
-        assert!(child.try_wait().unwrap().is_none(), "child exited prematurely");
+        child.assert_running();
         std::thread::sleep(Duration::from_millis(5));
     }
     std::thread::sleep(Duration::from_millis(150));
-    child.kill().expect("kill -9 child");
-    child.wait().expect("reap child");
+    drop(child); // kill -9 and reap
 
     // ---- recovery ----
     let db = ShardedDatabase::open(&dir).expect("sharded recovery must succeed at any kill point");
