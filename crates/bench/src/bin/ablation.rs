@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p vertexica-bench --release --bin ablation -- \
-//!     [--exp union-vs-join|worker-scaling|batching|update-vs-replace|pool-size|pipeline|expr|wal|evict|shard|all]
+//!     [--exp union-vs-join|worker-scaling|batching|update-vs-replace|pool-size|wal|evict|shard|all]
 //! ```
 
 use std::sync::Arc;
@@ -11,10 +11,8 @@ use vertexica::{run_program, InputMode, VertexicaConfig};
 use vertexica_algorithms::vc::{PageRank, Sssp};
 use vertexica_bench::{figure2_dataset, fresh_session, HarnessConfig};
 use vertexica_common::timer::Stopwatch;
-use vertexica_sql::ast::BinaryOp;
-use vertexica_sql::expr::{set_vectorized_expr, PhysExpr};
 use vertexica_sql::Database;
-use vertexica_storage::{DataType, Field, RecordBatch, Schema, Value, BLOCK_ROWS};
+use vertexica_storage::{DataType, RecordBatch};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -116,72 +114,15 @@ fn main() {
                 let apply: f64 = stats.per_superstep.iter().map(|s| s.apply_secs).sum();
                 let apply_par =
                     stats.per_superstep.iter().map(|s| s.apply_parallelism).max().unwrap_or(1);
-                // Ablation column: the same run with the serial one-shot SQL
-                // apply path, isolating what the segment-parallel apply
-                // saves (it also wins at pool=1 by dropping the staged
-                // LEFT JOIN rebuild and the post-commit halting scan).
-                let serial_config = config.clone().with_parallel_apply(false);
-                let serial_stats =
-                    run_program(&session, Arc::new(PageRank::new(5, 0.85)), &serial_config)
-                        .unwrap();
-                let serial_apply: f64 =
-                    serial_stats.per_superstep.iter().map(|s| s.apply_secs).sum();
                 println!(
                     "pool={pool_size:<3} {secs:.3}s  speedup×{speedup:<5.2} \
-                     apply={apply:.3}s(×{apply_par}, serial {serial_apply:.3}s) \
+                     apply={apply:.3}s(×{apply_par}) \
                      overlap={overlap:.3}s queue-wait={queue_wait:.3}s steals={steals} \
                      peak-batch={peak}B"
                 );
             }
             println!();
         }
-    }
-
-    if exp == "pipeline" || exp == "all" {
-        println!("## Pipelined supersteps: overlapped vs phased streaming (PageRank)");
-        println!("# pipelined: chunks scatter on the pool and sealed partitions compute");
-        println!("# while assemble streams; phased: scatter on the coordinator thread,");
-        println!("# then compute. The overlap column is the wall-clock time worker");
-        println!("# compute ran inside the assemble window (pipelined-only by");
-        println!("# construction); chunk-rows shrinks chunks to give the dispatcher");
-        println!("# more scatter granularity. peak-resident-scan is the most");
-        println!("# un-emitted source-scan data assemble ever held: one in-flight");
-        println!("# batch with the pull-based cursor (streamed), whole tables with");
-        println!("# the eager scan — the streaming-scan memory win, made visible.");
-        for (label, pipelined, stream_scan, chunk_rows) in [
-            ("phased", false, true, vertexica::input::STREAM_CHUNK_ROWS),
-            ("pipelined", true, true, vertexica::input::STREAM_CHUNK_ROWS),
-            ("pipelined-4k", true, true, 4096),
-            ("eager-scan", true, false, vertexica::input::STREAM_CHUNK_ROWS),
-        ] {
-            let session = fresh_session(&graph);
-            // Pin the worker count: the pipelined dataflow needs a real pool
-            // (on a 1-core host the default degrades to the sequential
-            // fallback, which by design reports zero overlap).
-            let config = VertexicaConfig::default()
-                .with_workers(4)
-                .with_pipelined(pipelined)
-                .with_streaming_scan(stream_scan)
-                .with_stream_chunk_rows(chunk_rows);
-            let sw = Stopwatch::start();
-            let stats = run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap();
-            let secs = sw.elapsed_secs();
-            let overlap: f64 = stats.per_superstep.iter().map(|s| s.overlap_secs).sum();
-            let assemble: f64 = stats.per_superstep.iter().map(|s| s.assemble_secs).sum();
-            let compute: f64 = stats.per_superstep.iter().map(|s| s.compute_secs).sum();
-            let nested: u64 = stats.per_superstep.iter().map(|s| s.nested_scopes).sum();
-            let resident =
-                stats.per_superstep.iter().map(|s| s.peak_resident_scan_bytes).max().unwrap_or(0);
-            println!(
-                "{label:<13} {secs:.3}s  assemble={assemble:.3}s compute={compute:.3}s \
-                 overlap={overlap:.3}s nested-scopes={nested} peak-resident-scan={resident}B"
-            );
-        }
-        println!();
-    }
-
-    if exp == "expr" || exp == "all" {
-        expr_ablation(&cfg);
     }
 
     if exp == "wal" || exp == "all" {
@@ -220,10 +161,6 @@ fn main() {
             }
         }
     }
-}
-
-fn bin(left: PhysExpr, op: BinaryOp, right: PhysExpr) -> PhysExpr {
-    PhysExpr::Binary { left: Box::new(left), op, right: Box::new(right) }
 }
 
 /// Durability ablation: the same PageRank run in-memory, write-ahead-logged
@@ -485,127 +422,5 @@ fn shard_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
     );
     std::fs::write("BENCH_pr9.json", &json).expect("write BENCH_pr9.json");
     println!("wrote BENCH_pr9.json");
-    println!();
-}
-
-/// Vectorized-expression + block-decode ablation: typed slice kernels vs the
-/// `Value`-per-row loop on a selective predicate, then per-block zone-map
-/// pruning vs a full-segment decode. Writes `BENCH_pr6.json` into the
-/// current directory.
-fn expr_ablation(cfg: &HarnessConfig) {
-    println!("## Expression kernels: vectorized vs row-at-a-time predicate eval");
-    println!("# Same predicate tree, same batches; the only difference is the");
-    println!("# VERTEXICA_VECTOR_EXPR toggle. Both paths are bitwise-identical");
-    println!("# (proven by the config-matrix harness and a property test), so");
-    println!("# the delta is pure evaluation cost.");
-
-    // A selective filter over a mixed Int/Float batch, with enough operator
-    // nodes that per-row dispatch overhead dominates the row path:
-    //   (a * 2 + k % 97 < 1000 AND b * 0.5 < t) OR a IS NULL
-    let eval_rows: usize = 65_536;
-    let eval_iters: usize = (40.0 * (cfg.scale / 0.01).clamp(0.05, 4.0)) as usize;
-    let schema = Schema::new(vec![
-        Field::new("a", DataType::Int),
-        Field::not_null("b", DataType::Float),
-        Field::not_null("k", DataType::Int),
-    ]);
-    let rows: Vec<Vec<Value>> = (0..eval_rows)
-        .map(|i| {
-            let a = if i % 97 == 0 { Value::Null } else { Value::Int((i % 1000) as i64) };
-            vec![a, Value::Float(i as f64 * 0.25), Value::Int(i as i64)]
-        })
-        .collect();
-    let batch = RecordBatch::from_rows(schema, &rows).expect("bench batch");
-    let predicate = bin(
-        bin(
-            bin(
-                bin(
-                    bin(PhysExpr::col(0), BinaryOp::Multiply, PhysExpr::lit(2i64)),
-                    BinaryOp::Plus,
-                    bin(PhysExpr::col(2), BinaryOp::Modulo, PhysExpr::lit(97i64)),
-                ),
-                BinaryOp::Lt,
-                PhysExpr::lit(1000i64),
-            ),
-            BinaryOp::And,
-            bin(
-                bin(PhysExpr::col(1), BinaryOp::Multiply, PhysExpr::lit(0.5f64)),
-                BinaryOp::Lt,
-                PhysExpr::lit(7000.0f64),
-            ),
-        ),
-        BinaryOp::Or,
-        PhysExpr::IsNull { expr: Box::new(PhysExpr::col(0)), negated: false },
-    );
-    let mut timings = [0.0f64; 2];
-    for (slot, vectorized) in [(0usize, true), (1usize, false)] {
-        set_vectorized_expr(vectorized);
-        let sw = Stopwatch::start();
-        let mut selected = 0u64;
-        for _ in 0..eval_iters.max(1) {
-            let sel = predicate.eval_predicate(&batch).expect("predicate eval");
-            selected += sel.count_ones() as u64;
-        }
-        timings[slot] = sw.elapsed_secs();
-        std::hint::black_box(selected);
-    }
-    set_vectorized_expr(true);
-    let (vec_secs, row_secs) = (timings[0], timings[1]);
-    let speedup = row_secs.max(1e-12) / vec_secs.max(1e-12);
-    println!(
-        "rows={eval_rows} iters={} vectorized={vec_secs:.3}s row-at-a-time={row_secs:.3}s \
-         speedup×{speedup:.2}",
-        eval_iters.max(1)
-    );
-
-    println!();
-    println!("## Block-granular decode: zone-map pruning inside one segment");
-    println!("# A point-range query over a sorted key only decodes the blocks");
-    println!("# whose [min,max] overlap the predicate; the full scan decodes");
-    println!("# every block. bytes-decoded counts post-prune decode work.");
-    let db = Database::new();
-    db.execute("CREATE TABLE zb (k BIGINT NOT NULL, v BIGINT NOT NULL)").expect("create");
-    let zb_schema = db.catalog().get("zb").expect("zb").read().schema().clone();
-    let blocks_total: usize = 16;
-    let n = BLOCK_ROWS * blocks_total;
-    let zb_rows: Vec<Vec<Value>> =
-        (0..n).map(|i| vec![Value::Int(i as i64), Value::Int((i * 3 % 1001) as i64)]).collect();
-    let zb_batch = RecordBatch::from_rows(zb_schema, &zb_rows).expect("zb batch");
-    db.replace_table_segmented("zb", vec![zb_batch]).expect("load zb");
-    let handle = db.catalog().get("zb").expect("zb");
-    let counters = || {
-        let t = handle.read();
-        (t.blocks_pruned(), t.bytes_decoded())
-    };
-    let (p0, d0) = counters();
-    let lo = (BLOCK_ROWS * 7) as i64;
-    let hi = lo + 99;
-    let selective =
-        db.query_int(&format!("SELECT SUM(v) FROM zb WHERE k >= {lo} AND k <= {hi}")).expect("sum");
-    let (p1, d1) = counters();
-    let full = db.query_int("SELECT SUM(v) FROM zb WHERE k >= 0").expect("full sum");
-    let (_, d2) = counters();
-    let pruned = p1 - p0;
-    let (sel_bytes, full_bytes) = (d1 - d0, d2 - d1);
-    println!(
-        "blocks={blocks_total} pruned={pruned} selective-bytes={sel_bytes}B \
-         full-scan-bytes={full_bytes}B (selective sum={selective}, full sum={full})"
-    );
-    assert!(pruned > 0, "selective scan should prune blocks");
-    assert!(sel_bytes < full_bytes, "partial decode should beat the full-segment path");
-
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let json = format!(
-        "{{\n  \"experiment\": \"expr\",\n  \"cores\": {cores},\n  \"scale\": {},\n  \
-         \"eval_rows\": {eval_rows},\n  \"eval_iters\": {},\n  \
-         \"vectorized_secs\": {vec_secs:.6},\n  \"row_secs\": {row_secs:.6},\n  \
-         \"speedup\": {speedup:.3},\n  \"blocks_total\": {blocks_total},\n  \
-         \"blocks_pruned\": {pruned},\n  \"selective_bytes_decoded\": {sel_bytes},\n  \
-         \"full_scan_bytes_decoded\": {full_bytes}\n}}\n",
-        cfg.scale,
-        eval_iters.max(1)
-    );
-    std::fs::write("BENCH_pr6.json", &json).expect("write BENCH_pr6.json");
-    println!("wrote BENCH_pr6.json");
     println!();
 }

@@ -9,25 +9,19 @@
 //! tuples changed (below a threshold), in-place updates win — so the policy
 //! is threshold-based.
 //!
-//! Two implementations of the policy live here:
-//!
-//! * the **serial** path ([`apply_accumulated`]): fold every partition's
-//!   output into one [`OutputAccumulator`] and issue one-shot SQL table
-//!   replacements (stage a delta table, LEFT JOIN, swap) — the paper's
-//!   literal mechanism, kept for ablation via
-//!   [`VertexicaConfig::with_parallel_apply`]`(false)`;
-//! * the **segment-parallel** path ([`apply_parallel`], default): each
-//!   partition's output is read as typed column slices **on the pool worker
-//!   that finished it** and references to its rows are scattered into apply
-//!   buckets ([`ParallelApply::absorb`]; the payload bytes stay in the
-//!   worker's output column), the new vertex/message tables are built as
-//!   per-bucket ROS segments in parallel on the same pool — each gathers its
-//!   payloads once, in sorted order — and the commit is an atomic
-//!   catalog-level contents swap
-//!   ([`vertexica_sql::Database::replace_table_segmented`]). Canonicalizing
-//!   sorts at every segment boundary keep the two paths bitwise-identical —
-//!   which `tests/cross_engine_equivalence.rs`'s config-matrix harness
-//!   proves on every vertex-centric algorithm.
+//! The policy runs **segment-parallel** ([`apply_parallel`]): each
+//! partition's output is read as typed column slices **on the pool worker
+//! that finished it** and references to its rows are scattered into apply
+//! buckets ([`ParallelApply::absorb`]; the payload bytes stay in the
+//! worker's output column), the new vertex/message tables are built as
+//! per-bucket ROS segments in parallel on the same pool — each gathers its
+//! payloads once, in sorted order, and the vertex rebuild is a per-bucket
+//! LEFT-JOIN-equivalent merge — and the commit is one atomic catalog-level
+//! contents swap ([`vertexica_sql::Database::commit_tables_segmented`]).
+//! Canonicalizing sorts at every segment boundary make the result
+//! independent of partition completion order, bucket count and worker
+//! count; `tests/cross_engine_equivalence.rs` holds every vertex-centric
+//! algorithm to an independent reference implementation.
 
 use vertexica_common::sync::Mutex;
 
@@ -35,9 +29,7 @@ use vertexica_common::hash::FxHashMap;
 use vertexica_common::pregel::{AggKind, VertexProgram};
 use vertexica_common::VertexData;
 use vertexica_storage::partition::{hash_partition, int_key_partition};
-use vertexica_storage::{
-    BlobData, Column, ColumnBuilder, DataType, RecordBatch, TableOptions, Value,
-};
+use vertexica_storage::{BlobData, Column, ColumnBuilder, DataType, RecordBatch, Value};
 
 use crate::config::VertexicaConfig;
 use crate::error::{VertexicaError, VertexicaResult};
@@ -63,87 +55,13 @@ pub struct SuperstepOutcome {
     /// recombinable, the global fold must see the raw per-vertex terms.
     pub agg_partials: Vec<(String, i64, f64)>,
     /// Width of the apply fan-out: the number of segment buckets built in
-    /// parallel on the pool (1 for the serial one-shot SQL path).
+    /// parallel on the pool.
     pub apply_parallelism: usize,
 }
 
-/// Incrementally folds worker output batches into compact apply-ready form.
-///
-/// The streaming pipeline feeds each partition's output here **as the
-/// partition finishes** (from whichever pool worker ran it, behind a mutex),
-/// so raw output batches never accumulate; the materialized pipeline absorbs
-/// everything at once through [`apply_outputs`]. Either way the absorbed
-/// state is order-insensitive: [`apply_accumulated`] canonicalizes
-/// (sort-by-key) before any order-dependent fold, so streaming completion
-/// order cannot change results.
-#[derive(Debug, Default)]
-pub struct OutputAccumulator {
-    /// Parsed state rows: (vid, encoded value, halted).
-    updates: Vec<(i64, Vec<u8>, bool)>,
-    /// Parsed message rows: (recipient, sender, payload).
-    messages: Vec<(u64, u64, Vec<u8>)>,
-    /// Per-vertex aggregator partials: (name, vid, value).
-    agg_partials: Vec<(String, i64, f64)>,
-    agg_specs: FxHashMap<String, AggKind>,
-}
-
-impl OutputAccumulator {
-    /// An accumulator validating aggregator names against `program`'s specs.
-    pub fn for_program<P: VertexProgram>(program: &P) -> Self {
-        OutputAccumulator {
-            agg_specs: program
-                .aggregators()
-                .into_iter()
-                .map(|s| (s.name.to_string(), s.kind))
-                .collect(),
-            ..Default::default()
-        }
-    }
-
-    /// An empty accumulator sharing this one's aggregator specs — for
-    /// parsing a partition's output outside the shared accumulator's lock.
-    pub fn fork(&self) -> Self {
-        OutputAccumulator { agg_specs: self.agg_specs.clone(), ..Default::default() }
-    }
-
-    /// Folds another accumulator's parsed state into this one (cheap vector
-    /// appends; ordering is canonicalized later by [`apply_accumulated`]).
-    pub fn merge(&mut self, other: OutputAccumulator) {
-        self.updates.extend(other.updates);
-        self.messages.extend(other.messages);
-        self.agg_partials.extend(other.agg_partials);
-    }
-
-    /// Parses one partition's worker output batches into the accumulator.
-    /// Aggregator partials arrive tagged with their vertex id, so their
-    /// final fold order — (name, vid) — is deterministic regardless of
-    /// completion order, partitioning, or sharding. (`partition` is kept for
-    /// signature symmetry with [`ParallelApply::absorb`].)
-    pub fn absorb(&mut self, partition: usize, batches: &[RecordBatch]) -> VertexicaResult<()> {
-        let _ = partition;
-        for batch in batches {
-            let rows = OutputRows::of(batch)?;
-            for row in 0..batch.num_rows() {
-                match rows.get(row, &self.agg_specs)? {
-                    OutputRow::State { vid, value, halted } => {
-                        self.updates.push((vid, value.to_vec(), halted));
-                    }
-                    OutputRow::Message { to, from, payload } => {
-                        self.messages.push((to, from, payload.to_vec()));
-                    }
-                    OutputRow::Aggregate { name, vid, value } => {
-                        self.agg_partials.push((name.to_string(), vid, value));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One worker output batch ([`crate::worker::worker_output_schema`]) as
-/// typed column slices: both apply paths read rows through this, so neither
-/// boxes a `Value` per cell, and a NULL or mistyped cell is an error naming
+/// typed column slices: apply reads rows through this, so it never boxes a
+/// `Value` per cell, and a NULL or mistyped cell is an error naming
 /// the row kind and column instead of a silent default.
 struct OutputRows<'a> {
     kind: Nullable<'a, [i64]>,
@@ -156,10 +74,12 @@ struct OutputRows<'a> {
 }
 
 /// One worker output row, borrowed from its batch. Every field is a cell the
-/// worker always writes; a NULL there is an error, not a default.
+/// worker always writes; a NULL there is an error, not a default. A state or
+/// message row's payload stays in its column: [`OutputRows::get`] only
+/// checks that it is there.
 enum OutputRow<'a> {
-    State { vid: i64, value: &'a [u8], halted: bool },
-    Message { to: u64, from: u64, payload: &'a [u8] },
+    State { vid: i64, halted: bool },
+    Message { to: u64, from: u64 },
     Aggregate { name: &'a str, vid: i64, value: f64 },
 }
 
@@ -208,16 +128,18 @@ impl<'a> OutputRows<'a> {
         };
         // A NULL kind is no valid kind.
         match self.kind.get(row).copied().unwrap_or(-1) {
-            OUT_STATE => Ok(OutputRow::State {
-                vid: *self.vid.get(row).ok_or_else(cell("state", "vid"))?,
-                value: self.payload.get(row).ok_or_else(cell("state", "payload"))?,
-                halted: *self.halted.get(row).ok_or_else(cell("state", "halted"))?,
-            }),
-            OUT_MESSAGE => Ok(OutputRow::Message {
-                to: *self.vid.get(row).ok_or_else(cell("message", "vid (recipient)"))? as u64,
-                from: *self.other.get(row).ok_or_else(cell("message", "other (sender)"))? as u64,
-                payload: self.payload.get(row).ok_or_else(cell("message", "payload"))?,
-            }),
+            OUT_STATE => {
+                let vid = *self.vid.get(row).ok_or_else(cell("state", "vid"))?;
+                self.payload.get(row).ok_or_else(cell("state", "payload"))?;
+                let halted = *self.halted.get(row).ok_or_else(cell("state", "halted"))?;
+                Ok(OutputRow::State { vid, halted })
+            }
+            OUT_MESSAGE => {
+                let to = *self.vid.get(row).ok_or_else(cell("message", "vid (recipient)"))?;
+                let from = *self.other.get(row).ok_or_else(cell("message", "other (sender)"))?;
+                self.payload.get(row).ok_or_else(cell("message", "payload"))?;
+                Ok(OutputRow::Message { to: to as u64, from: from as u64 })
+            }
             OUT_AGGREGATE => {
                 let name = self.agg_name.get(row).ok_or_else(cell("aggregate", "agg_name"))?;
                 if !specs.contains_key(name) {
@@ -234,9 +156,9 @@ impl<'a> OutputRows<'a> {
     }
 }
 
-/// Parses worker output rows and applies them to the graph's tables — the
-/// one-shot form used by the materialized pipeline and tests. Routes to the
-/// segment-parallel or serial apply path per `config.parallel_apply`.
+/// Parses worker output rows and applies them to the graph's tables in one
+/// call: each batch is absorbed as its own partition, then
+/// [`apply_parallel`] commits.
 pub fn apply_outputs<P: VertexProgram>(
     session: &GraphSession,
     program: &P,
@@ -244,18 +166,11 @@ pub fn apply_outputs<P: VertexProgram>(
     outputs: Vec<RecordBatch>,
     total_vertices: u64,
 ) -> VertexicaResult<SuperstepOutcome> {
-    if config.parallel_apply {
-        let apply = ParallelApply::for_program(program, config.num_workers.max(1));
-        for (i, batch) in outputs.iter().enumerate() {
-            apply.absorb(i, std::slice::from_ref(batch))?;
-        }
-        return apply_parallel(session, program, config, apply, total_vertices);
-    }
-    let mut acc = OutputAccumulator::for_program(program);
+    let apply = ParallelApply::for_program(program, config.num_workers.max(1));
     for (i, batch) in outputs.iter().enumerate() {
-        acc.absorb(i, std::slice::from_ref(batch))?;
+        apply.absorb(i, std::slice::from_ref(batch))?;
     }
-    apply_accumulated(session, program, config, acc, total_vertices)
+    apply_parallel(session, program, config, apply, total_vertices)
 }
 
 /// The three column builders of one message-table segment
@@ -301,10 +216,9 @@ impl MessageColumns {
 /// Builds the message-table rows for `messages`, which must arrive sorted by
 /// `(recipient, sender, payload)`. With `use_combiner`, partials addressed
 /// to the same recipient are folded with the program's combiner in exactly
-/// that order. Both apply paths call this — the serial one over the globally
-/// sorted message vector, the parallel one per recipient-hash bucket (a
-/// restriction of the same sorted order, so every per-recipient fold
-/// sequence is identical bit for bit).
+/// that order. Apply calls this per recipient-hash bucket: a restriction of
+/// the global sorted order, so every per-recipient fold sequence is the same
+/// whatever the bucket count.
 fn message_rows<'a, P: VertexProgram>(
     program: &P,
     use_combiner: bool,
@@ -341,74 +255,6 @@ fn message_rows<'a, P: VertexProgram>(
     Ok(out)
 }
 
-/// Applies accumulated worker outputs to the graph's tables: cross-partition
-/// combine, message-table replace, update-vs-replace on the vertex table,
-/// aggregator fold, halting check.
-pub fn apply_accumulated<P: VertexProgram>(
-    session: &GraphSession,
-    program: &P,
-    config: &VertexicaConfig,
-    acc: OutputAccumulator,
-    total_vertices: u64,
-) -> VertexicaResult<SuperstepOutcome> {
-    let OutputAccumulator { mut updates, mut messages, mut agg_partials, agg_specs } = acc;
-    // Canonicalize: with streaming execution, partitions absorb in
-    // completion order; sorting makes every downstream fold (and the table
-    // contents feeding the next superstep) deterministic.
-    updates.sort();
-    messages.sort();
-    agg_partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-
-    let mut agg: FxHashMap<String, (AggKind, f64)> = FxHashMap::default();
-    for (name, _, v) in &agg_partials {
-        let kind = agg_specs[name];
-        let entry = agg.entry(name.clone()).or_insert((kind, kind.identity()));
-        entry.1 = kind.combine(entry.1, *v);
-    }
-
-    // ---- messages: always replace (fresh table each superstep) ----
-    // Cross-partition combine: workers pre-combined within partitions; fold
-    // partials addressed to the same recipient once more.
-    let rows = message_rows(
-        program,
-        config.use_combiner,
-        messages.iter().map(|(to, from, bytes)| (*to, *from, bytes.as_slice())),
-    )?;
-    let num_messages = rows.len();
-    replace_messages(session, rows.finish()?)?;
-
-    // ---- vertices: update vs replace ----
-    let change_ratio =
-        if total_vertices == 0 { 0.0 } else { updates.len() as f64 / total_vertices as f64 };
-    let replaced = !updates.is_empty() && change_ratio >= config.replace_threshold;
-    let vertex_changes = updates.len();
-    if replaced {
-        replace_vertices(session, &updates)?;
-    } else if !updates.is_empty() {
-        update_vertices_in_place(session, &updates)?;
-    }
-
-    // ---- halting check ----
-    let remaining = session.db().query_int(&format!(
-        "SELECT COUNT(*) FROM {} WHERE halted = FALSE",
-        session.vertex_table()
-    ))?;
-
-    Ok(SuperstepOutcome {
-        vertex_changes,
-        messages: num_messages,
-        replaced,
-        all_halted: remaining == 0,
-        aggregates: agg.into_iter().map(|(k, (_, v))| (k, v)).collect(),
-        agg_partials,
-        apply_parallelism: 1,
-    })
-}
-
-/// Parsed state rows for the in-place update arm: `(vid, encoded value,
-/// halted)`.
-type UpdateRows = Vec<(i64, Vec<u8>, bool)>;
-
 /// Where a payload lives in a partition's retained worker output: which
 /// batch, which row. Apply scatters and sorts these; the bytes stay where
 /// the worker encoded them until a segment's column gathers them.
@@ -441,8 +287,7 @@ type BucketRefs<R> = Vec<(usize, Vec<R>)>;
 type VertexRow<'a> = (i64, Option<&'a [u8]>, Option<bool>);
 
 /// One partition's parsed worker output, **pre-scattered into apply
-/// buckets** — the per-partition segment builder state that replaces the
-/// single [`OutputAccumulator`] drain on the parallel apply path.
+/// buckets** — the per-partition segment builder state.
 struct PartitionDelta {
     partition: usize,
     /// The payload column of each absorbed output batch; [`CellRef::batch`]
@@ -455,9 +300,9 @@ struct PartitionDelta {
     agg_partials: Vec<(String, i64, f64)>,
 }
 
-/// Collector for the segment-parallel apply path.
+/// Collector for the segment-parallel apply.
 ///
-/// The streaming pipeline calls [`ParallelApply::absorb`] from whichever
+/// The superstep pipeline calls [`ParallelApply::absorb`] from whichever
 /// pool worker finished a partition: the partition's raw output batches are
 /// parsed **and scattered into apply buckets right there**, so by the time
 /// the last partition lands, the post-barrier work is nothing but per-bucket
@@ -506,14 +351,14 @@ impl ParallelApply {
             for row in 0..num_rows {
                 let payload = CellRef { batch: batch_index, row };
                 match rows.get(row as usize, &self.agg_specs)? {
-                    OutputRow::State { vid, halted, .. } => {
+                    OutputRow::State { vid, halted } => {
                         delta.updates[int_key_partition(vid, self.buckets)].push(UpdateRef {
                             vid,
                             halted,
                             payload,
                         });
                     }
-                    OutputRow::Message { to, from, .. } => {
+                    OutputRow::Message { to, from } => {
                         delta.messages[int_key_partition(to as i64, self.buckets)]
                             .push(MessageRef { to, from, payload });
                     }
@@ -534,14 +379,13 @@ impl ParallelApply {
 /// parallel on the shared pool, and commit both tables with atomic
 /// catalog-level contents swaps.
 ///
-/// Equivalence with [`apply_accumulated`] (asserted bitwise by the
-/// config-matrix harness) rests on three facts: every bucket is sorted with
-/// the same comparator the serial path uses globally (a restriction of a
-/// sorted sequence to a bucket preserves order, so per-recipient combine
-/// folds see identical sequences); updates are keyed by vertex id, which is
-/// unique, so override maps agree; and the worker's canonical total-order
-/// input sort makes downstream compute independent of physical table row
-/// order, which is the only thing that differs (bucket-major vs scan-major).
+/// The result does not depend on the bucket count, which is what lets the
+/// same run on any `num_workers` agree bitwise: every bucket is sorted by
+/// `(recipient, sender, payload)` (a restriction of one global sorted
+/// sequence, so per-recipient combine folds see identical sequences);
+/// updates are keyed by vertex id, which is unique, so override maps agree;
+/// and the worker's canonical total-order input sort makes downstream
+/// compute independent of physical table row order (bucket-major).
 ///
 /// Commit protocol: **all** segments for both tables are fully encoded
 /// first; only then are the message table and the vertex table swapped, in
@@ -550,7 +394,7 @@ impl ParallelApply {
 /// up (the crash/abort test injects a pool-task panic to prove it). The
 /// exception is the below-threshold *update* arm, which mutates the vertex
 /// table in place after the message swap and is inherently non-atomic —
-/// the same trade the serial path (and the paper) makes.
+/// the same trade the paper makes.
 pub fn apply_parallel<P: VertexProgram>(
     session: &GraphSession,
     program: &P,
@@ -617,7 +461,7 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
     // The bytes a reference from delta `d` points at.
     let payload = |d: usize, at: CellRef| cells[d][at.batch as usize].get(at.row as usize);
 
-    // ---- aggregators: identical fold order to the serial path ----
+    // ---- aggregators: one fold in (name, vid) order ----
     agg_partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
     let mut agg: FxHashMap<String, (AggKind, f64)> = FxHashMap::default();
     for (name, _, v) in &agg_partials {
@@ -641,11 +485,11 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
                 bucket.extend(refs.iter().map(|m| (m.to, m.from, payload(*d, m.payload))));
             }
             // Canonicalizing sort at the segment boundary, over borrowed
-            // payload slices: the bucket holds the same rows in the same
-            // relative order as the serial path's globally sorted vector
-            // restricted to this bucket, so the per-recipient combine folds
-            // identically. Rows that tie are identical, so an unstable sort
-            // cannot reorder anything observable.
+            // payload slices: the bucket holds the globally sorted message
+            // sequence restricted to this bucket, so the per-recipient
+            // combine folds identically for any bucket count. Rows that tie
+            // are identical, so an unstable sort cannot reorder anything
+            // observable.
             bucket.sort_unstable();
             let rows = message_rows(program, use_combiner, bucket.into_iter())?;
             Ok((rows.len(), rows.finish()?))
@@ -772,7 +616,7 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
         // The *update* arm mutates the vertex table directly (delete +
         // re-insert); it is inherently per-row, not atomic with the message
         // swap — exactly the trade the paper's threshold policy makes.
-        let mut updates: UpdateRows = upd_buckets
+        let mut updates: Vec<(i64, Vec<u8>, bool)> = upd_buckets
             .iter()
             .flatten()
             .flat_map(|(d, refs)| {
@@ -805,57 +649,6 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
         agg_partials,
         apply_parallelism: buckets,
     })
-}
-
-/// Swaps in a fresh message table containing exactly this superstep's
-/// messages.
-fn replace_messages(session: &GraphSession, messages: RecordBatch) -> VertexicaResult<()> {
-    let catalog = session.db().catalog();
-    let tmp = format!("{}_message_new", session.name());
-    catalog.drop_table_if_exists(&tmp)?;
-    catalog.create_table(&tmp, message_schema(), TableOptions::default().sorted_by(vec![0]))?;
-    if messages.num_rows() > 0 {
-        session.db().append_batches(&tmp, &[messages])?;
-    }
-    catalog.swap(&session.message_table(), &tmp)?;
-    catalog.drop_table_if_exists(&tmp)?;
-    Ok(())
-}
-
-/// The *replace* path: stage the delta in a table, LEFT JOIN it against the
-/// old vertex table with COALESCE, and swap the result in — executed as
-/// actual SQL, exactly the paper's mechanism.
-fn replace_vertices(
-    session: &GraphSession,
-    updates: &[(i64, Vec<u8>, bool)],
-) -> VertexicaResult<()> {
-    let catalog = session.db().catalog();
-    let delta = format!("{}_vertex_delta", session.name());
-    let fresh = format!("{}_vertex_new", session.name());
-    catalog.drop_table_if_exists(&delta)?;
-    catalog.drop_table_if_exists(&fresh)?;
-
-    catalog.create_table(&delta, vertex_schema(), TableOptions::default().sorted_by(vec![0]))?;
-    let rows: Vec<Vec<Value>> = updates
-        .iter()
-        .map(|(id, bytes, halted)| {
-            vec![Value::Int(*id), Value::Blob(bytes.clone()), Value::Bool(*halted)]
-        })
-        .collect();
-    let batch = RecordBatch::from_rows(vertex_schema(), &rows)?;
-    session.db().append_batches(&delta, &[batch])?;
-
-    session.db().execute(&format!(
-        "CREATE TABLE {fresh} AS \
-         SELECT v.id AS id, COALESCE(d.value, v.value) AS value, \
-                COALESCE(d.halted, v.halted) AS halted \
-         FROM {v} v LEFT JOIN {delta} d ON v.id = d.id",
-        v = session.vertex_table(),
-    ))?;
-    catalog.swap(&session.vertex_table(), &fresh)?;
-    catalog.drop_table_if_exists(&fresh)?;
-    catalog.drop_table_if_exists(&delta)?;
-    Ok(())
 }
 
 /// The *update* path: in-place DML against the existing vertex table.
@@ -916,9 +709,7 @@ mod tests {
         let g = GraphSession::create(db, "g").unwrap();
         g.load_edges(&EdgeList::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3)])).unwrap();
         // Initialize values so the vertex table is fully formed.
-        let updates: Vec<(i64, Vec<u8>, bool)> =
-            (0..4).map(|i| (i as i64, (0.0f64).to_bytes(), false)).collect();
-        replace_vertices(&g, &updates).unwrap();
+        crate::coordinator::initialize_vertices(&g, &Noop).unwrap();
         g
     }
 
@@ -1044,21 +835,22 @@ mod tests {
         }
     }
 
-    /// Feeds `batch` through the parallel and the serial apply path; both
-    /// must refuse it with a runtime error naming `row_kind` and `column`,
-    /// and leave the tables as they were.
+    /// Feeds `batch` through apply with the replace arm and with the
+    /// in-place update arm forced; both must refuse it with a runtime error
+    /// naming `row_kind` and `column`, and leave the tables as they were.
     fn assert_both_paths_reject(batch: RecordBatch, row_kind: &str, column: &str) {
-        for parallel in [true, false] {
+        for threshold in [0.0, 1.01] {
             let g = setup();
             let before: Vec<(VertexId, f64)> = g.vertex_values().unwrap();
-            let cfg = VertexicaConfig::default().with_combiner(false).with_parallel_apply(parallel);
+            let cfg =
+                VertexicaConfig::default().with_combiner(false).with_replace_threshold(threshold);
             let err = apply_outputs(&g, &Counting, &cfg, vec![batch.clone()], 4).unwrap_err();
             let VertexicaError::Runtime(msg) = &err else {
-                panic!("parallel={parallel}: expected a runtime error, got {err:?}");
+                panic!("threshold={threshold}: expected a runtime error, got {err:?}");
             };
             assert!(
                 msg.contains(row_kind) && msg.contains(column),
-                "parallel={parallel}: {msg:?} should name {row_kind:?} and {column:?}"
+                "threshold={threshold}: {msg:?} should name {row_kind:?} and {column:?}"
             );
             assert_eq!(g.vertex_values::<f64>().unwrap(), before);
             let n = g.db().query_int(&format!("SELECT COUNT(*) FROM {}", g.message_table()));

@@ -29,71 +29,18 @@ pub struct VertexicaConfig {
     /// Worker input assembly strategy.
     pub input_mode: InputMode,
     /// If the fraction of updated vertices is **at or above** this threshold,
-    /// rebuild the vertex table via left join + swap ("replace"); below it,
-    /// update in place.
+    /// rebuild the vertex table — a LEFT-JOIN-equivalent merge of the old
+    /// rows with the delta, committed as fresh segments ("replace"); below
+    /// it, update in place.
     pub replace_threshold: f64,
     /// Fold messages to the same recipient with the program's combiner (when
     /// the program provides one).
     pub use_combiner: bool,
-    /// Stream the superstep hot path: assemble worker input chunk-by-chunk
-    /// straight into the hash partitioner (never materializing the full
-    /// table union alongside its partitioned copy) and fold worker outputs
-    /// into the apply accumulator as each partition finishes. Disable to get
-    /// the original materialize-everything pipeline, kept for ablation and
-    /// equivalence testing.
-    pub streaming: bool,
-    /// Parallelize the apply stage: parse each partition's worker output on
-    /// the pool worker that finished it, then build the new vertex/message
-    /// table **segments** in parallel and commit them with an atomic
-    /// catalog-level contents swap — instead of folding everything into one
-    /// accumulator and issuing single-threaded one-shot SQL table
-    /// replacements. Results are bitwise-identical either way (proven by the
-    /// config-matrix equivalence harness). Defaults to on; the environment
-    /// variable `VERTEXICA_PARALLEL_APPLY=0` flips the *default* off (for CI
-    /// ablation runs), while [`VertexicaConfig::with_parallel_apply`] always
-    /// wins.
-    pub parallel_apply: bool,
-    /// Fully pipeline the superstep (requires [`streaming`](Self::streaming)):
-    /// every assemble chunk is scattered by a pool task, a cheap key-column
-    /// prescan tells each compute partition how many rows it will receive,
-    /// and the moment a partition's last row lands its worker-UDF task is
-    /// launched — while assemble is still streaming later chunks. Results
-    /// are bitwise-identical to the phased pipelines (the config-matrix
-    /// harness proves all eight {streaming} × {parallel apply} ×
-    /// {pipelined} cells agree). Defaults to on; the environment variable
-    /// `VERTEXICA_PIPELINED=0` flips the *default* off (for CI ablation
-    /// runs), while [`VertexicaConfig::with_pipelined`] always wins.
-    pub pipelined: bool,
     /// Upper bound on rows per streamed assemble chunk (default
     /// [`crate::input::STREAM_CHUNK_ROWS`]). Smaller chunks bound peak
     /// in-flight bytes tighter and give the pipelined dispatcher more
     /// scatter granularity; larger chunks amortize per-chunk overhead.
     pub stream_chunk_rows: usize,
-    /// Pull the SQL scans feeding assemble through per-segment
-    /// [`vertexica_sql::Database::scan_cursor`]s instead of materializing
-    /// every segment batch up front, and drive the 3-way-join input mode
-    /// through the engine's streaming hash join (build sides hashed once,
-    /// vertex probe batches pulled one at a time) — which also lets the
-    /// join mode plan per-partition row counts and seal partitions like the
-    /// direct-scan mode. A superstep's transient scan footprint drops to
-    /// one in-flight batch per source
-    /// ([`crate::coordinator::SuperstepStats::peak_resident_scan_bytes`]
-    /// proves it). Results are bitwise-identical either way (the
-    /// config-matrix harness covers the axis). Defaults to on; the
-    /// environment variable `VERTEXICA_STREAM_SCAN=0` flips the *default*
-    /// off (for CI ablation runs), while
-    /// [`VertexicaConfig::with_streaming_scan`] always wins.
-    pub streaming_scan: bool,
-    /// Evaluate SQL expressions with the typed slice kernels in
-    /// `vertexica_sql::expr` (Int/Float arithmetic and comparisons over raw
-    /// slices, bitmap-native three-valued AND/OR/NOT, columnar
-    /// IsNull/InList/CASE) instead of the `Value`-per-row fallback loop.
-    /// Results are bitwise-identical either way (the config-matrix harness
-    /// covers the axis; a property test pins kernels ≡ row loop over random
-    /// expression trees). Defaults to on; the environment variable
-    /// `VERTEXICA_VECTOR_EXPR=0` flips the *default* off (for CI ablation
-    /// runs), while [`VertexicaConfig::with_vectorized_expr`] always wins.
-    pub vectorized_expr: bool,
     /// Run against a **durable** database: the coordinator checkpoints the
     /// write-ahead-logged catalog before the first superstep and after the
     /// run, so a crash at any point recovers to a committed superstep
@@ -138,46 +85,6 @@ pub struct VertexicaConfig {
     pub checkpoint_dir: Option<PathBuf>,
 }
 
-/// Default for [`VertexicaConfig::parallel_apply`]: on, unless the
-/// `VERTEXICA_PARALLEL_APPLY` environment variable disables it (`0`, `false`
-/// or `off`, case-insensitive) — the hook CI uses to keep the serial apply
-/// path green on every push.
-fn parallel_apply_default() -> bool {
-    env_toggle_default_on("VERTEXICA_PARALLEL_APPLY")
-}
-
-/// Default for [`VertexicaConfig::pipelined`]: on, unless the
-/// `VERTEXICA_PIPELINED` environment variable disables it (`0`, `false` or
-/// `off`, case-insensitive) — the hook CI uses to keep the phased streaming
-/// pipeline green on every push.
-fn pipelined_default() -> bool {
-    env_toggle_default_on("VERTEXICA_PIPELINED")
-}
-
-/// Default for [`VertexicaConfig::streaming_scan`]: on, unless the
-/// `VERTEXICA_STREAM_SCAN` environment variable disables it (`0`, `false`
-/// or `off`, case-insensitive) — the hook CI uses to keep the eager scan
-/// path green on every push.
-fn streaming_scan_default() -> bool {
-    env_toggle_default_on("VERTEXICA_STREAM_SCAN")
-}
-
-/// Default for [`VertexicaConfig::vectorized_expr`]: on, unless the
-/// `VERTEXICA_VECTOR_EXPR` environment variable disables it (`0`, `false`
-/// or `off`, case-insensitive) — the hook CI uses to keep the row-at-a-time
-/// expression path green on every push.
-fn vectorized_expr_default() -> bool {
-    env_toggle_default_on("VERTEXICA_VECTOR_EXPR")
-}
-
-/// `true` unless `var` is set to `0`/`false`/`off` (case-insensitive).
-fn env_toggle_default_on(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-        Err(_) => true,
-    }
-}
-
 /// Default for [`VertexicaConfig::memory_budget_bytes`]: unbounded, unless
 /// the `VERTEXICA_MEMORY_BUDGET` environment variable sets a byte budget
 /// (plain bytes or `k`/`kb`/`m`/`mb`/`g`/`gb` suffixed, case-insensitive) —
@@ -219,12 +126,7 @@ impl Default for VertexicaConfig {
             input_mode: InputMode::TableUnion,
             replace_threshold: 0.2,
             use_combiner: true,
-            streaming: true,
-            parallel_apply: parallel_apply_default(),
-            pipelined: pipelined_default(),
             stream_chunk_rows: crate::input::STREAM_CHUNK_ROWS,
-            streaming_scan: streaming_scan_default(),
-            vectorized_expr: vectorized_expr_default(),
             durable: durable_default(),
             memory_budget_bytes: memory_budget_default(),
             shards: shards_default(),
@@ -261,33 +163,8 @@ impl VertexicaConfig {
         self
     }
 
-    pub fn with_streaming(mut self, on: bool) -> Self {
-        self.streaming = on;
-        self
-    }
-
-    pub fn with_parallel_apply(mut self, on: bool) -> Self {
-        self.parallel_apply = on;
-        self
-    }
-
-    pub fn with_pipelined(mut self, on: bool) -> Self {
-        self.pipelined = on;
-        self
-    }
-
     pub fn with_stream_chunk_rows(mut self, rows: usize) -> Self {
         self.stream_chunk_rows = rows.max(1);
-        self
-    }
-
-    pub fn with_streaming_scan(mut self, on: bool) -> Self {
-        self.streaming_scan = on;
-        self
-    }
-
-    pub fn with_vectorized_expr(mut self, on: bool) -> Self {
-        self.vectorized_expr = on;
         self
     }
 

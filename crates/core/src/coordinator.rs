@@ -2,59 +2,50 @@
 //!
 //! "The coordinator is the driver program that manages the supersteps … We
 //! implement the coordinator as a stored procedure; it runs as long as there
-//! is any message for the next superstep" (§2.2). Each superstep:
+//! is any message for the next superstep" (§2.2). Every superstep has one
+//! shape:
 //!
-//! 1. assemble worker input ([`crate::input`], union or join mode) — by
-//!    default **streamed** chunk-by-chunk straight into the partitioner, so
+//! 1. assemble worker input ([`crate::input::assemble_chunks`], union or
+//!    join mode), pulled through scan cursors and streamed chunk by chunk —
 //!    the full table union never materializes; the static edge table stays
 //!    out of it when the run reads edges from the session's
 //!    [`crate::projection::EdgeProjection`], resolved once before superstep 0;
-//! 2. hash-partition it on vertex id (vertex batching,
-//!    [`vertexica_storage::partition::StreamingPartitioner`]);
-//! 3. run worker UDFs in parallel, one per partition, on the **shared
-//!    runtime pool** ([`vertexica_common::runtime::WorkerPool`]) owned by
-//!    the `Database` — the same persistent threads every superstep, resized
-//!    once per run to `num_workers`, with per-worker deques and work
-//!    stealing smoothing out skewed partitions;
-//! 4. apply outputs via update-vs-replace ([`crate::apply`]) — streamed
-//!    execution folds each partition's output into the accumulator as the
-//!    partition finishes;
+//! 2. scatter each chunk by vertex-id hash (vertex batching) on a pool task,
+//!    into partitions **sealed** by a key-column prescan
+//!    ([`crate::input::partition_row_plan`]) that tells each partition how
+//!    many rows it will receive;
+//! 3. run a partition's worker UDF on the **shared runtime pool**
+//!    ([`vertexica_common::runtime::WorkerPool`]) owned by the `Database`
+//!    the moment its last row lands — while assemble is still streaming
+//!    later chunks. The pool's persistent threads are resized once per run
+//!    to `num_workers`; per-worker deques and work stealing smooth out
+//!    skewed partitions;
+//! 4. apply outputs via update-vs-replace ([`crate::apply`]): each
+//!    partition's output is parsed and scattered into apply buckets on the
+//!    worker that produced it, and the commit builds the new table segments
+//!    in parallel;
 //! 5. synchronization barrier, aggregator exchange, halt check.
 //!
-//! By default steps 1–3 are **fully pipelined**
-//! ([`vertexica_sql::Database::run_transform_pipelined`]): a key-column
-//! prescan ([`crate::input::partition_row_plan`]) tells each partition how
-//! many rows it will receive, assemble chunks are scattered by pool tasks,
-//! and a partition's worker UDF launches the moment its last row lands —
-//! while assemble is still streaming later chunks. The overlap actually
-//! achieved is reported per superstep as
-//! [`SuperstepStats::overlap_secs`].
-//!
-//! Each superstep's [`SuperstepStats`] carries the pipeline's observability:
-//! pool queue-wait, steal and nested-scope counts, compute/assemble overlap,
-//! plus peak/total in-flight input bytes.
-//! `VertexicaConfig::with_pipelined(false)` restores the phased streaming
-//! pipeline and `VertexicaConfig::with_streaming(false)` the original
-//! materialize-everything pipeline (both kept for ablations and equivalence
-//! tests).
+//! Steps 1–3 are [`vertexica_sql::Database::run_transform_pipelined`]; its
+//! [`PipelinedReport`] is the superstep's assemble/compute accounting. Each
+//! superstep's [`SuperstepStats`] carries the pipeline's observability: pool
+//! queue-wait, steal and nested-scope counts, compute/assemble overlap, plus
+//! peak/total in-flight input bytes.
 
 use std::sync::Arc;
-use vertexica_common::sync::Mutex;
 
 use vertexica_common::hash::FxHashMap;
 use vertexica_common::pregel::{InitContext, VertexProgram};
 use vertexica_common::timer::Stopwatch;
 use vertexica_common::VertexData;
+use vertexica_sql::engine::PipelinedReport;
 use vertexica_sql::TransformUdf;
-use vertexica_storage::partition::{hash_partition, StreamingPartitioner};
 use vertexica_storage::{ColumnBuilder, DataType, RecordBatch, Value};
 
-use crate::apply::{
-    apply_accumulated, apply_outputs, apply_parallel, OutputAccumulator, ParallelApply,
-};
+use crate::apply::{apply_parallel, ParallelApply};
 use crate::config::VertexicaConfig;
 use crate::error::{VertexicaError, VertexicaResult};
-use crate::input::{assemble, assemble_chunks};
+use crate::input::assemble_chunks;
 use crate::projection::EdgeProjection;
 use crate::session::{vertex_schema, GraphSession};
 use crate::worker::VertexWorker;
@@ -72,18 +63,20 @@ pub struct SuperstepStats {
     pub replaced: bool,
     /// Wall-clock seconds assembling + partitioning worker input.
     pub assemble_secs: f64,
-    /// Wall-clock seconds running worker UDFs (streaming mode also absorbs
-    /// outputs in this window).
+    /// Wall-clock seconds running worker UDFs, first compute task start to
+    /// last finish (each partition's output is absorbed into the apply
+    /// buckets inside this window). Overlaps
+    /// [`assemble_secs`](Self::assemble_secs) by
+    /// [`overlap_secs`](Self::overlap_secs).
     pub compute_secs: f64,
     /// Wall-clock seconds applying outputs (table writes, halt check).
     pub apply_secs: f64,
-    /// Width of the apply fan-out: segment buckets built in parallel on the
-    /// pool (1 when the serial one-shot SQL apply path ran).
+    /// Width of the apply fan-out: the number of segment buckets built in
+    /// parallel on the pool (the run's `num_workers`).
     pub apply_parallelism: usize,
     /// Seconds worker-UDF compute tasks ran **while assemble was still
     /// streaming chunks** — the overlap the pipelined dataflow exists to
-    /// create. Zero for the phased pipelines (`pipelined`/`streaming` off)
-    /// and on a single-worker pool (nothing is concurrent).
+    /// create. Zero on a single-worker pool (nothing is concurrent).
     pub overlap_secs: f64,
     /// Cumulative seconds this superstep's pool tasks spent queued before a
     /// worker picked them up (from [`vertexica_common::runtime::PoolMetrics`]).
@@ -94,25 +87,23 @@ pub struct SuperstepStats {
     /// parallelism, e.g. a big partition's worker sorting its input on the
     /// pool), from [`vertexica_common::runtime::PoolMetrics::nested_scopes`].
     pub nested_scopes: u64,
-    /// Largest single in-flight input batch, in estimated bytes. Streaming
-    /// keeps this far below [`input_bytes`](Self::input_bytes); the
-    /// materialized pipeline holds the whole input at once, so there the two
-    /// are equal.
+    /// Largest single in-flight input chunk, in estimated bytes — on any
+    /// multi-chunk input far below [`input_bytes`](Self::input_bytes),
+    /// because the input is streamed, never held whole.
     pub peak_batch_bytes: usize,
     /// Total assembled worker input for this superstep, in estimated bytes.
     pub input_bytes: usize,
     /// The most un-emitted **source-scan** data assemble ever held at once,
-    /// in estimated bytes. With pull-based scan cursors (the
-    /// `streaming_scan` default) this is one in-flight batch per source —
-    /// strictly below [`input_bytes`](Self::input_bytes) on any multi-batch
-    /// input; the eager scan ablation holds whole tables, and the
-    /// materialized pipeline the whole input.
+    /// in estimated bytes. Scans are pulled through cursors, so this is one
+    /// in-flight batch per source — strictly below
+    /// [`input_bytes`](Self::input_bytes) on any multi-batch input (the
+    /// 3-way-join input also holds its two hash-join build sides).
     pub peak_resident_scan_bytes: usize,
     /// Compute partitions dispatched by a **seal** — their last planned row
     /// landed while assemble was still streaming — as opposed to the
-    /// end-of-stream drain. Nonzero only for the pipelined dataflow on a
-    /// multi-worker pool; with the join-mode row plan, the 3-way-join input
-    /// seals partitions too.
+    /// end-of-stream drain. At most the partition count; zero on a
+    /// single-worker pool. Scheduling-dependent: a starved producer can
+    /// legitimately see every partition seal only at the end.
     pub early_dispatches: usize,
     /// Write-ahead-log records appended during this superstep (zero on a
     /// non-durable database). The grouped apply commit contributes exactly
@@ -278,10 +269,7 @@ pub fn run_program<P: VertexProgram + 'static>(
 ) -> VertexicaResult<RunStats> {
     let total = Stopwatch::start();
     // Size the shared runtime pool once for the whole run; every superstep
-    // reuses the same worker threads. Expression kernels are a process-wide
-    // switch — applying it here is safe because both paths are bitwise
-    // identical.
-    vertexica_sql::expr::set_vectorized_expr(config.vectorized_expr);
+    // reuses the same worker threads.
     session.db().runtime().resize(config.num_workers);
     // Apply the out-of-core budget before the first checkpoint: the
     // checkpoint gives every cold segment a `.vxtb` spill twin, after which
@@ -327,7 +315,6 @@ pub fn resume_program<P: VertexProgram + 'static>(
         .as_ref()
         .ok_or_else(|| VertexicaError::Checkpoint("no checkpoint_dir configured".into()))?;
     let total = Stopwatch::start();
-    vertexica_sql::expr::set_vectorized_expr(config.vectorized_expr);
     session.db().runtime().resize(config.num_workers);
     if let Some(budget) = config.memory_budget_bytes {
         session.db().catalog().buffer_pool().set_budget(Some(budget));
@@ -352,107 +339,43 @@ pub fn resume_program<P: VertexProgram + 'static>(
     Ok(stats)
 }
 
-/// Wall-clock phases and byte accounting of one superstep's
-/// assemble/partition/compute stages. In the pipelined shape
-/// `assemble_secs` and `compute_secs` overlap by construction;
-/// `overlap_secs` says by how much.
-struct ExecProfile {
-    assemble_secs: f64,
-    compute_secs: f64,
-    overlap_secs: f64,
-    input_bytes: usize,
-    peak_batch_bytes: usize,
-    peak_resident_scan_bytes: usize,
-    early_dispatches: usize,
-}
-
-/// Runs one streaming superstep's assemble → partition → compute stages,
-/// delivering each partition's worker output to `sink` as the partition
-/// finishes.
-///
-/// With `config.pipelined` this is the fully overlapped dataflow
-/// ([`vertexica_sql::Database::run_transform_pipelined`]): the key-column
-/// prescan plans per-partition completion, chunks are scattered by pool
-/// tasks, and sealed partitions start computing while assemble still
-/// streams. Without it, the phased form: scatter every chunk on this
-/// thread, then compute all partitions.
-fn run_streaming_compute(
+/// Runs one superstep's assemble → scatter → compute stages, handing each
+/// partition's worker output to `apply` as the partition finishes. The
+/// key-column prescan plans per-partition completion, chunks are scattered
+/// by pool tasks, and sealed partitions start computing while assemble
+/// still streams.
+fn run_compute(
     session: &GraphSession,
     config: &VertexicaConfig,
     worker: &Arc<dyn TransformUdf>,
     edge_rows: bool,
-    sink: &(dyn Fn(usize, Vec<vertexica_storage::RecordBatch>) -> vertexica_sql::SqlResult<()>
-          + Sync),
-) -> VertexicaResult<ExecProfile> {
+    apply: &ParallelApply,
+) -> VertexicaResult<PipelinedReport> {
     let num_partitions = config.num_partitions.max(1);
-    if config.pipelined {
-        let plan = crate::input::partition_row_plan(
-            session,
-            config.input_mode,
-            num_partitions,
-            edge_rows,
-        )?;
-        let report = session.db().run_transform_pipelined(
-            worker,
-            vec![0],
-            num_partitions,
-            plan,
-            &mut |chunk_sink| {
-                assemble_chunks(
-                    session,
-                    config.input_mode,
-                    config.stream_chunk_rows,
-                    config.streaming_scan,
-                    edge_rows,
-                    &mut |chunk| chunk_sink(chunk).map_err(VertexicaError::from),
-                )
-                .map_err(|e| match e {
-                    VertexicaError::Sql(e) => e,
-                    other => vertexica_sql::SqlError::Execution(other.to_string()),
-                })
-            },
-            sink,
-        )?;
-        return Ok(ExecProfile {
-            assemble_secs: report.assemble_secs,
-            compute_secs: report.compute_secs,
-            overlap_secs: report.overlap_secs,
-            input_bytes: report.input_bytes,
-            peak_batch_bytes: report.peak_chunk_bytes,
-            peak_resident_scan_bytes: report.peak_resident_scan_bytes,
-            early_dispatches: report.early_dispatches,
-        });
-    }
-    let sw = Stopwatch::start();
-    let mut partitioner = StreamingPartitioner::new(vec![0], num_partitions);
-    let mut total = 0usize;
-    let mut peak = 0usize;
-    let peak_resident_scan_bytes = assemble_chunks(
-        session,
-        config.input_mode,
-        config.stream_chunk_rows,
-        config.streaming_scan,
-        edge_rows,
-        &mut |chunk| {
-            let bytes = chunk.estimated_bytes();
-            total += bytes;
-            peak = peak.max(bytes);
-            partitioner.push(&chunk).map_err(VertexicaError::from)
+    let plan =
+        crate::input::partition_row_plan(session, config.input_mode, num_partitions, edge_rows)?;
+    Ok(session.db().run_transform_pipelined(
+        worker,
+        vec![0],
+        num_partitions,
+        plan,
+        &mut |chunk_sink| {
+            assemble_chunks(
+                session,
+                config.input_mode,
+                config.stream_chunk_rows,
+                edge_rows,
+                &mut |chunk| chunk_sink(chunk).map_err(VertexicaError::from),
+            )
+            .map_err(|e| match e {
+                VertexicaError::Sql(e) => e,
+                other => vertexica_sql::SqlError::Execution(other.to_string()),
+            })
         },
-    )?;
-    let partitions = partitioner.finish();
-    let assemble_secs = sw.elapsed_secs();
-    let sw = Stopwatch::start();
-    session.db().run_transform_streamed(worker, partitions, sink)?;
-    Ok(ExecProfile {
-        assemble_secs,
-        compute_secs: sw.elapsed_secs(),
-        overlap_secs: 0.0,
-        input_bytes: total,
-        peak_batch_bytes: peak,
-        peak_resident_scan_bytes,
-        early_dispatches: 0,
-    })
+        &|idx, out| {
+            apply.absorb(idx, &out).map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))
+        },
+    )?)
 }
 
 fn superstep_loop<P: VertexProgram + 'static>(
@@ -493,20 +416,9 @@ fn superstep_loop<P: VertexProgram + 'static>(
             }
         }
 
-        // 1–3. Assemble, partition and compute; 4. apply. Three execution
-        // shapes share the apply sinks:
-        //
-        // * **pipelined** (default): assemble chunks are scattered by pool
-        //   tasks and each partition's worker UDF launches the moment the
-        //   partition seals — assemble and compute genuinely overlap;
-        // * **streamed** (`pipelined` off): assemble scatters into the
-        //   partitioner on this thread, then all partitions compute;
-        // * **materialized** (`streaming` off): the original
-        //   assemble-then-partition-then-compute sequence.
-        //
-        // Either way, streaming execution folds each partition's output into
-        // the apply collector the moment that partition finishes; the table
-        // writes happen once at the end.
+        // 1–3. Assemble, scatter and compute, each partition's output
+        // absorbed into the apply buckets as it finishes; 4. apply: the
+        // per-bucket segment builds and the one grouped commit.
         let pool_before = session.db().runtime().metrics();
         let dur_before = session.db().durability_stats();
         let buffer_pool = session.db().catalog().buffer_pool().clone();
@@ -521,63 +433,11 @@ fn superstep_loop<P: VertexProgram + 'static>(
             pool: Some(session.db().runtime().clone()),
             edges: edges.clone(),
         });
-        let (outcome, profile, apply_secs) = if config.streaming && config.parallel_apply {
-            // Segment-parallel apply: each partition's output is parsed and
-            // canonicalized on the pool worker that finished it; the final
-            // table writes are per-bucket segment builds on the same pool,
-            // committed by an atomic catalog-level contents swap.
-            let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
-            let profile =
-                run_streaming_compute(session, config, &worker, edge_rows, &|idx, out| {
-                    apply.absorb(idx, &out).map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))
-                })?;
-            let sw = Stopwatch::start();
-            let outcome = apply_parallel(session, program.as_ref(), config, apply, num_vertices)?;
-            (outcome, profile, sw.elapsed_secs())
-        } else if config.streaming {
-            let template = OutputAccumulator::for_program(program.as_ref());
-            let acc = Mutex::new(template.fork());
-            let profile =
-                run_streaming_compute(session, config, &worker, edge_rows, &|idx, out| {
-                    // Parse outside the shared lock (absorb clones every
-                    // blob); only the cheap vector merge is serialized.
-                    let mut local = template.fork();
-                    local
-                        .absorb(idx, &out)
-                        .map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))?;
-                    acc.lock().merge(local);
-                    Ok(())
-                })?;
-            let sw = Stopwatch::start();
-            let acc = acc.into_inner();
-            let outcome = apply_accumulated(session, program.as_ref(), config, acc, num_vertices)?;
-            (outcome, profile, sw.elapsed_secs())
-        } else {
-            let sw = Stopwatch::start();
-            let input = assemble(session, config.input_mode, config.streaming_scan, edge_rows)?;
-            let bytes: usize = input.iter().map(|b| b.estimated_bytes()).sum();
-            let partitions = if config.num_partitions <= 1 {
-                vec![input]
-            } else {
-                hash_partition(&input, &[0], config.num_partitions)?
-            };
-            let assemble_secs = sw.elapsed_secs();
-            let sw = Stopwatch::start();
-            let outputs = session.db().run_transform_partitions(&worker, partitions)?;
-            let profile = ExecProfile {
-                assemble_secs,
-                compute_secs: sw.elapsed_secs(),
-                overlap_secs: 0.0,
-                // Fully materialized: the whole input is one in-flight unit.
-                input_bytes: bytes,
-                peak_batch_bytes: bytes,
-                peak_resident_scan_bytes: bytes,
-                early_dispatches: 0,
-            };
-            let sw = Stopwatch::start();
-            let outcome = apply_outputs(session, program.as_ref(), config, outputs, num_vertices)?;
-            (outcome, profile, sw.elapsed_secs())
-        };
+        let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
+        let report = run_compute(session, config, &worker, edge_rows, &apply)?;
+        let sw = Stopwatch::start();
+        let outcome = apply_parallel(session, program.as_ref(), config, apply, num_vertices)?;
+        let apply_secs = sw.elapsed_secs();
         let pool_delta = session.db().runtime().metrics().delta_since(&pool_before);
         let (wal_records, wal_bytes, flush_bytes) =
             match (dur_before, session.db().durability_stats()) {
@@ -596,18 +456,18 @@ fn superstep_loop<P: VertexProgram + 'static>(
             messages: outcome.messages,
             vertex_changes: outcome.vertex_changes,
             replaced: outcome.replaced,
-            assemble_secs: profile.assemble_secs,
-            compute_secs: profile.compute_secs,
+            assemble_secs: report.assemble_secs,
+            compute_secs: report.compute_secs,
             apply_secs,
             apply_parallelism: outcome.apply_parallelism,
-            overlap_secs: profile.overlap_secs,
+            overlap_secs: report.overlap_secs,
             queue_wait_secs: pool_delta.queue_wait_secs,
             steals: pool_delta.tasks_stolen,
             nested_scopes: pool_delta.nested_scopes,
-            peak_batch_bytes: profile.peak_batch_bytes,
-            input_bytes: profile.input_bytes,
-            peak_resident_scan_bytes: profile.peak_resident_scan_bytes,
-            early_dispatches: profile.early_dispatches,
+            peak_batch_bytes: report.peak_chunk_bytes,
+            input_bytes: report.input_bytes,
+            peak_resident_scan_bytes: report.peak_resident_scan_bytes,
+            early_dispatches: report.early_dispatches,
             wal_records,
             wal_bytes,
             flush_bytes,

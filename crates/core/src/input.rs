@@ -7,7 +7,11 @@
 //! Vertexica instead renames the three tables to a **common schema** and
 //! `UNION ALL`s them; workers then tell the tuple kinds apart. Both
 //! strategies are implemented here (the join baseline feeds the ablation
-//! benchmark), and both are expressed as actual SQL against the engine.
+//! benchmark). Either way the rows are **pulled** through the engine's scan
+//! cursors and streamed to the caller chunk by chunk ([`assemble_chunks`]):
+//! the union re-shapes each scanned batch into the common schema, the join
+//! runs through the engine's streaming hash join. The unit tests hold both
+//! to the equivalent SQL statements.
 
 use std::sync::Arc;
 
@@ -55,31 +59,10 @@ pub(crate) fn message_union_batch(batch: &RecordBatch) -> VertexicaResult<Record
     SourceKind::Message.reshape(batch, &union_schema())
 }
 
-/// Assembles worker input in the configured mode, fully materialized.
-///
-/// This is the original (pre-streaming) form, kept for the materialized
-/// pipeline and for equivalence testing; the superstep hot path uses
-/// [`assemble_chunks`]. `streaming_scan` only affects the join mode's
-/// engine-side execution (streaming vs eager SQL join) — the output is
-/// bitwise-identical either way.
-///
-/// `edge_rows` (here and in [`assemble_chunks`] / [`partition_row_plan`])
-/// says whether the table union carries the edge table. It is false when
-/// the workers read edges from the session's
-/// [`EdgeProjection`](crate::projection::EdgeProjection); the 3-way join
-/// always carries its edges and ignores it.
-pub fn assemble(
-    session: &GraphSession,
-    mode: InputMode,
-    streaming_scan: bool,
-    edge_rows: bool,
-) -> VertexicaResult<Vec<RecordBatch>> {
-    match mode {
-        InputMode::TableUnion => assemble_union(session, edge_rows),
-        InputMode::ThreeWayJoin => assemble_join(session, streaming_scan),
-    }
-}
-
+/// `edge_rows` (here and in [`partition_row_plan`]) says whether the table
+/// union carries the edge table. It is false when the workers read edges
+/// from the session's [`EdgeProjection`](crate::projection::EdgeProjection);
+/// the 3-way join always carries its edges and ignores it.
 /// The three source tables of a table-union assemble, with their scan
 /// projections and re-shape kinds.
 const UNION_SOURCES: [(SourceKind, Option<&[usize]>); 3] = [
@@ -158,20 +141,16 @@ impl SourceKind {
 /// In [`InputMode::TableUnion`] the three tables are scanned directly,
 /// segment by segment, and each scanned batch is re-shaped into the common
 /// schema with constant/null companion columns — the same rows the UNION ALL
-/// query produces, without materializing their concatenation. With
-/// `streaming_scan` (the default) each table is **pulled** through a
-/// [`vertexica_sql::Database::scan_cursor`]: one decoded segment batch is
-/// resident at a time, and the table lock is never held across the
-/// re-shape. With it off, each table's batches are materialized eagerly (the
-/// pre-cursor behavior, kept for ablation) — the gauge then reports whole
-/// tables. Chunks larger than `chunk_rows` are split.
+/// query produces, without materializing their concatenation. Each table is
+/// **pulled** through a [`vertexica_sql::Database::scan_cursor`]: one
+/// decoded segment batch is resident at a time, and the table lock is never
+/// held across the re-shape. Chunks larger than `chunk_rows` are split.
 /// [`InputMode::ThreeWayJoin`] replays the join result through the same
 /// sink; see [`partition_row_plan`] for how its row placement is planned.
 pub fn assemble_chunks(
     session: &GraphSession,
     mode: InputMode,
     chunk_rows: usize,
-    streaming_scan: bool,
     edge_rows: bool,
     sink: &mut dyn FnMut(RecordBatch) -> VertexicaResult<()>,
 ) -> VertexicaResult<usize> {
@@ -181,28 +160,16 @@ pub fn assemble_chunks(
             let schema = union_schema();
             let mut peak_resident = 0usize;
             for (kind, projection) in union_sources(edge_rows) {
-                let table = kind.table(session);
-                if streaming_scan {
-                    // Pull-based: exactly one decoded scan batch in flight.
-                    let mut cursor = session.db().scan_cursor(&table, projection, &[])?;
-                    while let Some(batch) = cursor.next_batch()? {
-                        peak_resident = peak_resident.max(batch.estimated_bytes());
-                        emit_capped(kind.reshape(&batch, &schema)?, chunk_rows, sink)?;
-                    }
-                } else {
-                    // Eager: the whole table's batches are resident while
-                    // its chunks re-shape (pre-cursor behavior, ablation).
-                    let batches = session.db().scan_table(&table, projection, &[])?;
-                    let resident: usize = batches.iter().map(|b| b.estimated_bytes()).sum();
-                    peak_resident = peak_resident.max(resident);
-                    for batch in &batches {
-                        emit_capped(kind.reshape(batch, &schema)?, chunk_rows, sink)?;
-                    }
+                // Pull-based: exactly one decoded scan batch in flight.
+                let mut cursor = session.db().scan_cursor(&kind.table(session), projection, &[])?;
+                while let Some(batch) = cursor.next_batch()? {
+                    peak_resident = peak_resident.max(batch.estimated_bytes());
+                    emit_capped(kind.reshape(&batch, &schema)?, chunk_rows, sink)?;
                 }
             }
             Ok(peak_resident)
         }
-        InputMode::ThreeWayJoin => assemble_join_chunks(session, chunk_rows, streaming_scan, sink),
+        InputMode::ThreeWayJoin => assemble_join_chunks(session, chunk_rows, sink),
     }
 }
 
@@ -245,9 +212,7 @@ fn emit_capped(
 ///   planned without running the join — the prescan replays the re-shape's
 ///   dedup rules (the `JoinDedup` seen-sets) over the base tables: one row per distinct
 ///   vertex id, plus one per distinct surviving message/edge key. This is
-///   what seals the join mode's partitions (the pre-cursor implementation
-///   kept them open-ended because the join only existed as a materialized
-///   SQL result).
+///   what seals the join mode's partitions.
 pub fn partition_row_plan(
     session: &GraphSession,
     mode: InputMode,
@@ -338,51 +303,6 @@ pub fn partition_row_plan(
     Ok(Some(plan))
 }
 
-/// The paper's strategy: rename to a common schema and UNION ALL.
-fn assemble_union(session: &GraphSession, edge_rows: bool) -> VertexicaResult<Vec<RecordBatch>> {
-    let edges = if edge_rows {
-        format!(
-            "SELECT src, 1, dst, weight, CAST(NULL AS VARBINARY), CAST(NULL AS BOOLEAN) FROM {} \
-             UNION ALL ",
-            session.edge_table()
-        )
-    } else {
-        String::new()
-    };
-    let sql = format!(
-        "SELECT id AS vid, 0 AS kind, CAST(NULL AS BIGINT) AS other, \
-                CAST(NULL AS FLOAT) AS weight, value AS payload, halted \
-         FROM {v} \
-         UNION ALL \
-         {edges}\
-         SELECT recipient, 2, sender, CAST(NULL AS FLOAT), value, CAST(NULL AS BOOLEAN) \
-         FROM {m}",
-        v = session.vertex_table(),
-        m = session.message_table(),
-    );
-    let batches = session.db().execute(&sql)?.into_batches()?;
-    // Re-stamp with the canonical schema (names already line up).
-    let schema = union_schema();
-    batches
-        .into_iter()
-        .map(|b| RecordBatch::new(schema.clone(), b.columns().to_vec()).map_err(Into::into))
-        .collect()
-}
-
-/// The naive baseline, materialized: collects the streaming reshape of
-/// [`assemble_join_chunks`] (kept for the materialized pipeline and tests).
-fn assemble_join(
-    session: &GraphSession,
-    streaming_scan: bool,
-) -> VertexicaResult<Vec<RecordBatch>> {
-    let mut out = Vec::new();
-    assemble_join_chunks(session, STREAM_CHUNK_ROWS, streaming_scan, &mut |b| {
-        out.push(b);
-        Ok(())
-    })?;
-    Ok(out)
-}
-
 /// The running seen-sets that deduplicate the 3-way join's per-vertex
 /// `edges × messages` cartesian blowup back into one union-schema row per
 /// vertex / surviving message / surviving edge. Shared — keys and rules —
@@ -415,7 +335,7 @@ fn edge_dedup_key(src: i64, dst: &Value, weight: &Value) -> Option<(i64, i64, u6
     Some((src, dst, w.to_bits()))
 }
 
-/// Schema of the (streamed or SQL-materialized) 3-way join result:
+/// Schema of the 3-way join result:
 /// `(id, value, halted, sender, mvalue, dst, weight)`.
 fn joined_schema() -> Arc<Schema> {
     Schema::new(vec![
@@ -492,16 +412,13 @@ fn reshape_joined_batch(
 /// dedup cost are the point of the ablation. Returns the peak resident scan
 /// bytes gauge (see [`assemble_chunks`]).
 ///
-/// With `streaming_scan` (the default) the join itself **streams** through
-/// the engine's hash-join primitive: the message and edge tables are hashed
-/// once as build sides ([`vertexica_sql::JoinBuild`], recipient/src keys),
-/// and the vertex table — the LEFT JOIN's preserved probe side — is pulled
-/// batch-by-batch through a scan cursor; each probe batch's `v ⟕ m ⟕ e`
-/// rows are composed, re-shaped and emitted before the next batch is
-/// pulled. Only the build sides and the key-only seen-sets stay resident.
-/// With it off, the whole join result is materialized by the SQL engine
-/// first (the pre-cursor behavior, kept for ablation); the re-shape still
-/// streams batch by batch.
+/// The join **streams** through the engine's hash-join primitive: the
+/// message and edge tables are hashed once as build sides
+/// ([`vertexica_sql::JoinBuild`], recipient/src keys), and the vertex table
+/// — the LEFT JOIN's preserved probe side — is pulled batch-by-batch through
+/// a scan cursor; each probe batch's `v ⟕ m ⟕ e` rows are composed,
+/// re-shaped and emitted before the next batch is pulled. Only the build
+/// sides and the key-only seen-sets stay resident.
 ///
 /// Limitation (inherent to the join formulation): duplicate edges and
 /// byte-identical duplicate messages to the same vertex collapse. The default
@@ -509,30 +426,9 @@ fn reshape_joined_batch(
 fn assemble_join_chunks(
     session: &GraphSession,
     chunk_rows: usize,
-    streaming_scan: bool,
     sink: &mut dyn FnMut(RecordBatch) -> VertexicaResult<()>,
 ) -> VertexicaResult<usize> {
     let mut dedup = JoinDedup::default();
-
-    if !streaming_scan {
-        let sql = format!(
-            "SELECT v.id, v.value, v.halted, m.sender, m.value AS mvalue, e.dst, e.weight \
-             FROM {v} v \
-             LEFT JOIN {m} m ON m.recipient = v.id \
-             LEFT JOIN {e} e ON e.src = v.id",
-            v = session.vertex_table(),
-            e = session.edge_table(),
-            m = session.message_table(),
-        );
-        let batches = session.db().execute(&sql)?.into_batches()?;
-        let resident: usize = batches.iter().map(|b| b.estimated_bytes()).sum();
-        for batch in &batches {
-            reshape_joined_batch(batch, &mut dedup, chunk_rows, sink)?;
-        }
-        return Ok(resident);
-    }
-
-    // Streaming: hash the two build sides once, then pull the probe side.
     let db = session.db();
     let m_build = db.hash_join_build(&session.message_table(), None, vec![0])?;
     let e_build = db.hash_join_build(&session.edge_table(), Some(&[0, 1, 2]), vec![0])?;
@@ -624,6 +520,56 @@ mod tests {
         g
     }
 
+    /// The paper's table union as one SQL statement: the oracle the
+    /// re-shaping scan in [`assemble_chunks`] must reproduce row for row.
+    fn sql_union(session: &GraphSession, edge_rows: bool) -> Vec<RecordBatch> {
+        let edges = if edge_rows {
+            format!(
+                "SELECT src, 1, dst, weight, CAST(NULL AS VARBINARY), CAST(NULL AS BOOLEAN) \
+                 FROM {} UNION ALL ",
+                session.edge_table()
+            )
+        } else {
+            String::new()
+        };
+        let sql = format!(
+            "SELECT id AS vid, 0 AS kind, CAST(NULL AS BIGINT) AS other, \
+                    CAST(NULL AS FLOAT) AS weight, value AS payload, halted \
+             FROM {v} \
+             UNION ALL \
+             {edges}\
+             SELECT recipient, 2, sender, CAST(NULL AS FLOAT), value, CAST(NULL AS BOOLEAN) \
+             FROM {m}",
+            v = session.vertex_table(),
+            m = session.message_table(),
+        );
+        session.db().execute(&sql).unwrap().into_batches().unwrap()
+    }
+
+    /// The 3-way join as one SQL statement, re-shaped with the same dedup
+    /// rules: the oracle for the streaming hash join in [`assemble_chunks`].
+    fn sql_join(session: &GraphSession) -> Vec<RecordBatch> {
+        let sql = format!(
+            "SELECT v.id, v.value, v.halted, m.sender, m.value AS mvalue, e.dst, e.weight \
+             FROM {v} v \
+             LEFT JOIN {m} m ON m.recipient = v.id \
+             LEFT JOIN {e} e ON e.src = v.id",
+            v = session.vertex_table(),
+            e = session.edge_table(),
+            m = session.message_table(),
+        );
+        let mut dedup = JoinDedup::default();
+        let mut out = Vec::new();
+        for batch in session.db().execute(&sql).unwrap().into_batches().unwrap() {
+            reshape_joined_batch(&batch, &mut dedup, STREAM_CHUNK_ROWS, &mut |b| {
+                out.push(b);
+                Ok(())
+            })
+            .unwrap();
+        }
+        out
+    }
+
     fn count_kind(batches: &[RecordBatch], kind: i64) -> usize {
         batches
             .iter()
@@ -632,49 +578,9 @@ mod tests {
             .count()
     }
 
-    #[test]
-    fn union_contains_all_three_kinds() {
-        let g = session_with_graph();
-        // Two messages to vertex 2.
-        let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (2, 1, 2.0f64.to_bytes())]).unwrap();
-        g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
-
-        let batches = assemble(&g, InputMode::TableUnion, true, true).unwrap();
-        assert_eq!(count_kind(&batches, KIND_VERTEX), 3);
-        assert_eq!(count_kind(&batches, KIND_EDGE), 3);
-        assert_eq!(count_kind(&batches, KIND_MESSAGE), 2);
-    }
-
-    #[test]
-    fn join_mode_reconstructs_same_multiset() {
-        let g = session_with_graph();
-        let msgs = message_batch(&[(0, 1, 1.5f64.to_bytes()), (0, 2, 2.5f64.to_bytes())]).unwrap();
-        g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
-
-        let union = assemble(&g, InputMode::TableUnion, true, true).unwrap();
-        for streaming_scan in [true, false] {
-            let join = assemble(&g, InputMode::ThreeWayJoin, streaming_scan, true).unwrap();
-            for kind in [KIND_VERTEX, KIND_EDGE, KIND_MESSAGE] {
-                assert_eq!(
-                    count_kind(&union, kind),
-                    count_kind(&join, kind),
-                    "kind {kind} mismatch (streaming_scan={streaming_scan})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_message_table_still_assembles() {
-        let g = session_with_graph();
-        let batches = assemble(&g, InputMode::TableUnion, true, true).unwrap();
-        assert_eq!(count_kind(&batches, KIND_MESSAGE), 0);
-        assert_eq!(count_kind(&batches, KIND_VERTEX), 3);
-    }
-
-    fn collect_chunks(g: &GraphSession, mode: InputMode, streaming_scan: bool) -> Vec<RecordBatch> {
+    fn collect_chunks(g: &GraphSession, mode: InputMode, edge_rows: bool) -> Vec<RecordBatch> {
         let mut chunks = Vec::new();
-        assemble_chunks(g, mode, STREAM_CHUNK_ROWS, streaming_scan, true, &mut |b| {
+        assemble_chunks(g, mode, STREAM_CHUNK_ROWS, edge_rows, &mut |b| {
             chunks.push(b);
             Ok(())
         })
@@ -690,27 +596,54 @@ mod tests {
     }
 
     #[test]
+    fn union_contains_all_three_kinds() {
+        let g = session_with_graph();
+        // Two messages to vertex 2.
+        let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (2, 1, 2.0f64.to_bytes())]).unwrap();
+        g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
+
+        let batches = collect_chunks(&g, InputMode::TableUnion, true);
+        assert_eq!(count_kind(&batches, KIND_VERTEX), 3);
+        assert_eq!(count_kind(&batches, KIND_EDGE), 3);
+        assert_eq!(count_kind(&batches, KIND_MESSAGE), 2);
+    }
+
+    #[test]
+    fn join_mode_reconstructs_same_multiset() {
+        let g = session_with_graph();
+        let msgs = message_batch(&[(0, 1, 1.5f64.to_bytes()), (0, 2, 2.5f64.to_bytes())]).unwrap();
+        g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
+
+        let union = collect_chunks(&g, InputMode::TableUnion, true);
+        let join = collect_chunks(&g, InputMode::ThreeWayJoin, true);
+        for kind in [KIND_VERTEX, KIND_EDGE, KIND_MESSAGE] {
+            assert_eq!(count_kind(&union, kind), count_kind(&join, kind), "kind {kind} mismatch");
+        }
+    }
+
+    #[test]
+    fn empty_message_table_still_assembles() {
+        let g = session_with_graph();
+        let batches = collect_chunks(&g, InputMode::TableUnion, true);
+        assert_eq!(count_kind(&batches, KIND_MESSAGE), 0);
+        assert_eq!(count_kind(&batches, KIND_VERTEX), 3);
+    }
+
+    #[test]
     fn streamed_chunks_match_materialized_union() {
         let g = session_with_graph();
         let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (1, 0, 2.0f64.to_bytes())]).unwrap();
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
 
-        let materialized = assemble(&g, InputMode::TableUnion, true, true).unwrap();
-        for streaming_scan in [true, false] {
-            let streamed = collect_chunks(&g, InputMode::TableUnion, streaming_scan);
-            // Same rows (as a multiset), same canonical schema.
-            assert_eq!(
-                sorted_rows(&materialized),
-                sorted_rows(&streamed),
-                "streaming_scan={streaming_scan}"
-            );
-            for chunk in &streamed {
-                assert_eq!(chunk.schema().len(), union_schema().len());
-            }
-            // Streaming produced at least one chunk per non-empty source
-            // table, so no chunk reaches the full union size on its own.
-            assert!(streamed.len() >= 3);
+        let streamed = collect_chunks(&g, InputMode::TableUnion, true);
+        // Same rows (as a multiset) as the SQL UNION ALL, canonical schema.
+        assert_eq!(sorted_rows(&sql_union(&g, true)), sorted_rows(&streamed));
+        for chunk in &streamed {
+            assert_eq!(chunk.schema().len(), union_schema().len());
         }
+        // At least one chunk per non-empty source table, so no chunk
+        // reaches the full union size on its own.
+        assert!(streamed.len() >= 3);
     }
 
     #[test]
@@ -718,23 +651,8 @@ mod tests {
         let g = session_with_graph();
         let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (1, 0, 2.0f64.to_bytes())]).unwrap();
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
-        // All four {materialized, chunked} × {streaming join, eager SQL
-        // join} combinations must produce the same multiset.
-        let reference = assemble(&g, InputMode::ThreeWayJoin, false, true).unwrap();
-        for streaming_scan in [true, false] {
-            let materialized = assemble(&g, InputMode::ThreeWayJoin, streaming_scan, true).unwrap();
-            let streamed = collect_chunks(&g, InputMode::ThreeWayJoin, streaming_scan);
-            assert_eq!(
-                sorted_rows(&reference),
-                sorted_rows(&materialized),
-                "streaming_scan={streaming_scan}"
-            );
-            assert_eq!(
-                sorted_rows(&reference),
-                sorted_rows(&streamed),
-                "streaming_scan={streaming_scan}"
-            );
-        }
+        let streamed = collect_chunks(&g, InputMode::ThreeWayJoin, true);
+        assert_eq!(sorted_rows(&sql_join(&g)), sorted_rows(&streamed));
     }
 
     #[test]
@@ -747,19 +665,18 @@ mod tests {
                 message_batch(&[(2, 0, 1.0f64.to_bytes()), (1, 0, 2.0f64.to_bytes())]).unwrap();
             g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
         }
-        let gauge = |streaming_scan: bool| {
-            assemble_chunks(
-                &g,
-                InputMode::TableUnion,
-                STREAM_CHUNK_ROWS,
-                streaming_scan,
-                true,
-                &mut |_| Ok(()),
-            )
-            .unwrap()
-        };
-        let (streamed, eager) = (gauge(true), gauge(false));
-        assert!(streamed > 0 && eager > 0);
+        let streamed =
+            assemble_chunks(&g, InputMode::TableUnion, STREAM_CHUNK_ROWS, true, &mut |_| Ok(()))
+                .unwrap();
+        // What an eager scan holds: the largest source table, whole.
+        let eager = union_sources(true)
+            .map(|(kind, projection)| {
+                let batches = g.db().scan_table(&kind.table(&g), projection, &[]).unwrap();
+                batches.iter().map(|b| b.estimated_bytes()).sum::<usize>()
+            })
+            .max()
+            .unwrap();
+        assert!(streamed > 0);
         assert!(
             streamed < eager,
             "pull-based scan should hold one batch, not a table: {streamed} vs {eager}"
@@ -794,7 +711,7 @@ mod tests {
     fn custom_chunk_cap_bounds_every_chunk() {
         let g = session_with_graph();
         let mut sizes = Vec::new();
-        assemble_chunks(&g, InputMode::TableUnion, 2, true, true, &mut |b| {
+        assemble_chunks(&g, InputMode::TableUnion, 2, true, &mut |b| {
             sizes.push(b.num_rows());
             Ok(())
         })
@@ -803,21 +720,16 @@ mod tests {
         assert_eq!(sizes.iter().sum::<usize>(), 6); // 3 vertices + 3 edges
     }
 
-    /// The plan-vs-scatter invariant for a given mode and scan path: the
-    /// prescan's per-partition counts must equal what assemble actually
-    /// delivers, at several partition counts.
-    fn assert_plan_matches_scatter(
-        g: &GraphSession,
-        mode: InputMode,
-        streaming_scan: bool,
-        edge_rows: bool,
-    ) {
+    /// The plan-vs-scatter invariant for a given mode: the prescan's
+    /// per-partition counts must equal what assemble actually delivers, at
+    /// several partition counts.
+    fn assert_plan_matches_scatter(g: &GraphSession, mode: InputMode, edge_rows: bool) {
         use vertexica_storage::partition::StreamingPartitioner;
         for parts in [1usize, 3, 8] {
             let plan = partition_row_plan(g, mode, parts, edge_rows).unwrap().unwrap();
             assert_eq!(plan.len(), parts);
             let mut partitioner = StreamingPartitioner::new(vec![0], parts);
-            assemble_chunks(g, mode, STREAM_CHUNK_ROWS, streaming_scan, edge_rows, &mut |b| {
+            assemble_chunks(g, mode, STREAM_CHUNK_ROWS, edge_rows, &mut |b| {
                 partitioner.push(&b).map_err(VertexicaError::from)
             })
             .unwrap();
@@ -828,8 +740,7 @@ mod tests {
                 .collect();
             assert_eq!(
                 plan, scattered,
-                "{mode:?}/{parts} partitions (streaming_scan={streaming_scan}): \
-                 plan must equal the real scatter"
+                "{mode:?}/{parts} partitions: plan must equal the real scatter"
             );
         }
     }
@@ -839,44 +750,27 @@ mod tests {
         let g = session_with_graph();
         let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (1, 0, 2.0f64.to_bytes())]).unwrap();
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
-        for streaming_scan in [true, false] {
-            for edge_rows in [true, false] {
-                assert_plan_matches_scatter(&g, InputMode::TableUnion, streaming_scan, edge_rows);
-            }
+        for edge_rows in [true, false] {
+            assert_plan_matches_scatter(&g, InputMode::TableUnion, edge_rows);
         }
     }
 
-    /// With `edge_rows` off (the workers read the edge projection) every
-    /// assemble form carries the vertex and message tables only.
+    /// With `edge_rows` off (the workers read the edge projection) the
+    /// union carries the vertex and message tables only.
     #[test]
     fn without_edge_rows_the_union_leaves_the_edge_table_out() {
         let g = session_with_graph();
         let msgs = message_batch(&[(2, 0, 1.0f64.to_bytes()), (1, 0, 2.0f64.to_bytes())]).unwrap();
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
-        let materialized = assemble(&g, InputMode::TableUnion, true, false).unwrap();
-        let kinds = [KIND_VERTEX, KIND_EDGE, KIND_MESSAGE].map(|k| count_kind(&materialized, k));
+        let chunks = collect_chunks(&g, InputMode::TableUnion, false);
+        let kinds = [KIND_VERTEX, KIND_EDGE, KIND_MESSAGE].map(|k| count_kind(&chunks, k));
         assert_eq!(kinds, [3, 0, 2]);
-        for streaming_scan in [true, false] {
-            let mut chunks = Vec::new();
-            assemble_chunks(
-                &g,
-                InputMode::TableUnion,
-                STREAM_CHUNK_ROWS,
-                streaming_scan,
-                false,
-                &mut |b| {
-                    chunks.push(b);
-                    Ok(())
-                },
-            )
-            .unwrap();
-            assert_eq!(sorted_rows(&materialized), sorted_rows(&chunks));
-        }
+        assert_eq!(sorted_rows(&sql_union(&g, false)), sorted_rows(&chunks));
         let plan = partition_row_plan(&g, InputMode::TableUnion, 3, false).unwrap().unwrap();
         assert_eq!(plan.iter().sum::<u64>(), 5);
     }
 
-    /// The join mode now has a row plan too (it is how its partitions seal):
+    /// The join mode has a row plan too (it is how its partitions seal):
     /// the prescan replays the dedup rules over the base tables, including
     /// duplicate edges/messages (which collapse) and messages to unknown
     /// vertices (which the LEFT JOIN drops).
@@ -899,9 +793,7 @@ mod tests {
                 g.edge_table()
             ))
             .unwrap();
-        for streaming_scan in [true, false] {
-            assert_plan_matches_scatter(&g, InputMode::ThreeWayJoin, streaming_scan, true);
-        }
+        assert_plan_matches_scatter(&g, InputMode::ThreeWayJoin, true);
     }
 
     #[test]
@@ -911,22 +803,15 @@ mod tests {
         g.db().append_batches(&g.message_table(), &[msgs]).unwrap();
 
         // A tiny cap forces many chunks out of the join replay; dedup must
-        // still be global (same multiset as the one-shot reshape).
-        for streaming_scan in [true, false] {
-            let mut chunks = Vec::new();
-            assemble_chunks(&g, InputMode::ThreeWayJoin, 2, streaming_scan, true, &mut |b| {
-                chunks.push(b);
-                Ok(())
-            })
-            .unwrap();
-            assert!(chunks.len() > 1, "expected the join replay to stream in pieces");
-            assert!(chunks.iter().all(|b| b.num_rows() <= 2));
-            let materialized = assemble(&g, InputMode::ThreeWayJoin, streaming_scan, true).unwrap();
-            assert_eq!(
-                sorted_rows(&materialized),
-                sorted_rows(&chunks),
-                "streaming_scan={streaming_scan}"
-            );
-        }
+        // still be global (same multiset as the one-shot SQL join).
+        let mut chunks = Vec::new();
+        assemble_chunks(&g, InputMode::ThreeWayJoin, 2, true, &mut |b| {
+            chunks.push(b);
+            Ok(())
+        })
+        .unwrap();
+        assert!(chunks.len() > 1, "expected the join replay to stream in pieces");
+        assert!(chunks.iter().all(|b| b.num_rows() <= 2));
+        assert_eq!(sorted_rows(&sql_join(&g)), sorted_rows(&chunks));
     }
 }

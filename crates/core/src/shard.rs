@@ -36,8 +36,8 @@
 //! `shards = 1` runs [`crate::coordinator::run_program`] on the one
 //! underlying session with the caller's exact config — byte-for-byte the
 //! single-database code path. For N ≥ 2 the coordinator coerces the config
-//! (`sharded_config`): table-union input, streaming + pipelined +
-//! parallel-apply on, and **the apply-side combiner off**. The combiner must
+//! (`sharded_config`): table-union input and **the apply-side combiner
+//! off**. The combiner must
 //! be off because it folds per recipient *within the producing shard*: a
 //! recipient fed from two shards would see `(a⊕b) ⊕ (c⊕d)` where the
 //! single-database run folds `((a⊕b)⊕c)⊕d` — bitwise-divergent for
@@ -450,8 +450,8 @@ fn replace_meta(
 /// The config an N ≥ 2 sharded run actually executes with. Coercions and
 /// why (each is proven bitwise-safe by the equivalence harness):
 ///
-/// * `input_mode = TableUnion`, `streaming`/`pipelined`/`parallel_apply` on —
-///   the sharded exchange is built into the streamed, plan-sealed producer;
+/// * `input_mode = TableUnion` — the sharded exchange is built into the
+///   union's plan-sealed producer;
 /// * `use_combiner = false` — the combiner folds per recipient *within the
 ///   producing shard*, which groups non-associative f64 folds differently
 ///   than the single-database run (see the module docs); raw messages make
@@ -466,9 +466,6 @@ fn sharded_config(config: &VertexicaConfig, num_shards: usize, durable: bool) ->
     let mut c = config.clone();
     c.shards = num_shards;
     c.input_mode = InputMode::TableUnion;
-    c.streaming = true;
-    c.pipelined = true;
-    c.parallel_apply = true;
     c.use_combiner = false;
     c.durable = durable;
     if durable {
@@ -715,7 +712,6 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
                 sess,
                 config.input_mode,
                 config.stream_chunk_rows,
-                config.streaming_scan,
                 edge_rows,
                 &mut |chunk| {
                     if exchange.aborted() {
@@ -879,7 +875,6 @@ pub fn run_sharded<P: VertexProgram + 'static>(
     }
     let total = Stopwatch::start();
     let c = sharded_config(config, n, ss.db.is_durable());
-    vertexica_sql::expr::set_vectorized_expr(c.vectorized_expr);
     for sess in ss.shard_sessions() {
         sess.db().runtime().resize(c.num_workers);
         if let Some(budget) = c.memory_budget_bytes {
@@ -957,7 +952,6 @@ pub fn resume_sharded<P: VertexProgram + 'static>(
         .clone();
     let total = Stopwatch::start();
     let c = sharded_config(config, n, ss.db.is_durable());
-    vertexica_sql::expr::set_vectorized_expr(c.vectorized_expr);
     for sess in ss.shard_sessions() {
         sess.db().runtime().resize(c.num_workers);
         if let Some(budget) = c.memory_budget_bytes {
@@ -1276,7 +1270,6 @@ pub fn repair_if_needed<P: VertexProgram + 'static>(
     let num_vertices = ahead_meta.num_vertices;
 
     let c = sharded_config(config, n, true);
-    vertexica_sql::expr::set_vectorized_expr(c.vectorized_expr);
     for sess in ss.shard_sessions() {
         sess.db().runtime().resize(c.num_workers);
     }
@@ -1363,7 +1356,6 @@ fn repair_shard<P: VertexProgram + 'static>(
                 sess,
                 config.input_mode,
                 config.stream_chunk_rows,
-                config.streaming_scan,
                 edge_rows,
                 &mut |chunk| {
                     for (d, piece) in split_batch(&chunk, &[0], n).map_err(VertexicaError::from)? {

@@ -126,10 +126,10 @@ struct RowRef {
 /// messages — then every remaining column as a tiebreak. A mere (vid, kind)
 /// key leaves ties (a vertex's edges, its messages) in input order, which
 /// silently couples compute to the physical row order of the underlying
-/// tables; the segment-parallel apply path writes those tables in a different
-/// (but content-equal) order than the serial one. With a total order, any two
+/// tables, which apply writes bucket-major — a different (but content-equal)
+/// order for every bucket count and apply arm. With a total order, any two
 /// runs that agree on partition *contents* produce bitwise-identical compute
-/// — which the config-matrix equivalence harness asserts. Rows tying on every
+/// — which the invariance cells of the equivalence harness assert. Rows tying on every
 /// column are interchangeable, so `sort_unstable` (and any run-merge order in
 /// the parallel sort) is safe.
 ///

@@ -7,7 +7,7 @@ use vertexica_common::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering, 
 
 use vertexica_common::runtime::{Scope, WorkerPool};
 use vertexica_storage::{
-    partition::{hash_partition, split_batch, StreamingPartitioner},
+    partition::{split_batch, StreamingPartitioner},
     Catalog, ColumnPredicate, Field, RecordBatch, Row, Schema, TableOptions, Value,
 };
 
@@ -65,7 +65,6 @@ pub type Procedure = Arc<dyn Fn(&Database, &[Value]) -> SqlResult<Value> + Send 
 pub struct Database {
     catalog: Arc<Catalog>,
     functions: RwLock<FunctionRegistry>,
-    transforms: RwLock<HashMap<String, Arc<dyn TransformUdf>>>,
     procedures: RwLock<HashMap<String, Procedure>>,
     /// The shared parallel runtime (default size: cores). One persistent
     /// pool serves every transform-UDF invocation and the coordinator's
@@ -94,7 +93,6 @@ impl Database {
         Database {
             catalog,
             functions: RwLock::new(FunctionRegistry::new()),
-            transforms: RwLock::new(HashMap::new()),
             procedures: RwLock::new(HashMap::new()),
             runtime,
         }
@@ -161,11 +159,6 @@ impl Database {
     /// Registers a scalar SQL function.
     pub fn register_scalar(&self, f: ScalarFunction) {
         self.functions.write().register(f);
-    }
-
-    /// Registers a transform UDF (Vertica UDx equivalent).
-    pub fn register_transform(&self, udf: Arc<dyn TransformUdf>) {
-        self.transforms.write().insert(udf.name().to_ascii_lowercase(), udf);
     }
 
     /// Registers a stored procedure.
@@ -472,119 +465,11 @@ impl Database {
         Ok(QueryResult::Affected(n))
     }
 
-    /// Runs a registered transform UDF over input batches, hash-partitioned on
-    /// `partition_by` into `num_partitions`, with worker-thread parallelism —
-    /// the paper's worker invocation (§2.2–§2.3: parallel workers + vertex
-    /// batching).
-    ///
-    /// Output batches preserve partition order.
-    pub fn run_transform(
-        &self,
-        name: &str,
-        input: Vec<RecordBatch>,
-        partition_by: &[usize],
-        num_partitions: usize,
-    ) -> SqlResult<Vec<RecordBatch>> {
-        let udf = self
-            .transforms
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| SqlError::Udf(format!("no such transform: {name}")))?;
-
-        let partitions = if num_partitions <= 1 || partition_by.is_empty() {
-            vec![input]
-        } else {
-            hash_partition(&input, partition_by, num_partitions)?
-        };
-        self.run_transform_partitions(&udf, partitions)
-    }
-
-    /// Runs a transform over pre-partitioned input on the shared runtime
-    /// pool, streaming each partition's output to `sink` **as soon as that
-    /// partition finishes** instead of collecting everything first. Each
-    /// partition is one pool task (serial within a partition, parallel
-    /// across partitions — the paper's vertex batching); the per-worker
-    /// deques load-balance uneven partitions by stealing. This is the
-    /// engine's streaming execution primitive: the coordinator's superstep
-    /// loop applies worker outputs incrementally through it, and
-    /// [`run_transform_partitions`](Self::run_transform_partitions) is a
-    /// thin order-restoring wrapper over it.
-    ///
-    /// `sink` is called once per non-empty partition with
-    /// `(partition_index, output_batches)`, from whichever worker thread
-    /// finished the partition (so it must be `Sync`; calls may interleave
-    /// across partitions but each partition is delivered exactly once).
-    /// Completion order is not deterministic. The first error — from the UDF
-    /// or from the sink — is returned; partitions not yet started are then
-    /// skipped and in-flight ones have their sink deliveries suppressed.
-    /// With one worker
-    /// (or one non-empty partition) execution falls back to sequential
-    /// inline runs on the calling thread.
-    pub fn run_transform_streamed(
-        &self,
-        udf: &Arc<dyn TransformUdf>,
-        partitions: Vec<Vec<RecordBatch>>,
-        sink: &(dyn Fn(usize, Vec<RecordBatch>) -> SqlResult<()> + Sync),
-    ) -> SqlResult<()> {
-        let work: Vec<(usize, Vec<RecordBatch>)> =
-            partitions.into_iter().enumerate().filter(|(_, p)| !p.is_empty()).collect();
-        if work.len() <= 1 || self.runtime.size() <= 1 {
-            for (idx, p) in work {
-                sink(idx, udf.execute(p)?)?;
-            }
-            return Ok(());
-        }
-        let failure: Mutex<Option<SqlError>> = Mutex::new(None);
-        self.runtime.scope(|scope| {
-            for (idx, p) in work {
-                let failure = &failure;
-                scope.spawn(move || {
-                    if failure.lock().is_some() {
-                        return; // an earlier partition already failed: skip the work
-                    }
-                    let result = udf.execute(p).and_then(|out| {
-                        if failure.lock().is_some() {
-                            return Ok(()); // a failure landed while we computed
-                        }
-                        sink(idx, out)
-                    });
-                    if let Err(e) = result {
-                        let mut slot = failure.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
-                });
-            }
-        });
-        match failure.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Runs a transform over pre-partitioned input on the shared runtime
-    /// pool, collecting every partition's output. Output preserves partition
-    /// order. Built on [`run_transform_streamed`](Self::run_transform_streamed);
-    /// prefer that entry point when outputs can be consumed incrementally.
-    pub fn run_transform_partitions(
-        &self,
-        udf: &Arc<dyn TransformUdf>,
-        partitions: Vec<Vec<RecordBatch>>,
-    ) -> SqlResult<Vec<RecordBatch>> {
-        let collected: Mutex<Vec<(usize, Vec<RecordBatch>)>> = Mutex::new(Vec::new());
-        self.run_transform_streamed(udf, partitions, &|idx, out| {
-            collected.lock().push((idx, out));
-            Ok(())
-        })?;
-        let mut collected = collected.into_inner();
-        collected.sort_by_key(|(idx, _)| *idx);
-        Ok(collected.into_iter().flat_map(|(_, out)| out).collect())
-    }
-
-    /// Fully pipelined transform execution: overlaps input production,
-    /// partition scatter and per-partition compute on the shared pool.
+    /// Runs a transform UDF over a produced input stream, hash-partitioned
+    /// on `key_columns` into `num_partitions` — the paper's worker
+    /// invocation (§2.2–§2.3: parallel workers + vertex batching) — fully
+    /// pipelined: input production, partition scatter and per-partition
+    /// compute overlap on the shared pool.
     ///
     /// `produce` is called once, on the calling thread, with a chunk sink;
     /// every chunk it emits is handed to a **scatter task** on the pool,
@@ -600,12 +485,13 @@ impl Database {
     /// a plan (`expected_rows = None`, e.g. the 3-way-join replay) are
     /// dispatched when production and scattering have both finished.
     ///
-    /// `sink` has the same contract as in
-    /// [`run_transform_streamed`](Self::run_transform_streamed): called once
-    /// per non-empty partition from whichever worker finished it, in
-    /// nondeterministic order; the first error (producer, scatter, UDF or
-    /// sink) wins and suppresses all later work. On a single-worker pool the
-    /// whole dataflow degenerates to the sequential scatter-then-compute
+    /// `sink` is called once per non-empty partition with
+    /// `(partition_index, output_batches)`, from whichever worker finished
+    /// the partition (so it must be `Sync`), in nondeterministic order; the
+    /// first error (producer, scatter, UDF or sink) wins and suppresses all
+    /// later work, and a UDF panic is re-thrown on the calling thread. On a
+    /// single-worker pool the whole dataflow degenerates to the sequential
+    /// scatter-then-compute order on the calling thread, partitions in index
     /// order (no overlap, trivially equivalent).
     ///
     /// Two guards keep the dataflow honest. **Backpressure**: at most
@@ -623,8 +509,7 @@ impl Database {
     /// of production → last chunk scattered).
     /// `produce` returns its **peak resident source bytes** gauge: the
     /// largest amount of un-emitted source data (e.g. decoded scan batches)
-    /// it ever held at once while producing. A pull-based producer reports
-    /// one batch; an eager one reports a whole table. The value is passed
+    /// it ever held at once while producing. The value is passed
     /// through as [`PipelinedReport::peak_resident_scan_bytes`] (0 if the
     /// producer doesn't measure).
     pub fn run_transform_pipelined(
@@ -804,7 +689,7 @@ impl Database {
     /// options and catalog handle).
     ///
     /// This is the write-side sibling of
-    /// [`run_transform_streamed`](Self::run_transform_streamed): where that
+    /// [`run_transform_pipelined`](Self::run_transform_pipelined): where that
     /// primitive fans partition *reads/compute* out over the pool, this one
     /// fans the *table rebuild* out. The expensive work per segment —
     /// column coercion, zone maps, optional compression — happens off-table
@@ -1042,9 +927,8 @@ pub struct PipelinedReport {
     pub peak_chunk_bytes: usize,
     /// Producer-reported gauge: the most un-emitted **source** data (e.g.
     /// decoded scan batches) the producer ever held at once. With pull-based
-    /// scan cursors this is one in-flight batch per source; the eager scan
-    /// path holds a whole table's batches, so the gap between the two is the
-    /// streaming-scan memory win. 0 when the producer doesn't measure.
+    /// scan cursors this is one in-flight batch per source. 0 when the
+    /// producer doesn't measure.
     pub peak_resident_scan_bytes: usize,
     /// Most chunks simultaneously in flight (spawned to a scatter task but
     /// not yet scattered). Bounded by the producer backpressure at
@@ -1577,117 +1461,17 @@ mod tests {
         }
     }
 
-    fn int_partition(values: &[i64]) -> Vec<RecordBatch> {
-        let schema =
-            vertexica_storage::Schema::new(vec![vertexica_storage::Field::new("x", DataType::Int)]);
-        let rows: Vec<Vec<Value>> = values.iter().map(|&v| vec![Value::Int(v)]).collect();
-        vec![RecordBatch::from_rows(schema, &rows).unwrap()]
-    }
-
-    fn first_values(batches: &[RecordBatch]) -> Vec<i64> {
-        batches
-            .iter()
-            .map(|b| match b.column(0).value(0) {
-                Value::Int(v) => v,
-                other => panic!("expected int, got {other}"),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn run_transform_partitions_preserves_partition_order() {
-        let db = Database::new();
-        db.set_worker_threads(4);
-        // Reverse-staggered delays: later partitions finish first unless the
-        // engine restores partition order.
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..12).map(|i| int_partition(&[i as i64])).collect();
-        let udf: Arc<dyn TransformUdf> = Tagger::new(2);
-        let out = db.run_transform_partitions(&udf, partitions).unwrap();
-        assert_eq!(first_values(&out), (0..12).collect::<Vec<i64>>());
-    }
-
-    #[test]
-    fn worker_threads_one_is_sequential_and_equivalent() {
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..8).map(|i| int_partition(&[i as i64, i as i64 + 100])).collect();
-
-        let db = Database::new();
-        db.set_worker_threads(1);
-        assert_eq!(db.worker_threads(), 1);
-        let seq_udf = Tagger::new(0);
-        let seq: Arc<dyn TransformUdf> = seq_udf.clone();
-        let out_seq = db.run_transform_partitions(&seq, partitions.clone()).unwrap();
-        // Sequential fallback runs inline on the calling thread.
-        let seq_threads = seq_udf.threads.lock().clone();
-        assert_eq!(seq_threads.len(), 1);
-        assert!(seq_threads.contains(&std::thread::current().id()));
-
-        db.set_worker_threads(8);
-        let par: Arc<dyn TransformUdf> = Tagger::new(1);
-        let out_par = db.run_transform_partitions(&par, partitions).unwrap();
-        assert_eq!(first_values(&out_seq), first_values(&out_par));
-    }
-
-    #[test]
-    fn pool_is_reused_across_transform_invocations() {
-        // The crossbeam-scope predecessor spawned fresh threads per call;
-        // the shared runtime must execute every superstep on the same small
-        // set of persistent workers.
-        let db = Database::new();
-        db.set_worker_threads(3);
-        let udf_impl = Tagger::new(1);
-        let udf: Arc<dyn TransformUdf> = udf_impl.clone();
-        for _ in 0..5 {
-            let partitions: Vec<Vec<RecordBatch>> =
-                (0..9).map(|i| int_partition(&[i as i64])).collect();
-            db.run_transform_partitions(&udf, partitions).unwrap();
-        }
-        let distinct = udf_impl.threads.lock().len();
-        assert!(
-            distinct <= 3,
-            "5 invocations × 9 partitions ran on {distinct} distinct threads; \
-             a persistent pool of 3 must not spawn per call"
-        );
-    }
-
-    #[test]
-    fn streamed_sink_sees_every_partition_exactly_once() {
-        let db = Database::new();
-        db.set_worker_threads(4);
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..10).map(|i| int_partition(&[i as i64])).collect();
-        let udf: Arc<dyn TransformUdf> = Tagger::new(1);
-        let seen = Mutex::new(Vec::new());
-        db.run_transform_streamed(&udf, partitions, &|idx, out| {
-            seen.lock().push((idx, first_values(&out)));
-            Ok(())
-        })
-        .unwrap();
-        let mut seen = seen.into_inner();
-        seen.sort();
-        let expected: Vec<(usize, Vec<i64>)> = (0..10).map(|i| (i, vec![i as i64])).collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn streamed_sink_error_propagates() {
-        let db = Database::new();
-        db.set_worker_threads(4);
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..6).map(|i| int_partition(&[i as i64])).collect();
-        let udf: Arc<dyn TransformUdf> = Tagger::new(0);
-        let err = db
-            .run_transform_streamed(&udf, partitions, &|_, _| {
-                Err(SqlError::Udf("sink rejects".into()))
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("sink rejects"));
-    }
-
     /// One single-column int chunk per element of `chunks`.
     fn int_chunks(chunks: &[Vec<i64>]) -> Vec<RecordBatch> {
-        chunks.iter().map(|c| int_partition(c).remove(0)).collect()
+        let schema =
+            vertexica_storage::Schema::new(vec![vertexica_storage::Field::new("x", DataType::Int)]);
+        chunks
+            .iter()
+            .map(|c| {
+                let rows: Vec<Vec<Value>> = c.iter().map(|&v| vec![Value::Int(v)]).collect();
+                RecordBatch::from_rows(schema.clone(), &rows).unwrap()
+            })
+            .collect()
     }
 
     /// The expected-rows plan for `chunks` hashed on column 0.
@@ -1737,6 +1521,109 @@ mod tests {
     }
 
     #[test]
+    fn sequential_fallback_delivers_partitions_in_index_order() {
+        // One worker: scatter inline, then compute every partition on the
+        // calling thread in partition order, whatever the hash put where.
+        let db = Database::new();
+        db.set_worker_threads(1);
+        let udf: Arc<dyn TransformUdf> = Tagger::new(0);
+        let order = Mutex::new(Vec::new());
+        db.run_transform_pipelined(
+            &udf,
+            vec![0],
+            12,
+            None,
+            &mut |sink| sink(int_chunks(&[(0..96).collect()]).remove(0)).map(|_| 0),
+            &|idx, _| {
+                order.lock().push(idx);
+                Ok(())
+            },
+        )
+        .unwrap();
+        let order = order.into_inner();
+        assert_eq!(order.len(), 12);
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "out of order: {order:?}");
+    }
+
+    #[test]
+    fn worker_threads_one_is_sequential_and_equivalent() {
+        let chunks = int_chunks(&[(0..64).collect(), (100..164).collect()]);
+
+        let db = Database::new();
+        db.set_worker_threads(1);
+        assert_eq!(db.worker_threads(), 1);
+        let seq_udf = Tagger::new(0);
+        let seq: Arc<dyn TransformUdf> = seq_udf.clone();
+        let (_, out_seq) = run_pipelined(&db, &seq, chunks.clone(), 8, None).unwrap();
+        // Sequential fallback runs inline on the calling thread.
+        let seq_threads = seq_udf.threads.lock().clone();
+        assert_eq!(seq_threads.len(), 1);
+        assert!(seq_threads.contains(&std::thread::current().id()));
+
+        db.set_worker_threads(8);
+        let par: Arc<dyn TransformUdf> = Tagger::new(1);
+        let (_, out_par) = run_pipelined(&db, &par, chunks, 8, None).unwrap();
+        assert_eq!(out_seq, out_par);
+    }
+
+    #[test]
+    fn pool_is_reused_across_transform_invocations() {
+        // The crossbeam-scope predecessor spawned fresh threads per call;
+        // the shared runtime must execute every superstep on the same small
+        // set of persistent workers.
+        let db = Database::new();
+        db.set_worker_threads(3);
+        let udf_impl = Tagger::new(1);
+        let udf: Arc<dyn TransformUdf> = udf_impl.clone();
+        for _ in 0..5 {
+            run_pipelined(&db, &udf, int_chunks(&[(0..90).collect()]), 9, None).unwrap();
+        }
+        let distinct = udf_impl.threads.lock().len();
+        assert!(
+            distinct <= 3,
+            "5 invocations × 9 partitions ran on {distinct} distinct threads; \
+             a persistent pool of 3 must not spawn per call"
+        );
+    }
+
+    #[test]
+    fn streamed_sink_sees_every_partition_exactly_once() {
+        let db = Database::new();
+        db.set_worker_threads(4);
+        let udf: Arc<dyn TransformUdf> = Tagger::new(1);
+        let (_, seen) =
+            run_pipelined(&db, &udf, int_chunks(&[(0..100).collect()]), 10, None).unwrap();
+        let indices: Vec<usize> = seen.iter().map(|(idx, _)| *idx).collect();
+        assert_eq!(indices, (0..10).collect::<Vec<_>>(), "one delivery per partition");
+        let mut rows: Vec<i64> = seen.into_iter().flat_map(|(_, vals)| vals).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn streamed_sink_error_propagates() {
+        // A sink failing on a partition dispatched by its seal (a planned
+        // run) fails the run, at every pool size.
+        let chunks = int_chunks(&[(0..32).collect(), (32..64).collect()]);
+        for workers in [1usize, 4] {
+            let db = Database::new();
+            db.set_worker_threads(workers);
+            let udf: Arc<dyn TransformUdf> = Tagger::new(0);
+            let err = db
+                .run_transform_pipelined(
+                    &udf,
+                    vec![0],
+                    6,
+                    Some(chunk_plan(&chunks, 6)),
+                    &mut |sink| chunks.iter().try_for_each(|c| sink(c.clone())).map(|_| 0),
+                    &|_, _| Err(SqlError::Udf("sink rejects".into())),
+                )
+                .unwrap_err();
+            assert!(err.to_string().contains("sink rejects"), "workers={workers}: {err}");
+        }
+    }
+
+    #[test]
     fn pipelined_run_matches_materialized_partitioning() {
         // The pipelined dataflow must deliver, per partition, exactly the
         // rows the one-shot hash partitioning assigns it — at every pool
@@ -1749,7 +1636,8 @@ mod tests {
         ]);
         let parts = 6;
         let reference: Vec<(usize, Vec<i64>)> = {
-            let parted = hash_partition(&chunks, &[0], parts).unwrap();
+            let parted =
+                vertexica_storage::partition::hash_partition(&chunks, &[0], parts).unwrap();
             parted
                 .iter()
                 .enumerate()
@@ -1778,9 +1666,12 @@ mod tests {
 
     #[test]
     fn pipelined_plan_dispatches_before_assemble_finishes() {
-        // Each chunk holds keys of a single partition, and the producer
-        // sleeps between chunks: with a plan, partition p's compute must
-        // launch while later chunks are still being produced.
+        // Each chunk holds keys of a single partition. The producer emits
+        // every chunk but the last, then blocks until the sink has received
+        // a partition's output: that can only happen if a sealed partition
+        // was dispatched while the stream was still open. No timing is
+        // involved, only a timeout so a broken dispatcher fails instead of
+        // hanging.
         let parts = 4;
         let mut per_part: Vec<Vec<i64>> = vec![Vec::new(); parts];
         let mut k = 0i64;
@@ -1793,8 +1684,10 @@ mod tests {
 
         let db = Database::new();
         db.set_worker_threads(4);
-        let udf: Arc<dyn TransformUdf> = Tagger::new(5);
-        let seen = Mutex::new(0usize);
+        let udf: Arc<dyn TransformUdf> = Tagger::new(1);
+        let (delivered, arrivals) = std::sync::mpsc::channel::<usize>();
+        let delivered = Mutex::new(delivered);
+        let mut sealed_before_last_chunk = None;
         let report = db
             .run_transform_pipelined(
                 &udf,
@@ -1802,29 +1695,28 @@ mod tests {
                 parts,
                 Some(plan),
                 &mut |sink| {
-                    for c in chunks.clone() {
-                        sink(c)?;
-                        // Keep the assemble window open while sealed
-                        // partitions compute.
-                        std::thread::sleep(std::time::Duration::from_millis(15));
+                    let (last, early) = chunks.split_last().unwrap();
+                    for c in early {
+                        sink(c.clone())?;
                     }
+                    sealed_before_last_chunk =
+                        arrivals.recv_timeout(std::time::Duration::from_secs(30)).ok();
+                    sink(last.clone())?;
                     Ok(0)
                 },
-                &|_, _| {
-                    *seen.lock() += 1;
+                &|idx, _| {
+                    // The receiver outlives the run; a send cannot fail.
+                    let _ = delivered.lock().send(idx);
                     Ok(())
                 },
             )
             .unwrap();
-        assert_eq!(*seen.lock(), parts);
-        assert!(
-            report.early_dispatches >= parts - 1,
-            "single-partition chunks must seal on arrival: {report:?}"
-        );
-        assert!(
-            report.overlap_secs > 0.0,
-            "compute should have run inside the assemble window: {report:?}"
-        );
+        let idx = sealed_before_last_chunk.expect("no sealed partition reached the sink in 30 s");
+        assert!(idx < parts - 1, "partition {idx} cannot seal before the last chunk");
+        assert_eq!(report.early_dispatches, parts, "every planned partition seals: {report:?}");
+        assert!(report.overlap_secs > 0.0, "a compute ran inside the assemble window: {report:?}");
+        // At most four (the pool size) compute tasks overlap the window at once.
+        assert!(report.overlap_secs <= report.compute_secs * 4.0, "{report:?}");
     }
 
     #[test]
@@ -1978,10 +1870,17 @@ mod tests {
         // stolen by its idle siblings.
         let db = Database::new();
         db.set_worker_threads(2);
+        let parts = 16;
+        // 512 keys hashing to partition 0, then one key for each other
+        // partition.
+        let mut keys: Vec<i64> = (0..)
+            .filter(|&k| vertexica_storage::partition::int_key_partition(k, parts) == 0)
+            .take(512)
+            .collect();
+        keys.extend((1..parts).map(|p| {
+            (0..).find(|&k| vertexica_storage::partition::int_key_partition(k, parts) == p).unwrap()
+        }));
         let before = db.runtime().metrics();
-        let mut partitions: Vec<Vec<RecordBatch>> =
-            vec![int_partition(&(0..512).collect::<Vec<_>>())];
-        partitions.extend((1..16).map(|i| int_partition(&[i as i64])));
 
         struct SlowFirst {
             inner: Arc<Tagger>,
@@ -1997,17 +1896,19 @@ mod tests {
                 self.inner.output_schema(input)
             }
             fn execute(&self, p: Vec<RecordBatch>) -> SqlResult<Vec<RecordBatch>> {
-                if p[0].num_rows() > 1 {
+                if p.iter().map(|b| b.num_rows()).sum::<usize>() > 1 {
                     std::thread::sleep(std::time::Duration::from_millis(50));
                 }
                 self.inner.execute(p)
             }
         }
         let slow: Arc<dyn TransformUdf> = Arc::new(SlowFirst { inner: Tagger::new(0) });
-        let out = db.run_transform_partitions(&slow, partitions).unwrap();
-        assert_eq!(out.len(), 16);
+        let (_, seen) = run_pipelined(&db, &slow, int_chunks(&[keys]), parts, None).unwrap();
+        assert_eq!(seen.len(), parts);
         let delta = db.runtime().metrics().delta_since(&before);
-        assert_eq!(delta.tasks_executed, 16);
+        // One scatter task for the single chunk, then one compute task per
+        // partition.
+        assert_eq!(delta.tasks_executed, parts as u64 + 1);
         assert!(delta.tasks_stolen > 0, "skewed partitions should force steals: {delta:?}");
     }
 
@@ -2031,9 +1932,7 @@ mod tests {
         let db = Database::new();
         db.set_worker_threads(4);
         let udf: Arc<dyn TransformUdf> = Arc::new(Failing);
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..6).map(|i| int_partition(&[i as i64])).collect();
-        let err = db.run_transform_partitions(&udf, partitions).unwrap_err();
+        let err = run_pipelined(&db, &udf, int_chunks(&[(0..6).collect()]), 6, None).unwrap_err();
         assert!(err.to_string().contains("deliberate failure"));
     }
 
@@ -2057,16 +1956,14 @@ mod tests {
         let db = Database::new();
         db.set_worker_threads(4);
         let udf: Arc<dyn TransformUdf> = Arc::new(Panicking);
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..4).map(|i| int_partition(&[i as i64])).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            db.run_transform_partitions(&udf, partitions)
+            run_pipelined(&db, &udf, int_chunks(&[(0..4).collect()]), 4, None)
         }));
         assert!(result.is_err(), "worker panic must reach the submitting thread");
         // The database (and its pool) stays usable afterwards.
         let ok: Arc<dyn TransformUdf> = Tagger::new(0);
-        let out = db.run_transform_partitions(&ok, vec![int_partition(&[7])]).unwrap();
-        assert_eq!(first_values(&out), vec![7]);
+        let (_, seen) = run_pipelined(&db, &ok, int_chunks(&[vec![7]]), 4, None).unwrap();
+        assert_eq!(seen.into_iter().flat_map(|(_, vals)| vals).collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! slice kernels** — Int/Float arithmetic and comparisons run over raw
 //! `&[i64]`/`&[f64]` with validity-bitmap NULL handling, AND/OR/NOT run
 //! word-wise on packed [`Bitmap`]s, and IsNull/InList/CASE have dedicated
-//! columnar paths. The `Value`-per-row loop survives as the generic fallback
-//! for type combinations with no kernel, and as the whole-path ablation
-//! baseline via [`set_vectorized_expr`] / `VERTEXICA_VECTOR_EXPR=0`. Both
-//! paths are bitwise identical (property-tested in `tests/proptest_sql.rs`).
+//! columnar paths. A `Value`-per-row loop remains only as the fallback for
+//! type combinations with no kernel. The kernels are held bitwise to a
+//! row-at-a-time oracle built on [`PhysExpr::eval_scalar`] (property-tested
+//! in `tests/proptest_sql.rs`).
 
 use std::sync::Arc;
-use vertexica_common::sync::{AtomicU8, Ordering};
 
 use vertexica_storage::{
     Bitmap, Column, ColumnBuilder, ColumnData, DataType, RecordBatch, Schema, Value,
@@ -22,40 +21,6 @@ use vertexica_storage::{
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::error::{SqlError, SqlResult};
 use crate::functions::ScalarFunction;
-
-/// Whether expression evaluation uses the typed slice kernels:
-/// 0 = uninitialized (consult `VERTEXICA_VECTOR_EXPR` on first use),
-/// 1 = vectorized, 2 = row-at-a-time fallback.
-static VECTORIZED_EXPR: AtomicU8 = AtomicU8::new(0);
-
-/// True when the vectorized expression kernels are enabled (the default).
-/// The first call consults the `VERTEXICA_VECTOR_EXPR` environment variable
-/// (`0`/`false`/`off` disable); [`set_vectorized_expr`] overrides either way.
-pub fn vectorized_expr_enabled() -> bool {
-    match VECTORIZED_EXPR.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = !matches!(
-                std::env::var("VERTEXICA_VECTOR_EXPR")
-                    .unwrap_or_default()
-                    .to_ascii_lowercase()
-                    .as_str(),
-                "0" | "false" | "off"
-            );
-            VECTORIZED_EXPR.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Switches between the vectorized kernels and the row-at-a-time fallback
-/// (process-wide; the coordinator applies `VertexicaConfig::vectorized_expr`
-/// here per run). Safe to flip at any time: the two paths produce bitwise
-/// identical columns.
-pub fn set_vectorized_expr(on: bool) {
-    VECTORIZED_EXPR.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// A fully-resolved scalar expression.
 #[derive(Clone)]
@@ -232,10 +197,8 @@ impl PhysExpr {
             }
             PhysExpr::Unary { op, expr } => {
                 let c = expr.eval(batch)?;
-                if vectorized_expr_enabled() {
-                    if let Some(out) = eval_unary_vectorized(*op, &c) {
-                        return Ok(out);
-                    }
+                if let Some(out) = eval_unary_vectorized(*op, &c) {
+                    return Ok(out);
                 }
                 let mut b = ColumnBuilder::with_capacity(
                     match op {
@@ -261,58 +224,18 @@ impl PhysExpr {
             }
             PhysExpr::IsNull { expr, negated } => {
                 let c = expr.eval(batch)?;
-                if vectorized_expr_enabled() {
-                    // IS [NOT] NULL reads the validity bitmap directly; the
-                    // output is never null itself.
-                    let data: Vec<bool> = match c.validity() {
-                        None => vec![*negated; n],
-                        Some(valid) => (0..n).map(|i| valid.get(i) == *negated).collect(),
-                    };
-                    return Ok(Column::new(ColumnData::Bool(data), None));
-                }
-                let mut b = ColumnBuilder::with_capacity(DataType::Bool, n);
-                for i in 0..n {
-                    let isnull = c.is_null(i);
-                    b.push(Value::Bool(isnull != *negated))?;
-                }
-                Ok(b.finish())
+                // IS [NOT] NULL reads the validity bitmap directly; the
+                // output is never null itself.
+                let data: Vec<bool> = match c.validity() {
+                    None => vec![*negated; n],
+                    Some(valid) => (0..n).map(|i| valid.get(i) == *negated).collect(),
+                };
+                Ok(Column::new(ColumnData::Bool(data), None))
             }
             PhysExpr::InList { expr, list, negated } => {
                 let c = expr.eval(batch)?;
                 let lists: SqlResult<Vec<Column>> = list.iter().map(|e| e.eval(batch)).collect();
-                let lists = lists?;
-                if vectorized_expr_enabled() {
-                    return Ok(eval_in_list_vectorized(&c, &lists, *negated));
-                }
-                let mut b = ColumnBuilder::with_capacity(DataType::Bool, n);
-                for i in 0..n {
-                    let v = c.value(i);
-                    if v.is_null() {
-                        b.push_null();
-                        continue;
-                    }
-                    let mut found = false;
-                    let mut saw_null = false;
-                    for lc in &lists {
-                        let lv = lc.value(i);
-                        match v.sql_eq(&lv) {
-                            Some(true) => {
-                                found = true;
-                                break;
-                            }
-                            Some(false) => {}
-                            None => saw_null = true,
-                        }
-                    }
-                    if found {
-                        b.push(Value::Bool(!*negated))?;
-                    } else if saw_null {
-                        b.push_null();
-                    } else {
-                        b.push(Value::Bool(*negated))?;
-                    }
-                }
-                Ok(b.finish())
+                Ok(eval_in_list_vectorized(&c, &lists?, *negated))
             }
             PhysExpr::Like { expr, pattern, negated } => {
                 let c = expr.eval(batch)?;
@@ -340,12 +263,10 @@ impl PhysExpr {
                     when_then.iter().map(|(_, t)| t.eval(batch)).collect();
                 let thens = thens?;
                 let else_col = else_expr.as_ref().map(|e| e.eval(batch)).transpose()?;
-                if vectorized_expr_enabled() {
-                    if let Some(out) =
-                        eval_case_vectorized(out_type, &whens, &thens, else_col.as_ref(), n)?
-                    {
-                        return Ok(out);
-                    }
+                if let Some(out) =
+                    eval_case_vectorized(out_type, &whens, &thens, else_col.as_ref(), n)?
+                {
+                    return Ok(out);
                 }
                 let mut b = ColumnBuilder::with_capacity(out_type, n);
                 'rows: for i in 0..n {
@@ -569,13 +490,11 @@ fn eval_binary(l: &Column, op: BinaryOp, r: &Column, _schema: &Schema) -> SqlRes
     let n = l.len();
     debug_assert_eq!(n, r.len());
 
-    if vectorized_expr_enabled() {
-        if let Some(out) = eval_binary_vectorized(l, op, r)? {
-            return Ok(out);
-        }
+    if let Some(out) = eval_binary_vectorized(l, op, r)? {
+        return Ok(out);
     }
 
-    // Generic value-wise path.
+    // Generic value-wise fallback for type combinations with no kernel.
     let out_dtype = match op {
         op if op.is_comparison() => DataType::Bool,
         BinaryOp::And | BinaryOp::Or => DataType::Bool,
@@ -1310,14 +1229,57 @@ mod tests {
         assert_eq!(all_null.data_type(b.schema()).unwrap(), DataType::Int);
     }
 
-    /// Evaluates `e` with kernels on and off and asserts the outputs are
-    /// bitwise identical (dtype, values, and validity placement).
+    /// Row `i` of `e` over `b`, one node at a time: children first (every
+    /// one, as column evaluation does), each bound into the node as a
+    /// literal for [`PhysExpr::eval_scalar`], the result coerced to the
+    /// node's declared type.
+    fn row_oracle(e: &PhysExpr, b: &RecordBatch, i: usize) -> SqlResult<Value> {
+        let bind = |c: &PhysExpr| row_oracle(c, b, i).map(|v| Box::new(PhysExpr::Literal(v)));
+        let bound = match e {
+            PhysExpr::Column(c) => PhysExpr::Literal(b.column(*c).value(i)),
+            PhysExpr::Literal(_) => e.clone(),
+            PhysExpr::Binary { left, op, right } => {
+                PhysExpr::Binary { left: bind(left)?, op: *op, right: bind(right)? }
+            }
+            PhysExpr::Unary { op, expr } => PhysExpr::Unary { op: *op, expr: bind(expr)? },
+            PhysExpr::IsNull { expr, negated } => {
+                PhysExpr::IsNull { expr: bind(expr)?, negated: *negated }
+            }
+            PhysExpr::InList { expr, list, negated } => PhysExpr::InList {
+                expr: bind(expr)?,
+                list: list.iter().map(|x| bind(x).map(|x| *x)).collect::<SqlResult<_>>()?,
+                negated: *negated,
+            },
+            PhysExpr::Case { when_then, else_expr } => PhysExpr::Case {
+                when_then: when_then
+                    .iter()
+                    .map(|(w, t)| Ok((*bind(w)?, *bind(t)?)))
+                    .collect::<SqlResult<_>>()?,
+                else_expr: else_expr.as_deref().map(bind).transpose()?,
+            },
+            PhysExpr::Like { expr, pattern, negated } => {
+                PhysExpr::Like { expr: bind(expr)?, pattern: bind(pattern)?, negated: *negated }
+            }
+            PhysExpr::Cast { expr, dtype } => PhysExpr::Cast { expr: bind(expr)?, dtype: *dtype },
+            PhysExpr::ScalarFn { func, args } => PhysExpr::ScalarFn {
+                func: func.clone(),
+                args: args.iter().map(|x| bind(x).map(|x| *x)).collect::<SqlResult<_>>()?,
+            },
+        };
+        let mut out = ColumnBuilder::with_capacity(e.data_type(b.schema())?, 1);
+        out.push(bound.eval_scalar()?)?;
+        Ok(out.finish().value(0))
+    }
+
+    /// Asserts the column kernels evaluate `e` over `b` bitwise like the
+    /// row oracle: dtype, values, and validity placement.
     fn assert_paths_agree(e: &PhysExpr, b: &RecordBatch) {
-        set_vectorized_expr(true);
         let fast = e.eval(b).unwrap();
-        set_vectorized_expr(false);
-        let slow = e.eval(b).unwrap();
-        set_vectorized_expr(true);
+        let mut slow = ColumnBuilder::with_capacity(e.data_type(b.schema()).unwrap(), b.num_rows());
+        for i in 0..b.num_rows() {
+            slow.push(row_oracle(e, b, i).unwrap()).unwrap();
+        }
+        let slow = slow.finish();
         assert_eq!(fast.dtype(), slow.dtype());
         assert_eq!(fast.len(), slow.len());
         for i in 0..fast.len() {

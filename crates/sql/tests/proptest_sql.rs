@@ -1,12 +1,12 @@
-//! Property-based tests for the SQL engine: vectorized vs scalar expression
-//! evaluation, SQL query results vs straight-line Rust reference filters,
-//! aggregate identities.
+//! Property-based tests for the SQL engine: vectorized expression kernels vs
+//! a row-at-a-time oracle, SQL query results vs straight-line Rust reference
+//! filters, aggregate identities.
 
 use proptest::prelude::*;
 use vertexica_sql::ast::{BinaryOp, UnaryOp};
-use vertexica_sql::expr::{set_vectorized_expr, PhysExpr};
-use vertexica_sql::Database;
-use vertexica_storage::{DataType, Field, RecordBatch, Schema, Value};
+use vertexica_sql::expr::PhysExpr;
+use vertexica_sql::{Database, SqlResult};
+use vertexica_storage::{Column, ColumnBuilder, DataType, Field, RecordBatch, Schema, Value};
 
 fn db_with_numbers(values: &[(i64, f64)]) -> Database {
     let db = Database::new();
@@ -96,6 +96,59 @@ fn build_expr(bytes: &[u8]) -> PhysExpr {
     stack.pop().expect("seeded stack")
 }
 
+/// Row `i` of `e` over `batch`, one node at a time through
+/// [`PhysExpr::eval_scalar`]: every child first (column evaluation is eager
+/// too, so a child that errs on any row fails the whole expression), bound
+/// into the node as a literal, and the node's result coerced to its
+/// declared type, as a column of that type would hold it.
+fn row_oracle(e: &PhysExpr, batch: &RecordBatch, i: usize) -> SqlResult<Value> {
+    let bind = |c: &PhysExpr| row_oracle(c, batch, i).map(|v| Box::new(PhysExpr::Literal(v)));
+    let bind_all = |cs: &[PhysExpr]| -> SqlResult<Vec<PhysExpr>> {
+        cs.iter().map(|c| bind(c).map(|c| *c)).collect()
+    };
+    let bound = match e {
+        PhysExpr::Column(c) => PhysExpr::Literal(batch.column(*c).value(i)),
+        PhysExpr::Literal(_) => e.clone(),
+        PhysExpr::Binary { left, op, right } => {
+            PhysExpr::Binary { left: bind(left)?, op: *op, right: bind(right)? }
+        }
+        PhysExpr::Unary { op, expr } => PhysExpr::Unary { op: *op, expr: bind(expr)? },
+        PhysExpr::IsNull { expr, negated } => {
+            PhysExpr::IsNull { expr: bind(expr)?, negated: *negated }
+        }
+        PhysExpr::InList { expr, list, negated } => {
+            PhysExpr::InList { expr: bind(expr)?, list: bind_all(list)?, negated: *negated }
+        }
+        PhysExpr::Like { expr, pattern, negated } => {
+            PhysExpr::Like { expr: bind(expr)?, pattern: bind(pattern)?, negated: *negated }
+        }
+        PhysExpr::Case { when_then, else_expr } => PhysExpr::Case {
+            when_then: when_then
+                .iter()
+                .map(|(w, t)| Ok((*bind(w)?, *bind(t)?)))
+                .collect::<SqlResult<_>>()?,
+            else_expr: else_expr.as_deref().map(bind).transpose()?,
+        },
+        PhysExpr::Cast { expr, dtype } => PhysExpr::Cast { expr: bind(expr)?, dtype: *dtype },
+        PhysExpr::ScalarFn { func, args } => {
+            PhysExpr::ScalarFn { func: func.clone(), args: bind_all(args)? }
+        }
+    };
+    let mut out = ColumnBuilder::with_capacity(e.data_type(batch.schema())?, 1);
+    out.push(bound.eval_scalar()?)?;
+    Ok(out.finish().value(0))
+}
+
+/// `e` over `batch`, row by row through [`row_oracle`], pushed through a
+/// [`ColumnBuilder`] of the expression's declared type.
+fn row_oracle_column(e: &PhysExpr, batch: &RecordBatch) -> SqlResult<Column> {
+    let mut out = ColumnBuilder::with_capacity(e.data_type(batch.schema())?, batch.num_rows());
+    for i in 0..batch.num_rows() {
+        out.push(row_oracle(e, batch, i)?)?;
+    }
+    Ok(out.finish())
+}
+
 fn arb_cell_bytes() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 1..40)
 }
@@ -103,10 +156,10 @@ fn arb_cell_bytes() -> impl Strategy<Value = Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The typed slice kernels and the `Value`-per-row loop are bitwise
-    /// interchangeable: same Ok/Err outcome, and on Ok the same dtype,
-    /// values, and validity placement — over random expression trees and
-    /// random batches with nulls, zeros, and empty inputs.
+    /// The typed slice kernels agree bitwise with the row-at-a-time oracle:
+    /// same Ok/Err outcome, and on Ok the same dtype, values, and validity
+    /// placement — over random expression trees and random batches with
+    /// nulls, zeros, and empty inputs.
     #[test]
     fn vectorized_expr_matches_row_path(
         bytes in arb_cell_bytes(),
@@ -132,11 +185,8 @@ proptest! {
         let batch = RecordBatch::from_rows(schema, &rows).unwrap();
         let expr = build_expr(&bytes);
 
-        set_vectorized_expr(true);
         let fast = expr.eval(&batch);
-        set_vectorized_expr(false);
-        let slow = expr.eval(&batch);
-        set_vectorized_expr(true);
+        let slow = row_oracle_column(&expr, &batch);
 
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {
@@ -151,10 +201,10 @@ proptest! {
                 }
                 prop_assert_eq!(fast.validity(), slow.validity(), "validity of {:?}", &expr);
             }
-            (Err(_), Err(_)) => {} // both paths reject the same trees
+            (Err(_), Err(_)) => {} // both reject the same trees
             (fast, slow) => prop_assert!(
                 false,
-                "paths disagree on {:?}: vectorized {:?}, row {:?}",
+                "kernels and oracle disagree on {:?}: vectorized {:?}, row {:?}",
                 &expr,
                 fast.map(|c| c.len()),
                 slow.map(|c| c.len())

@@ -70,11 +70,6 @@ fn allocations_and_messages(pool_budget: Option<usize>) -> (u64, u64) {
         .with_partitions(8)
         .with_input_mode(InputMode::TableUnion)
         .with_combiner(false)
-        .with_streaming(true)
-        .with_parallel_apply(true)
-        .with_pipelined(true)
-        .with_streaming_scan(true)
-        .with_vectorized_expr(true)
         .with_durable(false)
         .with_memory_budget(pool_budget)
         .with_shards(1);

@@ -526,7 +526,6 @@ fn checkpoint_before_a_blob_heavy_apply_reopens_bitwise() {
         .with_workers(2)
         .with_combiner(false)
         .with_replace_threshold(0.0)
-        .with_parallel_apply(true)
         .with_durable(true);
     let outcome = apply_outputs(&g, &Noop, &config, vec![out], N).unwrap();
     assert!(outcome.replaced);

@@ -83,9 +83,6 @@ fn crash_child_worker() {
         .with_workers(2)
         .with_partitions(4)
         .with_replace_threshold(0.0)
-        // Pinned: the parent watches for the table images only the grouped
-        // segment commit flushes, whatever the CI mode's default apply path.
-        .with_parallel_apply(true)
         .with_durable(true)
         .with_max_supersteps(u64::MAX);
     // Never returns (the program never halts); the parent kills us.

@@ -106,7 +106,7 @@ fn panicking_apply_task_leaves_tables_untouched() {
 
     // Two partitions' outputs: both message the same recipient, one payload
     // poisoned, so the per-bucket combine on the pool panics mid-build.
-    let config = VertexicaConfig::default().with_workers(4).with_parallel_apply(true);
+    let config = VertexicaConfig::default().with_workers(4);
     let out1 =
         RecordBatch::from_rows(worker_output_schema(), &[state_row(0, 1.0), msg_row(2, 0, 666.0)])
             .unwrap();
@@ -157,7 +157,7 @@ fn erroring_apply_parse_leaves_tables_untouched() {
         ],
     )
     .unwrap();
-    let config = VertexicaConfig::default().with_workers(4).with_parallel_apply(true);
+    let config = VertexicaConfig::default().with_workers(4);
     assert!(apply_outputs(&g, &PoisonCombine, &config, vec![bad], 4).is_err());
     assert_eq!(table_state(&g, &g.vertex_table()), vertex_before);
     assert_eq!(table_state(&g, &g.message_table()), message_before);
@@ -166,17 +166,18 @@ fn erroring_apply_parse_leaves_tables_untouched() {
 #[test]
 fn apply_parallelism_is_observable_per_superstep() {
     let graph = EdgeList::from_pairs((0..64u64).map(|i| (i, (i + 1) % 64)));
-    for (parallel, expected) in [(true, 3), (false, 1)] {
+    // The apply fan-out is one segment bucket per worker.
+    for workers in [1, 3] {
         let db = Arc::new(Database::new());
         let g = GraphSession::create(db, "g").unwrap();
         g.load_edges(&graph).unwrap();
-        let config = VertexicaConfig::default().with_workers(3).with_parallel_apply(parallel);
+        let config = VertexicaConfig::default().with_workers(workers);
         let stats = run_program(&g, Arc::new(PageRank::new(3, 0.85)), &config).unwrap();
         assert!(stats.supersteps >= 2);
         for s in &stats.per_superstep {
             assert_eq!(
-                s.apply_parallelism, expected,
-                "superstep {} (parallel_apply={parallel})",
+                s.apply_parallelism, workers,
+                "superstep {} ({workers} workers)",
                 s.superstep
             );
         }
@@ -199,7 +200,6 @@ fn segmented_replace_produces_correct_zone_maps_and_prunable_segments() {
     g.load_edges(&graph).unwrap();
     let config = VertexicaConfig::default()
         .with_workers(4)
-        .with_parallel_apply(true)
         .with_replace_threshold(0.0)
         .with_max_supersteps(2);
     run_program(&g, Arc::new(PageRank::new(2, 0.85)), &config).unwrap();
@@ -276,7 +276,6 @@ fn parallel_replace_writes_one_segment_per_nonempty_bucket() {
     g.load_edges(&graph).unwrap();
     let config = VertexicaConfig::default()
         .with_workers(4)
-        .with_parallel_apply(true)
         .with_replace_threshold(0.0)
         .with_max_supersteps(2);
     run_program(&g, Arc::new(PageRank::new(2, 0.85)), &config).unwrap();

@@ -16,9 +16,12 @@
 //!   `catalog.rs`). Crash recovery must degrade to typed `StorageError`s,
 //!   never panic on bad bytes. `#[cfg(test)]` regions are exempt (tracked by
 //!   brace depth).
-//! * **env-var-docs** — every `VERTEXICA_*` environment variable referenced
-//!   anywhere in the source must be documented in both the README
-//!   configuration table and `docs/ARCHITECTURE.md`.
+//! * **env-var-docs** — two-way: every `VERTEXICA_*` environment variable
+//!   referenced anywhere under `crates/` must be documented in both the
+//!   README configuration table and `docs/ARCHITECTURE.md`; and every
+//!   `VERTEXICA_*` name those two documents or `.github/workflows/ci.yml`
+//!   mention must still be read by some crate — a CI job that sets a deleted
+//!   variable silently tests the default under a misleading name.
 //! * **exp-ci-smoke** — every `--exp` ablation mode the bench binary
 //!   dispatches on must have a smoke invocation (`--exp <mode>`) in
 //!   `.github/workflows/ci.yml`, so no experiment can silently rot.
@@ -353,20 +356,43 @@ fn check_env_var_docs(root: &Path) -> Vec<Diagnostic> {
             scan_env_vars(&src, &mut vars);
         }
     }
+    let docs = ENV_VAR_DOCS.map(|(doc, documents_all)| {
+        (doc, documents_all, fs::read_to_string(root.join(doc)).unwrap_or_default())
+    });
+    env_var_diagnostics(&vars, &docs)
+}
+
+/// The documents env-var-docs reads, and whether each must document every
+/// variable the crates read (CI only has to name live ones).
+const ENV_VAR_DOCS: [(&str, bool); 3] =
+    [("README.md", true), ("docs/ARCHITECTURE.md", true), (".github/workflows/ci.yml", false)];
+
+/// The env-var-docs findings for the variables the crates read (`vars`)
+/// against `(path, documents_all, content)` documents: one flagged
+/// `documents_all` must name every variable, and none may name a variable no
+/// crate reads.
+fn env_var_diagnostics(vars: &BTreeSet<String>, docs: &[(&str, bool, String)]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for (doc, label) in
-        [("README.md", "README config table"), ("docs/ARCHITECTURE.md", "docs/ARCHITECTURE.md")]
-    {
-        let content = fs::read_to_string(root.join(doc)).unwrap_or_default();
-        for var in &vars {
-            if !content.contains(var.as_str()) {
+    for (doc, documents_all, content) in docs {
+        if *documents_all {
+            for var in vars.iter().filter(|var| !content.contains(var.as_str())) {
                 diags.push(Diagnostic {
                     rule: RULE_ENV_DOCS,
                     file: doc.to_string(),
                     line: 0,
-                    message: format!("`{var}` is read by the code but undocumented in the {label}"),
+                    message: format!("`{var}` is read by the code but undocumented in {doc}"),
                 });
             }
+        }
+        let mut named = BTreeSet::new();
+        scan_env_vars(content, &mut named);
+        for var in named.difference(vars) {
+            diags.push(Diagnostic {
+                rule: RULE_ENV_DOCS,
+                file: doc.to_string(),
+                line: 0,
+                message: format!("`{var}` is named in {doc} but no crate reads it"),
+            });
         }
     }
     diags
@@ -498,6 +524,33 @@ mod tests {
         assert_eq!(
             vars.into_iter().collect::<Vec<_>>(),
             vec!["VERTEXICA_MEMORY_BUDGET".to_string(), "VERTEXICA_SCALE".to_string()]
+        );
+    }
+
+    #[test]
+    fn env_var_docs_is_two_way() {
+        let vars: BTreeSet<String> = ["VERTEXICA_SCALE".to_string()].into();
+        let docs = [
+            ("README.md", true, "`VERTEXICA_SCALE` | dataset scale".to_string()),
+            ("docs/ARCHITECTURE.md", true, "nothing here".to_string()),
+            ("ci.yml", false, "env: { VERTEXICA_GONE: 0 }".to_string()),
+        ];
+        let found: Vec<(String, String)> =
+            env_var_diagnostics(&vars, &docs).into_iter().map(|d| (d.file, d.message)).collect();
+        assert_eq!(
+            found,
+            vec![
+                (
+                    "docs/ARCHITECTURE.md".to_string(),
+                    "`VERTEXICA_SCALE` is read by the code but undocumented in \
+                     docs/ARCHITECTURE.md"
+                        .to_string()
+                ),
+                (
+                    "ci.yml".to_string(),
+                    "`VERTEXICA_GONE` is named in ci.yml but no crate reads it".to_string()
+                ),
+            ]
         );
     }
 
