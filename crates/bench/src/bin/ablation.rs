@@ -368,8 +368,8 @@ fn shard_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
     println!("# per-(src,dst) outboxes while both sides still stream. remote-rows /");
     println!("# routed-bytes count that traffic; skew is the max/mean worker-input");
     println!("# ratio across shards; early-dispatches are partitions sealed by the");
-    println!("# summed prescan counts before end-of-stream. shards=1 is the plain");
-    println!("# single-database engine, byte for byte.");
+    println!("# summed prescan counts before end-of-stream. shards=1 is the same");
+    println!("# loop with no peers — what run_program runs.");
     // The combiner is pinned off on every variant (the sharded coordinator
     // coerces it off; the 1-shard baseline must run the same fold), so ranks
     // are bitwise-comparable across the sweep.

@@ -47,16 +47,11 @@ pub struct SuperstepOutcome {
     pub replaced: bool,
     /// Whether every vertex has voted to halt.
     pub all_halted: bool,
-    /// Merged aggregator values for the next superstep.
-    pub aggregates: FxHashMap<String, f64>,
-    /// Per-vertex aggregator partials `(name, vid, value)`, sorted by
-    /// (name, vid). The sharded coordinator folds the merge of every shard's
-    /// partials in this order — per-shard folded f64 sums are not bitwise
+    /// Per-vertex aggregator partials `(name, vid, value)`, in partition
+    /// order. The coordinator folds the merge of every shard's partials
+    /// sorted by (name, vid) — per-shard folded f64 sums are not bitwise
     /// recombinable, the global fold must see the raw per-vertex terms.
     pub agg_partials: Vec<(String, i64, f64)>,
-    /// Width of the apply fan-out: the number of segment buckets built in
-    /// parallel on the pool.
-    pub apply_parallelism: usize,
 }
 
 /// One worker output batch ([`crate::worker::worker_output_schema`]) as
@@ -170,7 +165,7 @@ pub fn apply_outputs<P: VertexProgram>(
     for (i, batch) in outputs.iter().enumerate() {
         apply.absorb(i, std::slice::from_ref(batch))?;
     }
-    apply_parallel(session, program, config, apply, total_vertices)
+    apply_parallel(session, program, config, apply, total_vertices, Vec::new())
 }
 
 /// The three column builders of one message-table segment
@@ -377,7 +372,12 @@ impl ParallelApply {
 /// The segment-parallel apply path: scatter per-partition deltas into
 /// recipient/vertex-hash buckets, build each bucket's new table segment in
 /// parallel on the shared pool, and commit both tables with atomic
-/// catalog-level contents swaps.
+/// catalog-level contents swaps. `extra_commit` holds further pre-encoded
+/// tables riding the same grouped commit: a shard of a sharded run swaps its
+/// meta-stamp table (and, when durable, the retained previous-superstep
+/// message table) **atomically with** the superstep's vertex/message
+/// replacement, so crash recovery always observes a shard at exactly one
+/// superstep boundary.
 ///
 /// The result does not depend on the bucket count, which is what lets the
 /// same run on any `num_workers` agree bitwise: every bucket is sorted by
@@ -401,25 +401,9 @@ pub fn apply_parallel<P: VertexProgram>(
     config: &VertexicaConfig,
     apply: ParallelApply,
     total_vertices: u64,
-) -> VertexicaResult<SuperstepOutcome> {
-    apply_parallel_with_extra(session, program, config, apply, total_vertices, Vec::new())
-}
-
-/// [`apply_parallel`] with additional pre-encoded table groups riding the
-/// same grouped commit. The sharded coordinator uses this to swap each
-/// shard's meta-stamp table (and, on the durable path, the retained
-/// previous-superstep message table) **atomically with** the superstep's
-/// vertex/message replacement, so crash recovery always observes a shard at
-/// exactly one superstep boundary.
-pub fn apply_parallel_with_extra<P: VertexProgram>(
-    session: &GraphSession,
-    program: &P,
-    config: &VertexicaConfig,
-    apply: ParallelApply,
-    total_vertices: u64,
     extra_commit: Vec<(String, Vec<vertexica_storage::Segment>)>,
 ) -> VertexicaResult<SuperstepOutcome> {
-    let ParallelApply { agg_specs, buckets, deltas } = apply;
+    let ParallelApply { buckets, deltas, .. } = apply;
     let mut deltas = deltas.into_inner();
     deltas.sort_by_key(|d| d.partition);
     let pool = session.db().runtime().clone();
@@ -460,15 +444,6 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
         .collect::<VertexicaResult<_>>()?;
     // The bytes a reference from delta `d` points at.
     let payload = |d: usize, at: CellRef| cells[d][at.batch as usize].get(at.row as usize);
-
-    // ---- aggregators: one fold in (name, vid) order ----
-    agg_partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-    let mut agg: FxHashMap<String, (AggKind, f64)> = FxHashMap::default();
-    for (name, _, v) in &agg_partials {
-        let kind = agg_specs[name];
-        let entry = agg.entry(name.clone()).or_insert((kind, kind.identity()));
-        entry.1 = kind.combine(entry.1, *v);
-    }
 
     // ---- update-vs-replace decision (needs the global delta size) ----
     let change_ratio =
@@ -645,9 +620,7 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
         messages: num_messages,
         replaced,
         all_halted: remaining == 0,
-        aggregates: agg.into_iter().map(|(k, (_, v))| (k, v)).collect(),
         agg_partials,
-        apply_parallelism: buckets,
     })
 }
 

@@ -64,19 +64,6 @@ pub struct VertexicaConfig {
     /// [`VertexicaConfig::with_memory_budget`] always wins. Only effective on
     /// a durable database — without spill images nothing is evictable.
     pub memory_budget_bytes: Option<usize>,
-    /// Number of engine shards for [`crate::shard::ShardedDatabase`] runs:
-    /// the graph is hash-partitioned over vid
-    /// ([`vertexica_storage::partition::int_key_partition`]) across N
-    /// independent `Database` instances, each with its own worker pool,
-    /// catalog, and (when durable) its own WAL directory; supersteps exchange
-    /// messages through per-(source, destination) outboxes with
-    /// prescan-sealed routing. `shards = 1` collapses to the single-database
-    /// code path byte for byte (plain [`crate::coordinator::run_program`] on
-    /// a plain session ignores this knob entirely). Defaults to 1; the
-    /// environment variable `VERTEXICA_SHARDS` sets the *default* (the hook
-    /// the sharded CI job and the cross-engine harness use), while
-    /// [`VertexicaConfig::with_shards`] always wins.
-    pub shards: usize,
     /// Hard cap on supersteps (safety net on top of the program's own limit).
     pub max_supersteps: u64,
     /// Checkpoint every N supersteps into `checkpoint_dir`.
@@ -105,18 +92,6 @@ pub fn durable_default() -> bool {
     }
 }
 
-/// Default for [`VertexicaConfig::shards`]: 1, unless the `VERTEXICA_SHARDS`
-/// environment variable sets a shard count — the hook the sharded CI job and
-/// the cross-engine harness use to run the equivalence matrix across N
-/// engine shards. Unparsable or zero values fall back to 1.
-pub fn shards_default() -> usize {
-    std::env::var("VERTEXICA_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
 impl Default for VertexicaConfig {
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
@@ -129,7 +104,6 @@ impl Default for VertexicaConfig {
             stream_chunk_rows: crate::input::STREAM_CHUNK_ROWS,
             durable: durable_default(),
             memory_budget_bytes: memory_budget_default(),
-            shards: shards_default(),
             max_supersteps: 10_000,
             checkpoint_every: None,
             checkpoint_dir: None,
@@ -175,11 +149,6 @@ impl VertexicaConfig {
 
     pub fn with_memory_budget(mut self, bytes: Option<usize>) -> Self {
         self.memory_budget_bytes = bytes;
-        self
-    }
-
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
         self
     }
 

@@ -2,8 +2,12 @@
 //!
 //! "The coordinator is the driver program that manages the supersteps … We
 //! implement the coordinator as a stored procedure; it runs as long as there
-//! is any message for the next superstep" (§2.2). Every superstep has one
-//! shape:
+//! is any message for the next superstep" (§2.2). There is one coordinator
+//! loop, in [`crate::shard`]: a single-database run is its one-shard case,
+//! with no peers to exchange counts or rows with. This module holds the
+//! single-database entry points ([`run_program`], [`resume_program`],
+//! [`register_as_procedure`]), vertex initialization, and the run's
+//! statistics. Every superstep has one shape:
 //!
 //! 1. assemble worker input ([`crate::input::assemble_chunks`], union or
 //!    join mode), pulled through scan cursors and streamed chunk by chunk —
@@ -13,7 +17,7 @@
 //! 2. scatter each chunk by vertex-id hash (vertex batching) on a pool task,
 //!    into partitions **sealed** by a key-column prescan
 //!    ([`crate::input::partition_row_plan`]) that tells each partition how
-//!    many rows it will receive;
+//!    many rows it will receive — summed over every shard's contribution;
 //! 3. run a partition's worker UDF on the **shared runtime pool**
 //!    ([`vertexica_common::runtime::WorkerPool`]) owned by the `Database`
 //!    the moment its last row lands — while assemble is still streaming
@@ -27,28 +31,23 @@
 //! 5. synchronization barrier, aggregator exchange, halt check.
 //!
 //! Steps 1–3 are [`vertexica_sql::Database::run_transform_pipelined`]; its
-//! [`PipelinedReport`] is the superstep's assemble/compute accounting. Each
-//! superstep's [`SuperstepStats`] carries the pipeline's observability: pool
-//! queue-wait, steal and nested-scope counts, compute/assemble overlap, plus
-//! peak/total in-flight input bytes.
+//! [`vertexica_sql::engine::PipelinedReport`] is the superstep's
+//! assemble/compute accounting. Each superstep's [`SuperstepStats`] carries
+//! the pipeline's observability: pool queue-wait, steal and nested-scope
+//! counts, compute/assemble overlap, plus peak/total in-flight input bytes.
 
 use std::sync::Arc;
 
 use vertexica_common::hash::FxHashMap;
 use vertexica_common::pregel::{InitContext, VertexProgram};
-use vertexica_common::timer::Stopwatch;
 use vertexica_common::VertexData;
-use vertexica_sql::engine::PipelinedReport;
-use vertexica_sql::TransformUdf;
 use vertexica_storage::{ColumnBuilder, DataType, RecordBatch, Value};
 
-use crate::apply::{apply_parallel, ParallelApply};
 use crate::config::VertexicaConfig;
 use crate::error::{VertexicaError, VertexicaResult};
-use crate::input::assemble_chunks;
 use crate::projection::EdgeProjection;
 use crate::session::{vertex_schema, GraphSession};
-use crate::worker::VertexWorker;
+use crate::shard::run_shards;
 
 /// Per-superstep observability.
 #[derive(Debug, Clone)]
@@ -130,9 +129,8 @@ pub struct SuperstepStats {
     /// budget).
     pub reloads: u64,
     /// Messages routed to a *different* shard through a cross-shard outbox
-    /// this superstep. Always zero on a single-database run; on a
-    /// [`crate::shard::ShardedDatabase`] run the sharded coordinator sums
-    /// every shard's outbound count.
+    /// this superstep: every shard's outbound count, summed (always zero on
+    /// a single-database run).
     pub remote_messages: u64,
     /// Estimated bytes of cross-shard rows pushed through outboxes this
     /// superstep (zero on a single-database run).
@@ -205,14 +203,14 @@ fn vertex_degrees(
 /// [`initialize_vertices`] with the *global* vertex count supplied by the
 /// caller. A shard of a [`crate::shard::ShardedDatabase`] holds only its own
 /// vertices, but `InitContext::num_vertices` (e.g. PageRank's `1/N` seed)
-/// must reflect the whole graph — so the sharded coordinator passes the
-/// cross-shard total while each shard initializes just its local rows.
+/// must reflect the whole graph — so the coordinator passes the cross-shard
+/// total while each shard initializes just its local rows.
 /// Out-degrees are computed locally, which is exact because every vertex's
 /// outbound edges are colocated with it by the ownership hash — from `edges`
 /// when the run has a projection (`vertex_degrees`).
 ///
 /// `extra` rides the same grouped catalog commit as the vertex/message
-/// initialization — the sharded coordinator passes its freshly stamped
+/// initialization — a sharded run passes each shard's freshly stamped
 /// shard-meta table here so a crash can never separate an initialized graph
 /// from its superstep stamp.
 pub(crate) fn initialize_vertices_with_total<P: VertexProgram>(
@@ -261,240 +259,24 @@ pub(crate) fn initialize_vertices_with_total<P: VertexProgram>(
     Ok(())
 }
 
-/// Runs a vertex program to completion on a graph session.
+/// Runs a vertex program to completion on a graph session: the one
+/// coordinator loop over a single shard.
 pub fn run_program<P: VertexProgram + 'static>(
     session: &GraphSession,
     program: Arc<P>,
     config: &VertexicaConfig,
 ) -> VertexicaResult<RunStats> {
-    let total = Stopwatch::start();
-    // Size the shared runtime pool once for the whole run; every superstep
-    // reuses the same worker threads.
-    session.db().runtime().resize(config.num_workers);
-    // Apply the out-of-core budget before the first checkpoint: the
-    // checkpoint gives every cold segment a `.vxtb` spill twin, after which
-    // the pool can evict down to the budget.
-    if let Some(budget) = config.memory_budget_bytes {
-        session.db().catalog().buffer_pool().set_budget(Some(budget));
-    }
-    let (edges, projection_build_secs) = crate::projection::for_run(session, config)?;
-    let num_vertices = session.num_vertices()?;
-    initialize_vertices_with_total(
-        session,
-        program.as_ref(),
-        num_vertices,
-        Vec::new(),
-        edges.as_deref(),
-    )?;
-    if config.durable {
-        // Flush the freshly initialized vertex/message tables so recovery
-        // from a crash in superstep 0 starts from the initialized state
-        // instead of replaying graph loading.
-        session.db().checkpoint()?;
-    }
-    let mut stats =
-        superstep_loop(session, program, config, num_vertices, 0, FxHashMap::default(), edges)?;
-    if config.durable {
-        // Land the final state in segment files and truncate the log.
-        session.db().checkpoint()?;
-    }
-    stats.projection_build_secs = projection_build_secs;
-    stats.total_secs = total.elapsed_secs();
-    Ok(stats)
+    run_shards(std::slice::from_ref(session), program, config, false)
 }
 
-/// Resumes a run from a checkpoint previously written by the coordinator
-/// (requires `config.checkpoint_dir`).
+/// Resumes a run from the checkpoint the coordinator wrote under
+/// `<checkpoint_dir>/shard0/` (requires `config.checkpoint_dir`).
 pub fn resume_program<P: VertexProgram + 'static>(
     session: &GraphSession,
     program: Arc<P>,
     config: &VertexicaConfig,
 ) -> VertexicaResult<RunStats> {
-    let dir = config
-        .checkpoint_dir
-        .as_ref()
-        .ok_or_else(|| VertexicaError::Checkpoint("no checkpoint_dir configured".into()))?;
-    let total = Stopwatch::start();
-    session.db().runtime().resize(config.num_workers);
-    if let Some(budget) = config.memory_budget_bytes {
-        session.db().catalog().buffer_pool().set_budget(Some(budget));
-    }
-    let state = crate::checkpoint::restore(session, dir)?;
-    let (edges, projection_build_secs) = crate::projection::for_run(session, config)?;
-    let num_vertices = session.num_vertices()?;
-    let mut stats = superstep_loop(
-        session,
-        program,
-        config,
-        num_vertices,
-        state.superstep + 1,
-        state.aggregates,
-        edges,
-    )?;
-    if config.durable {
-        session.db().checkpoint()?;
-    }
-    stats.projection_build_secs = projection_build_secs;
-    stats.total_secs = total.elapsed_secs();
-    Ok(stats)
-}
-
-/// Runs one superstep's assemble → scatter → compute stages, handing each
-/// partition's worker output to `apply` as the partition finishes. The
-/// key-column prescan plans per-partition completion, chunks are scattered
-/// by pool tasks, and sealed partitions start computing while assemble
-/// still streams.
-fn run_compute(
-    session: &GraphSession,
-    config: &VertexicaConfig,
-    worker: &Arc<dyn TransformUdf>,
-    edge_rows: bool,
-    apply: &ParallelApply,
-) -> VertexicaResult<PipelinedReport> {
-    let num_partitions = config.num_partitions.max(1);
-    let plan =
-        crate::input::partition_row_plan(session, config.input_mode, num_partitions, edge_rows)?;
-    Ok(session.db().run_transform_pipelined(
-        worker,
-        vec![0],
-        num_partitions,
-        plan,
-        &mut |chunk_sink| {
-            assemble_chunks(
-                session,
-                config.input_mode,
-                config.stream_chunk_rows,
-                edge_rows,
-                &mut |chunk| chunk_sink(chunk).map_err(VertexicaError::from),
-            )
-            .map_err(|e| match e {
-                VertexicaError::Sql(e) => e,
-                other => vertexica_sql::SqlError::Execution(other.to_string()),
-            })
-        },
-        &|idx, out| {
-            apply.absorb(idx, &out).map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))
-        },
-    )?)
-}
-
-fn superstep_loop<P: VertexProgram + 'static>(
-    session: &GraphSession,
-    program: Arc<P>,
-    config: &VertexicaConfig,
-    num_vertices: u64,
-    start_superstep: u64,
-    mut prev_aggregates: FxHashMap<String, f64>,
-    edges: Option<Arc<EdgeProjection>>,
-) -> VertexicaResult<RunStats> {
-    let mut stats = RunStats {
-        projection_bytes: edges.as_ref().map_or(0, |e| e.estimated_bytes()),
-        ..RunStats::default()
-    };
-    let edge_rows = edges.is_none();
-    let max_supersteps = config.max_supersteps.min(program.max_supersteps());
-    let mut superstep = start_superstep;
-
-    loop {
-        if superstep >= max_supersteps {
-            break;
-        }
-        // Termination: stop when no messages are pending and every vertex
-        // has halted. Within a run the previous superstep's outcome already
-        // says so (the break at the loop bottom); only a *resumed* run has
-        // to ask the tables, once, for the state it restored.
-        if superstep == start_superstep && start_superstep > 0 {
-            let pending = session
-                .db()
-                .query_int(&format!("SELECT COUNT(*) FROM {}", session.message_table()))?;
-            let active = session.db().query_int(&format!(
-                "SELECT COUNT(*) FROM {} WHERE halted = FALSE",
-                session.vertex_table()
-            ))?;
-            if pending == 0 && active == 0 {
-                break;
-            }
-        }
-
-        // 1–3. Assemble, scatter and compute, each partition's output
-        // absorbed into the apply buckets as it finishes; 4. apply: the
-        // per-bucket segment builds and the one grouped commit.
-        let pool_before = session.db().runtime().metrics();
-        let dur_before = session.db().durability_stats();
-        let buffer_pool = session.db().catalog().buffer_pool().clone();
-        buffer_pool.reset_peak();
-        let bp_before = buffer_pool.stats();
-        let worker: Arc<dyn TransformUdf> = Arc::new(VertexWorker {
-            program: program.clone(),
-            superstep,
-            num_vertices,
-            prev_aggregates: Arc::new(prev_aggregates.clone()),
-            use_combiner: config.use_combiner,
-            pool: Some(session.db().runtime().clone()),
-            edges: edges.clone(),
-        });
-        let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
-        let report = run_compute(session, config, &worker, edge_rows, &apply)?;
-        let sw = Stopwatch::start();
-        let outcome = apply_parallel(session, program.as_ref(), config, apply, num_vertices)?;
-        let apply_secs = sw.elapsed_secs();
-        let pool_delta = session.db().runtime().metrics().delta_since(&pool_before);
-        let (wal_records, wal_bytes, flush_bytes) =
-            match (dur_before, session.db().durability_stats()) {
-                (Some(before), Some(after)) => (
-                    after.wal_records - before.wal_records,
-                    after.wal_bytes - before.wal_bytes,
-                    after.flush_bytes - before.flush_bytes,
-                ),
-                _ => (0, 0, 0),
-            };
-        let bp_after = buffer_pool.stats();
-
-        prev_aggregates = outcome.aggregates.clone();
-        stats.per_superstep.push(SuperstepStats {
-            superstep,
-            messages: outcome.messages,
-            vertex_changes: outcome.vertex_changes,
-            replaced: outcome.replaced,
-            assemble_secs: report.assemble_secs,
-            compute_secs: report.compute_secs,
-            apply_secs,
-            apply_parallelism: outcome.apply_parallelism,
-            overlap_secs: report.overlap_secs,
-            queue_wait_secs: pool_delta.queue_wait_secs,
-            steals: pool_delta.tasks_stolen,
-            nested_scopes: pool_delta.nested_scopes,
-            peak_batch_bytes: report.peak_chunk_bytes,
-            input_bytes: report.input_bytes,
-            peak_resident_scan_bytes: report.peak_resident_scan_bytes,
-            early_dispatches: report.early_dispatches,
-            wal_records,
-            wal_bytes,
-            flush_bytes,
-            resident_bytes: buffer_pool.peak_resident_bytes(),
-            evictions: bp_after.evictions - bp_before.evictions,
-            reloads: bp_after.reloads - bp_before.reloads,
-            remote_messages: 0,
-            routed_bytes: 0,
-            shard_skew: 1.0,
-        });
-        stats.total_messages += outcome.messages as u64;
-        stats.supersteps = superstep + 1 - start_superstep;
-        stats.aggregates = outcome.aggregates.clone();
-
-        // 5. Checkpoint if configured.
-        if let (Some(every), Some(dir)) = (config.checkpoint_every, &config.checkpoint_dir) {
-            if (superstep + 1).is_multiple_of(every) {
-                crate::checkpoint::save(session, dir, superstep, &prev_aggregates)?;
-            }
-        }
-
-        if outcome.messages == 0 && outcome.all_halted {
-            break;
-        }
-        superstep += 1;
-    }
-    Ok(stats)
+    run_shards(std::slice::from_ref(session), program, config, true)
 }
 
 /// Registers a vertex program as a named stored procedure so it can be
@@ -520,7 +302,7 @@ pub fn register_as_procedure<P: VertexProgram + 'static>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::InputMode;
     use vertexica_common::graph::EdgeList;
@@ -529,7 +311,7 @@ mod tests {
     use vertexica_sql::Database;
 
     /// HashMax connected components: every vertex adopts the largest id seen.
-    struct MaxId;
+    pub(crate) struct MaxId;
     impl VertexProgram for MaxId {
         type Value = u64;
         type Message = u64;

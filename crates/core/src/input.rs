@@ -195,18 +195,22 @@ fn emit_capped(
 }
 
 /// How much input each compute partition will eventually receive, for
-/// pipelined per-partition completion detection: `plan[p]` is the number of
-/// union-schema rows hashing (on `vid`) to partition `p`.
+/// pipelined per-partition completion detection: `plan[d][p]` is the number
+/// of union-schema rows hashing (on `vid`) to shard `d`, partition `p`. A
+/// one-shard run reads `plan[0]`; a shard of a sharded run hands its matrix
+/// to its peers, and each destination sums the column it owns.
 ///
 /// This is how the chunk sources "declare which partitions they can still
 /// touch": a cheap prescan of each source table hashes every future row
-/// with the exact rule the scatter uses, so the moment partition `p` has
-/// received `plan[p]` rows, no later chunk can touch it and its compute
-/// task can launch.
+/// with the exact rule the scatter and the cross-shard split use
+/// ([`vertexica_storage::partition::split_batch`]), so the moment partition
+/// `p` has received its planned rows, no later chunk can touch it and its
+/// compute task can launch.
 ///
 /// * [`InputMode::TableUnion`]: only each source's **key column** is
 ///   prescanned (one BIGINT column out of six — the blob payloads that
-///   dominate assemble are never decoded) and every row counts once.
+///   dominate assemble are never decoded), hashed column-wise, and every
+///   row counts once.
 /// * [`InputMode::ThreeWayJoin`]: every re-shaped row's partition is
 ///   `hash(vid)` where `vid` is the probed vertex id, so placement *can* be
 ///   planned without running the join — the prescan replays the re-shape's
@@ -216,11 +220,13 @@ fn emit_capped(
 pub fn partition_row_plan(
     session: &GraphSession,
     mode: InputMode,
+    num_shards: usize,
     num_partitions: usize,
     edge_rows: bool,
-) -> VertexicaResult<Option<Vec<u64>>> {
+) -> VertexicaResult<Vec<Vec<u64>>> {
+    let num_shards = num_shards.max(1);
     let num_partitions = num_partitions.max(1);
-    let mut plan = vec![0u64; num_partitions];
+    let mut plan = vec![vec![0u64; num_partitions]; num_shards];
     match mode {
         InputMode::TableUnion => {
             // The sources' key columns: vertex id, edge src, message
@@ -229,25 +235,33 @@ pub fn partition_row_plan(
             for (kind, _) in union_sources(edge_rows) {
                 let mut cursor = session.db().scan_cursor(&kind.table(session), Some(&[0]), &[])?;
                 while let Some(batch) = cursor.next_batch()? {
-                    if num_partitions == 1 {
-                        plan[0] += batch.num_rows() as u64;
+                    if num_shards == 1 && num_partitions == 1 {
+                        plan[0][0] += batch.num_rows() as u64;
                         continue;
                     }
-                    let assign = vertexica_storage::partition::partition_assignments(
-                        std::slice::from_ref(&batch),
-                        &[0],
-                        num_partitions,
-                    );
-                    for &p in &assign[0] {
-                        plan[p] += 1;
+                    // `partition_assignments`' hash, taken once for both
+                    // the shard and the partition.
+                    let mut hashes = vec![0u64; batch.num_rows()];
+                    batch.column(0).hash_combine(&mut hashes);
+                    let part = |h: u64| (h % num_partitions as u64) as usize;
+                    if num_shards == 1 {
+                        let plan = &mut plan[0];
+                        hashes.into_iter().for_each(|h| plan[part(h)] += 1);
+                    } else {
+                        let shard = |h: u64| (h % num_shards as u64) as usize;
+                        hashes.into_iter().for_each(|h| plan[shard(h)][part(h)] += 1);
                     }
                 }
             }
         }
         InputMode::ThreeWayJoin => {
             let mut dedup = JoinDedup::default();
-            let part =
-                |vid: i64| vertexica_storage::partition::int_key_partition(vid, num_partitions);
+            let mut place = |vid: i64| {
+                use vertexica_storage::partition::int_key_partition;
+                let (d, p) =
+                    (int_key_partition(vid, num_shards), int_key_partition(vid, num_partitions));
+                plan[d][p] += 1;
+            };
             // Every vertex contributes exactly one KIND_VERTEX row. A NULL
             // id would fail assembly loudly; skip it here so the prescan
             // errors in the same place the re-shape does.
@@ -257,7 +271,7 @@ pub fn partition_row_plan(
                 for i in 0..batch.num_rows() {
                     if let Some(id) = ids.value(i).as_int() {
                         if dedup.seen_vertex.insert(id) {
-                            plan[part(id)] += 1;
+                            place(id);
                         }
                     }
                 }
@@ -275,7 +289,7 @@ pub fn partition_row_plan(
                     }
                     if let Some(key) = msg_dedup_key(recipient, &row[1], &row[2]) {
                         if dedup.seen_msg.insert(key) {
-                            plan[part(recipient)] += 1;
+                            place(recipient);
                         }
                     }
                 }
@@ -293,14 +307,14 @@ pub fn partition_row_plan(
                     }
                     if let Some(key) = edge_dedup_key(src, &row[1], &row[2]) {
                         if dedup.seen_edge.insert(key) {
-                            plan[part(src)] += 1;
+                            place(src);
                         }
                     }
                 }
             }
         }
     }
-    Ok(Some(plan))
+    Ok(plan)
 }
 
 /// The running seen-sets that deduplicate the 3-way join's per-vertex
@@ -721,27 +735,37 @@ mod tests {
     }
 
     /// The plan-vs-scatter invariant for a given mode: the prescan's
-    /// per-partition counts must equal what assemble actually delivers, at
-    /// several partition counts.
+    /// per-(shard, partition) counts must equal what assemble actually
+    /// delivers through the cross-shard split and the partition scatter, at
+    /// several shard and partition counts.
     fn assert_plan_matches_scatter(g: &GraphSession, mode: InputMode, edge_rows: bool) {
-        use vertexica_storage::partition::StreamingPartitioner;
-        for parts in [1usize, 3, 8] {
-            let plan = partition_row_plan(g, mode, parts, edge_rows).unwrap().unwrap();
-            assert_eq!(plan.len(), parts);
-            let mut partitioner = StreamingPartitioner::new(vec![0], parts);
-            assemble_chunks(g, mode, STREAM_CHUNK_ROWS, edge_rows, &mut |b| {
-                partitioner.push(&b).map_err(VertexicaError::from)
-            })
-            .unwrap();
-            let scattered: Vec<u64> = partitioner
-                .finish()
-                .iter()
-                .map(|p| p.iter().map(|b| b.num_rows() as u64).sum())
-                .collect();
-            assert_eq!(
-                plan, scattered,
-                "{mode:?}/{parts} partitions: plan must equal the real scatter"
-            );
+        use vertexica_storage::partition::{split_batch, StreamingPartitioner};
+        for shards in [1usize, 2, 3] {
+            for parts in [1usize, 3, 8] {
+                let plan = partition_row_plan(g, mode, shards, parts, edge_rows).unwrap();
+                let mut partitioners: Vec<_> =
+                    (0..shards).map(|_| StreamingPartitioner::new(vec![0], parts)).collect();
+                assemble_chunks(g, mode, STREAM_CHUNK_ROWS, edge_rows, &mut |b| {
+                    for (d, piece) in split_batch(&b, &[0], shards)? {
+                        partitioners[d].push(&piece)?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+                let scattered: Vec<Vec<u64>> = partitioners
+                    .into_iter()
+                    .map(|p| {
+                        p.finish()
+                            .iter()
+                            .map(|p| p.iter().map(|b| b.num_rows() as u64).sum())
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(
+                    plan, scattered,
+                    "{mode:?}/{shards} shards/{parts} partitions: plan must equal the real scatter"
+                );
+            }
         }
     }
 
@@ -766,8 +790,8 @@ mod tests {
         let kinds = [KIND_VERTEX, KIND_EDGE, KIND_MESSAGE].map(|k| count_kind(&chunks, k));
         assert_eq!(kinds, [3, 0, 2]);
         assert_eq!(sorted_rows(&sql_union(&g, false)), sorted_rows(&chunks));
-        let plan = partition_row_plan(&g, InputMode::TableUnion, 3, false).unwrap().unwrap();
-        assert_eq!(plan.iter().sum::<u64>(), 5);
+        let plan = partition_row_plan(&g, InputMode::TableUnion, 1, 3, false).unwrap();
+        assert_eq!(plan.iter().flatten().sum::<u64>(), 5);
     }
 
     /// The join mode has a row plan too (it is how its partitions seal):

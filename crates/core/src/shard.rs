@@ -1,13 +1,29 @@
-//! Sharded execution: the graph hash-partitioned across N engine shards.
+//! Sharded execution, and the one superstep loop that drives every run.
 //!
 //! A [`ShardedDatabase`] owns N fully independent [`Database`] engines —
 //! each with its own catalog, worker pool and (when durable) its own WAL
 //! directory under `<root>/shard<k>/`. Shard ownership is the engine-wide
-//! ownership hash [`int_key_partition`] over vertex id: a vertex row, its
+//! ownership hash [`vertexica_storage::partition::int_key_partition`] over
+//! vertex id: a vertex row, its
 //! outbound edges (keyed by `src`) and its inbound messages (keyed by
 //! `recipient`) all land on the owning shard, so at superstep time **only
 //! message rows ever cross a shard boundary** — a shard's message table
 //! holds the messages its vertices *produced*, whatever their recipient.
+//!
+//! ## One loop for every shard count
+//!
+//! `superstep_loop` is the engine's only coordinator loop. A sharded run
+//! ([`run_sharded`]) drives it over the N shard sessions; a single-database
+//! run ([`crate::coordinator::run_program`]) drives it over a one-element
+//! slice. The one-shard case is simply the case with no peers: the counts
+//! rendezvous fills at once, there are no outboxes, and the cross-shard
+//! split of every chunk is a clone. What depends on N:
+//!
+//! * the `sharded_config` coercions apply only at N ≥ 2;
+//! * the crash-repair bookkeeping tables (below) exist and ride each apply
+//!   commit only at N ≥ 2 — the `_message_prev` retention only when the
+//!   shards are also durable — so a single-database run writes exactly the
+//!   tables it owns.
 //!
 //! ## Prescan-sealed cross-shard routing
 //!
@@ -15,14 +31,13 @@
 //!
 //! 1. prescans its local source tables' key columns and computes, for every
 //!    (destination shard, destination partition) pair, how many union-schema
-//!    rows it will contribute (`prescan_counts` — the cross-shard
-//!    generalization of [`crate::input::partition_row_plan`]);
+//!    rows it will contribute ([`crate::input::partition_row_plan`]);
 //! 2. swaps those count matrices with every other shard through a condvar
 //!    rendezvous (control plane only — no data moves here);
 //! 3. streams its local assemble, splitting every chunk by owner: the local
 //!    piece feeds its own pipelined scatter, remote pieces are pushed into
 //!    lock-free per-(source, destination) [`Outbox`]es while the destination
-//!    is still assembling — the PR-4 overlapped dataflow crosses shard
+//!    is still assembling — the overlapped dataflow crosses shard
 //!    boundaries, and a partition fed from three shards **seals the moment
 //!    its last inbound row lands** (the summed count matrices told it
 //!    exactly how many to expect), not at any superstep-wide barrier.
@@ -31,21 +46,18 @@
 //! shard reports its local pending-message and active-vertex counts, and the
 //! coordinator sums them before launching the next superstep.
 //!
-//! ## Bitwise equivalence with the single-database engine
+//! ## Bitwise equivalence across shard counts
 //!
-//! `shards = 1` runs [`crate::coordinator::run_program`] on the one
-//! underlying session with the caller's exact config — byte-for-byte the
-//! single-database code path. For N ≥ 2 the coordinator coerces the config
-//! (`sharded_config`): table-union input and **the apply-side combiner
-//! off**. The combiner must
+//! For N ≥ 2 the coordinator coerces the config (`sharded_config`):
+//! table-union input and **the apply-side combiner off**. The combiner must
 //! be off because it folds per recipient *within the producing shard*: a
 //! recipient fed from two shards would see `(a⊕b) ⊕ (c⊕d)` where the
 //! single-database run folds `((a⊕b)⊕c)⊕d` — bitwise-divergent for
 //! non-associative f64 folds. With raw messages the N-shard union of message
 //! tables equals the 1-shard table row-for-row, and the worker's canonical
 //! input sort makes every compute call's message slice identical. Global
-//! aggregators are folded from the merged per-vertex partials sorted by
-//! (name, vid) — the exact fold order of the single-database apply.
+//! aggregators are folded once, by the loop, from every shard's per-vertex
+//! partials sorted by (name, vid) — one fold order for every N.
 //!
 //! ## Per-shard durability and crash repair
 //!
@@ -75,17 +87,17 @@ use vertexica_common::pregel::{AggKind, VertexProgram};
 use vertexica_common::runtime::{Outbox, PoolMetrics};
 use vertexica_common::timer::Stopwatch;
 use vertexica_common::{VertexData, VertexId};
+use vertexica_sql::engine::PipelinedReport;
 use vertexica_sql::{Database, SqlError, TransformUdf};
-use vertexica_storage::partition::{int_key_partition, split_batch};
+use vertexica_storage::partition::split_batch;
 use vertexica_storage::{DataType, Field, RecordBatch, Schema, TableOptions, Value};
 
-use crate::apply::{apply_parallel_with_extra, ParallelApply};
+use crate::apply::{apply_parallel, ParallelApply};
+use crate::checkpoint::CheckpointState;
 use crate::config::{InputMode, VertexicaConfig};
-use crate::coordinator::{
-    initialize_vertices_with_total, resume_program, run_program, RunStats, SuperstepStats,
-};
+use crate::coordinator::{initialize_vertices_with_total, RunStats, SuperstepStats};
 use crate::error::{VertexicaError, VertexicaResult};
-use crate::input::{assemble_chunks, message_union_batch};
+use crate::input::{assemble_chunks, message_union_batch, partition_row_plan};
 use crate::projection::EdgeProjection;
 use crate::session::{message_schema, GraphSession};
 use crate::worker::VertexWorker;
@@ -200,12 +212,12 @@ impl ShardedGraphSession {
         for shard_db in db.shards() {
             let sess = GraphSession::create(shard_db.clone(), &name)?;
             shard_db.catalog().create_table(
-                &format!("{name}_shard_meta"),
+                &meta_table_name(&name),
                 meta_schema(),
                 TableOptions::default(),
             )?;
             shard_db.catalog().create_table(
-                &format!("{name}_message_prev"),
+                &message_prev_table_name(&name),
                 message_schema(),
                 TableOptions::default().sorted_by(vec![0]),
             )?;
@@ -224,33 +236,12 @@ impl ShardedGraphSession {
         let mut sessions = Vec::with_capacity(db.num_shards());
         for shard_db in db.shards() {
             let sess = GraphSession::open(shard_db.clone(), &name)?;
-            shard_db.catalog().get(&format!("{name}_shard_meta"))?;
-            shard_db.catalog().get(&format!("{name}_message_prev"))?;
+            shard_db.catalog().get(&meta_table_name(&name))?;
+            shard_db.catalog().get(&message_prev_table_name(&name))?;
             sessions.push(sess);
         }
         let ss = ShardedGraphSession { db, sessions, name };
-        let stamps = ss.stamps()?;
-        let known: Vec<i64> = stamps.iter().flatten().copied().collect();
-        if !known.is_empty() {
-            if known.len() != stamps.len() {
-                return Err(VertexicaError::Runtime(format!(
-                    "graph {}: {} of {} shards have no superstep stamp — crash during \
-                     initialization; reload the graph",
-                    ss.name,
-                    stamps.len() - known.len(),
-                    stamps.len()
-                )));
-            }
-            let min = known.iter().min().copied().unwrap_or(STAMP_INIT);
-            let max = known.iter().max().copied().unwrap_or(STAMP_INIT);
-            if max - min > 1 {
-                return Err(VertexicaError::Runtime(format!(
-                    "graph {}: shard superstep stamps spread {min}..{max} — the halting vote \
-                     bounds the spread to 1; storage is corrupt",
-                    ss.name
-                )));
-            }
-        }
+        stamp_range(&ss.name, &ss.stamps()?)?;
         Ok(ss)
     }
 
@@ -273,12 +264,12 @@ impl ShardedGraphSession {
 
     /// Name of the per-shard superstep stamp table.
     pub fn meta_table(&self) -> String {
-        format!("{}_shard_meta", self.name)
+        meta_table_name(&self.name)
     }
 
     /// Name of the per-shard previous-superstep message retention table.
     pub fn message_prev_table(&self) -> String {
-        format!("{}_message_prev", self.name)
+        message_prev_table_name(&self.name)
     }
 
     /// Sharded bulk load: every shard keeps exactly the rows it owns
@@ -339,6 +330,17 @@ impl ShardedGraphSession {
 // Shard meta: the per-shard superstep stamp table.
 // ---------------------------------------------------------------------------
 
+/// The per-shard superstep stamp table of graph `graph`.
+fn meta_table_name(graph: &str) -> String {
+    format!("{graph}_shard_meta")
+}
+
+/// The per-shard previous-superstep message retention table of graph
+/// `graph`.
+fn message_prev_table_name(graph: &str) -> String {
+    format!("{graph}_message_prev")
+}
+
 /// Schema of the `<name>_shard_meta` stamp table.
 fn meta_schema() -> Arc<Schema> {
     Schema::new(vec![
@@ -379,6 +381,33 @@ fn meta_rows(
         ]);
     }
     rows
+}
+
+/// The `(min, max)` of every shard's superstep stamp — `None` when no shard
+/// was ever initialized — after checking the crash invariant the halting
+/// vote guarantees: no shard is missing its stamp while another has one (a
+/// crash during initialization, which is not repairable; reload the graph),
+/// and the stamps spread by at most one superstep.
+fn stamp_range(graph: &str, stamps: &[Option<i64>]) -> VertexicaResult<Option<(i64, i64)>> {
+    let known: Vec<i64> = stamps.iter().flatten().copied().collect();
+    let (Some(&min), Some(&max)) = (known.iter().min(), known.iter().max()) else {
+        return Ok(None);
+    };
+    if known.len() != stamps.len() {
+        return Err(VertexicaError::Runtime(format!(
+            "graph {graph}: {} of {} shards have no superstep stamp — crash during \
+             initialization; reload the graph",
+            stamps.len() - known.len(),
+            stamps.len()
+        )));
+    }
+    if max - min > 1 {
+        return Err(VertexicaError::Runtime(format!(
+            "graph {graph}: shard superstep stamps spread {min}..{max} — the halting vote \
+             bounds the spread to 1; storage is corrupt"
+        )));
+    }
+    Ok(Some((min, max)))
 }
 
 fn read_meta(sess: &GraphSession, table: &str) -> VertexicaResult<Option<ShardMeta>> {
@@ -447,8 +476,9 @@ fn replace_meta(
 // Config coercion.
 // ---------------------------------------------------------------------------
 
-/// The config an N ≥ 2 sharded run actually executes with. Coercions and
-/// why (each is proven bitwise-safe by the equivalence harness):
+/// The config an N-shard run actually executes with: `config` itself for
+/// N = 1, and for N ≥ 2 these coercions (each proven bitwise-safe by the
+/// equivalence harness):
 ///
 /// * `input_mode = TableUnion` — the sharded exchange is built into the
 ///   union's plan-sealed producer;
@@ -464,7 +494,9 @@ fn replace_meta(
 ///   the one global budget instead of multiplying it.
 fn sharded_config(config: &VertexicaConfig, num_shards: usize, durable: bool) -> VertexicaConfig {
     let mut c = config.clone();
-    c.shards = num_shards;
+    if num_shards < 2 {
+        return c;
+    }
     c.input_mode = InputMode::TableUnion;
     c.use_combiner = false;
     c.durable = durable;
@@ -472,7 +504,7 @@ fn sharded_config(config: &VertexicaConfig, num_shards: usize, durable: bool) ->
         c.replace_threshold = 0.0;
     }
     if let Some(budget) = c.memory_budget_bytes {
-        c.memory_budget_bytes = Some((budget / num_shards.max(1)).max(1));
+        c.memory_budget_bytes = Some((budget / num_shards).max(1));
     }
     c
 }
@@ -578,37 +610,6 @@ impl CountsBoard {
     }
 }
 
-/// One shard's contribution to every destination's row plan:
-/// `counts[d][p]` = union-schema rows from this shard's tables whose key
-/// hashes to shard `d`, partition `p`. Key columns only — same cost shape as
-/// [`crate::input::partition_row_plan`], which this generalizes (including
-/// `edge_rows`: the edge table is counted only when the assemble will stream
-/// it). Vertex and edge rows are owner-local by construction (the load hashed
-/// them here), but hashing the owner anyway keeps the plan consistent with
-/// the scatter by definition rather than by convention.
-fn prescan_counts(
-    sess: &GraphSession,
-    num_shards: usize,
-    num_partitions: usize,
-    edge_rows: bool,
-) -> VertexicaResult<Vec<Vec<u64>>> {
-    let parts = num_partitions.max(1);
-    let mut counts = vec![vec![0u64; parts]; num_shards];
-    let edge_table = edge_rows.then(|| sess.edge_table());
-    let tables = [Some(sess.vertex_table()), edge_table, Some(sess.message_table())];
-    for table in tables.into_iter().flatten() {
-        let mut cursor = sess.db().scan_cursor(&table, Some(&[0]), &[])?;
-        while let Some(batch) = cursor.next_batch()? {
-            let keys = batch.column(0);
-            for i in 0..batch.num_rows() {
-                let Some(key) = keys.value(i).as_int() else { continue };
-                counts[int_key_partition(key, num_shards)][int_key_partition(key, parts)] += 1;
-            }
-        }
-    }
-    Ok(counts)
-}
-
 // ---------------------------------------------------------------------------
 // One shard's superstep.
 // ---------------------------------------------------------------------------
@@ -617,14 +618,8 @@ fn prescan_counts(
 /// aggregation.
 struct ShardReport {
     outcome: crate::apply::SuperstepOutcome,
-    assemble_secs: f64,
-    compute_secs: f64,
-    overlap_secs: f64,
+    pipeline: PipelinedReport,
     apply_secs: f64,
-    input_bytes: usize,
-    peak_batch_bytes: usize,
-    peak_resident_scan_bytes: usize,
-    early_dispatches: usize,
     pool_delta: PoolMetrics,
     wal_records: u64,
     wal_bytes: u64,
@@ -637,6 +632,10 @@ struct ShardReport {
     input_rows: u64,
 }
 
+/// One shard's superstep: prescan, counts rendezvous, assemble → scatter →
+/// compute with cross-shard routing, apply. `tables` names the
+/// `(meta stamp, message retention)` bookkeeping tables that ride the apply
+/// commit — `None` on a one-shard run, which has neither.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_superstep<P: VertexProgram + 'static>(
     sess: &GraphSession,
@@ -647,8 +646,7 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     superstep: u64,
     num_vertices: u64,
     prev_aggregates: &FxHashMap<String, f64>,
-    meta_table: &str,
-    msg_prev_table: &str,
+    tables: Option<(&str, &str)>,
     edges: Option<Arc<EdgeProjection>>,
 ) -> VertexicaResult<ShardReport> {
     let edge_rows = edges.is_none();
@@ -661,19 +659,21 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     buffer_pool.reset_peak();
     let bp_before = buffer_pool.stats();
 
-    // Durable: retain this superstep's message *input* for crash repair. The
-    // segments are pre-encoded here and committed atomically with the apply.
-    let msg_prev_segments = if config.durable {
-        let batches = db.scan_table(&sess.message_table(), None, &[])?;
-        Some(db.encode_segments_for(msg_prev_table, batches)?)
-    } else {
-        None
+    // Durable sharded run: retain this superstep's message *input* for crash
+    // repair. The segments are pre-encoded here and committed atomically
+    // with the apply.
+    let msg_prev = match tables {
+        Some((_, msg_prev_table)) if config.durable => {
+            let batches = db.scan_table(&sess.message_table(), None, &[])?;
+            Some((msg_prev_table.to_string(), db.encode_segments_for(msg_prev_table, batches)?))
+        }
+        _ => None,
     };
 
     // Control plane: plan every destination's per-partition row counts and
     // swap matrices with the peers. expected[p] = what partition p of THIS
     // shard will receive from all N sources — the seal thresholds.
-    let counts = prescan_counts(sess, n, parts, edge_rows)?;
+    let counts = partition_row_plan(sess, config.input_mode, n, parts, edge_rows)?;
     let matrix = exchange.counts.exchange(shard, counts, &exchange.abort)?;
     let expected: Vec<u64> = (0..parts).map(|p| matrix.iter().map(|m| m[shard][p]).sum()).collect();
     let input_rows: u64 = expected.iter().sum();
@@ -697,7 +697,7 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     });
     let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
 
-    let report = db.run_transform_pipelined(
+    let pipeline = db.run_transform_pipelined(
         &worker,
         vec![0],
         parts,
@@ -805,19 +805,18 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
 
     // Apply, with the meta stamp (and the retained message input, when
     // durable) riding the same atomic grouped commit.
-    let meta_batch = RecordBatch::from_rows(
-        meta_schema(),
-        &meta_rows(superstep as i64, num_vertices, n, prev_aggregates),
-    )
-    .map_err(VertexicaError::from)?;
-    let mut extra =
-        vec![(meta_table.to_string(), db.encode_segments_for(meta_table, vec![meta_batch])?)];
-    if let Some(segments) = msg_prev_segments {
-        extra.push((msg_prev_table.to_string(), segments));
+    let mut extra = Vec::new();
+    if let Some((meta_table, _)) = tables {
+        let meta_batch = RecordBatch::from_rows(
+            meta_schema(),
+            &meta_rows(superstep as i64, num_vertices, n, prev_aggregates),
+        )
+        .map_err(VertexicaError::from)?;
+        extra.push((meta_table.to_string(), db.encode_segments_for(meta_table, vec![meta_batch])?));
     }
+    extra.extend(msg_prev);
     let sw = Stopwatch::start();
-    let outcome =
-        apply_parallel_with_extra(sess, program.as_ref(), config, apply, num_vertices, extra)?;
+    let outcome = apply_parallel(sess, program.as_ref(), config, apply, num_vertices, extra)?;
     let apply_secs = sw.elapsed_secs();
 
     let pool_delta = db.runtime().metrics().delta_since(&pool_before);
@@ -832,14 +831,8 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     let bp_after = buffer_pool.stats();
     Ok(ShardReport {
         outcome,
-        assemble_secs: report.assemble_secs,
-        compute_secs: report.compute_secs,
-        overlap_secs: report.overlap_secs,
+        pipeline,
         apply_secs,
-        input_bytes: report.input_bytes,
-        peak_batch_bytes: report.peak_chunk_bytes,
-        peak_resident_scan_bytes: report.peak_resident_scan_bytes,
-        early_dispatches: report.early_dispatches,
         pool_delta,
         wal_records,
         wal_bytes,
@@ -852,84 +845,22 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
 }
 
 // ---------------------------------------------------------------------------
-// The sharded coordinator.
+// The coordinator.
 // ---------------------------------------------------------------------------
 
 /// Runs a vertex program across every shard of a [`ShardedGraphSession`].
 ///
-/// `shards = 1` (one underlying database) delegates to the plain
-/// [`run_program`] with the caller's **exact** config — byte-for-byte the
-/// single-database code path. N ≥ 2 executes with the coerced
-/// `sharded_config` (see its docs for each coercion and why); results are
-/// bitwise-identical to a 1-shard run of the same program under
-/// `use_combiner = false` (the cross-engine harness proves it per
-/// algorithm).
+/// The run executes with `sharded_config` (see its docs for each N ≥ 2
+/// coercion and why); results are bitwise-identical to a 1-shard run of the
+/// same program under `use_combiner = false` (the cross-engine harness
+/// proves it per algorithm).
 pub fn run_sharded<P: VertexProgram + 'static>(
     ss: &ShardedGraphSession,
     program: Arc<P>,
     config: &VertexicaConfig,
 ) -> VertexicaResult<RunStats> {
-    let n = ss.num_shards();
-    if n == 1 {
-        return run_program(&ss.sessions[0], program, config);
-    }
-    let total = Stopwatch::start();
-    let c = sharded_config(config, n, ss.db.is_durable());
-    for sess in ss.shard_sessions() {
-        sess.db().runtime().resize(c.num_workers);
-        if let Some(budget) = c.memory_budget_bytes {
-            sess.db().catalog().buffer_pool().set_budget(Some(budget));
-        }
-    }
-    let num_vertices = ss.num_vertices()?;
-    // Initialize every shard's local rows with the GLOBAL vertex count (e.g.
-    // PageRank's 1/N seed must see the whole graph); the freshly stamped
-    // meta table rides each shard's init commit so a crash can never
-    // separate an initialized shard from its stamp.
-    let meta_table = ss.meta_table();
-    let (edges, projection_build_secs) = shard_projections(ss, &c)?;
-    for (sess, edges) in ss.shard_sessions().iter().zip(&edges) {
-        let meta = meta_fresh_table(
-            sess,
-            &meta_table,
-            &meta_rows(STAMP_INIT, num_vertices, n, &FxHashMap::default()),
-        )?;
-        initialize_vertices_with_total(
-            sess,
-            program.as_ref(),
-            num_vertices,
-            vec![(meta_table.clone(), meta)],
-            edges.as_deref(),
-        )?;
-    }
-    if c.durable {
-        ss.db.checkpoint()?;
-    }
-    let mut stats =
-        superstep_loop_sharded(ss, program, &c, num_vertices, 0, FxHashMap::default(), &edges)?;
-    if c.durable {
-        ss.db.checkpoint()?;
-    }
-    stats.projection_build_secs = projection_build_secs;
-    stats.total_secs = total.elapsed_secs();
-    Ok(stats)
-}
-
-/// Every shard session's edge projection for a run under `config` (shard
-/// order; `None`s when the run streams edge rows), and the summed build
-/// seconds — the shards build one after another on the coordinator thread.
-fn shard_projections(
-    ss: &ShardedGraphSession,
-    config: &VertexicaConfig,
-) -> VertexicaResult<(Vec<Option<Arc<EdgeProjection>>>, f64)> {
-    let mut edges = Vec::with_capacity(ss.num_shards());
-    let mut build_secs = 0.0;
-    for sess in ss.shard_sessions() {
-        let (projection, secs) = crate::projection::for_run(sess, config)?;
-        edges.push(projection);
-        build_secs += secs;
-    }
-    Ok((edges, build_secs))
+    let c = sharded_config(config, ss.num_shards(), ss.db.is_durable());
+    run_shards(&ss.sessions, program, &c, false)
 }
 
 /// Resumes a sharded run from per-shard checkpoints written by
@@ -941,73 +872,137 @@ pub fn resume_sharded<P: VertexProgram + 'static>(
     program: Arc<P>,
     config: &VertexicaConfig,
 ) -> VertexicaResult<RunStats> {
-    let n = ss.num_shards();
-    if n == 1 {
-        return resume_program(&ss.sessions[0], program, config);
-    }
-    let dir = config
-        .checkpoint_dir
-        .as_ref()
-        .ok_or_else(|| VertexicaError::Checkpoint("no checkpoint_dir configured".into()))?
-        .clone();
+    let c = sharded_config(config, ss.num_shards(), ss.db.is_durable());
+    run_shards(&ss.sessions, program, &c, true)
+}
+
+/// The one coordinator: runs `program` over `sessions`, one per shard, from
+/// a fresh initialization — or, with `resume`, from the checkpoint under
+/// `<checkpoint_dir>/shard<k>/` — until the halting vote or the superstep
+/// cap. `config` is what the run executes with ([`sharded_config`] already
+/// applied). Only at N ≥ 2 does initialization stamp the `_shard_meta`
+/// table, and a resume re-anchor it.
+pub(crate) fn run_shards<P: VertexProgram + 'static>(
+    sessions: &[GraphSession],
+    program: Arc<P>,
+    config: &VertexicaConfig,
+    resume: bool,
+) -> VertexicaResult<RunStats> {
     let total = Stopwatch::start();
-    let c = sharded_config(config, n, ss.db.is_durable());
-    for sess in ss.shard_sessions() {
-        sess.db().runtime().resize(c.num_workers);
-        if let Some(budget) = c.memory_budget_bytes {
+    let n = sessions.len();
+    // Size each shard's runtime pool once for the whole run; every superstep
+    // reuses the same worker threads. The out-of-core budget goes in before
+    // the first checkpoint, which gives every cold segment the `.vxtb` spill
+    // twin eviction needs.
+    for sess in sessions {
+        sess.db().runtime().resize(config.num_workers);
+        if let Some(budget) = config.memory_budget_bytes {
             sess.db().catalog().buffer_pool().set_budget(Some(budget));
         }
     }
-    let mut state: Option<crate::checkpoint::CheckpointState> = None;
-    for (k, sess) in ss.shard_sessions().iter().enumerate() {
-        let s = crate::checkpoint::restore(sess, dir.join(format!("shard{k}")))?;
-        match &state {
-            Some(prev) if prev.superstep != s.superstep => {
-                return Err(VertexicaError::Checkpoint(format!(
-                    "shard checkpoints disagree: shard 0 at superstep {}, shard {k} at {}",
-                    prev.superstep, s.superstep
-                )));
-            }
-            Some(_) => {}
-            None => state = Some(s),
+    let restored = match (resume, &config.checkpoint_dir) {
+        (false, _) => None,
+        (true, None) => {
+            return Err(VertexicaError::Checkpoint("no checkpoint_dir configured".into()))
         }
+        (true, Some(dir)) => {
+            let mut first: Option<CheckpointState> = None;
+            for (k, sess) in sessions.iter().enumerate() {
+                let state = crate::checkpoint::restore(sess, dir.join(format!("shard{k}")))?;
+                match &first {
+                    Some(f) if f.superstep != state.superstep => {
+                        return Err(VertexicaError::Checkpoint(format!(
+                            "shard checkpoints disagree: shard 0 at superstep {}, shard {k} at {}",
+                            f.superstep, state.superstep
+                        )));
+                    }
+                    Some(_) => {}
+                    None => first = Some(state),
+                }
+            }
+            first
+        }
+    };
+    // The GLOBAL vertex count: e.g. PageRank's 1/N seed must see the whole
+    // graph, not one shard's slice of it.
+    let mut num_vertices = 0;
+    for sess in sessions {
+        num_vertices += sess.num_vertices()?;
     }
-    let state =
-        state.ok_or_else(|| VertexicaError::Checkpoint("sharded database has no shards".into()))?;
-    let num_vertices = ss.num_vertices()?;
-    // Re-anchor every shard's meta stamp at the restored boundary, so crash
-    // repair reasons from the checkpoint rather than the interrupted run.
-    let meta_table = ss.meta_table();
-    for sess in ss.shard_sessions() {
-        replace_meta(
-            sess,
-            &meta_table,
-            state.superstep as i64,
-            num_vertices,
-            n,
-            &state.aggregates,
-        )?;
+    let mut edges = Vec::with_capacity(n);
+    let mut projection_build_secs = 0.0;
+    for sess in sessions {
+        let (projection, secs) = crate::projection::for_run(sess, config)?;
+        edges.push(projection);
+        projection_build_secs += secs;
     }
-    let (edges, projection_build_secs) = shard_projections(ss, &c)?;
-    let mut stats = superstep_loop_sharded(
-        ss,
+    let meta_table = (n >= 2).then(|| meta_table_name(sessions[0].name()));
+    let (start_superstep, prev_aggregates) = match restored {
+        Some(state) => {
+            // Re-anchor every shard's meta stamp at the restored boundary, so
+            // crash repair reasons from the checkpoint rather than the
+            // interrupted run.
+            if let Some(meta_table) = &meta_table {
+                for sess in sessions {
+                    let stamp = state.superstep as i64;
+                    replace_meta(sess, meta_table, stamp, num_vertices, n, &state.aggregates)?;
+                }
+            }
+            (state.superstep + 1, state.aggregates)
+        }
+        None => {
+            // The freshly stamped meta table rides each shard's init commit,
+            // so a crash can never separate an initialized shard from its
+            // stamp.
+            for (sess, edges) in sessions.iter().zip(&edges) {
+                let mut extra = Vec::new();
+                if let Some(meta_table) = &meta_table {
+                    let rows = meta_rows(STAMP_INIT, num_vertices, n, &FxHashMap::default());
+                    extra.push((meta_table.clone(), meta_fresh_table(sess, meta_table, &rows)?));
+                }
+                initialize_vertices_with_total(
+                    sess,
+                    program.as_ref(),
+                    num_vertices,
+                    extra,
+                    edges.as_deref(),
+                )?;
+            }
+            if config.durable {
+                // Recovery from a crash in superstep 0 starts from the
+                // initialized state instead of replaying graph loading.
+                checkpoint_all(sessions)?;
+            }
+            (0, FxHashMap::default())
+        }
+    };
+    let mut stats = superstep_loop(
+        sessions,
         program,
-        &c,
+        config,
         num_vertices,
-        state.superstep + 1,
-        state.aggregates.clone(),
+        start_superstep,
+        prev_aggregates,
         &edges,
     )?;
-    if c.durable {
-        ss.db.checkpoint()?;
+    if config.durable {
+        // Land the final state in segment files and truncate each log.
+        checkpoint_all(sessions)?;
     }
     stats.projection_build_secs = projection_build_secs;
     stats.total_secs = total.elapsed_secs();
     Ok(stats)
 }
 
-fn superstep_loop_sharded<P: VertexProgram + 'static>(
-    ss: &ShardedGraphSession,
+fn checkpoint_all(sessions: &[GraphSession]) -> VertexicaResult<()> {
+    for sess in sessions {
+        sess.db().checkpoint()?;
+    }
+    Ok(())
+}
+
+fn superstep_loop<P: VertexProgram + 'static>(
+    sessions: &[GraphSession],
     program: Arc<P>,
     config: &VertexicaConfig,
     num_vertices: u64,
@@ -1015,9 +1010,13 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
     mut prev_aggregates: FxHashMap<String, f64>,
     edges: &[Option<Arc<EdgeProjection>>],
 ) -> VertexicaResult<RunStats> {
-    let n = ss.num_shards();
-    let meta_table = ss.meta_table();
-    let msg_prev_table = ss.message_prev_table();
+    let n = sessions.len();
+    // The crash-repair bookkeeping tables, which only a sharded run has.
+    let tables = (n >= 2).then(|| {
+        let graph = sessions[0].name();
+        (meta_table_name(graph), message_prev_table_name(graph))
+    });
+    let tables = tables.as_ref().map(|(meta, prev)| (meta.as_str(), prev.as_str()));
     let agg_specs: FxHashMap<String, AggKind> =
         program.aggregators().into_iter().map(|s| (s.name.to_string(), s.kind)).collect();
     let mut stats = RunStats {
@@ -1039,7 +1038,7 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
         if superstep == start_superstep && start_superstep > 0 {
             let mut pending = 0i64;
             let mut active = 0i64;
-            for sess in ss.shard_sessions() {
+            for sess in sessions {
                 pending += sess
                     .db()
                     .query_int(&format!("SELECT COUNT(*) FROM {}", sess.message_table()))?;
@@ -1053,58 +1052,47 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
             }
         }
 
-        // One thread per shard; outboxes and the counts rendezvous tie them
+        // Shard 0 runs on this thread, every other shard on a thread of its
+        // own (a thread per superstep would give a one-shard run a fresh
+        // allocator arena each superstep, which measurably raised peak RSS on
+        // the durable workloads). Outboxes and the counts rendezvous tie them
         // together. A shard that errors or panics raises the exchange abort
-        // so its peers unstick, then the first error propagates.
+        // so its peers unstick, then the first error propagates — a panic
+        // never unwinds into the caller.
         let exchange = Exchange::new(n);
+        let run = |k: usize| {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_shard_superstep(
+                    &sessions[k],
+                    &program,
+                    config,
+                    k,
+                    &exchange,
+                    superstep,
+                    num_vertices,
+                    &prev_aggregates,
+                    tables,
+                    edges[k].clone(),
+                )
+            }))
+            .unwrap_or_else(|_| {
+                Err(VertexicaError::Runtime(format!("shard {k} panicked in superstep {superstep}")))
+            });
+            if result.is_err() {
+                exchange.fail(k);
+            }
+            result
+        };
         let results: Vec<VertexicaResult<ShardReport>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ss
-                .shard_sessions()
-                .iter()
-                .enumerate()
-                .map(|(k, sess)| {
-                    let exchange = &exchange;
-                    let program = &program;
-                    let prev = &prev_aggregates;
-                    let meta_table = meta_table.as_str();
-                    let msg_prev_table = msg_prev_table.as_str();
-                    let edges = edges[k].clone();
-                    scope.spawn(move || {
-                        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            run_shard_superstep(
-                                sess,
-                                program,
-                                config,
-                                k,
-                                exchange,
-                                superstep,
-                                num_vertices,
-                                prev,
-                                meta_table,
-                                msg_prev_table,
-                                edges,
-                            )
-                        }))
-                        .unwrap_or_else(|_| {
-                            Err(VertexicaError::Runtime(format!(
-                                "shard {k} panicked in superstep {superstep}"
-                            )))
-                        });
-                        if result.is_err() {
-                            exchange.fail(k);
-                        }
-                        result
-                    })
+            let run = &run;
+            let peers: Vec<_> = (1..n).map(|k| scope.spawn(move || run(k))).collect();
+            let mut results = vec![run(0)];
+            results.extend(peers.into_iter().map(|h| {
+                h.join().unwrap_or_else(|_| {
+                    Err(VertexicaError::Runtime("shard thread join failed".into()))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(VertexicaError::Runtime("shard thread join failed".into()))
-                    })
-                })
-                .collect()
+            }));
+            results
         });
         let mut reports = Vec::with_capacity(n);
         for r in results {
@@ -1112,10 +1100,10 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
         }
 
         // Global aggregators: merge every shard's per-vertex partials and
-        // fold them sorted by (name, vid) — the single-database apply's
-        // exact fold order, so f64 folds are bitwise-identical.
+        // fold them sorted by (name, vid) — one fold order whatever the
+        // shard count, so f64 folds are bitwise-identical.
         let mut partials: Vec<(String, i64, f64)> =
-            reports.iter().flat_map(|r| r.outcome.agg_partials.iter().cloned()).collect();
+            reports.iter_mut().flat_map(|r| std::mem::take(&mut r.outcome.agg_partials)).collect();
         partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
         let mut folded: FxHashMap<String, (AggKind, f64)> = FxHashMap::default();
         for (name, _, v) in &partials {
@@ -1144,22 +1132,25 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
             messages,
             vertex_changes,
             replaced: reports.iter().any(|r| r.outcome.replaced),
-            assemble_secs: fmax(|r| r.assemble_secs),
-            compute_secs: fmax(|r| r.compute_secs),
+            assemble_secs: fmax(|r| r.pipeline.assemble_secs),
+            compute_secs: fmax(|r| r.pipeline.compute_secs),
             apply_secs: fmax(|r| r.apply_secs),
-            apply_parallelism: reports
-                .iter()
-                .map(|r| r.outcome.apply_parallelism)
-                .max()
-                .unwrap_or(1),
-            overlap_secs: fmax(|r| r.overlap_secs),
+            apply_parallelism: config.num_workers.max(1),
+            overlap_secs: fmax(|r| r.pipeline.overlap_secs),
             queue_wait_secs: reports.iter().map(|r| r.pool_delta.queue_wait_secs).sum(),
             steals: reports.iter().map(|r| r.pool_delta.tasks_stolen).sum(),
             nested_scopes: reports.iter().map(|r| r.pool_delta.nested_scopes).sum(),
-            peak_batch_bytes: reports.iter().map(|r| r.peak_batch_bytes).max().unwrap_or(0),
-            input_bytes: reports.iter().map(|r| r.input_bytes).sum(),
-            peak_resident_scan_bytes: reports.iter().map(|r| r.peak_resident_scan_bytes).sum(),
-            early_dispatches: reports.iter().map(|r| r.early_dispatches).sum(),
+            peak_batch_bytes: reports
+                .iter()
+                .map(|r| r.pipeline.peak_chunk_bytes)
+                .max()
+                .unwrap_or(0),
+            input_bytes: reports.iter().map(|r| r.pipeline.input_bytes).sum(),
+            peak_resident_scan_bytes: reports
+                .iter()
+                .map(|r| r.pipeline.peak_resident_scan_bytes)
+                .sum(),
+            early_dispatches: reports.iter().map(|r| r.pipeline.early_dispatches).sum(),
             wal_records: reports.iter().map(|r| r.wal_records).sum(),
             wal_bytes: reports.iter().map(|r| r.wal_bytes).sum(),
             flush_bytes: reports.iter().map(|r| r.flush_bytes).sum(),
@@ -1176,7 +1167,7 @@ fn superstep_loop_sharded<P: VertexProgram + 'static>(
 
         if let (Some(every), Some(dir)) = (config.checkpoint_every, &config.checkpoint_dir) {
             if (superstep + 1).is_multiple_of(every) {
-                for (k, sess) in ss.shard_sessions().iter().enumerate() {
+                for (k, sess) in sessions.iter().enumerate() {
                     crate::checkpoint::save(
                         sess,
                         dir.join(format!("shard{k}")),
@@ -1221,37 +1212,18 @@ pub fn repair_if_needed<P: VertexProgram + 'static>(
     config: &VertexicaConfig,
 ) -> VertexicaResult<Option<u64>> {
     let n = ss.num_shards();
-    if n == 1 {
-        return Ok(None);
-    }
     let meta_table = ss.meta_table();
     let metas: Vec<Option<ShardMeta>> = ss
         .shard_sessions()
         .iter()
         .map(|s| read_meta(s, &meta_table))
         .collect::<VertexicaResult<_>>()?;
-    if metas.iter().all(|m| m.is_none()) {
-        return Ok(None);
-    }
-    if metas.iter().any(|m| m.is_none()) {
-        return Err(VertexicaError::Runtime(format!(
-            "graph {}: some shards have no superstep stamp — crash during initialization; \
-             reload the graph",
-            ss.name
-        )));
-    }
-    let mut stamps: Vec<i64> = metas.iter().map(|m| m.as_ref().expect("checked").stamp).collect();
-    let s_max = *stamps.iter().max().expect("non-empty");
-    let s_min = *stamps.iter().min().expect("non-empty");
-    if s_max - s_min > 1 {
-        return Err(VertexicaError::Runtime(format!(
-            "graph {}: shard stamps spread {s_min}..{s_max} exceeds the vote-barrier bound of 1",
-            ss.name
-        )));
-    }
+    let stamps: Vec<Option<i64>> = metas.iter().map(|m| m.as_ref().map(|m| m.stamp)).collect();
+    let Some((s_min, s_max)) = stamp_range(&ss.name, &stamps)? else { return Ok(None) };
     if s_max == s_min {
         return Ok(None);
     }
+    let mut stamps: Vec<i64> = stamps.into_iter().flatten().collect();
     if !ss.db.is_durable() {
         return Err(VertexicaError::Runtime(
             "cannot repair a non-durable sharded database: no retained message input".into(),
@@ -1390,38 +1362,16 @@ fn repair_shard<P: VertexProgram + 'static>(
         (meta_table.clone(), db.encode_segments_for(&meta_table, vec![meta_batch])?),
         (msg_prev_table.clone(), msg_prev_segments),
     ];
-    apply_parallel_with_extra(sess, program.as_ref(), config, apply, num_vertices, extra)?;
+    apply_parallel(sess, program.as_ref(), config, apply, num_vertices, extra)?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vertexica_common::pregel::{InitContext, VertexContext, VertexContextExt};
-
-    /// HashMax connected components (same as the coordinator's test program).
-    struct MaxId;
-    impl VertexProgram for MaxId {
-        type Value = u64;
-        type Message = u64;
-
-        fn initial_value(&self, id: VertexId, _init: &InitContext) -> u64 {
-            id
-        }
-
-        fn compute(&self, ctx: &mut dyn VertexContext<u64, u64>, messages: &[u64]) {
-            let best = messages.iter().copied().fold(*ctx.value(), u64::max);
-            if best > *ctx.value() || ctx.superstep() == 0 {
-                ctx.set_value(best);
-                ctx.send_to_all_neighbors(best);
-            }
-            ctx.vote_to_halt();
-        }
-
-        fn name(&self) -> &'static str {
-            "maxid"
-        }
-    }
+    use crate::coordinator::run_program;
+    use crate::coordinator::tests::MaxId;
+    use vertexica_storage::partition::int_key_partition;
 
     /// Two components joined through several cross-owner edges, big enough
     /// that 2 and 3 shards each own something.
@@ -1494,8 +1444,21 @@ mod tests {
         assert_eq!(vals1, vals_s);
         assert_eq!(stats1.total_messages, stats_s.total_messages);
         assert_eq!(stats1.supersteps, stats_s.supersteps);
-        // A 1-shard run never routes.
-        assert!(stats_s.per_superstep.iter().all(|s| s.remote_messages == 0));
+        let exact = |stats: &RunStats| -> Vec<_> {
+            stats
+                .per_superstep
+                .iter()
+                .map(|s| (s.messages, s.vertex_changes, s.replaced, s.input_bytes))
+                .collect()
+        };
+        assert_eq!(exact(&stats1), exact(&stats_s));
+        // A 1-shard run never routes and is perfectly balanced.
+        for stats in [&stats1, &stats_s] {
+            assert!(stats
+                .per_superstep
+                .iter()
+                .all(|s| s.remote_messages == 0 && s.routed_bytes == 0 && s.shard_skew == 1.0));
+        }
     }
 
     #[test]
@@ -1538,19 +1501,13 @@ mod tests {
     }
 
     #[test]
-    fn prescan_counts_cover_all_rows() {
-        let db = ShardedDatabase::new(2);
-        let ss = ShardedGraphSession::create(db, "g").unwrap();
-        ss.load_edges(&chain_graph()).unwrap();
-        // vertices (+ edges, when they stream as rows); no messages yet.
-        for (edge_rows, rows) in [(true, 32 + 40), (false, 32)] {
-            let mut total = 0u64;
-            for sess in ss.shard_sessions() {
-                let counts = prescan_counts(sess, 2, 4, edge_rows).unwrap();
-                total += counts.iter().flatten().sum::<u64>();
-            }
-            assert_eq!(total, rows, "edge_rows = {edge_rows}");
-        }
+    fn plain_session_gets_no_bookkeeping_tables() {
+        let db = Arc::new(Database::new());
+        let g = GraphSession::create(db.clone(), "g").unwrap();
+        g.load_edges(&chain_graph()).unwrap();
+        let before = db.catalog().list().len();
+        run_program(&g, Arc::new(MaxId), &test_config()).unwrap();
+        assert_eq!(db.catalog().list().len(), before, "a one-shard run creates no tables");
     }
 
     #[test]
@@ -1612,6 +1569,25 @@ mod model_tests {
             .unwrap_or_else(|v| panic!("counts rendezvous violated:\n{v}"));
         assert!(stats.exhausted, "bounded schedule space not exhausted: {stats:?}");
         eprintln!("[model] shard rendezvous clean: {stats:?}");
+    }
+
+    /// The one-shard case of every run: the lone depositor fills the board
+    /// and must get its own matrix back without ever waiting.
+    fn single_shard_scenario() {
+        let board = CountsBoard::new(1);
+        let abort = AtomicBool::new(false);
+        let mine = board.exchange(0, vec![vec![3, 4]], &abort).expect("exchange");
+        assert_eq!(mine, vec![vec![vec![3, 4]]]);
+    }
+
+    #[test]
+    fn model_shard_rendezvous_single_shard_clean() {
+        let cfg = Config { max_preemptions: 2, ..Config::default() };
+        let stats = model::check(&cfg, single_shard_scenario)
+            .unwrap_or_else(|v| panic!("one-shard rendezvous violated:\n{v}"));
+        assert!(stats.exhausted, "bounded schedule space not exhausted: {stats:?}");
+        assert!(!stats.ops.contains("cond.wait"), "a lone shard waited: {:?}", stats.ops);
+        eprintln!("[model] one-shard rendezvous clean: {stats:?}");
     }
 
     #[test]

@@ -71,8 +71,7 @@ fn allocations_and_messages(pool_budget: Option<usize>) -> (u64, u64) {
         .with_input_mode(InputMode::TableUnion)
         .with_combiner(false)
         .with_durable(false)
-        .with_memory_budget(pool_budget)
-        .with_shards(1);
+        .with_memory_budget(pool_budget);
     let program = Arc::new(PageRank::new(SUPERSTEPS - 1, 0.85));
 
     ALLOCATIONS.store(0, Ordering::SeqCst);

@@ -900,13 +900,6 @@ fn sharded_execution_is_bitwise_identical_for_every_algorithm() {
         }),
     ];
 
-    // The VERTEXICA_SHARDS CI mode widens the matrix to its default count.
-    let mut shard_counts = vec![2usize, 4];
-    let env_default = vertexica::config::shards_default();
-    if env_default > 1 && !shard_counts.contains(&env_default) {
-        shard_counts.push(env_default);
-    }
-
     for (name, cell) in &algorithms {
         let (reference, ref_stats) = cell(1);
         assert!(!reference.vertex_bits.is_empty(), "{name}: empty vertex table");
@@ -915,7 +908,7 @@ fn sharded_execution_is_bitwise_identical_for_every_algorithm() {
             ref_stats.per_superstep.iter().all(|s| s.remote_messages == 0 && s.routed_bytes == 0),
             "{name}: the 1-shard cell must not report cross-shard traffic"
         );
-        for &n in &shard_counts {
+        for n in [2usize, 4] {
             let (other, stats) = cell(n);
             assert_eq!(
                 reference, other,

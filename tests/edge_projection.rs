@@ -82,8 +82,7 @@ fn run<P: VertexProgram<Value = f64> + 'static>(
         .with_workers(2)
         .with_partitions(4)
         .with_durable(false)
-        .with_memory_budget(None)
-        .with_shards(1);
+        .with_memory_budget(None);
     let dir = durable_dir();
     let (values, stats) = match cell {
         Cell::TwoShards => {

@@ -12,6 +12,7 @@ use vertexica::{checkpoint, run_program, GraphSession, VertexicaConfig};
 use vertexica_algorithms::sqlalgo;
 use vertexica_algorithms::vc::{PageRank, Sssp};
 use vertexica_common::graph::{Edge, EdgeList, VertexId};
+use vertexica_common::pregel::{InitContext, VertexContext, VertexContextExt, VertexProgram};
 use vertexica_graphgen::metadata::edge_metadata;
 use vertexica_graphgen::models::erdos_renyi;
 
@@ -268,4 +269,63 @@ fn edge_mutations_between_runs_rebuild_the_projection() {
         mutate(&session, &mut graph);
         assert!(run_and_check(&graph, what) > 0.0, "{what} must force a rebuild");
     }
+}
+
+/// Messages every neighbor in superstep 0, then panics in superstep 1 —
+/// after one superstep has committed.
+struct PanicsInSuperstepOne;
+
+impl VertexProgram for PanicsInSuperstepOne {
+    type Value = f64;
+    type Message = f64;
+
+    fn initial_value(&self, _id: VertexId, _init: &InitContext) -> f64 {
+        0.0
+    }
+
+    fn compute(&self, ctx: &mut dyn VertexContext<f64, f64>, _messages: &[f64]) {
+        if ctx.superstep() == 1 {
+            panic!("injected failure in superstep 1");
+        }
+        ctx.send_to_all_neighbors(1.0);
+    }
+}
+
+/// A program that panics mid-run fails the run with an error on one shard
+/// and on two — it neither unwinds into the caller nor strands a peer shard
+/// waiting — and leaves a session the next run can use: PageRank on it then
+/// matches `algorithms::reference`.
+#[test]
+fn a_panicking_program_fails_the_run_and_the_session_stays_usable() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use vertexica::shard::{run_sharded, ShardedDatabase, ShardedGraphSession};
+    use vertexica::RunStats;
+
+    let graph = erdos_renyi(40, 160, 5);
+    let expected = vertexica_algorithms::reference::pagerank(&graph, 6, 0.85);
+    let config = VertexicaConfig::default().with_workers(2).with_partitions(4);
+    let fails = |what: &str, run: &dyn Fn() -> vertexica::VertexicaResult<RunStats>| {
+        let outcome = catch_unwind(AssertUnwindSafe(run));
+        let result =
+            outcome.unwrap_or_else(|_| panic!("{what}: the panic unwound into the caller"));
+        assert!(result.is_err(), "{what}: a panicking program must fail the run");
+    };
+    let matches_reference = |what: &str, ranks: Vec<(VertexId, f64)>| {
+        assert_eq!(ranks.len(), expected.len(), "{what}");
+        for ((id, got), want) in ranks.iter().zip(&expected) {
+            assert!((got - want).abs() < 1e-9, "{what}: rank of {id}: {got} vs {want}");
+        }
+    };
+
+    let session = GraphSession::create(Arc::new(Database::new()), "boom").unwrap();
+    session.load_edges(&graph).unwrap();
+    fails("one shard", &|| run_program(&session, Arc::new(PanicsInSuperstepOne), &config));
+    run_program(&session, Arc::new(PageRank::new(6, 0.85)), &config).unwrap();
+    matches_reference("one shard", session.vertex_values().unwrap());
+
+    let ss = ShardedGraphSession::create(ShardedDatabase::new(2), "boom").unwrap();
+    ss.load_edges(&graph).unwrap();
+    fails("two shards", &|| run_sharded(&ss, Arc::new(PanicsInSuperstepOne), &config));
+    run_sharded(&ss, Arc::new(PageRank::new(6, 0.85)), &config).unwrap();
+    matches_reference("two shards", ss.vertex_values().unwrap());
 }
