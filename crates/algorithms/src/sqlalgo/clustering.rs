@@ -60,7 +60,7 @@ pub fn global_clustering_sql(session: &GraphSession) -> VertexicaResult<f64> {
 mod tests {
     use super::*;
     use crate::reference;
-    use crate::sqlalgo::testutil::session_with;
+    use crate::sqlalgo::testutil::{messy_graph, session_with};
     use vertexica_common::graph::EdgeList;
 
     #[test]
@@ -76,6 +76,19 @@ mod tests {
                 "vertex {id}: {c} vs {}",
                 expected[id as usize]
             );
+        }
+    }
+
+    #[test]
+    fn local_matches_reference_on_messy_graph() {
+        let graph = messy_graph();
+        let session = session_with(&graph);
+        let sql = local_clustering_sql(&session).unwrap();
+        let expected = reference::local_clustering(&graph);
+        assert_eq!(sql.len(), expected.len());
+        for (id, c) in sql {
+            let want = expected[id as usize];
+            assert!((c - want).abs() < 1e-9, "vertex {id}: {c} vs {want}");
         }
     }
 

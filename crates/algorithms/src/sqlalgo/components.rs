@@ -53,7 +53,7 @@ pub fn connected_components_sql(session: &GraphSession) -> VertexicaResult<Vec<(
 mod tests {
     use super::*;
     use crate::reference;
-    use crate::sqlalgo::testutil::session_with;
+    use crate::sqlalgo::testutil::{messy_graph, session_with};
     use vertexica_common::graph::EdgeList;
 
     #[test]
@@ -62,6 +62,18 @@ mod tests {
         let session = session_with(&graph);
         let sql = connected_components_sql(&session).unwrap();
         let expected = reference::weakly_connected_components(&graph);
+        for (id, label) in sql {
+            assert_eq!(label, expected[id as usize], "vertex {id}");
+        }
+    }
+
+    #[test]
+    fn matches_union_find_on_messy_graph() {
+        let graph = messy_graph().undirected();
+        let session = session_with(&graph);
+        let sql = connected_components_sql(&session).unwrap();
+        let expected = reference::weakly_connected_components(&graph);
+        assert_eq!(sql.len(), expected.len());
         for (id, label) in sql {
             assert_eq!(label, expected[id as usize], "vertex {id}");
         }

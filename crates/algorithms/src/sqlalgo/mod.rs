@@ -68,7 +68,7 @@ pub(crate) mod testutil {
     use std::sync::Arc;
     use vertexica::sql::Database;
     use vertexica::GraphSession;
-    use vertexica_common::graph::EdgeList;
+    use vertexica_common::graph::{Edge, EdgeList};
 
     /// A session with a loaded graph, for SQL algorithm tests.
     pub fn session_with(graph: &EdgeList) -> GraphSession {
@@ -76,6 +76,22 @@ pub(crate) mod testutil {
         let g = GraphSession::create(db, "t").unwrap();
         g.load_edges(graph).unwrap();
         g
+    }
+
+    /// A 1 000-edge random graph with uneven weights, plus the degenerate
+    /// cases every SQL algorithm must survive: a self-loop, a duplicate
+    /// edge and an isolated vertex (the last id, touched by no edge).
+    pub fn messy_graph() -> EdgeList {
+        let g = vertexica_graphgen::models::erdos_renyi(300, 1_000, 31);
+        let mut edges: Vec<Edge> = g
+            .edges
+            .iter()
+            .enumerate()
+            .map(|(i, e)| Edge::weighted(e.src, e.dst, (i % 7 + 1) as f64 / 2.0))
+            .collect();
+        edges.push(Edge::weighted(5, 5, 1.0));
+        edges.push(edges[0]);
+        EdgeList::new(g.num_vertices + 1, edges)
     }
 }
 

@@ -41,7 +41,7 @@ pub fn strong_overlap_sql(
 mod tests {
     use super::*;
     use crate::reference;
-    use crate::sqlalgo::testutil::session_with;
+    use crate::sqlalgo::testutil::{messy_graph, session_with};
     use vertexica_common::graph::EdgeList;
 
     #[test]
@@ -54,6 +54,18 @@ mod tests {
         // Pairs {0,1}, {0,4}, {1,4} all share {2,3}.
         assert_eq!(sql.len(), 3);
         assert!(sql.iter().all(|&(_, _, c)| c == 2));
+    }
+
+    #[test]
+    fn matches_reference_on_messy_graph() {
+        let graph = messy_graph();
+        let session = session_with(&graph);
+        for k in [1, 2] {
+            assert_eq!(
+                strong_overlap_sql(&session, k).unwrap(),
+                reference::strong_overlap(&graph, k)
+            );
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub fn sssp_sql(session: &GraphSession, source: VertexId) -> VertexicaResult<Vec
 mod tests {
     use super::*;
     use crate::reference;
-    use crate::sqlalgo::testutil::session_with;
+    use crate::sqlalgo::testutil::{messy_graph, session_with};
     use vertexica_common::graph::{Edge, EdgeList};
 
     #[test]
@@ -86,6 +86,23 @@ mod tests {
         let session = session_with(&graph);
         let sql = sssp_sql(&session, 0).unwrap();
         let expected = reference::sssp(&graph, 0);
+        for (id, d) in sql {
+            let want = expected[id as usize];
+            if want.is_infinite() {
+                assert!(d.is_infinite(), "vertex {id} should be unreachable");
+            } else {
+                assert!((d - want).abs() < 1e-9, "vertex {id}: {d} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn matches_dijkstra_on_messy_graph() {
+        let graph = messy_graph();
+        let session = session_with(&graph);
+        let sql = sssp_sql(&session, 0).unwrap();
+        let expected = reference::sssp(&graph, 0);
+        assert_eq!(sql.len(), expected.len());
         for (id, d) in sql {
             let want = expected[id as usize];
             if want.is_infinite() {

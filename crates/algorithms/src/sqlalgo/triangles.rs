@@ -58,7 +58,7 @@ pub fn per_node_triangles_sql(session: &GraphSession) -> VertexicaResult<Vec<(Ve
 mod tests {
     use super::*;
     use crate::reference;
-    use crate::sqlalgo::testutil::session_with;
+    use crate::sqlalgo::testutil::{messy_graph, session_with};
     use vertexica_common::graph::EdgeList;
 
     fn two_triangles_sharing_an_edge() -> EdgeList {
@@ -80,6 +80,19 @@ mod tests {
         let session = session_with(&graph);
         let sql = per_node_triangles_sql(&session).unwrap();
         let expected = reference::per_node_triangles(&graph);
+        for (id, c) in sql {
+            assert_eq!(c, expected[id as usize], "vertex {id}");
+        }
+    }
+
+    #[test]
+    fn counts_match_reference_on_messy_graph() {
+        let graph = messy_graph();
+        let session = session_with(&graph);
+        assert_eq!(triangle_count_sql(&session).unwrap(), reference::triangle_count(&graph));
+        let sql = per_node_triangles_sql(&session).unwrap();
+        let expected = reference::per_node_triangles(&graph);
+        assert_eq!(sql.len(), expected.len());
         for (id, c) in sql {
             assert_eq!(c, expected[id as usize], "vertex {id}");
         }

@@ -55,7 +55,7 @@ pub fn weak_ties_sql(session: &GraphSession) -> VertexicaResult<Vec<(VertexId, u
 mod tests {
     use super::*;
     use crate::reference;
-    use crate::sqlalgo::testutil::session_with;
+    use crate::sqlalgo::testutil::{messy_graph, session_with};
     use vertexica_common::graph::EdgeList;
 
     #[test]
@@ -81,6 +81,18 @@ mod tests {
         let session = session_with(&graph);
         let sql = weak_ties_sql(&session).unwrap();
         let expected = reference::weak_ties(&graph);
+        for (id, c) in sql {
+            assert_eq!(c, expected[id as usize], "vertex {id}");
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_messy_graph() {
+        let graph = messy_graph();
+        let session = session_with(&graph);
+        let sql = weak_ties_sql(&session).unwrap();
+        let expected = reference::weak_ties(&graph);
+        assert_eq!(sql.len(), expected.len());
         for (id, c) in sql {
             assert_eq!(c, expected[id as usize], "vertex {id}");
         }

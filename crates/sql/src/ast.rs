@@ -37,6 +37,8 @@ pub enum Statement {
         filter: Option<Expr>,
     },
     Query(Box<Query>),
+    /// `EXPLAIN <query>`: the optimized plan, one row per line.
+    Explain(Box<Query>),
 }
 
 /// Source of rows for INSERT.

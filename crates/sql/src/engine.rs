@@ -8,13 +8,14 @@ use vertexica_common::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering, 
 use vertexica_common::runtime::{Scope, WorkerPool};
 use vertexica_storage::{
     partition::{split_batch, StreamingPartitioner},
-    Catalog, ColumnPredicate, Field, RecordBatch, Row, Schema, TableOptions, Value,
+    Catalog, ColumnPredicate, DataType, Field, RecordBatch, Row, Schema, TableOptions, Value,
 };
 
-use crate::ast::{InsertSource, Statement};
+use crate::ast::{InsertSource, Query, Statement};
 use crate::error::{SqlError, SqlResult};
 use crate::expr::PhysExpr;
 use crate::functions::{FunctionRegistry, ScalarFunction};
+use crate::logical::LogicalPlan;
 use crate::optimizer::optimize;
 use crate::parser::{parse_script, parse_statement};
 use crate::physical::{execute, ExecContext, JoinBuild};
@@ -216,16 +217,28 @@ impl Database {
         }
     }
 
+    /// Plans and optimizes a query against the current catalog.
+    fn plan_optimized(&self, query: &Query) -> SqlResult<LogicalPlan> {
+        let functions = self.functions.read().clone();
+        let mut planner = Planner::new(&self.catalog, &functions);
+        optimize(planner.plan_query(query)?)
+    }
+
     fn execute_statement(&self, stmt: Statement) -> SqlResult<QueryResult> {
         match stmt {
             Statement::Query(q) => {
-                let functions = self.functions.read().clone();
-                let mut planner = Planner::new(&self.catalog, &functions);
-                let plan = planner.plan_query(&q)?;
-                let plan = optimize(plan)?;
+                let plan = self.plan_optimized(&q)?;
                 let schema = plan.schema();
                 let ctx = ExecContext { catalog: &self.catalog };
                 let batches = execute(&plan, &ctx)?;
+                Ok(QueryResult::Rows { schema, batches })
+            }
+            Statement::Explain(q) => {
+                let text = self.plan_optimized(&q)?.display_indent();
+                let schema = Schema::new(vec![Field::not_null("plan", DataType::Str)]);
+                let rows: Vec<Row> =
+                    text.lines().map(|l| vec![Value::Str(l.to_string())]).collect();
+                let batches = vec![RecordBatch::from_rows(schema.clone(), &rows)?];
                 Ok(QueryResult::Rows { schema, batches })
             }
             Statement::CreateTable { name, columns, order_by, if_not_exists } => {
@@ -251,10 +264,7 @@ impl Database {
                 if if_not_exists && self.catalog.contains(&name) {
                     return Ok(QueryResult::Ok);
                 }
-                let functions = self.functions.read().clone();
-                let mut planner = Planner::new(&self.catalog, &functions);
-                let plan = planner.plan_query(&query)?;
-                let plan = optimize(plan)?;
+                let plan = self.plan_optimized(&query)?;
                 let schema = plan.schema();
                 let ctx = ExecContext { catalog: &self.catalog };
                 let batches = execute(&plan, &ctx)?;
@@ -341,10 +351,7 @@ impl Database {
                 Ok(QueryResult::Affected(n))
             }
             InsertSource::Query(q) => {
-                let functions = self.functions.read().clone();
-                let mut planner = Planner::new(&self.catalog, &functions);
-                let plan = planner.plan_query(&q)?;
-                let plan = optimize(plan)?;
+                let plan = self.plan_optimized(&q)?;
                 let ctx = ExecContext { catalog: &self.catalog };
                 let batches = execute(&plan, &ctx)?;
                 let mut n = 0usize;

@@ -212,7 +212,7 @@ impl PhysExpr {
                     let out = match (op, v) {
                         (_, Value::Null) => Value::Null,
                         (UnaryOp::Not, Value::Bool(x)) => Value::Bool(!x),
-                        (UnaryOp::Neg, Value::Int(x)) => Value::Int(-x),
+                        (UnaryOp::Neg, Value::Int(x)) => Value::Int(x.wrapping_neg()),
                         (UnaryOp::Neg, Value::Float(x)) => Value::Float(-x),
                         (op, v) => {
                             return Err(SqlError::Execution(format!("cannot apply {op:?} to {v}")))
@@ -328,7 +328,7 @@ impl PhysExpr {
                 Ok(match (op, v) {
                     (_, Value::Null) => Value::Null,
                     (UnaryOp::Not, Value::Bool(x)) => Value::Bool(!x),
-                    (UnaryOp::Neg, Value::Int(x)) => Value::Int(-x),
+                    (UnaryOp::Neg, Value::Int(x)) => Value::Int(x.wrapping_neg()),
                     (UnaryOp::Neg, Value::Float(x)) => Value::Float(-x),
                     (op, v) => {
                         return Err(SqlError::Execution(format!("cannot apply {op:?} to {v}")))
@@ -695,7 +695,8 @@ fn arith_kernel(l: &Column, op: BinaryOp, r: &Column) -> Option<Column> {
                     has_null = true;
                     continue;
                 }
-                data[i] = a[i] % b[i];
+                // i64::MIN % -1 overflows `%` even in release builds.
+                data[i] = a[i].wrapping_rem(b[i]);
             }
             return Some(Column::new(ColumnData::Int(data), has_null.then_some(valid)));
         }
@@ -770,9 +771,10 @@ fn eval_unary_vectorized(op: UnaryOp, c: &Column) -> Option<Column> {
         }
         UnaryOp::Neg => {
             if let Some(v) = c.as_int() {
-                // `-x`, not wrapping_neg: a debug-build overflow on i64::MIN
-                // must panic exactly as the row loop does.
-                let data = (0..n).map(|i| if c.is_null(i) { 0 } else { -v[i] }).collect();
+                // Wrapping, like the row loop and the rest of BIGINT
+                // arithmetic: -i64::MIN is i64::MIN, not a panic.
+                let data =
+                    (0..n).map(|i| if c.is_null(i) { 0 } else { v[i].wrapping_neg() }).collect();
                 Some(Column::new(ColumnData::Int(data), c.validity().cloned()))
             } else if let Some(v) = c.as_float() {
                 let data = (0..n).map(|i| if c.is_null(i) { 0.0 } else { -v[i] }).collect();
@@ -963,7 +965,7 @@ pub fn binary_value_op(l: &Value, op: BinaryOp, r: &Value) -> SqlResult<Value> {
             if *b == 0 {
                 Value::Null
             } else {
-                Value::Int(a % b)
+                Value::Int(a.wrapping_rem(*b))
             }
         }
         // Division always floats; division by zero yields NULL.

@@ -50,6 +50,18 @@ fn need_f64(v: &Value, fname: &str) -> SqlResult<f64> {
         .ok_or_else(|| SqlError::Execution(format!("{fname}: expected numeric argument, got {v}")))
 }
 
+/// Argument `i` of a call to `fname`; too few arguments is an error, not an
+/// out-of-bounds panic.
+fn arg<'a>(args: &'a [Value], i: usize, fname: &str) -> SqlResult<&'a Value> {
+    args.get(i).ok_or_else(|| {
+        SqlError::Execution(format!(
+            "{fname}: expected at least {} arguments, got {}",
+            i + 1,
+            args.len()
+        ))
+    })
+}
+
 fn null_if_any_null(args: &[Value]) -> bool {
     args.iter().any(|a| a.is_null())
 }
@@ -63,7 +75,7 @@ macro_rules! float_fn {
                 if null_if_any_null(args) {
                     return Ok(Value::Null);
                 }
-                let x = need_f64(&args[0], $name)?;
+                let x = need_f64(arg(args, 0, $name)?, $name)?;
                 #[allow(clippy::redundant_closure_call)]
                 Ok(Value::Float(($f)(x)))
             },
@@ -106,8 +118,9 @@ pub fn builtin(name: &str) -> Option<Arc<ScalarFunction>> {
                 if null_if_any_null(args) {
                     return Ok(Value::Null);
                 }
-                match &args[0] {
-                    Value::Int(v) => Ok(Value::Int(v.abs())),
+                match arg(args, 0, "abs")? {
+                    // Wrapping, like the rest of BIGINT arithmetic.
+                    Value::Int(v) => Ok(Value::Int(v.wrapping_abs())),
                     Value::Float(v) => Ok(Value::Float(v.abs())),
                     other => Err(SqlError::Execution(format!("abs: non-numeric {other}"))),
                 }
@@ -126,8 +139,8 @@ pub fn builtin(name: &str) -> Option<Arc<ScalarFunction>> {
                 if null_if_any_null(args) {
                     return Ok(Value::Null);
                 }
-                let x = need_f64(&args[0], "power")?;
-                let y = need_f64(&args[1], "power")?;
+                let x = need_f64(arg(args, 0, "power")?, "power")?;
+                let y = need_f64(arg(args, 1, "power")?, "power")?;
                 Ok(Value::Float(x.powf(y)))
             },
         },
@@ -186,7 +199,7 @@ pub fn builtin(name: &str) -> Option<Arc<ScalarFunction>> {
                 if null_if_any_null(args) {
                     return Ok(Value::Null);
                 }
-                match &args[0] {
+                match arg(args, 0, "length")? {
                     Value::Str(s) => Ok(Value::Int(s.chars().count() as i64)),
                     Value::Blob(b) => Ok(Value::Int(b.len() as i64)),
                     other => Err(SqlError::Execution(format!("length: bad argument {other}"))),
@@ -200,7 +213,7 @@ pub fn builtin(name: &str) -> Option<Arc<ScalarFunction>> {
                 if null_if_any_null(args) {
                     return Ok(Value::Null);
                 }
-                match &args[0] {
+                match arg(args, 0, "lower")? {
                     Value::Str(s) => Ok(Value::Str(s.to_lowercase())),
                     other => Err(SqlError::Execution(format!("lower: bad argument {other}"))),
                 }
@@ -213,7 +226,7 @@ pub fn builtin(name: &str) -> Option<Arc<ScalarFunction>> {
                 if null_if_any_null(args) {
                     return Ok(Value::Null);
                 }
-                match &args[0] {
+                match arg(args, 0, "upper")? {
                     Value::Str(s) => Ok(Value::Str(s.to_uppercase())),
                     other => Err(SqlError::Execution(format!("upper: bad argument {other}"))),
                 }
@@ -226,10 +239,10 @@ pub fn builtin(name: &str) -> Option<Arc<ScalarFunction>> {
                 if null_if_any_null(args) {
                     return Ok(Value::Null);
                 }
-                let s = args[0]
+                let s = arg(args, 0, "substr")?
                     .as_str()
                     .ok_or_else(|| SqlError::Execution("substr: bad string".into()))?;
-                let start = args[1]
+                let start = arg(args, 1, "substr")?
                     .as_int()
                     .ok_or_else(|| SqlError::Execution("substr: bad start".into()))?;
                 let chars: Vec<char> = s.chars().collect();
@@ -267,7 +280,7 @@ pub fn builtin(name: &str) -> Option<Arc<ScalarFunction>> {
                 if null_if_any_null(args) {
                     return Ok(Value::Null);
                 }
-                let x = need_f64(&args[0], "sign")?;
+                let x = need_f64(arg(args, 0, "sign")?, "sign")?;
                 Ok(Value::Int(if x > 0.0 {
                     1
                 } else if x < 0.0 {

@@ -118,15 +118,28 @@ impl LogicalPlan {
         }
     }
 
-    /// Pretty-prints the plan tree (for EXPLAIN-style debugging and tests).
+    /// Pretty-prints the plan tree, one node per line (the text of
+    /// `EXPLAIN`). Scans show the names of the columns they read; joins,
+    /// aggregates and projections show their output width.
     pub fn display_indent(&self) -> String {
         fn rec(plan: &LogicalPlan, indent: usize, out: &mut String) {
             let pad = "  ".repeat(indent);
+            let schema = plan.schema();
+            let width = schema.len();
             match plan {
-                LogicalPlan::Scan { table, projection, predicates, .. } => {
+                LogicalPlan::Scan { table, schema: table_schema, predicates, .. } => {
+                    let names: Vec<&str> = schema.fields.iter().map(|f| f.name.as_str()).collect();
+                    // Pushed-down predicates index the table, not the output.
+                    let preds: Vec<String> = predicates
+                        .iter()
+                        .map(|p| {
+                            format!("{} {:?} {}", table_schema.field(p.column).name, p.op, p.value)
+                        })
+                        .collect();
                     out.push_str(&format!(
-                        "{pad}Scan {table} proj={projection:?} preds={}\n",
-                        predicates.len()
+                        "{pad}Scan {table} [{}] preds=[{}]\n",
+                        names.join(", "),
+                        preds.join(", ")
                     ));
                 }
                 LogicalPlan::Values { rows, .. } => {
@@ -137,19 +150,20 @@ impl LogicalPlan {
                     rec(input, indent + 1, out);
                 }
                 LogicalPlan::Project { input, exprs, .. } => {
-                    out.push_str(&format!("{pad}Project {exprs:?}\n"));
+                    out.push_str(&format!("{pad}Project width={width} {exprs:?}\n"));
                     rec(input, indent + 1, out);
                 }
                 LogicalPlan::Join { left, right, kind, on, filter, .. } => {
-                    out.push_str(&format!("{pad}Join {kind:?} on={on:?} filter={filter:?}\n"));
+                    out.push_str(&format!(
+                        "{pad}Join {kind:?} on={on:?} filter={filter:?} width={width}\n"
+                    ));
                     rec(left, indent + 1, out);
                     rec(right, indent + 1, out);
                 }
                 LogicalPlan::Aggregate { input, group, aggs, .. } => {
+                    let args: Vec<_> = aggs.iter().map(|a| (a.func, &a.arg)).collect();
                     out.push_str(&format!(
-                        "{pad}Aggregate groups={} aggs={}\n",
-                        group.len(),
-                        aggs.len()
+                        "{pad}Aggregate width={width} groups={group:?} aggs={args:?}\n"
                     ));
                     rec(input, indent + 1, out);
                 }

@@ -142,6 +142,8 @@ impl Parser {
             self.parse_delete()
         } else if self.peek_kind().is_kw("SELECT") || self.peek_kind().is_kw("WITH") {
             Ok(Statement::Query(Box::new(self.parse_query()?)))
+        } else if self.eat_kw("EXPLAIN") {
+            Ok(Statement::Explain(Box::new(self.parse_query()?)))
         } else {
             Err(self.err(format!("unexpected statement start: {:?}", self.peek_kind())))
         }

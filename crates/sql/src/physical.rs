@@ -89,6 +89,21 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> SqlResult<Vec<Recor
                 }
                 return Ok(out);
             }
+            // A column-only projection over a join is the join's output
+            // list (the optimizer puts one there to drop columns read only
+            // by ON): gather just those columns from the matched row pairs.
+            if let LogicalPlan::Join { .. } = input.as_ref() {
+                let gathered: Option<Vec<usize>> = exprs
+                    .iter()
+                    .map(|e| match e {
+                        PhysExpr::Column(i) => Some(*i),
+                        _ => None,
+                    })
+                    .collect();
+                if let Some(cols) = gathered {
+                    return Ok(vec![execute_join(input, JoinOut { cols: &cols, schema }, ctx)?]);
+                }
+            }
             let batches = execute(input, ctx)?;
             let mut out = Vec::with_capacity(batches.len().max(1));
             for batch in &batches {
@@ -99,24 +114,9 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> SqlResult<Vec<Recor
             }
             Ok(out)
         }
-        LogicalPlan::Join { left, right, kind, on, filter, schema } => {
-            let lb = execute(left, ctx)?;
-            let rb = execute(right, ctx)?;
-            let lbatch = RecordBatch::concat(left.schema(), &lb)?;
-            let rbatch = RecordBatch::concat(right.schema(), &rb)?;
-            let joined = match kind {
-                JoinKind::Cross => cross_join(&lbatch, &rbatch, schema)?,
-                JoinKind::Inner => {
-                    hash_join(&lbatch, &rbatch, on, filter.as_ref(), schema, false, false)?
-                }
-                JoinKind::Left => {
-                    hash_join(&lbatch, &rbatch, on, filter.as_ref(), schema, true, false)?
-                }
-                JoinKind::Right => {
-                    hash_join(&lbatch, &rbatch, on, filter.as_ref(), schema, true, true)?
-                }
-            };
-            Ok(vec![joined])
+        LogicalPlan::Join { schema, .. } => {
+            let all: Vec<usize> = (0..schema.len()).collect();
+            Ok(vec![execute_join(plan, JoinOut { cols: &all, schema }, ctx)?])
         }
         LogicalPlan::Aggregate { input, group, aggs, schema } => {
             let batches = execute(input, ctx)?;
@@ -526,6 +526,31 @@ impl JoinBuild {
     }
 }
 
+/// The columns a join emits: positions in its combined `[left, right]`
+/// schema, and the schema of the emitted batch (one field per position).
+#[derive(Clone, Copy)]
+struct JoinOut<'a> {
+    cols: &'a [usize],
+    schema: &'a Arc<Schema>,
+}
+
+/// Executes a [`LogicalPlan::Join`], gathering only `out`'s columns from the
+/// matched row pairs.
+fn execute_join(
+    join: &LogicalPlan,
+    out: JoinOut<'_>,
+    ctx: &ExecContext<'_>,
+) -> SqlResult<RecordBatch> {
+    let LogicalPlan::Join { left, right, kind, on, filter, schema } = join else {
+        return Err(SqlError::Execution("join executor called on a non-join plan".into()));
+    };
+    let lbatch = RecordBatch::concat(left.schema(), &execute(left, ctx)?)?;
+    let rbatch = RecordBatch::concat(right.schema(), &execute(right, ctx)?)?;
+    let all: Vec<usize> = (0..schema.len()).collect();
+    let residual = filter.as_ref().map(|f| (f, JoinOut { cols: &all, schema }));
+    hash_join(&lbatch, &rbatch, *kind, on, residual, out)
+}
+
 /// Materializes one streaming-join step: probes `build` with `probe` and
 /// builds the joined batch (probe columns, then build columns) under
 /// `schema`. Used by `Database::stream_hash_join`; one probe batch in, one
@@ -540,34 +565,39 @@ pub(crate) fn join_probe_batch(
     let pairs = build.probe_pairs(probe, probe_keys, outer)?;
     let lr_pairs: Vec<(Option<usize>, Option<usize>)> =
         pairs.into_iter().map(|(p, b)| (Some(p), b)).collect();
-    materialize_join_lr(probe, build.batch(), &lr_pairs, None, schema, outer, true)
+    let all: Vec<usize> = (0..schema.len()).collect();
+    let out = JoinOut { cols: &all, schema };
+    materialize_join_lr(probe, build.batch(), &lr_pairs, None, out, outer, true)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Joins `left` and `right` on the `on` key pairs (a filtered cross product
+/// when there are none), then applies the residual filter over the full
+/// combined schema and gathers `out`.
 fn hash_join(
     left: &RecordBatch,
     right: &RecordBatch,
+    kind: JoinKind,
     on: &[(usize, usize)],
-    residual: Option<&PhysExpr>,
-    schema: &Arc<Schema>,
-    outer: bool,
-    flipped: bool, // true = RIGHT join (preserve right side)
+    residual: Option<(&PhysExpr, JoinOut<'_>)>,
+    out: JoinOut<'_>,
 ) -> SqlResult<RecordBatch> {
+    let outer = matches!(kind, JoinKind::Left | JoinKind::Right);
+    // RIGHT joins preserve (and so probe with) the right side.
+    let probe_is_left = kind != JoinKind::Right;
     if on.is_empty() {
-        // No equi keys: degenerate to a filtered cross product.
         let crossed = cross_join_indices(left.num_rows(), right.num_rows());
-        return materialize_join(left, right, &crossed, residual, schema, outer, flipped);
+        return materialize_join_lr(left, right, &crossed, residual, out, outer, probe_is_left);
     }
 
     // Build side: the non-preserved side for outer joins.
-    let (probe, build, probe_keys, build_keys, probe_is_left) = if flipped {
-        let pk: Vec<usize> = on.iter().map(|(_, r)| *r).collect();
-        let bk: Vec<usize> = on.iter().map(|(l, _)| *l).collect();
-        (right, left, pk, bk, false)
-    } else {
+    let (probe, build, probe_keys, build_keys) = if probe_is_left {
         let pk: Vec<usize> = on.iter().map(|(l, _)| *l).collect();
         let bk: Vec<usize> = on.iter().map(|(_, r)| *r).collect();
-        (left, right, pk, bk, true)
+        (left, right, pk, bk)
+    } else {
+        let pk: Vec<usize> = on.iter().map(|(_, r)| *r).collect();
+        let bk: Vec<usize> = on.iter().map(|(l, _)| *l).collect();
+        (right, left, pk, bk)
     };
 
     // The typed fast paths require BIGINT keys on *both* sides (NULLs are
@@ -582,7 +612,7 @@ fn hash_join(
         .into_iter()
         .map(|(p, b)| if probe_is_left { (Some(p), b) } else { (b, Some(p)) })
         .collect();
-    materialize_join_lr(left, right, &lr_pairs, residual, schema, outer, probe_is_left)
+    materialize_join_lr(left, right, &lr_pairs, residual, out, outer, probe_is_left)
 }
 
 fn cross_join_indices(n_left: usize, n_right: usize) -> Vec<(Option<usize>, Option<usize>)> {
@@ -595,27 +625,6 @@ fn cross_join_indices(n_left: usize, n_right: usize) -> Vec<(Option<usize>, Opti
     out
 }
 
-fn cross_join(
-    left: &RecordBatch,
-    right: &RecordBatch,
-    schema: &Arc<Schema>,
-) -> SqlResult<RecordBatch> {
-    let pairs = cross_join_indices(left.num_rows(), right.num_rows());
-    materialize_join_lr(left, right, &pairs, None, schema, false, true)
-}
-
-fn materialize_join(
-    left: &RecordBatch,
-    right: &RecordBatch,
-    pairs: &[(Option<usize>, Option<usize>)],
-    residual: Option<&PhysExpr>,
-    schema: &Arc<Schema>,
-    outer: bool,
-    flipped: bool,
-) -> SqlResult<RecordBatch> {
-    materialize_join_lr(left, right, pairs, residual, schema, outer, !flipped)
-}
-
 /// Builds the output batch from matched (left,right) row pairs, applying the
 /// residual ON filter. For outer joins, preserved-side rows whose matches all
 /// fail the residual are re-emitted null-extended.
@@ -623,95 +632,87 @@ fn materialize_join_lr(
     left: &RecordBatch,
     right: &RecordBatch,
     pairs: &[(Option<usize>, Option<usize>)],
-    residual: Option<&PhysExpr>,
-    schema: &Arc<Schema>,
+    residual: Option<(&PhysExpr, JoinOut<'_>)>,
+    out: JoinOut<'_>,
     outer: bool,
     left_preserved: bool,
 ) -> SqlResult<RecordBatch> {
     let nl = left.num_columns();
-    let build_batch = |pairs: &[(Option<usize>, Option<usize>)]| -> SqlResult<RecordBatch> {
-        let mut cols = Vec::with_capacity(schema.len());
-        for (ci, f) in schema.fields.iter().enumerate() {
-            let (src, side_left) =
-                if ci < nl { (left.column(ci), true) } else { (right.column(ci - nl), false) };
-            let pick = |pair: &(Option<usize>, Option<usize>)| {
-                if side_left {
-                    pair.0
-                } else {
-                    pair.1
-                }
-            };
-            let mut b = ColumnBuilder::with_capacity(f.dtype, pairs.len());
-            // Typed fast paths for the hot column shapes (ids, weights).
-            if src.validity().is_none() && f.dtype == src.dtype() {
-                if let Some(vals) = src.as_int() {
-                    for pair in pairs {
-                        match pick(pair) {
-                            Some(i) => b.push_int(vals[i]),
-                            None => b.push_null(),
-                        }
+    let build_batch =
+        |pairs: &[(Option<usize>, Option<usize>)], out: JoinOut<'_>| -> SqlResult<RecordBatch> {
+            let mut cols = Vec::with_capacity(out.cols.len());
+            for (&ci, f) in out.cols.iter().zip(&out.schema.fields) {
+                let (src, side_left) =
+                    if ci < nl { (left.column(ci), true) } else { (right.column(ci - nl), false) };
+                let pick = |pair: &(Option<usize>, Option<usize>)| {
+                    if side_left {
+                        pair.0
+                    } else {
+                        pair.1
                     }
-                    cols.push(b.finish());
-                    continue;
-                }
-                if let Some(vals) = src.as_float() {
-                    for pair in pairs {
-                        match pick(pair) {
-                            Some(i) => b.push_float(vals[i]),
-                            None => b.push_null(),
+                };
+                let mut b = ColumnBuilder::with_capacity(f.dtype, pairs.len());
+                // Typed fast paths for the hot column shapes (ids, weights).
+                if src.validity().is_none() && f.dtype == src.dtype() {
+                    if let Some(vals) = src.as_int() {
+                        for pair in pairs {
+                            match pick(pair) {
+                                Some(i) => b.push_int(vals[i]),
+                                None => b.push_null(),
+                            }
                         }
+                        cols.push(b.finish());
+                        continue;
                     }
-                    cols.push(b.finish());
-                    continue;
+                    if let Some(vals) = src.as_float() {
+                        for pair in pairs {
+                            match pick(pair) {
+                                Some(i) => b.push_float(vals[i]),
+                                None => b.push_null(),
+                            }
+                        }
+                        cols.push(b.finish());
+                        continue;
+                    }
                 }
-            }
-            for pair in pairs {
-                match pick(pair) {
-                    Some(i) => b.push(src.value(i)).map_err(SqlError::from)?,
-                    None => b.push_null(),
+                for pair in pairs {
+                    match pick(pair) {
+                        Some(i) => b.push(src.value(i)).map_err(SqlError::from)?,
+                        None => b.push_null(),
+                    }
                 }
+                cols.push(b.finish());
             }
-            cols.push(b.finish());
-        }
-        RecordBatch::new(schema.clone(), cols).map_err(Into::into)
+            RecordBatch::new(out.schema.clone(), cols).map_err(Into::into)
+        };
+
+    let Some((residual, combined)) = residual else {
+        return build_batch(pairs, out);
     };
 
-    let Some(residual) = residual else {
-        return build_batch(pairs);
-    };
-
-    // Evaluate the residual on the candidate rows.
-    let candidate = build_batch(pairs)?;
-    let mask = residual.eval_predicate(&candidate)?;
-    if !outer {
-        return candidate.filter(&mask).map_err(Into::into);
-    }
-
-    // Outer join: keep passing pairs; track which preserved rows survive.
-    let mut kept: Vec<(Option<usize>, Option<usize>)> = Vec::new();
-    let mut survived: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    for (idx, pair) in pairs.iter().enumerate() {
-        let preserved_idx = if left_preserved { pair.0 } else { pair.1 };
-        if mask.get(idx) {
-            kept.push(*pair);
-            if let Some(i) = preserved_idx {
-                survived.insert(i);
+    // Evaluate the residual on the candidate rows (it may read columns the
+    // output does not gather).
+    let mask = residual.eval_predicate(&build_batch(pairs, combined)?)?;
+    let mut kept: Vec<(Option<usize>, Option<usize>)> =
+        pairs.iter().enumerate().filter(|&(idx, _)| mask.get(idx)).map(|(_, p)| *p).collect();
+    if outer {
+        // Preserved rows that matched on keys but failed every residual
+        // check — and rows that were already unmatched — must appear
+        // null-extended once.
+        let survived: std::collections::HashSet<usize> =
+            kept.iter().filter_map(|pair| if left_preserved { pair.0 } else { pair.1 }).collect();
+        let mut emitted_null: std::collections::HashSet<usize> = std::collections::HashSet::new();
+        for pair in pairs {
+            let (preserved_idx, other) =
+                if left_preserved { (pair.0, pair.1) } else { (pair.1, pair.0) };
+            let Some(i) = preserved_idx else { continue };
+            let unmatched_pair = other.is_none();
+            if (unmatched_pair || !survived.contains(&i)) && emitted_null.insert(i) {
+                kept.push(if left_preserved { (Some(i), None) } else { (None, Some(i)) });
             }
         }
     }
-    // Preserved rows that matched on keys but failed every residual check —
-    // and rows that were already unmatched — must appear null-extended once.
-    let mut emitted_null: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    for pair in pairs {
-        let (preserved_idx, other) =
-            if left_preserved { (pair.0, pair.1) } else { (pair.1, pair.0) };
-        let Some(i) = preserved_idx else { continue };
-        let unmatched_pair = other.is_none();
-        if (unmatched_pair || !survived.contains(&i)) && emitted_null.insert(i) {
-            kept.push(if left_preserved { (Some(i), None) } else { (None, Some(i)) });
-        }
-    }
-    build_batch(&kept)
+    build_batch(&kept, out)
 }
 
 // ---- aggregation ----

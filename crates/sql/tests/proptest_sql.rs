@@ -357,3 +357,466 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 }
+
+/// One row of the oracle's tables, `a (k BIGINT, x FLOAT, s VARCHAR)` and
+/// `b (k BIGINT, y FLOAT, t VARCHAR)`, every column nullable. Floats are multiples of 0.5, so sums are exact in any
+/// order.
+type OracleRow = (Option<i64>, Option<f64>, Option<String>);
+
+fn arb_oracle_rows() -> impl Strategy<Value = Vec<OracleRow>> {
+    proptest::collection::vec(
+        (
+            proptest::option::of(-1i64..3),
+            proptest::option::of((-2i64..4).prop_map(|h| h as f64 / 2.0)),
+            proptest::option::of(
+                prop_oneof![Just(""), Just("p"), Just("q")].prop_map(String::from),
+            ),
+        ),
+        0..9,
+    )
+}
+
+fn oracle_db(a: &[OracleRow], b: &[OracleRow]) -> Database {
+    let db = Database::new();
+    for (name, cols, rows) in [("a", "x FLOAT, s VARCHAR", a), ("b", "y FLOAT, t VARCHAR", b)] {
+        db.execute(&format!("CREATE TABLE {name} (k BIGINT, {cols})")).unwrap();
+        for (k, x, s) in rows {
+            let k = k.map_or("NULL".to_string(), |k| k.to_string());
+            let x = x.map_or("NULL".to_string(), |x| format!("{x:?}"));
+            let s = s.as_ref().map_or("NULL".to_string(), |s| format!("'{s}'"));
+            db.execute(&format!("INSERT INTO {name} VALUES ({k}, {x}, {s})")).unwrap();
+        }
+    }
+    db
+}
+
+/// A query shape for the pruning oracle.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// 0 inner, 1 left, 2 right, 3 cross.
+    join: u8,
+    /// `AND a.x <= b.y` in ON (not for cross joins).
+    residual: bool,
+    /// `WHERE a.x > threshold`.
+    filter: Option<i64>,
+    /// 0 `SELECT *`, 1 two columns, 2 `COUNT(*)`, 3 `GROUP BY a.s`,
+    /// 4 `ORDER BY` a column that is not selected.
+    select: u8,
+    distinct: bool,
+    union_all: bool,
+    /// `a` is read through `(SELECT k, x, s FROM a) a`.
+    derived: bool,
+}
+
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    (
+        0u8..4,
+        any::<bool>(),
+        proptest::option::of(-1i64..2),
+        0u8..5,
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(join, residual, filter, select, distinct, union_all, derived)| Shape {
+            join,
+            residual,
+            filter,
+            select,
+            distinct,
+            union_all,
+            derived,
+        })
+}
+
+impl Shape {
+    fn sql(&self) -> String {
+        let a = if self.derived { "(SELECT k, x, s FROM a) a" } else { "a" };
+        let join = match self.join {
+            3 => format!("{a} CROSS JOIN b"),
+            kind => {
+                let kw = ["JOIN", "LEFT JOIN", "RIGHT JOIN"][kind as usize];
+                let residual = if self.residual { " AND a.x <= b.y" } else { "" };
+                format!("{a} {kw} b ON a.k = b.k{residual}")
+            }
+        };
+        let filter = self.filter.map_or(String::new(), |t| format!(" WHERE a.x > {t}"));
+        let distinct = if self.distinct { "DISTINCT " } else { "" };
+        let select = match self.select {
+            0 => format!("SELECT {distinct}* FROM {join}{filter}"),
+            1 => format!("SELECT {distinct}a.s, b.y FROM {join}{filter}"),
+            2 => format!("SELECT COUNT(*) FROM {join}{filter}"),
+            3 => format!("SELECT a.s, COUNT(*), SUM(b.y) FROM {join}{filter} GROUP BY a.s"),
+            _ => format!("SELECT b.t FROM {join}{filter} ORDER BY x"),
+        };
+        if self.union_all && self.select != 4 {
+            format!("{select} UNION ALL {select}")
+        } else {
+            select
+        }
+    }
+
+    /// The same query, straight-line: nested loops over the rows, then the
+    /// select list, DISTINCT and UNION ALL by hand.
+    fn reference(&self, a: &[OracleRow], b: &[OracleRow]) -> Vec<Vec<Value>> {
+        let cells = |r: Option<&OracleRow>| -> [Value; 3] {
+            match r {
+                Some((k, x, s)) => [
+                    k.map_or(Value::Null, Value::Int),
+                    x.map_or(Value::Null, Value::Float),
+                    s.clone().map_or(Value::Null, Value::Str),
+                ],
+                None => [Value::Null, Value::Null, Value::Null],
+            }
+        };
+        let matches = |l: &OracleRow, r: &OracleRow| -> bool {
+            if self.join == 3 {
+                return true;
+            }
+            let keys = matches!((l.0, r.0), (Some(x), Some(y)) if x == y);
+            let residual = !self.residual || matches!((l.1, r.1), (Some(x), Some(y)) if x <= y);
+            keys && residual
+        };
+        let mut joined: Vec<[Value; 6]> = Vec::new();
+        let mut push = |l: Option<&OracleRow>, r: Option<&OracleRow>| {
+            let ([a0, a1, a2], [b0, b1, b2]) = (cells(l), cells(r));
+            joined.push([a0, a1, a2, b0, b1, b2]);
+        };
+        match self.join {
+            2 => {
+                for r in b {
+                    let hits: Vec<&OracleRow> = a.iter().filter(|l| matches(l, r)).collect();
+                    if hits.is_empty() {
+                        push(None, Some(r));
+                    }
+                    for l in hits {
+                        push(Some(l), Some(r));
+                    }
+                }
+            }
+            kind => {
+                for l in a {
+                    let hits: Vec<&OracleRow> = b.iter().filter(|r| matches(l, r)).collect();
+                    if hits.is_empty() && kind == 1 {
+                        push(Some(l), None);
+                    }
+                    for r in hits {
+                        push(Some(l), Some(r));
+                    }
+                }
+            }
+        }
+        if let Some(t) = self.filter {
+            joined.retain(|row| matches!(row[1], Value::Float(x) if x > t as f64));
+        }
+        let mut out: Vec<Vec<Value>> = match self.select {
+            0 => joined.iter().map(|r| r.to_vec()).collect(),
+            1 => joined.iter().map(|r| vec![r[2].clone(), r[4].clone()]).collect(),
+            2 => vec![vec![Value::Int(joined.len() as i64)]],
+            3 => {
+                let mut groups: Vec<(Value, i64, Option<f64>)> = Vec::new();
+                for r in &joined {
+                    let g = match groups.iter_mut().find(|g| g.0 == r[2]) {
+                        Some(g) => g,
+                        None => {
+                            groups.push((r[2].clone(), 0, None));
+                            groups.last_mut().unwrap()
+                        }
+                    };
+                    g.1 += 1;
+                    if let Value::Float(x) = r[4] {
+                        g.2 = Some(g.2.unwrap_or(0.0) + x);
+                    }
+                }
+                groups
+                    .into_iter()
+                    .map(|(s, n, sum)| {
+                        vec![s, Value::Int(n), sum.map_or(Value::Null, Value::Float)]
+                    })
+                    .collect()
+            }
+            _ => joined.iter().map(|r| vec![r[5].clone()]).collect(),
+        };
+        if self.distinct && matches!(self.select, 0 | 1) {
+            let mut seen: Vec<Vec<Value>> = Vec::new();
+            out.retain(|r| {
+                let fresh = !seen.contains(r);
+                if fresh {
+                    seen.push(r.clone());
+                }
+                fresh
+            });
+        }
+        if self.union_all && self.select != 4 {
+            out.extend(out.clone());
+        }
+        out
+    }
+}
+
+/// Rows as sorted debug strings: a multiset, so row order (unspecified
+/// without ORDER BY, and among ties with it) does not matter.
+fn as_multiset(rows: &[Vec<Value>]) -> Vec<String> {
+    let mut out: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Required-column pruning never changes a result: joins of every kind
+    /// (with and without a residual ON condition), filters, grouping,
+    /// `COUNT(*)`, ORDER BY on an unselected column, `SELECT *`, DISTINCT,
+    /// UNION ALL and a derived table, all over nullable columns with
+    /// duplicate and NULL keys, against a straight-line nested-loop
+    /// reference.
+    #[test]
+    fn pruned_plans_match_nested_loop_reference(
+        a in arb_oracle_rows(),
+        b in arb_oracle_rows(),
+        shape in arb_shape(),
+    ) {
+        let db = oracle_db(&a, &b);
+        let sql = shape.sql();
+        let got = db.query(&sql).map_err(|e| format!("{sql}: {e}")).unwrap();
+        let want = shape.reference(&a, &b);
+        prop_assert_eq!(as_multiset(&got), as_multiset(&want), "{}", sql);
+        if shape.select == 4 {
+            // The sort key is pruned from the output but not from the sort.
+            let x_of_t: Vec<Value> = db
+                .query(&sql.replace("SELECT b.t FROM", "SELECT a.x FROM"))
+                .unwrap()
+                .into_iter()
+                .map(|r| r[0].clone())
+                .collect();
+            prop_assert!(x_of_t.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()), "{}", sql);
+        }
+    }
+}
+
+/// The vertex, edge, rank and degree tables the hostile-text statements
+/// read, a few rows each (NULLs included).
+fn hostile_db() -> Database {
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE v (id BIGINT NOT NULL, value VARBINARY); \
+         CREATE TABLE e (src BIGINT NOT NULL, dst BIGINT NOT NULL, weight FLOAT); \
+         CREATE TABLE pr (id BIGINT, rank FLOAT, share FLOAT, d BIGINT); \
+         CREATE TABLE deg (id BIGINT, d BIGINT); \
+         CREATE TABLE dist (id BIGINT, d FLOAT); \
+         INSERT INTO v (id) VALUES (0), (1), (2), (3); \
+         INSERT INTO e VALUES (0, 1, 1.0), (1, 2, 2.5), (2, 0, NULL), (2, 2, 1.0); \
+         INSERT INTO pr VALUES (0, 0.25, 0.25, 1), (1, 0.25, 0.25, 1), (2, 0.25, NULL, 2), (3, 0.25, 0.0, 0); \
+         INSERT INTO deg VALUES (0, 1), (1, 1), (2, 2), (3, 0); \
+         INSERT INTO dist VALUES (0, 0.0), (1, 1e308), (2, 1e308), (3, NULL)",
+    )
+    .unwrap();
+    db
+}
+
+/// The statements SQL PageRank and SSSP run each iteration, over the
+/// tables of [`hostile_db`].
+const HOSTILE_SEEDS: [&str; 3] = [
+    "CREATE TABLE pr_next AS SELECT r.id AS id, r.rank AS rank, \
+     CASE WHEN o.d > 0 THEN r.rank / o.d ELSE 0.0 END AS share, o.d AS d \
+     FROM (SELECT v.id AS id, (1.0 - 0.85) / 4 + 0.85 * (COALESCE(c.contrib, 0.0) + dang.mass / 4) AS rank \
+     FROM v v LEFT JOIN (SELECT e.dst AS id, SUM(p.share) AS contrib FROM e e JOIN pr p ON p.id = e.src \
+     GROUP BY e.dst) c ON v.id = c.id \
+     CROSS JOIN (SELECT COALESCE(SUM(p.rank), 0.0) AS mass FROM pr p WHERE p.d = 0) dang) r \
+     JOIN deg o ON r.id = o.id",
+    "CREATE TABLE dist_next AS SELECT v.id AS id, LEAST(d0.d, COALESCE(m.best, 1e308)) AS d \
+     FROM v v JOIN dist d0 ON v.id = d0.id \
+     LEFT JOIN (SELECT e.dst AS id, MIN(d.d + e.weight) AS best FROM e e JOIN dist d ON d.id = e.src \
+     WHERE d.d < 1e308 GROUP BY e.dst) m ON v.id = m.id",
+    "SELECT COUNT(*) FROM dist a JOIN pr b ON a.id = b.id WHERE a.d < b.rank ORDER BY 1 LIMIT 3",
+];
+
+/// Tokens mutations insert, and keyword soup is made of.
+const HOSTILE_VOCAB: &[&str] = &[
+    "SELECT",
+    "FROM",
+    "WHERE",
+    "JOIN",
+    "LEFT",
+    "RIGHT",
+    "CROSS",
+    "ON",
+    "GROUP",
+    "BY",
+    "ORDER",
+    "LIMIT",
+    "UNION",
+    "ALL",
+    "DISTINCT",
+    "AS",
+    "CASE",
+    "WHEN",
+    "THEN",
+    "ELSE",
+    "END",
+    "AND",
+    "NOT",
+    "NULL",
+    "CREATE",
+    "TABLE",
+    "EXPLAIN",
+    "COUNT",
+    "SUM",
+    "ABS",
+    "SUBSTR",
+    "(",
+    ")",
+    ",",
+    ".",
+    "*",
+    "/",
+    "%",
+    "-",
+    "=",
+    "<",
+    "0",
+    "-1",
+    "1e308",
+    "9223372036854775807",
+    "'x'",
+];
+
+/// Splits SQL text into word and punctuation tokens.
+fn sql_tokens(sql: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut word = String::new();
+    for c in sql.chars() {
+        if c.is_alphanumeric()
+            || c == '_'
+            || c == '\''
+            || (c == '.' && word.chars().all(|d| d.is_ascii_digit()) && !word.is_empty())
+        {
+            word.push(c);
+            continue;
+        }
+        if !word.is_empty() {
+            out.push(std::mem::take(&mut word));
+        }
+        if !c.is_whitespace() {
+            out.push(c.to_string());
+        }
+    }
+    if !word.is_empty() {
+        out.push(word);
+    }
+    out
+}
+
+/// A mutation of one seed statement, or keyword soup.
+#[derive(Debug, Clone)]
+enum Hostile {
+    Insert { seed: usize, at: usize, token: usize },
+    Delete { seed: usize, at: usize },
+    Swap { seed: usize, a: usize, b: usize },
+    Truncate { seed: usize, at: usize },
+    Soup(Vec<usize>),
+}
+
+fn arb_hostile() -> impl Strategy<Value = Hostile> {
+    let seed = 0usize..HOSTILE_SEEDS.len();
+    prop_oneof![
+        (seed.clone(), any::<usize>(), 0usize..HOSTILE_VOCAB.len())
+            .prop_map(|(seed, at, token)| Hostile::Insert { seed, at, token }),
+        (seed.clone(), any::<usize>()).prop_map(|(seed, at)| Hostile::Delete { seed, at }),
+        (seed.clone(), any::<usize>(), any::<usize>()).prop_map(|(seed, a, b)| Hostile::Swap {
+            seed,
+            a,
+            b
+        }),
+        (seed, any::<usize>()).prop_map(|(seed, at)| Hostile::Truncate { seed, at }),
+        proptest::collection::vec(0usize..HOSTILE_VOCAB.len(), 0..24).prop_map(Hostile::Soup),
+    ]
+}
+
+impl Hostile {
+    fn text(&self) -> String {
+        let tokens = |seed: usize| sql_tokens(HOSTILE_SEEDS[seed]);
+        match self {
+            Hostile::Insert { seed, at, token } => {
+                let mut t = tokens(*seed);
+                let at = at % (t.len() + 1);
+                t.insert(at, HOSTILE_VOCAB[*token].to_string());
+                t.join(" ")
+            }
+            Hostile::Delete { seed, at } => {
+                let mut t = tokens(*seed);
+                t.remove(at % t.len());
+                t.join(" ")
+            }
+            Hostile::Swap { seed, a, b } => {
+                let mut t = tokens(*seed);
+                let n = t.len();
+                t.swap(a % n, b % n);
+                t.join(" ")
+            }
+            Hostile::Truncate { seed, at } => {
+                let text = HOSTILE_SEEDS[*seed];
+                text[..at % (text.len() + 1)].to_string()
+            }
+            Hostile::Soup(words) => {
+                words.iter().map(|&w| HOSTILE_VOCAB[w]).collect::<Vec<_>>().join(" ")
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile SQL text never panics the engine: a mutated or truncated
+    /// PageRank / SSSP statement, or random keyword soup, either runs or
+    /// is rejected with a typed `SqlError`.
+    #[test]
+    fn hostile_sql_is_a_typed_error_never_a_panic(hostile in arb_hostile()) {
+        let db = hostile_db();
+        let sql = hostile.text();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            db.execute(&sql).map(|_| ())
+        }));
+        match run {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => prop_assert!(!e.to_string().is_empty(), "{}", sql),
+            Err(_) => prop_assert!(false, "panicked on: {}", sql),
+        }
+    }
+}
+
+/// Statements that once panicked (BIGINT overflow in negation, `ABS` and
+/// `%`; a builtin called with too few arguments) now run or fail typed.
+#[test]
+fn hostile_sql_found_cases_do_not_panic() {
+    let db = hostile_db();
+    let min = "(-9223372036854775807 - 1)";
+    for (sql, want) in [
+        (format!("SELECT -{min}"), Some(i64::MIN)),
+        (format!("SELECT ABS({min})"), Some(i64::MIN)),
+        (format!("SELECT {min} % -1"), Some(0)),
+        ("SELECT -id - 9223372036854775807 - 1 FROM v WHERE id = 0".to_string(), Some(i64::MIN)),
+        ("SELECT ABS()".to_string(), None),
+        ("SELECT SUBSTR('abc')".to_string(), None),
+        ("SELECT POWER(2)".to_string(), None),
+    ] {
+        match want {
+            Some(v) => assert_eq!(db.query_int(&sql).unwrap(), v, "{sql}"),
+            None => assert!(db.execute(&sql).is_err(), "{sql}"),
+        }
+    }
+}
+
+/// Every seed statement is valid as written, so mutations start from SQL
+/// that runs.
+#[test]
+fn hostile_seeds_run_unmutated() {
+    for sql in HOSTILE_SEEDS {
+        let db = hostile_db();
+        db.execute(sql).unwrap();
+        let tokens = sql_tokens(sql).join(" ");
+        hostile_db().execute(&tokens).unwrap();
+    }
+}

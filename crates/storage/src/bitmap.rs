@@ -95,6 +95,25 @@ impl Bitmap {
         }
     }
 
+    /// Appends `n` set bits, a word at a time.
+    pub fn extend_ones(&mut self, n: usize) {
+        let mut left = n;
+        let tail = self.len % 64;
+        if tail != 0 && left > 0 {
+            let fill = left.min(64 - tail);
+            let last = self.words.len() - 1;
+            self.words[last] |= (u64::MAX >> (64 - fill)) << tail;
+            self.len += fill;
+            left -= fill;
+        }
+        self.words.extend(std::iter::repeat_n(u64::MAX, left / 64));
+        self.len += left / 64 * 64;
+        if !left.is_multiple_of(64) {
+            self.words.push(u64::MAX >> (64 - left % 64));
+            self.len += left % 64;
+        }
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -200,6 +219,21 @@ mod tests {
         }
         assert_eq!(b.len(), 200);
         assert_eq!(b.count_ones(), (0..200).filter(|i| i % 3 == 0).count());
+    }
+
+    #[test]
+    fn extend_ones_matches_pushes() {
+        for start in [0usize, 1, 63, 64, 65, 130] {
+            for n in [0usize, 1, 62, 63, 64, 65, 200] {
+                let mut bulk = Bitmap::from_iter_bool((0..start).map(|i| i % 3 == 0));
+                let mut one_by_one = bulk.clone();
+                bulk.extend_ones(n);
+                for _ in 0..n {
+                    one_by_one.push(true);
+                }
+                assert_eq!(bulk, one_by_one, "start {start}, n {n}");
+            }
+        }
     }
 
     #[test]

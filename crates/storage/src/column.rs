@@ -509,23 +509,37 @@ impl ColumnBuilder {
         }
     }
 
-    /// Appends every row of `other` (must have the same type).
+    /// Appends every row of `other` (must have the same type): one typed
+    /// slice copy per column, and the validity in bulk when `other` has no
+    /// NULLs.
     pub fn extend_from(&mut self, other: &Column) {
         debug_assert_eq!(self.dtype, other.dtype());
-        if let (ColumnData::Blob(cells), ColumnData::Blob(more)) = (&mut self.data, &*other.data) {
-            cells.extend_from_range(more, 0, more.len());
-            for i in 0..other.len() {
-                self.validity.push(!other.is_null(i));
+        match (&mut self.data, &*other.data) {
+            (ColumnData::Bool(v), ColumnData::Bool(more)) => v.extend_from_slice(more),
+            (ColumnData::Int(v), ColumnData::Int(more)) => v.extend_from_slice(more),
+            (ColumnData::Float(v), ColumnData::Float(more)) => v.extend_from_slice(more),
+            (ColumnData::Str(v), ColumnData::Str(more)) => v.extend_from_slice(more),
+            (ColumnData::Blob(cells), ColumnData::Blob(more)) => {
+                cells.extend_from_range(more, 0, more.len())
             }
-            self.has_null |= other.validity.is_some();
-            return;
+            // Another type (callers pass the same one): coerce cell by cell
+            // like `push`; a failed coercion appends NULL so lengths agree.
+            _ => {
+                for v in other.iter() {
+                    if self.push(v).is_err() {
+                        self.push_null();
+                    }
+                }
+                return;
+            }
         }
-        for i in 0..other.len() {
-            if other.is_null(i) {
-                self.push_null();
-            } else {
-                // Infallible: types match.
-                let _ = self.push(other.value(i));
+        match other.validity() {
+            None => self.validity.extend_ones(other.len()),
+            Some(valid) => {
+                for i in 0..valid.len() {
+                    self.validity.push(valid.get(i));
+                }
+                self.has_null = true;
             }
         }
     }

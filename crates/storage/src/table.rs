@@ -130,47 +130,49 @@ impl ZoneMap {
         Self::from_column_range(col, 0, col.len())
     }
 
+    /// Min, max and null count of rows `start..start + len`, over typed
+    /// slices in exactly [`Value::total_cmp`]'s order (`i64::cmp`,
+    /// `f64::total_cmp`, `bool::cmp`, bytewise strings and blobs); only the
+    /// two winners are boxed.
     fn from_column_range(col: &Column, start: usize, len: usize) -> ZoneMap {
-        if let Some(cells) = col.as_blob() {
-            // Same order as the boxed loop below (`Value::total_cmp` on two
-            // blobs is lexicographic bytes), over borrowed slices: only the
-            // two winners are copied out.
-            let mut bounds: Option<(&[u8], &[u8])> = None;
-            let mut null_count = 0usize;
-            for i in start..start + len {
-                if col.is_null(i) {
-                    null_count += 1;
-                    continue;
-                }
-                let cell = cells.get(i);
-                bounds = Some(match bounds {
-                    None => (cell, cell),
-                    Some((min, max)) => (min.min(cell), max.max(cell)),
-                });
-            }
-            let (min, max) = bounds.map_or((Value::Null, Value::Null), |(min, max)| {
-                (Value::Blob(min.to_vec()), Value::Blob(max.to_vec()))
-            });
-            return ZoneMap { min, max, null_count };
-        }
-        let mut min = Value::Null;
-        let mut max = Value::Null;
-        let mut null_count = 0usize;
-        for i in start..start + len {
-            let v = col.value(i);
-            if v.is_null() {
-                null_count += 1;
-                continue;
-            }
-            if min.is_null() || v.total_cmp(&min).is_lt() {
-                min = v.clone();
-            }
-            if max.is_null() || v.total_cmp(&max).is_gt() {
-                max = v;
-            }
-        }
+        let rows = start..start + len;
+        let null_count = rows.clone().filter(|&i| col.is_null(i)).count();
+        let valid = rows.filter(|&i| !col.is_null(i));
+        let (min, max) = if let Some(v) = col.as_int() {
+            bounds(valid.map(|i| &v[i]), i64::cmp, |x| Value::Int(*x))
+        } else if let Some(v) = col.as_float() {
+            bounds(valid.map(|i| &v[i]), f64::total_cmp, |x| Value::Float(*x))
+        } else if let Some(v) = col.as_bool() {
+            bounds(valid.map(|i| &v[i]), bool::cmp, |x| Value::Bool(*x))
+        } else if let Some(v) = col.as_str() {
+            bounds(valid.map(|i| v[i].as_str()), str::cmp, |x| Value::Str(x.to_string()))
+        } else if let Some(cells) = col.as_blob() {
+            bounds(valid.map(|i| cells.get(i)), <[u8]>::cmp, |x| Value::Blob(x.to_vec()))
+        } else {
+            (Value::Null, Value::Null)
+        };
         ZoneMap { min, max, null_count }
     }
+}
+
+/// The first minimum and first maximum of `cells` under `cmp`, boxed by
+/// `value`; `(Null, Null)` when there are none.
+fn bounds<'a, T: ?Sized + 'a>(
+    cells: impl Iterator<Item = &'a T>,
+    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
+    value: impl Fn(&T) -> Value,
+) -> (Value, Value) {
+    let mut best: Option<(&T, &T)> = None;
+    for c in cells {
+        best = Some(match best {
+            None => (c, c),
+            Some((min, max)) => (
+                if cmp(c, min).is_lt() { c } else { min },
+                if cmp(c, max).is_gt() { c } else { max },
+            ),
+        });
+    }
+    best.map_or((Value::Null, Value::Null), |(min, max)| (value(min), value(max)))
 }
 
 /// Rows per zone-mapped block inside a segment. Blocks are the granularity

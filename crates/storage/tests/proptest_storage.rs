@@ -707,3 +707,106 @@ proptest! {
         prop_assert_eq!(f.coerce(DataType::Int).unwrap(), int);
     }
 }
+
+/// Cells for the typed-vs-boxed checks: NULLs plus each type's awkward
+/// values (NaN of both signs, ±0.0, infinities, extreme ints, empty strings
+/// and blobs).
+fn arb_edge_value_for(dtype: DataType) -> BoxedStrategy<Value> {
+    match dtype {
+        DataType::Bool => {
+            prop_oneof![Just(Value::Null), any::<bool>().prop_map(Value::Bool)].boxed()
+        }
+        DataType::Int => prop_oneof![
+            Just(Value::Null),
+            Just(Value::Int(i64::MIN)),
+            Just(Value::Int(i64::MAX)),
+            (-3i64..3).prop_map(Value::Int)
+        ]
+        .boxed(),
+        DataType::Float => prop_oneof![
+            Just(Value::Null),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(-f64::NAN)),
+            Just(Value::Float(0.0)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(f64::INFINITY)),
+            Just(Value::Float(f64::NEG_INFINITY)),
+            (-2.0f64..2.0).prop_map(Value::Float)
+        ]
+        .boxed(),
+        DataType::Str => prop_oneof![
+            Just(Value::Null),
+            Just(Value::Str(String::new())),
+            "[a-c]{0,3}".prop_map(Value::Str)
+        ]
+        .boxed(),
+        DataType::Blob => prop_oneof![
+            Just(Value::Null),
+            Just(Value::Blob(Vec::new())),
+            proptest::collection::vec(0u8..3, 0..3).prop_map(Value::Blob)
+        ]
+        .boxed(),
+    }
+}
+
+/// Bitwise value equality: the same variant, and `total_cmp`-equal (for
+/// floats that is equal bits, so NaN equals itself and -0.0 differs from
+/// 0.0).
+fn same_value(a: &Value, b: &Value) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b) && a.total_cmp(b).is_eq()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The typed `extend_from` arms (behind `Column::concat`) and the typed
+    /// zone-map loop give exactly what the boxed per-`Value` loops give, at
+    /// one row, one block and one block plus a row.
+    #[test]
+    fn typed_concat_and_zone_maps_equal_boxed(
+        (dtype, pattern) in arb_dtype().prop_flat_map(|dt| {
+            proptest::collection::vec(arb_edge_value_for(dt), 1..40).prop_map(move |v| (dt, v))
+        }),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        size in prop_oneof![Just(1usize), Just(BLOCK_ROWS), Just(BLOCK_ROWS + 1)],
+    ) {
+        let values: Vec<Value> = pattern.iter().cycle().take(size).cloned().collect();
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (size + 1)).collect();
+        cuts.extend([0, size]);
+        cuts.sort_unstable();
+        let parts: Vec<Column> = cuts
+            .windows(2)
+            .map(|w| Column::from_values(dtype, &values[w[0]..w[1]]).unwrap())
+            .collect();
+
+        // Boxed reference: one `push` per cell.
+        let mut boxed = ColumnBuilder::with_capacity(dtype, size);
+        for v in &values {
+            boxed.push(v.clone()).unwrap();
+        }
+        let boxed = boxed.finish();
+        let typed = Column::concat(&parts).unwrap();
+        prop_assert_eq!(typed.len(), boxed.len());
+        prop_assert_eq!(typed.validity(), boxed.validity());
+        for i in 0..size {
+            prop_assert!(same_value(&typed.value(i), &boxed.value(i)), "row {}", i);
+        }
+
+        let schema = Schema::new(vec![Field::new("c", dtype)]);
+        let batch = RecordBatch::new(schema.clone(), vec![typed]).unwrap();
+        for compress in [false, true] {
+            let seg = Segment::build(&schema, &batch, compress).unwrap();
+            for b in 0..seg.num_blocks() {
+                let (start, len) = seg.block_range(b);
+                let zones = [(seg.block_zone_map(0, b), &values[start..start + len])];
+                let whole = (seg.zone_map(0), &values[..]);
+                for (zm, cells) in zones.into_iter().chain([whole]) {
+                    let (min, max, nulls) = boxed_zone(cells);
+                    prop_assert!(same_value(&zm.min, &min), "min {:?} vs {:?}", zm.min, min);
+                    prop_assert!(same_value(&zm.max, &max), "max {:?} vs {:?}", zm.max, max);
+                    prop_assert_eq!(zm.null_count, nulls);
+                }
+            }
+        }
+    }
+}
