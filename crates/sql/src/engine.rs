@@ -1085,6 +1085,29 @@ mod tests {
         assert_eq!(rows[0], vec![Value::Int(1), Value::Int(2)]);
     }
 
+    /// ORDER BY a column the select list drops resolves with its table
+    /// qualifier as it does without one.
+    #[test]
+    fn order_by_qualified_unselected_column() {
+        let db = db_with_edges();
+        db.execute("CREATE TABLE tag (id BIGINT NOT NULL, label VARCHAR)").unwrap();
+        db.execute("INSERT INTO tag VALUES (0,'zero'), (1,'one'), (2,'two'), (3,'three')").unwrap();
+        let query = |key: &str| {
+            db.query(&format!(
+                "SELECT t.label FROM edge e JOIN tag t ON e.dst = t.id ORDER BY {key}"
+            ))
+            .unwrap()
+        };
+        let qualified = query("e.weight");
+        assert_eq!(qualified, query("weight"));
+        let labels: Vec<Value> = ["one", "two", "two", "zero", "three"]
+            .iter()
+            .map(|l| Value::Str(l.to_string()))
+            .collect();
+        assert_eq!(qualified.into_iter().flatten().collect::<Vec<_>>(), labels);
+        assert_eq!(query("e.weight DESC").last(), Some(&vec![Value::Str("one".into())]));
+    }
+
     #[test]
     fn group_by_with_having_end_to_end() {
         let db = db_with_edges();

@@ -79,6 +79,10 @@ impl Scope {
 /// A planned CTE body: its logical plan and output schema.
 type CteEntry = (LogicalPlan, Arc<Schema>);
 
+/// A planned query body: the plan, each output item's AST, and the scope
+/// a plain select's projection reads (`None` for aggregates and unions).
+type PlannedBody = (LogicalPlan, Vec<ast::Expr>, Option<Scope>);
+
 /// The planner. Holds the catalog (for table schemas), the scalar-function
 /// registry and the in-scope CTEs.
 pub struct Planner<'a> {
@@ -126,11 +130,12 @@ impl<'a> Planner<'a> {
     }
 
     fn plan_query_body(&mut self, query: &Query) -> SqlResult<LogicalPlan> {
-        let (mut plan, item_asts) = self.plan_set_expr(&query.body)?;
+        let (mut plan, item_asts, input_scope) = self.plan_set_expr(&query.body)?;
 
         // ORDER BY, resolved against the query output; keys referencing
         // non-projected base columns fall back to a sort below the
-        // projection (`SELECT src FROM edge ORDER BY weight`).
+        // projection (`SELECT src FROM edge ORDER BY weight`, or
+        // `... FROM a JOIN b ON a.k = b.k ORDER BY a.x`).
         if !query.order_by.is_empty() {
             let out_schema = plan.schema();
             let out_scope = Scope::from_schema(&out_schema, None);
@@ -147,8 +152,10 @@ impl<'a> Planner<'a> {
                     let LogicalPlan::Project { input, exprs, schema } = plan else {
                         return Err(err);
                     };
-                    let in_schema = input.schema();
-                    let in_scope = Scope::from_schema(&in_schema, None);
+                    // A plain select projects its FROM scope, qualifiers
+                    // included; above an aggregate only bare names resolve.
+                    let in_scope =
+                        input_scope.unwrap_or_else(|| Scope::from_schema(&input.schema(), None));
                     let mut keys = Vec::new();
                     for ob in &query.order_by {
                         // Positional keys must resolve against the output.
@@ -204,14 +211,14 @@ impl<'a> Planner<'a> {
         self.plan_expr(expr, out_scope)
     }
 
-    fn plan_set_expr(&mut self, body: &SetExpr) -> SqlResult<(LogicalPlan, Vec<ast::Expr>)> {
+    fn plan_set_expr(&mut self, body: &SetExpr) -> SqlResult<PlannedBody> {
         match body {
             SetExpr::Select(sel) => self.plan_select(sel),
             SetExpr::UnionAll(left, right) => {
-                let (l, l_asts) = self.plan_set_expr(left)?;
-                let (r, _) = self.plan_set_expr(right)?;
+                let (l, l_asts, _) = self.plan_set_expr(left)?;
+                let (r, _, _) = self.plan_set_expr(right)?;
                 let plan = self.union_all(l, r)?;
-                Ok((plan, l_asts))
+                Ok((plan, l_asts, None))
             }
         }
     }
@@ -286,7 +293,9 @@ impl<'a> Planner<'a> {
         Ok(LogicalPlan::UnionAll { inputs, schema })
     }
 
-    fn plan_select(&mut self, sel: &Select) -> SqlResult<(LogicalPlan, Vec<ast::Expr>)> {
+    /// Plans one SELECT. A non-aggregate select also returns its FROM scope
+    /// (table qualifiers included), the input of its projection.
+    fn plan_select(&mut self, sel: &Select) -> SqlResult<PlannedBody> {
         // FROM
         let (mut plan, scope) = match &sel.from {
             Some(tref) => self.plan_table_ref(tref)?,
@@ -316,33 +325,35 @@ impl<'a> Planner<'a> {
             })
             || sel.having.as_ref().is_some_and(|h| h.contains_aggregate());
 
-        let (plan, item_asts) = if is_aggregate {
-            self.plan_aggregate_select(plan, scope, sel)?
+        let (plan, item_asts, input_scope) = if is_aggregate {
+            let (plan, item_asts) = self.plan_aggregate_select(plan, scope, sel)?;
+            (plan, item_asts, None)
         } else {
             if sel.having.is_some() {
                 return Err(SqlError::Plan("HAVING requires GROUP BY or aggregates".into()));
             }
-            self.plan_plain_select(plan, scope, sel)?
+            let (plan, item_asts) = self.plan_plain_select(plan, &scope, sel)?;
+            (plan, item_asts, Some(scope))
         };
 
         let plan =
             if sel.distinct { LogicalPlan::Distinct { input: Box::new(plan) } } else { plan };
-        Ok((plan, item_asts))
+        Ok((plan, item_asts, input_scope))
     }
 
     fn plan_plain_select(
         &mut self,
         input: LogicalPlan,
-        scope: Scope,
+        scope: &Scope,
         sel: &Select,
     ) -> SqlResult<(LogicalPlan, Vec<ast::Expr>)> {
-        let items = expand_wildcards(&sel.items, &scope)?;
+        let items = expand_wildcards(&sel.items, scope)?;
         let mut exprs = Vec::with_capacity(items.len());
         let mut fields = Vec::with_capacity(items.len());
         let mut item_asts = Vec::with_capacity(items.len());
         let input_schema = scope.to_schema();
         for (i, (expr_ast, alias)) in items.iter().enumerate() {
-            let phys = self.plan_expr(expr_ast, &scope)?;
+            let phys = self.plan_expr(expr_ast, scope)?;
             let dtype = phys.data_type(&input_schema)?;
             let name = output_name(expr_ast, alias.as_deref(), i);
             fields.push(Field::new(name, dtype));

@@ -591,6 +591,10 @@ proptest! {
                 .map(|r| r[0].clone())
                 .collect();
             prop_assert!(x_of_t.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()), "{}", sql);
+            // The sort key with its table qualifier resolves to the same
+            // column: the same rows in the same order.
+            let qualified = sql.replace("ORDER BY x", "ORDER BY a.x");
+            prop_assert_eq!(db.query(&qualified).unwrap(), got, "{}", qualified);
         }
     }
 }

@@ -50,6 +50,37 @@ impl Bitmap {
         (0..self.len).map(|i| self.get(i)).collect()
     }
 
+    /// Appends the bits packed eight to a byte, least significant bit
+    /// first: `len.div_ceil(8)` bytes, the unused high bits of the last one
+    /// zero.
+    pub(crate) fn write_packed(&self, out: &mut Vec<u8>) {
+        let end = out.len() + self.len.div_ceil(8);
+        for w in &self.words {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out.truncate(end);
+        if let (Some(last), tail @ 1..) = (out.last_mut(), self.len % 8) {
+            *last &= (1u8 << tail) - 1;
+        }
+    }
+
+    /// The first `len` bits of `bytes` packed as [`Bitmap::write_packed`]
+    /// writes them; bits past `len` are ignored. `bytes` must hold at least
+    /// `len.div_ceil(8)` bytes.
+    pub(crate) fn from_packed(bytes: &[u8], len: usize) -> Self {
+        let words = bytes[..len.div_ceil(8)]
+            .chunks(8)
+            .map(|chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        let mut b = Bitmap { words, len };
+        b.mask_tail();
+        b
+    }
+
     fn mask_tail(&mut self) {
         let tail_bits = self.len % 64;
         if tail_bits != 0 {

@@ -263,6 +263,12 @@ impl Column {
         (0..self.len()).map(move |i| self.value(i))
     }
 
+    /// The typed backing storage. NULL cells hold a placeholder; check
+    /// [`Column::is_null`].
+    pub(crate) fn data(&self) -> &ColumnData {
+        &self.data
+    }
+
     /// Typed access: `&[i64]` if this is a non-null Int column's raw data.
     /// Nulls (if any) must be checked separately via [`Column::is_null`].
     pub fn as_int(&self) -> Option<&[i64]> {
@@ -477,6 +483,14 @@ impl ColumnBuilder {
     }
 
     /// Typed fast-path appends.
+    pub(crate) fn push_bool(&mut self, v: bool) {
+        debug_assert_eq!(self.dtype, DataType::Bool);
+        if let ColumnData::Bool(vec) = &mut self.data {
+            vec.push(v);
+            self.validity.push(true);
+        }
+    }
+
     pub fn push_int(&mut self, v: i64) {
         debug_assert_eq!(self.dtype, DataType::Int);
         if let ColumnData::Int(vec) = &mut self.data {
@@ -488,6 +502,14 @@ impl ColumnBuilder {
     pub fn push_float(&mut self, v: f64) {
         debug_assert_eq!(self.dtype, DataType::Float);
         if let ColumnData::Float(vec) = &mut self.data {
+            vec.push(v);
+            self.validity.push(true);
+        }
+    }
+
+    pub(crate) fn push_str(&mut self, v: String) {
+        debug_assert_eq!(self.dtype, DataType::Str);
+        if let ColumnData::Str(vec) = &mut self.data {
             vec.push(v);
             self.validity.push(true);
         }

@@ -161,12 +161,32 @@ impl Bytes {
     fn null(self) -> Self {
         self.u8(0)
     }
+    /// A `Value::Bool`: tag 1, one byte.
+    fn bool(self, v: bool) -> Self {
+        self.u8(1).u8(v as u8)
+    }
+    /// A `Value::Int`: tag 2, eight bytes.
+    fn int(self, v: i64) -> Self {
+        self.u8(2).raw(&v.to_le_bytes())
+    }
+    /// A `Value::Float`: tag 3, the eight bytes of its bit pattern.
+    fn float(self, bits: u64) -> Self {
+        self.u8(3).u64(bits)
+    }
 }
 
-/// The VXTB2 image of a table `g (b VARBINARY)` holding one segment: the
-/// hand-written column encoding and zone map spliced between the header and
-/// trailer every such image shares.
-fn golden_image(compress: bool, rows: u64, column: Bytes, zone_map: Bytes) -> Vec<u8> {
+/// The VXTB2 image of a table `g (b <dtype>)` holding one segment: the
+/// hand-written column encoding, zone map and packed delete vector spliced
+/// between the header and trailer every such image shares.
+fn golden_image_of(
+    dtype_tag: u8,
+    compress: bool,
+    rows: u64,
+    column: Bytes,
+    zone_map: Bytes,
+    deleted: &[u8],
+) -> Vec<u8> {
+    assert_eq!(deleted.len() as u64, rows.div_ceil(8));
     let body = Bytes::default()
         .raw(b"VXTB2\n")
         .u32(1)
@@ -174,7 +194,7 @@ fn golden_image(compress: bool, rows: u64, column: Bytes, zone_map: Bytes) -> Ve
         .u32(1) // one field:
         .u32(1)
         .raw(b"b") //   name
-        .u8(4) //   dtype tag: Blob
+        .u8(dtype_tag) //   dtype tag
         .u8(1) //   nullable
         .u64(7) // options: moveout threshold
         .u8(compress as u8) //   compress
@@ -186,10 +206,15 @@ fn golden_image(compress: bool, rows: u64, column: Bytes, zone_map: Bytes) -> Ve
         .raw(&column.0)
         .raw(&zone_map.0)
         .u32(0) //   block zone maps elided (single block)
-        .u64(rows) // delete vector: `rows` bits, none set
-        .raw(&vec![0u8; (rows as usize).div_ceil(8)]);
+        .u64(rows) // delete vector: `rows` bits, LSB first
+        .raw(deleted);
     let crc = vertexica_storage::wal::crc32(&body.0);
     body.u32(crc).0
+}
+
+/// [`golden_image_of`] for `b VARBINARY` with no row deleted.
+fn golden_image(compress: bool, rows: u64, column: Bytes, zone_map: Bytes) -> Vec<u8> {
+    golden_image_of(4, compress, rows, column, zone_map, &vec![0u8; (rows as usize).div_ceil(8)])
 }
 
 fn golden_table(compress: bool, cells: &BlobModel) -> Table {
@@ -261,6 +286,121 @@ fn blob_column_vxtb2_bytes_are_golden() {
         let scanned = back.scan(None, &[]).unwrap();
         assert_eq!(scanned.len(), 1);
         assert_blob_column_is(scanned[0].column(0), &cells);
+        assert_eq!(persist::table_to_bytes_physical(&back).unwrap(), golden);
+    }
+}
+
+/// The on-disk bytes of plain Int, Float and Bool columns, and of delete
+/// vectors with bits set, are pinned to a hand-written expectation: the
+/// typed column writers and readers keep the per-`Value` format.
+#[test]
+fn plain_int_float_bool_vxtb2_bytes_are_golden() {
+    const NAN: u64 = 0x7FF8_0000_0000_0000;
+    const NEG_ZERO: u64 = 0x8000_0000_0000_0000;
+    const INF: u64 = 0x7FF0_0000_0000_0000;
+    let int = |v: i64| Value::Int(v);
+    let float = |bits: u64| Value::Float(f64::from_bits(bits));
+    let cases = [
+        // Nine rows, so the delete vector's second byte holds a lone bit.
+        (
+            DataType::Int,
+            vec![
+                int(5),
+                Value::Null,
+                int(-1),
+                int(0),
+                int(i64::MAX),
+                int(7),
+                int(7),
+                int(i64::MIN),
+                int(2),
+            ],
+            vec![0u64, 8],
+            golden_image_of(
+                1, // Int
+                false,
+                9,
+                Bytes::default()
+                    .u8(0) // Plain
+                    .u8(1) // Int
+                    .u64(9)
+                    .int(5)
+                    .null()
+                    .int(-1)
+                    .int(0)
+                    .int(i64::MAX)
+                    .int(7)
+                    .int(7)
+                    .int(i64::MIN)
+                    .int(2),
+                Bytes::default().int(i64::MIN).int(i64::MAX).u64(1),
+                &[0b0000_0001, 0b0000_0001],
+            ),
+        ),
+        (
+            DataType::Float,
+            vec![float(0.5f64.to_bits()), Value::Null, float(NEG_ZERO), float(INF), float(NAN)],
+            vec![1, 4],
+            golden_image_of(
+                2, // Float
+                false,
+                5,
+                Bytes::default()
+                    .u8(0) // Plain
+                    .u8(2) // Float
+                    .u64(5)
+                    .float(0x3FE0_0000_0000_0000) // 0.5
+                    .null()
+                    .float(NEG_ZERO)
+                    .float(INF)
+                    .float(NAN),
+                Bytes::default().float(NEG_ZERO).float(NAN).u64(1),
+                &[0b0001_0010],
+            ),
+        ),
+        (
+            DataType::Bool,
+            vec![Value::Bool(true), Value::Null, Value::Bool(false)],
+            vec![0],
+            golden_image_of(
+                0, // Bool
+                false,
+                3,
+                Bytes::default()
+                    .u8(0) // Plain
+                    .u8(0) // Bool
+                    .u64(3)
+                    .bool(true)
+                    .null()
+                    .bool(false),
+                Bytes::default().bool(false).bool(true).u64(1),
+                &[0b0000_0001],
+            ),
+        ),
+    ];
+    for (dtype, values, deleted, golden) in cases {
+        let schema = Schema::new(vec![Field::new("b", dtype)]);
+        let mut table =
+            Table::new("g", schema.clone(), TableOptions::default().with_moveout_threshold(7));
+        let column = Column::from_values(dtype, &values).unwrap();
+        table.append_batch(&RecordBatch::new(schema, vec![column]).unwrap()).unwrap();
+        assert_eq!(table.delete_rowids(&deleted).unwrap(), deleted.len());
+        let image = persist::table_to_bytes_physical(&table).unwrap();
+        assert_eq!(image, golden, "{dtype}: written image drifted");
+
+        let back = persist::table_from_bytes_physical(&golden).unwrap();
+        let scanned: Vec<Value> =
+            back.scan(None, &[]).unwrap().iter().flat_map(|b| b.column(0).iter()).collect();
+        let kept: Vec<&Value> = values
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !deleted.contains(&(*i as u64)))
+            .map(|(_, v)| v)
+            .collect();
+        assert_eq!(scanned.len(), kept.len(), "{dtype}");
+        for (got, want) in scanned.iter().zip(kept) {
+            assert!(same_value(got, want), "{dtype}: {got:?} vs {want:?}");
+        }
         assert_eq!(persist::table_to_bytes_physical(&back).unwrap(), golden);
     }
 }
@@ -808,5 +948,180 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A physical image exercising every part of the format: WOS rows, a plain
+/// and an encoded (RLE and dictionary) segment, NULLs of every type, delete
+/// vectors with bits set, and — when `blocks` — a segment of more than one
+/// block carrying per-block zone maps. Returns the image and its segment
+/// spans.
+fn hostile_fixture(blocks: bool) -> (Vec<u8>, Vec<persist::SegmentSpan>) {
+    let schema = Schema::new(vec![
+        Field::not_null("id", DataType::Int),
+        Field::new("name", DataType::Str),
+        Field::new("score", DataType::Float),
+        Field::new("flag", DataType::Bool),
+        Field::new("payload", DataType::Blob),
+    ]);
+    let row = |i: i64| {
+        let nth = |k: i64, v: Value| if i % k == 0 { Value::Null } else { v };
+        vec![
+            Value::Int(i / 4),
+            nth(5, Value::Str(format!("n{}", i % 3))),
+            nth(6, Value::Float(i as f64 / 4.0)),
+            nth(7, Value::Bool(i % 2 == 0)),
+            nth(4, Value::Blob(vec![i as u8; (i % 3) as usize])),
+        ]
+    };
+    let batch = |rows: std::ops::Range<i64>| {
+        let rows: Vec<Vec<Value>> = rows.map(row).collect();
+        RecordBatch::from_rows(schema.clone(), &rows).unwrap()
+    };
+    let mut t = Table::new("h", schema.clone(), TableOptions::default());
+    t.adopt_segment(Segment::build(&schema, &batch(0..24), false).unwrap()).unwrap();
+    t.adopt_segment(Segment::build(&schema, &batch(0..40), true).unwrap()).unwrap();
+    if blocks {
+        let rows = BLOCK_ROWS as i64 + 1;
+        t.adopt_segment(Segment::build(&schema, &batch(0..rows), false).unwrap()).unwrap();
+    }
+    for i in 0..3 {
+        t.insert_row(row(i)).unwrap();
+    }
+    t.delete_rowids(&[1, 9, (1 << 32) | 3]).unwrap();
+    persist::table_to_bytes_physical_indexed(&t).unwrap()
+}
+
+/// One edit to a byte string: the parser, not the checksum, must cope.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// XOR the byte at a position (mod length) with a nonzero mask.
+    Flip(usize, u8),
+    /// Overwrite the `u32` (`wide == false`) or `u64` at a position (mod
+    /// length) — a length, count or tag field when it lands on one.
+    Write(usize, u64, bool),
+    /// Cut the bytes at a position (mod length + 1).
+    Truncate(usize),
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    let field = prop_oneof![
+        Just(0u64),
+        Just(1),
+        Just(2),
+        Just(5),
+        Just(0xFF),
+        Just(1 << 31),
+        Just(u32::MAX as u64),
+        Just(1 << 62),
+        Just(u64::MAX),
+        any::<u64>(),
+    ];
+    prop_oneof![
+        3 => (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Mutation::Flip(at, mask)),
+        3 => (any::<usize>(), field, any::<bool>())
+            .prop_map(|(at, v, wide)| Mutation::Write(at, v, wide)),
+        1 => any::<usize>().prop_map(Mutation::Truncate),
+    ]
+}
+
+/// Applies `m` to `bytes[keep..]`, leaving the first `keep` bytes alone.
+fn mutate(bytes: &mut Vec<u8>, keep: usize, m: &Mutation) {
+    let span = bytes.len() - keep;
+    match *m {
+        Mutation::Flip(at, mask) if span > 0 => bytes[keep + at % span] ^= mask,
+        Mutation::Write(at, v, wide) if span > 0 => {
+            let at = keep + at % span;
+            let field =
+                if wide { v.to_le_bytes().to_vec() } else { (v as u32).to_le_bytes().to_vec() };
+            let end = (at + field.len()).min(bytes.len());
+            bytes[at..end].copy_from_slice(&field[..end - at]);
+        }
+        Mutation::Truncate(at) => bytes.truncate(keep + at % (span + 1)),
+        _ => {}
+    }
+}
+
+/// `Ok`, or the typed corruption error: anything else (another error kind,
+/// or a panic) fails the property.
+fn assert_ok_or_corrupt<T>(what: &str, r: vertexica_storage::StorageResult<T>) {
+    if let Err(e) = r {
+        assert!(matches!(e, vertexica_storage::StorageError::Corrupt(_)), "{what}: {e:?}");
+    }
+}
+
+/// Every single edit of a small image — each byte flipped three ways, each
+/// position overwritten with huge `u32` / `u64` fields, each truncation —
+/// with the trailer CRC re-stamped, decodes or fails with
+/// `StorageError::Corrupt`, never a panic.
+#[test]
+fn every_single_edit_of_a_small_image_is_corrupt_not_panic() {
+    let (image, _) = hostile_fixture(false);
+    let body = &image[..image.len() - 4];
+    let mut edits = Vec::new();
+    for at in 6..body.len() {
+        edits.extend([0x01, 0x80, 0xFF].map(|mask| Mutation::Flip(at - 6, mask)));
+        for v in [u32::MAX as u64, 1 << 62, u64::MAX] {
+            edits.extend([false, true].map(|wide| Mutation::Write(at - 6, v, wide)));
+        }
+        edits.push(Mutation::Truncate(at - 6));
+    }
+    for m in &edits {
+        let mut edited = body.to_vec();
+        mutate(&mut edited, 6, m);
+        let crc = vertexica_storage::wal::crc32(&edited);
+        edited.extend_from_slice(&crc.to_le_bytes());
+        let parsed = std::panic::catch_unwind(|| {
+            persist::table_from_bytes_physical_indexed(&edited).map(|_| ())
+        });
+        match parsed {
+            Ok(r) => assert_ok_or_corrupt(&format!("{m:?}"), r),
+            Err(_) => panic!("{m:?}: the parser panicked"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A physical image edited by byte flips, field overwrites and
+    /// truncations, with its trailer CRC (or segment span CRC) re-stamped
+    /// so the bytes reach the parser, decodes to a table or fails with
+    /// `StorageError::Corrupt` — it never panics.
+    #[test]
+    fn hostile_images_with_valid_checksums_are_corrupt_not_panics(
+        blocks in any::<bool>(),
+        mutations in proptest::collection::vec(arb_mutation(), 1..4),
+        span_pick in any::<usize>(),
+    ) {
+        use vertexica_common::sync::{AtomicU64, Ordering};
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let (image, spans) = hostile_fixture(blocks);
+
+        // Whole image: keep the magic, edit the body, re-stamp the trailer.
+        let mut body = image[..image.len() - 4].to_vec();
+        for m in &mutations {
+            mutate(&mut body, 6, m);
+        }
+        let crc = vertexica_storage::wal::crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        assert_ok_or_corrupt("image", persist::table_from_bytes_physical_indexed(&body));
+
+        // One segment span, re-read as a spill with its CRC re-stamped.
+        let span = &spans[span_pick % spans.len()];
+        let mut seg = image[span.offset as usize..(span.offset + span.len) as usize].to_vec();
+        for m in &mutations {
+            mutate(&mut seg, 0, m);
+        }
+        let path = std::env::temp_dir().join(format!(
+            "vx_hostile_span_{}_{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, &seg).unwrap();
+        let crc = vertexica_storage::wal::crc32(&seg);
+        let read = persist::read_segment_at(&path, 0, seg.len() as u64, crc);
+        std::fs::remove_file(&path).unwrap();
+        assert_ok_or_corrupt("segment span", read);
     }
 }

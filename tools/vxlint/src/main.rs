@@ -13,9 +13,10 @@
 //!   caught too; `Arc`, `Weak`, `OnceLock`, and `mpsc` are out of scope.
 //! * **no-unwrap-recovery** — no `.unwrap()` / `.expect(` in non-test code
 //!   of the recovery-critical files (`storage/src/wal.rs`, `persist.rs`,
-//!   `catalog.rs`). Crash recovery must degrade to typed `StorageError`s,
-//!   never panic on bad bytes. `#[cfg(test)]` regions are exempt (tracked by
-//!   brace depth).
+//!   `catalog.rs`, and `buffer_pool.rs`, whose segment reload parses spill
+//!   bytes from disk). Crash recovery and reload must degrade to typed
+//!   `StorageError`s, never panic on bad bytes. `#[cfg(test)]` regions are
+//!   exempt (tracked by brace depth).
 //! * **env-var-docs** — two-way: every `VERTEXICA_*` environment variable
 //!   referenced anywhere under `crates/` must be documented in both the
 //!   README configuration table and `docs/ARCHITECTURE.md`; and every
@@ -58,6 +59,7 @@ const RECOVERY_FILES: &[&str] = &[
     "crates/storage/src/wal.rs",
     "crates/storage/src/persist.rs",
     "crates/storage/src/catalog.rs",
+    "crates/storage/src/buffer_pool.rs",
 ];
 
 /// `std::sync::` items that must come from the seam instead.
