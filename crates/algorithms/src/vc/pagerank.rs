@@ -22,11 +22,6 @@ impl PageRank {
     pub fn new(iterations: u64, damping: f64) -> Self {
         PageRank { iterations, damping }
     }
-
-    /// The paper-style default: 10 iterations, 0.85 damping.
-    pub fn default_paper() -> Self {
-        PageRank::new(10, 0.85)
-    }
 }
 
 impl VertexProgram for PageRank {

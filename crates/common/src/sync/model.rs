@@ -233,11 +233,6 @@ pub fn in_model() -> bool {
     CTX.with(|c| c.borrow().is_some())
 }
 
-/// Logical thread id of the caller inside a model execution, if any.
-pub fn thread_id() -> Option<usize> {
-    CTX.with(|c| c.borrow().as_ref().map(|(_, t)| *t))
-}
-
 fn lock_inner(m: &OsMutex<ExecInner>) -> OsMutexGuard<'_, ExecInner> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -702,11 +697,6 @@ pub struct JoinHandle<T> {
 }
 
 impl<T> JoinHandle<T> {
-    /// Logical thread id of the spawned thread.
-    pub fn thread_id(&self) -> usize {
-        self.tid
-    }
-
     /// Blocks (in the model) until the thread finishes and returns its value.
     pub fn join(self) -> T {
         let (exec, me) = ctx().expect("model::JoinHandle::join outside a model execution");

@@ -47,11 +47,6 @@ pub struct SuperstepOutcome {
     pub replaced: bool,
     /// Whether every vertex has voted to halt.
     pub all_halted: bool,
-    /// Per-vertex aggregator partials `(name, vid, value)`, in partition
-    /// order. The coordinator folds the merge of every shard's partials
-    /// sorted by (name, vid) — per-shard folded f64 sums are not bitwise
-    /// recombinable, the global fold must see the raw per-vertex terms.
-    pub agg_partials: Vec<(String, i64, f64)>,
 }
 
 /// One worker output batch ([`crate::worker::worker_output_schema`]) as
@@ -367,17 +362,28 @@ impl ParallelApply {
         self.deltas.lock().push(delta);
         Ok(())
     }
+
+    /// Takes every absorbed aggregator partial `(name, vid, value)`, in
+    /// partition order. The coordinator folds the merge of every shard's
+    /// partials sorted by (name, vid) before the apply commit: per-shard
+    /// folded f64 sums are not bitwise recombinable, so the global fold must
+    /// see the raw per-vertex terms.
+    pub fn take_agg_partials(&self) -> Vec<(String, i64, f64)> {
+        let mut deltas = self.deltas.lock();
+        deltas.sort_by_key(|d| d.partition);
+        deltas.iter_mut().flat_map(|d| std::mem::take(&mut d.agg_partials)).collect()
+    }
 }
 
 /// The segment-parallel apply path: scatter per-partition deltas into
 /// recipient/vertex-hash buckets, build each bucket's new table segment in
 /// parallel on the shared pool, and commit both tables with atomic
 /// catalog-level contents swaps. `extra_commit` holds further pre-encoded
-/// tables riding the same grouped commit: a shard of a sharded run swaps its
-/// meta-stamp table (and, when durable, the retained previous-superstep
-/// message table) **atomically with** the superstep's vertex/message
-/// replacement, so crash recovery always observes a shard at exactly one
-/// superstep boundary.
+/// tables riding the same grouped commit: every run swaps its stamp table
+/// (and a durable sharded run the retained previous-superstep message
+/// table) **atomically with** the superstep's vertex/message replacement,
+/// so crash recovery always observes a shard at exactly one superstep
+/// boundary.
 ///
 /// The result does not depend on the bucket count, which is what lets the
 /// same run on any `num_workers` agree bitwise: every bucket is sorted by
@@ -394,7 +400,9 @@ impl ParallelApply {
 /// up (the crash/abort test injects a pool-task panic to prove it). The
 /// exception is the below-threshold *update* arm, which mutates the vertex
 /// table in place after the message swap and is inherently non-atomic —
-/// the same trade the paper makes.
+/// the same trade the paper makes. A durable database never takes it: a
+/// crash between the two writes would leave messages and stamp at `s` with
+/// vertices at `s − 1`, a state a resume would read as committed.
 pub fn apply_parallel<P: VertexProgram>(
     session: &GraphSession,
     program: &P,
@@ -416,7 +424,6 @@ pub fn apply_parallel<P: VertexProgram>(
     let mut payloads: Vec<Vec<Column>> = Vec::with_capacity(deltas.len());
     let mut msg_buckets: Vec<BucketRefs<MessageRef>> = (0..buckets).map(|_| Vec::new()).collect();
     let mut upd_buckets: Vec<BucketRefs<UpdateRef>> = (0..buckets).map(|_| Vec::new()).collect();
-    let mut agg_partials: Vec<(String, i64, f64)> = Vec::new();
     let mut vertex_changes = 0usize;
     for (d, delta) in deltas.into_iter().enumerate() {
         payloads.push(delta.payloads);
@@ -427,7 +434,6 @@ pub fn apply_parallel<P: VertexProgram>(
             vertex_changes += refs.len();
             upd_buckets[b].push((d, refs));
         }
-        agg_partials.extend(delta.agg_partials);
     }
     let cells: Vec<Vec<&BlobData>> = payloads
         .iter()
@@ -448,7 +454,8 @@ pub fn apply_parallel<P: VertexProgram>(
     // ---- update-vs-replace decision (needs the global delta size) ----
     let change_ratio =
         if total_vertices == 0 { 0.0 } else { vertex_changes as f64 / total_vertices as f64 };
-    let replaced = vertex_changes > 0 && change_ratio >= config.replace_threshold;
+    let replaced = vertex_changes > 0
+        && (change_ratio >= config.replace_threshold || session.db().is_durable());
 
     // ---- messages: build each bucket's segment in parallel ----
     let use_combiner = config.use_combiner;
@@ -620,7 +627,6 @@ pub fn apply_parallel<P: VertexProgram>(
         messages: num_messages,
         replaced,
         all_halted: remaining == 0,
-        agg_partials,
     })
 }
 

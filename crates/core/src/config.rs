@@ -1,7 +1,5 @@
 //! Runtime configuration for the vertex-centric engine.
 
-use std::path::PathBuf;
-
 /// How worker input is assembled from the vertex/edge/message tables (§2.3,
 /// "Table Unions").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +29,8 @@ pub struct VertexicaConfig {
     /// If the fraction of updated vertices is **at or above** this threshold,
     /// rebuild the vertex table — a LEFT-JOIN-equivalent merge of the old
     /// rows with the delta, committed as fresh segments ("replace"); below
-    /// it, update in place.
+    /// it, update in place. A durable database always replaces, so every
+    /// superstep commits atomically.
     pub replace_threshold: f64,
     /// Fold messages to the same recipient with the program's combiner (when
     /// the program provides one).
@@ -43,9 +42,11 @@ pub struct VertexicaConfig {
     pub stream_chunk_rows: usize,
     /// Run against a **durable** database: the coordinator checkpoints the
     /// write-ahead-logged catalog before the first superstep and after the
-    /// run, so a crash at any point recovers to a committed superstep
-    /// boundary (every apply already rides one atomic WAL commit record).
-    /// Meaningless (and harmless) on an in-memory
+    /// run. Every superstep's vertex table, message table and stamp ride one
+    /// atomic WAL commit record (a durable database always takes the
+    /// replace arm), so a crash at any point recovers to a committed
+    /// superstep boundary, and [`crate::coordinator::resume_program`] runs
+    /// on from it. Meaningless (and harmless) on an in-memory
     /// [`vertexica_sql::Database::new`] database — checkpointing a
     /// non-durable catalog is a no-op. Defaults to **off**; the environment
     /// variable `VERTEXICA_DURABLE=1` flips the default on (the hook CI and
@@ -66,10 +67,6 @@ pub struct VertexicaConfig {
     pub memory_budget_bytes: Option<usize>,
     /// Hard cap on supersteps (safety net on top of the program's own limit).
     pub max_supersteps: u64,
-    /// Checkpoint every N supersteps into `checkpoint_dir`.
-    pub checkpoint_every: Option<u64>,
-    /// Where checkpoints are written.
-    pub checkpoint_dir: Option<PathBuf>,
 }
 
 /// Default for [`VertexicaConfig::memory_budget_bytes`]: unbounded, unless
@@ -105,8 +102,6 @@ impl Default for VertexicaConfig {
             durable: durable_default(),
             memory_budget_bytes: memory_budget_default(),
             max_supersteps: 10_000,
-            checkpoint_every: None,
-            checkpoint_dir: None,
         }
     }
 }
@@ -154,12 +149,6 @@ impl VertexicaConfig {
 
     pub fn with_max_supersteps(mut self, n: u64) -> Self {
         self.max_supersteps = n;
-        self
-    }
-
-    pub fn with_checkpointing(mut self, every: u64, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_every = Some(every.max(1));
-        self.checkpoint_dir = Some(dir.into());
         self
     }
 }

@@ -28,7 +28,8 @@
 //!    partition's output is parsed and scattered into apply buckets on the
 //!    worker that produced it, and the commit builds the new table segments
 //!    in parallel;
-//! 5. synchronization barrier, aggregator exchange, halt check.
+//! 5. aggregator exchange and fold, then the apply commit, which also
+//!    stamps the superstep ([`crate::shard`]'s module docs); halt check.
 //!
 //! Steps 1–3 are [`vertexica_sql::Database::run_transform_pipelined`]; its
 //! [`vertexica_sql::engine::PipelinedReport`] is the superstep's
@@ -210,9 +211,8 @@ fn vertex_degrees(
 /// when the run has a projection (`vertex_degrees`).
 ///
 /// `extra` rides the same grouped catalog commit as the vertex/message
-/// initialization — a sharded run passes each shard's freshly stamped
-/// shard-meta table here so a crash can never separate an initialized graph
-/// from its superstep stamp.
+/// initialization — a run passes each shard's freshly stamped stamp table
+/// here so a crash can never separate an initialized graph from its stamp.
 pub(crate) fn initialize_vertices_with_total<P: VertexProgram>(
     session: &GraphSession,
     program: &P,
@@ -269,8 +269,12 @@ pub fn run_program<P: VertexProgram + 'static>(
     run_shards(std::slice::from_ref(session), program, config, false)
 }
 
-/// Resumes a run from the checkpoint the coordinator wrote under
-/// `<checkpoint_dir>/shard0/` (requires `config.checkpoint_dir`).
+/// Resumes a run from the last superstep its apply committed: the session's
+/// stamp names it and carries its output aggregates, and the run continues
+/// at the superstep after it. Works in process (after a `max_supersteps`
+/// cap, say) and, on a reopened durable database, after a crash. A session
+/// that no run ever initialized, or whose stamp is damaged, is a
+/// [`VertexicaError::Recovery`] error.
 pub fn resume_program<P: VertexProgram + 'static>(
     session: &GraphSession,
     program: Arc<P>,

@@ -12,8 +12,9 @@ pub enum VertexicaError {
     Storage(StorageError),
     /// Vertex/message payloads failed to decode.
     Codec(String),
-    /// Checkpoint save/restore failure.
-    Checkpoint(String),
+    /// A resume or repair found no usable superstep stamp: none committed,
+    /// or a malformed, duplicate or unknown stamp row.
+    Recovery(String),
     /// Anything else.
     Runtime(String),
 }
@@ -24,7 +25,7 @@ impl fmt::Display for VertexicaError {
             VertexicaError::Sql(e) => write!(f, "sql error: {e}"),
             VertexicaError::Storage(e) => write!(f, "storage error: {e}"),
             VertexicaError::Codec(m) => write!(f, "codec error: {m}"),
-            VertexicaError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
+            VertexicaError::Recovery(m) => write!(f, "recovery error: {m}"),
             VertexicaError::Runtime(m) => write!(f, "runtime error: {m}"),
         }
     }

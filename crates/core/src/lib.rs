@@ -16,12 +16,15 @@
 //! * [`apply`] writes superstep results back using the **update-vs-replace**
 //!   policy (in-place updates below a change-ratio threshold, left-join +
 //!   table-swap replacement above it);
-//! * [`checkpoint`] persists superstep state, [`mutation`] provides graph
-//!   mutations and temporal snapshots, and [`pipeline`] composes relational
-//!   pre-/post-processing with graph algorithms into end-to-end dataflows.
+//! * [`shard`] holds the one superstep loop, whose every apply commit also
+//!   stamps the superstep it committed: a run resumes from that stamp
+//!   ([`coordinator::resume_program`], [`resume_sharded`]), in process or
+//!   after a crash of a durable database;
+//! * [`mutation`] provides graph mutations and temporal snapshots, and
+//!   [`pipeline`] composes relational pre-/post-processing with graph
+//!   algorithms into end-to-end dataflows.
 
 pub mod apply;
-pub mod checkpoint;
 pub mod config;
 pub mod coordinator;
 pub mod error;

@@ -7,7 +7,11 @@
 //!   halt state;
 //! * `<name>_edge (src, dst, weight, created, etype)` — edges, with the
 //!   metadata attributes §4 attaches (weight, creation timestamp, type);
-//! * `<name>_message (recipient, sender, value)` — in-flight messages.
+//! * `<name>_message (recipient, sender, value)` — in-flight messages;
+//!
+//! plus the run's bookkeeping table `<name>_stamp (key, value)`: the last
+//! superstep a run committed, written in the same grouped commit as the
+//! vertex and message tables ([`crate::shard`]'s module docs).
 
 use std::sync::Arc;
 
@@ -37,7 +41,8 @@ impl GraphSession {
         GraphSession { db, name: name.to_ascii_lowercase(), projection: Arc::new(Mutex::new(None)) }
     }
 
-    /// Creates the vertex/edge/message tables for a new graph.
+    /// Creates the vertex/edge/message tables and the stamp table for a new
+    /// graph.
     pub fn create(db: Arc<Database>, name: &str) -> VertexicaResult<Self> {
         let session = GraphSession::unchecked(db, name);
         let catalog = session.db.catalog();
@@ -56,14 +61,20 @@ impl GraphSession {
             message_schema(),
             TableOptions::default().sorted_by(vec![0]),
         )?;
+        catalog.create_table(&session.stamp_table(), stamp_schema(), TableOptions::default())?;
         Ok(session)
     }
 
     /// Opens an existing graph by name.
     pub fn open(db: Arc<Database>, name: &str) -> VertexicaResult<Self> {
         let session = GraphSession::unchecked(db, name);
-        // Validate all three tables exist.
-        for t in [session.vertex_table(), session.edge_table(), session.message_table()] {
+        // Validate all four tables exist.
+        for t in [
+            session.vertex_table(),
+            session.edge_table(),
+            session.message_table(),
+            session.stamp_table(),
+        ] {
             session.db.catalog().get(&t)?;
         }
         Ok(session)
@@ -87,6 +98,12 @@ impl GraphSession {
 
     pub fn message_table(&self) -> String {
         format!("{}_message", self.name)
+    }
+
+    /// The table holding the last superstep a run committed: its number,
+    /// the vertex and shard counts, and its output aggregates.
+    pub fn stamp_table(&self) -> String {
+        format!("{}_stamp", self.name)
     }
 
     /// Bulk-loads an edge list: all edges into the edge table, and one vertex
@@ -287,6 +304,7 @@ impl GraphSession {
         catalog.drop_table_if_exists(&self.vertex_table())?;
         catalog.drop_table_if_exists(&self.edge_table())?;
         catalog.drop_table_if_exists(&self.message_table())?;
+        catalog.drop_table_if_exists(&self.stamp_table())?;
         catalog.drop_table_if_exists(&format!("{}_vertex_new", self.name))?;
         catalog.drop_table_if_exists(&format!("{}_message_new", self.name))?;
         Ok(())
@@ -319,6 +337,14 @@ pub fn message_schema() -> Arc<Schema> {
         Field::not_null("recipient", DataType::Int),
         Field::new("sender", DataType::Int),
         Field::new("value", DataType::Blob),
+    ])
+}
+
+/// Schema of the stamp table: one `(key, value)` row per stamped fact.
+pub fn stamp_schema() -> Arc<Schema> {
+    Schema::new(vec![
+        Field::not_null("key", DataType::Str),
+        Field::not_null("value", DataType::Int),
     ])
 }
 

@@ -20,10 +20,8 @@
 //! split of every chunk is a clone. What depends on N:
 //!
 //! * the `sharded_config` coercions apply only at N ≥ 2;
-//! * the crash-repair bookkeeping tables (below) exist and ride each apply
-//!   commit only at N ≥ 2 — the `_message_prev` retention only when the
-//!   shards are also durable — so a single-database run writes exactly the
-//!   tables it owns.
+//! * the `_message_prev` retention table (below) exists only at N ≥ 2, and
+//!   rides the apply commits only when the shards are also durable.
 //!
 //! ## Prescan-sealed cross-shard routing
 //!
@@ -40,11 +38,14 @@
 //!    is still assembling — the overlapped dataflow crosses shard
 //!    boundaries, and a partition fed from three shards **seals the moment
 //!    its last inbound row lands** (the summed count matrices told it
-//!    exactly how many to expect), not at any superstep-wide barrier.
+//!    exactly how many to expect), not at any superstep-wide barrier;
+//! 4. after compute, swaps its aggregator partials at a second rendezvous,
+//!    folds them, and commits its apply (see *The stamp* below).
 //!
-//! The only barrier left is the halting vote, which becomes two-phase: each
-//! shard reports its local pending-message and active-vertex counts, and the
-//! coordinator sums them before launching the next superstep.
+//! Rows never wait at a barrier. Besides the partials rendezvous, the halting
+//! vote is two-phase: each shard reports its local pending-message and
+//! active-vertex counts, and the coordinator sums them before launching the
+//! next superstep.
 //!
 //! ## Bitwise equivalence across shard counts
 //!
@@ -56,24 +57,43 @@
 //! non-associative f64 folds. With raw messages the N-shard union of message
 //! tables equals the 1-shard table row-for-row, and the worker's canonical
 //! input sort makes every compute call's message slice identical. Global
-//! aggregators are folded once, by the loop, from every shard's per-vertex
+//! aggregators are folded by every shard from the same set of per-vertex
 //! partials sorted by (name, vid) — one fold order for every N.
 //!
-//! ## Per-shard durability and crash repair
+//! ## The stamp: every commit is a savepoint
 //!
-//! On a durable [`ShardedDatabase::create`]/[`open`](ShardedDatabase::open)
-//! root, every shard's apply commit additionally swaps two bookkeeping
-//! tables *in the same atomic WAL commit record*: a `<name>_shard_meta`
-//! stamp table (superstep number, global vertex count, shard count, and the
-//! superstep's *input* aggregates as `f64::to_bits`) and a
-//! `<name>_message_prev` retention of the superstep's message *input*. The
-//! halting vote keeps shard stamps within one superstep of each other, so
-//! recovery ([`repair_if_needed`]) sees spread ≤ 1: a shard that crashed
-//! before committing superstep `s` re-runs it locally, pulling its
-//! remote-owned input rows from each peer — from the peer's retained
-//! `_message_prev` if the peer already committed `s`, from its live message
-//! table if it is equally behind. The repair commit is bitwise-identical to
-//! the one the crash interrupted, and idempotent.
+//! Every initialization commit and every apply commit also swaps the
+//! graph's `<name>_stamp` table ([`GraphSession::stamp_table`]) *in the same
+//! grouped catalog commit* — one atomic WAL commit record on a durable
+//! database. It records the superstep just committed (−1 for
+//! initialization), the global vertex count, the shard count, and the
+//! superstep's **output** aggregates as `f64::to_bits`. The aggregates are
+//! folded before the commit: each shard swaps its per-vertex partials with
+//! its peers through a second rendezvous, after compute, and folds the
+//! whole set. A durable database always takes the replace arm, so no vertex
+//! write lands after the commit the stamp rides.
+//!
+//! A shard's stamp therefore names exactly the superstep its tables hold,
+//! and resuming is reading it: [`crate::coordinator::resume_program`] and
+//! [`resume_sharded`] start at `stamp + 1` with the stamped aggregates. On
+//! an in-memory database that continues a run in the same process (after a
+//! `max_supersteps` cap, say); on a durable one it survives a crash, since
+//! `Database::open` replays each WAL to its last commit.
+//!
+//! ## Crash repair across shards
+//!
+//! A crash can land between two shards' commits of one superstep. The
+//! partials rendezvous keeps shard stamps within one superstep of each
+//! other, so recovery ([`repair_if_needed`]) sees spread ≤ 1. On a durable
+//! [`ShardedDatabase::create`]/[`open`](ShardedDatabase::open) root every
+//! apply commit also swaps `<name>_message_prev`, a retention of the
+//! superstep's message *input*. A shard that crashed before committing
+//! superstep `s` re-runs it locally with its own stamp's aggregates
+//! (superstep `s − 1`'s output), pulling its remote-owned input rows from
+//! each peer — from the peer's retained `_message_prev` if the peer already
+//! committed `s`, from its live message table if it is equally behind — and
+//! stamps the ahead shard's aggregates. The repair commit is
+//! bitwise-identical to the one the crash interrupted, and idempotent.
 
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -90,19 +110,18 @@ use vertexica_common::{VertexData, VertexId};
 use vertexica_sql::engine::PipelinedReport;
 use vertexica_sql::{Database, SqlError, TransformUdf};
 use vertexica_storage::partition::split_batch;
-use vertexica_storage::{DataType, Field, RecordBatch, Schema, TableOptions, Value};
+use vertexica_storage::{RecordBatch, Segment, Table, TableOptions, Value};
 
 use crate::apply::{apply_parallel, ParallelApply};
-use crate::checkpoint::CheckpointState;
 use crate::config::{InputMode, VertexicaConfig};
 use crate::coordinator::{initialize_vertices_with_total, RunStats, SuperstepStats};
 use crate::error::{VertexicaError, VertexicaResult};
 use crate::input::{assemble_chunks, message_union_batch, partition_row_plan};
 use crate::projection::EdgeProjection;
-use crate::session::{message_schema, GraphSession};
+use crate::session::{message_schema, stamp_schema, GraphSession};
 use crate::worker::VertexWorker;
 
-/// The meta stamp written by initialization, before superstep 0 commits.
+/// The stamp written by initialization, before superstep 0 commits.
 const STAMP_INIT: i64 = -1;
 
 /// N independent engine shards behind one handle. In-memory
@@ -195,8 +214,8 @@ impl ShardedDatabase {
 
 /// A graph hash-partitioned across the shards of a [`ShardedDatabase`]:
 /// one [`GraphSession`] per shard holding the shard-owned slice of the
-/// vertex/edge/message tables, plus the per-shard crash-repair bookkeeping
-/// tables (`<name>_shard_meta`, `<name>_message_prev`).
+/// vertex/edge/message tables and the shard's stamp, plus the per-shard
+/// crash-repair retention table `<name>_message_prev`.
 pub struct ShardedGraphSession {
     db: Arc<ShardedDatabase>,
     sessions: Vec<GraphSession>,
@@ -204,18 +223,13 @@ pub struct ShardedGraphSession {
 }
 
 impl ShardedGraphSession {
-    /// Creates the per-shard graph tables plus the shard-meta stamp table
-    /// and the previous-message retention table on every shard.
+    /// Creates the per-shard graph tables plus the previous-message
+    /// retention table on every shard.
     pub fn create(db: Arc<ShardedDatabase>, name: &str) -> VertexicaResult<Self> {
         let name = name.to_ascii_lowercase();
         let mut sessions = Vec::with_capacity(db.num_shards());
         for shard_db in db.shards() {
             let sess = GraphSession::create(shard_db.clone(), &name)?;
-            shard_db.catalog().create_table(
-                &meta_table_name(&name),
-                meta_schema(),
-                TableOptions::default(),
-            )?;
             shard_db.catalog().create_table(
                 &message_prev_table_name(&name),
                 message_schema(),
@@ -227,16 +241,15 @@ impl ShardedGraphSession {
     }
 
     /// Opens an existing sharded graph and asserts the crash invariant the
-    /// halting vote guarantees: every shard's superstep stamp is within one
-    /// superstep of every other (and no shard is missing its stamp while
-    /// another has one — that means a crash during initialization, which is
-    /// not repairable; reload the graph).
+    /// partials rendezvous guarantees: every shard's superstep stamp is
+    /// within one superstep of every other (and no shard is missing its
+    /// stamp while another has one — that means a crash during
+    /// initialization, which is not repairable; reload the graph).
     pub fn open(db: Arc<ShardedDatabase>, name: &str) -> VertexicaResult<Self> {
         let name = name.to_ascii_lowercase();
         let mut sessions = Vec::with_capacity(db.num_shards());
         for shard_db in db.shards() {
             let sess = GraphSession::open(shard_db.clone(), &name)?;
-            shard_db.catalog().get(&meta_table_name(&name))?;
             shard_db.catalog().get(&message_prev_table_name(&name))?;
             sessions.push(sess);
         }
@@ -260,11 +273,6 @@ impl ShardedGraphSession {
     /// The per-shard sessions, indexed by shard id.
     pub fn shard_sessions(&self) -> &[GraphSession] {
         &self.sessions
-    }
-
-    /// Name of the per-shard superstep stamp table.
-    pub fn meta_table(&self) -> String {
-        meta_table_name(&self.name)
     }
 
     /// Name of the per-shard previous-superstep message retention table.
@@ -316,8 +324,7 @@ impl ShardedGraphSession {
     /// Every shard's superstep stamp (`None` = the shard has never been
     /// initialized).
     pub fn stamps(&self) -> VertexicaResult<Vec<Option<i64>>> {
-        let table = self.meta_table();
-        self.sessions.iter().map(|s| Ok(read_meta(s, &table)?.map(|m| m.stamp))).collect()
+        self.sessions.iter().map(|s| Ok(read_stamp(s)?.map(|m| m.superstep))).collect()
     }
 
     /// Checkpoints every shard.
@@ -327,13 +334,8 @@ impl ShardedGraphSession {
 }
 
 // ---------------------------------------------------------------------------
-// Shard meta: the per-shard superstep stamp table.
+// The stamp: the last superstep a shard committed.
 // ---------------------------------------------------------------------------
-
-/// The per-shard superstep stamp table of graph `graph`.
-fn meta_table_name(graph: &str) -> String {
-    format!("{graph}_shard_meta")
-}
 
 /// The per-shard previous-superstep message retention table of graph
 /// `graph`.
@@ -341,37 +343,35 @@ fn message_prev_table_name(graph: &str) -> String {
     format!("{graph}_message_prev")
 }
 
-/// Schema of the `<name>_shard_meta` stamp table.
-fn meta_schema() -> Arc<Schema> {
-    Schema::new(vec![
-        Field::not_null("key", DataType::Str),
-        Field::not_null("value", DataType::Int),
-    ])
-}
-
-/// The decoded contents of a shard's meta table. `aggregates` are the
-/// stamped superstep's **input** aggregates (what `prev_aggregates` was when
-/// it ran) — exactly what a behind shard needs to re-run that superstep.
-struct ShardMeta {
-    stamp: i64,
+/// A decoded stamp table. `aggregates` are the stamped superstep's
+/// **output** aggregates: the input of the superstep after it, which is
+/// where a resume starts and what a behind shard's repair re-runs with.
+struct Stamp {
+    superstep: i64,
     num_vertices: u64,
     num_shards: usize,
     aggregates: FxHashMap<String, f64>,
 }
 
-/// Builds the meta rows for one stamp. f64 aggregate values are stored as
-/// their exact bit patterns, so repair folds from bit-identical inputs.
-fn meta_rows(
-    stamp: i64,
+/// The stamp table's fixed keys, in row order. `num_aggregates` counts the
+/// `agg.<name>` rows after them, so a lost aggregate row is detected rather
+/// than resumed from.
+const STAMP_KEYS: [&str; 4] = ["superstep", "num_vertices", "num_shards", "num_aggregates"];
+
+/// Builds the stamp rows. f64 aggregate values are stored as their exact
+/// bit patterns, so a resume or a repair folds from bit-identical inputs.
+fn stamp_rows(
+    superstep: i64,
     num_vertices: u64,
     num_shards: usize,
     aggregates: &FxHashMap<String, f64>,
 ) -> Vec<Vec<Value>> {
-    let mut rows = vec![
-        vec![Value::Str("stamp".into()), Value::Int(stamp)],
-        vec![Value::Str("num_vertices".into()), Value::Int(num_vertices as i64)],
-        vec![Value::Str("num_shards".into()), Value::Int(num_shards as i64)],
-    ];
+    let fixed = [superstep, num_vertices as i64, num_shards as i64, aggregates.len() as i64];
+    let mut rows: Vec<Vec<Value>> = STAMP_KEYS
+        .iter()
+        .zip(fixed)
+        .map(|(key, value)| vec![Value::Str((*key).into()), Value::Int(value)])
+        .collect();
     let mut names: Vec<&String> = aggregates.keys().collect();
     names.sort();
     for name in names {
@@ -383,11 +383,87 @@ fn meta_rows(
     rows
 }
 
+/// The stamp table's new contents as pre-encoded segments, ready to ride an
+/// apply commit.
+fn stamp_segments(
+    sess: &GraphSession,
+    superstep: i64,
+    num_vertices: u64,
+    num_shards: usize,
+    aggregates: &FxHashMap<String, f64>,
+) -> VertexicaResult<(String, Vec<Segment>)> {
+    let table = sess.stamp_table();
+    let rows = stamp_rows(superstep, num_vertices, num_shards, aggregates);
+    let batch = RecordBatch::from_rows(stamp_schema(), &rows).map_err(VertexicaError::from)?;
+    let segments = sess.db().encode_segments_for(&table, vec![batch])?;
+    Ok((table, segments))
+}
+
+/// Decodes stamp rows strictly: every row must be a `(Str, Int)` pair with
+/// a known key, no key may repeat, every fixed key must be present, and the
+/// `agg.*` rows must number `num_aggregates`. A stamp is the only thing a
+/// resume starts from, so a damaged one is an error, never a default (a
+/// lost `agg.dangling` row would resume PageRank with the wrong mass).
+/// No rows is `None`: the graph was never initialized.
+fn parse_stamp(table: &str, rows: &[Vec<Value>]) -> VertexicaResult<Option<Stamp>> {
+    if rows.is_empty() {
+        return Ok(None);
+    }
+    let bad = |what: String| VertexicaError::Recovery(format!("{table}: {what}"));
+    let mut fixed: [Option<i64>; 4] = [None; 4];
+    let mut aggregates = FxHashMap::default();
+    for row in rows {
+        let [Value::Str(key), Value::Int(value)] = row.as_slice() else {
+            return Err(bad(format!("malformed stamp row {row:?}")));
+        };
+        let fresh = match STAMP_KEYS.iter().position(|k| k == key) {
+            Some(i) => fixed[i].replace(*value).is_none(),
+            None => match key.strip_prefix("agg.") {
+                Some(name) => {
+                    aggregates.insert(name.to_string(), f64::from_bits(*value as u64)).is_none()
+                }
+                None => return Err(bad(format!("unknown stamp key {key:?}"))),
+            },
+        };
+        if !fresh {
+            return Err(bad(format!("duplicate stamp key {key:?}")));
+        }
+    }
+    let [Some(superstep), Some(num_vertices), Some(num_shards), Some(num_aggregates)] = fixed
+    else {
+        return Err(bad(format!("stamp lacks one of {STAMP_KEYS:?}")));
+    };
+    if superstep < STAMP_INIT || num_vertices < 0 || num_shards < 1 {
+        return Err(bad(format!(
+            "stamp out of range: superstep {superstep}, {num_vertices} vertices, \
+             {num_shards} shards"
+        )));
+    }
+    if num_aggregates != aggregates.len() as i64 {
+        return Err(bad(format!(
+            "stamp declares {num_aggregates} aggregates but holds {}",
+            aggregates.len()
+        )));
+    }
+    Ok(Some(Stamp {
+        superstep,
+        num_vertices: num_vertices as u64,
+        num_shards: num_shards as usize,
+        aggregates,
+    }))
+}
+
+fn read_stamp(sess: &GraphSession) -> VertexicaResult<Option<Stamp>> {
+    let table = sess.stamp_table();
+    let rows = sess.db().query(&format!("SELECT key, value FROM {table}"))?;
+    parse_stamp(&table, &rows)
+}
+
 /// The `(min, max)` of every shard's superstep stamp — `None` when no shard
-/// was ever initialized — after checking the crash invariant the halting
-/// vote guarantees: no shard is missing its stamp while another has one (a
-/// crash during initialization, which is not repairable; reload the graph),
-/// and the stamps spread by at most one superstep.
+/// was ever initialized — after checking the crash invariant the partials
+/// rendezvous guarantees: no shard is missing its stamp while another has
+/// one (a crash during initialization, which is not repairable; reload the
+/// graph), and the stamps spread by at most one superstep.
 fn stamp_range(graph: &str, stamps: &[Option<i64>]) -> VertexicaResult<Option<(i64, i64)>> {
     let known: Vec<i64> = stamps.iter().flatten().copied().collect();
     let (Some(&min), Some(&max)) = (known.iter().min(), known.iter().max()) else {
@@ -403,73 +479,64 @@ fn stamp_range(graph: &str, stamps: &[Option<i64>]) -> VertexicaResult<Option<(i
     }
     if max - min > 1 {
         return Err(VertexicaError::Runtime(format!(
-            "graph {graph}: shard superstep stamps spread {min}..{max} — the halting vote \
-             bounds the spread to 1; storage is corrupt"
+            "graph {graph}: shard superstep stamps spread {min}..{max} — the partials \
+             rendezvous bounds the spread to 1; storage is corrupt"
         )));
     }
     Ok(Some((min, max)))
 }
 
-fn read_meta(sess: &GraphSession, table: &str) -> VertexicaResult<Option<ShardMeta>> {
-    let rows = sess.db().query(&format!("SELECT key, value FROM {table}"))?;
-    if rows.is_empty() {
-        return Ok(None);
-    }
-    let mut stamp = None;
-    let mut num_vertices = 0u64;
-    let mut num_shards = 0usize;
-    let mut aggregates = FxHashMap::default();
-    for r in rows {
-        let Value::Str(key) = r[0].clone() else { continue };
-        let Some(v) = r[1].as_int() else { continue };
-        match key.as_str() {
-            "stamp" => stamp = Some(v),
-            "num_vertices" => num_vertices = v as u64,
-            "num_shards" => num_shards = v as usize,
-            k => {
-                if let Some(name) = k.strip_prefix("agg.") {
-                    aggregates.insert(name.to_string(), f64::from_bits(v as u64));
-                }
+/// The stamp every shard of a resumed run holds. A shard without a stamp,
+/// a stamp written for another shard count, or shards stamped at different
+/// supersteps (an unrepaired crash) are typed errors.
+fn resume_stamp(sessions: &[GraphSession]) -> VertexicaResult<Stamp> {
+    let mut common: Option<Stamp> = None;
+    for (k, sess) in sessions.iter().enumerate() {
+        let graph = sess.name();
+        let stamp = read_stamp(sess)?.ok_or_else(|| {
+            VertexicaError::Recovery(format!(
+                "graph {graph}: shard {k} has no committed superstep to resume from"
+            ))
+        })?;
+        if stamp.num_shards != sessions.len() {
+            return Err(VertexicaError::Recovery(format!(
+                "graph {graph}: stamped by a {}-shard run, resumed on {}",
+                stamp.num_shards,
+                sessions.len()
+            )));
+        }
+        match &common {
+            Some(c) if c.superstep != stamp.superstep => {
+                return Err(VertexicaError::Recovery(format!(
+                    "graph {graph}: shard 0 is at superstep {}, shard {k} at {}; repair first",
+                    c.superstep, stamp.superstep
+                )));
             }
+            Some(_) => {}
+            None => common = Some(stamp),
         }
     }
-    let stamp = stamp
-        .ok_or_else(|| VertexicaError::Runtime(format!("{table}: meta rows without a stamp")))?;
-    Ok(Some(ShardMeta { stamp, num_vertices, num_shards, aggregates }))
+    common.ok_or_else(|| VertexicaError::Recovery("a run needs at least one shard".into()))
 }
 
-/// A fresh catalog [`vertexica_storage::Table`] holding `rows` under
-/// `table`'s live schema/options — for init-time grouped replacement.
-fn meta_fresh_table(
+/// The stamp table of `sess` holding the initialization stamp, as a fresh
+/// catalog [`Table`] to ride the init commit.
+fn init_stamp_table(
     sess: &GraphSession,
-    table: &str,
-    rows: &[Vec<Value>],
-) -> VertexicaResult<vertexica_storage::Table> {
-    let table_ref = sess.db().catalog().get(table)?;
-    let (name, schema, options) = {
-        let guard = table_ref.read();
-        (guard.name().to_string(), guard.schema().clone(), guard.options().clone())
-    };
-    let mut fresh = vertexica_storage::Table::new(name, schema.clone(), options);
-    fresh.append_batch(&RecordBatch::from_rows(schema, rows).map_err(VertexicaError::from)?)?;
-    Ok(fresh)
-}
-
-/// Replaces a shard's meta table contents outside a superstep commit (used
-/// when resuming from a checkpoint, to re-anchor repair at the restored
-/// boundary).
-fn replace_meta(
-    sess: &GraphSession,
-    table: &str,
-    stamp: i64,
     num_vertices: u64,
     num_shards: usize,
-    aggregates: &FxHashMap<String, f64>,
-) -> VertexicaResult<()> {
-    let fresh =
-        meta_fresh_table(sess, table, &meta_rows(stamp, num_vertices, num_shards, aggregates))?;
-    sess.db().catalog().replace_contents_many(vec![(table.to_string(), fresh)])?;
-    Ok(())
+) -> VertexicaResult<Table> {
+    let table_ref = sess.db().catalog().get(&sess.stamp_table())?;
+    let (name, options) = {
+        let guard = table_ref.read();
+        (guard.name().to_string(), guard.options().clone())
+    };
+    let rows = stamp_rows(STAMP_INIT, num_vertices, num_shards, &FxHashMap::default());
+    let mut fresh = Table::new(name, stamp_schema(), options);
+    fresh.append_batch(
+        &RecordBatch::from_rows(stamp_schema(), &rows).map_err(VertexicaError::from)?,
+    )?;
+    Ok(fresh)
 }
 
 // ---------------------------------------------------------------------------
@@ -486,10 +553,6 @@ fn replace_meta(
 ///   producing shard*, which groups non-associative f64 folds differently
 ///   than the single-database run (see the module docs); raw messages make
 ///   the N-shard union of message tables equal the 1-shard table;
-/// * durable ⇒ `replace_threshold = 0.0` — forces the atomic grouped-commit
-///   replace arm every superstep, so the meta stamp can never commit apart
-///   from the vertex state it describes (the in-place update arm mutates
-///   rows after the commit, non-atomically);
 /// * `memory_budget_bytes` is divided by the shard count — N shards share
 ///   the one global budget instead of multiplying it.
 fn sharded_config(config: &VertexicaConfig, num_shards: usize, durable: bool) -> VertexicaConfig {
@@ -500,9 +563,6 @@ fn sharded_config(config: &VertexicaConfig, num_shards: usize, durable: bool) ->
     c.input_mode = InputMode::TableUnion;
     c.use_combiner = false;
     c.durable = durable;
-    if durable {
-        c.replace_threshold = 0.0;
-    }
     if let Some(budget) = c.memory_budget_bytes {
         c.memory_budget_bytes = Some((budget / num_shards).max(1));
     }
@@ -510,16 +570,22 @@ fn sharded_config(config: &VertexicaConfig, num_shards: usize, durable: bool) ->
 }
 
 // ---------------------------------------------------------------------------
-// The superstep exchange: outboxes + counts rendezvous.
+// The superstep exchange: outboxes + two rendezvous.
 // ---------------------------------------------------------------------------
 
+/// One shard's raw per-vertex aggregator partials `(name, vid, value)`.
+type Partials = Arc<Vec<(String, i64, f64)>>;
+
 /// One superstep's cross-shard fabric: an [`Outbox`] per (source,
-/// destination) pair, the counts rendezvous, routing counters, and the
-/// abort flag any failing shard raises so its peers stop waiting on it.
+/// destination) pair, the two rendezvous, routing counters, and the abort
+/// flag any failing shard raises so its peers stop waiting on it.
 struct Exchange {
     /// `boxes[src][dst]` — src pushes, dst drains. The diagonal is unused.
     boxes: Vec<Vec<Outbox<RecordBatch>>>,
-    counts: CountsBoard,
+    /// Before assemble: every shard's `counts[destination][partition]`.
+    counts: Board<Vec<Vec<u64>>>,
+    /// After compute, before the apply commit: every shard's partials.
+    partials: Board<Partials>,
     remote_messages: AtomicU64,
     routed_bytes: AtomicU64,
     abort: AtomicBool,
@@ -529,7 +595,8 @@ impl Exchange {
     fn new(n: usize) -> Self {
         Exchange {
             boxes: (0..n).map(|_| (0..n).map(|_| Outbox::new()).collect()).collect(),
-            counts: CountsBoard::new(n),
+            counts: Board::new(n),
+            partials: Board::new(n),
             remote_messages: AtomicU64::new(0),
             routed_bytes: AtomicU64::new(0),
             abort: AtomicBool::new(false),
@@ -544,9 +611,10 @@ impl Exchange {
         self.abort.load(Ordering::Acquire)
     }
 
-    /// Raised by a shard that errored or panicked: peers waiting on its
-    /// counts or its outbox stream-end unstick via the flag, and closing the
-    /// failed shard's outboxes wakes any parked consumer promptly.
+    /// Raised by a shard that errored or panicked: peers waiting on a
+    /// rendezvous or on its outbox stream-end unstick via the flag, and
+    /// closing the failed shard's outboxes wakes any parked consumer
+    /// promptly.
     fn fail(&self, shard: usize) {
         self.abort.store(true, Ordering::Release);
         for d in 0..self.boxes.len() {
@@ -557,37 +625,32 @@ impl Exchange {
     }
 }
 
-/// The counts rendezvous: every shard deposits its
-/// `counts[destination][partition]` matrix and waits (control plane only —
-/// no rows block here) until all N are in, then reads the full set. Waits
-/// poll the abort flag so one failing shard cannot hang the rest.
-struct CountsBoard {
-    slots: Mutex<CountsState>,
+/// A rendezvous: every shard deposits one value and waits (control plane
+/// only — no rows block here) until all N are in, then reads the full set
+/// in shard order. Waits poll the abort flag so one failing shard cannot
+/// hang the rest.
+struct Board<T> {
+    slots: Mutex<BoardState<T>>,
     ready: Condvar,
 }
 
-struct CountsState {
+struct BoardState<T> {
     filled: usize,
-    slots: Vec<Option<Vec<Vec<u64>>>>,
+    slots: Vec<Option<T>>,
 }
 
-impl CountsBoard {
+impl<T: Clone> Board<T> {
     fn new(n: usize) -> Self {
-        CountsBoard {
-            slots: Mutex::new(CountsState { filled: 0, slots: vec![None; n] }),
+        Board {
+            slots: Mutex::new(BoardState { filled: 0, slots: vec![None; n] }),
             ready: Condvar::new(),
         }
     }
 
-    fn exchange(
-        &self,
-        shard: usize,
-        counts: Vec<Vec<u64>>,
-        abort: &AtomicBool,
-    ) -> VertexicaResult<Vec<Vec<Vec<u64>>>> {
+    fn exchange(&self, shard: usize, value: T, abort: &AtomicBool) -> VertexicaResult<Vec<T>> {
         let mut guard = self.slots.lock();
-        debug_assert!(guard.slots[shard].is_none(), "shard {shard} deposited counts twice");
-        guard.slots[shard] = Some(counts);
+        debug_assert!(guard.slots[shard].is_none(), "shard {shard} deposited twice");
+        guard.slots[shard] = Some(value);
         guard.filled += 1;
         if guard.filled == guard.slots.len() {
             self.ready.notify_all();
@@ -600,13 +663,21 @@ impl CountsBoard {
                 && !vertexica_common::sync::model::mutation_enabled("shard.skip_abort_recheck")
             {
                 return Err(VertexicaError::Runtime(
-                    "sharded superstep aborted during counts exchange".into(),
+                    "sharded superstep aborted during a rendezvous".into(),
                 ));
             }
             let (g, _) = self.ready.wait_timeout(guard, Duration::from_millis(50));
             guard = g;
         }
-        Ok(guard.slots.iter().map(|s| s.clone().expect("all slots filled")).collect())
+        guard
+            .slots
+            .iter()
+            .map(|slot| {
+                slot.clone().ok_or_else(|| {
+                    VertexicaError::Runtime("rendezvous filled with an empty slot".into())
+                })
+            })
+            .collect()
     }
 }
 
@@ -630,12 +701,15 @@ struct ShardReport {
     /// Worker-input rows this shard consumed (local + inbound) — the skew
     /// gauge's numerator.
     input_rows: u64,
+    /// The superstep's global output aggregates (every shard folds the same).
+    aggregates: FxHashMap<String, f64>,
 }
 
 /// One shard's superstep: prescan, counts rendezvous, assemble → scatter →
-/// compute with cross-shard routing, apply. `tables` names the
-/// `(meta stamp, message retention)` bookkeeping tables that ride the apply
-/// commit — `None` on a one-shard run, which has neither.
+/// compute with cross-shard routing, partials rendezvous and aggregate
+/// fold, apply. The stamp rides the apply commit, and so does the retained
+/// message input when `msg_prev_table` names its table (a durable sharded
+/// run).
 #[allow(clippy::too_many_arguments)]
 fn run_shard_superstep<P: VertexProgram + 'static>(
     sess: &GraphSession,
@@ -646,7 +720,8 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     superstep: u64,
     num_vertices: u64,
     prev_aggregates: &FxHashMap<String, f64>,
-    tables: Option<(&str, &str)>,
+    agg_specs: &FxHashMap<String, AggKind>,
+    msg_prev_table: Option<&str>,
     edges: Option<Arc<EdgeProjection>>,
 ) -> VertexicaResult<ShardReport> {
     let edge_rows = edges.is_none();
@@ -662,12 +737,12 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     // Durable sharded run: retain this superstep's message *input* for crash
     // repair. The segments are pre-encoded here and committed atomically
     // with the apply.
-    let msg_prev = match tables {
-        Some((_, msg_prev_table)) if config.durable => {
+    let msg_prev = match msg_prev_table {
+        Some(table) => {
             let batches = db.scan_table(&sess.message_table(), None, &[])?;
-            Some((msg_prev_table.to_string(), db.encode_segments_for(msg_prev_table, batches)?))
+            Some((table.to_string(), db.encode_segments_for(table, batches)?))
         }
-        _ => None,
+        None => None,
     };
 
     // Control plane: plan every destination's per-partition row counts and
@@ -803,17 +878,16 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
         &|idx, out| apply.absorb(idx, &out).map_err(|e| SqlError::Udf(e.to_string())),
     )?;
 
-    // Apply, with the meta stamp (and the retained message input, when
-    // durable) riding the same atomic grouped commit.
-    let mut extra = Vec::new();
-    if let Some((meta_table, _)) = tables {
-        let meta_batch = RecordBatch::from_rows(
-            meta_schema(),
-            &meta_rows(superstep as i64, num_vertices, n, prev_aggregates),
-        )
-        .map_err(VertexicaError::from)?;
-        extra.push((meta_table.to_string(), db.encode_segments_for(meta_table, vec![meta_batch])?));
-    }
+    // The global aggregates are folded before the commit, so the stamp that
+    // rides it carries this superstep's output: every shard swaps its raw
+    // partials with its peers and folds the same set.
+    let partials = Arc::new(apply.take_agg_partials());
+    let partials = exchange.partials.exchange(shard, partials, &exchange.abort)?;
+    let aggregates = fold_aggregates(agg_specs, &partials);
+
+    // Apply, with the stamp (and the retained message input) riding the
+    // same atomic grouped commit.
+    let mut extra = vec![stamp_segments(sess, superstep as i64, num_vertices, n, &aggregates)?];
     extra.extend(msg_prev);
     let sw = Stopwatch::start();
     let outcome = apply_parallel(sess, program.as_ref(), config, apply, num_vertices, extra)?;
@@ -841,7 +915,30 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
         evictions: bp_after.evictions - bp_before.evictions,
         reloads: bp_after.reloads - bp_before.reloads,
         input_rows,
+        aggregates,
     })
+}
+
+/// Folds every shard's per-vertex aggregator partials sorted by (name, vid):
+/// one fold order whatever the shard count, so f64 folds are
+/// bitwise-identical.
+fn fold_aggregates(
+    specs: &FxHashMap<String, AggKind>,
+    partials: &[Partials],
+) -> FxHashMap<String, f64> {
+    let mut all: Vec<&(String, i64, f64)> = partials.iter().flat_map(|p| p.iter()).collect();
+    all.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+    let mut folded: FxHashMap<String, f64> = FxHashMap::default();
+    for (name, _, v) in all {
+        let kind = specs[name];
+        match folded.get_mut(name) {
+            Some(acc) => *acc = kind.combine(*acc, *v),
+            None => {
+                folded.insert(name.clone(), kind.combine(kind.identity(), *v));
+            }
+        }
+    }
+    folded
 }
 
 // ---------------------------------------------------------------------------
@@ -863,25 +960,25 @@ pub fn run_sharded<P: VertexProgram + 'static>(
     run_shards(&ss.sessions, program, &c, false)
 }
 
-/// Resumes a sharded run from per-shard checkpoints written by
-/// [`run_sharded`] under `<checkpoint_dir>/shard<k>/`. All shards must have
-/// checkpointed the same superstep (they do — the checkpoint happens on the
-/// coordinator thread, between supersteps).
+/// Resumes a sharded run from the superstep its shards last committed:
+/// [`repair_if_needed`] first brings every shard to one boundary, then the
+/// run continues at `stamp + 1` with the stamped aggregates, as
+/// [`run_sharded`] would have.
 pub fn resume_sharded<P: VertexProgram + 'static>(
     ss: &ShardedGraphSession,
     program: Arc<P>,
     config: &VertexicaConfig,
 ) -> VertexicaResult<RunStats> {
+    repair_if_needed(ss, program.clone(), config)?;
     let c = sharded_config(config, ss.num_shards(), ss.db.is_durable());
     run_shards(&ss.sessions, program, &c, true)
 }
 
 /// The one coordinator: runs `program` over `sessions`, one per shard, from
-/// a fresh initialization — or, with `resume`, from the checkpoint under
-/// `<checkpoint_dir>/shard<k>/` — until the halting vote or the superstep
+/// a fresh initialization — or, with `resume`, from the superstep after the
+/// one every shard's stamp names — until the halting vote or the superstep
 /// cap. `config` is what the run executes with ([`sharded_config`] already
-/// applied). Only at N ≥ 2 does initialization stamp the `_shard_meta`
-/// table, and a resume re-anchor it.
+/// applied).
 pub(crate) fn run_shards<P: VertexProgram + 'static>(
     sessions: &[GraphSession],
     program: Arc<P>,
@@ -900,35 +997,19 @@ pub(crate) fn run_shards<P: VertexProgram + 'static>(
             sess.db().catalog().buffer_pool().set_budget(Some(budget));
         }
     }
-    let restored = match (resume, &config.checkpoint_dir) {
-        (false, _) => None,
-        (true, None) => {
-            return Err(VertexicaError::Checkpoint("no checkpoint_dir configured".into()))
-        }
-        (true, Some(dir)) => {
-            let mut first: Option<CheckpointState> = None;
-            for (k, sess) in sessions.iter().enumerate() {
-                let state = crate::checkpoint::restore(sess, dir.join(format!("shard{k}")))?;
-                match &first {
-                    Some(f) if f.superstep != state.superstep => {
-                        return Err(VertexicaError::Checkpoint(format!(
-                            "shard checkpoints disagree: shard 0 at superstep {}, shard {k} at {}",
-                            f.superstep, state.superstep
-                        )));
-                    }
-                    Some(_) => {}
-                    None => first = Some(state),
-                }
+    let resumed = if resume { Some(resume_stamp(sessions)?) } else { None };
+    // The GLOBAL vertex count: e.g. PageRank's 1/N seed must see the whole
+    // graph, not one shard's slice of it. A resume reads the one it ran with.
+    let num_vertices = match &resumed {
+        Some(stamp) => stamp.num_vertices,
+        None => {
+            let mut total = 0;
+            for sess in sessions {
+                total += sess.num_vertices()?;
             }
-            first
+            total
         }
     };
-    // The GLOBAL vertex count: e.g. PageRank's 1/N seed must see the whole
-    // graph, not one shard's slice of it.
-    let mut num_vertices = 0;
-    for sess in sessions {
-        num_vertices += sess.num_vertices()?;
-    }
     let mut edges = Vec::with_capacity(n);
     let mut projection_build_secs = 0.0;
     for sess in sessions {
@@ -936,35 +1017,18 @@ pub(crate) fn run_shards<P: VertexProgram + 'static>(
         edges.push(projection);
         projection_build_secs += secs;
     }
-    let meta_table = (n >= 2).then(|| meta_table_name(sessions[0].name()));
-    let (start_superstep, prev_aggregates) = match restored {
-        Some(state) => {
-            // Re-anchor every shard's meta stamp at the restored boundary, so
-            // crash repair reasons from the checkpoint rather than the
-            // interrupted run.
-            if let Some(meta_table) = &meta_table {
-                for sess in sessions {
-                    let stamp = state.superstep as i64;
-                    replace_meta(sess, meta_table, stamp, num_vertices, n, &state.aggregates)?;
-                }
-            }
-            (state.superstep + 1, state.aggregates)
-        }
+    let (start_superstep, prev_aggregates) = match resumed {
+        Some(stamp) => ((stamp.superstep + 1) as u64, stamp.aggregates),
         None => {
-            // The freshly stamped meta table rides each shard's init commit,
-            // so a crash can never separate an initialized shard from its
-            // stamp.
+            // The initialization stamp rides each shard's init commit, so a
+            // crash can never separate an initialized shard from its stamp.
             for (sess, edges) in sessions.iter().zip(&edges) {
-                let mut extra = Vec::new();
-                if let Some(meta_table) = &meta_table {
-                    let rows = meta_rows(STAMP_INIT, num_vertices, n, &FxHashMap::default());
-                    extra.push((meta_table.clone(), meta_fresh_table(sess, meta_table, &rows)?));
-                }
+                let stamp = (sess.stamp_table(), init_stamp_table(sess, num_vertices, n)?);
                 initialize_vertices_with_total(
                     sess,
                     program.as_ref(),
                     num_vertices,
-                    extra,
+                    vec![stamp],
                     edges.as_deref(),
                 )?;
             }
@@ -1011,12 +1075,9 @@ fn superstep_loop<P: VertexProgram + 'static>(
     edges: &[Option<Arc<EdgeProjection>>],
 ) -> VertexicaResult<RunStats> {
     let n = sessions.len();
-    // The crash-repair bookkeeping tables, which only a sharded run has.
-    let tables = (n >= 2).then(|| {
-        let graph = sessions[0].name();
-        (meta_table_name(graph), message_prev_table_name(graph))
-    });
-    let tables = tables.as_ref().map(|(meta, prev)| (meta.as_str(), prev.as_str()));
+    // The crash-repair retention, which only a durable sharded run keeps.
+    let msg_prev_table =
+        (n >= 2 && config.durable).then(|| message_prev_table_name(sessions[0].name()));
     let agg_specs: FxHashMap<String, AggKind> =
         program.aggregators().into_iter().map(|s| (s.name.to_string(), s.kind)).collect();
     let mut stats = RunStats {
@@ -1055,7 +1116,7 @@ fn superstep_loop<P: VertexProgram + 'static>(
         // Shard 0 runs on this thread, every other shard on a thread of its
         // own (a thread per superstep would give a one-shard run a fresh
         // allocator arena each superstep, which measurably raised peak RSS on
-        // the durable workloads). Outboxes and the counts rendezvous tie them
+        // the durable workloads). Outboxes and the two rendezvous tie them
         // together. A shard that errors or panics raises the exchange abort
         // so its peers unstick, then the first error propagates — a panic
         // never unwinds into the caller.
@@ -1071,7 +1132,8 @@ fn superstep_loop<P: VertexProgram + 'static>(
                     superstep,
                     num_vertices,
                     &prev_aggregates,
-                    tables,
+                    &agg_specs,
+                    msg_prev_table.as_deref(),
                     edges[k].clone(),
                 )
             }))
@@ -1099,20 +1161,8 @@ fn superstep_loop<P: VertexProgram + 'static>(
             reports.push(r?);
         }
 
-        // Global aggregators: merge every shard's per-vertex partials and
-        // fold them sorted by (name, vid) — one fold order whatever the
-        // shard count, so f64 folds are bitwise-identical.
-        let mut partials: Vec<(String, i64, f64)> =
-            reports.iter_mut().flat_map(|r| std::mem::take(&mut r.outcome.agg_partials)).collect();
-        partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-        let mut folded: FxHashMap<String, (AggKind, f64)> = FxHashMap::default();
-        for (name, _, v) in &partials {
-            let kind = agg_specs[name];
-            let entry = folded.entry(name.clone()).or_insert((kind, kind.identity()));
-            entry.1 = kind.combine(entry.1, *v);
-        }
-        let aggregates: FxHashMap<String, f64> =
-            folded.into_iter().map(|(k, (_, v))| (k, v)).collect();
+        // Every shard folded the same global aggregates before its commit.
+        let aggregates = std::mem::take(&mut reports[0].aggregates);
 
         let messages: usize = reports.iter().map(|r| r.outcome.messages).sum();
         let vertex_changes: usize = reports.iter().map(|r| r.outcome.vertex_changes).sum();
@@ -1165,19 +1215,6 @@ fn superstep_loop<P: VertexProgram + 'static>(
         stats.supersteps = superstep + 1 - start_superstep;
         stats.aggregates = aggregates;
 
-        if let (Some(every), Some(dir)) = (config.checkpoint_every, &config.checkpoint_dir) {
-            if (superstep + 1).is_multiple_of(every) {
-                for (k, sess) in sessions.iter().enumerate() {
-                    crate::checkpoint::save(
-                        sess,
-                        dir.join(format!("shard{k}")),
-                        superstep,
-                        &prev_aggregates,
-                    )?;
-                }
-            }
-        }
-
         // Two-phase halting vote, phase two: every shard's outcome counted.
         if messages == 0 && all_halted {
             break;
@@ -1212,55 +1249,56 @@ pub fn repair_if_needed<P: VertexProgram + 'static>(
     config: &VertexicaConfig,
 ) -> VertexicaResult<Option<u64>> {
     let n = ss.num_shards();
-    let meta_table = ss.meta_table();
-    let metas: Vec<Option<ShardMeta>> = ss
-        .shard_sessions()
-        .iter()
-        .map(|s| read_meta(s, &meta_table))
-        .collect::<VertexicaResult<_>>()?;
-    let stamps: Vec<Option<i64>> = metas.iter().map(|m| m.as_ref().map(|m| m.stamp)).collect();
-    let Some((s_min, s_max)) = stamp_range(&ss.name, &stamps)? else { return Ok(None) };
+    let stamps: Vec<Option<Stamp>> =
+        ss.shard_sessions().iter().map(read_stamp).collect::<VertexicaResult<_>>()?;
+    let numbers: Vec<Option<i64>> =
+        stamps.iter().map(|m| m.as_ref().map(|m| m.superstep)).collect();
+    let Some((s_min, s_max)) = stamp_range(&ss.name, &numbers)? else { return Ok(None) };
     if s_max == s_min {
         return Ok(None);
     }
-    let mut stamps: Vec<i64> = stamps.into_iter().flatten().collect();
     if !ss.db.is_durable() {
         return Err(VertexicaError::Runtime(
             "cannot repair a non-durable sharded database: no retained message input".into(),
         ));
     }
-    let superstep = s_max as u64;
-    let ahead = stamps.iter().position(|&s| s == s_max).expect("max exists");
-    let ahead_meta = metas[ahead].as_ref().expect("checked");
-    if ahead_meta.num_shards != n {
-        return Err(VertexicaError::Runtime(format!(
-            "graph {}: meta says {} shards but the database has {n}",
-            ss.name, ahead_meta.num_shards
+    // stamp_range checked that every shard has a stamp.
+    let stamps: Vec<Stamp> = stamps.into_iter().flatten().collect();
+    let ahead = stamps
+        .iter()
+        .find(|m| m.superstep == s_max)
+        .ok_or_else(|| VertexicaError::Runtime("no shard holds the newest stamp".into()))?;
+    if ahead.num_shards != n {
+        return Err(VertexicaError::Recovery(format!(
+            "graph {}: stamped by a {}-shard run but the database has {n} shards",
+            ss.name, ahead.num_shards
         )));
     }
-    let agg_in = ahead_meta.aggregates.clone();
-    let num_vertices = ahead_meta.num_vertices;
+    let superstep = s_max as u64;
 
     let c = sharded_config(config, n, true);
     for sess in ss.shard_sessions() {
         sess.db().runtime().resize(c.num_workers);
     }
-    for b in 0..n {
-        if stamps[b] == s_max {
+    let mut numbers: Vec<i64> = stamps.iter().map(|m| m.superstep).collect();
+    for (b, behind) in stamps.iter().enumerate() {
+        if behind.superstep == s_max {
             continue;
         }
-        repair_shard(ss, &program, &c, b, superstep, num_vertices, &agg_in, &stamps)?;
+        repair_shard(ss, &program, &c, b, superstep, behind, &ahead.aggregates, &numbers)?;
         // The repaired shard's `_message_prev` now holds the superstep's
         // input (like any shard that committed it) — later behind shards
         // must read it from there, not from the now-advanced live table.
-        stamps[b] = s_max;
+        numbers[b] = s_max;
     }
     ss.db.checkpoint()?;
     Ok(Some(superstep))
 }
 
 /// Re-runs one missing superstep on one behind shard (see
-/// [`repair_if_needed`] for the protocol).
+/// [`repair_if_needed`] for the protocol): with the shard's own stamp's
+/// aggregates as input, and the ahead shard's `aggregates` — the
+/// superstep's global output — in the stamp it commits.
 #[allow(clippy::too_many_arguments)]
 fn repair_shard<P: VertexProgram + 'static>(
     ss: &ShardedGraphSession,
@@ -1268,15 +1306,14 @@ fn repair_shard<P: VertexProgram + 'static>(
     config: &VertexicaConfig,
     shard: usize,
     superstep: u64,
-    num_vertices: u64,
-    agg_in: &FxHashMap<String, f64>,
+    behind: &Stamp,
+    aggregates: &FxHashMap<String, f64>,
     stamps: &[i64],
 ) -> VertexicaResult<()> {
     let n = ss.num_shards();
     let sess = &ss.shard_sessions()[shard];
     let db = sess.db();
     let msg_prev_table = ss.message_prev_table();
-    let meta_table = ss.meta_table();
 
     // Remote-owned input rows from every peer's copy of the superstep's
     // message input, reshaped to the union-schema wire format.
@@ -1309,8 +1346,8 @@ fn repair_shard<P: VertexProgram + 'static>(
     let worker: Arc<dyn TransformUdf> = Arc::new(VertexWorker {
         program: program.clone(),
         superstep,
-        num_vertices,
-        prev_aggregates: Arc::new(agg_in.clone()),
+        num_vertices: behind.num_vertices,
+        prev_aggregates: Arc::new(behind.aggregates.clone()),
         use_combiner: config.use_combiner,
         pool: Some(db.runtime().clone()),
         edges,
@@ -1353,24 +1390,19 @@ fn repair_shard<P: VertexProgram + 'static>(
         &|idx, out| apply.absorb(idx, &out).map_err(|e| SqlError::Udf(e.to_string())),
     )?;
 
-    let meta_batch = RecordBatch::from_rows(
-        meta_schema(),
-        &meta_rows(superstep as i64, num_vertices, n, agg_in),
-    )
-    .map_err(VertexicaError::from)?;
     let extra = vec![
-        (meta_table.clone(), db.encode_segments_for(&meta_table, vec![meta_batch])?),
-        (msg_prev_table.clone(), msg_prev_segments),
+        stamp_segments(sess, superstep as i64, behind.num_vertices, n, aggregates)?,
+        (msg_prev_table, msg_prev_segments),
     ];
-    apply_parallel(sess, program.as_ref(), config, apply, num_vertices, extra)?;
+    apply_parallel(sess, program.as_ref(), config, apply, behind.num_vertices, extra)?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::run_program;
     use crate::coordinator::tests::MaxId;
+    use crate::coordinator::{resume_program, run_program};
     use vertexica_storage::partition::int_key_partition;
 
     /// Two components joined through several cross-owner edges, big enough
@@ -1482,6 +1514,13 @@ mod tests {
         }
     }
 
+    /// Replaces `sess`'s stamp table contents with `rows`.
+    fn write_stamp_rows(sess: &GraphSession, rows: &[Vec<Value>]) {
+        let batch = RecordBatch::from_rows(stamp_schema(), rows).unwrap();
+        let segments = sess.db().encode_segments_for(&sess.stamp_table(), vec![batch]).unwrap();
+        sess.db().commit_tables_segmented(vec![(sess.stamp_table(), segments)]).unwrap();
+    }
+
     #[test]
     fn meta_roundtrip() {
         let db = ShardedDatabase::new(2);
@@ -1489,15 +1528,87 @@ mod tests {
         let mut aggs = FxHashMap::default();
         aggs.insert("sum".to_string(), 0.1 + 0.2); // not exactly representable
         let sess = &ss.shard_sessions()[0];
-        replace_meta(sess, &ss.meta_table(), 7, 42, 2, &aggs).unwrap();
-        let meta = read_meta(sess, &ss.meta_table()).unwrap().unwrap();
-        assert_eq!(meta.stamp, 7);
-        assert_eq!(meta.num_vertices, 42);
-        assert_eq!(meta.num_shards, 2);
+        write_stamp_rows(sess, &stamp_rows(7, 42, 2, &aggs));
+        let stamp = read_stamp(sess).unwrap().unwrap();
+        assert_eq!(stamp.superstep, 7);
+        assert_eq!(stamp.num_vertices, 42);
+        assert_eq!(stamp.num_shards, 2);
         // Bit-exact f64 round trip through the Int column.
-        assert_eq!(meta.aggregates["sum"].to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(stamp.aggregates["sum"].to_bits(), (0.1f64 + 0.2).to_bits());
         // An un-stamped shard reads as None.
-        assert!(read_meta(&ss.shard_sessions()[1], &ss.meta_table()).unwrap().is_none());
+        assert!(read_stamp(&ss.shard_sessions()[1]).unwrap().is_none());
+    }
+
+    /// Every way a stamp row can be damaged is a typed error, never a
+    /// skipped row or a default.
+    #[test]
+    fn strict_stamp_reader_rejects_damaged_rows() {
+        let mut aggs = FxHashMap::default();
+        aggs.insert("dangling".to_string(), 0.25);
+        let good = stamp_rows(4, 10, 1, &aggs);
+        assert!(parse_stamp("t", &good).unwrap().is_some());
+        let str_row = |k: &str, v: i64| vec![Value::Str(k.into()), Value::Int(v)];
+        let mut damaged: Vec<(&str, Vec<Vec<Value>>)> = Vec::new();
+        // A lost aggregate row: the count row catches it.
+        damaged.push(("lost aggregate", good[..4].to_vec()));
+        damaged.push(("lost fixed key", good[1..].to_vec()));
+        let mut dup = good.clone();
+        dup.push(str_row("superstep", 5));
+        damaged.push(("duplicate key", dup));
+        let mut dup_agg = good.clone();
+        dup_agg.push(good[4].clone());
+        damaged.push(("duplicate aggregate", dup_agg));
+        let mut unknown = good.clone();
+        unknown.push(str_row("bogus", 1));
+        damaged.push(("unknown key", unknown));
+        let mut null_value = good.clone();
+        null_value[0][1] = Value::Null;
+        damaged.push(("null value", null_value));
+        let mut int_key = good.clone();
+        int_key[2][0] = Value::Int(3);
+        damaged.push(("non-string key", int_key));
+        let mut negative = good.clone();
+        negative[2] = str_row("num_shards", 0);
+        damaged.push(("zero shards", negative));
+        for (what, rows) in damaged {
+            assert!(
+                matches!(parse_stamp("t", &rows), Err(VertexicaError::Recovery(_))),
+                "{what}: the stamp must be refused"
+            );
+        }
+    }
+
+    #[test]
+    fn resume_without_a_stamp_is_a_typed_error() {
+        let db = Arc::new(Database::new());
+        let g = GraphSession::create(db, "g").unwrap();
+        g.load_edges(&chain_graph()).unwrap();
+        let err = resume_program(&g, Arc::new(MaxId), &test_config());
+        assert!(matches!(err, Err(VertexicaError::Recovery(_))), "{err:?}");
+    }
+
+    /// In-process resume: a capped run continued with `resume_program` /
+    /// `resume_sharded` lands exactly where the uncapped run does, at one
+    /// and at three shards.
+    #[test]
+    fn capped_run_resumes_to_the_uncapped_result() {
+        let (expected, full) = plain_run();
+        let db = Arc::new(Database::new());
+        let g = GraphSession::create(db, "g").unwrap();
+        g.load_edges(&chain_graph()).unwrap();
+        let first =
+            run_program(&g, Arc::new(MaxId), &test_config().with_max_supersteps(3)).unwrap();
+        let rest = resume_program(&g, Arc::new(MaxId), &test_config()).unwrap();
+        assert_eq!(g.vertex_values::<u64>().unwrap(), expected);
+        assert_eq!(first.supersteps + rest.supersteps, full.supersteps);
+
+        let ss = ShardedGraphSession::create(ShardedDatabase::new(3), "g").unwrap();
+        ss.load_edges(&chain_graph()).unwrap();
+        run_sharded(&ss, Arc::new(MaxId), &test_config().with_max_supersteps(3)).unwrap();
+        let rest = resume_sharded(&ss, Arc::new(MaxId), &test_config()).unwrap();
+        assert_eq!(ss.vertex_values::<u64>().unwrap(), expected);
+        assert_eq!(first.supersteps + rest.supersteps, full.supersteps);
+        assert_eq!(ss.stamps().unwrap(), vec![Some(full.supersteps as i64 - 1); 3]);
     }
 
     #[test]
@@ -1512,17 +1623,18 @@ mod tests {
 
     #[test]
     fn counts_board_aborts_instead_of_hanging() {
-        let board = CountsBoard::new(2);
+        let board = Board::new(2);
         let abort = AtomicBool::new(true);
         let err = board.exchange(0, vec![vec![0]], &abort);
         assert!(err.is_err(), "an aborted exchange must not wait for the missing shard");
     }
 }
 
-/// Bounded model checks of the counts rendezvous: every interleaving of two
-/// depositing shards must hand both the complete matrix, and a shard that
+/// Bounded model checks of the rendezvous: every interleaving of two
+/// depositing shards must hand both the complete set, and a shard that
 /// fails before depositing must unstick its waiting peer via the abort
-/// flag. Compiled only under `RUSTFLAGS='--cfg vertexica_model'`.
+/// flag — at the counts board and at the partials board after it. Compiled
+/// only under `RUSTFLAGS='--cfg vertexica_model'`.
 #[cfg(all(test, vertexica_model))]
 mod model_tests {
     use super::*;
@@ -1531,7 +1643,7 @@ mod model_tests {
     /// Both shards deposit and rendezvous: each must observe the full,
     /// identical matrix, whichever order deposits and waits interleave in.
     fn rendezvous_scenario() {
-        let board = Arc::new(CountsBoard::new(2));
+        let board = Arc::new(Board::new(2));
         let abort = Arc::new(AtomicBool::new(false));
         let peer = {
             let board = board.clone();
@@ -1551,7 +1663,7 @@ mod model_tests {
     /// the abort flag and error out instead of waiting for a deposit that
     /// will never come.
     fn abort_scenario() {
-        let board = Arc::new(CountsBoard::new(2));
+        let board = Arc::new(Board::new(2));
         let abort = Arc::new(AtomicBool::new(false));
         let failer = {
             let abort = abort.clone();
@@ -1560,6 +1672,41 @@ mod model_tests {
         let res = board.exchange(0, vec![vec![1]], &abort);
         failer.join();
         assert!(res.is_err(), "abort must unstick the counts rendezvous");
+    }
+
+    /// One superstep's two meetings: both shards swap counts, then shard 1
+    /// fails (as a shard whose compute errored does) instead of depositing
+    /// its partials. Shard 0 must get the full counts set and then an error
+    /// from the partials board, whatever the interleaving.
+    fn counts_then_partials_with_failure_scenario() {
+        let counts = Arc::new(Board::new(2));
+        let partials: Arc<Board<Partials>> = Arc::new(Board::new(2));
+        let abort = Arc::new(AtomicBool::new(false));
+        let failer = {
+            let counts = counts.clone();
+            let abort = abort.clone();
+            model::spawn(move || {
+                let seen = counts.exchange(1, vec![vec![5u64]], &abort).expect("peer counts");
+                abort.store(true, Ordering::Release);
+                seen
+            })
+        };
+        let mine = counts.exchange(0, vec![vec![4u64]], &abort).expect("counts exchange");
+        let mine_partials = Arc::new(vec![("sum".to_string(), 0i64, 1.0f64)]);
+        let res = partials.exchange(0, mine_partials, &abort);
+        assert_eq!(mine, failer.join(), "shards observed different count sets");
+        assert_eq!(mine, vec![vec![vec![4]], vec![vec![5]]]);
+        assert!(res.is_err(), "a failed peer must unstick the partials rendezvous");
+    }
+
+    #[test]
+    fn model_shard_counts_then_partials_with_failure_clean() {
+        let cfg = Config { max_preemptions: 2, ..Config::default() };
+        let stats = model::check(&cfg, counts_then_partials_with_failure_scenario)
+            .unwrap_or_else(|v| panic!("two-phase rendezvous violated:\n{v}"));
+        assert!(stats.exhausted, "bounded schedule space not exhausted: {stats:?}");
+        assert!(stats.ops.contains("cond.wait"), "timed wait never explored: {:?}", stats.ops);
+        eprintln!("[model] counts then partials with failure clean: {stats:?}");
     }
 
     #[test]
@@ -1574,7 +1721,7 @@ mod model_tests {
     /// The one-shard case of every run: the lone depositor fills the board
     /// and must get its own matrix back without ever waiting.
     fn single_shard_scenario() {
-        let board = CountsBoard::new(1);
+        let board = Board::new(1);
         let abort = AtomicBool::new(false);
         let mine = board.exchange(0, vec![vec![3, 4]], &abort).expect("exchange");
         assert_eq!(mine, vec![vec![vec![3, 4]]]);
@@ -1618,5 +1765,10 @@ mod model_tests {
         assert_eq!(v1.schedule, v2.schedule, "minimal schedule not deterministic");
         assert_eq!(v1.schedules_explored, v2.schedules_explored);
         eprintln!("[model] shard mutation:\n{v1}");
+        // The same poll guards the second meeting: without it, shard 0
+        // strands on the partials board its failed peer never fills.
+        let v3 = model::check(&cfg, counts_then_partials_with_failure_scenario)
+            .expect_err("the missing abort poll must be detected at the partials board");
+        assert_eq!(v3.kind, ViolationKind::Deadlock, "unexpected violation:\n{v3}");
     }
 }

@@ -690,42 +690,18 @@ impl Database {
         })
     }
 
-    /// Segment-write fast path: encodes one ROS segment per batch **in
-    /// parallel on the shared runtime pool** and atomically replaces
-    /// `table`'s contents with exactly those segments (keeping its schema,
-    /// options and catalog handle).
+    /// The encode half of the segment-write fast path: builds one ROS
+    /// segment per batch **in parallel on the shared runtime pool**, against
+    /// `table`'s current schema and options, without touching the table.
     ///
     /// This is the write-side sibling of
     /// [`run_transform_pipelined`](Self::run_transform_pipelined): where that
     /// primitive fans partition *reads/compute* out over the pool, this one
     /// fans the *table rebuild* out. The expensive work per segment —
     /// column coercion, zone maps, optional compression — happens off-table
-    /// on pool workers; the commit is a single
-    /// [`Catalog::replace_contents`] under one table write lock, so readers
-    /// see either the complete old or the complete new table, never a torn
-    /// mixture. Batches map to segments in input order; empty batches are
-    /// dropped. Returns the number of rows in the new contents.
-    ///
-    /// Nothing is committed unless **every** segment builds successfully:
-    /// the first build error aborts the whole replacement with the old
-    /// contents untouched.
-    ///
-    /// Split into [`encode_segments_for`](Self::encode_segments_for) +
-    /// [`commit_table_segments`](Self::commit_table_segments) for callers
-    /// that must build segments for *several* tables before publishing any
-    /// of them (the parallel apply path's cross-table commit protocol).
-    pub fn replace_table_segmented(
-        &self,
-        table: &str,
-        segment_batches: Vec<RecordBatch>,
-    ) -> SqlResult<usize> {
-        let segments = self.encode_segments_for(table, segment_batches)?;
-        self.commit_table_segments(table, segments)
-    }
-
-    /// The encode half of [`replace_table_segmented`](Self::replace_table_segmented):
-    /// builds one ROS segment per batch in parallel on the pool, against
-    /// `table`'s current schema and options, without touching the table.
+    /// on pool workers; [`commit_tables_segmented`](Self::commit_tables_segmented)
+    /// then publishes the segments of several tables at once. Batches map to
+    /// segments in input order; the first build error fails the call.
     pub fn encode_segments_for(
         &self,
         table: &str,
@@ -747,36 +723,17 @@ impl Database {
         Ok(segments)
     }
 
-    /// The commit half of [`replace_table_segmented`](Self::replace_table_segmented):
-    /// atomically replaces `table`'s contents with the pre-built segments
-    /// under one write lock. The only failure modes are shape mismatches
-    /// against the live schema — encoding already happened.
-    pub fn commit_table_segments(
-        &self,
-        table: &str,
-        segments: Vec<vertexica_storage::Segment>,
-    ) -> SqlResult<usize> {
-        let table_ref = self.catalog.get(table)?;
-        let (name, schema, options) = {
-            let guard = table_ref.read();
-            (guard.name().to_string(), guard.schema().clone(), guard.options().clone())
-        };
-        let mut fresh = vertexica_storage::Table::new(name, schema, options);
-        let mut rows = 0usize;
-        for seg in segments {
-            rows += seg.num_rows();
-            fresh.adopt_segment(seg)?;
-        }
-        self.catalog.replace_contents(table, fresh)?;
-        Ok(rows)
-    }
-
-    /// Multi-table variant of [`commit_table_segments`](Self::commit_table_segments):
-    /// publishes **all** the pre-built per-table contents in one atomic
-    /// catalog commit. On a durable database the whole group rides a single
-    /// WAL commit record, so recovery lands on either the complete old or
-    /// the complete new superstep state — never a torn mixture. Returns the
-    /// total row count across the new contents.
+    /// The commit half of the segment-write fast path: atomically replaces
+    /// each named table's contents with its pre-built segments (keeping its
+    /// schema, options and catalog handle), **all** in one catalog commit.
+    /// Readers see either the complete old or the complete new contents,
+    /// never a torn mixture, and on a durable database the whole group rides
+    /// a single WAL commit record, so recovery lands on either the complete
+    /// old or the complete new superstep state. Empty segments are dropped.
+    /// The only failure modes are a missing table and shape mismatches
+    /// against the live schema — encoding already happened — and either
+    /// leaves every table untouched. Returns the total row count across the
+    /// new contents.
     pub fn commit_tables_segmented(
         &self,
         groups: Vec<(String, Vec<vertexica_storage::Segment>)>,
@@ -1996,6 +1953,16 @@ mod tests {
         assert_eq!(seen.into_iter().flat_map(|(_, vals)| vals).collect::<Vec<_>>(), vec![7]);
     }
 
+    /// One table through the segment-write fast path: encode, then commit.
+    fn replace_segmented(
+        db: &Database,
+        table: &str,
+        batches: Vec<RecordBatch>,
+    ) -> SqlResult<usize> {
+        let segments = db.encode_segments_for(table, batches)?;
+        db.commit_tables_segmented(vec![(table.to_string(), segments)])
+    }
+
     #[test]
     fn replace_table_segmented_rebuilds_contents() {
         let db = db_with_edges();
@@ -2017,7 +1984,7 @@ mod tests {
         )
         .unwrap();
         let handle = db.catalog().get("edge").unwrap();
-        let n = db.replace_table_segmented("edge", vec![seg1, seg2, seg3]).unwrap();
+        let n = replace_segmented(&db, "edge", vec![seg1, seg2, seg3]).unwrap();
         assert_eq!(n, 3);
         // Old rows are gone, the handle observes the replacement, and the
         // non-empty batches became one segment each.
@@ -2036,7 +2003,7 @@ mod tests {
         let rows: Vec<Vec<Value>> =
             (0..n).map(|i| vec![Value::Int(i as i64), Value::Int((i % 7) as i64)]).collect();
         let batch = RecordBatch::from_rows(schema, &rows).unwrap();
-        assert_eq!(db.replace_table_segmented("t", vec![batch]).unwrap(), n);
+        assert_eq!(replace_segmented(&db, "t", vec![batch]).unwrap(), n);
 
         // The segment-parallel commit path must produce the same per-block
         // zone maps a bulk load would: k is sorted, so block b spans exactly
@@ -2073,10 +2040,10 @@ mod tests {
             DataType::Int,
         )]);
         let bad = RecordBatch::from_rows(bad_schema, &[vec![Value::Int(1)]]).unwrap();
-        assert!(db.replace_table_segmented("edge", vec![bad]).is_err());
+        assert!(replace_segmented(&db, "edge", vec![bad]).is_err());
         // Nothing committed: original contents intact.
         assert_eq!(db.query_int("SELECT COUNT(*) FROM edge").unwrap(), 5);
-        assert!(db.replace_table_segmented("ghost", vec![]).is_err());
+        assert!(db.commit_tables_segmented(vec![("ghost".into(), vec![])]).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use vertexica_storage::{ColumnPredicate, PredicateOp, Schema};
 
-use crate::ast::{BinaryOp, JoinKind, UnaryOp};
+use crate::ast::{BinaryOp, JoinKind};
 use crate::error::{SqlError, SqlResult};
 use crate::expr::PhysExpr;
 use crate::logical::{AggCall, LogicalPlan};
@@ -592,24 +592,6 @@ fn select_columns(
         .map(|&i| Ok(PhysExpr::Column(lookup(map, i)?)))
         .collect::<SqlResult<_>>()?;
     Ok(LogicalPlan::Project { input: Box::new(plan), exprs, schema: schema.project(required) })
-}
-
-/// Desugars `NOT(expr)` over comparisons during folding — exposed for tests.
-pub fn negate_comparison(op: BinaryOp) -> Option<BinaryOp> {
-    Some(match op {
-        BinaryOp::Eq => BinaryOp::NotEq,
-        BinaryOp::NotEq => BinaryOp::Eq,
-        BinaryOp::Lt => BinaryOp::GtEq,
-        BinaryOp::LtEq => BinaryOp::Gt,
-        BinaryOp::Gt => BinaryOp::LtEq,
-        BinaryOp::GtEq => BinaryOp::Lt,
-        _ => return None,
-    })
-}
-
-/// Helper for building NOT expressions in tests.
-pub fn not(e: PhysExpr) -> PhysExpr {
-    PhysExpr::Unary { op: UnaryOp::Not, expr: Box::new(e) }
 }
 
 #[cfg(test)]

@@ -1045,12 +1045,6 @@ impl ScanCursor {
         &self.out_schema
     }
 
-    /// Segments not yet pulled (upper bound on remaining ROS batches; some
-    /// may still be pruned or filtered to nothing).
-    pub fn segments_remaining(&self) -> usize {
-        self.segments.len() - self.pos
-    }
-
     /// Pulls the next non-empty batch, or `None` at end of scan.
     pub fn next_batch(&mut self) -> StorageResult<Option<RecordBatch>> {
         Ok(self.next_with_rowids()?.map(|(b, _)| b))

@@ -753,11 +753,6 @@ impl WalSink {
         self.state.lock().stats.clone()
     }
 
-    /// Whether appends fdatasync before acknowledging.
-    pub fn sync_mode(&self) -> bool {
-        self.state.lock().sync
-    }
-
     /// Logs one data record against `table` (payload from the `payload_*`
     /// builders) and marks the table dirty in the current WAL file.
     pub(crate) fn log_data(&self, table: &str, tag_body: &[u8]) -> StorageResult<u64> {

@@ -544,3 +544,176 @@ fn checkpoint_before_a_blob_heavy_apply_reopens_bitwise() {
     drop(reloaded);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+// ---------------------------------------------------------------------------
+// Resume after an injected crash: every apply commit is a savepoint.
+// ---------------------------------------------------------------------------
+
+mod resume {
+    use super::temp_dir;
+    use std::sync::Arc;
+    use vertexica::coordinator::{resume_program, run_program};
+    use vertexica::shard::{resume_sharded, run_sharded, ShardedDatabase, ShardedGraphSession};
+    use vertexica::sql::Database;
+    use vertexica::{GraphSession, VertexicaConfig};
+    use vertexica_algorithms::vc::PageRank;
+    use vertexica_common::graph::EdgeList;
+    use vertexica_storage::Value;
+
+    /// A graph with sinks, so PageRank's `dangling` aggregate is nonzero and
+    /// a resume from the wrong aggregates would show in the ranks.
+    fn graph() -> EdgeList {
+        let mut pairs: Vec<(u64, u64)> = (0..40u64).map(|v| (v, (v * 7 + 3) % 48)).collect();
+        pairs.extend((0..40u64).map(|v| (v, (v * 11 + 5) % 48)));
+        EdgeList::from_pairs(pairs)
+    }
+
+    fn program() -> Arc<PageRank> {
+        Arc::new(PageRank::new(10, 0.85))
+    }
+
+    fn config() -> VertexicaConfig {
+        VertexicaConfig::default()
+            .with_workers(2)
+            .with_partitions(8)
+            .with_combiner(false)
+            .with_durable(true)
+            .with_memory_budget(None)
+    }
+
+    /// Every vertex row, as stored, sorted by id.
+    fn vertex_rows(sessions: &[GraphSession]) -> Vec<Vec<Value>> {
+        let mut rows = Vec::new();
+        for sess in sessions {
+            let sql = format!("SELECT id, value, halted FROM {}", sess.vertex_table());
+            rows.extend(sess.db().query(&sql).unwrap());
+        }
+        rows.sort_by_key(|r| r[0].as_int());
+        rows
+    }
+
+    /// Durable bytes (WAL + flushed images) a database has written so far.
+    fn durable_bytes(db: &Database) -> u64 {
+        let d = db.durability_stats().expect("durable database");
+        d.wal_bytes + d.flush_bytes
+    }
+
+    /// The superstep a session's stamp names.
+    fn stamped(sess: &GraphSession) -> i64 {
+        let sql = format!("SELECT value FROM {} WHERE key = 'superstep'", sess.stamp_table());
+        sess.db().query_int(&sql).unwrap()
+    }
+
+    /// PageRank on a durable database whose WAL sink dies at three offsets
+    /// mid-run: each time the reopened database resumes from the superstep
+    /// its last commit stamped, and lands bitwise on the uninterrupted run —
+    /// which itself agrees with `algorithms::reference`.
+    #[test]
+    fn wal_crash_mid_run_resumes_bitwise_to_the_uninterrupted_run() {
+        let graph = graph();
+        let dir = temp_dir("resume_ref");
+        let (pre, total, reference) = {
+            let db = Arc::new(Database::open(&dir).unwrap());
+            let g = GraphSession::create(db.clone(), "g").unwrap();
+            g.load_edges(&graph).unwrap();
+            let pre = durable_bytes(&db);
+            run_program(&g, program(), &config()).unwrap();
+            (pre, durable_bytes(&db), vertex_rows(std::slice::from_ref(&g)))
+        };
+        std::fs::remove_dir_all(&dir).ok();
+
+        let ranks: Vec<f64> = reference
+            .iter()
+            .map(|r| match &r[1] {
+                Value::Blob(b) => f64::from_le_bytes(b.as_slice().try_into().unwrap()),
+                other => panic!("rank cell {other:?}"),
+            })
+            .collect();
+        let expected = vertexica_algorithms::reference::pagerank(&graph, 10, 0.85);
+        for (v, (got, want)) in ranks.iter().zip(&expected).enumerate() {
+            assert!((got - want).abs() < 1e-9, "vertex {v}: {got} vs {want}");
+        }
+
+        let mut boundaries = Vec::new();
+        for tenths in [3, 5, 8] {
+            let dir = temp_dir("resume_crash");
+            {
+                let db = Arc::new(Database::open(&dir).unwrap());
+                let g = GraphSession::create(db.clone(), "g").unwrap();
+                g.load_edges(&graph).unwrap();
+                assert_eq!(durable_bytes(&db), pre, "durable prefix must be deterministic");
+                let sink = db.catalog().wal_sink().expect("durable database has a WAL sink");
+                sink.set_crash_budget(Some((total - pre) * tenths / 10));
+                assert!(
+                    run_program(&g, program(), &config()).is_err(),
+                    "the crash must fail the run"
+                );
+            }
+            let db = Arc::new(Database::open(&dir).unwrap());
+            let g = GraphSession::open(db, "g").unwrap();
+            let boundary = stamped(&g);
+            let stats = resume_program(&g, program(), &config()).unwrap();
+            assert!(stats.supersteps > 0, "crash at {tenths}/10 left nothing to resume");
+            assert_eq!(
+                vertex_rows(std::slice::from_ref(&g)),
+                reference,
+                "resume from superstep {boundary} diverged from the uninterrupted run"
+            );
+            boundaries.push(boundary);
+            drop(g);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        boundaries.dedup();
+        assert_eq!(boundaries.len(), 3, "the three crashes must land on distinct supersteps");
+    }
+
+    /// The same at two shards: shard 1's WAL dies inside its commit of a
+    /// superstep shard 0 committed. `resume_sharded` repairs shard 1 with
+    /// its own stamp's aggregates, stamps the ahead shard's, and runs on —
+    /// bitwise equal to the one-shard run.
+    #[test]
+    fn sharded_wal_crash_between_shard_commits_resumes_bitwise() {
+        let graph = graph();
+        let one = GraphSession::create(Arc::new(Database::new()), "g").unwrap();
+        one.load_edges(&graph).unwrap();
+        run_program(&one, program(), &config().with_durable(false)).unwrap();
+        let reference = vertex_rows(std::slice::from_ref(&one));
+
+        let dir = temp_dir("resume_shard_ref");
+        let (pre, total) = {
+            let db = ShardedDatabase::create(&dir, 2).unwrap();
+            let ss = ShardedGraphSession::create(db.clone(), "g").unwrap();
+            ss.load_edges(&graph).unwrap();
+            let pre = durable_bytes(db.shard(1));
+            run_sharded(&ss, program(), &config()).unwrap();
+            assert_eq!(vertex_rows(ss.shard_sessions()), reference, "uninterrupted 2-shard run");
+            (pre, durable_bytes(db.shard(1)))
+        };
+        std::fs::remove_dir_all(&dir).ok();
+
+        let dir = temp_dir("resume_shard_crash");
+        {
+            let db = ShardedDatabase::create(&dir, 2).unwrap();
+            let ss = ShardedGraphSession::create(db.clone(), "g").unwrap();
+            ss.load_edges(&graph).unwrap();
+            assert_eq!(durable_bytes(db.shard(1)), pre, "durable prefix must be deterministic");
+            let sink = db.shard(1).catalog().wal_sink().expect("durable shard has a WAL sink");
+            sink.set_crash_budget(Some((total - pre) / 2));
+            assert!(run_sharded(&ss, program(), &config()).is_err(), "the crash must fail the run");
+        }
+        let db = ShardedDatabase::open(&dir).unwrap();
+        let ss = ShardedGraphSession::open(db.clone(), "g").unwrap();
+        let stamps = ss.stamps().unwrap();
+        assert_eq!(
+            stamps[0],
+            stamps[1].map(|s| s + 1),
+            "shard 1 must die between the two shards' commits: {stamps:?}"
+        );
+        let stats = resume_sharded(&ss, program(), &config()).unwrap();
+        assert!(stats.supersteps > 0);
+        assert_eq!(vertex_rows(ss.shard_sessions()), reference, "resumed 2-shard run diverged");
+        drop(ss);
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

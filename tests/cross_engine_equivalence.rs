@@ -934,30 +934,20 @@ fn sharded_execution_is_bitwise_identical_for_every_algorithm() {
     }
 }
 
-/// Mid-flight resume across shards: a 2-shard run checkpointed every
-/// superstep and capped at 3 supersteps, resumed from the per-shard
-/// checkpoints to completion, must land bitwise-identical to the
-/// uninterrupted 1-shard reference.
+/// Mid-flight resume across shards: a 2-shard run capped at 3 supersteps,
+/// resumed from the superstep its shards' stamps name to completion, must
+/// land bitwise-identical to the uninterrupted 1-shard reference.
 #[test]
 fn sharded_checkpoint_resume_is_bitwise_identical() {
     let graph =
         rmat_graph(&RmatConfig { scale: 6, num_edges: 400, seed: 29, ..Default::default() });
     let (reference, _) = run_shard_cell(&graph, || PageRank::new(6, 0.85), 1, 10_000);
 
-    let ckpt = unique_durable_dir("shard_ckpt");
     let ss = sharded_session_for(&graph, 2);
-    run_sharded(
-        &ss,
-        Arc::new(PageRank::new(6, 0.85)),
-        &shard_cell_config(3).with_checkpointing(1, &ckpt),
-    )
-    .unwrap();
-    let resumed = resume_sharded(
-        &ss,
-        Arc::new(PageRank::new(6, 0.85)),
-        &shard_cell_config(10_000).with_checkpointing(1, &ckpt),
-    )
-    .unwrap();
+    run_sharded(&ss, Arc::new(PageRank::new(6, 0.85)), &shard_cell_config(3)).unwrap();
+    assert_eq!(ss.stamps().unwrap(), vec![Some(2), Some(2)], "the cap stamps superstep 2");
+    let resumed =
+        resume_sharded(&ss, Arc::new(PageRank::new(6, 0.85)), &shard_cell_config(10_000)).unwrap();
     assert!(resumed.supersteps > 0, "the capped run must have left supersteps to resume");
     assert_eq!(
         sharded_vertex_bits(&ss),
@@ -969,7 +959,6 @@ fn sharded_checkpoint_resume_is_bitwise_identical() {
         reference.message_bits,
         "resumed sharded message table diverged from the 1-shard reference"
     );
-    std::fs::remove_dir_all(&ckpt).ok();
 }
 
 /// Loads `graph` into a sharded session with the edge table split across

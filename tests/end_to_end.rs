@@ -1,6 +1,6 @@
 //! End-to-end scenarios from the paper's demo section: pipelines, hybrid
-//! analysis, dynamic graphs, checkpoint/recovery failure injection, and
-//! running the coordinator as a stored procedure.
+//! analysis, dynamic graphs, resume after a lost process, and running the
+//! coordinator as a stored procedure.
 
 use std::sync::Arc;
 
@@ -8,7 +8,7 @@ use vertexica::coordinator::{register_as_procedure, resume_program};
 use vertexica::pipeline::Pipeline;
 use vertexica::sql::Database;
 use vertexica::storage::Value;
-use vertexica::{checkpoint, run_program, GraphSession, VertexicaConfig};
+use vertexica::{run_program, GraphSession, VertexicaConfig, VertexicaError};
 use vertexica_algorithms::sqlalgo;
 use vertexica_algorithms::vc::{PageRank, Sssp};
 use vertexica_common::graph::{Edge, EdgeList, VertexId};
@@ -80,61 +80,61 @@ fn metadata_filters_drive_scoped_analysis() {
     assert_eq!(all as i64, db.query_int("SELECT COUNT(*) FROM scope_edge").unwrap());
 }
 
+/// A unique scratch directory for one durable database.
+fn durable_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("vx_e2e_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// The process that ran supersteps 0..=3 is lost after its last commit;
+/// a new one reopens the durable database and resumes from the stamp that
+/// commit carried, landing bitwise on the uninterrupted run.
 #[test]
 fn checkpoint_failure_injection_and_resume() {
-    let db = Arc::new(Database::new());
     let graph = erdos_renyi(40, 160, 8);
-    let session = GraphSession::create(db.clone(), "ck").unwrap();
-    session.load_edges(&graph).unwrap();
-
-    let dir = std::env::temp_dir().join(format!("vx_e2e_ckpt_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-
-    // Run with checkpointing every 2 supersteps.
-    let config = VertexicaConfig::default().with_checkpointing(2, &dir).with_max_supersteps(4); // "crash" after superstep 3 (0..=3)
     let program = Arc::new(PageRank::new(8, 0.85));
-    run_program(&session, program.clone(), &config).unwrap();
+    let dir = durable_dir("ckpt");
+    {
+        let db = Arc::new(Database::open(&dir).unwrap());
+        let session = GraphSession::create(db, "ck").unwrap();
+        session.load_edges(&graph).unwrap();
+        let config = VertexicaConfig::default().with_max_supersteps(4);
+        run_program(&session, program.clone(), &config).unwrap();
+    }
 
-    // Simulate the crash: clobber live state entirely.
-    db.execute("DELETE FROM ck_message").unwrap();
-    db.execute("UPDATE ck_vertex SET halted = TRUE").unwrap();
-
-    // Recover and finish.
-    let config = VertexicaConfig::default().with_checkpointing(2, &dir);
-    let stats = resume_program(&session, program, &config).unwrap();
-    assert!(stats.supersteps > 0);
-
-    // The resumed result matches an uninterrupted run exactly.
+    let db = Arc::new(Database::open(&dir).unwrap());
+    let session = GraphSession::open(db, "ck").unwrap();
+    let stats = resume_program(&session, program, &VertexicaConfig::default()).unwrap();
+    assert_eq!(stats.supersteps, 5, "supersteps 4..=8 remain after the cap");
     let resumed: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-    let fresh_session = GraphSession::create(db.clone(), "ck2").unwrap();
+
+    let fresh_session = GraphSession::create(Arc::new(Database::new()), "ck2").unwrap();
     fresh_session.load_edges(&graph).unwrap();
     run_program(&fresh_session, Arc::new(PageRank::new(8, 0.85)), &VertexicaConfig::default())
         .unwrap();
     let fresh: Vec<(VertexId, f64)> = fresh_session.vertex_values().unwrap();
-    for ((id_a, a), (id_b, b)) in resumed.iter().zip(&fresh) {
-        assert_eq!(id_a, id_b);
-        assert!((a - b).abs() < 1e-12, "vertex {id_a}: {a} vs {b}");
-    }
+    let bits =
+        |v: &[(VertexId, f64)]| v.iter().map(|(id, r)| (*id, r.to_bits())).collect::<Vec<_>>();
+    assert_eq!(bits(&resumed), bits(&fresh), "resumed ranks diverged from the uninterrupted run");
+    drop(session);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn checkpoint_preserves_aggregator_state() {
-    // PageRank's dangling aggregator must survive a checkpoint/restore or
-    // ranks drift — this guards the aggregate persistence path.
+    // PageRank's dangling aggregator must survive the stamp or ranks drift
+    // — this guards the aggregate persistence path.
     let db = Arc::new(Database::new());
     // Chain with a sink so the dangling aggregator is non-trivial.
     let graph = EdgeList::from_pairs([(0, 1), (1, 2), (2, 3)]);
     let session = GraphSession::create(db.clone(), "agg").unwrap();
     session.load_edges(&graph).unwrap();
-    let dir = std::env::temp_dir().join(format!("vx_e2e_agg_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
 
     let program = Arc::new(PageRank::new(6, 0.85));
-    let config = VertexicaConfig::default().with_checkpointing(1, &dir).with_max_supersteps(3);
+    let config = VertexicaConfig::default().with_max_supersteps(3);
     run_program(&session, program.clone(), &config).unwrap();
-    let config = VertexicaConfig::default().with_checkpointing(1, &dir);
-    resume_program(&session, program, &config).unwrap();
+    resume_program(&session, program, &VertexicaConfig::default()).unwrap();
     let resumed: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
 
     let expected = vertexica_algorithms::reference::pagerank(&graph, 6, 0.85);
@@ -145,7 +145,23 @@ fn checkpoint_preserves_aggregator_state() {
             expected[id as usize]
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stamp that lost its aggregate row must not resume PageRank with a
+/// zero dangling mass: the resume refuses and leaves the tables alone.
+#[test]
+fn resume_refuses_a_stamp_that_lost_an_aggregate() {
+    let db = Arc::new(Database::new());
+    let session = GraphSession::create(db.clone(), "lost").unwrap();
+    session.load_edges(&EdgeList::from_pairs([(0, 1), (1, 2), (2, 3)])).unwrap();
+    let program = Arc::new(PageRank::new(6, 0.85));
+    run_program(&session, program.clone(), &VertexicaConfig::default().with_max_supersteps(3))
+        .unwrap();
+    let before: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+    db.execute("DELETE FROM lost_stamp WHERE key = 'agg.dangling'").unwrap();
+    let err = resume_program(&session, program, &VertexicaConfig::default());
+    assert!(matches!(err, Err(VertexicaError::Recovery(_))), "{err:?}");
+    assert_eq!(session.vertex_values::<f64>().unwrap(), before);
 }
 
 #[test]
@@ -161,25 +177,32 @@ fn stored_procedure_deployment() {
     assert_eq!(dist[0], (0, 0.0));
 }
 
+/// The stamp is the whole save/restore surface: the commit that ends a
+/// finished run saves it, a reopen restores it, and a resume from it finds
+/// nothing left to run and leaves the vertex table as it was.
 #[test]
 fn checkpoint_save_restore_api() {
-    let db = Arc::new(Database::new());
-    let session = GraphSession::create(db.clone(), "ckapi").unwrap();
-    session.load_edges(&erdos_renyi(20, 60, 1)).unwrap();
-    run_program(&session, Arc::new(PageRank::new(3, 0.85)), &VertexicaConfig::default()).unwrap();
-    let before: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+    let dir = durable_dir("api");
+    let before: Vec<(VertexId, f64)> = {
+        let db = Arc::new(Database::open(&dir).unwrap());
+        let session = GraphSession::create(db, "ckapi").unwrap();
+        session.load_edges(&erdos_renyi(20, 60, 1)).unwrap();
+        run_program(&session, Arc::new(PageRank::new(3, 0.85)), &VertexicaConfig::default())
+            .unwrap();
+        session.vertex_values().unwrap()
+    };
 
-    let dir = std::env::temp_dir().join(format!("vx_e2e_api_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    checkpoint::save(&session, &dir, 3, &Default::default()).unwrap();
-
-    db.execute("DELETE FROM ckapi_vertex WHERE id < 10").unwrap();
-    assert_eq!(session.num_vertices().unwrap(), 10);
-
-    let state = checkpoint::restore(&session, &dir).unwrap();
-    assert_eq!(state.superstep, 3);
-    let after: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-    assert_eq!(before, after);
+    let db = Arc::new(Database::open(&dir).unwrap());
+    let session = GraphSession::open(db.clone(), "ckapi").unwrap();
+    assert_eq!(session.vertex_values::<f64>().unwrap(), before);
+    assert_eq!(db.query_int("SELECT value FROM ckapi_stamp WHERE key = 'superstep'").unwrap(), 3);
+    let stats =
+        resume_program(&session, Arc::new(PageRank::new(3, 0.85)), &VertexicaConfig::default())
+            .unwrap();
+    assert_eq!(stats.supersteps, 0, "a finished run has nothing to resume");
+    assert_eq!(session.vertex_values::<f64>().unwrap(), before);
+    drop(session);
+    drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
 

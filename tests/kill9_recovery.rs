@@ -18,14 +18,17 @@
 //! * **every vertex carries the same superstep stamp** — a torn multi-table
 //!   or multi-segment apply would leave mixed stamps;
 //! * reopening twice yields bitwise-identical physical images (recovery is
-//!   deterministic).
+//!   deterministic);
+//! * the run resumes from the recovered superstep: `resume_program` /
+//!   `resume_sharded` capped `RESUMED` supersteps later leaves every vertex
+//!   stamped with the boundary plus `RESUMED`.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vertexica::config::VertexicaConfig;
-use vertexica::coordinator::run_program;
+use vertexica::coordinator::{resume_program, run_program};
 use vertexica::session::GraphSession;
 use vertexica_common::graph::EdgeList;
 use vertexica_common::pregel::{InitContext, VertexContext, VertexContextExt, VertexProgram};
@@ -35,6 +38,19 @@ use vertexica_storage::persist;
 
 const NUM_VERTICES: u64 = 8;
 const GRAPH_NAME: &str = "kill9";
+/// Supersteps each test resumes for after recovery.
+const RESUMED: u64 = 3;
+
+/// The one stamp every vertex carries, or a panic naming the mixture.
+fn uniform_stamp(values: &[(VertexId, u64)]) -> u64 {
+    let stamps: std::collections::BTreeSet<u64> = values.iter().map(|(_, v)| *v).collect();
+    assert_eq!(
+        stamps.len(),
+        1,
+        "every vertex must carry the same superstep stamp (torn apply otherwise): {stamps:?}"
+    );
+    stamps.into_iter().next().unwrap_or_default()
+}
 
 /// Never halts: every superstep, every vertex stamps the superstep number
 /// into its value and messages all neighbors, so every superstep replaces
@@ -208,20 +224,29 @@ fn kill9_mid_superstep_recovers_to_a_committed_superstep() {
     let session = GraphSession::open(db.clone(), GRAPH_NAME).expect("graph survives");
     let values: Vec<(VertexId, u64)> = session.vertex_values::<u64>().expect("readable vertices");
     assert_eq!(values.len(), NUM_VERTICES as usize, "vertex membership must be exact");
-    let stamps: std::collections::BTreeSet<u64> = values.iter().map(|(_, v)| *v).collect();
-    assert_eq!(
-        stamps.len(),
-        1,
-        "every vertex must carry the same superstep stamp (torn apply otherwise): {stamps:?}"
-    );
+    let boundary = uniform_stamp(&values);
 
     // Recovery is deterministic: two further opens agree bitwise.
     let image = catalog_image(db.catalog());
     drop(session);
     drop(db);
-    let db2 = Database::open(&dir).unwrap();
+    let db2 = Arc::new(Database::open(&dir).unwrap());
     let image2 = catalog_image(db2.catalog());
     assert_eq!(image, image2, "reopen must be bitwise-identical");
+
+    // The run resumes from the recovered boundary.
+    let session = GraphSession::open(db2.clone(), GRAPH_NAME).expect("graph survives");
+    let config = VertexicaConfig::default()
+        .with_workers(2)
+        .with_partitions(4)
+        .with_durable(true)
+        .with_max_supersteps(boundary + 1 + RESUMED);
+    let stats = resume_program(&session, Arc::new(SuperstepStamp), &config).expect("resume");
+    assert_eq!(stats.supersteps, RESUMED);
+    let values: Vec<(VertexId, u64)> = session.vertex_values::<u64>().expect("readable vertices");
+    assert_eq!(values.len(), NUM_VERTICES as usize);
+    assert_eq!(uniform_stamp(&values), boundary + RESUMED, "resume must run on from the boundary");
+    drop(session);
     drop(db2);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -230,7 +255,9 @@ fn kill9_mid_superstep_recovers_to_a_committed_superstep() {
 // The sharded variant: kill -9 against a 2-shard database.
 // ---------------------------------------------------------------------------
 
-use vertexica::shard::{repair_if_needed, run_sharded, ShardedDatabase, ShardedGraphSession};
+use vertexica::shard::{
+    repair_if_needed, resume_sharded, run_sharded, ShardedDatabase, ShardedGraphSession,
+};
 
 /// The sharded child body: 2 engine shards, the same never-halting stamp
 /// program, killed by the parent at an arbitrary instant — possibly between
@@ -252,9 +279,10 @@ fn sharded_crash_child_worker() {
 
 /// kill -9 with shards = 2: recovery must reopen **every** shard, the
 /// per-shard superstep stamps must sit within one superstep of each other
-/// (the halting-vote bound), recovery must be deterministic (double reopen
-/// agrees bitwise), and [`repair_if_needed`] must land all shards on the
-/// same boundary with every vertex carrying that boundary's stamp.
+/// (the rendezvous bound), recovery must be deterministic (double reopen
+/// agrees bitwise), [`repair_if_needed`] must land all shards on the same
+/// boundary with every vertex carrying that boundary's stamp, and
+/// [`resume_sharded`] must run on from it.
 #[test]
 fn kill9_mid_superstep_sharded_recovers_and_repairs() {
     let dir = std::env::temp_dir().join(format!(
@@ -327,6 +355,16 @@ fn kill9_mid_superstep_sharded_recovers_and_repairs() {
         std::collections::BTreeSet::from([boundary as u64]),
         "every vertex must carry the repaired boundary's stamp"
     );
+
+    // The run resumes from the repaired boundary.
+    let resume_config = config.with_max_supersteps(boundary as u64 + 1 + RESUMED);
+    let stats = resume_sharded(&ss, Arc::new(SuperstepStamp), &resume_config).expect("resume");
+    assert_eq!(stats.supersteps, RESUMED);
+    let values: Vec<(VertexId, u64)> = ss.vertex_values::<u64>().expect("readable vertices");
+    assert_eq!(values.len(), NUM_VERTICES as usize);
+    assert_eq!(uniform_stamp(&values), boundary as u64 + RESUMED);
+    let resumed = Some(boundary + RESUMED as i64);
+    assert_eq!(ss.stamps().expect("readable stamps"), vec![resumed; 2]);
     drop(ss);
     drop(db);
     std::fs::remove_dir_all(&dir).ok();

@@ -186,7 +186,7 @@ fn apply_parallelism_is_observable_per_superstep() {
 
 #[test]
 fn segmented_replace_produces_correct_zone_maps_and_prunable_segments() {
-    // Regression guard for `Database::replace_table_segmented`: the bucket
+    // Regression guard for `Database::commit_tables_segmented`: the bucket
     // segments adopted by the parallel apply must carry real zone maps.
     // After a dense superstep, scans with a pruning predicate on the vertex
     // id must (a) skip at least one segment outright — observable via the
@@ -224,7 +224,7 @@ fn segmented_replace_produces_correct_zone_maps_and_prunable_segments() {
 
     // (b) Hash buckets overlap in id range, so only a predicate beyond the
     // table's span can prune — and then it must prune **every** segment
-    // without decoding any of them. If `replace_table_segmented` ever
+    // without decoding any of them. If `commit_tables_segmented` ever
     // adopted segments with broken zone maps (all-null, or min/max not
     // covering the data), either this stops pruning or (a) fails.
     let full_segments = guard.num_segments() as u64;

@@ -162,7 +162,8 @@ proptest! {
     /// Segmented storage, engine level: any random chunk split of the same
     /// rows, hash-partitioned into per-partition segment batches and
     /// committed through the parallel-apply fast path
-    /// (`replace_table_segmented`), must equal the one-shot table build.
+    /// (`encode_segments_for` + `commit_tables_segmented`), must equal the
+    /// one-shot table build.
     #[test]
     fn segmented_replace_matches_one_shot_build(
         rows in proptest::collection::vec((0i64..500, -1000i64..1000), 1..120),
@@ -205,7 +206,8 @@ proptest! {
         let partitions = hash_partition(&chunked, &[0], parts).unwrap();
         let segment_batches: Vec<RecordBatch> =
             partitions.into_iter().flatten().collect();
-        let n = db.replace_table_segmented("segmented", segment_batches).unwrap();
+        let segments = db.encode_segments_for("segmented", segment_batches).unwrap();
+        let n = db.commit_tables_segmented(vec![("segmented".into(), segments)]).unwrap();
         prop_assert_eq!(n, rows.len());
 
         let canon = |table: &str| {

@@ -13,10 +13,11 @@
 //!   caught too; `Arc`, `Weak`, `OnceLock`, and `mpsc` are out of scope.
 //! * **no-unwrap-recovery** — no `.unwrap()` / `.expect(` in non-test code
 //!   of the recovery-critical files (`storage/src/wal.rs`, `persist.rs`,
-//!   `catalog.rs`, and `buffer_pool.rs`, whose segment reload parses spill
-//!   bytes from disk). Crash recovery and reload must degrade to typed
-//!   `StorageError`s, never panic on bad bytes. `#[cfg(test)]` regions are
-//!   exempt (tracked by brace depth).
+//!   `catalog.rs`, `buffer_pool.rs`, whose segment reload parses spill
+//!   bytes from disk, and `core/src/shard.rs`, which reads the superstep
+//!   stamp a resume or a repair starts from). Crash recovery, reload and
+//!   resume must degrade to typed errors, never panic on bad bytes.
+//!   `#[cfg(test)]` regions are exempt (tracked by brace depth).
 //! * **env-var-docs** — two-way: every `VERTEXICA_*` environment variable
 //!   referenced anywhere under `crates/` must be documented in both the
 //!   README configuration table and `docs/ARCHITECTURE.md`; and every
@@ -60,6 +61,7 @@ const RECOVERY_FILES: &[&str] = &[
     "crates/storage/src/persist.rs",
     "crates/storage/src/catalog.rs",
     "crates/storage/src/buffer_pool.rs",
+    "crates/core/src/shard.rs",
 ];
 
 /// `std::sync::` items that must come from the seam instead.
@@ -317,7 +319,7 @@ fn check_no_unwrap_recovery(root: &Path) -> Vec<Diagnostic> {
                     file: (*file).to_string(),
                     line: i + 1,
                     message: format!(
-                        "{what} on a recovery-critical path; return a StorageError \
+                        "{what} on a recovery-critical path; return a typed error \
                          (or justify with a vxlint allow comment)"
                     ),
                 });
