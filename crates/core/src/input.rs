@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use vertexica_common::FxHashSet;
-use vertexica_sql::JoinBuild;
-use vertexica_storage::{Column, ColumnBuilder, DataType, Field, RecordBatch, Schema, Value};
+use vertexica_sql::{take_or_null, JoinBuild, NO_ROW};
+use vertexica_storage::{Column, DataType, Field, RecordBatch, Schema, Value};
 
 use crate::config::InputMode;
 use crate::error::{VertexicaError, VertexicaResult};
@@ -469,53 +469,31 @@ fn three_way_join_batch(
 ) -> VertexicaResult<RecordBatch> {
     let m_matches = m_build.probe_matches(vbatch, &[0])?;
     let e_matches = e_build.probe_matches(vbatch, &[0])?;
-    let mut triples: Vec<(usize, Option<usize>, Option<usize>)> = Vec::new();
-    for v in 0..vbatch.num_rows() {
-        let ms = &m_matches[v];
-        let es = &e_matches[v];
-        match (ms.is_empty(), es.is_empty()) {
-            (true, true) => triples.push((v, None, None)),
-            (false, true) => triples.extend(ms.iter().map(|&m| (v, Some(m), None))),
-            (true, false) => triples.extend(es.iter().map(|&e| (v, None, Some(e)))),
-            (false, false) => {
-                for &m in ms {
-                    triples.extend(es.iter().map(|&e| (v, Some(m), Some(e))));
-                }
-            }
+    // One index vector per joined table; `NO_ROW` is an empty side's NULL.
+    let (mut vi, mut mi, mut ei) = (Vec::new(), Vec::new(), Vec::new());
+    for (v, (ms, es)) in m_matches.iter().zip(&e_matches).enumerate() {
+        let ms: &[usize] = if ms.is_empty() { &[NO_ROW] } else { ms };
+        let es: &[usize] = if es.is_empty() { &[NO_ROW] } else { es };
+        for &m in ms {
+            vi.extend(std::iter::repeat_n(v, es.len()));
+            mi.extend(std::iter::repeat_n(m, es.len()));
+            ei.extend_from_slice(es);
         }
     }
 
     // Gather the 7 joined columns: v.(id, value, halted), m.(sender,
     // value), e.(dst, weight).
     let schema = joined_schema();
-    let mbatch = m_build.batch();
-    let ebatch = e_build.batch();
-    let mut cols = Vec::with_capacity(schema.len());
-    let sources: [(&RecordBatch, usize, u8); 7] = [
-        (vbatch, 0, 0),
-        (vbatch, 1, 0),
-        (vbatch, 2, 0),
-        (mbatch, 1, 1),
-        (mbatch, 2, 1),
-        (ebatch, 1, 2),
-        (ebatch, 2, 2),
+    let (mbatch, ebatch) = (m_build.batch(), e_build.batch());
+    let cols = vec![
+        vbatch.column(0).take(&vi),
+        vbatch.column(1).take(&vi),
+        vbatch.column(2).take(&vi),
+        take_or_null(mbatch.column(1), &mi),
+        take_or_null(mbatch.column(2), &mi),
+        take_or_null(ebatch.column(1), &ei),
+        take_or_null(ebatch.column(2), &ei),
     ];
-    for (field, (batch, ci, side)) in schema.fields.iter().zip(sources) {
-        let src = batch.column(ci);
-        let mut b = ColumnBuilder::with_capacity(field.dtype, triples.len());
-        for &(v, m, e) in &triples {
-            let idx = match side {
-                0 => Some(v),
-                1 => m,
-                _ => e,
-            };
-            match idx {
-                Some(i) => b.push(src.value(i)).map_err(VertexicaError::from)?,
-                None => b.push_null(),
-            }
-        }
-        cols.push(b.finish());
-    }
     Ok(RecordBatch::new(schema, cols)?)
 }
 

@@ -30,5 +30,5 @@ pub mod udf;
 
 pub use engine::{Database, QueryResult};
 pub use error::{SqlError, SqlResult};
-pub use physical::JoinBuild;
+pub use physical::{take_or_null, JoinBuild, NO_ROW};
 pub use udf::TransformUdf;

@@ -1,12 +1,14 @@
 //! Vectorized physical execution of logical plans.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use vertexica_common::FxHashMap;
+use vertexica_common::{FxHashMap, FxHashSet};
 use vertexica_storage::{
-    Bitmap, Catalog, Column, ColumnBuilder, DataType, RecordBatch, Schema, Value,
+    Bitmap, BlobData, Catalog, Column, ColumnBuilder, ColumnData, DataType, RecordBatch, Schema,
+    Value,
 };
 
 use crate::ast::JoinKind;
@@ -101,7 +103,7 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> SqlResult<Vec<Recor
                     })
                     .collect();
                 if let Some(cols) = gathered {
-                    return Ok(vec![execute_join(input, JoinOut { cols: &cols, schema }, ctx)?]);
+                    return execute_join(input, JoinOut { cols: &cols, schema }, ctx);
                 }
             }
             let batches = execute(input, ctx)?;
@@ -116,7 +118,7 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> SqlResult<Vec<Recor
         }
         LogicalPlan::Join { schema, .. } => {
             let all: Vec<usize> = (0..schema.len()).collect();
-            Ok(vec![execute_join(plan, JoinOut { cols: &all, schema }, ctx)?])
+            execute_join(plan, JoinOut { cols: &all, schema }, ctx)
         }
         LogicalPlan::Aggregate { input, group, aggs, schema } => {
             let batches = execute(input, ctx)?;
@@ -140,7 +142,7 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> SqlResult<Vec<Recor
                         return if *asc { ord } else { ord.reverse() };
                     }
                 }
-                std::cmp::Ordering::Equal
+                Ordering::Equal
             });
             Ok(vec![merged.take(&indices)?])
         }
@@ -197,10 +199,9 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> SqlResult<Vec<Recor
 /// only so column indices keep lining up with the input schema.
 fn gather_selected(
     batch: &RecordBatch,
-    sel: &vertexica_storage::Bitmap,
+    sel: &Bitmap,
     referenced: &[usize],
 ) -> SqlResult<RecordBatch> {
-    use vertexica_storage::{BlobData, ColumnData};
     let k = sel.count_ones();
     let mut cols = Vec::with_capacity(batch.num_columns());
     for i in 0..batch.num_columns() {
@@ -288,21 +289,28 @@ impl Hash for GroupKey {
 
 // ---- joins ----
 
+/// The build row an unmatched probe row pairs with under an outer join: the
+/// gather ([`take_or_null`]) emits NULL for it.
+pub const NO_ROW: usize = usize::MAX;
+
 /// A hashed equi-join **build side**, reusable across any number of probe
 /// batches — the engine's streaming-join primitive. The build batch is
-/// hashed exactly once; probes then stream through
-/// [`JoinBuild::probe_pairs`] / [`JoinBuild::probe_matches`] one batch at a
-/// time, so a pull-based scan can feed the probe side without ever
-/// materializing it (see `Database::stream_hash_join`). The eager
-/// [`LogicalPlan::Join`] executor is a single-probe-batch special case of
-/// the same kernels.
+/// hashed exactly once; probes then stream through it one batch at a time
+/// ([`JoinBuild::probe_matches`], and the join executors' index-vector
+/// probe), so a pull-based scan can feed the probe side without ever
+/// materializing it (see `Database::stream_hash_join`). The
+/// [`LogicalPlan::Join`] executor probes it once per probe-side batch.
 ///
-/// Three key strategies, chosen by the build keys' **declared types** (not
-/// by the accident of whether this batch happens to contain a NULL):
+/// The table is CSR-shaped: a key map gives each distinct key a slot, and
+/// slot `s`'s build rows are `rows[offsets[s]..offsets[s + 1]]`, filled in
+/// build-row order — so every key's matches come out in build-row order,
+/// with no per-key allocation. Three key maps, chosen by the build keys'
+/// **declared types** (not by the accident of whether this batch happens to
+/// contain a NULL):
 ///
 /// * single BIGINT key — `FxHashMap<i64, _>`, the vertex-id join shape;
 /// * composite `(BIGINT, BIGINT)` key — edge-identity joins;
-/// * generic dynamic-`Value` keys with scratch-buffer reuse.
+/// * generic dynamic-`Value` keys, one boxed key per *distinct* key.
 ///
 /// **NULL keys never match, on every strategy** (SQL equi-join semantics):
 /// build rows with a NULL key column are never inserted, and probe rows
@@ -314,16 +322,18 @@ pub struct JoinBuild {
     batch: RecordBatch,
     keys: Vec<usize>,
     map: KeyMap,
+    offsets: Vec<usize>,
+    rows: Vec<usize>,
 }
 
+/// Key → CSR slot.
 enum KeyMap {
     /// Single BIGINT key (vertex-id joins).
-    Int(FxHashMap<i64, Vec<usize>>),
+    Int(FxHashMap<i64, usize>),
     /// Composite two-column BIGINT key ((src, dst) edge identity).
-    Int2(FxHashMap<(i64, i64), Vec<usize>>),
-    /// Dynamic-value keys, scratch-buffer reuse: a fresh `Vec<Value>` is
-    /// only allocated when a *distinct* build key enters the table.
-    Generic(FxHashMap<GroupKey, Vec<usize>>),
+    Int2(FxHashMap<(i64, i64), usize>),
+    /// Dynamic-value keys.
+    Generic(FxHashMap<GroupKey, usize>),
 }
 
 /// True when every named key column of `batch` is BIGINT — the typed
@@ -333,17 +343,17 @@ fn int_typed(batch: &RecordBatch, keys: &[usize]) -> bool {
     keys.iter().all(|&c| batch.column(c).dtype() == DataType::Int)
 }
 
-/// `(raw data, validity)` per BIGINT key column.
+/// A BIGINT column's `(raw data, validity)`.
+fn int_data(col: &Column) -> Option<(&[i64], Option<&Bitmap>)> {
+    col.as_int().map(|v| (v, col.validity()))
+}
+
+/// [`int_data`] per key column.
 fn int_key_data<'a>(
     batch: &'a RecordBatch,
     keys: &[usize],
 ) -> Option<Vec<(&'a [i64], Option<&'a Bitmap>)>> {
-    keys.iter()
-        .map(|&c| {
-            let col = batch.column(c);
-            col.as_int().map(|v| (v, col.validity()))
-        })
-        .collect()
+    keys.iter().map(|&c| int_data(batch.column(c))).collect()
 }
 
 #[inline]
@@ -351,11 +361,34 @@ fn row_valid(validity: Option<&Bitmap>, i: usize) -> bool {
     validity.is_none_or(|b| b.get(i))
 }
 
+/// The slot of `key`, numbering unseen keys in first-seen order.
+#[inline]
+fn slot_of<K: Eq + Hash>(table: &mut FxHashMap<K, usize>, key: K) -> usize {
+    let next = table.len();
+    *table.entry(key).or_insert(next)
+}
+
+/// Each row's dynamic key, or `None` when a key column is NULL.
+/// `scratch` is reused across rows.
+fn generic_key(
+    batch: &RecordBatch,
+    keys: &[usize],
+    i: usize,
+    scratch: &mut Vec<Value>,
+) -> Option<GroupKey> {
+    scratch.clear();
+    scratch.extend(keys.iter().map(|&c| batch.column(c).value(i)));
+    if scratch.iter().any(Value::is_null) {
+        return None;
+    }
+    Some(GroupKey(std::mem::take(scratch)))
+}
+
 impl JoinBuild {
     /// Hashes `batch` on `key_columns`, picking the typed fast path when
     /// every key column is BIGINT.
     pub fn new(batch: RecordBatch, key_columns: Vec<usize>) -> Self {
-        let force_generic = !(int_typed(&batch, &key_columns) && key_columns.len() <= 2);
+        let force_generic = !int_typed(&batch, &key_columns);
         Self::with_strategy(batch, key_columns, force_generic)
     }
 
@@ -364,52 +397,71 @@ impl JoinBuild {
     /// be BIGINT, so typed build keys could never be compared against them.
     fn with_strategy(batch: RecordBatch, key_columns: Vec<usize>, force_generic: bool) -> Self {
         let n = batch.num_rows();
-        let map = if !force_generic && key_columns.len() == 1 {
-            let cols = int_key_data(&batch, &key_columns).expect("int-typed key checked");
-            let (k0, v0) = cols[0];
-            let mut table: FxHashMap<i64, Vec<usize>> = FxHashMap::default();
-            table.reserve(n);
-            for (i, &k) in k0.iter().enumerate() {
-                if row_valid(v0, i) {
-                    table.entry(k).or_default().push(i);
+        // Each build row's slot (`NO_ROW` for a NULL key).
+        let mut row_slot: Vec<usize> = Vec::with_capacity(n);
+        let typed = if force_generic { None } else { int_key_data(&batch, &key_columns) };
+        let map = match typed.as_deref() {
+            Some(&[(k0, v0)]) => {
+                let mut table = FxHashMap::default();
+                table.reserve(n);
+                for (i, &k) in k0.iter().enumerate() {
+                    row_slot.push(if row_valid(v0, i) { slot_of(&mut table, k) } else { NO_ROW });
                 }
+                KeyMap::Int(table)
             }
-            KeyMap::Int(table)
-        } else if !force_generic && key_columns.len() == 2 {
-            let cols = int_key_data(&batch, &key_columns).expect("int-typed keys checked");
-            let ((k0, v0), (k1, v1)) = (cols[0], cols[1]);
-            let mut table: FxHashMap<(i64, i64), Vec<usize>> = FxHashMap::default();
-            table.reserve(n);
-            for i in 0..n {
-                if row_valid(v0, i) && row_valid(v1, i) {
-                    table.entry((k0[i], k1[i])).or_default().push(i);
+            Some(&[(k0, v0), (k1, v1)]) => {
+                let mut table = FxHashMap::default();
+                table.reserve(n);
+                for i in 0..n {
+                    let valid = row_valid(v0, i) && row_valid(v1, i);
+                    row_slot.push(if valid { slot_of(&mut table, (k0[i], k1[i])) } else { NO_ROW });
                 }
+                KeyMap::Int2(table)
             }
-            KeyMap::Int2(table)
-        } else {
-            let mut table: FxHashMap<GroupKey, Vec<usize>> = FxHashMap::default();
-            let mut scratch: Vec<Value> = Vec::with_capacity(key_columns.len());
-            for i in 0..n {
-                scratch.clear();
-                scratch.extend(key_columns.iter().map(|&c| batch.column(c).value(i)));
-                if scratch.iter().any(|v| v.is_null()) {
-                    continue; // NULL keys never match.
+            _ => {
+                let mut table = FxHashMap::default();
+                let mut scratch = Vec::with_capacity(key_columns.len());
+                for i in 0..n {
+                    let slot = match generic_key(&batch, &key_columns, i, &mut scratch) {
+                        None => NO_ROW,
+                        Some(key) => match table.get(&key) {
+                            Some(&s) => {
+                                scratch = key.0; // recover the buffer
+                                s
+                            }
+                            None => {
+                                let s = table.len();
+                                table.insert(key, s);
+                                s
+                            }
+                        },
+                    };
+                    row_slot.push(slot);
                 }
-                let key = GroupKey(std::mem::take(&mut scratch));
-                match table.get_mut(&key) {
-                    Some(rows) => {
-                        rows.push(i);
-                        scratch = key.0; // recover the buffer
-                    }
-                    None => {
-                        table.insert(key, vec![i]);
-                        scratch = Vec::with_capacity(key_columns.len());
-                    }
-                }
+                KeyMap::Generic(table)
             }
-            KeyMap::Generic(table)
         };
-        JoinBuild { batch, keys: key_columns, map }
+        let slots = match &map {
+            KeyMap::Int(t) => t.len(),
+            KeyMap::Int2(t) => t.len(),
+            KeyMap::Generic(t) => t.len(),
+        };
+        // Counting sort of the build rows by slot; a stable fill keeps each
+        // slot's rows in build-row order.
+        let mut offsets = vec![0usize; slots + 1];
+        for &s in row_slot.iter().filter(|&&s| s != NO_ROW) {
+            offsets[s + 1] += 1;
+        }
+        for s in 0..slots {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut fill = offsets[..slots].to_vec();
+        let mut rows = vec![0usize; offsets[slots]];
+        for (i, &s) in row_slot.iter().enumerate().filter(|&(_, &s)| s != NO_ROW) {
+            rows[fill[s]] = i;
+            fill[s] += 1;
+        }
+        JoinBuild { batch, keys: key_columns, map, offsets, rows }
     }
 
     /// The hashed build-side batch.
@@ -427,13 +479,19 @@ impl JoinBuild {
         self.batch.num_rows()
     }
 
+    /// The build rows of `slot`, in build-row order (empty for `None`).
+    #[inline]
+    fn rows_of(&self, slot: Option<&usize>) -> &[usize] {
+        slot.map_or(&[], |&s| &self.rows[self.offsets[s]..self.offsets[s + 1]])
+    }
+
     /// Streams every probe row's build-side match list to `f`. NULL probe
     /// keys (and unmatched keys) yield an empty slice.
-    fn for_each_probe_row(
-        &self,
+    fn for_each_probe_row<'s>(
+        &'s self,
         probe: &RecordBatch,
         probe_keys: &[usize],
-        mut f: impl FnMut(usize, &[usize]),
+        mut f: impl FnMut(usize, &'s [usize]),
     ) -> SqlResult<()> {
         if probe_keys.len() != self.keys.len() {
             return Err(SqlError::Execution(format!(
@@ -442,88 +500,160 @@ impl JoinBuild {
                 self.keys.len()
             )));
         }
-        let n = probe.num_rows();
+        let typed = || {
+            int_key_data(probe, probe_keys).ok_or_else(|| {
+                SqlError::Execution("BIGINT-keyed join probed with non-BIGINT key".into())
+            })
+        };
         match &self.map {
             KeyMap::Int(table) => {
-                let cols = int_key_data(probe, probe_keys).ok_or_else(|| {
-                    SqlError::Execution("BIGINT-keyed join probed with non-BIGINT key".into())
-                })?;
+                let cols = typed()?;
                 let (k0, v0) = cols[0];
                 for (i, k) in k0.iter().enumerate() {
-                    let matches: &[usize] = if row_valid(v0, i) {
-                        table.get(k).map(Vec::as_slice).unwrap_or(&[])
-                    } else {
-                        &[]
-                    };
-                    f(i, matches);
+                    let slot = if row_valid(v0, i) { table.get(k) } else { None };
+                    f(i, self.rows_of(slot));
                 }
             }
             KeyMap::Int2(table) => {
-                let cols = int_key_data(probe, probe_keys).ok_or_else(|| {
-                    SqlError::Execution("BIGINT-keyed join probed with non-BIGINT key".into())
-                })?;
+                let cols = typed()?;
                 let ((k0, v0), (k1, v1)) = (cols[0], cols[1]);
-                for i in 0..n {
-                    let matches: &[usize] = if row_valid(v0, i) && row_valid(v1, i) {
-                        table.get(&(k0[i], k1[i])).map(Vec::as_slice).unwrap_or(&[])
-                    } else {
-                        &[]
-                    };
-                    f(i, matches);
+                for i in 0..probe.num_rows() {
+                    let valid = row_valid(v0, i) && row_valid(v1, i);
+                    let slot = if valid { table.get(&(k0[i], k1[i])) } else { None };
+                    f(i, self.rows_of(slot));
                 }
             }
             KeyMap::Generic(table) => {
                 let mut scratch: Vec<Value> = Vec::with_capacity(probe_keys.len());
-                for i in 0..n {
-                    scratch.clear();
-                    scratch.extend(probe_keys.iter().map(|&c| probe.column(c).value(i)));
-                    if scratch.iter().any(|v| v.is_null()) {
-                        f(i, &[]);
-                        continue;
+                for i in 0..probe.num_rows() {
+                    match generic_key(probe, probe_keys, i, &mut scratch) {
+                        None => f(i, &[]),
+                        Some(key) => {
+                            f(i, self.rows_of(table.get(&key)));
+                            scratch = key.0; // probe lookups never surrender the buffer
+                        }
                     }
-                    let key = GroupKey(std::mem::take(&mut scratch));
-                    f(i, table.get(&key).map(Vec::as_slice).unwrap_or(&[]));
-                    scratch = key.0; // probe lookups never surrender the buffer
                 }
             }
         }
         Ok(())
     }
 
-    /// Probes one batch, producing `(probe_row, Some(build_row))` per match;
-    /// with `outer`, unmatched (or NULL-key) probe rows yield
-    /// `(probe_row, None)` exactly once.
-    pub fn probe_pairs(
+    /// Probes one batch: the matched `(probe row, build row)` pairs, probe
+    /// row by probe row and each row's matches in build-row order; with
+    /// `outer`, an unmatched (or NULL-key) probe row pairs with [`NO_ROW`]
+    /// exactly once, in its place.
+    fn probe(
         &self,
         probe: &RecordBatch,
         probe_keys: &[usize],
         outer: bool,
-    ) -> SqlResult<Vec<(usize, Option<usize>)>> {
-        let mut pairs: Vec<(usize, Option<usize>)> = Vec::with_capacity(probe.num_rows());
+    ) -> SqlResult<JoinIndices> {
+        let mut out = JoinIndices::with_capacity(probe.num_rows());
         self.for_each_probe_row(probe, probe_keys, |i, matches| {
-            if matches.is_empty() {
-                if outer {
-                    pairs.push((i, None));
-                }
-            } else {
-                pairs.extend(matches.iter().map(|&m| (i, Some(m))));
-            }
+            out.push_matches(i, matches, outer)
         })?;
-        Ok(pairs)
+        Ok(out)
     }
 
     /// Probes one batch, returning each probe row's build-row match list
-    /// (empty = no match or NULL key) — the shape multi-build compositions
-    /// like the 3-way-join input re-shape consume.
+    /// (empty = no match or NULL key), borrowed from the build table — the
+    /// shape multi-build compositions like the 3-way-join input re-shape
+    /// consume.
     pub fn probe_matches(
         &self,
         probe: &RecordBatch,
         probe_keys: &[usize],
-    ) -> SqlResult<Vec<Vec<usize>>> {
-        let mut out: Vec<Vec<usize>> = Vec::with_capacity(probe.num_rows());
-        self.for_each_probe_row(probe, probe_keys, |_, matches| out.push(matches.to_vec()))?;
+    ) -> SqlResult<Vec<&[usize]>> {
+        let mut out = Vec::with_capacity(probe.num_rows());
+        self.for_each_probe_row(probe, probe_keys, |_, matches| out.push(matches))?;
         Ok(out)
     }
+}
+
+/// A join's row pairs as two index vectors: output row `j` is probe row
+/// `probe[j]` with build row `build[j]` ([`NO_ROW`] null-extends it).
+#[derive(Debug, PartialEq)]
+struct JoinIndices {
+    probe: Vec<usize>,
+    build: Vec<usize>,
+}
+
+impl JoinIndices {
+    fn with_capacity(n: usize) -> Self {
+        JoinIndices { probe: Vec::with_capacity(n), build: Vec::with_capacity(n) }
+    }
+
+    fn push(&mut self, probe: usize, build: usize) {
+        self.probe.push(probe);
+        self.build.push(build);
+    }
+
+    /// The pairs whose `mask` bit is set (pairs come grouped by probe row,
+    /// in probe-row order). With `outer`, each of the `n_probe` probe rows
+    /// left without a pair pairs with [`NO_ROW`] once, in its place.
+    fn keep(self, mask: &Bitmap, outer: bool, n_probe: usize) -> JoinIndices {
+        let mut kept = JoinIndices::with_capacity(mask.count_ones());
+        let mut j = 0;
+        for p in 0..n_probe {
+            let before = kept.probe.len();
+            while j < self.probe.len() && self.probe[j] == p {
+                if mask.get(j) {
+                    kept.push(p, self.build[j]);
+                }
+                j += 1;
+            }
+            if outer && kept.probe.len() == before {
+                kept.push(p, NO_ROW);
+            }
+        }
+        kept
+    }
+
+    /// Probe row `p` with each of `matches`, or with [`NO_ROW`] when there
+    /// are none and the join is `outer`.
+    fn push_matches(&mut self, p: usize, matches: &[usize], outer: bool) {
+        if matches.is_empty() {
+            if outer {
+                self.push(p, NO_ROW);
+            }
+        } else {
+            self.probe.extend(std::iter::repeat_n(p, matches.len()));
+            self.build.extend_from_slice(matches);
+        }
+    }
+}
+
+/// Gathers `col`'s rows at `indices`, typed; a [`NO_ROW`] index gathers a
+/// NULL (the null-extended side of an outer join).
+pub fn take_or_null(col: &Column, indices: &[usize]) -> Column {
+    if !indices.contains(&NO_ROW) {
+        return col.take(indices);
+    }
+    fn gather<T: Clone + Default>(v: &[T], indices: &[usize]) -> Vec<T> {
+        indices.iter().map(|&i| if i == NO_ROW { T::default() } else { v[i].clone() }).collect()
+    }
+    let valid = col.validity();
+    let validity =
+        Bitmap::from_iter_bool(indices.iter().map(|&i| i != NO_ROW && row_valid(valid, i)));
+    let data = if let Some(v) = col.as_int() {
+        ColumnData::Int(gather(v, indices))
+    } else if let Some(v) = col.as_float() {
+        ColumnData::Float(gather(v, indices))
+    } else if let Some(v) = col.as_bool() {
+        ColumnData::Bool(gather(v, indices))
+    } else if let Some(v) = col.as_str() {
+        ColumnData::Str(gather(v, indices))
+    } else {
+        let mut cells = BlobData::with_capacity(indices.len(), 0);
+        if let Some(v) = col.as_blob() {
+            for &i in indices {
+                cells.push(if i == NO_ROW { &[] } else { v.get(i) });
+            }
+        }
+        ColumnData::Blob(cells)
+    };
+    Column::new(data, Some(validity))
 }
 
 /// The columns a join emits: positions in its combined `[left, right]`
@@ -534,21 +664,99 @@ struct JoinOut<'a> {
     schema: &'a Arc<Schema>,
 }
 
-/// Executes a [`LogicalPlan::Join`], gathering only `out`'s columns from the
-/// matched row pairs.
+/// Gathers `out`'s columns for the row pairs `(left[j], right[j])`.
+fn gather_join(
+    (left, left_idx): (&RecordBatch, &[usize]),
+    (right, right_idx): (&RecordBatch, &[usize]),
+    out: JoinOut<'_>,
+) -> SqlResult<RecordBatch> {
+    let nl = left.num_columns();
+    let cols = out
+        .cols
+        .iter()
+        .zip(&out.schema.fields)
+        .map(|(&ci, f)| {
+            let taken = if ci < nl {
+                take_or_null(left.column(ci), left_idx)
+            } else {
+                take_or_null(right.column(ci - nl), right_idx)
+            };
+            coerce_column(taken, f.dtype)
+        })
+        .collect::<SqlResult<Vec<_>>>()?;
+    RecordBatch::new(out.schema.clone(), cols).map_err(Into::into)
+}
+
+/// Executes a [`LogicalPlan::Join`], gathering only `out`'s columns: one
+/// output batch per probe-side batch. Each probe batch's row pairs pass the
+/// residual ON filter before the gather; for outer joins a preserved row
+/// whose pairs all fail it is null-extended once, in place.
 fn execute_join(
     join: &LogicalPlan,
     out: JoinOut<'_>,
     ctx: &ExecContext<'_>,
-) -> SqlResult<RecordBatch> {
+) -> SqlResult<Vec<RecordBatch>> {
     let LogicalPlan::Join { left, right, kind, on, filter, schema } = join else {
         return Err(SqlError::Execution("join executor called on a non-join plan".into()));
     };
-    let lbatch = RecordBatch::concat(left.schema(), &execute(left, ctx)?)?;
-    let rbatch = RecordBatch::concat(right.schema(), &execute(right, ctx)?)?;
+    // RIGHT joins preserve (and so probe with) the right side; the build
+    // side is the non-preserved side for outer joins.
+    let probe_is_left = *kind != JoinKind::Right;
+    let outer = matches!(kind, JoinKind::Left | JoinKind::Right);
+    let (probe_plan, build_plan) = if probe_is_left { (left, right) } else { (right, left) };
+    let (probe_keys, build_keys): (Vec<usize>, Vec<usize>) =
+        on.iter().map(|&(l, r)| if probe_is_left { (l, r) } else { (r, l) }).unzip();
+    let build = RecordBatch::concat(build_plan.schema(), &execute(build_plan, ctx)?)?;
+    // The typed fast paths require BIGINT keys on *both* sides (NULLs are
+    // fine — the kernels skip them per row); otherwise hash dynamic values.
+    let probe_schema = probe_plan.schema();
+    let probe_int = probe_keys.iter().all(|&k| probe_schema.fields[k].dtype == DataType::Int);
+    let hashed = (!on.is_empty()).then(|| {
+        let force_generic = !(probe_int && int_typed(&build, &build_keys));
+        JoinBuild::with_strategy(build.clone(), build_keys, force_generic)
+    });
+    // Without equi-keys every probe row meets every build row.
+    let every_build_row: Vec<usize> =
+        if hashed.is_none() { (0..build.num_rows()).collect() } else { Vec::new() };
+    let gather = |probe: &RecordBatch, pairs: &JoinIndices, out: JoinOut<'_>| {
+        let probe_side = (probe, pairs.probe.as_slice());
+        let build_side = (&build, pairs.build.as_slice());
+        if probe_is_left {
+            gather_join(probe_side, build_side, out)
+        } else {
+            gather_join(build_side, probe_side, out)
+        }
+    };
     let all: Vec<usize> = (0..schema.len()).collect();
-    let residual = filter.as_ref().map(|f| (f, JoinOut { cols: &all, schema }));
-    hash_join(&lbatch, &rbatch, *kind, on, residual, out)
+    // With a residual, unmatched rows are null-extended after it.
+    let extend = outer && filter.is_none();
+    let mut batches = Vec::new();
+    for probe in execute(probe_plan, ctx)? {
+        let mut pairs = match &hashed {
+            Some(hashed) => hashed.probe(&probe, &probe_keys, extend)?,
+            None => {
+                let mut pairs = JoinIndices::with_capacity(probe.num_rows() * build.num_rows());
+                for p in 0..probe.num_rows() {
+                    pairs.push_matches(p, &every_build_row, extend);
+                }
+                pairs
+            }
+        };
+        if let Some(residual) = filter {
+            // The residual may read columns the output does not gather.
+            let candidates = gather(&probe, &pairs, JoinOut { cols: &all, schema })?;
+            let mask = residual.eval_predicate(&candidates)?;
+            pairs = pairs.keep(&mask, outer, probe.num_rows());
+        }
+        let joined = gather(&probe, &pairs, out)?;
+        if joined.num_rows() > 0 {
+            batches.push(joined);
+        }
+    }
+    if batches.is_empty() {
+        batches.push(RecordBatch::empty(out.schema.clone()));
+    }
+    Ok(batches)
 }
 
 /// Materializes one streaming-join step: probes `build` with `probe` and
@@ -562,167 +770,26 @@ pub(crate) fn join_probe_batch(
     outer: bool,
     schema: &Arc<Schema>,
 ) -> SqlResult<RecordBatch> {
-    let pairs = build.probe_pairs(probe, probe_keys, outer)?;
-    let lr_pairs: Vec<(Option<usize>, Option<usize>)> =
-        pairs.into_iter().map(|(p, b)| (Some(p), b)).collect();
+    let pairs = build.probe(probe, probe_keys, outer)?;
     let all: Vec<usize> = (0..schema.len()).collect();
-    let out = JoinOut { cols: &all, schema };
-    materialize_join_lr(probe, build.batch(), &lr_pairs, None, out, outer, true)
-}
-
-/// Joins `left` and `right` on the `on` key pairs (a filtered cross product
-/// when there are none), then applies the residual filter over the full
-/// combined schema and gathers `out`.
-fn hash_join(
-    left: &RecordBatch,
-    right: &RecordBatch,
-    kind: JoinKind,
-    on: &[(usize, usize)],
-    residual: Option<(&PhysExpr, JoinOut<'_>)>,
-    out: JoinOut<'_>,
-) -> SqlResult<RecordBatch> {
-    let outer = matches!(kind, JoinKind::Left | JoinKind::Right);
-    // RIGHT joins preserve (and so probe with) the right side.
-    let probe_is_left = kind != JoinKind::Right;
-    if on.is_empty() {
-        let crossed = cross_join_indices(left.num_rows(), right.num_rows());
-        return materialize_join_lr(left, right, &crossed, residual, out, outer, probe_is_left);
-    }
-
-    // Build side: the non-preserved side for outer joins.
-    let (probe, build, probe_keys, build_keys) = if probe_is_left {
-        let pk: Vec<usize> = on.iter().map(|(l, _)| *l).collect();
-        let bk: Vec<usize> = on.iter().map(|(_, r)| *r).collect();
-        (left, right, pk, bk)
-    } else {
-        let pk: Vec<usize> = on.iter().map(|(_, r)| *r).collect();
-        let bk: Vec<usize> = on.iter().map(|(l, _)| *l).collect();
-        (right, left, pk, bk)
-    };
-
-    // The typed fast paths require BIGINT keys on *both* sides (NULLs are
-    // fine — the kernels skip them per row); otherwise hash dynamic values.
-    let force_generic =
-        !(int_typed(probe, &probe_keys) && int_typed(build, &build_keys) && probe_keys.len() <= 2);
-    let hashed = JoinBuild::with_strategy(build.clone(), build_keys, force_generic);
-    let pairs = hashed.probe_pairs(probe, &probe_keys, outer)?;
-
-    // Map probe/build pairs back to (left, right) order.
-    let lr_pairs: Vec<(Option<usize>, Option<usize>)> = pairs
-        .into_iter()
-        .map(|(p, b)| if probe_is_left { (Some(p), b) } else { (b, Some(p)) })
-        .collect();
-    materialize_join_lr(left, right, &lr_pairs, residual, out, outer, probe_is_left)
-}
-
-fn cross_join_indices(n_left: usize, n_right: usize) -> Vec<(Option<usize>, Option<usize>)> {
-    let mut out = Vec::with_capacity(n_left * n_right);
-    for l in 0..n_left {
-        for r in 0..n_right {
-            out.push((Some(l), Some(r)));
-        }
-    }
-    out
-}
-
-/// Builds the output batch from matched (left,right) row pairs, applying the
-/// residual ON filter. For outer joins, preserved-side rows whose matches all
-/// fail the residual are re-emitted null-extended.
-fn materialize_join_lr(
-    left: &RecordBatch,
-    right: &RecordBatch,
-    pairs: &[(Option<usize>, Option<usize>)],
-    residual: Option<(&PhysExpr, JoinOut<'_>)>,
-    out: JoinOut<'_>,
-    outer: bool,
-    left_preserved: bool,
-) -> SqlResult<RecordBatch> {
-    let nl = left.num_columns();
-    let build_batch =
-        |pairs: &[(Option<usize>, Option<usize>)], out: JoinOut<'_>| -> SqlResult<RecordBatch> {
-            let mut cols = Vec::with_capacity(out.cols.len());
-            for (&ci, f) in out.cols.iter().zip(&out.schema.fields) {
-                let (src, side_left) =
-                    if ci < nl { (left.column(ci), true) } else { (right.column(ci - nl), false) };
-                let pick = |pair: &(Option<usize>, Option<usize>)| {
-                    if side_left {
-                        pair.0
-                    } else {
-                        pair.1
-                    }
-                };
-                let mut b = ColumnBuilder::with_capacity(f.dtype, pairs.len());
-                // Typed fast paths for the hot column shapes (ids, weights).
-                if src.validity().is_none() && f.dtype == src.dtype() {
-                    if let Some(vals) = src.as_int() {
-                        for pair in pairs {
-                            match pick(pair) {
-                                Some(i) => b.push_int(vals[i]),
-                                None => b.push_null(),
-                            }
-                        }
-                        cols.push(b.finish());
-                        continue;
-                    }
-                    if let Some(vals) = src.as_float() {
-                        for pair in pairs {
-                            match pick(pair) {
-                                Some(i) => b.push_float(vals[i]),
-                                None => b.push_null(),
-                            }
-                        }
-                        cols.push(b.finish());
-                        continue;
-                    }
-                }
-                for pair in pairs {
-                    match pick(pair) {
-                        Some(i) => b.push(src.value(i)).map_err(SqlError::from)?,
-                        None => b.push_null(),
-                    }
-                }
-                cols.push(b.finish());
-            }
-            RecordBatch::new(out.schema.clone(), cols).map_err(Into::into)
-        };
-
-    let Some((residual, combined)) = residual else {
-        return build_batch(pairs, out);
-    };
-
-    // Evaluate the residual on the candidate rows (it may read columns the
-    // output does not gather).
-    let mask = residual.eval_predicate(&build_batch(pairs, combined)?)?;
-    let mut kept: Vec<(Option<usize>, Option<usize>)> =
-        pairs.iter().enumerate().filter(|&(idx, _)| mask.get(idx)).map(|(_, p)| *p).collect();
-    if outer {
-        // Preserved rows that matched on keys but failed every residual
-        // check — and rows that were already unmatched — must appear
-        // null-extended once.
-        let survived: std::collections::HashSet<usize> =
-            kept.iter().filter_map(|pair| if left_preserved { pair.0 } else { pair.1 }).collect();
-        let mut emitted_null: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for pair in pairs {
-            let (preserved_idx, other) =
-                if left_preserved { (pair.0, pair.1) } else { (pair.1, pair.0) };
-            let Some(i) = preserved_idx else { continue };
-            let unmatched_pair = other.is_none();
-            if (unmatched_pair || !survived.contains(&i)) && emitted_null.insert(i) {
-                kept.push(if left_preserved { (Some(i), None) } else { (None, Some(i)) });
-            }
-        }
-    }
-    build_batch(&kept, out)
+    gather_join(
+        (probe, &pairs.probe),
+        (build.batch(), &pairs.build),
+        JoinOut { cols: &all, schema },
+    )
 }
 
 // ---- aggregation ----
 
+/// One group's boxed accumulator: the fold for argument types and DISTINCT
+/// calls that no typed [`AggState`] arm covers.
+#[derive(Clone)]
 enum Acc {
     Count(i64),
-    CountDistinct(std::collections::HashSet<GroupKey>),
+    CountDistinct(FxHashSet<GroupKey>),
     SumInt { sum: i64, any: bool },
     SumFloat { sum: f64, any: bool },
-    SumDistinct { seen: std::collections::HashSet<GroupKey>, is_float: bool },
+    SumDistinct { seen: FxHashSet<GroupKey>, order: Vec<Value>, is_float: bool },
     Min(Option<Value>),
     Max(Option<Value>),
     Avg { sum: f64, n: i64 },
@@ -743,6 +810,7 @@ impl Acc {
                 if call.distinct {
                     Acc::SumDistinct {
                         seen: Default::default(),
+                        order: Vec::new(),
                         is_float: arg_type == Some(DataType::Float),
                     }
                 } else if arg_type == Some(DataType::Float) {
@@ -785,9 +853,9 @@ impl Acc {
                     return Err(SqlError::Execution(format!("SUM over non-numeric {v}")));
                 }
             }
-            Acc::SumDistinct { seen, .. } => {
-                if !v.is_null() {
-                    seen.insert(GroupKey(vec![v.clone()]));
+            Acc::SumDistinct { seen, order, .. } => {
+                if !v.is_null() && seen.insert(GroupKey(vec![v.clone()])) {
+                    order.push(v.clone());
                 }
             }
             Acc::Min(cur) => {
@@ -812,12 +880,6 @@ impl Acc {
         Ok(())
     }
 
-    fn update_count_star(&mut self) {
-        if let Acc::Count(n) = self {
-            *n += 1;
-        }
-    }
-
     fn finish(self) -> Value {
         match self {
             Acc::Count(n) => Value::Int(n),
@@ -836,13 +898,17 @@ impl Acc {
                     Value::Null
                 }
             }
-            Acc::SumDistinct { seen, is_float } => {
-                if seen.is_empty() {
+            // The distinct values are summed in first-seen order: a hash
+            // set's iteration order would make a float sum vary run to run.
+            Acc::SumDistinct { order, is_float, .. } => {
+                if order.is_empty() {
                     Value::Null
                 } else if is_float {
-                    Value::Float(seen.iter().map(|k| k.0[0].as_float().unwrap_or(0.0)).sum())
+                    Value::Float(order.iter().map(|v| v.as_float().unwrap_or(0.0)).sum())
                 } else {
-                    Value::Int(seen.iter().map(|k| k.0[0].as_int().unwrap_or(0)).sum())
+                    Value::Int(
+                        order.iter().fold(0i64, |s, v| s.wrapping_add(v.as_int().unwrap_or(0))),
+                    )
                 }
             }
             Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
@@ -857,11 +923,382 @@ impl Acc {
     }
 }
 
-/// One input batch with its pre-evaluated group-key and aggregate-argument
-/// columns.
-type EvaluatedBatch<'a> = (&'a RecordBatch, Vec<Column>, Vec<Option<Column>>);
+/// One aggregate's state for every group, in flat vectors indexed by group
+/// slot. The typed arms fold typed column slices; each group folds its rows
+/// in input order, so a float result is bitwise the boxed fold's.
+enum AggState {
+    /// `COUNT(*)` and `COUNT(col)` of any type: a count of non-NULL rows.
+    Count(Vec<i64>),
+    /// `SUM` (wrapping), `MIN` or `MAX` of BIGINT.
+    Int(Fold<i64>),
+    /// `SUM`, `MIN`, `MAX` or `AVG` of FLOAT (BIGINT widens for `SUM` of a
+    /// FLOAT-typed argument and for `AVG`).
+    Float(Fold<f64>),
+    /// Everything else: one boxed accumulator per group, cloned from `init`.
+    Boxed { init: Acc, accs: Vec<Acc> },
+}
+
+/// A typed `SUM` / `MIN` / `MAX` / `AVG`: each group's running value and
+/// how many values it has folded (none: the result is NULL).
+struct Fold<T> {
+    func: AggFunc,
+    acc: Vec<T>,
+    n: Vec<i64>,
+}
+
+impl<T: Copy + Default> Fold<T> {
+    fn new(func: AggFunc) -> Self {
+        Fold { func, acc: Vec::new(), n: Vec::new() }
+    }
+
+    fn grow(&mut self, groups: usize) {
+        self.acc.resize(groups, T::default());
+        self.n.resize(groups, 0);
+    }
+
+    /// Folds `x`'s non-NULL rows: `add` for `SUM` and `AVG`, `cmp` for
+    /// `MIN` and `MAX` (the first of equals stays).
+    fn fold(
+        &mut self,
+        x: &[T],
+        slots: Option<&[u32]>,
+        validity: Option<&Bitmap>,
+        add: impl Fn(T, T) -> T,
+        cmp: impl Fn(&T, &T) -> Ordering,
+    ) {
+        let Fold { func, acc, n } = self;
+        let want = match func {
+            AggFunc::Min => Ordering::Less,
+            AggFunc::Max => Ordering::Greater,
+            _ => {
+                return each_row(x.len(), slots, validity, |i, g| {
+                    acc[g] = add(acc[g], x[i]);
+                    n[g] += 1;
+                })
+            }
+        };
+        each_row(x.len(), slots, validity, |i, g| {
+            if n[g] == 0 || cmp(&x[i], &acc[g]) == want {
+                acc[g] = x[i];
+            }
+            n[g] += 1;
+        });
+    }
+
+    /// The per-group values, NULL where a group folded none.
+    fn validity(&self) -> Option<Bitmap> {
+        Some(Bitmap::from_iter_bool(self.n.iter().map(|&k| k > 0)))
+    }
+}
+
+/// Calls `f(row, slot)` for each of `n` rows whose argument is non-NULL;
+/// `slots: None` puts every row in slot 0.
+#[inline]
+fn each_row(
+    n: usize,
+    slots: Option<&[u32]>,
+    validity: Option<&Bitmap>,
+    mut f: impl FnMut(usize, usize),
+) {
+    match slots {
+        None => (0..n).filter(|&i| row_valid(validity, i)).for_each(|i| f(i, 0)),
+        Some(slots) => {
+            for (i, &s) in slots.iter().enumerate() {
+                if row_valid(validity, i) {
+                    f(i, s as usize);
+                }
+            }
+        }
+    }
+}
+
+impl AggState {
+    /// The state for `call`: typed when every batch's argument column has a
+    /// type its typed arm folds (`arg_types` lists them), boxed otherwise.
+    fn new(call: &AggCall, arg_type: Option<DataType>, arg_types: &[DataType]) -> AggState {
+        use DataType::{Float, Int};
+        let all = |ok: &[DataType]| arg_types.iter().all(|t| ok.contains(t));
+        let func = call.func;
+        match func {
+            AggFunc::CountStar => AggState::Count(Vec::new()),
+            AggFunc::Count if !call.distinct => AggState::Count(Vec::new()),
+            AggFunc::Sum if call.distinct => {
+                AggState::Boxed { init: Acc::new(call, arg_type), accs: Vec::new() }
+            }
+            AggFunc::Sum if arg_type == Some(Float) && all(&[Float, Int]) => {
+                AggState::Float(Fold::new(func))
+            }
+            AggFunc::Sum if arg_type != Some(Float) && all(&[Int]) => {
+                AggState::Int(Fold::new(func))
+            }
+            AggFunc::Avg if all(&[Float, Int]) => AggState::Float(Fold::new(func)),
+            AggFunc::Min | AggFunc::Max if all(&[Int]) => AggState::Int(Fold::new(func)),
+            AggFunc::Min | AggFunc::Max if all(&[Float]) => AggState::Float(Fold::new(func)),
+            _ => AggState::Boxed { init: Acc::new(call, arg_type), accs: Vec::new() },
+        }
+    }
+
+    /// Makes room for `groups` slots (new slots start empty).
+    fn grow(&mut self, groups: usize) {
+        match self {
+            AggState::Count(count) => count.resize(groups, 0),
+            AggState::Int(fold) => fold.grow(groups),
+            AggState::Float(fold) => fold.grow(groups),
+            AggState::Boxed { init, accs } => accs.resize(groups, init.clone()),
+        }
+    }
+
+    /// Folds one batch of `n` rows (`arg` is `None` for `COUNT(*)`) into
+    /// the groups `slots` names.
+    fn fold(&mut self, n: usize, arg: Option<&Column>, slots: Option<&[u32]>) -> SqlResult<()> {
+        let validity = arg.and_then(Column::validity);
+        let mismatch = || SqlError::Execution("aggregate argument changed type".into());
+        match self {
+            AggState::Count(count) if slots.is_none() && validity.is_none() => {
+                count[0] += n as i64; // a row count
+            }
+            AggState::Count(count) => each_row(n, slots, validity, |_, g| count[g] += 1),
+            AggState::Int(fold) => {
+                let x = arg.and_then(Column::as_int).ok_or_else(mismatch)?;
+                fold.fold(x, slots, validity, i64::wrapping_add, i64::cmp);
+            }
+            AggState::Float(fold) => {
+                let col = arg.ok_or_else(mismatch)?;
+                let widened: Vec<f64>;
+                let x = match (col.as_float(), col.as_int()) {
+                    (Some(x), _) => x,
+                    (None, Some(ints)) => {
+                        widened = ints.iter().map(|&v| v as f64).collect();
+                        &widened
+                    }
+                    (None, None) => return Err(mismatch()),
+                };
+                fold.fold(x, slots, validity, |a, b| a + b, f64::total_cmp);
+            }
+            AggState::Boxed { accs, .. } => {
+                let col = arg.ok_or_else(mismatch)?;
+                for i in 0..n {
+                    let g = slots.map_or(0, |s| s[i] as usize);
+                    accs[g].update(&col.value(i))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The output column, one value per group, coerced to `dtype`.
+    fn finish(self, dtype: DataType) -> SqlResult<Column> {
+        let col = match self {
+            AggState::Count(count) => Column::new(ColumnData::Int(count), None),
+            AggState::Int(fold) => {
+                let validity = fold.validity();
+                Column::new(ColumnData::Int(fold.acc), validity)
+            }
+            AggState::Float(mut fold) => {
+                let validity = fold.validity();
+                if fold.func == AggFunc::Avg {
+                    for (sum, &k) in fold.acc.iter_mut().zip(&fold.n) {
+                        *sum /= k.max(1) as f64;
+                    }
+                }
+                Column::new(ColumnData::Float(fold.acc), validity)
+            }
+            AggState::Boxed { accs, .. } => {
+                let mut b = ColumnBuilder::with_capacity(dtype, accs.len());
+                for acc in accs {
+                    b.push(acc.finish()).map_err(SqlError::from)?;
+                }
+                b.finish()
+            }
+        };
+        coerce_column(col, dtype)
+    }
+}
+
+/// How rows find their group slot. Slots are numbered in first-seen order,
+/// which is the output's row order.
+enum Grouper {
+    /// No GROUP BY: one group, slot 0, whatever the input.
+    Single,
+    /// One BIGINT key; NULL is a group of its own, slot `null`.
+    Int { map: FxHashMap<i64, u32>, null: Option<u32> },
+    /// Two BIGINT keys; a NULL component is part of the key.
+    Int2(FxHashMap<[Option<i64>; 2], u32>),
+    /// Any other key shape: boxed values.
+    Generic(FxHashMap<GroupKey, u32>),
+}
+
+/// The groups seen so far: their slots and their key columns.
+struct Groups {
+    grouper: Grouper,
+    /// The group-key output columns, one value per slot.
+    keys: Vec<ColumnBuilder>,
+    len: usize,
+}
+
+/// A new slot for a group whose key was just pushed onto the key columns.
+fn next_slot(len: &mut usize) -> SqlResult<u32> {
+    let slot = u32::try_from(*len)
+        .map_err(|_| SqlError::Execution("GROUP BY produced over 2^32 groups".into()))?;
+    *len += 1;
+    Ok(slot)
+}
+
+impl Groups {
+    /// Writes each of the batch's `n` rows' slot into `slots`, adding a
+    /// group for each unseen key.
+    fn assign(&mut self, n: usize, cols: &[Column], slots: &mut Vec<u32>) -> SqlResult<()> {
+        slots.clear();
+        let Groups { grouper, keys, len } = self;
+        let int_key = |j: usize| {
+            int_data(&cols[j])
+                .ok_or_else(|| SqlError::Execution("BIGINT group key changed type".into()))
+        };
+        match grouper {
+            Grouper::Single => {}
+            Grouper::Int { map, null } => {
+                let (k0, v0) = int_key(0)?;
+                for (i, &k) in k0.iter().enumerate() {
+                    let slot = match (row_valid(v0, i), *null) {
+                        (true, _) => match map.entry(k) {
+                            Entry::Occupied(e) => *e.get(),
+                            Entry::Vacant(e) => {
+                                keys[0].push_int(k);
+                                *e.insert(next_slot(len)?)
+                            }
+                        },
+                        (false, Some(s)) => s,
+                        (false, None) => {
+                            keys[0].push_null();
+                            *null.insert(next_slot(len)?)
+                        }
+                    };
+                    slots.push(slot);
+                }
+            }
+            Grouper::Int2(map) => {
+                let cols = [int_key(0)?, int_key(1)?];
+                for i in 0..n {
+                    let key = cols.map(|(k, v)| row_valid(v, i).then(|| k[i]));
+                    let slot = match map.entry(key) {
+                        Entry::Occupied(e) => *e.get(),
+                        Entry::Vacant(e) => {
+                            for (builder, k) in keys.iter_mut().zip(key) {
+                                match k {
+                                    Some(k) => builder.push_int(k),
+                                    None => builder.push_null(),
+                                }
+                            }
+                            *e.insert(next_slot(len)?)
+                        }
+                    };
+                    slots.push(slot);
+                }
+            }
+            Grouper::Generic(map) => {
+                let mut scratch: Vec<Value> = Vec::with_capacity(cols.len());
+                for i in 0..n {
+                    scratch.clear();
+                    scratch.extend(cols.iter().map(|c| c.value(i)));
+                    let key = GroupKey(std::mem::take(&mut scratch));
+                    let slot = match map.get(&key) {
+                        Some(&s) => {
+                            scratch = key.0; // recover the buffer
+                            s
+                        }
+                        None => {
+                            for (builder, v) in keys.iter_mut().zip(&key.0) {
+                                builder.push(v.clone()).map_err(SqlError::from)?;
+                            }
+                            let s = next_slot(len)?;
+                            map.insert(key, s);
+                            s
+                        }
+                    };
+                    slots.push(slot);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One input batch's row count with its evaluated group-key and
+/// aggregate-argument columns.
+type EvaluatedBatch = (usize, Vec<Column>, Vec<Option<Column>>);
 
 fn hash_aggregate(
+    batches: &[RecordBatch],
+    input_schema: Arc<Schema>,
+    group: &[PhysExpr],
+    aggs: &[AggCall],
+    out_schema: &Arc<Schema>,
+) -> SqlResult<Vec<RecordBatch>> {
+    // Evaluate group keys and aggregate arguments for every batch up front,
+    // so the typed-or-boxed choices are made once, over every batch.
+    let mut evaluated: Vec<EvaluatedBatch> = Vec::new();
+    for batch in batches.iter().filter(|b| b.num_rows() > 0) {
+        let group_cols: Vec<Column> =
+            group.iter().map(|e| e.eval(batch)).collect::<SqlResult<Vec<_>>>()?;
+        let arg_cols: Vec<Option<Column>> = aggs
+            .iter()
+            .map(|a| a.arg.as_ref().map(|e| e.eval(batch)).transpose())
+            .collect::<SqlResult<Vec<_>>>()?;
+        evaluated.push((batch.num_rows(), group_cols, arg_cols));
+    }
+
+    let fields = &out_schema.fields;
+    let keys_int = |j: usize| {
+        fields[j].dtype == DataType::Int
+            && evaluated.iter().all(|(_, g, _)| g[j].dtype() == DataType::Int)
+    };
+    let grouper = match group.len() {
+        0 => Grouper::Single,
+        1 if keys_int(0) => Grouper::Int { map: FxHashMap::default(), null: None },
+        2 if keys_int(0) && keys_int(1) => Grouper::Int2(FxHashMap::default()),
+        _ => Grouper::Generic(FxHashMap::default()),
+    };
+    let mut groups = Groups {
+        len: usize::from(group.is_empty()),
+        grouper,
+        keys: fields[..group.len()].iter().map(|f| ColumnBuilder::new(f.dtype)).collect(),
+    };
+    let mut states: Vec<AggState> = aggs
+        .iter()
+        .enumerate()
+        .map(|(j, a)| {
+            let arg_type = a.arg.as_ref().map(|e| e.data_type(&input_schema)).transpose()?;
+            let arg_types: Vec<DataType> = evaluated
+                .iter()
+                .filter_map(|(_, _, args)| args[j].as_ref())
+                .map(Column::dtype)
+                .collect();
+            Ok(AggState::new(a, arg_type, &arg_types))
+        })
+        .collect::<SqlResult<_>>()?;
+
+    let mut slots: Vec<u32> = Vec::new();
+    for (n, group_cols, arg_cols) in &evaluated {
+        groups.assign(*n, group_cols, &mut slots)?;
+        let slots = (!group.is_empty()).then_some(slots.as_slice());
+        for (state, arg) in states.iter_mut().zip(arg_cols) {
+            state.grow(groups.len);
+            state.fold(*n, arg.as_ref(), slots)?;
+        }
+    }
+
+    let mut cols: Vec<Column> = groups.keys.into_iter().map(ColumnBuilder::finish).collect();
+    for (mut state, f) in states.into_iter().zip(&fields[group.len()..]) {
+        state.grow(groups.len);
+        cols.push(state.finish(f.dtype)?);
+    }
+    Ok(vec![RecordBatch::new(out_schema.clone(), cols)?])
+}
+
+/// The boxed aggregate the typed one replaced: a `GroupKey` and one
+/// [`Acc::update`] per row. The oracle the typed folds are checked against.
+#[cfg(test)]
+fn hash_aggregate_boxed(
     batches: &[RecordBatch],
     input_schema: Arc<Schema>,
     group: &[PhysExpr],
@@ -874,92 +1311,40 @@ fn hash_aggregate(
         .collect::<SqlResult<Vec<_>>>()?;
     let new_accs =
         || -> Vec<Acc> { aggs.iter().zip(&arg_types).map(|(a, t)| Acc::new(a, *t)).collect() };
-
-    // Evaluate group keys and aggregate arguments for every batch up front so
-    // the key-path decision (typed vs generic) is made once, globally.
-    let mut evaluated: Vec<EvaluatedBatch<'_>> = Vec::new();
+    let mut groups: FxHashMap<GroupKey, usize> = FxHashMap::default();
+    let mut order: Vec<GroupKey> = Vec::new();
+    let mut acc_table: Vec<Vec<Acc>> = Vec::new();
     for batch in batches {
-        if batch.num_rows() == 0 {
-            continue;
-        }
         let group_cols: Vec<Column> =
             group.iter().map(|e| e.eval(batch)).collect::<SqlResult<Vec<_>>>()?;
         let arg_cols: Vec<Option<Column>> = aggs
             .iter()
             .map(|a| a.arg.as_ref().map(|e| e.eval(batch)).transpose())
             .collect::<SqlResult<Vec<_>>>()?;
-        evaluated.push((batch, group_cols, arg_cols));
-    }
-
-    let mut order: Vec<GroupKey> = Vec::new();
-    let mut acc_table: Vec<Vec<Acc>> = Vec::new();
-
-    // Fast path for a single BIGINT group key with no nulls anywhere (the
-    // vertex-id shape): avoids the per-row `Vec<Value>` key allocation.
-    let int_fast = group.len() == 1
-        && evaluated.iter().all(|(_, g, _)| g[0].validity().is_none() && g[0].as_int().is_some());
-    if int_fast {
-        let mut int_groups: FxHashMap<i64, usize> = FxHashMap::default();
-        for (batch, group_cols, arg_cols) in &evaluated {
-            let keys = group_cols[0].as_int().expect("checked int");
-            for (row, &key) in keys.iter().enumerate().take(batch.num_rows()) {
-                let slot = match int_groups.entry(key) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let idx = acc_table.len();
-                        e.insert(idx);
-                        order.push(GroupKey(vec![Value::Int(key)]));
-                        acc_table.push(new_accs());
-                        idx
-                    }
-                };
-                for (acc, arg) in acc_table[slot].iter_mut().zip(arg_cols) {
-                    match arg {
-                        Some(col) => acc.update(&col.value(row))?,
-                        None => acc.update_count_star(),
-                    }
-                }
-            }
-        }
-    } else {
-        let mut groups: FxHashMap<GroupKey, usize> = FxHashMap::default();
-        for (batch, group_cols, arg_cols) in &evaluated {
-            for row in 0..batch.num_rows() {
-                let key = GroupKey(group_cols.iter().map(|c| c.value(row)).collect());
-                let slot = match groups.entry(key.clone()) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let idx = acc_table.len();
-                        e.insert(idx);
-                        order.push(key);
-                        acc_table.push(new_accs());
-                        idx
-                    }
-                };
-                for (acc, arg) in acc_table[slot].iter_mut().zip(arg_cols) {
-                    match arg {
-                        Some(col) => acc.update(&col.value(row))?,
-                        None => acc.update_count_star(),
-                    }
+        for row in 0..batch.num_rows() {
+            let key = GroupKey(group_cols.iter().map(|c| c.value(row)).collect());
+            let slot = *groups.entry(key.clone()).or_insert_with(|| {
+                order.push(key);
+                acc_table.push(new_accs());
+                acc_table.len() - 1
+            });
+            for (acc, arg) in acc_table[slot].iter_mut().zip(&arg_cols) {
+                match arg {
+                    Some(col) => acc.update(&col.value(row))?,
+                    None => acc.update(&Value::Int(1))?,
                 }
             }
         }
     }
-
-    // Global aggregate over empty input still yields one row.
     if group.is_empty() && order.is_empty() {
         order.push(GroupKey(vec![]));
         acc_table.push(new_accs());
     }
-
-    let mut builders: Vec<ColumnBuilder> = out_schema
-        .fields
-        .iter()
-        .map(|f| ColumnBuilder::with_capacity(f.dtype, order.len()))
-        .collect();
+    let mut builders: Vec<ColumnBuilder> =
+        out_schema.fields.iter().map(|f| ColumnBuilder::new(f.dtype)).collect();
     for (key, accs) in order.into_iter().zip(acc_table) {
-        for (i, v) in key.0.iter().enumerate() {
-            builders[i].push(v.clone()).map_err(SqlError::from)?;
+        for (i, v) in key.0.into_iter().enumerate() {
+            builders[i].push(v).map_err(SqlError::from)?;
         }
         for (j, acc) in accs.into_iter().enumerate() {
             builders[group.len() + j].push(acc.finish()).map_err(SqlError::from)?;
@@ -1236,17 +1621,17 @@ mod tests {
         assert!(matches!(generic.map, KeyMap::Generic(_)));
 
         for outer in [false, true] {
-            let f = fast.probe_pairs(&probe, &[0], outer).unwrap();
-            let g = generic.probe_pairs(&probe, &[0], outer).unwrap();
+            let f = fast.probe(&probe, &[0], outer).unwrap();
+            let g = generic.probe(&probe, &[0], outer).unwrap();
             assert_eq!(f, g, "fast and generic paths diverged (outer={outer})");
-            // key 1 → 1 match, key 0 → 2 matches; NULL and 2 match nothing.
-            let matched = f.iter().filter(|(_, m)| m.is_some()).count();
-            assert_eq!(matched, 3, "NULL keys must never match (outer={outer})");
-            if outer {
-                let null_extended: Vec<usize> =
-                    f.iter().filter(|(_, m)| m.is_none()).map(|(i, _)| *i).collect();
-                assert_eq!(null_extended, vec![1, 3], "NULL-key probe rows null-extend once");
-            }
+            // key 1 → 1 match, key 0 → 2 matches (in build-row order); NULL
+            // and 2 match nothing and null-extend once, in place.
+            let want = if outer {
+                JoinIndices { probe: vec![0, 1, 2, 2, 3], build: vec![0, NO_ROW, 2, 3, NO_ROW] }
+            } else {
+                JoinIndices { probe: vec![0, 2, 2], build: vec![0, 2, 3] }
+            };
+            assert_eq!(f, want, "NULL keys must never match (outer={outer})");
         }
     }
 
@@ -1275,10 +1660,10 @@ mod tests {
         assert!(matches!(fast.map, KeyMap::Int2(_)));
         let generic = JoinBuild::with_strategy(build, vec![0, 1], true);
         for outer in [false, true] {
-            let f = fast.probe_pairs(&probe, &[0, 1], outer).unwrap();
-            let g = generic.probe_pairs(&probe, &[0, 1], outer).unwrap();
+            let f = fast.probe(&probe, &[0, 1], outer).unwrap();
+            let g = generic.probe(&probe, &[0, 1], outer).unwrap();
             assert_eq!(f, g, "composite fast path diverged from generic (outer={outer})");
-            let matched = f.iter().filter(|(_, m)| m.is_some()).count();
+            let matched = f.build.iter().filter(|&&m| m != NO_ROW).count();
             assert_eq!(matched, 2, "only the two fully-non-NULL keys match");
         }
     }
@@ -1289,9 +1674,116 @@ mod tests {
         let jb = JoinBuild::new(build, vec![0]);
         let probe = nullable_int_batch("k", &[Some(5), Some(6), None, Some(7)]);
         let matches = jb.probe_matches(&probe, &[0]).unwrap();
-        assert_eq!(matches, vec![vec![0, 1], vec![], vec![], vec![3]]);
+        let want: [&[usize]; 4] = [&[0, 1], &[], &[], &[3]];
+        assert_eq!(matches, want);
         assert_eq!(jb.num_rows(), 4);
         assert_eq!(jb.key_columns(), &[0]);
+    }
+
+    /// A value's comparable form: floats by bit pattern (one string for
+    /// every NaN — Rust leaves a computed NaN's sign and payload open).
+    fn bit_rows(batches: &[RecordBatch]) -> Vec<Vec<String>> {
+        let cell = |v: Value| match v {
+            Value::Float(x) if x.is_nan() => "NaN".to_string(),
+            Value::Float(x) => format!("f{:016x}", x.to_bits()),
+            other => format!("{other:?}"),
+        };
+        batches.iter().flat_map(|b| b.rows()).map(|r| r.into_iter().map(cell).collect()).collect()
+    }
+
+    /// The typed folds and group maps against the boxed per-row fold they
+    /// replaced, bitwise and in output order: ungrouped (also on empty
+    /// input), one nullable BIGINT key, two BIGINT keys, a VARCHAR key and a
+    /// mixed key, over several batches of NULL, NaN, ±0.0, ±inf, non-dyadic
+    /// floats and BIGINTs that wrap.
+    #[test]
+    fn typed_aggregates_match_the_boxed_fold_bitwise() {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("k2", DataType::Int),
+            Field::new("s", DataType::Str),
+            Field::new("x", DataType::Float),
+            Field::new("n", DataType::Int),
+        ]);
+        let floats =
+            [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 0.1, 0.7, 1e16, 1.0 / 3.0];
+        let ints = [i64::MAX, i64::MIN, 1, -1, 7];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        let call = |func, col: Option<usize>, distinct| AggCall {
+            func,
+            arg: col.map(PhysExpr::Column),
+            distinct,
+        };
+        let aggs = vec![
+            call(AggFunc::CountStar, None, false),
+            call(AggFunc::Count, Some(3), false),
+            call(AggFunc::Count, Some(2), false),
+            call(AggFunc::Sum, Some(3), false),
+            call(AggFunc::Sum, Some(4), false),
+            call(AggFunc::Avg, Some(3), false),
+            call(AggFunc::Avg, Some(4), false),
+            call(AggFunc::Min, Some(3), false),
+            call(AggFunc::Max, Some(3), false),
+            call(AggFunc::Min, Some(4), false),
+            call(AggFunc::Max, Some(4), false),
+            call(AggFunc::Min, Some(2), false),
+            call(AggFunc::Count, Some(4), true),
+            call(AggFunc::Sum, Some(3), true),
+        ];
+        let agg_types = [
+            DataType::Int,
+            DataType::Int,
+            DataType::Int,
+            DataType::Float,
+            DataType::Int,
+            DataType::Float,
+            DataType::Float,
+            DataType::Float,
+            DataType::Float,
+            DataType::Int,
+            DataType::Int,
+            DataType::Str,
+            DataType::Int,
+            DataType::Float,
+        ];
+        for round in 0..40 {
+            let batches: Vec<RecordBatch> = (0..3)
+                .map(|_| {
+                    let rows: Vec<Vec<Value>> = (0..next(if round % 8 == 0 { 1 } else { 30 }))
+                        .map(|_| {
+                            let null = |v: Value, p: usize| if p == 0 { Value::Null } else { v };
+                            vec![
+                                null(Value::Int(next(4) as i64 - 1), next(5)),
+                                null(Value::Int(next(3) as i64), next(6)),
+                                null(Value::Str(["p", "q", ""][next(3)].into()), next(5)),
+                                null(Value::Float(floats[next(floats.len())]), next(5)),
+                                null(Value::Int(ints[next(ints.len())]), next(5)),
+                            ]
+                        })
+                        .collect();
+                    RecordBatch::from_rows(schema.clone(), &rows).unwrap()
+                })
+                .collect();
+            for group in [vec![], vec![0], vec![0, 1], vec![2], vec![0, 2]] {
+                let fields: Vec<Field> = group
+                    .iter()
+                    .map(|&c| schema.fields[c].clone())
+                    .chain(
+                        agg_types.iter().enumerate().map(|(j, &t)| Field::new(format!("a{j}"), t)),
+                    )
+                    .collect();
+                let out = Schema::new(fields);
+                let group: Vec<PhysExpr> = group.into_iter().map(PhysExpr::Column).collect();
+                let typed = hash_aggregate(&batches, schema.clone(), &group, &aggs, &out).unwrap();
+                let boxed =
+                    hash_aggregate_boxed(&batches, schema.clone(), &group, &aggs, &out).unwrap();
+                assert_eq!(bit_rows(&typed), bit_rows(&boxed), "round {round}, keys {group:?}");
+            }
+        }
     }
 
     #[test]

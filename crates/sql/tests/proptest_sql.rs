@@ -599,6 +599,274 @@ proptest! {
     }
 }
 
+/// One row of the aggregate oracle's tables, `ga` and `gb`
+/// `(k BIGINT, x FLOAT, n BIGINT)`, every column nullable.
+type AggRow = (Option<i64>, Option<f64>, Option<i64>);
+
+/// NaN, signed zeros, infinities, non-dyadic fractions and magnitudes far
+/// enough apart that a float sum depends on its order.
+const AGG_FLOATS: [f64; 12] = [
+    f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.1,
+    0.2,
+    0.3,
+    1e16,
+    -1e16,
+    1.0 / 3.0,
+    2.5,
+];
+
+/// BIGINTs whose sums wrap.
+const AGG_INTS: [i64; 6] = [i64::MAX, i64::MIN, 1, -1, i64::MAX - 3, 7];
+
+fn arb_agg_rows() -> impl Strategy<Value = Vec<AggRow>> {
+    proptest::collection::vec(
+        (
+            // Two key values, so groups and match lists run long enough
+            // for order to show in a float sum.
+            proptest::option::of(0i64..2),
+            proptest::option::of((0usize..AGG_FLOATS.len()).prop_map(|i| AGG_FLOATS[i])),
+            proptest::option::of((0usize..AGG_INTS.len()).prop_map(|i| AGG_INTS[i])),
+        ),
+        0..16,
+    )
+}
+
+/// Loads `ga` and `gb` exactly (no text round trip for NaN or -0.0), each
+/// in two appends, so scans and join probes see more than one batch.
+fn agg_db(a: &[AggRow], b: &[AggRow]) -> Database {
+    let db = Database::new();
+    for (name, rows) in [("ga", a), ("gb", b)] {
+        db.execute(&format!("CREATE TABLE {name} (k BIGINT, x FLOAT, n BIGINT)")).unwrap();
+        let schema = db.catalog().get(name).unwrap().read().schema().clone();
+        let cells: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|&(k, x, n)| {
+                vec![
+                    k.map_or(Value::Null, Value::Int),
+                    x.map_or(Value::Null, Value::Float),
+                    n.map_or(Value::Null, Value::Int),
+                ]
+            })
+            .collect();
+        let (first, second) = cells.split_at(cells.len() / 2);
+        for part in [first, second].into_iter().filter(|p| !p.is_empty()) {
+            db.append_batches(name, &[RecordBatch::from_rows(schema.clone(), part).unwrap()])
+                .unwrap();
+        }
+    }
+    db
+}
+
+/// An aggregate-oracle query: 0 inner, 1 left, 2 right join of `ga` and
+/// `gb` on `k`, or 3 `gb` alone; grouped by nothing, one BIGINT key or two.
+#[derive(Debug, Clone, Copy)]
+struct AggShape {
+    join: u8,
+    keys: u8,
+}
+
+impl AggShape {
+    /// The group keys, as SQL, and as positions in a joined row
+    /// `[a.k, a.x, a.n, b.k, b.x, b.n]`.
+    fn keys(&self) -> (&'static str, &'static [usize]) {
+        match (self.join, self.keys) {
+            (_, 0) => ("", &[]),
+            (3, 1) => ("b.k", &[3]),
+            (3, _) => ("b.k, b.n", &[3, 5]),
+            (_, 1) => ("a.k", &[0]),
+            _ => ("a.k, b.k", &[0, 3]),
+        }
+    }
+
+    fn sql(&self) -> String {
+        let from = match self.join {
+            3 => "gb b".to_string(),
+            j => {
+                let kw = ["JOIN", "LEFT JOIN", "RIGHT JOIN"][j as usize];
+                format!("ga a {kw} gb b ON a.k = b.k")
+            }
+        };
+        let (keys, _) = self.keys();
+        let aggs = "SUM(b.x), MIN(b.x), MAX(b.x), AVG(b.x), COUNT(b.x), \
+                    SUM(b.n), MIN(b.n), MAX(b.n), AVG(b.n), COUNT(*)";
+        if keys.is_empty() {
+            format!("SELECT {aggs} FROM {from}")
+        } else {
+            format!("SELECT {keys}, {aggs} FROM {from} GROUP BY {keys}")
+        }
+    }
+
+    /// The join's rows in the order the engine emits them — probe row by
+    /// probe row, each probe row's matches in build-row order — then each
+    /// group folded over its rows in that order, straight-line.
+    fn reference(&self, a: &[AggRow], b: &[AggRow]) -> Vec<Vec<Value>> {
+        let hit = |l: &AggRow, r: &AggRow| matches!((l.0, r.0), (Some(x), Some(y)) if x == y);
+        let mut joined: Vec<(Option<&AggRow>, Option<&AggRow>)> = Vec::new();
+        match self.join {
+            3 => joined.extend(b.iter().map(|r| (None, Some(r)))),
+            2 => {
+                for r in b {
+                    let before = joined.len();
+                    joined.extend(a.iter().filter(|l| hit(l, r)).map(|l| (Some(l), Some(r))));
+                    if joined.len() == before {
+                        joined.push((None, Some(r)));
+                    }
+                }
+            }
+            kind => {
+                for l in a {
+                    let before = joined.len();
+                    joined.extend(b.iter().filter(|r| hit(l, r)).map(|r| (Some(l), Some(r))));
+                    if joined.len() == before && kind == 1 {
+                        joined.push((Some(l), None));
+                    }
+                }
+            }
+        }
+        let cells = |(l, r): (Option<&AggRow>, Option<&AggRow>)| -> [Value; 6] {
+            let side = |row: Option<&AggRow>| match row {
+                Some(&(k, x, n)) => [
+                    k.map_or(Value::Null, Value::Int),
+                    x.map_or(Value::Null, Value::Float),
+                    n.map_or(Value::Null, Value::Int),
+                ],
+                None => [Value::Null, Value::Null, Value::Null],
+            };
+            let ([a0, a1, a2], [b0, b1, b2]) = (side(l), side(r));
+            [a0, a1, a2, b0, b1, b2]
+        };
+
+        /// One group's running state, folded the way the engine defines
+        /// each aggregate: sums start at 0 and are NULL without input, MIN
+        /// and MAX keep the first of equals in `f64::total_cmp` order.
+        #[derive(Default)]
+        struct Fold {
+            x_sum: Option<f64>,
+            x_min: Option<f64>,
+            x_max: Option<f64>,
+            x_n: i64,
+            n_sum: Option<i64>,
+            n_min: Option<i64>,
+            n_max: Option<i64>,
+            n_avg_sum: f64,
+            n_n: i64,
+            rows: i64,
+        }
+        let (_, key_cols) = self.keys();
+        let mut groups: Vec<(Vec<Value>, Fold)> = Vec::new();
+        if key_cols.is_empty() {
+            groups.push((Vec::new(), Fold::default()));
+        }
+        for pair in joined {
+            let row = cells(pair);
+            let key: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
+            let g = match groups.iter().position(|(k, _)| *k == key) {
+                Some(g) => g,
+                None => {
+                    groups.push((key, Fold::default()));
+                    groups.len() - 1
+                }
+            };
+            let f = &mut groups[g].1;
+            f.rows += 1;
+            if let Value::Float(x) = row[4] {
+                f.x_sum = Some(f.x_sum.unwrap_or(0.0) + x);
+                if f.x_min.is_none_or(|m| x.total_cmp(&m).is_lt()) {
+                    f.x_min = Some(x);
+                }
+                if f.x_max.is_none_or(|m| x.total_cmp(&m).is_gt()) {
+                    f.x_max = Some(x);
+                }
+                f.x_n += 1;
+            }
+            if let Value::Int(n) = row[5] {
+                f.n_sum = Some(f.n_sum.unwrap_or(0).wrapping_add(n));
+                f.n_min = Some(f.n_min.map_or(n, |m| m.min(n)));
+                f.n_max = Some(f.n_max.map_or(n, |m| m.max(n)));
+                f.n_avg_sum += n as f64;
+                f.n_n += 1;
+            }
+        }
+        let float = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
+        let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        groups
+            .into_iter()
+            .map(|(key, f)| {
+                let x_avg = (f.x_n > 0).then(|| f.x_sum.unwrap_or(0.0) / f.x_n as f64);
+                let n_avg = (f.n_n > 0).then(|| f.n_avg_sum / f.n_n as f64);
+                key.into_iter()
+                    .chain([
+                        float(f.x_sum),
+                        float(f.x_min),
+                        float(f.x_max),
+                        float(x_avg),
+                        Value::Int(f.x_n),
+                        int(f.n_sum),
+                        int(f.n_min),
+                        int(f.n_max),
+                        float(n_avg),
+                        Value::Int(f.rows),
+                    ])
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Rows as sorted strings with every float as its bit pattern: equal only
+/// when each value is bitwise equal (the sign of zero included), whatever
+/// order the groups come out in. NaN is one string: Rust leaves the sign and
+/// payload of a computed NaN unspecified (`-inf + inf` may come out either
+/// way, and the compiler may commute an addition), so only "is NaN" is
+/// compared.
+fn as_bit_rows(rows: &[Vec<Value>]) -> Vec<String> {
+    let mut out: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            r.iter()
+                .map(|v| match v {
+                    Value::Float(x) if x.is_nan() => "NaN".to_string(),
+                    Value::Float(x) => format!("f{:016x}", x.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect::<Vec<_>>()
+                .join(",")
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// SUM / MIN / MAX / AVG / COUNT over FLOAT and BIGINT arguments —
+    /// NULL, NaN, ±0.0, ±inf, non-dyadic floats and wrapping BIGINT sums —
+    /// ungrouped (also over empty input), grouped by a nullable BIGINT key
+    /// (NULL is a group) and by two BIGINT keys, over inner, left and right
+    /// joins and a plain scan, against a straight-line reference that folds
+    /// in join-output order. Compared bitwise.
+    #[test]
+    fn aggregates_match_join_order_reference_bitwise(
+        a in arb_agg_rows(),
+        b in arb_agg_rows(),
+        join in 0u8..4,
+        keys in 0u8..3,
+    ) {
+        let shape = AggShape { join, keys };
+        let db = agg_db(&a, &b);
+        let sql = shape.sql();
+        let got = db.query(&sql).map_err(|e| format!("{sql}: {e}")).unwrap();
+        let want = shape.reference(&a, &b);
+        prop_assert_eq!(as_bit_rows(&got), as_bit_rows(&want), "{}", sql);
+    }
+}
+
 /// The vertex, edge, rank and degree tables the hostile-text statements
 /// read, a few rows each (NULLs included).
 fn hostile_db() -> Database {

@@ -566,7 +566,10 @@ impl WalState {
     }
 
     /// Creates `name` in the durability directory with `bytes`, under the
-    /// crash budget; fsyncs when in sync mode.
+    /// crash budget; fsyncs its contents when in sync mode. Its directory
+    /// entry is not durable until the next `sync_dir`: callers sync the
+    /// directory once after the last file of a group, before anything that
+    /// refers to the files is written.
     fn write_new_file(&mut self, name: &str, bytes: &[u8]) -> StorageResult<()> {
         let allowed = self.take_budget(bytes.len())?;
         let path = self.dir.join(name);
@@ -577,12 +580,18 @@ impl WalState {
         }
         if self.sync {
             f.sync_data()?;
-            // Also sync the directory entry: without this, a crash after the
-            // checkpoint could lose the file itself even though its contents
-            // were synced (the MANIFEST rename already does the same).
-            File::open(&self.dir)?.sync_all()?;
         }
         self.stats.flush_bytes += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Makes the directory's entries durable (new files, renames) when in
+    /// sync mode: without it, a crash could lose a file whose contents were
+    /// synced.
+    fn sync_dir(&self) -> StorageResult<()> {
+        if self.sync {
+            File::open(&self.dir)?.sync_all()?;
+        }
         Ok(())
     }
 
@@ -629,10 +638,7 @@ impl WalState {
         let tmp = "MANIFEST.tmp";
         self.write_new_file(tmp, &bytes)?;
         std::fs::rename(self.dir.join(tmp), self.dir.join(MANIFEST_NAME))?;
-        if self.sync {
-            File::open(&self.dir)?.sync_all()?;
-        }
-        Ok(())
+        self.sync_dir()
     }
 
     /// Creates a fresh WAL file (header only) and makes it current.
@@ -641,6 +647,7 @@ impl WalState {
         header.extend_from_slice(WAL_MAGIC);
         header.put_u64_le(self.next_seq);
         self.write_new_file(&name, &header)?;
+        self.sync_dir()?;
         self.wal_file = OpenOptions::new().append(true).open(self.dir.join(&name))?;
         self.wal_name = name;
         Ok(())
@@ -836,6 +843,9 @@ impl WalSink {
             st.stats.tables_flushed += 1;
             pairs.push((name.clone(), file));
         }
+        // One directory sync for the whole group, before the record that
+        // names the files.
+        st.sync_dir()?;
         let seq = st.append_record(&payload_commit(&pairs))?;
         for (name, file) in &pairs {
             st.metas.insert(
@@ -861,6 +871,7 @@ impl WalSink {
         let mut st = self.state.lock();
         let file = st.alloc_file("t", ".vxtb");
         st.write_new_file(&file, physical)?;
+        st.sync_dir()?;
         st.stats.tables_flushed += 1;
         let watermark = st.next_seq;
         st.metas.insert(

@@ -14,9 +14,12 @@
 //! * **no-unwrap-recovery** — no `.unwrap()` / `.expect(` in non-test code
 //!   of the recovery-critical files (`storage/src/wal.rs`, `persist.rs`,
 //!   `catalog.rs`, `buffer_pool.rs`, whose segment reload parses spill
-//!   bytes from disk, and `core/src/shard.rs`, which reads the superstep
-//!   stamp a resume or a repair starts from). Crash recovery, reload and
-//!   resume must degrade to typed errors, never panic on bad bytes.
+//!   bytes from disk, `core/src/shard.rs`, which reads the superstep
+//!   stamp a resume or a repair starts from, and `sql/src/parser.rs` and
+//!   `physical.rs`, which take hostile SQL text and any table's rows).
+//!   Crash recovery, reload, resume and query execution must degrade to
+//!   typed errors, never panic on bad input. `self.expect(` is not flagged:
+//!   it is the parser's own token check, not `Option::expect`.
 //!   `#[cfg(test)]` regions are exempt (tracked by brace depth).
 //! * **env-var-docs** — two-way: every `VERTEXICA_*` environment variable
 //!   referenced anywhere under `crates/` must be documented in both the
@@ -62,6 +65,8 @@ const RECOVERY_FILES: &[&str] = &[
     "crates/storage/src/catalog.rs",
     "crates/storage/src/buffer_pool.rs",
     "crates/core/src/shard.rs",
+    "crates/sql/src/parser.rs",
+    "crates/sql/src/physical.rs",
 ];
 
 /// `std::sync::` items that must come from the seam instead.
@@ -306,13 +311,7 @@ fn check_no_unwrap_recovery(root: &Path) -> Vec<Diagnostic> {
             if in_test[i] {
                 continue;
             }
-            let what = if line.contains(".unwrap()") {
-                ".unwrap()"
-            } else if line.contains(".expect(") {
-                ".expect(…)"
-            } else {
-                continue;
-            };
+            let Some(what) = unwrap_hit(line) else { continue };
             if !is_suppressed(&lines, i, RULE_NO_UNWRAP) {
                 diags.push(Diagnostic {
                     rule: RULE_NO_UNWRAP,
@@ -327,6 +326,21 @@ fn check_no_unwrap_recovery(root: &Path) -> Vec<Diagnostic> {
         }
     }
     diags
+}
+
+/// What `line` calls that the rule flags: `.unwrap()`, or `.expect(` on any
+/// receiver but a bare `self` — `self.expect(` is a method of the file's own
+/// type (the SQL parser's token check, which returns a `SqlResult`), not
+/// `Option::expect` / `Result::expect`.
+fn unwrap_hit(line: &str) -> Option<&'static str> {
+    if line.contains(".unwrap()") {
+        return Some(".unwrap()");
+    }
+    let on_self = |before: &str| {
+        let rest = before.trim_end_matches(|c: char| c.is_alphanumeric() || c == '_');
+        &before[rest.len()..] == "self"
+    };
+    line.match_indices(".expect(").any(|(at, _)| !on_self(&line[..at])).then_some(".expect(…)")
 }
 
 // ---------------------------------------------------------------------------
@@ -515,6 +529,18 @@ mod tests {
         assert!(!mask[8]);
         assert!(mask[9] && mask[10]);
         assert!(!mask[11]);
+    }
+
+    #[test]
+    fn expect_is_flagged_by_receiver() {
+        // The parser's own `self.expect(token)` returns a typed error.
+        assert_eq!(unwrap_hit("        self.expect(&TokenKind::LParen)?;"), None);
+        assert_eq!(unwrap_hit("x.expect(\"checked\")"), Some(".expect(…)"));
+        assert_eq!(unwrap_hit("self.x.expect(\"checked\")"), Some(".expect(…)"));
+        assert_eq!(unwrap_hit("myself.expect(\"checked\")"), Some(".expect(…)"));
+        assert_eq!(unwrap_hit("self.expect(a)?; y.expect(b)"), Some(".expect(…)"));
+        assert_eq!(unwrap_hit("self.unwrap()"), Some(".unwrap()"));
+        assert_eq!(unwrap_hit("let e = expected(x);"), None);
     }
 
     #[test]
