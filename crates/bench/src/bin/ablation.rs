@@ -11,6 +11,7 @@ use vertexica::{run_program, InputMode, VertexicaConfig};
 use vertexica_algorithms::vc::{PageRank, Sssp};
 use vertexica_bench::{figure2_dataset, fresh_session, HarnessConfig};
 use vertexica_common::timer::Stopwatch;
+use vertexica_common::WorkerPool;
 use vertexica_sql::Database;
 use vertexica_storage::{DataType, RecordBatch};
 
@@ -178,11 +179,11 @@ fn wal_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig) 
         [("in-memory", false, false), ("wal-nosync", true, false), ("wal-fsync", true, true)]
     {
         let (session, dir) = if durable {
-            std::env::set_var("VERTEXICA_DURABLE_SYNC", if sync { "1" } else { "0" });
             let dir =
                 std::env::temp_dir().join(format!("vx_bench_wal_{}_{label}", std::process::id()));
             std::fs::remove_dir_all(&dir).ok();
-            let db = Arc::new(Database::open(&dir).expect("open durable bench db"));
+            let db = Database::open_with(&dir, Arc::new(WorkerPool::with_default_size()), sync);
+            let db = Arc::new(db.expect("open durable bench db"));
             let session = vertexica::GraphSession::create(db, "bench").expect("create session");
             session.load_edges(graph).expect("load edges");
             (session, Some(dir))
@@ -241,7 +242,6 @@ fn evict_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
     println!("# caps the pool at a fraction of the unbounded footprint; evictions /");
     println!("# reloads are spill-twin round-trips, peak-resident is the per-");
     println!("# superstep high-water mark of pooled bytes.");
-    std::env::set_var("VERTEXICA_DURABLE_SYNC", "0");
 
     // Finely segmented load: vertices via the normal path, then edges in
     // small append batches (one WOS moveout -> one ROS segment each).
@@ -279,10 +279,8 @@ fn evict_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
         let dir =
             std::env::temp_dir().join(format!("vx_bench_evict_{}_{label}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let db = Arc::new(Database::open(&dir).expect("open durable bench db"));
-        // The measurement load runs unbounded even when the ambient
-        // VERTEXICA_MEMORY_BUDGET (the CI out-of-core mode) is set.
-        db.catalog().buffer_pool().set_budget(None);
+        let db = Database::open_with(&dir, Arc::new(WorkerPool::with_default_size()), false);
+        let db = Arc::new(db.expect("open durable bench db"));
         let session = vertexica::GraphSession::create(db.clone(), "bench").expect("create session");
         load(&session);
         db.checkpoint().expect("checkpoint load");
@@ -291,9 +289,6 @@ fn evict_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
         }
         let budget = fraction.map(|f| ((footprint as f64) * f) as usize);
         let config = VertexicaConfig::default().with_durable(true).with_memory_budget(budget);
-        if budget.is_none() {
-            db.catalog().buffer_pool().set_budget(None);
-        }
         let sw = Stopwatch::start();
         let stats = run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap();
         let secs = sw.elapsed_secs();

@@ -1,4 +1,6 @@
-//! Runtime configuration for the vertex-centric engine.
+//! Runtime configuration for the vertex-centric engine. A config is what
+//! its caller builds: no default reads the environment, so the same code
+//! runs the same configuration in every process.
 
 /// How worker input is assembled from the vertex/edge/message tables (§2.3,
 /// "Table Unions").
@@ -48,45 +50,19 @@ pub struct VertexicaConfig {
     /// superstep boundary, and [`crate::coordinator::resume_program`] runs
     /// on from it. Meaningless (and harmless) on an in-memory
     /// [`vertexica_sql::Database::new`] database — checkpointing a
-    /// non-durable catalog is a no-op. Defaults to **off**; the environment
-    /// variable `VERTEXICA_DURABLE=1` flips the default on (the hook CI and
-    /// the cross-engine harness use to run every algorithm against a
-    /// disk-backed database), while [`VertexicaConfig::with_durable`]
-    /// always wins.
+    /// non-durable catalog is a no-op. Defaults to **off**.
     pub durable: bool,
     /// Byte budget for the storage-layer segment buffer pool: cold ROS
     /// segments beyond this budget are evicted (clock / second-chance) once
     /// they have a checkpointed `.vxtb` spill image, and reloaded on demand
     /// when a scan pins them — so datasets whose segment bytes exceed RAM
     /// still complete, bitwise-identical to the unbounded run (proven by the
-    /// cross-engine equivalence harness). `None` = unbounded (the default);
-    /// the environment variable `VERTEXICA_MEMORY_BUDGET` (bytes, with
-    /// optional `k`/`kb`/`m`/`mb`/`g`/`gb` suffix) sets the *default*, while
-    /// [`VertexicaConfig::with_memory_budget`] always wins. Only effective on
-    /// a durable database — without spill images nothing is evictable.
+    /// cross-engine equivalence harness). `None` (the default) leaves the
+    /// pool's budget as it is. Only effective on a durable database —
+    /// without spill images nothing is evictable.
     pub memory_budget_bytes: Option<usize>,
     /// Hard cap on supersteps (safety net on top of the program's own limit).
     pub max_supersteps: u64,
-}
-
-/// Default for [`VertexicaConfig::memory_budget_bytes`]: unbounded, unless
-/// the `VERTEXICA_MEMORY_BUDGET` environment variable sets a byte budget
-/// (plain bytes or `k`/`kb`/`m`/`mb`/`g`/`gb` suffixed, case-insensitive) —
-/// the hook the out-of-core CI job uses to run the whole suite under memory
-/// pressure.
-pub fn memory_budget_default() -> Option<usize> {
-    vertexica_storage::buffer_pool::memory_budget_from_env()
-}
-
-/// Default for [`VertexicaConfig::durable`]: **off**, unless the
-/// `VERTEXICA_DURABLE` environment variable enables it (anything other than
-/// unset/`0`/`false`/`off`, case-insensitive) — the hook the durability CI
-/// job and the cross-engine harness use to run every algorithm disk-backed.
-pub fn durable_default() -> bool {
-    match std::env::var("VERTEXICA_DURABLE") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "" | "0" | "false" | "off"),
-        Err(_) => false,
-    }
 }
 
 impl Default for VertexicaConfig {
@@ -99,8 +75,8 @@ impl Default for VertexicaConfig {
             replace_threshold: 0.2,
             use_combiner: true,
             stream_chunk_rows: crate::input::STREAM_CHUNK_ROWS,
-            durable: durable_default(),
-            memory_budget_bytes: memory_budget_default(),
+            durable: false,
+            memory_budget_bytes: None,
             max_supersteps: 10_000,
         }
     }

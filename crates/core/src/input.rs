@@ -10,8 +10,8 @@
 //! benchmark). Either way the rows are **pulled** through the engine's scan
 //! cursors and streamed to the caller chunk by chunk ([`assemble_chunks`]):
 //! the union re-shapes each scanned batch into the common schema, the join
-//! runs through the engine's streaming hash join. The unit tests hold both
-//! to the equivalent SQL statements.
+//! probes the message and edge tables' [`JoinBuild`]s with each scanned
+//! vertex batch. The unit tests hold both to the equivalent SQL statements.
 
 use std::sync::Arc;
 

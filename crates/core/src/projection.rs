@@ -368,35 +368,49 @@ mod tests {
         assert_eq!(previous.num_edges(), 0);
     }
 
+    /// Unbounded, and with a pool budget below the graph's checkpointed
+    /// bytes, so the rebuild reads segments back from their spill images.
     #[test]
     fn reopened_durable_database_rebuilds_once() {
-        let dir = std::env::temp_dir().join(format!("vertexica_proj_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let g = GraphSession::create(Arc::new(Database::open(&dir).unwrap()), "g").unwrap();
-            g.load_edges(&EdgeList::from_pairs([(0, 1), (1, 2), (2, 0)])).unwrap();
-            // Left in the WAL only: recovery has to replay it.
-            g.add_edge(2, 1, 0.5, 0, None).unwrap();
-            g.edge_projection().unwrap();
+        for budget in [None, Some(64)] {
+            let dir = std::env::temp_dir()
+                .join(format!("vertexica_proj_{}_{budget:?}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let open = || {
+                let db = Database::open(&dir).unwrap();
+                db.catalog().buffer_pool().set_budget(budget);
+                Arc::new(db)
+            };
+            {
+                let g = GraphSession::create(open(), "g").unwrap();
+                g.load_edges(&EdgeList::from_pairs([(0, 1), (1, 2), (2, 0)])).unwrap();
+                if budget.is_some() {
+                    // Spill images: what the budgeted reopen evicts to.
+                    g.db().checkpoint().unwrap();
+                }
+                // Left in the WAL only: recovery has to replay it.
+                g.add_edge(2, 1, 0.5, 0, None).unwrap();
+                g.edge_projection().unwrap();
+            }
+            let g = GraphSession::open(open(), "g").unwrap();
+            let (rebuilt, secs) = g.edge_projection().unwrap();
+            assert!(secs > 0.0, "a freshly opened session has no cache");
+            assert_eq!(rebuilt.num_edges(), 4);
+            assert_matches_scan(&g, &rebuilt);
+            let (hit, secs) = g.edge_projection().unwrap();
+            assert!(Arc::ptr_eq(&rebuilt, &hit) && secs == 0.0);
+            let reloads = g.db().catalog().buffer_pool().stats().reloads;
+            assert_eq!(reloads > 0, budget.is_some(), "{budget:?}: reloads {reloads}");
+            drop(g);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let g = GraphSession::open(Arc::new(Database::open(&dir).unwrap()), "g").unwrap();
-        let (rebuilt, secs) = g.edge_projection().unwrap();
-        assert!(secs > 0.0, "a freshly opened session has no cache");
-        assert_eq!(rebuilt.num_edges(), 4);
-        assert_matches_scan(&g, &rebuilt);
-        let (hit, secs) = g.edge_projection().unwrap();
-        assert!(Arc::ptr_eq(&rebuilt, &hit) && secs == 0.0);
-        drop(g);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn budgeted_pools_and_join_runs_stream_edge_rows() {
         let g = session();
         let pool = g.db().catalog().buffer_pool().clone();
-        // Pinned: the out-of-core CI mode budgets every new pool by default.
-        pool.set_budget(None);
-        let union = VertexicaConfig::default().with_memory_budget(None);
+        let union = VertexicaConfig::default();
         assert!(for_run(&g, &union).unwrap().0.is_some());
         let join = union.clone().with_input_mode(InputMode::ThreeWayJoin);
         assert!(for_run(&g, &join).unwrap().0.is_none());

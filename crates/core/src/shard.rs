@@ -1424,8 +1424,6 @@ mod tests {
             .with_partitions(8)
             .with_combiner(false)
             .with_replace_threshold(0.0)
-            .with_durable(false)
-            .with_memory_budget(None)
     }
 
     fn plain_run() -> (Vec<(VertexId, u64)>, RunStats) {

@@ -102,22 +102,20 @@ impl Database {
     /// Opens (or creates) a **durable** database rooted at `dir`: recovers
     /// the catalog from the last checkpoint plus the committed write-ahead
     /// log tail, then keeps logging every mutation so a crash at any point
-    /// loses nothing that was acknowledged. `fsync` defaults to on; set
-    /// `VERTEXICA_DURABLE_SYNC=0` to trade crash-safety against raw power
-    /// loss for speed (process-kill safety is unaffected).
+    /// loses nothing that was acknowledged. Every acknowledgment waits for
+    /// `fsync`; [`open_with`](Self::open_with) can skip it.
     pub fn open(dir: impl AsRef<std::path::Path>) -> SqlResult<Self> {
-        Self::open_with(dir, Arc::new(WorkerPool::with_default_size()))
+        Self::open_with(dir, Arc::new(WorkerPool::with_default_size()), true)
     }
 
-    /// [`open`](Self::open) on an existing runtime pool.
+    /// [`open`](Self::open) on an existing runtime pool. `sync: false` skips
+    /// `fsync`, trading crash-safety against power loss for speed (a killed
+    /// process still loses nothing acknowledged).
     pub fn open_with(
         dir: impl AsRef<std::path::Path>,
         runtime: Arc<WorkerPool>,
+        sync: bool,
     ) -> SqlResult<Self> {
-        let sync = !matches!(
-            std::env::var("VERTEXICA_DURABLE_SYNC").as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        );
         let catalog = vertexica_storage::open_durable(dir.as_ref(), sync)?;
         Ok(Self::with_catalog_and_runtime(catalog, runtime))
     }
@@ -796,9 +794,9 @@ impl Database {
     }
 
     /// Scans `build_table` (projected) through a cursor and hashes it once
-    /// on `key_columns` into a reusable [`JoinBuild`] — the build half of
-    /// the engine's streaming hash join. `key_columns` index the *projected*
-    /// batch.
+    /// on `key_columns` into a reusable [`JoinBuild`], which callers then
+    /// probe one batch at a time ([`JoinBuild::probe_matches`]).
+    /// `key_columns` index the *projected* batch.
     pub fn hash_join_build(
         &self,
         build_table: &str,
@@ -813,46 +811,6 @@ impl Database {
         }
         let build = RecordBatch::concat(schema, &batches)?;
         Ok(JoinBuild::new(build, key_columns))
-    }
-
-    /// Streaming equi-join: pulls `probe_table` (projected) batch-by-batch
-    /// through a scan cursor and probes `build` with each batch, emitting
-    /// one joined batch (probe columns then build columns) per non-empty
-    /// probe batch to `sink`. The build side was hashed exactly once (see
-    /// [`hash_join_build`](Self::hash_join_build)); the probe side never
-    /// materializes beyond the in-flight batch — the MonetDB/X100-style
-    /// pull-based operator shape, with the same single/composite BIGINT
-    /// fast paths (and per-row NULL-key skipping) as the eager SQL join.
-    /// With `outer`, unmatched probe rows are emitted null-extended (LEFT
-    /// JOIN semantics, probe side preserved).
-    pub fn stream_hash_join(
-        &self,
-        probe_table: &str,
-        probe_projection: Option<&[usize]>,
-        probe_keys: &[usize],
-        build: &JoinBuild,
-        outer: bool,
-        sink: &mut dyn FnMut(RecordBatch) -> SqlResult<()>,
-    ) -> SqlResult<()> {
-        let mut cursor = self.scan_cursor(probe_table, probe_projection, &[])?;
-        let out_schema = {
-            let mut fields = cursor.schema().fields.clone();
-            for f in &build.batch().schema().fields {
-                let mut f = f.clone();
-                // The build side null-extends under an outer join.
-                f.nullable = f.nullable || outer;
-                fields.push(f);
-            }
-            Schema::new(fields)
-        };
-        while let Some(batch) = cursor.next_batch()? {
-            let joined =
-                crate::physical::join_probe_batch(&batch, build, probe_keys, outer, &out_schema)?;
-            if joined.num_rows() > 0 {
-                sink(joined)?;
-            }
-        }
-        Ok(())
     }
 
     /// Direct bulk append (bypasses SQL) — used for graph loading.
@@ -1228,46 +1186,40 @@ mod tests {
     }
 
     #[test]
-    fn stream_hash_join_matches_sql_join() {
+    fn avg_distinct_averages_the_distinct_values() {
         let db = Database::new();
-        db.execute("CREATE TABLE p (k BIGINT, v BIGINT NOT NULL)").unwrap();
-        db.execute("CREATE TABLE bld (k BIGINT, w BIGINT NOT NULL)").unwrap();
-        // Two ROS segments on the probe side, so the cursor actually pulls
-        // more than one probe batch through the build.
-        let p_schema = db.catalog().get("p").unwrap().read().schema().clone();
-        let seg = |rows: &[(Option<i64>, i64)]| {
-            let rows: Vec<Vec<Value>> = rows
-                .iter()
-                .map(|(k, v)| vec![k.map(Value::Int).unwrap_or(Value::Null), Value::Int(*v)])
-                .collect();
-            RecordBatch::from_rows(p_schema.clone(), &rows).unwrap()
-        };
-        db.append_batches("p", &[seg(&[(Some(1), 10), (None, 20), (Some(0), 30)])]).unwrap();
-        db.append_batches("p", &[seg(&[(Some(2), 40), (Some(3), 50), (Some(0), 60)])]).unwrap();
-        db.execute("INSERT INTO bld VALUES (1, 100), (NULL, 200), (0, 300), (3, 400)").unwrap();
-
-        for (outer, sql) in [
-            (false, "SELECT p.k, p.v, bld.k, bld.w FROM p JOIN bld ON p.k = bld.k"),
-            (true, "SELECT p.k, p.v, bld.k, bld.w FROM p LEFT JOIN bld ON p.k = bld.k"),
-        ] {
-            let build = db.hash_join_build("bld", None, vec![0]).unwrap();
-            let mut streamed: Vec<Vec<Value>> = Vec::new();
-            let mut batches_seen = 0usize;
-            db.stream_hash_join("p", None, &[0], &build, outer, &mut |batch| {
-                batches_seen += 1;
-                streamed.extend(batch.rows());
-                Ok(())
-            })
+        db.execute("CREATE TABLE t (g BIGINT, x FLOAT, n BIGINT)").unwrap();
+        db.execute("INSERT INTO t VALUES (0, 1.0, 1), (0, 1.0, 1), (0, 4.0, 4), (1, NULL, NULL)")
             .unwrap();
-            assert!(batches_seen >= 2, "probe side should stream in several batches");
-            let mut expected = db.query(sql).unwrap();
-            let canon = |rows: &mut Vec<Vec<Value>>| {
-                rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            };
-            canon(&mut streamed);
-            canon(&mut expected);
-            assert_eq!(streamed, expected, "outer={outer}");
-        }
+        let got = db.query("SELECT AVG(DISTINCT x), AVG(DISTINCT n), AVG(x) FROM t").unwrap();
+        assert_eq!(got, vec![vec![Value::Float(2.5), Value::Float(2.5), Value::Float(2.0)]]);
+        let got = db.query("SELECT g, AVG(DISTINCT x) FROM t GROUP BY g ORDER BY g").unwrap();
+        assert_eq!(
+            got,
+            vec![vec![Value::Int(0), Value::Float(2.5)], vec![Value::Int(1), Value::Null]]
+        );
+    }
+
+    /// A BIGINT key equated with a FLOAT key matches as the same comparison
+    /// in WHERE does, on every join kind and with either side as the build.
+    #[test]
+    fn bigint_float_join_keys_match_as_where_does() {
+        let db = Database::new();
+        db.execute("CREATE TABLE a (k BIGINT)").unwrap();
+        db.execute("CREATE TABLE b (k FLOAT)").unwrap();
+        db.execute("INSERT INTO a VALUES (1), (1), (2), (3), (NULL)").unwrap();
+        db.execute("INSERT INTO b VALUES (1.0), (2.0), (2.5), (NULL)").unwrap();
+        let count = |sql: &str| db.query_int(sql).unwrap();
+        assert_eq!(count("SELECT COUNT(*) FROM a, b WHERE a.k = b.k"), 3);
+        assert_eq!(count("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k"), 3);
+        assert_eq!(count("SELECT COUNT(*) FROM b JOIN a ON b.k = a.k"), 3);
+        assert_eq!(count("SELECT COUNT(*) FROM a LEFT JOIN b ON a.k = b.k"), 5);
+        assert_eq!(count("SELECT COUNT(b.k) FROM a LEFT JOIN b ON a.k = b.k"), 3);
+        assert_eq!(count("SELECT COUNT(*) FROM a RIGHT JOIN b ON a.k = b.k"), 5);
+        assert_eq!(count("SELECT COUNT(a.k) FROM a RIGHT JOIN b ON a.k = b.k"), 3);
+        // The key keeps its declared type in the output.
+        let rows = db.query("SELECT a.k, b.k FROM a JOIN b ON a.k = b.k ORDER BY b.k").unwrap();
+        assert_eq!(rows[2], vec![Value::Int(2), Value::Float(2.0)]);
     }
 
     #[test]

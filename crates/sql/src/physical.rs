@@ -296,10 +296,10 @@ pub const NO_ROW: usize = usize::MAX;
 /// A hashed equi-join **build side**, reusable across any number of probe
 /// batches — the engine's streaming-join primitive. The build batch is
 /// hashed exactly once; probes then stream through it one batch at a time
-/// ([`JoinBuild::probe_matches`], and the join executors' index-vector
+/// ([`JoinBuild::probe_matches`], and the join executor's index-vector
 /// probe), so a pull-based scan can feed the probe side without ever
-/// materializing it (see `Database::stream_hash_join`). The
-/// [`LogicalPlan::Join`] executor probes it once per probe-side batch.
+/// materializing it (the 3-way-join worker input in `core::input` does).
+/// The [`LogicalPlan::Join`] executor probes it once per probe-side batch.
 ///
 /// The table is CSR-shaped: a key map gives each distinct key a slot, and
 /// slot `s`'s build rows are `rows[offsets[s]..offsets[s + 1]]`, filled in
@@ -687,6 +687,25 @@ fn gather_join(
     RecordBatch::new(out.schema.clone(), cols).map_err(Into::into)
 }
 
+/// `batch` with each key column `keys[i]` whose `cast[i]` is set coerced to
+/// FLOAT; `None` when no key needs it.
+fn with_float_keys(
+    batch: &RecordBatch,
+    keys: &[usize],
+    cast: &[bool],
+) -> SqlResult<Option<RecordBatch>> {
+    if !cast.contains(&true) {
+        return Ok(None);
+    }
+    let mut fields = batch.schema().fields.clone();
+    let mut cols = batch.columns().to_vec();
+    for (&k, _) in keys.iter().zip(cast).filter(|&(_, &c)| c) {
+        fields[k].dtype = DataType::Float;
+        cols[k] = coerce_column(cols[k].clone(), DataType::Float)?;
+    }
+    Ok(Some(RecordBatch::new(Schema::new(fields), cols)?))
+}
+
 /// Executes a [`LogicalPlan::Join`], gathering only `out`'s columns: one
 /// output batch per probe-side batch. Each probe batch's row pairs pass the
 /// residual ON filter before the gather; for outer joins a preserved row
@@ -711,10 +730,24 @@ fn execute_join(
     // fine — the kernels skip them per row); otherwise hash dynamic values.
     let probe_schema = probe_plan.schema();
     let probe_int = probe_keys.iter().all(|&k| probe_schema.fields[k].dtype == DataType::Int);
-    let hashed = (!on.is_empty()).then(|| {
+    // A BIGINT key equated with a FLOAT key compares as FLOAT, as the
+    // comparison kernels promote: both sides hash that key FLOAT-typed.
+    let float_keys: Vec<bool> = probe_keys
+        .iter()
+        .zip(&build_keys)
+        .map(|(&p, &b)| {
+            let pair = (probe_schema.fields[p].dtype, build.schema().fields[b].dtype);
+            matches!(pair, (DataType::Int, DataType::Float) | (DataType::Float, DataType::Int))
+        })
+        .collect();
+    let hashed = if on.is_empty() {
+        None
+    } else {
         let force_generic = !(probe_int && int_typed(&build, &build_keys));
-        JoinBuild::with_strategy(build.clone(), build_keys, force_generic)
-    });
+        let keyed = with_float_keys(&build, &build_keys, &float_keys)?;
+        let keyed = keyed.unwrap_or_else(|| build.clone());
+        Some(JoinBuild::with_strategy(keyed, build_keys, force_generic))
+    };
     // Without equi-keys every probe row meets every build row.
     let every_build_row: Vec<usize> =
         if hashed.is_none() { (0..build.num_rows()).collect() } else { Vec::new() };
@@ -733,7 +766,10 @@ fn execute_join(
     let mut batches = Vec::new();
     for probe in execute(probe_plan, ctx)? {
         let mut pairs = match &hashed {
-            Some(hashed) => hashed.probe(&probe, &probe_keys, extend)?,
+            Some(hashed) => {
+                let keyed = with_float_keys(&probe, &probe_keys, &float_keys)?;
+                hashed.probe(keyed.as_ref().unwrap_or(&probe), &probe_keys, extend)?
+            }
             None => {
                 let mut pairs = JoinIndices::with_capacity(probe.num_rows() * build.num_rows());
                 for p in 0..probe.num_rows() {
@@ -759,26 +795,6 @@ fn execute_join(
     Ok(batches)
 }
 
-/// Materializes one streaming-join step: probes `build` with `probe` and
-/// builds the joined batch (probe columns, then build columns) under
-/// `schema`. Used by `Database::stream_hash_join`; one probe batch in, one
-/// joined batch out.
-pub(crate) fn join_probe_batch(
-    probe: &RecordBatch,
-    build: &JoinBuild,
-    probe_keys: &[usize],
-    outer: bool,
-    schema: &Arc<Schema>,
-) -> SqlResult<RecordBatch> {
-    let pairs = build.probe(probe, probe_keys, outer)?;
-    let all: Vec<usize> = (0..schema.len()).collect();
-    gather_join(
-        (probe, &pairs.probe),
-        (build.batch(), &pairs.build),
-        JoinOut { cols: &all, schema },
-    )
-}
-
 // ---- aggregation ----
 
 /// One group's boxed accumulator: the fold for argument types and DISTINCT
@@ -787,12 +803,27 @@ pub(crate) fn join_probe_batch(
 enum Acc {
     Count(i64),
     CountDistinct(FxHashSet<GroupKey>),
-    SumInt { sum: i64, any: bool },
-    SumFloat { sum: f64, any: bool },
-    SumDistinct { seen: FxHashSet<GroupKey>, order: Vec<Value>, is_float: bool },
+    SumInt {
+        sum: i64,
+        any: bool,
+    },
+    SumFloat {
+        sum: f64,
+        any: bool,
+    },
+    /// `SUM(DISTINCT x)` or, with `avg`, `AVG(DISTINCT x)`.
+    SumDistinct {
+        seen: FxHashSet<GroupKey>,
+        order: Vec<Value>,
+        is_float: bool,
+        avg: bool,
+    },
     Min(Option<Value>),
     Max(Option<Value>),
-    Avg { sum: f64, n: i64 },
+    Avg {
+        sum: f64,
+        n: i64,
+    },
 }
 
 impl Acc {
@@ -806,14 +837,14 @@ impl Acc {
                     Acc::Count(0)
                 }
             }
+            AggFunc::Sum | AggFunc::Avg if call.distinct => Acc::SumDistinct {
+                seen: Default::default(),
+                order: Vec::new(),
+                is_float: arg_type == Some(DataType::Float),
+                avg: call.func == AggFunc::Avg,
+            },
             AggFunc::Sum => {
-                if call.distinct {
-                    Acc::SumDistinct {
-                        seen: Default::default(),
-                        order: Vec::new(),
-                        is_float: arg_type == Some(DataType::Float),
-                    }
-                } else if arg_type == Some(DataType::Float) {
+                if arg_type == Some(DataType::Float) {
                     Acc::SumFloat { sum: 0.0, any: false }
                 } else {
                     Acc::SumInt { sum: 0, any: false }
@@ -900,11 +931,14 @@ impl Acc {
             }
             // The distinct values are summed in first-seen order: a hash
             // set's iteration order would make a float sum vary run to run.
-            Acc::SumDistinct { order, is_float, .. } => {
+            Acc::SumDistinct { order, is_float, avg, .. } => {
+                let float_sum = || order.iter().map(|v| v.as_float().unwrap_or(0.0)).sum::<f64>();
                 if order.is_empty() {
                     Value::Null
+                } else if avg {
+                    Value::Float(float_sum() / order.len() as f64)
                 } else if is_float {
-                    Value::Float(order.iter().map(|v| v.as_float().unwrap_or(0.0)).sum())
+                    Value::Float(float_sum())
                 } else {
                     Value::Int(
                         order.iter().fold(0i64, |s, v| s.wrapping_add(v.as_int().unwrap_or(0))),
@@ -1022,7 +1056,7 @@ impl AggState {
         match func {
             AggFunc::CountStar => AggState::Count(Vec::new()),
             AggFunc::Count if !call.distinct => AggState::Count(Vec::new()),
-            AggFunc::Sum if call.distinct => {
+            AggFunc::Sum | AggFunc::Avg if call.distinct => {
                 AggState::Boxed { init: Acc::new(call, arg_type), accs: Vec::new() }
             }
             AggFunc::Sum if arg_type == Some(Float) && all(&[Float, Int]) => {
@@ -1733,6 +1767,8 @@ mod tests {
             call(AggFunc::Min, Some(2), false),
             call(AggFunc::Count, Some(4), true),
             call(AggFunc::Sum, Some(3), true),
+            call(AggFunc::Avg, Some(3), true),
+            call(AggFunc::Avg, Some(4), true),
         ];
         let agg_types = [
             DataType::Int,
@@ -1748,6 +1784,8 @@ mod tests {
             DataType::Int,
             DataType::Str,
             DataType::Int,
+            DataType::Float,
+            DataType::Float,
             DataType::Float,
         ];
         for round in 0..40 {

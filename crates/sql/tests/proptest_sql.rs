@@ -397,6 +397,8 @@ struct Shape {
     join: u8,
     /// `AND a.x <= b.y` in ON (not for cross joins).
     residual: bool,
+    /// The equi-key pairs BIGINT with FLOAT: `a.k = b.y`, not `a.k = b.k`.
+    mixed_key: bool,
     /// `WHERE a.x > threshold`.
     filter: Option<i64>,
     /// 0 `SELECT *`, 1 two columns, 2 `COUNT(*)`, 3 `GROUP BY a.s`,
@@ -410,23 +412,25 @@ struct Shape {
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
     (
-        0u8..4,
-        any::<bool>(),
+        (0u8..4, any::<bool>(), any::<bool>()),
         proptest::option::of(-1i64..2),
         0u8..5,
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
     )
-        .prop_map(|(join, residual, filter, select, distinct, union_all, derived)| Shape {
-            join,
-            residual,
-            filter,
-            select,
-            distinct,
-            union_all,
-            derived,
-        })
+        .prop_map(
+            |((join, residual, mixed_key), filter, select, distinct, union_all, derived)| Shape {
+                join,
+                residual,
+                mixed_key,
+                filter,
+                select,
+                distinct,
+                union_all,
+                derived,
+            },
+        )
 }
 
 impl Shape {
@@ -437,7 +441,8 @@ impl Shape {
             kind => {
                 let kw = ["JOIN", "LEFT JOIN", "RIGHT JOIN"][kind as usize];
                 let residual = if self.residual { " AND a.x <= b.y" } else { "" };
-                format!("{a} {kw} b ON a.k = b.k{residual}")
+                let key = if self.mixed_key { "b.y" } else { "b.k" };
+                format!("{a} {kw} b ON a.k = {key}{residual}")
             }
         };
         let filter = self.filter.map_or(String::new(), |t| format!(" WHERE a.x > {t}"));
@@ -473,7 +478,11 @@ impl Shape {
             if self.join == 3 {
                 return true;
             }
-            let keys = matches!((l.0, r.0), (Some(x), Some(y)) if x == y);
+            let keys = match (l.0, self.mixed_key) {
+                (Some(x), false) => r.0 == Some(x),
+                (Some(x), true) => r.1 == Some(x as f64),
+                (None, _) => false,
+            };
             let residual = !self.residual || matches!((l.1, r.1), (Some(x), Some(y)) if x <= y);
             keys && residual
         };
@@ -569,8 +578,8 @@ proptest! {
     /// (with and without a residual ON condition), filters, grouping,
     /// `COUNT(*)`, ORDER BY on an unselected column, `SELECT *`, DISTINCT,
     /// UNION ALL and a derived table, all over nullable columns with
-    /// duplicate and NULL keys, against a straight-line nested-loop
-    /// reference.
+    /// duplicate and NULL keys (BIGINT = BIGINT, or BIGINT = FLOAT), against
+    /// a straight-line nested-loop reference.
     #[test]
     fn pruned_plans_match_nested_loop_reference(
         a in arb_oracle_rows(),
@@ -693,7 +702,7 @@ impl AggShape {
         };
         let (keys, _) = self.keys();
         let aggs = "SUM(b.x), MIN(b.x), MAX(b.x), AVG(b.x), COUNT(b.x), \
-                    SUM(b.n), MIN(b.n), MAX(b.n), AVG(b.n), COUNT(*)";
+                    SUM(b.n), MIN(b.n), MAX(b.n), AVG(b.n), COUNT(*), AVG(DISTINCT b.n)";
         if keys.is_empty() {
             format!("SELECT {aggs} FROM {from}")
         } else {
@@ -756,6 +765,8 @@ impl AggShape {
             n_avg_sum: f64,
             n_n: i64,
             rows: i64,
+            /// The distinct `n`s, first seen first.
+            n_distinct: Vec<i64>,
         }
         let (_, key_cols) = self.keys();
         let mut groups: Vec<(Vec<Value>, Fold)> = Vec::new();
@@ -790,6 +801,9 @@ impl AggShape {
                 f.n_max = Some(f.n_max.map_or(n, |m| m.max(n)));
                 f.n_avg_sum += n as f64;
                 f.n_n += 1;
+                if !f.n_distinct.contains(&n) {
+                    f.n_distinct.push(n);
+                }
             }
         }
         let float = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
@@ -799,6 +813,9 @@ impl AggShape {
             .map(|(key, f)| {
                 let x_avg = (f.x_n > 0).then(|| f.x_sum.unwrap_or(0.0) / f.x_n as f64);
                 let n_avg = (f.n_n > 0).then(|| f.n_avg_sum / f.n_n as f64);
+                let n_distinct_avg = (f.n_n > 0).then(|| {
+                    f.n_distinct.iter().map(|&n| n as f64).sum::<f64>() / f.n_distinct.len() as f64
+                });
                 key.into_iter()
                     .chain([
                         float(f.x_sum),
@@ -811,6 +828,7 @@ impl AggShape {
                         int(f.n_max),
                         float(n_avg),
                         Value::Int(f.rows),
+                        float(n_distinct_avg),
                     ])
                     .collect()
             })
@@ -845,7 +863,8 @@ fn as_bit_rows(rows: &[Vec<Value>]) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// SUM / MIN / MAX / AVG / COUNT over FLOAT and BIGINT arguments —
+    /// SUM / MIN / MAX / AVG / COUNT over FLOAT and BIGINT arguments, and
+    /// AVG(DISTINCT) over BIGINT —
     /// NULL, NaN, ±0.0, ±inf, non-dyadic floats and wrapping BIGINT sums —
     /// ungrouped (also over empty input), grouped by a nullable BIGINT key
     /// (NULL is a group) and by two BIGINT keys, over inner, left and right

@@ -29,10 +29,9 @@
 //! re-checked after the state lock is acquired, so a pinner that bumped the
 //! count and then blocked on the state lock is always noticed.
 //!
-//! The budget comes from the `memory_budget_bytes` config knob or the
-//! `VERTEXICA_MEMORY_BUDGET` environment variable (plain bytes, or with a
-//! `k`/`m`/`g` suffix). Unset means unbounded: the pool still tracks
-//! residency gauges but never evicts.
+//! A new pool is unbounded: it tracks residency gauges but never evicts.
+//! [`BufferPool::set_budget`] caps it, directly or through a run's
+//! `memory_budget_bytes` config knob.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -280,9 +279,9 @@ pub struct BufferPool {
 }
 
 impl Default for BufferPool {
-    /// An unbounded pool unless `VERTEXICA_MEMORY_BUDGET` is set.
+    /// An unbounded pool.
     fn default() -> BufferPool {
-        BufferPool::with_budget(memory_budget_from_env())
+        BufferPool::with_budget(None)
     }
 }
 
@@ -476,40 +475,6 @@ impl BufferPool {
     }
 }
 
-/// Parses `VERTEXICA_MEMORY_BUDGET`. Plain bytes, or a `k`/`m`/`g`
-/// (or `kb`/`mb`/`gb`) suffix, case-insensitive. Unset, empty, zero, or
-/// unparsable means unbounded.
-pub fn memory_budget_from_env() -> Option<usize> {
-    parse_memory_budget(&std::env::var("VERTEXICA_MEMORY_BUDGET").ok()?)
-}
-
-/// Parses a memory-budget string (see [`memory_budget_from_env`]).
-pub fn parse_memory_budget(s: &str) -> Option<usize> {
-    let t = s.trim().to_ascii_lowercase();
-    if t.is_empty() {
-        return None;
-    }
-    const SUFFIXES: [(&str, usize); 6] = [
-        ("kb", 1 << 10),
-        ("mb", 1 << 20),
-        ("gb", 1 << 30),
-        ("k", 1 << 10),
-        ("m", 1 << 20),
-        ("g", 1 << 30),
-    ];
-    let (digits, mult) = SUFFIXES
-        .iter()
-        .find_map(|(suf, mult)| t.strip_suffix(suf).map(|d| (d, *mult)))
-        .unwrap_or((t.as_str(), 1));
-    let v: usize = digits.trim().parse().ok()?;
-    let v = v.checked_mul(mult)?;
-    if v == 0 {
-        None
-    } else {
-        Some(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,17 +514,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn parse_budget_forms() {
-        assert_eq!(parse_memory_budget("4096"), Some(4096));
-        assert_eq!(parse_memory_budget(" 64k "), Some(64 * 1024));
-        assert_eq!(parse_memory_budget("2M"), Some(2 * 1024 * 1024));
-        assert_eq!(parse_memory_budget("1gb"), Some(1024 * 1024 * 1024));
-        assert_eq!(parse_memory_budget("0"), None);
-        assert_eq!(parse_memory_budget(""), None);
-        assert_eq!(parse_memory_budget("not-a-number"), None);
     }
 
     #[test]

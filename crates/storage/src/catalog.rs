@@ -32,9 +32,9 @@ pub struct Catalog {
     tables: RwLock<FxHashMap<String, TableRef>>,
     wal: RwLock<Option<Arc<WalSink>>>,
     /// The segment buffer pool every table's ROS segments register with.
-    /// Its budget defaults from `VERTEXICA_MEMORY_BUDGET` (unbounded when
-    /// unset); eviction only bites on durable catalogs, where checkpointed
-    /// segments have spill images to reload from.
+    /// Unbounded until [`BufferPool::set_budget`] caps it; eviction only
+    /// bites on durable catalogs, where checkpointed segments have spill
+    /// images to reload from.
     pool: Arc<BufferPool>,
 }
 

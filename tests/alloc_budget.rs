@@ -53,9 +53,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 const SUPERSTEPS: u64 = 5;
 
 /// Runs PageRank for [`SUPERSTEPS`] supersteps on a fixed R-MAT graph and
-/// returns `(allocations during run_program, messages sent)`. Every knob a
-/// CI mode can flip through the environment is pinned, so each mode counts
-/// the same run.
+/// returns `(allocations during run_program, messages sent)`.
 fn allocations_and_messages(pool_budget: Option<usize>) -> (u64, u64) {
     let graph =
         rmat_graph(&RmatConfig { scale: 12, num_edges: 48 * 1024, seed: 7, ..Default::default() });
@@ -70,7 +68,6 @@ fn allocations_and_messages(pool_budget: Option<usize>) -> (u64, u64) {
         .with_partitions(8)
         .with_input_mode(InputMode::TableUnion)
         .with_combiner(false)
-        .with_durable(false)
         .with_memory_budget(pool_budget);
     let program = Arc::new(PageRank::new(SUPERSTEPS - 1, 0.85));
 

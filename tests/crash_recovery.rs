@@ -490,59 +490,74 @@ fn checkpoint_before_a_blob_heavy_apply_reopens_bitwise() {
     }
 
     const N: u64 = 96;
-    let dir = temp_dir("blob_apply");
-    let db = Arc::new(Database::open(&dir).unwrap());
-    let g = GraphSession::create(db.clone(), "g").unwrap();
-    g.load_edges(&EdgeList::from_pairs((0..N).map(|v| (v, (v + 1) % N)))).unwrap();
-    db.checkpoint().unwrap();
+    // Unbounded, and with the pool capped at one byte from before the load:
+    // every checkpointed segment then evicts, and the images below read
+    // them back from their spill twins.
+    for budget in [None, Some(1)] {
+        let open = |dir: &std::path::Path| {
+            let db = Database::open(dir).unwrap();
+            db.catalog().buffer_pool().set_budget(budget);
+            db
+        };
+        let dir = temp_dir("blob_apply");
+        let db = Arc::new(open(&dir));
+        let g = GraphSession::create(db.clone(), "g").unwrap();
+        g.load_edges(&EdgeList::from_pairs((0..N).map(|v| (v, (v + 1) % N)))).unwrap();
+        db.checkpoint().unwrap();
 
-    let payload =
-        |seed: u64| -> Vec<u8> { (0..seed % 17).map(|i| (seed * 31 + i) as u8).collect() };
-    let mut rows = Vec::new();
-    for v in 0..N {
-        rows.push(vec![
-            Value::Int(OUT_STATE),
-            Value::Int(v as i64),
-            Value::Null,
-            Value::Blob(payload(v + 1)),
-            Value::Bool(v % 3 == 0),
-            Value::Null,
-            Value::Null,
-        ]);
+        let payload =
+            |seed: u64| -> Vec<u8> { (0..seed % 17).map(|i| (seed * 31 + i) as u8).collect() };
+        let mut rows = Vec::new();
+        for v in 0..N {
+            rows.push(vec![
+                Value::Int(OUT_STATE),
+                Value::Int(v as i64),
+                Value::Null,
+                Value::Blob(payload(v + 1)),
+                Value::Bool(v % 3 == 0),
+                Value::Null,
+                Value::Null,
+            ]);
+        }
+        for m in 0..1000u64 {
+            rows.push(vec![
+                Value::Int(OUT_MESSAGE),
+                Value::Int((m * 7 % N) as i64),
+                Value::Int((m % N) as i64),
+                Value::Blob(payload(m)),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ]);
+        }
+        let out = RecordBatch::from_rows(worker_output_schema(), &rows).unwrap();
+        let config = VertexicaConfig::default()
+            .with_workers(2)
+            .with_combiner(false)
+            .with_replace_threshold(0.0)
+            .with_durable(true)
+            .with_memory_budget(budget);
+        let outcome = apply_outputs(&g, &Noop, &config, vec![out], N).unwrap();
+        assert!(outcome.replaced);
+        assert_eq!((outcome.vertex_changes, outcome.messages), (N as usize, 1000));
+
+        let live = catalog_image(db.catalog());
+        drop(g);
+        drop(db);
+
+        let replayed = open(&dir);
+        let what = format!("{budget:?}: WAL replay over the old checkpoint");
+        assert_eq!(catalog_image(replayed.catalog()), live, "{what}");
+        replayed.checkpoint().unwrap();
+        drop(replayed);
+        let reloaded = open(&dir);
+        let what = format!("{budget:?}: reload from the new checkpoint");
+        assert_eq!(catalog_image(reloaded.catalog()), live, "{what}");
+        let reloads = reloaded.catalog().buffer_pool().stats().reloads;
+        assert_eq!(reloads > 0, budget.is_some(), "{budget:?}: {reloads} reloads");
+        drop(reloaded);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    for m in 0..1000u64 {
-        rows.push(vec![
-            Value::Int(OUT_MESSAGE),
-            Value::Int((m * 7 % N) as i64),
-            Value::Int((m % N) as i64),
-            Value::Blob(payload(m)),
-            Value::Null,
-            Value::Null,
-            Value::Null,
-        ]);
-    }
-    let out = RecordBatch::from_rows(worker_output_schema(), &rows).unwrap();
-    let config = VertexicaConfig::default()
-        .with_workers(2)
-        .with_combiner(false)
-        .with_replace_threshold(0.0)
-        .with_durable(true);
-    let outcome = apply_outputs(&g, &Noop, &config, vec![out], N).unwrap();
-    assert!(outcome.replaced);
-    assert_eq!((outcome.vertex_changes, outcome.messages), (N as usize, 1000));
-
-    let live = catalog_image(db.catalog());
-    drop(g);
-    drop(db);
-
-    let replayed = Database::open(&dir).unwrap();
-    assert_eq!(catalog_image(replayed.catalog()), live, "WAL replay over the old checkpoint");
-    replayed.checkpoint().unwrap();
-    drop(replayed);
-    let reloaded = Database::open(&dir).unwrap();
-    assert_eq!(catalog_image(reloaded.catalog()), live, "reload from the new checkpoint");
-    drop(reloaded);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -578,7 +593,26 @@ mod resume {
             .with_partitions(8)
             .with_combiner(false)
             .with_durable(true)
-            .with_memory_budget(None)
+    }
+
+    /// The resume tests' pool budgets: unbounded, and one byte from before
+    /// the load, so every checkpointed segment evicts and reloads.
+    const BUDGETS: [Option<usize>; 2] = [None, Some(1)];
+
+    /// Opens `dir` as a durable database with its pool capped at `budget`.
+    fn open(dir: &std::path::Path, budget: Option<usize>) -> Arc<Database> {
+        let db = Database::open(dir).unwrap();
+        db.catalog().buffer_pool().set_budget(budget);
+        Arc::new(db)
+    }
+
+    /// [`open`] for a 2-shard database, created fresh.
+    fn create_sharded(dir: &std::path::Path, budget: Option<usize>) -> Arc<ShardedDatabase> {
+        let db = ShardedDatabase::create(dir, 2).unwrap();
+        for shard in db.shards() {
+            shard.catalog().buffer_pool().set_budget(budget);
+        }
+        db
     }
 
     /// Every vertex row, as stored, sorted by id.
@@ -610,14 +644,21 @@ mod resume {
     /// which itself agrees with `algorithms::reference`.
     #[test]
     fn wal_crash_mid_run_resumes_bitwise_to_the_uninterrupted_run() {
+        for budget in BUDGETS {
+            wal_crash_mid_run_resumes(budget);
+        }
+    }
+
+    fn wal_crash_mid_run_resumes(budget: Option<usize>) {
         let graph = graph();
+        let config = config().with_memory_budget(budget);
         let dir = temp_dir("resume_ref");
         let (pre, total, reference) = {
-            let db = Arc::new(Database::open(&dir).unwrap());
+            let db = open(&dir, budget);
             let g = GraphSession::create(db.clone(), "g").unwrap();
             g.load_edges(&graph).unwrap();
             let pre = durable_bytes(&db);
-            run_program(&g, program(), &config()).unwrap();
+            run_program(&g, program(), &config).unwrap();
             (pre, durable_bytes(&db), vertex_rows(std::slice::from_ref(&g)))
         };
         std::fs::remove_dir_all(&dir).ok();
@@ -631,33 +672,32 @@ mod resume {
             .collect();
         let expected = vertexica_algorithms::reference::pagerank(&graph, 10, 0.85);
         for (v, (got, want)) in ranks.iter().zip(&expected).enumerate() {
-            assert!((got - want).abs() < 1e-9, "vertex {v}: {got} vs {want}");
+            assert!((got - want).abs() < 1e-9, "{budget:?} vertex {v}: {got} vs {want}");
         }
 
         let mut boundaries = Vec::new();
         for tenths in [3, 5, 8] {
             let dir = temp_dir("resume_crash");
             {
-                let db = Arc::new(Database::open(&dir).unwrap());
+                let db = open(&dir, budget);
                 let g = GraphSession::create(db.clone(), "g").unwrap();
                 g.load_edges(&graph).unwrap();
                 assert_eq!(durable_bytes(&db), pre, "durable prefix must be deterministic");
                 let sink = db.catalog().wal_sink().expect("durable database has a WAL sink");
                 sink.set_crash_budget(Some((total - pre) * tenths / 10));
                 assert!(
-                    run_program(&g, program(), &config()).is_err(),
+                    run_program(&g, program(), &config).is_err(),
                     "the crash must fail the run"
                 );
             }
-            let db = Arc::new(Database::open(&dir).unwrap());
-            let g = GraphSession::open(db, "g").unwrap();
+            let g = GraphSession::open(open(&dir, budget), "g").unwrap();
             let boundary = stamped(&g);
-            let stats = resume_program(&g, program(), &config()).unwrap();
+            let stats = resume_program(&g, program(), &config).unwrap();
             assert!(stats.supersteps > 0, "crash at {tenths}/10 left nothing to resume");
             assert_eq!(
                 vertex_rows(std::slice::from_ref(&g)),
                 reference,
-                "resume from superstep {boundary} diverged from the uninterrupted run"
+                "{budget:?}: resume from superstep {boundary} diverged from the uninterrupted run"
             );
             boundaries.push(boundary);
             drop(g);
@@ -678,30 +718,44 @@ mod resume {
         one.load_edges(&graph).unwrap();
         run_program(&one, program(), &config().with_durable(false)).unwrap();
         let reference = vertex_rows(std::slice::from_ref(&one));
+        for budget in BUDGETS {
+            sharded_wal_crash_resumes(&graph, budget, &reference);
+        }
+    }
 
+    fn sharded_wal_crash_resumes(
+        graph: &EdgeList,
+        budget: Option<usize>,
+        reference: &[Vec<Value>],
+    ) {
+        let config = config().with_memory_budget(budget);
         let dir = temp_dir("resume_shard_ref");
         let (pre, total) = {
-            let db = ShardedDatabase::create(&dir, 2).unwrap();
+            let db = create_sharded(&dir, budget);
             let ss = ShardedGraphSession::create(db.clone(), "g").unwrap();
-            ss.load_edges(&graph).unwrap();
+            ss.load_edges(graph).unwrap();
             let pre = durable_bytes(db.shard(1));
-            run_sharded(&ss, program(), &config()).unwrap();
-            assert_eq!(vertex_rows(ss.shard_sessions()), reference, "uninterrupted 2-shard run");
+            run_sharded(&ss, program(), &config).unwrap();
+            let rows = vertex_rows(ss.shard_sessions());
+            assert_eq!(rows, reference, "{budget:?}: uninterrupted 2-shard run");
             (pre, durable_bytes(db.shard(1)))
         };
         std::fs::remove_dir_all(&dir).ok();
 
         let dir = temp_dir("resume_shard_crash");
         {
-            let db = ShardedDatabase::create(&dir, 2).unwrap();
+            let db = create_sharded(&dir, budget);
             let ss = ShardedGraphSession::create(db.clone(), "g").unwrap();
-            ss.load_edges(&graph).unwrap();
+            ss.load_edges(graph).unwrap();
             assert_eq!(durable_bytes(db.shard(1)), pre, "durable prefix must be deterministic");
             let sink = db.shard(1).catalog().wal_sink().expect("durable shard has a WAL sink");
             sink.set_crash_budget(Some((total - pre) / 2));
-            assert!(run_sharded(&ss, program(), &config()).is_err(), "the crash must fail the run");
+            assert!(run_sharded(&ss, program(), &config).is_err(), "the crash must fail the run");
         }
         let db = ShardedDatabase::open(&dir).unwrap();
+        for shard in db.shards() {
+            shard.catalog().buffer_pool().set_budget(budget);
+        }
         let ss = ShardedGraphSession::open(db.clone(), "g").unwrap();
         let stamps = ss.stamps().unwrap();
         assert_eq!(
@@ -709,9 +763,10 @@ mod resume {
             stamps[1].map(|s| s + 1),
             "shard 1 must die between the two shards' commits: {stamps:?}"
         );
-        let stats = resume_sharded(&ss, program(), &config()).unwrap();
+        let stats = resume_sharded(&ss, program(), &config).unwrap();
         assert!(stats.supersteps > 0);
-        assert_eq!(vertex_rows(ss.shard_sessions()), reference, "resumed 2-shard run diverged");
+        let rows = vertex_rows(ss.shard_sessions());
+        assert_eq!(rows, reference, "{budget:?}: resumed 2-shard run diverged");
         drop(ss);
         drop(db);
         std::fs::remove_dir_all(&dir).ok();

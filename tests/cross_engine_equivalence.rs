@@ -24,18 +24,85 @@ use vertexica_graphdb::GraphDb;
 use vertexica_graphgen::models::erdos_renyi;
 use vertexica_graphgen::rmat::{rmat_graph, RmatConfig};
 
-/// With `VERTEXICA_DURABLE` set, every cross-engine cell runs against a
-/// disk-backed database in a unique temp directory (WAL + segment files,
-/// `fsync` per `VERTEXICA_DURABLE_SYNC`) — the durability CI job's hook.
-fn session_for(graph: &EdgeList) -> GraphSession {
-    let db = if vertexica::config::durable_default() {
-        Arc::new(Database::open(unique_durable_dir("xeq")).expect("open durable"))
-    } else {
-        Arc::new(Database::new())
-    };
+/// The stores a cell runs against. Every cell whose answer could depend on
+/// how the tables are stored runs all three.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Store {
+    /// `Database::new`: no log, nothing evictable; checkpoints are no-ops.
+    Memory,
+    /// WAL + segment files in a fresh temp directory, `fsync` off (on for
+    /// sharded cells: `ShardedDatabase::create` always syncs); the run
+    /// checkpoints before its first superstep and after its last.
+    Durable,
+    /// `Durable` with every buffer pool capped at 256 KiB from before the
+    /// load: checkpointed segments evict and reload, and runs stream edge
+    /// rows instead of reading the projection.
+    Budget256KiB,
+}
+
+const STORES: [Store; 3] = [Store::Memory, Store::Durable, Store::Budget256KiB];
+
+impl Store {
+    fn budget(self) -> Option<usize> {
+        (self == Store::Budget256KiB).then_some(256 << 10)
+    }
+
+    /// A fresh, empty database in this store.
+    fn database(self) -> InStore<Arc<Database>> {
+        if self == Store::Memory {
+            return InStore { inner: Arc::new(Database::new()), _dir: TempDir(None) };
+        }
+        let dir = unique_durable_dir("xeq");
+        InStore { inner: self.open(&dir), _dir: TempDir(Some(dir)) }
+    }
+
+    /// Opens (or reopens) `dir` as a durable database in this store.
+    fn open(self, dir: &std::path::Path) -> Arc<Database> {
+        let runtime = Arc::new(vertexica_common::WorkerPool::with_default_size());
+        let db = Database::open_with(dir, runtime, false).expect("open durable");
+        db.catalog().buffer_pool().set_budget(self.budget());
+        Arc::new(db)
+    }
+
+    /// `config` as a run in this store executes it: `durable` on in every
+    /// store (on the in-memory one it must change nothing), and the
+    /// budgeted store's budget.
+    fn config(self, config: VertexicaConfig) -> VertexicaConfig {
+        config.with_durable(true).with_memory_budget(self.budget())
+    }
+}
+
+/// Removes its directory, if it has one, on drop.
+struct TempDir(Option<std::path::PathBuf>);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.0 {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+}
+
+/// A database or session in a [`Store`]; its directory goes when it does.
+struct InStore<T> {
+    inner: T,
+    /// Declared after `inner`, so the database closes before its files go.
+    _dir: TempDir,
+}
+
+impl<T> std::ops::Deref for InStore<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+/// `graph` loaded into a fresh session in `store`.
+fn session_for(store: Store, graph: &EdgeList) -> InStore<GraphSession> {
+    let InStore { inner: db, _dir } = store.database();
     let s = GraphSession::create(db, "g").expect("create");
     s.load_edges(graph).expect("load");
-    s
+    InStore { inner: s, _dir }
 }
 
 fn unique_durable_dir(tag: &str) -> std::path::PathBuf {
@@ -62,30 +129,33 @@ fn pagerank_agrees_across_all_engines() {
     for (gi, graph) in test_graphs().into_iter().enumerate() {
         let expected = reference::pagerank(&graph, 8, 0.85);
 
-        // Vertexica (vertex-centric on the relational engine).
-        let session = session_for(&graph);
-        run_program(&session, Arc::new(PageRank::new(8, 0.85)), &VertexicaConfig::default())
-            .unwrap();
-        let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-        assert_eq!(vx.len(), expected.len(), "graph {gi}");
-        for (id, rank) in &vx {
-            assert!(
-                (rank - expected[*id as usize]).abs() < 1e-9,
-                "graph {gi} vertexica vertex {id}: {rank} vs {}",
-                expected[*id as usize]
-            );
+        for store in STORES {
+            // Vertexica (vertex-centric on the relational engine).
+            let session = session_for(store, &graph);
+            let config = store.config(VertexicaConfig::default());
+            run_program(&session, Arc::new(PageRank::new(8, 0.85)), &config).unwrap();
+            let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+            assert_eq!(vx.len(), expected.len(), "graph {gi} {store:?}");
+            for (id, rank) in &vx {
+                assert!(
+                    (rank - expected[*id as usize]).abs() < 1e-9,
+                    "graph {gi} {store:?} vertexica vertex {id}: {rank} vs {}",
+                    expected[*id as usize]
+                );
+            }
+
+            // Vertexica (SQL).
+            let sql = sqlalgo::pagerank_sql(&session, 8, 0.85).unwrap();
+            for (id, rank) in sql {
+                let close = (rank - expected[id as usize]).abs() < 1e-9;
+                assert!(close, "graph {gi} {store:?} sql vertex {id}");
+            }
         }
 
         // Giraph baseline.
         let (giraph_vals, _) = GiraphEngine::default().run(&graph, &PageRank::new(8, 0.85));
         for (id, rank) in giraph_vals.iter().enumerate() {
             assert!((rank - expected[id]).abs() < 1e-9, "graph {gi} giraph vertex {id}");
-        }
-
-        // Vertexica (SQL).
-        let sql = sqlalgo::pagerank_sql(&session, 8, 0.85).unwrap();
-        for (id, rank) in sql {
-            assert!((rank - expected[id as usize]).abs() < 1e-9, "graph {gi} sql vertex {id}");
         }
 
         // Graph database.
@@ -112,25 +182,28 @@ fn sssp_agrees_across_all_engines() {
         let expected = reference::sssp(&graph, 0);
         let close = |a: f64, b: f64| (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9;
 
-        let session = session_for(&graph);
-        run_program(&session, Arc::new(Sssp::new(0)), &VertexicaConfig::default()).unwrap();
-        let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-        for (id, d) in &vx {
-            assert!(
-                close(*d, expected[*id as usize]),
-                "graph {gi} vertexica vertex {id}: {d} vs {}",
-                expected[*id as usize]
-            );
+        for store in STORES {
+            let session = session_for(store, &graph);
+            let config = store.config(VertexicaConfig::default());
+            run_program(&session, Arc::new(Sssp::new(0)), &config).unwrap();
+            let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+            for (id, d) in &vx {
+                assert!(
+                    close(*d, expected[*id as usize]),
+                    "graph {gi} {store:?} vertexica vertex {id}: {d} vs {}",
+                    expected[*id as usize]
+                );
+            }
+
+            let sql = sqlalgo::sssp_sql(&session, 0).unwrap();
+            for (id, d) in sql {
+                assert!(close(d, expected[id as usize]), "graph {gi} {store:?} sql vertex {id}");
+            }
         }
 
         let (giraph_vals, _) = GiraphEngine::default().run(&graph, &Sssp::new(0));
         for (id, d) in giraph_vals.iter().enumerate() {
             assert!(close(*d, expected[id]), "graph {gi} giraph vertex {id}");
-        }
-
-        let sql = sqlalgo::sssp_sql(&session, 0).unwrap();
-        for (id, d) in sql {
-            assert!(close(d, expected[id as usize]), "graph {gi} sql vertex {id}");
         }
 
         let db = GraphDb::ephemeral();
@@ -150,20 +223,23 @@ fn connected_components_agree() {
     let graph = erdos_renyi(50, 60, 5).undirected();
     let expected = reference::weakly_connected_components(&graph);
 
-    let session = session_for(&graph);
-    run_program(&session, Arc::new(ConnectedComponents), &VertexicaConfig::default()).unwrap();
-    let vx: Vec<(VertexId, u64)> = session.vertex_values().unwrap();
-    for (id, label) in &vx {
-        assert_eq!(*label, expected[*id as usize], "vertexica vertex {id}");
+    for store in STORES {
+        let session = session_for(store, &graph);
+        let config = store.config(VertexicaConfig::default());
+        run_program(&session, Arc::new(ConnectedComponents), &config).unwrap();
+        let vx: Vec<(VertexId, u64)> = session.vertex_values().unwrap();
+        for (id, label) in &vx {
+            assert_eq!(*label, expected[*id as usize], "{store:?} vertexica vertex {id}");
+        }
+
+        let sql = sqlalgo::connected_components_sql(&session).unwrap();
+        for (id, label) in sql {
+            assert_eq!(label, expected[id as usize], "{store:?} sql vertex {id}");
+        }
     }
 
     let (giraph_vals, _) = GiraphEngine::default().run(&graph, &ConnectedComponents);
     assert_eq!(giraph_vals, expected);
-
-    let sql = sqlalgo::connected_components_sql(&session).unwrap();
-    for (id, label) in sql {
-        assert_eq!(label, expected[id as usize], "sql vertex {id}");
-    }
 }
 
 #[test]
@@ -171,7 +247,7 @@ fn every_vertexica_configuration_agrees() {
     // The §2.3 optimizations toggled — results must never change.
     let graph = rmat_graph(&RmatConfig { scale: 6, num_edges: 300, seed: 4, ..Default::default() });
     let expected = reference::pagerank(&graph, 6, 0.85);
-    let configs = vec![
+    let configs = [
         VertexicaConfig::default(),
         VertexicaConfig::default().with_input_mode(InputMode::ThreeWayJoin),
         VertexicaConfig::default().with_workers(1).with_partitions(1),
@@ -180,12 +256,16 @@ fn every_vertexica_configuration_agrees() {
         VertexicaConfig::default().with_replace_threshold(1.01),
         VertexicaConfig::default().with_combiner(false),
     ];
-    for (ci, config) in configs.into_iter().enumerate() {
-        let session = session_for(&graph);
-        run_program(&session, Arc::new(PageRank::new(6, 0.85)), &config).unwrap();
-        let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-        for (id, rank) in vx {
-            assert!((rank - expected[id as usize]).abs() < 1e-9, "config {ci} vertex {id}");
+    for store in STORES {
+        for (ci, config) in configs.iter().enumerate() {
+            let session = session_for(store, &graph);
+            let config = store.config(config.clone());
+            run_program(&session, Arc::new(PageRank::new(6, 0.85)), &config).unwrap();
+            let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+            for (id, rank) in vx {
+                let close = (rank - expected[id as usize]).abs() < 1e-9;
+                assert!(close, "{store:?} config {ci} vertex {id}");
+            }
         }
     }
 }
@@ -200,14 +280,14 @@ fn invariance_graphs() -> (EdgeList, EdgeList) {
     (graph, undirected)
 }
 
-/// Runs `program` on `graph` with the default config and returns the vertex
-/// values in id order.
-fn vertexica_values<P>(graph: &EdgeList, program: P) -> Vec<P::Value>
+/// Runs `program` on `graph` in `store` with the default config and returns
+/// the vertex values in id order.
+fn vertexica_values<P>(store: Store, graph: &EdgeList, program: P) -> Vec<P::Value>
 where
     P: vertexica_common::VertexProgram + 'static,
 {
-    let session = session_for(graph);
-    run_program(&session, Arc::new(program), &VertexicaConfig::default()).unwrap();
+    let session = session_for(store, graph);
+    run_program(&session, Arc::new(program), &store.config(VertexicaConfig::default())).unwrap();
     let vx: Vec<(VertexId, P::Value)> = session.vertex_values().unwrap();
     assert!(vx.iter().enumerate().all(|(i, (id, _))| *id == i as VertexId), "dense vertex ids");
     vx.into_iter().map(|(_, value)| value).collect()
@@ -218,7 +298,8 @@ where
 /// `algorithms::reference`; collaborative filtering, random walk with
 /// restart and label propagation — which have no closed form there —
 /// against `GiraphEngine`, an in-memory BSP loop that shares none of the
-/// relational superstep's code. It runs on the invariance cells' graphs.
+/// relational superstep's code. It runs on the invariance cells' graphs, in
+/// every store.
 #[test]
 fn every_algorithm_matches_an_independent_oracle() {
     use vertexica_algorithms::vc::{
@@ -234,30 +315,33 @@ fn every_algorithm_matches_an_independent_oracle() {
     };
 
     let pagerank = reference::pagerank(&graph, 6, 0.85);
-    assert_close("pagerank", &vertexica_values(&graph, PageRank::new(6, 0.85)), &pagerank);
-    assert_close("sssp", &vertexica_values(&graph, Sssp::new(0)), &reference::sssp(&graph, 0));
-    assert_eq!(
-        vertexica_values(&undirected, ConnectedComponents),
-        reference::weakly_connected_components(&undirected),
-        "connected components"
-    );
-
+    let sssp = reference::sssp(&graph, 0);
+    let components = reference::weakly_connected_components(&undirected);
     let rwr = RandomWalkWithRestart::new(0, 10);
-    let (giraph, _) = GiraphEngine::default().run(&graph, &rwr);
-    assert_close("random walk with restart", &vertexica_values(&graph, rwr), &giraph);
-
+    let (rwr_giraph, _) = GiraphEngine::default().run(&graph, &rwr);
     let lp = LabelPropagation::new(6);
-    let (giraph, _) = GiraphEngine::default().run(&undirected, &lp);
-    assert_eq!(vertexica_values(&undirected, lp), giraph, "label propagation");
-
+    let (lp_giraph, _) = GiraphEngine::default().run(&undirected, &lp);
     let users = 12;
     let ratings = vertexica_graphgen::models::bipartite_ratings(users, 9, 4, 5);
     let cf = CollaborativeFiltering::new(users, 12);
-    let (giraph, _) = GiraphEngine::default().with_workers(1).run(&ratings, &cf);
-    let factors = vertexica_values(&ratings, cf);
-    assert_eq!(factors.len(), giraph.len());
-    for (id, (got, expected)) in factors.iter().zip(&giraph).enumerate() {
-        assert_close(&format!("collaborative filtering vertex {id}"), got, expected);
+    let (cf_giraph, _) = GiraphEngine::default().with_workers(1).run(&ratings, &cf);
+
+    for store in STORES {
+        let pr = vertexica_values(store, &graph, PageRank::new(6, 0.85));
+        assert_close(&format!("{store:?} pagerank"), &pr, &pagerank);
+        let dist = vertexica_values(store, &graph, Sssp::new(0));
+        assert_close(&format!("{store:?} sssp"), &dist, &sssp);
+        let labels = vertexica_values(store, &undirected, ConnectedComponents);
+        assert_eq!(labels, components, "{store:?} connected components");
+        let walk = vertexica_values(store, &graph, RandomWalkWithRestart::new(0, 10));
+        assert_close(&format!("{store:?} random walk with restart"), &walk, &rwr_giraph);
+        let labels = vertexica_values(store, &undirected, LabelPropagation::new(6));
+        assert_eq!(labels, lp_giraph, "{store:?} label propagation");
+        let factors = vertexica_values(store, &ratings, CollaborativeFiltering::new(users, 12));
+        assert_eq!(factors.len(), cf_giraph.len());
+        for (id, (got, expected)) in factors.iter().zip(&cf_giraph).enumerate() {
+            assert_close(&format!("{store:?} collaborative filtering vertex {id}"), got, expected);
+        }
     }
 }
 
@@ -279,16 +363,20 @@ fn physical_image(catalog: &vertexica::storage::Catalog) -> Vec<(String, Vec<u8>
 /// the process-local state entirely, recover from disk, and require the
 /// recovered vertex table — and every table's physical image — to be
 /// **bitwise-identical** to the live post-run state.
-fn assert_durable_reopen_is_bitwise_identical<P>(graph: &EdgeList, tag: &str, program: Arc<P>)
-where
+fn assert_durable_reopen_is_bitwise_identical<P>(
+    store: Store,
+    graph: &EdgeList,
+    tag: &str,
+    program: Arc<P>,
+) where
     P: vertexica_common::VertexProgram + 'static,
 {
-    let dir = unique_durable_dir(tag);
-    let db = Arc::new(Database::open(&dir).expect("open durable"));
+    let tag = format!("{tag} {store:?}");
+    let dir = unique_durable_dir("reopen");
+    let db = store.open(&dir);
     let session = GraphSession::create(db.clone(), "g").expect("create");
     session.load_edges(graph).expect("load");
-    let stats =
-        run_program(&session, program, &VertexicaConfig::default().with_durable(true)).unwrap();
+    let stats = run_program(&session, program, &store.config(VertexicaConfig::default())).unwrap();
     assert!(
         stats.per_superstep.iter().any(|s| s.wal_records > 0 && s.wal_bytes > 0),
         "{tag}: durable run must report WAL activity in the superstep gauges"
@@ -303,7 +391,7 @@ where
     drop(session);
     drop(db);
 
-    let db2 = Arc::new(Database::open(&dir).expect("reopen"));
+    let db2 = store.open(&dir);
     assert_eq!(
         physical_image(db2.catalog()),
         live_image,
@@ -324,27 +412,18 @@ fn durable_reopen_is_bitwise_identical_for_every_algorithm() {
     use vertexica_algorithms::vc::{LabelPropagation, RandomWalkWithRestart};
     let graph =
         rmat_graph(&RmatConfig { scale: 6, num_edges: 400, seed: 13, ..Default::default() });
-    assert_durable_reopen_is_bitwise_identical(
-        &graph,
-        "pagerank",
-        Arc::new(PageRank::new(6, 0.85)),
-    );
-    assert_durable_reopen_is_bitwise_identical(&graph, "sssp", Arc::new(Sssp::new(0)));
-    assert_durable_reopen_is_bitwise_identical(
-        &graph.undirected(),
-        "cc",
-        Arc::new(ConnectedComponents),
-    );
-    assert_durable_reopen_is_bitwise_identical(
-        &graph,
-        "rwr",
-        Arc::new(RandomWalkWithRestart::new(0, 10)),
-    );
-    assert_durable_reopen_is_bitwise_identical(
-        &graph.undirected(),
-        "lp",
-        Arc::new(LabelPropagation::new(6)),
-    );
+    let undirected = graph.undirected();
+    for store in [Store::Durable, Store::Budget256KiB] {
+        let pagerank = Arc::new(PageRank::new(6, 0.85));
+        assert_durable_reopen_is_bitwise_identical(store, &graph, "pagerank", pagerank);
+        assert_durable_reopen_is_bitwise_identical(store, &graph, "sssp", Arc::new(Sssp::new(0)));
+        let cc = Arc::new(ConnectedComponents);
+        assert_durable_reopen_is_bitwise_identical(store, &undirected, "cc", cc);
+        let rwr = Arc::new(RandomWalkWithRestart::new(0, 10));
+        assert_durable_reopen_is_bitwise_identical(store, &graph, "rwr", rwr);
+        let lp = Arc::new(LabelPropagation::new(6));
+        assert_durable_reopen_is_bitwise_identical(store, &undirected, "lp", lp);
+    }
 }
 
 #[test]
@@ -364,28 +443,32 @@ fn streaming_stats_report_bounded_peak_bytes() {
     // it must still arrive as several chunks for the bound to mean anything.)
     let config =
         VertexicaConfig::default().with_combiner(false).with_workers(4).with_stream_chunk_rows(64);
-    let session = session_for(&graph);
-    let stats = run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap();
-    assert!(stats.supersteps >= 2);
-    for s in &stats.per_superstep {
-        assert!(s.input_bytes > 0, "superstep {} reported no input", s.superstep);
-        assert!(
-            s.peak_batch_bytes < s.input_bytes,
-            "superstep {}: streaming peak {} should stay strictly below the \
-             whole input size {}",
-            s.superstep,
-            s.peak_batch_bytes,
-            s.input_bytes
-        );
-        assert!(
-            s.peak_resident_scan_bytes > 0 && s.peak_resident_scan_bytes < s.input_bytes,
-            "superstep {}: the pull-based scan's resident gauge {} should stay \
-             strictly below the whole input size {}",
-            s.superstep,
-            s.peak_resident_scan_bytes,
-            s.input_bytes
-        );
-        assert!(s.queue_wait_secs >= 0.0);
+    for store in STORES {
+        let session = session_for(store, &graph);
+        let stats =
+            run_program(&session, Arc::new(PageRank::new(5, 0.85)), &store.config(config.clone()))
+                .unwrap();
+        assert!(stats.supersteps >= 2);
+        for s in &stats.per_superstep {
+            assert!(s.input_bytes > 0, "{store:?} superstep {} reported no input", s.superstep);
+            assert!(
+                s.peak_batch_bytes < s.input_bytes,
+                "{store:?} superstep {}: streaming peak {} should stay strictly below the \
+                 whole input size {}",
+                s.superstep,
+                s.peak_batch_bytes,
+                s.input_bytes
+            );
+            assert!(
+                s.peak_resident_scan_bytes > 0 && s.peak_resident_scan_bytes < s.input_bytes,
+                "{store:?} superstep {}: the pull-based scan's resident gauge {} should stay \
+                 strictly below the whole input size {}",
+                s.superstep,
+                s.peak_resident_scan_bytes,
+                s.input_bytes
+            );
+            assert!(s.queue_wait_secs >= 0.0);
+        }
     }
 }
 
@@ -437,13 +520,19 @@ struct CellResult {
     per_superstep: Vec<(usize, usize, bool)>, // (messages, vertex_changes, replaced)
 }
 
-fn run_cell<P, F>(graph: &EdgeList, make_program: F, config: &VertexicaConfig) -> CellResult
+fn run_cell<P, F>(
+    store: Store,
+    graph: &EdgeList,
+    make_program: F,
+    config: &VertexicaConfig,
+) -> CellResult
 where
     P: vertexica_common::VertexProgram + 'static,
     F: Fn() -> P,
 {
-    let session = session_for(graph);
-    let stats = run_program(&session, Arc::new(make_program()), config).unwrap();
+    let session = session_for(store, graph);
+    let stats =
+        run_program(&session, Arc::new(make_program()), &store.config(config.clone())).unwrap();
     CellResult {
         vertex_bits: vertex_table_bits(&session),
         message_bits: message_table_bits(&session),
@@ -461,36 +550,64 @@ where
 /// {TableUnion, ThreeWayJoin} input × `replace_threshold` {0, 1.01} ×
 /// {1 worker / 1 partition, 8 workers / 64 partitions}, with the combiner on
 /// and off, must leave **bitwise-identical** vertex tables, message tables
-/// and per-superstep message and vertex-change counts. With the combiner on, workers fold messages
-/// per compute partition, so those cells are compared at equal
-/// worker/partition counts only.
+/// and per-superstep message and vertex-change counts. With the combiner on,
+/// workers fold messages per compute partition, so those cells are compared
+/// at equal worker/partition counts only. One test per [`Store`], so the
+/// three run in parallel; each durable store's reference cells are also held
+/// to the in-memory store's.
 #[test]
 fn input_mode_apply_arm_and_parallelism_are_bitwise_invariant() {
+    invariance_matrix(Store::Memory);
+}
+
+#[test]
+fn input_mode_apply_arm_and_parallelism_are_bitwise_invariant_durable() {
+    invariance_matrix(Store::Durable);
+}
+
+#[test]
+fn input_mode_apply_arm_and_parallelism_are_bitwise_invariant_budgeted() {
+    invariance_matrix(Store::Budget256KiB);
+}
+
+fn invariance_matrix(store: Store) {
     use vertexica_algorithms::vc::{LabelPropagation, RandomWalkWithRestart};
     let (graph, undirected) = invariance_graphs();
 
     // (name, runner): each runner executes one cell for its algorithm.
-    type Cell<'a> = Box<dyn Fn(&VertexicaConfig) -> CellResult + 'a>;
+    type Cell<'a> = Box<dyn Fn(Store, &VertexicaConfig) -> CellResult + 'a>;
     let capped = |config: &VertexicaConfig, cap: u64| config.clone().with_max_supersteps(cap);
     let algorithms: Vec<(&str, Cell)> = vec![
-        ("pagerank", Box::new(|c| run_cell(&graph, || PageRank::new(6, 0.85), c))),
+        ("pagerank", Box::new(|st, c| run_cell(st, &graph, || PageRank::new(6, 0.85), c))),
         (
             "pagerank-midflight",
-            Box::new(|c| run_cell(&graph, || PageRank::new(6, 0.85), &capped(c, 3))),
+            Box::new(|st, c| run_cell(st, &graph, || PageRank::new(6, 0.85), &capped(c, 3))),
         ),
-        ("sssp", Box::new(|c| run_cell(&graph, || Sssp::new(0), c))),
-        ("connected-components", Box::new(|c| run_cell(&undirected, || ConnectedComponents, c))),
+        ("sssp", Box::new(|st, c| run_cell(st, &graph, || Sssp::new(0), c))),
+        (
+            "connected-components",
+            Box::new(|st, c| run_cell(st, &undirected, || ConnectedComponents, c)),
+        ),
         (
             "cc-midflight",
-            Box::new(|c| run_cell(&undirected, || ConnectedComponents, &capped(c, 2))),
+            Box::new(|st, c| run_cell(st, &undirected, || ConnectedComponents, &capped(c, 2))),
         ),
         (
             "random-walk-with-restart",
-            Box::new(|c| run_cell(&graph, || RandomWalkWithRestart::new(0, 8), c)),
+            Box::new(|st, c| run_cell(st, &graph, || RandomWalkWithRestart::new(0, 8), c)),
         ),
-        ("label-propagation", Box::new(|c| run_cell(&undirected, || LabelPropagation::new(6), c))),
+        (
+            "label-propagation",
+            Box::new(|st, c| run_cell(st, &undirected, || LabelPropagation::new(6), c)),
+        ),
     ];
 
+    // Which apply arm ran is a knob under test; everything it wrote is not.
+    let written = |r: &CellResult| {
+        let outcomes: Vec<(usize, usize)> =
+            r.per_superstep.iter().map(|&(m, v, _)| (m, v)).collect();
+        (r.vertex_bits.clone(), r.message_bits.clone(), outcomes)
+    };
     for (name, cell) in &algorithms {
         for combiner in [false, true] {
             let mut reference: Option<CellResult> = None;
@@ -506,26 +623,22 @@ fn input_mode_apply_arm_and_parallelism_are_bitwise_invariant() {
                             .with_combiner(combiner)
                             .with_input_mode(mode)
                             .with_replace_threshold(threshold);
-                        let result = cell(&config);
+                        let what = format!(
+                            "{name}: cell ({store:?}, combiner={combiner}, {workers} workers / \
+                             {partitions} partitions, {mode:?}, replace_threshold={threshold})"
+                        );
+                        let result = cell(store, &config);
                         let Some(expected) = &reference else {
-                            assert!(!result.vertex_bits.is_empty(), "{name}: empty vertex table");
+                            assert!(!result.vertex_bits.is_empty(), "{what}: no vertices");
+                            if store != Store::Memory {
+                                let memory = cell(Store::Memory, &config);
+                                let diverged = format!("{what} diverged from the in-memory store");
+                                assert_eq!(written(&memory), written(&result), "{diverged}");
+                            }
                             reference = Some(result);
                             continue;
                         };
-                        // Which apply arm ran is the knob under test;
-                        // everything it wrote is not.
-                        let written = |r: &CellResult| {
-                            let outcomes: Vec<(usize, usize)> =
-                                r.per_superstep.iter().map(|&(m, v, _)| (m, v)).collect();
-                            (r.vertex_bits.clone(), r.message_bits.clone(), outcomes)
-                        };
-                        assert_eq!(
-                            written(expected),
-                            written(&result),
-                            "{name}: cell (combiner={combiner}, {workers} workers / \
-                             {partitions} partitions, {mode:?}, replace_threshold={threshold}) \
-                             diverged"
-                        );
+                        assert_eq!(written(expected), written(&result), "{what} diverged");
                     }
                 }
             }
@@ -546,8 +659,7 @@ where
     let run = |budget: Option<usize>| {
         let dir = unique_durable_dir(tag);
         let db = Arc::new(Database::open(&dir).expect("open durable"));
-        // Pin the pool (the VERTEXICA_MEMORY_BUDGET CI mode would otherwise
-        // budget the "unbounded" reference too).
+        // Budgeted from before the load, as the budgeted store is.
         db.catalog().buffer_pool().set_budget(budget);
         let session = GraphSession::create(db.clone(), "g").expect("create");
         session.load_edges(graph).expect("load");
@@ -634,13 +746,12 @@ fn over_budget_pagerank_completes_with_bounded_residency() {
     // Unbounded durable reference.
     let ref_dir = unique_durable_dir("oc-ref");
     let ref_db = Arc::new(Database::open(&ref_dir).expect("open durable"));
-    ref_db.catalog().buffer_pool().set_budget(None);
     let ref_session = GraphSession::create(ref_db.clone(), "g").expect("create");
     load_edges_finely_segmented(&ref_session, &graph);
     run_program(
         &ref_session,
         Arc::new(PageRank::new(6, 0.85)),
-        &VertexicaConfig::default().with_durable(true).with_memory_budget(None),
+        &VertexicaConfig::default().with_durable(true),
     )
     .unwrap();
     let ref_vertex = vertex_table_bits(&ref_session);
@@ -649,7 +760,6 @@ fn over_budget_pagerank_completes_with_bounded_residency() {
     // the pool well below it.
     let dir = unique_durable_dir("oc-budget");
     let db = Arc::new(Database::open(&dir).expect("open durable"));
-    db.catalog().buffer_pool().set_budget(None);
     let session = GraphSession::create(db.clone(), "g").expect("create");
     load_edges_finely_segmented(&session, &graph);
     db.checkpoint().unwrap();
@@ -699,17 +809,21 @@ fn join_mode_seals_partitions_and_dispatches_early() {
         .with_partitions(partitions)
         .with_input_mode(InputMode::ThreeWayJoin)
         .with_stream_chunk_rows(128);
-    let session = session_for(&graph);
-    let stats = run_program(&session, Arc::new(PageRank::new(4, 0.85)), &config).unwrap();
-    for s in &stats.per_superstep {
-        assert!(s.early_dispatches <= partitions, "superstep {}: {s:?}", s.superstep);
-    }
-
-    // And the sealed-join run still computes the right answer.
     let expected = reference::pagerank(&graph, 4, 0.85);
-    let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-    for (id, rank) in &vx {
-        assert!((rank - expected[*id as usize]).abs() < 1e-9, "vertex {id}");
+    for store in STORES {
+        let session = session_for(store, &graph);
+        let stats =
+            run_program(&session, Arc::new(PageRank::new(4, 0.85)), &store.config(config.clone()))
+                .unwrap();
+        for s in &stats.per_superstep {
+            assert!(s.early_dispatches <= partitions, "{store:?} superstep {}: {s:?}", s.superstep);
+        }
+
+        // And the sealed-join run still computes the right answer.
+        let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+        for (id, rank) in &vx {
+            assert!((rank - expected[*id as usize]).abs() < 1e-9, "{store:?} vertex {id}");
+        }
     }
 }
 
@@ -729,25 +843,29 @@ fn dense_supersteps_report_genuine_compute_assemble_overlap() {
         // Small chunks give the dispatcher real scatter granularity, so
         // partitions seal (and compute) while later chunks still stream.
         .with_stream_chunk_rows(128);
-    let session = session_for(&graph);
-    let stats = run_program(&session, Arc::new(PageRank::new(4, 0.85)), &config).unwrap();
-    assert!(stats.supersteps >= 3);
-    for s in &stats.per_superstep {
-        assert!(s.overlap_secs >= 0.0, "{s:?}");
-        assert!(s.overlap_secs <= s.compute_secs * workers as f64, "{s:?}");
-        assert!(s.early_dispatches <= partitions, "{s:?}");
-    }
     let expected = reference::pagerank(&graph, 4, 0.85);
-    let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-    for (id, rank) in &vx {
-        assert!((rank - expected[*id as usize]).abs() < 1e-9, "vertex {id}");
+    for store in STORES {
+        let session = session_for(store, &graph);
+        let stats =
+            run_program(&session, Arc::new(PageRank::new(4, 0.85)), &store.config(config.clone()))
+                .unwrap();
+        assert!(stats.supersteps >= 3);
+        for s in &stats.per_superstep {
+            assert!(s.overlap_secs >= 0.0, "{store:?} {s:?}");
+            assert!(s.overlap_secs <= s.compute_secs * workers as f64, "{store:?} {s:?}");
+            assert!(s.early_dispatches <= partitions, "{store:?} {s:?}");
+        }
+        let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+        for (id, rank) in &vx {
+            assert!((rank - expected[*id as usize]).abs() < 1e-9, "{store:?} vertex {id}");
+        }
     }
 }
 
 #[test]
 fn pool_metrics_grow_monotonically_across_supersteps() {
     let graph = erdos_renyi(200, 1200, 3);
-    let session = session_for(&graph);
+    let session = session_for(Store::Memory, &graph);
     let pool = session.db().runtime().clone();
     let before = pool.metrics();
     let stats = run_program(
@@ -776,18 +894,26 @@ use vertexica::shard::{
     repair_if_needed, resume_sharded, run_sharded, ShardedDatabase, ShardedGraphSession,
 };
 
-/// A sharded session over `graph`; durable (one WAL directory per shard)
-/// when the durability CI mode is active, in-memory otherwise — mirroring
-/// [`session_for`].
-fn sharded_session_for(graph: &EdgeList, shards: usize) -> ShardedGraphSession {
-    let db = if vertexica::config::durable_default() {
-        ShardedDatabase::create(unique_durable_dir("shard"), shards).expect("create durable shards")
+/// `graph` loaded into a fresh `shards`-shard session in `store` (one WAL
+/// directory per shard when durable) — the sharded [`session_for`].
+fn sharded_session_for(
+    store: Store,
+    graph: &EdgeList,
+    shards: usize,
+) -> InStore<ShardedGraphSession> {
+    let (db, dir) = if store == Store::Memory {
+        (ShardedDatabase::new(shards), None)
     } else {
-        ShardedDatabase::new(shards)
+        let dir = unique_durable_dir("shard");
+        let db = ShardedDatabase::create(&dir, shards).expect("create durable shards");
+        for shard in db.shards() {
+            shard.catalog().buffer_pool().set_budget(store.budget());
+        }
+        (db, Some(dir))
     };
     let ss = ShardedGraphSession::create(db, "g").expect("create");
     ss.load_edges(graph).expect("load");
-    ss
+    InStore { inner: ss, _dir: TempDir(dir) }
 }
 
 /// The merged vertex table across every shard, bit for bit, canonicalized —
@@ -829,6 +955,7 @@ fn shard_cell_config(cap: u64) -> VertexicaConfig {
 }
 
 fn run_shard_cell<P, F>(
+    store: Store,
     graph: &EdgeList,
     make_program: F,
     shards: usize,
@@ -838,8 +965,9 @@ where
     P: vertexica_common::VertexProgram + 'static,
     F: Fn() -> P,
 {
-    let ss = sharded_session_for(graph, shards);
-    let stats = run_sharded(&ss, Arc::new(make_program()), &shard_cell_config(cap)).unwrap();
+    let ss = sharded_session_for(store, graph, shards);
+    let config = store.config(shard_cell_config(cap));
+    let stats = run_sharded(&ss, Arc::new(make_program()), &config).unwrap();
     let cell = CellResult {
         vertex_bits: sharded_vertex_bits(&ss),
         message_bits: sharded_message_bits(&ss),
@@ -855,7 +983,8 @@ where
 
 /// The sharded equivalence matrix: every vertex-centric algorithm —
 /// including the mid-flight (superstep-capped) cells whose message tables
-/// are non-empty — run on 1, 2 and 4 shards must produce bitwise-identical
+/// are non-empty — run on 1, 2 and 4 shards in every [`Store`] must produce
+/// bitwise-identical
 /// merged vertex tables, merged message tables, message counts and
 /// per-superstep outcomes. The N ≥ 2 cells must also show genuine
 /// cross-shard traffic (`remote_messages`, `routed_bytes`) and cross-shard
@@ -868,67 +997,74 @@ fn sharded_execution_is_bitwise_identical_for_every_algorithm() {
         rmat_graph(&RmatConfig { scale: 6, num_edges: 400, seed: 23, ..Default::default() });
     let undirected = graph.undirected();
 
-    type ShardCell = Box<dyn Fn(usize) -> (CellResult, vertexica::RunStats)>;
+    type ShardCell = Box<dyn Fn(Store, usize) -> (CellResult, vertexica::RunStats)>;
     let algorithms: Vec<(&str, ShardCell)> = vec![
         ("pagerank", {
             let g = graph.clone();
-            Box::new(move |n| run_shard_cell(&g, || PageRank::new(6, 0.85), n, 10_000))
+            Box::new(move |st, n| run_shard_cell(st, &g, || PageRank::new(6, 0.85), n, 10_000))
         }),
         ("pagerank-midflight", {
             let g = graph.clone();
-            Box::new(move |n| run_shard_cell(&g, || PageRank::new(6, 0.85), n, 3))
+            Box::new(move |st, n| run_shard_cell(st, &g, || PageRank::new(6, 0.85), n, 3))
         }),
         ("sssp", {
             let g = graph.clone();
-            Box::new(move |n| run_shard_cell(&g, || Sssp::new(0), n, 10_000))
+            Box::new(move |st, n| run_shard_cell(st, &g, || Sssp::new(0), n, 10_000))
         }),
         ("connected-components", {
             let g = undirected.clone();
-            Box::new(move |n| run_shard_cell(&g, || ConnectedComponents, n, 10_000))
+            Box::new(move |st, n| run_shard_cell(st, &g, || ConnectedComponents, n, 10_000))
         }),
         ("cc-midflight", {
             let g = undirected.clone();
-            Box::new(move |n| run_shard_cell(&g, || ConnectedComponents, n, 2))
+            Box::new(move |st, n| run_shard_cell(st, &g, || ConnectedComponents, n, 2))
         }),
         ("random-walk-with-restart", {
             let g = graph.clone();
-            Box::new(move |n| run_shard_cell(&g, || RandomWalkWithRestart::new(0, 8), n, 10_000))
+            Box::new(move |st, n| {
+                run_shard_cell(st, &g, || RandomWalkWithRestart::new(0, 8), n, 10_000)
+            })
         }),
         ("label-propagation", {
             let g = undirected.clone();
-            Box::new(move |n| run_shard_cell(&g, || LabelPropagation::new(6), n, 10_000))
+            Box::new(move |st, n| run_shard_cell(st, &g, || LabelPropagation::new(6), n, 10_000))
         }),
     ];
 
     for (name, cell) in &algorithms {
-        let (reference, ref_stats) = cell(1);
+        let (reference, _) = cell(Store::Memory, 1);
         assert!(!reference.vertex_bits.is_empty(), "{name}: empty vertex table");
-        // A 1-shard run never routes.
-        assert!(
-            ref_stats.per_superstep.iter().all(|s| s.remote_messages == 0 && s.routed_bytes == 0),
-            "{name}: the 1-shard cell must not report cross-shard traffic"
-        );
-        for n in [2usize, 4] {
-            let (other, stats) = cell(n);
-            assert_eq!(
-                reference, other,
-                "{name}: {n}-shard run diverged from the 1-shard reference"
-            );
-            let remote: u64 = stats.per_superstep.iter().map(|s| s.remote_messages).sum();
-            let routed: u64 = stats.per_superstep.iter().map(|s| s.routed_bytes).sum();
-            assert!(remote > 0, "{name}: {n} shards exchanged no rows — not actually sharded");
-            assert!(routed > 0, "{name}: {n} shards routed rows but tracked no bytes");
-            assert!(
-                stats.per_superstep.iter().all(|s| s.shard_skew >= 1.0),
-                "{name}: shard skew is a max/mean ratio and can never be below 1"
-            );
-            if *name == "pagerank" {
-                let early: usize = stats.per_superstep.iter().map(|s| s.early_dispatches).sum();
-                assert!(
-                    early > 0,
-                    "{name}: {n} shards: no partition sealed from the summed prescan counts \
-                     before end-of-stream"
+        for store in STORES {
+            for n in [1usize, 2, 4] {
+                let (other, stats) = cell(store, n);
+                assert_eq!(
+                    reference, other,
+                    "{name}: {store:?} {n}-shard run diverged from the in-memory 1-shard one"
                 );
+                let remote: u64 = stats.per_superstep.iter().map(|s| s.remote_messages).sum();
+                let routed: u64 = stats.per_superstep.iter().map(|s| s.routed_bytes).sum();
+                if n == 1 {
+                    // A 1-shard run never routes.
+                    assert_eq!((remote, routed), (0, 0), "{name}: {store:?} 1-shard cell routed");
+                    continue;
+                }
+                assert!(remote > 0, "{name}: {store:?} {n} shards exchanged no rows");
+                assert!(
+                    routed > 0,
+                    "{name}: {store:?} {n} shards routed rows but tracked no bytes"
+                );
+                assert!(
+                    stats.per_superstep.iter().all(|s| s.shard_skew >= 1.0),
+                    "{name}: shard skew is a max/mean ratio and can never be below 1"
+                );
+                if *name == "pagerank" {
+                    let early: usize = stats.per_superstep.iter().map(|s| s.early_dispatches).sum();
+                    assert!(
+                        early > 0,
+                        "{name}: {store:?} {n} shards: no partition sealed from the summed \
+                         prescan counts before end-of-stream"
+                    );
+                }
             }
         }
     }
@@ -936,29 +1072,34 @@ fn sharded_execution_is_bitwise_identical_for_every_algorithm() {
 
 /// Mid-flight resume across shards: a 2-shard run capped at 3 supersteps,
 /// resumed from the superstep its shards' stamps name to completion, must
-/// land bitwise-identical to the uninterrupted 1-shard reference.
+/// land bitwise-identical to the uninterrupted 1-shard reference, in every
+/// store.
 #[test]
 fn sharded_checkpoint_resume_is_bitwise_identical() {
     let graph =
         rmat_graph(&RmatConfig { scale: 6, num_edges: 400, seed: 29, ..Default::default() });
-    let (reference, _) = run_shard_cell(&graph, || PageRank::new(6, 0.85), 1, 10_000);
+    let (reference, _) =
+        run_shard_cell(Store::Memory, &graph, || PageRank::new(6, 0.85), 1, 10_000);
 
-    let ss = sharded_session_for(&graph, 2);
-    run_sharded(&ss, Arc::new(PageRank::new(6, 0.85)), &shard_cell_config(3)).unwrap();
-    assert_eq!(ss.stamps().unwrap(), vec![Some(2), Some(2)], "the cap stamps superstep 2");
-    let resumed =
-        resume_sharded(&ss, Arc::new(PageRank::new(6, 0.85)), &shard_cell_config(10_000)).unwrap();
-    assert!(resumed.supersteps > 0, "the capped run must have left supersteps to resume");
-    assert_eq!(
-        sharded_vertex_bits(&ss),
-        reference.vertex_bits,
-        "resumed sharded vertex table diverged from the 1-shard reference"
-    );
-    assert_eq!(
-        sharded_message_bits(&ss),
-        reference.message_bits,
-        "resumed sharded message table diverged from the 1-shard reference"
-    );
+    for store in STORES {
+        let ss = sharded_session_for(store, &graph, 2);
+        let capped = store.config(shard_cell_config(3));
+        run_sharded(&ss, Arc::new(PageRank::new(6, 0.85)), &capped).unwrap();
+        assert_eq!(ss.stamps().unwrap(), vec![Some(2), Some(2)], "{store:?}: the cap stamps 2");
+        let rest = store.config(shard_cell_config(10_000));
+        let resumed = resume_sharded(&ss, Arc::new(PageRank::new(6, 0.85)), &rest).unwrap();
+        assert!(resumed.supersteps > 0, "{store:?}: the capped run left nothing to resume");
+        assert_eq!(
+            sharded_vertex_bits(&ss),
+            reference.vertex_bits,
+            "{store:?}: resumed sharded vertex table diverged from the 1-shard reference"
+        );
+        assert_eq!(
+            sharded_message_bits(&ss),
+            reference.message_bits,
+            "{store:?}: resumed sharded message table diverged from the 1-shard reference"
+        );
+    }
 }
 
 /// Loads `graph` into a sharded session with the edge table split across
@@ -1010,11 +1151,6 @@ fn sharded_memory_budget_bounds_summed_residency() {
     let graph = erdos_renyi(400, 3200, 9);
     let dir = unique_durable_dir("shard_budget");
     let db = ShardedDatabase::create(&dir, 2).expect("create durable shards");
-    // Pin the pools while measuring (the VERTEXICA_MEMORY_BUDGET CI mode
-    // would otherwise shrink the measured footprint).
-    for d in db.shards() {
-        d.catalog().buffer_pool().set_budget(None);
-    }
     let ss = ShardedGraphSession::create(db.clone(), "g").expect("create");
     load_edges_finely_segmented_sharded(&ss, &graph);
     ss.checkpoint().unwrap();
@@ -1089,10 +1225,25 @@ fn stamp_ring() -> EdgeList {
 /// uninterrupted run capped at the same boundary. Repair is idempotent.
 #[test]
 fn sharded_crash_injection_repairs_to_the_common_boundary() {
+    for store in [Store::Durable, Store::Budget256KiB] {
+        sharded_crash_injection_repairs(store);
+    }
+}
+
+fn sharded_crash_injection_repairs(store: Store) {
     let graph = stamp_ring();
     let cap = 12u64;
-    let config =
-        VertexicaConfig::default().with_workers(2).with_partitions(8).with_max_supersteps(cap);
+    let config = store.config(
+        VertexicaConfig::default().with_workers(2).with_partitions(8).with_max_supersteps(cap),
+    );
+    // Each shard's pool budgeted from before the load, as in `sharded_session_for`.
+    let create = |dir: &std::path::Path| {
+        let db = ShardedDatabase::create(dir, 2).expect("create");
+        for shard in db.shards() {
+            shard.catalog().buffer_pool().set_budget(store.budget());
+        }
+        db
+    };
 
     // Measurement run: how many durable bytes does shard 1 write in total,
     // and how many before the superstep loop starts? (Byte streams are
@@ -1101,7 +1252,7 @@ fn sharded_crash_injection_repairs_to_the_common_boundary() {
     let pre_bytes;
     let total_bytes;
     {
-        let db = ShardedDatabase::create(&dir_a, 2).expect("create");
+        let db = create(&dir_a);
         let ss = ShardedGraphSession::create(db.clone(), "g").expect("create");
         ss.load_edges(&graph).expect("load");
         let d = db.shard(1).durability_stats().unwrap();
@@ -1117,7 +1268,7 @@ fn sharded_crash_injection_repairs_to_the_common_boundary() {
     // exhausts roughly halfway through the superstep commits.
     let dir = unique_durable_dir("shard_crash");
     {
-        let db = ShardedDatabase::create(&dir, 2).expect("create");
+        let db = create(&dir);
         let ss = ShardedGraphSession::create(db.clone(), "g").expect("create");
         ss.load_edges(&graph).expect("load");
         let d = db.shard(1).durability_stats().unwrap();
@@ -1157,7 +1308,7 @@ fn sharded_crash_injection_repairs_to_the_common_boundary() {
     // Bitwise: the repaired database equals an uninterrupted run capped at
     // the same boundary.
     let dir_c = unique_durable_dir("shard_crash_cap");
-    let db_c = ShardedDatabase::create(&dir_c, 2).expect("create");
+    let db_c = create(&dir_c);
     let ss_c = ShardedGraphSession::create(db_c.clone(), "g").expect("create");
     ss_c.load_edges(&graph).expect("load");
     run_sharded(

@@ -78,11 +78,7 @@ fn run<P: VertexProgram<Value = f64> + 'static>(
     base: u64,
     program: P,
 ) -> (Vec<f64>, RunStats) {
-    let config = VertexicaConfig::default()
-        .with_workers(2)
-        .with_partitions(4)
-        .with_durable(false)
-        .with_memory_budget(None);
+    let config = VertexicaConfig::default().with_workers(2).with_partitions(4);
     let dir = durable_dir();
     let (values, stats) = match cell {
         Cell::TwoShards => {
@@ -94,8 +90,6 @@ fn run<P: VertexProgram<Value = f64> + 'static>(
         _ => {
             let durable = matches!(cell, Cell::Durable | Cell::Budget256KiB);
             let db = if durable { Database::open(&dir).unwrap() } else { Database::new() };
-            // Pinned: the out-of-core CI mode budgets every new pool by default.
-            db.catalog().buffer_pool().set_budget(None);
             let g = GraphSession::create(Arc::new(db), "g").unwrap();
             load(std::slice::from_ref(&g), graph, base);
             let config = match cell {

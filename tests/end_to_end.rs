@@ -87,6 +87,24 @@ fn durable_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The durable scenarios' two cases, as `(pool budget, run config)`: the
+/// database as opened, and its buffer pool capped at one byte from before
+/// the load under a durable run — which checkpoints, so every cold segment
+/// evicts and reloads, and streams edge rows instead of reading the
+/// projection.
+fn durable_cases() -> [(Option<usize>, VertexicaConfig); 2] {
+    let budget = Some(1);
+    let budgeted = VertexicaConfig::default().with_durable(true).with_memory_budget(budget);
+    [(None, VertexicaConfig::default()), (budget, budgeted)]
+}
+
+/// Opens `dir` as a durable database with its pool capped at `budget`.
+fn open_durable(dir: &std::path::Path, budget: Option<usize>) -> Arc<Database> {
+    let db = Database::open(dir).unwrap();
+    db.catalog().buffer_pool().set_budget(budget);
+    Arc::new(db)
+}
+
 /// The process that ran supersteps 0..=3 is lost after its last commit;
 /// a new one reopens the durable database and resumes from the stamp that
 /// commit carried, landing bitwise on the uninterrupted run.
@@ -94,21 +112,6 @@ fn durable_dir(tag: &str) -> std::path::PathBuf {
 fn checkpoint_failure_injection_and_resume() {
     let graph = erdos_renyi(40, 160, 8);
     let program = Arc::new(PageRank::new(8, 0.85));
-    let dir = durable_dir("ckpt");
-    {
-        let db = Arc::new(Database::open(&dir).unwrap());
-        let session = GraphSession::create(db, "ck").unwrap();
-        session.load_edges(&graph).unwrap();
-        let config = VertexicaConfig::default().with_max_supersteps(4);
-        run_program(&session, program.clone(), &config).unwrap();
-    }
-
-    let db = Arc::new(Database::open(&dir).unwrap());
-    let session = GraphSession::open(db, "ck").unwrap();
-    let stats = resume_program(&session, program, &VertexicaConfig::default()).unwrap();
-    assert_eq!(stats.supersteps, 5, "supersteps 4..=8 remain after the cap");
-    let resumed: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-
     let fresh_session = GraphSession::create(Arc::new(Database::new()), "ck2").unwrap();
     fresh_session.load_edges(&graph).unwrap();
     run_program(&fresh_session, Arc::new(PageRank::new(8, 0.85)), &VertexicaConfig::default())
@@ -116,9 +119,23 @@ fn checkpoint_failure_injection_and_resume() {
     let fresh: Vec<(VertexId, f64)> = fresh_session.vertex_values().unwrap();
     let bits =
         |v: &[(VertexId, f64)]| v.iter().map(|(id, r)| (*id, r.to_bits())).collect::<Vec<_>>();
-    assert_eq!(bits(&resumed), bits(&fresh), "resumed ranks diverged from the uninterrupted run");
-    drop(session);
-    std::fs::remove_dir_all(&dir).ok();
+
+    for (budget, config) in durable_cases() {
+        let dir = durable_dir("ckpt");
+        {
+            let session = GraphSession::create(open_durable(&dir, budget), "ck").unwrap();
+            session.load_edges(&graph).unwrap();
+            run_program(&session, program.clone(), &config.clone().with_max_supersteps(4)).unwrap();
+        }
+
+        let session = GraphSession::open(open_durable(&dir, budget), "ck").unwrap();
+        let stats = resume_program(&session, program.clone(), &config).unwrap();
+        assert_eq!(stats.supersteps, 5, "{budget:?}: supersteps 4..=8 remain after the cap");
+        let resumed: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+        assert_eq!(bits(&resumed), bits(&fresh), "{budget:?}: resumed ranks diverged");
+        drop(session);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -182,28 +199,27 @@ fn stored_procedure_deployment() {
 /// nothing left to run and leaves the vertex table as it was.
 #[test]
 fn checkpoint_save_restore_api() {
-    let dir = durable_dir("api");
-    let before: Vec<(VertexId, f64)> = {
-        let db = Arc::new(Database::open(&dir).unwrap());
-        let session = GraphSession::create(db, "ckapi").unwrap();
-        session.load_edges(&erdos_renyi(20, 60, 1)).unwrap();
-        run_program(&session, Arc::new(PageRank::new(3, 0.85)), &VertexicaConfig::default())
-            .unwrap();
-        session.vertex_values().unwrap()
-    };
+    for (budget, config) in durable_cases() {
+        let dir = durable_dir("api");
+        let before: Vec<(VertexId, f64)> = {
+            let session = GraphSession::create(open_durable(&dir, budget), "ckapi").unwrap();
+            session.load_edges(&erdos_renyi(20, 60, 1)).unwrap();
+            run_program(&session, Arc::new(PageRank::new(3, 0.85)), &config).unwrap();
+            session.vertex_values().unwrap()
+        };
 
-    let db = Arc::new(Database::open(&dir).unwrap());
-    let session = GraphSession::open(db.clone(), "ckapi").unwrap();
-    assert_eq!(session.vertex_values::<f64>().unwrap(), before);
-    assert_eq!(db.query_int("SELECT value FROM ckapi_stamp WHERE key = 'superstep'").unwrap(), 3);
-    let stats =
-        resume_program(&session, Arc::new(PageRank::new(3, 0.85)), &VertexicaConfig::default())
-            .unwrap();
-    assert_eq!(stats.supersteps, 0, "a finished run has nothing to resume");
-    assert_eq!(session.vertex_values::<f64>().unwrap(), before);
-    drop(session);
-    drop(db);
-    std::fs::remove_dir_all(&dir).ok();
+        let db = open_durable(&dir, budget);
+        let session = GraphSession::open(db.clone(), "ckapi").unwrap();
+        assert_eq!(session.vertex_values::<f64>().unwrap(), before, "{budget:?}");
+        let stamped = db.query_int("SELECT value FROM ckapi_stamp WHERE key = 'superstep'");
+        assert_eq!(stamped.unwrap(), 3, "{budget:?}");
+        let stats = resume_program(&session, Arc::new(PageRank::new(3, 0.85)), &config).unwrap();
+        assert_eq!(stats.supersteps, 0, "{budget:?}: a finished run has nothing to resume");
+        assert_eq!(session.vertex_values::<f64>().unwrap(), before, "{budget:?}");
+        drop(session);
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Dynamic graphs through the edge projection: every kind of edge-table DML
@@ -216,10 +232,7 @@ fn edge_mutations_between_runs_rebuild_the_projection() {
     let mut graph = erdos_renyi(40, 160, 33);
     let session = GraphSession::create(Arc::new(Database::new()), "dyn").unwrap();
     session.load_edges(&graph).unwrap();
-    // Pinned: a budgeted buffer pool (the out-of-core CI mode budgets every
-    // pool by default) makes a run stream edge rows and build no projection.
-    session.db().catalog().buffer_pool().set_budget(None);
-    let config = VertexicaConfig::default().with_memory_budget(None);
+    let config = VertexicaConfig::default();
 
     // One PageRank run (does it build?) and one SSSP run on the same state
     // (a cache hit), both against the reference.

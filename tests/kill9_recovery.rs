@@ -22,6 +22,10 @@
 //! * the run resumes from the recovered superstep: `resume_program` /
 //!   `resume_sharded` capped `RESUMED` supersteps later leaves every vertex
 //!   stamped with the boundary plus `RESUMED`.
+//!
+//! Each scenario also runs with every buffer pool capped at one byte (the
+//! parent writes the budget into the directory's `BUDGET` file for the
+//! child), so the killed run and the recovery evict and reload segments.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -83,12 +87,40 @@ fn ring() -> EdgeList {
     EdgeList::from_pairs(pairs)
 }
 
+/// Creates the scenario directory, recording `budget` for the child.
+fn scenario_dir(tag: &str, budget: Option<usize>) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "vx_kill9_{tag}_{}_{:x}",
+        std::process::id(),
+        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+            as u64
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    if let Some(bytes) = budget {
+        std::fs::write(dir.join("BUDGET"), bytes.to_string()).unwrap();
+    }
+    dir
+}
+
+/// The budget [`scenario_dir`] recorded in `dir`.
+fn recorded_budget(dir: &Path) -> Option<usize> {
+    std::fs::read_to_string(dir.join("BUDGET")).ok()?.parse().ok()
+}
+
+/// Opens `dir` as a durable database with its pool capped at `budget`.
+fn open_budgeted(dir: &Path, budget: Option<usize>) -> Arc<Database> {
+    let db = Database::open(dir).expect("open durable db");
+    db.catalog().buffer_pool().set_budget(budget);
+    Arc::new(db)
+}
+
 /// The child body. A no-op green test in normal runs; armed via env by the
 /// parent, it never returns — it computes until SIGKILLed.
 #[test]
 fn crash_child_worker() {
     let Ok(dir) = std::env::var("VERTEXICA_CRASH_CHILD_DIR") else { return };
-    let db = Arc::new(Database::open(&dir).expect("child: open durable db"));
+    let budget = recorded_budget(Path::new(&dir));
+    let db = open_budgeted(Path::new(&dir), budget);
     let session = GraphSession::create(db.clone(), GRAPH_NAME).expect("child: create session");
     session.load_edges(&ring()).expect("child: load edges");
     db.checkpoint().expect("child: baseline checkpoint");
@@ -100,6 +132,7 @@ fn crash_child_worker() {
         .with_partitions(4)
         .with_replace_threshold(0.0)
         .with_durable(true)
+        .with_memory_budget(budget)
         .with_max_supersteps(u64::MAX);
     // Never returns (the program never halts); the parent kills us.
     run_program(&session, Arc::new(SuperstepStamp), &config).expect("child: run");
@@ -190,13 +223,16 @@ fn max_file_id(dir: &Path) -> u64 {
 
 #[test]
 fn kill9_mid_superstep_recovers_to_a_committed_superstep() {
-    let dir = std::env::temp_dir().join(format!(
-        "vx_kill9_{}_{:x}",
-        std::process::id(),
-        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-            as u64
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
+    kill9_mid_superstep_recovers(None);
+}
+
+#[test]
+fn kill9_mid_superstep_recovers_under_a_memory_budget() {
+    kill9_mid_superstep_recovers(Some(1));
+}
+
+fn kill9_mid_superstep_recovers(budget: Option<usize>) {
+    let dir = scenario_dir("single", budget);
 
     let mut child = ChildGuard::spawn("crash_child_worker", "VERTEXICA_CRASH_CHILD_DIR", &dir);
 
@@ -220,7 +256,7 @@ fn kill9_mid_superstep_recovers_to_a_committed_superstep() {
     drop(child); // kill -9 and reap
 
     // ---- recovery ----
-    let db = Arc::new(Database::open(&dir).expect("recovery must succeed at any kill point"));
+    let db = open_budgeted(&dir, budget);
     let session = GraphSession::open(db.clone(), GRAPH_NAME).expect("graph survives");
     let values: Vec<(VertexId, u64)> = session.vertex_values::<u64>().expect("readable vertices");
     assert_eq!(values.len(), NUM_VERTICES as usize, "vertex membership must be exact");
@@ -230,7 +266,7 @@ fn kill9_mid_superstep_recovers_to_a_committed_superstep() {
     let image = catalog_image(db.catalog());
     drop(session);
     drop(db);
-    let db2 = Arc::new(Database::open(&dir).unwrap());
+    let db2 = open_budgeted(&dir, budget);
     let image2 = catalog_image(db2.catalog());
     assert_eq!(image, image2, "reopen must be bitwise-identical");
 
@@ -240,9 +276,12 @@ fn kill9_mid_superstep_recovers_to_a_committed_superstep() {
         .with_workers(2)
         .with_partitions(4)
         .with_durable(true)
+        .with_memory_budget(budget)
         .with_max_supersteps(boundary + 1 + RESUMED);
     let stats = resume_program(&session, Arc::new(SuperstepStamp), &config).expect("resume");
     assert_eq!(stats.supersteps, RESUMED);
+    let evictions: u64 = stats.per_superstep.iter().map(|s| s.evictions).sum();
+    assert_eq!(evictions > 0, budget.is_some(), "{evictions} evictions under {budget:?}");
     let values: Vec<(VertexId, u64)> = session.vertex_values::<u64>().expect("readable vertices");
     assert_eq!(values.len(), NUM_VERTICES as usize);
     assert_eq!(uniform_stamp(&values), boundary + RESUMED, "resume must run on from the boundary");
@@ -265,13 +304,18 @@ use vertexica::shard::{
 #[test]
 fn sharded_crash_child_worker() {
     let Ok(dir) = std::env::var("VERTEXICA_SHARD_CRASH_CHILD_DIR") else { return };
+    let budget = recorded_budget(Path::new(&dir));
     let db = ShardedDatabase::create(&dir, 2).expect("child: create durable shards");
+    set_budgets(&db, budget);
     let ss = ShardedGraphSession::create(db.clone(), GRAPH_NAME).expect("child: create session");
     ss.load_edges(&ring()).expect("child: load edges");
     db.checkpoint().expect("child: baseline checkpoint");
     std::fs::write(Path::new(&dir).join("READY"), b"ready").expect("child: ready marker");
-    let config =
-        VertexicaConfig::default().with_workers(2).with_partitions(4).with_max_supersteps(u64::MAX);
+    let config = VertexicaConfig::default()
+        .with_workers(2)
+        .with_partitions(4)
+        .with_memory_budget(budget)
+        .with_max_supersteps(u64::MAX);
     // Never returns (the program never halts); the parent kills us.
     run_sharded(&ss, Arc::new(SuperstepStamp), &config).expect("child: run");
     unreachable!("SuperstepStamp never halts");
@@ -285,13 +329,23 @@ fn sharded_crash_child_worker() {
 /// [`resume_sharded`] must run on from it.
 #[test]
 fn kill9_mid_superstep_sharded_recovers_and_repairs() {
-    let dir = std::env::temp_dir().join(format!(
-        "vx_kill9_shard_{}_{:x}",
-        std::process::id(),
-        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-            as u64
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
+    kill9_mid_superstep_sharded(None);
+}
+
+#[test]
+fn kill9_mid_superstep_sharded_recovers_under_a_memory_budget() {
+    kill9_mid_superstep_sharded(Some(1));
+}
+
+/// Caps every shard's pool at `budget`.
+fn set_budgets(db: &ShardedDatabase, budget: Option<usize>) {
+    for shard in db.shards() {
+        shard.catalog().buffer_pool().set_budget(budget);
+    }
+}
+
+fn kill9_mid_superstep_sharded(budget: Option<usize>) {
+    let dir = scenario_dir("shard", budget);
 
     let mut child =
         ChildGuard::spawn("sharded_crash_child_worker", "VERTEXICA_SHARD_CRASH_CHILD_DIR", &dir);
@@ -318,6 +372,7 @@ fn kill9_mid_superstep_sharded_recovers_and_repairs() {
 
     // ---- recovery ----
     let db = ShardedDatabase::open(&dir).expect("sharded recovery must succeed at any kill point");
+    set_budgets(&db, budget);
     let ss = ShardedGraphSession::open(db.clone(), GRAPH_NAME)
         .expect("stamp spread must be within the vote-barrier bound");
     let images: Vec<_> = db.shards().iter().map(|d| catalog_image(d.catalog())).collect();
@@ -326,12 +381,14 @@ fn kill9_mid_superstep_sharded_recovers_and_repairs() {
 
     // Recovery is deterministic: a second open agrees bitwise, per shard.
     let db = ShardedDatabase::open(&dir).expect("second sharded reopen");
+    set_budgets(&db, budget);
     let images2: Vec<_> = db.shards().iter().map(|d| catalog_image(d.catalog())).collect();
     assert_eq!(images, images2, "sharded reopen must be bitwise-identical");
 
     // Repair lands every shard on the same superstep boundary.
     let ss = ShardedGraphSession::open(db.clone(), GRAPH_NAME).expect("reopen session");
-    let config = VertexicaConfig::default().with_workers(2).with_partitions(4);
+    let config =
+        VertexicaConfig::default().with_workers(2).with_partitions(4).with_memory_budget(budget);
     repair_if_needed(&ss, Arc::new(SuperstepStamp), &config).expect("repair must succeed");
     let stamps = ss.stamps().expect("readable stamps");
     let boundary = stamps[0].expect("stamped after repair");
@@ -360,6 +417,8 @@ fn kill9_mid_superstep_sharded_recovers_and_repairs() {
     let resume_config = config.with_max_supersteps(boundary as u64 + 1 + RESUMED);
     let stats = resume_sharded(&ss, Arc::new(SuperstepStamp), &resume_config).expect("resume");
     assert_eq!(stats.supersteps, RESUMED);
+    let evictions: u64 = stats.per_superstep.iter().map(|s| s.evictions).sum();
+    assert_eq!(evictions > 0, budget.is_some(), "{evictions} evictions under {budget:?}");
     let values: Vec<(VertexId, u64)> = ss.vertex_values::<u64>().expect("readable vertices");
     assert_eq!(values.len(), NUM_VERTICES as usize);
     assert_eq!(uniform_stamp(&values), boundary as u64 + RESUMED);
