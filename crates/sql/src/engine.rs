@@ -810,7 +810,7 @@ impl Database {
             batches.push(batch);
         }
         let build = RecordBatch::concat(schema, &batches)?;
-        Ok(JoinBuild::new(build, key_columns))
+        JoinBuild::new(build, key_columns)
     }
 
     /// Direct bulk append (bypasses SQL) — used for graph loading.
@@ -1084,8 +1084,8 @@ mod tests {
 
     #[test]
     fn generic_key_join_agrees_with_int_fast_path() {
-        // The same equi-join computed over BIGINT keys (fast path) and over
-        // the keys cast to FLOAT (generic scratch-buffer path) must agree.
+        // The same equi-join computed over BIGINT keys and over the keys
+        // cast to FLOAT (hashed as canonical bit patterns) must agree.
         let db = db_with_edges();
         db.execute(
             "CREATE TABLE fedge AS SELECT CAST(src AS FLOAT) AS fsrc, \
@@ -1105,8 +1105,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(fast, generic);
-        // Duplicate generic keys still fan out (scratch-buffer reuse must
-        // not corrupt previously inserted keys).
+        // Duplicate FLOAT keys still fan out.
         let by_weight =
             db.query_int("SELECT COUNT(*) FROM edge e1 JOIN edge e2 ON e1.src = e2.dst").unwrap();
         let by_fweight = db
@@ -1198,6 +1197,63 @@ mod tests {
             got,
             vec![vec![Value::Int(0), Value::Float(2.5)], vec![Value::Int(1), Value::Null]]
         );
+    }
+
+    /// FLOAT keys group and match as `=` compares them: every NaN is one
+    /// group and one distinct value, 0.0 and −0.0 are one (reported as the
+    /// value seen first), and a join on FLOAT keys keeps exactly the pairs
+    /// its WHERE form keeps — NaN matches nothing, 0.0 matches −0.0. Typed
+    /// key arms (FLOAT alone) and the bytes arm (FLOAT with VARCHAR) alike.
+    #[test]
+    fn float_keys_group_and_match_as_equality_does() {
+        let db = Database::new();
+        let nan = f64::NAN;
+        for (name, xs) in
+            [("a", &[nan, nan, 0.0, -0.0, 1.0][..]), ("b", &[0.0, nan, 1.0]), ("c", &[-0.0])]
+        {
+            db.execute(&format!("CREATE TABLE {name} (x FLOAT, s VARCHAR)")).unwrap();
+            let schema = db.catalog().get(name).unwrap().read().schema().clone();
+            let rows: Vec<Vec<Value>> =
+                xs.iter().map(|&x| vec![Value::Float(x), Value::Str("t".into())]).collect();
+            db.append_batches(name, &[RecordBatch::from_rows(schema, &rows).unwrap()]).unwrap();
+        }
+        let count = |sql: &str| db.query_int(sql).unwrap();
+        assert_eq!(count("SELECT COUNT(DISTINCT x) FROM a"), 3);
+        assert_eq!(db.query("SELECT DISTINCT x FROM a").unwrap().len(), 3);
+        assert_eq!(db.query("SELECT DISTINCT x, s FROM a").unwrap().len(), 3);
+        assert_eq!(db.query("SELECT x, s, COUNT(*) FROM a GROUP BY x, s").unwrap().len(), 3);
+        let groups = db.query("SELECT x, COUNT(*) FROM a GROUP BY x").unwrap();
+        let bits: Vec<(u64, Value)> = groups
+            .into_iter()
+            .map(|r| {
+                (
+                    r[0].as_float().map_or(0, |x| if x.is_nan() { 1 } else { x.to_bits() }),
+                    r[1].clone(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            bits,
+            vec![
+                (1, Value::Int(2)),
+                (0.0f64.to_bits(), Value::Int(2)),
+                (1.0f64.to_bits(), Value::Int(1))
+            ]
+        );
+        for (join, want) in [("b, c WHERE b.x = c.x", 1), ("b JOIN c ON b.x = c.x", 1)] {
+            assert_eq!(count(&format!("SELECT COUNT(*) FROM {join}")), want, "{join}");
+        }
+        for join in [
+            "a, b WHERE a.x = b.x",
+            "a JOIN b ON a.x = b.x",
+            "b JOIN a ON b.x = a.x",
+            "a JOIN b ON a.x = b.x AND a.s = b.s",
+        ] {
+            assert_eq!(count(&format!("SELECT COUNT(*) FROM {join}")), 3, "{join}");
+        }
+        assert_eq!(count("SELECT COUNT(*) FROM a LEFT JOIN b ON a.x = b.x"), 5);
+        // A DISTINCT aggregate folds as its plain form does: no SUM of text.
+        assert!(db.query("SELECT SUM(DISTINCT s) FROM a").is_err());
     }
 
     /// A BIGINT key equated with a FLOAT key matches as the same comparison

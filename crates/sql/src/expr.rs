@@ -410,13 +410,13 @@ impl PhysExpr {
     /// the bitmap algebra work on it without a `Vec<bool>` detour.
     pub fn eval_predicate(&self, batch: &RecordBatch) -> SqlResult<Bitmap> {
         let c = self.eval(batch)?;
-        if c.dtype() != DataType::Bool {
+        let Some(bools) = c.as_bool() else {
             return Err(SqlError::Execution(format!(
                 "predicate must be boolean, got {}",
                 c.dtype()
             )));
-        }
-        let data = Bitmap::from_bools(c.as_bool().expect("bool column"));
+        };
+        let data = Bitmap::from_bools(bools);
         // Mask out nulls: payload bits behind an unset validity bit are
         // unspecified (gathers can carry stale values).
         Ok(match c.validity() {
@@ -549,10 +549,7 @@ impl NumView<'_> {
 /// would have succeeded.
 fn eval_binary_vectorized(l: &Column, op: BinaryOp, r: &Column) -> SqlResult<Option<Column>> {
     if matches!(op, BinaryOp::And | BinaryOp::Or) {
-        if l.dtype() == DataType::Bool && r.dtype() == DataType::Bool {
-            return Ok(Some(bool_logic_kernel(l, op, r)));
-        }
-        return Ok(None);
+        return Ok(bool_logic_kernel(l, op, r));
     }
     if op.is_comparison() {
         return Ok(compare_kernel(l, op, r));
@@ -563,11 +560,12 @@ fn eval_binary_vectorized(l: &Column, op: BinaryOp, r: &Column) -> SqlResult<Opt
 /// Word-wise three-valued AND/OR. With LT/LF = "left valid and true/false"
 /// (RT/RF likewise), `AND` is false when either side is a known false and
 /// true when both are known true; `OR` is the dual. Everything else is NULL.
-/// Payload bits behind an unset validity bit are never trusted.
-fn bool_logic_kernel(l: &Column, op: BinaryOp, r: &Column) -> Column {
+/// Payload bits behind an unset validity bit are never trusted. `None`
+/// unless both sides are BOOLEAN.
+fn bool_logic_kernel(l: &Column, op: BinaryOp, r: &Column) -> Option<Column> {
     let n = l.len();
-    let ld = Bitmap::from_bools(l.as_bool().expect("bool column"));
-    let rd = Bitmap::from_bools(r.as_bool().expect("bool column"));
+    let ld = Bitmap::from_bools(l.as_bool()?);
+    let rd = Bitmap::from_bools(r.as_bool()?);
     let lv = l.validity().cloned().unwrap_or_else(|| Bitmap::ones(n));
     let rv = r.validity().cloned().unwrap_or_else(|| Bitmap::ones(n));
     let (lt, lf) = (lv.and(&ld), lv.and_not(&ld));
@@ -586,7 +584,7 @@ fn bool_logic_kernel(l: &Column, op: BinaryOp, r: &Column) -> Column {
         _ => unreachable!("bool_logic_kernel only handles AND/OR"),
     };
     let has_null = !valid.all();
-    Column::new(ColumnData::Bool(data.to_bools()), has_null.then_some(valid))
+    Some(Column::new(ColumnData::Bool(data.to_bools()), has_null.then_some(valid)))
 }
 
 fn cmp_ord(op: BinaryOp, ord: std::cmp::Ordering) -> bool {
@@ -643,20 +641,15 @@ fn compare_kernel(l: &Column, op: BinaryOp, r: &Column) -> Option<Column> {
         }
         Column::new(ColumnData::Bool(data), has_null.then_some(valid))
     }
-    match (l.dtype(), r.dtype()) {
-        (DataType::Str, DataType::Str) => {
-            Some(ordered(l, l.as_str().unwrap(), op, r, r.as_str().unwrap()))
-        }
-        (DataType::Bool, DataType::Bool) => {
-            Some(ordered(l, l.as_bool().unwrap(), op, r, r.as_bool().unwrap()))
-        }
-        (DataType::Blob, DataType::Blob) => {
-            let a: Vec<&[u8]> = l.as_blob().unwrap().iter().collect();
-            let b: Vec<&[u8]> = r.as_blob().unwrap().iter().collect();
-            Some(ordered(l, &a, op, r, &b))
-        }
-        _ => None,
+    if let (Some(a), Some(b)) = (l.as_str(), r.as_str()) {
+        return Some(ordered(l, a, op, r, b));
     }
+    if let (Some(a), Some(b)) = (l.as_bool(), r.as_bool()) {
+        return Some(ordered(l, a, op, r, b));
+    }
+    let (a, b) = (l.as_blob()?, r.as_blob()?);
+    let (a, b): (Vec<&[u8]>, Vec<&[u8]>) = (a.iter().collect(), b.iter().collect());
+    Some(ordered(l, &a, op, r, &b))
 }
 
 /// Typed arithmetic kernels: Int stays in i64 with wrapping semantics
@@ -828,32 +821,20 @@ fn in_list_probe(v: &Column, lc: &Column, found: &mut [bool], saw_null: &mut [bo
             }
         };
     }
-    match (v.dtype(), lc.dtype()) {
-        (DataType::Int, DataType::Int) => {
-            let (a, b) = (v.as_int().unwrap(), lc.as_int().unwrap());
-            probe!(|i: usize| a[i] == b[i]);
-        }
-        (DataType::Float, DataType::Float) => {
-            let (a, b) = (v.as_float().unwrap(), lc.as_float().unwrap());
-            probe!(|i: usize| a[i] == b[i]);
-        }
-        (DataType::Int, DataType::Float) => {
-            let (a, b) = (v.as_int().unwrap(), lc.as_float().unwrap());
-            probe!(|i: usize| (a[i] as f64) == b[i]);
-        }
-        (DataType::Float, DataType::Int) => {
-            let (a, b) = (v.as_float().unwrap(), lc.as_int().unwrap());
-            probe!(|i: usize| a[i] == (b[i] as f64));
-        }
-        (DataType::Str, DataType::Str) => {
-            let (a, b) = (v.as_str().unwrap(), lc.as_str().unwrap());
-            probe!(|i: usize| a[i] == b[i]);
-        }
-        _ => {
-            // Bool/Blob and cross-type pairings: per-row sql_eq (a mismatch
-            // is an ordinary false, never an error).
-            probe!(|i: usize| v.value(i).sql_eq(&lc.value(i)) == Some(true));
-        }
+    if let (Some(a), Some(b)) = (v.as_int(), lc.as_int()) {
+        probe!(|i: usize| a[i] == b[i]);
+    } else if let (Some(a), Some(b)) = (v.as_float(), lc.as_float()) {
+        probe!(|i: usize| a[i] == b[i]);
+    } else if let (Some(a), Some(b)) = (v.as_int(), lc.as_float()) {
+        probe!(|i: usize| (a[i] as f64) == b[i]);
+    } else if let (Some(a), Some(b)) = (v.as_float(), lc.as_int()) {
+        probe!(|i: usize| a[i] == (b[i] as f64));
+    } else if let (Some(a), Some(b)) = (v.as_str(), lc.as_str()) {
+        probe!(|i: usize| a[i] == b[i]);
+    } else {
+        // Bool/Blob and cross-type pairings: per-row sql_eq (a mismatch
+        // is an ordinary false, never an error).
+        probe!(|i: usize| v.value(i).sql_eq(&lc.value(i)) == Some(true));
     }
 }
 
@@ -939,11 +920,10 @@ pub fn binary_value_op(l: &Value, op: BinaryOp, r: &Value) -> SqlResult<Value> {
 
     if op.is_comparison() {
         let result = match (l, r) {
-            // Numeric comparison handles Int/Float mixing.
+            // Numeric comparison handles Int/Float mixing (both `as_float`s
+            // are `Some` here).
             (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
-                let a = l.as_float().unwrap();
-                let b = r.as_float().unwrap();
-                compare_with(op, a.partial_cmp(&b))
+                compare_with(op, l.as_float().partial_cmp(&r.as_float()))
             }
             (Value::Str(a), Value::Str(b)) => compare_with(op, a.partial_cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => compare_with(op, a.partial_cmp(b)),

@@ -1,11 +1,11 @@
 //! Vectorized physical execution of logical plans.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use vertexica_common::{FxHashMap, FxHashSet};
+use vertexica_common::FxHashMap;
 use vertexica_storage::{
     Bitmap, BlobData, Catalog, Column, ColumnBuilder, ColumnData, DataType, RecordBatch, Schema,
     Value,
@@ -177,18 +177,24 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> SqlResult<Vec<Recor
             Ok(out)
         }
         LogicalPlan::Distinct { input } => {
-            let batches = execute(input, ctx)?;
-            let merged = RecordBatch::concat(input.schema(), &batches)?;
-            let mut seen: FxHashMap<GroupKey, ()> = FxHashMap::default();
-            let mut keep = Vec::new();
-            for i in 0..merged.num_rows() {
-                let key = GroupKey(merged.row(i));
-                if let Entry::Vacant(e) = seen.entry(key) {
-                    e.insert(());
-                    keep.push(i);
+            // Every column is the key; a row that opens a slot is kept.
+            let schema = input.schema();
+            let types: Vec<DataType> = schema.fields.iter().map(|f| f.dtype).collect();
+            let mut seen = KeyTable::new(Some(&types), Nulls::Grouped);
+            let (mut slots, mut out) = (Vec::new(), Vec::new());
+            for batch in execute(input, ctx)? {
+                let before = seen.len();
+                let cols: Vec<&Column> = batch.columns().iter().collect();
+                seen.intern(batch.num_rows(), &cols, &mut slots)?;
+                let firsts = first_rows(&slots, before);
+                if !firsts.is_empty() {
+                    out.push(batch.take(&firsts)?);
                 }
             }
-            Ok(vec![merged.take(&keep)?])
+            if out.is_empty() {
+                out.push(RecordBatch::empty(schema));
+            }
+            Ok(out)
         }
     }
 }
@@ -248,43 +254,276 @@ pub fn coerce_column(col: Column, dtype: DataType) -> SqlResult<Column> {
     Ok(b.finish())
 }
 
-/// A hashable row key for grouping/distinct (floats hash by bits, NULLs are
-/// equal to each other — SQL GROUP BY semantics).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupKey(pub Vec<Value>);
+// ---- the key table ----
 
-impl Eq for GroupKey {}
+/// The slot of a row with no key: a NULL or NaN join key, or a probe key
+/// the build side never saw.
+const NO_SLOT: u32 = u32::MAX;
 
-impl Hash for GroupKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            match v {
-                Value::Null => 0u8.hash(state),
-                Value::Bool(b) => {
-                    1u8.hash(state);
-                    b.hash(state);
+/// What a NULL or NaN key component means to a [`KeyTable`].
+#[derive(Clone, Copy, PartialEq)]
+enum Nulls {
+    /// `=` semantics (join keys): NULL and NaN equal nothing, so a key
+    /// holding one gets [`NO_SLOT`].
+    Unmatched,
+    /// Grouping semantics (GROUP BY, DISTINCT, DISTINCT aggregates): NULL is
+    /// one value, and so is every NaN.
+    Grouped,
+}
+
+/// The executor's one key-to-slot map: key columns go in, and each row gets
+/// a dense `u32` slot in first-seen order, so the rows that opened slots are
+/// found from the slots alone ([`first_rows`]). The join build, GROUP BY,
+/// DISTINCT and the DISTINCT aggregates all use it.
+///
+/// Keys are compared in one canonical form that defines both their hash and
+/// their equality: −0.0 is 0.0 and every NaN is one NaN, so FLOAT keys group
+/// and match as `=` compares them. The arm follows the key columns' types:
+///
+/// * one BIGINT or FLOAT key — `i64` (a FLOAT's canonical bit pattern), NULL
+///   in a slot of its own: the vertex-id join and `GROUP BY id` shape;
+/// * two such keys — `[Option<i64>; 2]`: edge identity, `SELECT DISTINCT
+///   src, dst`;
+/// * any other shape — each key's canonical bytes ([`encode_key`]).
+struct KeyTable {
+    arm: Arm,
+    nulls: Nulls,
+    len: u32,
+}
+
+/// A [`KeyTable`]'s map; the typed arms hold the key types they read.
+enum Arm {
+    One { ty: DataType, map: FxHashMap<i64, u32>, null: Option<u32> },
+    Two { ty: [DataType; 2], map: FxHashMap<[Option<i64>; 2], u32> },
+    Bytes(FxHashMap<Box<[u8]>, u32>),
+}
+
+/// A typed-arm key column: BIGINT values as they are, FLOAT values as
+/// canonical bit patterns, and a validity that unsets the rows holding no
+/// key (NULL, and NaN under [`Nulls::Unmatched`]).
+type TypedKey<'a> = (Cow<'a, [i64]>, Option<Cow<'a, Bitmap>>);
+
+#[inline]
+fn row_valid(validity: Option<&Bitmap>, i: usize) -> bool {
+    validity.is_none_or(|b| b.get(i))
+}
+
+/// A FLOAT key's canonical bit pattern: −0.0 as 0.0, every NaN as one NaN.
+fn canonical_bits(x: f64) -> i64 {
+    let x = if x.is_nan() {
+        f64::NAN
+    } else if x == 0.0 {
+        0.0
+    } else {
+        x
+    };
+    x.to_bits() as i64
+}
+
+/// `cols` as typed-arm keys of types `ty`; `None` when their number or a
+/// type differs.
+fn typed_keys<'a, const N: usize>(
+    cols: &[&'a Column],
+    ty: [DataType; N],
+    nulls: Nulls,
+) -> Option<[TypedKey<'a>; N]> {
+    if cols.len() != N {
+        return None;
+    }
+    let keys = cols.iter().zip(ty).map(|(&col, ty)| {
+        if col.dtype() != ty {
+            return None;
+        }
+        let valid = col.validity();
+        if let Some(k) = col.as_int() {
+            return Some((Cow::Borrowed(k), valid.map(Cow::Borrowed)));
+        }
+        let x = col.as_float()?;
+        let bits = x.iter().map(|&f| canonical_bits(f)).collect();
+        let valid = if nulls == Nulls::Unmatched && x.iter().any(|f| f.is_nan()) {
+            let keyed = x.iter().enumerate().map(|(i, f)| row_valid(valid, i) && !f.is_nan());
+            Some(Cow::Owned(Bitmap::from_iter_bool(keyed)))
+        } else {
+            valid.map(Cow::Borrowed)
+        };
+        Some((Cow::Owned(bits), valid))
+    });
+    let keys: Vec<TypedKey<'a>> = keys.collect::<Option<_>>()?;
+    keys.try_into().ok()
+}
+
+/// Writes row `i`'s key to `buf` in canonical bytes: per column a type tag,
+/// then the value — FLOAT as its canonical bit pattern, VARCHAR and BLOB
+/// length-prefixed, so two keys share bytes only when they are equal. False
+/// when the key holds NULL or NaN and `nulls` is [`Nulls::Unmatched`].
+fn encode_key(cols: &[&Column], i: usize, nulls: Nulls, buf: &mut Vec<u8>) -> bool {
+    buf.clear();
+    let mut put = |tag: u8, bytes: &[u8], sized: bool| {
+        buf.push(tag);
+        if sized {
+            buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        }
+        buf.extend_from_slice(bytes);
+    };
+    for col in cols {
+        let nan = col.as_float().is_some_and(|x| x[i].is_nan());
+        if nulls == Nulls::Unmatched && (nan || col.is_null(i)) {
+            return false;
+        }
+        if col.is_null(i) {
+            put(0, &[], false);
+        } else if let Some(v) = col.as_bool() {
+            put(1, &[u8::from(v[i])], false);
+        } else if let Some(v) = col.as_int() {
+            put(2, &v[i].to_le_bytes(), false);
+        } else if let Some(v) = col.as_float() {
+            put(3, &canonical_bits(v[i]).to_le_bytes(), false);
+        } else if let Some(v) = col.as_str() {
+            put(4, v[i].as_bytes(), true);
+        } else if let Some(v) = col.as_blob() {
+            put(5, v.get(i), true);
+        }
+    }
+    true
+}
+
+/// The rows that opened slots, given each row's slot from a table that
+/// held `before` slots: slot `before`'s row, then slot `before + 1`'s, ….
+fn first_rows(slots: &[u32], before: usize) -> Vec<usize> {
+    let mut rows = Vec::new();
+    for (i, &s) in slots.iter().enumerate() {
+        if s as usize == before + rows.len() {
+            rows.push(i);
+        }
+    }
+    rows
+}
+
+impl KeyTable {
+    /// A table for key columns of `types`; `None` (types that differ from
+    /// batch to batch) takes the bytes arm.
+    fn new(types: Option<&[DataType]>, nulls: Nulls) -> Self {
+        let typed = |t: &DataType| matches!(t, DataType::Int | DataType::Float);
+        let arm = match types {
+            Some(&[ty]) if typed(&ty) => Arm::One { ty, map: FxHashMap::default(), null: None },
+            Some(&[t0, t1]) if typed(&t0) && typed(&t1) => {
+                Arm::Two { ty: [t0, t1], map: FxHashMap::default() }
+            }
+            _ => Arm::Bytes(FxHashMap::default()),
+        };
+        KeyTable { arm, nulls, len: 0 }
+    }
+
+    /// The number of slots.
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Writes each of the `n` rows' slot into `slots`, opening the next slot
+    /// for each unseen key.
+    fn intern(&mut self, n: usize, cols: &[&Column], slots: &mut Vec<u32>) -> SqlResult<()> {
+        slots.clear();
+        let KeyTable { arm, nulls, len } = self;
+        let unmatched = *nulls == Nulls::Unmatched;
+        let mut open = || {
+            let slot = *len;
+            if slot == NO_SLOT {
+                return Err(SqlError::Execution("over 2^32 - 1 distinct keys".into()));
+            }
+            *len += 1;
+            Ok(slot)
+        };
+        let changed = || SqlError::Execution("key column changed type".into());
+        match arm {
+            Arm::One { ty, map, null } => {
+                let [(k, v)] = typed_keys(cols, [*ty], *nulls).ok_or_else(changed)?;
+                for (i, &k) in k.iter().enumerate() {
+                    let slot = match (row_valid(v.as_deref(), i), *null) {
+                        (true, _) => match map.entry(k) {
+                            Entry::Occupied(e) => *e.get(),
+                            Entry::Vacant(e) => *e.insert(open()?),
+                        },
+                        (false, _) if unmatched => NO_SLOT,
+                        (false, Some(s)) => s,
+                        (false, None) => *null.insert(open()?),
+                    };
+                    slots.push(slot);
                 }
-                Value::Int(i) => {
-                    2u8.hash(state);
-                    i.hash(state);
+            }
+            Arm::Two { ty, map } => {
+                let [a, b] = typed_keys(cols, *ty, *nulls).ok_or_else(changed)?;
+                for i in 0..n {
+                    let key = [&a, &b].map(|(k, v)| row_valid(v.as_deref(), i).then(|| k[i]));
+                    let slot = if unmatched && key.contains(&None) {
+                        NO_SLOT
+                    } else {
+                        match map.entry(key) {
+                            Entry::Occupied(e) => *e.get(),
+                            Entry::Vacant(e) => *e.insert(open()?),
+                        }
+                    };
+                    slots.push(slot);
                 }
-                Value::Float(f) => {
-                    3u8.hash(state);
-                    // Canonicalize NaN so all NaNs group together.
-                    let bits = if f.is_nan() { f64::NAN.to_bits() } else { f.to_bits() };
-                    bits.hash(state);
-                }
-                Value::Str(s) => {
-                    4u8.hash(state);
-                    s.hash(state);
-                }
-                Value::Blob(b) => {
-                    5u8.hash(state);
-                    b.hash(state);
+            }
+            Arm::Bytes(map) => {
+                let mut buf = Vec::new();
+                for i in 0..n {
+                    let slot = if !encode_key(cols, i, *nulls, &mut buf) {
+                        NO_SLOT
+                    } else if let Some(&s) = map.get(buf.as_slice()) {
+                        s
+                    } else {
+                        let s = open()?;
+                        map.insert(buf.as_slice().into(), s);
+                        s
+                    };
+                    slots.push(slot);
                 }
             }
         }
+        Ok(())
     }
+
+    /// Like [`KeyTable::intern`], but opens no slot: an unseen key gets
+    /// [`NO_SLOT`], and so does every row when a key column's type is not
+    /// the table's (values of different types are never equal).
+    fn lookup(&self, n: usize, cols: &[&Column], slots: &mut Vec<u32>) {
+        slots.clear();
+        let found = |s: Option<&u32>| s.copied().unwrap_or(NO_SLOT);
+        match &self.arm {
+            Arm::One { ty, map, null } => match typed_keys(cols, [*ty], self.nulls) {
+                Some([(k, v)]) => slots.extend(k.iter().enumerate().map(|(i, k)| {
+                    if row_valid(v.as_deref(), i) {
+                        found(map.get(k))
+                    } else {
+                        null.unwrap_or(NO_SLOT)
+                    }
+                })),
+                None => slots.resize(n, NO_SLOT),
+            },
+            Arm::Two { ty, map } => match typed_keys(cols, *ty, self.nulls) {
+                Some([a, b]) => slots.extend((0..n).map(|i| {
+                    found(map.get(&[&a, &b].map(|(k, v)| row_valid(v.as_deref(), i).then(|| k[i]))))
+                })),
+                None => slots.resize(n, NO_SLOT),
+            },
+            Arm::Bytes(map) => {
+                let mut buf = Vec::new();
+                slots.extend((0..n).map(|i| {
+                    if encode_key(cols, i, self.nulls, &mut buf) {
+                        found(map.get(buf.as_slice()))
+                    } else {
+                        NO_SLOT
+                    }
+                }));
+            }
+        }
+    }
+}
+
+/// `batch`'s columns at `keys`.
+fn key_cols<'a>(batch: &'a RecordBatch, keys: &[usize]) -> Vec<&'a Column> {
+    keys.iter().map(|&c| batch.column(c)).collect()
 }
 
 // ---- joins ----
@@ -301,167 +540,56 @@ pub const NO_ROW: usize = usize::MAX;
 /// materializing it (the 3-way-join worker input in `core::input` does).
 /// The [`LogicalPlan::Join`] executor probes it once per probe-side batch.
 ///
-/// The table is CSR-shaped: a key map gives each distinct key a slot, and
-/// slot `s`'s build rows are `rows[offsets[s]..offsets[s + 1]]`, filled in
-/// build-row order — so every key's matches come out in build-row order,
-/// with no per-key allocation. Three key maps, chosen by the build keys'
-/// **declared types** (not by the accident of whether this batch happens to
-/// contain a NULL):
+/// The table is CSR-shaped: a `KeyTable` gives each distinct key a slot,
+/// and slot `s`'s build rows are `rows[offsets[s]..offsets[s + 1]]`, filled
+/// in build-row order — so every key's matches come out in build-row order,
+/// with no per-key allocation.
 ///
-/// * single BIGINT key — `FxHashMap<i64, _>`, the vertex-id join shape;
-/// * composite `(BIGINT, BIGINT)` key — edge-identity joins;
-/// * generic dynamic-`Value` keys, one boxed key per *distinct* key.
-///
-/// **NULL keys never match, on every strategy** (SQL equi-join semantics):
-/// build rows with a NULL key column are never inserted, and probe rows
-/// with a NULL key match nothing (null-extending under outer joins). The
-/// typed fast paths check per-row validity — a nullable BIGINT key column
-/// stays on the fast path instead of silently matching NULL = NULL or
-/// falling back to the slow generic path.
+/// **NULL and NaN keys never match** (`=` semantics): build rows holding one
+/// get no slot, and probe rows holding one match nothing (null-extending
+/// under outer joins). `0.0` and `-0.0` match.
 pub struct JoinBuild {
     batch: RecordBatch,
     keys: Vec<usize>,
-    map: KeyMap,
+    table: KeyTable,
     offsets: Vec<usize>,
     rows: Vec<usize>,
 }
 
-/// Key → CSR slot.
-enum KeyMap {
-    /// Single BIGINT key (vertex-id joins).
-    Int(FxHashMap<i64, usize>),
-    /// Composite two-column BIGINT key ((src, dst) edge identity).
-    Int2(FxHashMap<(i64, i64), usize>),
-    /// Dynamic-value keys.
-    Generic(FxHashMap<GroupKey, usize>),
-}
-
-/// True when every named key column of `batch` is BIGINT — the typed
-/// fast-path shape. Nullability does not matter: the kernels skip NULL keys
-/// per row.
-fn int_typed(batch: &RecordBatch, keys: &[usize]) -> bool {
-    keys.iter().all(|&c| batch.column(c).dtype() == DataType::Int)
-}
-
-/// A BIGINT column's `(raw data, validity)`.
-fn int_data(col: &Column) -> Option<(&[i64], Option<&Bitmap>)> {
-    col.as_int().map(|v| (v, col.validity()))
-}
-
-/// [`int_data`] per key column.
-fn int_key_data<'a>(
-    batch: &'a RecordBatch,
-    keys: &[usize],
-) -> Option<Vec<(&'a [i64], Option<&'a Bitmap>)>> {
-    keys.iter().map(|&c| int_data(batch.column(c))).collect()
-}
-
-#[inline]
-fn row_valid(validity: Option<&Bitmap>, i: usize) -> bool {
-    validity.is_none_or(|b| b.get(i))
-}
-
-/// The slot of `key`, numbering unseen keys in first-seen order.
-#[inline]
-fn slot_of<K: Eq + Hash>(table: &mut FxHashMap<K, usize>, key: K) -> usize {
-    let next = table.len();
-    *table.entry(key).or_insert(next)
-}
-
-/// Each row's dynamic key, or `None` when a key column is NULL.
-/// `scratch` is reused across rows.
-fn generic_key(
-    batch: &RecordBatch,
-    keys: &[usize],
-    i: usize,
-    scratch: &mut Vec<Value>,
-) -> Option<GroupKey> {
-    scratch.clear();
-    scratch.extend(keys.iter().map(|&c| batch.column(c).value(i)));
-    if scratch.iter().any(Value::is_null) {
-        return None;
-    }
-    Some(GroupKey(std::mem::take(scratch)))
-}
-
 impl JoinBuild {
-    /// Hashes `batch` on `key_columns`, picking the typed fast path when
-    /// every key column is BIGINT.
-    pub fn new(batch: RecordBatch, key_columns: Vec<usize>) -> Self {
-        let force_generic = !int_typed(&batch, &key_columns);
-        Self::with_strategy(batch, key_columns, force_generic)
+    /// Hashes `batch` on `key_columns`; the key table's arm follows their
+    /// types.
+    pub fn new(batch: RecordBatch, key_columns: Vec<usize>) -> SqlResult<Self> {
+        let types: Vec<DataType> = key_columns.iter().map(|&c| batch.column(c).dtype()).collect();
+        Self::with_table(batch, key_columns, KeyTable::new(Some(&types), Nulls::Unmatched))
     }
 
-    /// Like [`JoinBuild::new`] but lets the caller force the generic key
-    /// strategy — needed when the *probe* side's key types are known not to
-    /// be BIGINT, so typed build keys could never be compared against them.
-    fn with_strategy(batch: RecordBatch, key_columns: Vec<usize>, force_generic: bool) -> Self {
-        let n = batch.num_rows();
-        // Each build row's slot (`NO_ROW` for a NULL key).
-        let mut row_slot: Vec<usize> = Vec::with_capacity(n);
-        let typed = if force_generic { None } else { int_key_data(&batch, &key_columns) };
-        let map = match typed.as_deref() {
-            Some(&[(k0, v0)]) => {
-                let mut table = FxHashMap::default();
-                table.reserve(n);
-                for (i, &k) in k0.iter().enumerate() {
-                    row_slot.push(if row_valid(v0, i) { slot_of(&mut table, k) } else { NO_ROW });
-                }
-                KeyMap::Int(table)
-            }
-            Some(&[(k0, v0), (k1, v1)]) => {
-                let mut table = FxHashMap::default();
-                table.reserve(n);
-                for i in 0..n {
-                    let valid = row_valid(v0, i) && row_valid(v1, i);
-                    row_slot.push(if valid { slot_of(&mut table, (k0[i], k1[i])) } else { NO_ROW });
-                }
-                KeyMap::Int2(table)
-            }
-            _ => {
-                let mut table = FxHashMap::default();
-                let mut scratch = Vec::with_capacity(key_columns.len());
-                for i in 0..n {
-                    let slot = match generic_key(&batch, &key_columns, i, &mut scratch) {
-                        None => NO_ROW,
-                        Some(key) => match table.get(&key) {
-                            Some(&s) => {
-                                scratch = key.0; // recover the buffer
-                                s
-                            }
-                            None => {
-                                let s = table.len();
-                                table.insert(key, s);
-                                s
-                            }
-                        },
-                    };
-                    row_slot.push(slot);
-                }
-                KeyMap::Generic(table)
-            }
-        };
-        let slots = match &map {
-            KeyMap::Int(t) => t.len(),
-            KeyMap::Int2(t) => t.len(),
-            KeyMap::Generic(t) => t.len(),
-        };
+    fn with_table(
+        batch: RecordBatch,
+        key_columns: Vec<usize>,
+        mut table: KeyTable,
+    ) -> SqlResult<Self> {
+        // Each build row's slot (`NO_SLOT` for a NULL or NaN key).
+        let mut row_slot = Vec::new();
+        table.intern(batch.num_rows(), &key_cols(&batch, &key_columns), &mut row_slot)?;
         // Counting sort of the build rows by slot; a stable fill keeps each
         // slot's rows in build-row order.
+        let slots = table.len();
+        let keyed = || row_slot.iter().enumerate().filter(|&(_, &s)| s != NO_SLOT);
         let mut offsets = vec![0usize; slots + 1];
-        for &s in row_slot.iter().filter(|&&s| s != NO_ROW) {
-            offsets[s + 1] += 1;
+        for (_, &s) in keyed() {
+            offsets[s as usize + 1] += 1;
         }
         for s in 0..slots {
             offsets[s + 1] += offsets[s];
         }
         let mut fill = offsets[..slots].to_vec();
         let mut rows = vec![0usize; offsets[slots]];
-        for (i, &s) in row_slot.iter().enumerate().filter(|&(_, &s)| s != NO_ROW) {
-            rows[fill[s]] = i;
-            fill[s] += 1;
+        for (i, &s) in keyed() {
+            rows[fill[s as usize]] = i;
+            fill[s as usize] += 1;
         }
-        JoinBuild { batch, keys: key_columns, map, offsets, rows }
+        Ok(JoinBuild { batch, keys: key_columns, table, offsets, rows })
     }
 
     /// The hashed build-side batch.
@@ -479,14 +607,8 @@ impl JoinBuild {
         self.batch.num_rows()
     }
 
-    /// The build rows of `slot`, in build-row order (empty for `None`).
-    #[inline]
-    fn rows_of(&self, slot: Option<&usize>) -> &[usize] {
-        slot.map_or(&[], |&s| &self.rows[self.offsets[s]..self.offsets[s + 1]])
-    }
-
-    /// Streams every probe row's build-side match list to `f`. NULL probe
-    /// keys (and unmatched keys) yield an empty slice.
+    /// Streams every probe row's build-side match list to `f`. NULL and NaN
+    /// probe keys (and unmatched keys) yield an empty slice.
     fn for_each_probe_row<'s>(
         &'s self,
         probe: &RecordBatch,
@@ -500,41 +622,14 @@ impl JoinBuild {
                 self.keys.len()
             )));
         }
-        let typed = || {
-            int_key_data(probe, probe_keys).ok_or_else(|| {
-                SqlError::Execution("BIGINT-keyed join probed with non-BIGINT key".into())
-            })
-        };
-        match &self.map {
-            KeyMap::Int(table) => {
-                let cols = typed()?;
-                let (k0, v0) = cols[0];
-                for (i, k) in k0.iter().enumerate() {
-                    let slot = if row_valid(v0, i) { table.get(k) } else { None };
-                    f(i, self.rows_of(slot));
-                }
-            }
-            KeyMap::Int2(table) => {
-                let cols = typed()?;
-                let ((k0, v0), (k1, v1)) = (cols[0], cols[1]);
-                for i in 0..probe.num_rows() {
-                    let valid = row_valid(v0, i) && row_valid(v1, i);
-                    let slot = if valid { table.get(&(k0[i], k1[i])) } else { None };
-                    f(i, self.rows_of(slot));
-                }
-            }
-            KeyMap::Generic(table) => {
-                let mut scratch: Vec<Value> = Vec::with_capacity(probe_keys.len());
-                for i in 0..probe.num_rows() {
-                    match generic_key(probe, probe_keys, i, &mut scratch) {
-                        None => f(i, &[]),
-                        Some(key) => {
-                            f(i, self.rows_of(table.get(&key)));
-                            scratch = key.0; // probe lookups never surrender the buffer
-                        }
-                    }
-                }
-            }
+        let mut slots = Vec::new();
+        self.table.lookup(probe.num_rows(), &key_cols(probe, probe_keys), &mut slots);
+        for (i, &s) in slots.iter().enumerate() {
+            let matches = match s {
+                NO_SLOT => &[],
+                s => &self.rows[self.offsets[s as usize]..self.offsets[s as usize + 1]],
+            };
+            f(i, matches);
         }
         Ok(())
     }
@@ -726,10 +821,7 @@ fn execute_join(
     let (probe_keys, build_keys): (Vec<usize>, Vec<usize>) =
         on.iter().map(|&(l, r)| if probe_is_left { (l, r) } else { (r, l) }).unzip();
     let build = RecordBatch::concat(build_plan.schema(), &execute(build_plan, ctx)?)?;
-    // The typed fast paths require BIGINT keys on *both* sides (NULLs are
-    // fine — the kernels skip them per row); otherwise hash dynamic values.
     let probe_schema = probe_plan.schema();
-    let probe_int = probe_keys.iter().all(|&k| probe_schema.fields[k].dtype == DataType::Int);
     // A BIGINT key equated with a FLOAT key compares as FLOAT, as the
     // comparison kernels promote: both sides hash that key FLOAT-typed.
     let float_keys: Vec<bool> = probe_keys
@@ -743,10 +835,8 @@ fn execute_join(
     let hashed = if on.is_empty() {
         None
     } else {
-        let force_generic = !(probe_int && int_typed(&build, &build_keys));
         let keyed = with_float_keys(&build, &build_keys, &float_keys)?;
-        let keyed = keyed.unwrap_or_else(|| build.clone());
-        Some(JoinBuild::with_strategy(keyed, build_keys, force_generic))
+        Some(JoinBuild::new(keyed.unwrap_or_else(|| build.clone()), build_keys)?)
     };
     // Without equi-keys every probe row meets every build row.
     let every_build_row: Vec<usize> =
@@ -797,52 +887,22 @@ fn execute_join(
 
 // ---- aggregation ----
 
-/// One group's boxed accumulator: the fold for argument types and DISTINCT
-/// calls that no typed [`AggState`] arm covers.
+/// One group's boxed accumulator: the fold for argument types that no typed
+/// [`AggState`] arm covers.
 #[derive(Clone)]
 enum Acc {
     Count(i64),
-    CountDistinct(FxHashSet<GroupKey>),
-    SumInt {
-        sum: i64,
-        any: bool,
-    },
-    SumFloat {
-        sum: f64,
-        any: bool,
-    },
-    /// `SUM(DISTINCT x)` or, with `avg`, `AVG(DISTINCT x)`.
-    SumDistinct {
-        seen: FxHashSet<GroupKey>,
-        order: Vec<Value>,
-        is_float: bool,
-        avg: bool,
-    },
+    SumInt { sum: i64, any: bool },
+    SumFloat { sum: f64, any: bool },
     Min(Option<Value>),
     Max(Option<Value>),
-    Avg {
-        sum: f64,
-        n: i64,
-    },
+    Avg { sum: f64, n: i64 },
 }
 
 impl Acc {
     fn new(call: &AggCall, arg_type: Option<DataType>) -> Acc {
         match call.func {
-            AggFunc::CountStar => Acc::Count(0),
-            AggFunc::Count => {
-                if call.distinct {
-                    Acc::CountDistinct(Default::default())
-                } else {
-                    Acc::Count(0)
-                }
-            }
-            AggFunc::Sum | AggFunc::Avg if call.distinct => Acc::SumDistinct {
-                seen: Default::default(),
-                order: Vec::new(),
-                is_float: arg_type == Some(DataType::Float),
-                avg: call.func == AggFunc::Avg,
-            },
+            AggFunc::CountStar | AggFunc::Count => Acc::Count(0),
             AggFunc::Sum => {
                 if arg_type == Some(DataType::Float) {
                     Acc::SumFloat { sum: 0.0, any: false }
@@ -863,11 +923,6 @@ impl Acc {
                     *n += 1;
                 }
             }
-            Acc::CountDistinct(set) => {
-                if !v.is_null() {
-                    set.insert(GroupKey(vec![v.clone()]));
-                }
-            }
             Acc::SumInt { sum, any } => {
                 if let Value::Int(x) = v {
                     *sum = sum.wrapping_add(*x);
@@ -882,11 +937,6 @@ impl Acc {
                     *any = true;
                 } else if !v.is_null() {
                     return Err(SqlError::Execution(format!("SUM over non-numeric {v}")));
-                }
-            }
-            Acc::SumDistinct { seen, order, .. } => {
-                if !v.is_null() && seen.insert(GroupKey(vec![v.clone()])) {
-                    order.push(v.clone());
                 }
             }
             Acc::Min(cur) => {
@@ -914,7 +964,6 @@ impl Acc {
     fn finish(self) -> Value {
         match self {
             Acc::Count(n) => Value::Int(n),
-            Acc::CountDistinct(set) => Value::Int(set.len() as i64),
             Acc::SumInt { sum, any } => {
                 if any {
                     Value::Int(sum)
@@ -927,22 +976,6 @@ impl Acc {
                     Value::Float(sum)
                 } else {
                     Value::Null
-                }
-            }
-            // The distinct values are summed in first-seen order: a hash
-            // set's iteration order would make a float sum vary run to run.
-            Acc::SumDistinct { order, is_float, avg, .. } => {
-                let float_sum = || order.iter().map(|v| v.as_float().unwrap_or(0.0)).sum::<f64>();
-                if order.is_empty() {
-                    Value::Null
-                } else if avg {
-                    Value::Float(float_sum() / order.len() as f64)
-                } else if is_float {
-                    Value::Float(float_sum())
-                } else {
-                    Value::Int(
-                        order.iter().fold(0i64, |s, v| s.wrapping_add(v.as_int().unwrap_or(0))),
-                    )
                 }
             }
             Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
@@ -1054,11 +1087,7 @@ impl AggState {
         let all = |ok: &[DataType]| arg_types.iter().all(|t| ok.contains(t));
         let func = call.func;
         match func {
-            AggFunc::CountStar => AggState::Count(Vec::new()),
-            AggFunc::Count if !call.distinct => AggState::Count(Vec::new()),
-            AggFunc::Sum | AggFunc::Avg if call.distinct => {
-                AggState::Boxed { init: Acc::new(call, arg_type), accs: Vec::new() }
-            }
+            AggFunc::CountStar | AggFunc::Count => AggState::Count(Vec::new()),
             AggFunc::Sum if arg_type == Some(Float) && all(&[Float, Int]) => {
                 AggState::Float(Fold::new(func))
             }
@@ -1149,112 +1178,29 @@ impl AggState {
     }
 }
 
-/// How rows find their group slot. Slots are numbered in first-seen order,
-/// which is the output's row order.
-enum Grouper {
-    /// No GROUP BY: one group, slot 0, whatever the input.
-    Single,
-    /// One BIGINT key; NULL is a group of its own, slot `null`.
-    Int { map: FxHashMap<i64, u32>, null: Option<u32> },
-    /// Two BIGINT keys; a NULL component is part of the key.
-    Int2(FxHashMap<[Option<i64>; 2], u32>),
-    /// Any other key shape: boxed values.
-    Generic(FxHashMap<GroupKey, u32>),
+/// Whether `call` folds each group's distinct values only: `COUNT`, `SUM`
+/// and `AVG(DISTINCT x)` (`MIN` and `MAX` ignore DISTINCT).
+fn dedups(call: &AggCall) -> bool {
+    call.distinct && matches!(call.func, AggFunc::Count | AggFunc::Sum | AggFunc::Avg)
 }
 
-/// The groups seen so far: their slots and their key columns.
-struct Groups {
-    grouper: Grouper,
-    /// The group-key output columns, one value per slot.
-    keys: Vec<ColumnBuilder>,
-    len: usize,
-}
-
-/// A new slot for a group whose key was just pushed onto the key columns.
-fn next_slot(len: &mut usize) -> SqlResult<u32> {
-    let slot = u32::try_from(*len)
-        .map_err(|_| SqlError::Execution("GROUP BY produced over 2^32 groups".into()))?;
-    *len += 1;
-    Ok(slot)
-}
-
-impl Groups {
-    /// Writes each of the batch's `n` rows' slot into `slots`, adding a
-    /// group for each unseen key.
-    fn assign(&mut self, n: usize, cols: &[Column], slots: &mut Vec<u32>) -> SqlResult<()> {
-        slots.clear();
-        let Groups { grouper, keys, len } = self;
-        let int_key = |j: usize| {
-            int_data(&cols[j])
-                .ok_or_else(|| SqlError::Execution("BIGINT group key changed type".into()))
-        };
-        match grouper {
-            Grouper::Single => {}
-            Grouper::Int { map, null } => {
-                let (k0, v0) = int_key(0)?;
-                for (i, &k) in k0.iter().enumerate() {
-                    let slot = match (row_valid(v0, i), *null) {
-                        (true, _) => match map.entry(k) {
-                            Entry::Occupied(e) => *e.get(),
-                            Entry::Vacant(e) => {
-                                keys[0].push_int(k);
-                                *e.insert(next_slot(len)?)
-                            }
-                        },
-                        (false, Some(s)) => s,
-                        (false, None) => {
-                            keys[0].push_null();
-                            *null.insert(next_slot(len)?)
-                        }
-                    };
-                    slots.push(slot);
-                }
-            }
-            Grouper::Int2(map) => {
-                let cols = [int_key(0)?, int_key(1)?];
-                for i in 0..n {
-                    let key = cols.map(|(k, v)| row_valid(v, i).then(|| k[i]));
-                    let slot = match map.entry(key) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            for (builder, k) in keys.iter_mut().zip(key) {
-                                match k {
-                                    Some(k) => builder.push_int(k),
-                                    None => builder.push_null(),
-                                }
-                            }
-                            *e.insert(next_slot(len)?)
-                        }
-                    };
-                    slots.push(slot);
-                }
-            }
-            Grouper::Generic(map) => {
-                let mut scratch: Vec<Value> = Vec::with_capacity(cols.len());
-                for i in 0..n {
-                    scratch.clear();
-                    scratch.extend(cols.iter().map(|c| c.value(i)));
-                    let key = GroupKey(std::mem::take(&mut scratch));
-                    let slot = match map.get(&key) {
-                        Some(&s) => {
-                            scratch = key.0; // recover the buffer
-                            s
-                        }
-                        None => {
-                            for (builder, v) in keys.iter_mut().zip(&key.0) {
-                                builder.push(v.clone()).map_err(SqlError::from)?;
-                            }
-                            let s = next_slot(len)?;
-                            map.insert(key, s);
-                            s
-                        }
-                    };
-                    slots.push(slot);
-                }
-            }
-        }
-        Ok(())
-    }
+/// The rows of one batch that reach a DISTINCT aggregate: those that open a
+/// `(group, x)` pair in `seen`, as their argument column and group slots —
+/// so each group folds its distinct values once each, in first-seen order.
+fn distinct_rows(
+    seen: &mut KeyTable,
+    x: &Column,
+    slots: Option<&[u32]>,
+) -> SqlResult<(Column, Option<Vec<u32>>)> {
+    let groups = match slots {
+        Some(slots) => slots.iter().map(|&g| i64::from(g)).collect(),
+        None => vec![0; x.len()],
+    };
+    let groups = Column::new(ColumnData::Int(groups), None);
+    let (before, mut pairs) = (seen.len(), Vec::new());
+    seen.intern(x.len(), &[&groups, x], &mut pairs)?;
+    let firsts = first_rows(&pairs, before);
+    Ok((x.take(&firsts), slots.map(|s| firsts.iter().map(|&i| s[i]).collect())))
 }
 
 /// One input batch's row count with its evaluated group-key and
@@ -1280,24 +1226,18 @@ fn hash_aggregate(
             .collect::<SqlResult<Vec<_>>>()?;
         evaluated.push((batch.num_rows(), group_cols, arg_cols));
     }
-
+    // No GROUP BY: one group, slot 0, and no key table. The table is typed
+    // only if every batch evaluated each key with its declared type.
     let fields = &out_schema.fields;
-    let keys_int = |j: usize| {
-        fields[j].dtype == DataType::Int
-            && evaluated.iter().all(|(_, g, _)| g[j].dtype() == DataType::Int)
-    };
-    let grouper = match group.len() {
-        0 => Grouper::Single,
-        1 if keys_int(0) => Grouper::Int { map: FxHashMap::default(), null: None },
-        2 if keys_int(0) && keys_int(1) => Grouper::Int2(FxHashMap::default()),
-        _ => Grouper::Generic(FxHashMap::default()),
-    };
-    let mut groups = Groups {
-        len: usize::from(group.is_empty()),
-        grouper,
-        keys: fields[..group.len()].iter().map(|f| ColumnBuilder::new(f.dtype)).collect(),
-    };
-    let mut states: Vec<AggState> = aggs
+    let key_types: Vec<DataType> = fields[..group.len()].iter().map(|f| f.dtype).collect();
+    let declared = |j: usize| evaluated.iter().all(|(_, g, _)| g[j].dtype() == key_types[j]);
+    let mut table = (!group.is_empty()).then(|| {
+        let types = (0..group.len()).all(declared).then_some(key_types.as_slice());
+        KeyTable::new(types, Nulls::Grouped)
+    });
+    let mut keys: Vec<ColumnBuilder> = key_types.iter().map(|&t| ColumnBuilder::new(t)).collect();
+    // Each aggregate's state, and the `(group, x)` table of a DISTINCT one.
+    let mut states: Vec<(AggState, Option<KeyTable>)> = aggs
         .iter()
         .enumerate()
         .map(|(j, a)| {
@@ -1307,30 +1247,54 @@ fn hash_aggregate(
                 .filter_map(|(_, _, args)| args[j].as_ref())
                 .map(Column::dtype)
                 .collect();
-            Ok(AggState::new(a, arg_type, &arg_types))
+            let seen = dedups(a).then(|| {
+                let same = arg_types.windows(2).all(|w| w[0] == w[1]);
+                let types = arg_types.first().filter(|_| same).map(|&t| [DataType::Int, t]);
+                KeyTable::new(types.as_ref().map(|t| t.as_slice()), Nulls::Grouped)
+            });
+            Ok((AggState::new(a, arg_type, &arg_types), seen))
         })
         .collect::<SqlResult<_>>()?;
 
     let mut slots: Vec<u32> = Vec::new();
     for (n, group_cols, arg_cols) in &evaluated {
-        groups.assign(*n, group_cols, &mut slots)?;
-        let slots = (!group.is_empty()).then_some(slots.as_slice());
-        for (state, arg) in states.iter_mut().zip(arg_cols) {
-            state.grow(groups.len);
-            state.fold(*n, arg.as_ref(), slots)?;
+        if let Some(table) = &mut table {
+            let before = table.len();
+            table.intern(*n, &group_cols.iter().collect::<Vec<_>>(), &mut slots)?;
+            let firsts = first_rows(&slots, before);
+            for ((builder, col), &t) in keys.iter_mut().zip(group_cols).zip(&key_types) {
+                builder.extend_from(&coerce_column(col.take(&firsts), t)?);
+            }
+        }
+        let groups = table.as_ref().map_or(1, KeyTable::len);
+        let slots = table.is_some().then_some(slots.as_slice());
+        for ((state, seen), arg) in states.iter_mut().zip(arg_cols) {
+            state.grow(groups);
+            match (seen, arg) {
+                (Some(seen), Some(x)) => {
+                    let (x, slots) = distinct_rows(seen, x, slots)?;
+                    state.fold(x.len(), Some(&x), slots.as_deref())?;
+                }
+                _ => state.fold(*n, arg.as_ref(), slots)?,
+            }
         }
     }
 
-    let mut cols: Vec<Column> = groups.keys.into_iter().map(ColumnBuilder::finish).collect();
-    for (mut state, f) in states.into_iter().zip(&fields[group.len()..]) {
-        state.grow(groups.len);
+    let groups = table.as_ref().map_or(1, KeyTable::len);
+    let mut cols: Vec<Column> = keys.into_iter().map(ColumnBuilder::finish).collect();
+    for ((mut state, _), f) in states.into_iter().zip(&fields[group.len()..]) {
+        state.grow(groups);
         cols.push(state.finish(f.dtype)?);
     }
     Ok(vec![RecordBatch::new(out_schema.clone(), cols)?])
 }
 
-/// The boxed aggregate the typed one replaced: a `GroupKey` and one
-/// [`Acc::update`] per row. The oracle the typed folds are checked against.
+/// The boxed aggregate the typed one replaced, keyed on its own: a key is
+/// its values' debug strings (−0.0 written as 0.0, and every NaN prints
+/// `NaN`), a group's output key is its first-seen values, and each row is
+/// one [`Acc::update`] — a DISTINCT call's only when its group has not seen
+/// the value. The oracle the typed folds and the key table are checked
+/// against.
 #[cfg(test)]
 fn hash_aggregate_boxed(
     batches: &[RecordBatch],
@@ -1339,15 +1303,21 @@ fn hash_aggregate_boxed(
     aggs: &[AggCall],
     out_schema: &Arc<Schema>,
 ) -> SqlResult<Vec<RecordBatch>> {
+    let key = |v: &Value| match v {
+        Value::Float(x) if *x == 0.0 => "Float(0.0)".to_string(),
+        v => format!("{v:?}"),
+    };
     let arg_types: Vec<Option<DataType>> = aggs
         .iter()
         .map(|a| a.arg.as_ref().map(|e| e.data_type(&input_schema)).transpose())
         .collect::<SqlResult<Vec<_>>>()?;
-    let new_accs =
-        || -> Vec<Acc> { aggs.iter().zip(&arg_types).map(|(a, t)| Acc::new(a, *t)).collect() };
-    let mut groups: FxHashMap<GroupKey, usize> = FxHashMap::default();
-    let mut order: Vec<GroupKey> = Vec::new();
-    let mut acc_table: Vec<Vec<Acc>> = Vec::new();
+    type Seen = vertexica_common::FxHashSet<String>;
+    let new_accs = || -> Vec<(Acc, Seen)> {
+        aggs.iter().zip(&arg_types).map(|(a, t)| (Acc::new(a, *t), Seen::default())).collect()
+    };
+    let mut groups: FxHashMap<Vec<String>, usize> = FxHashMap::default();
+    let mut order: Vec<Vec<Value>> = Vec::new();
+    let mut acc_table: Vec<Vec<(Acc, Seen)>> = Vec::new();
     for batch in batches {
         let group_cols: Vec<Column> =
             group.iter().map(|e| e.eval(batch)).collect::<SqlResult<Vec<_>>>()?;
@@ -1356,32 +1326,32 @@ fn hash_aggregate_boxed(
             .map(|a| a.arg.as_ref().map(|e| e.eval(batch)).transpose())
             .collect::<SqlResult<Vec<_>>>()?;
         for row in 0..batch.num_rows() {
-            let key = GroupKey(group_cols.iter().map(|c| c.value(row)).collect());
-            let slot = *groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
+            let values: Vec<Value> = group_cols.iter().map(|c| c.value(row)).collect();
+            let slot = *groups.entry(values.iter().map(key).collect()).or_insert_with(|| {
+                order.push(values);
                 acc_table.push(new_accs());
                 acc_table.len() - 1
             });
-            for (acc, arg) in acc_table[slot].iter_mut().zip(&arg_cols) {
-                match arg {
-                    Some(col) => acc.update(&col.value(row))?,
-                    None => acc.update(&Value::Int(1))?,
+            for ((acc, seen), (call, arg)) in
+                acc_table[slot].iter_mut().zip(aggs.iter().zip(&arg_cols))
+            {
+                let v = arg.as_ref().map_or(Value::Int(1), |col| col.value(row));
+                if !dedups(call) || seen.insert(key(&v)) {
+                    acc.update(&v)?;
                 }
             }
         }
     }
     if group.is_empty() && order.is_empty() {
-        order.push(GroupKey(vec![]));
+        order.push(Vec::new());
         acc_table.push(new_accs());
     }
     let mut builders: Vec<ColumnBuilder> =
         out_schema.fields.iter().map(|f| ColumnBuilder::new(f.dtype)).collect();
-    for (key, accs) in order.into_iter().zip(acc_table) {
-        for (i, v) in key.0.into_iter().enumerate() {
-            builders[i].push(v).map_err(SqlError::from)?;
-        }
-        for (j, acc) in accs.into_iter().enumerate() {
-            builders[group.len() + j].push(acc.finish()).map_err(SqlError::from)?;
+    for (values, accs) in order.into_iter().zip(acc_table) {
+        let finished = accs.into_iter().map(|(acc, _)| acc.finish());
+        for (builder, v) in builders.iter_mut().zip(values.into_iter().chain(finished)) {
+            builder.push(v).map_err(SqlError::from)?;
         }
     }
     let cols: Vec<Column> = builders.into_iter().map(|b| b.finish()).collect();
@@ -1607,16 +1577,35 @@ mod tests {
         assert_eq!(run(&cat, &plan).len(), 25);
     }
 
+    /// One canonical FLOAT key on every arm: every NaN is one key and −0.0
+    /// is 0.0 when grouping, and under `=` a NaN or NULL key gets no slot.
     #[test]
     fn group_key_nan_canonical() {
-        use std::collections::HashSet;
-        let mut s: HashSet<GroupKey> = HashSet::new();
-        s.insert(GroupKey(vec![Value::Float(f64::NAN)]));
-        s.insert(GroupKey(vec![Value::Float(f64::NAN)]));
-        // PartialEq on NaN is false, but hashing is canonical; the set treats
-        // them as distinct entries under Eq — acceptable for SQL since NaN
-        // rarely appears in group keys; document via this test.
-        assert!(!s.is_empty());
+        let neg_nan = f64::from_bits(f64::NAN.to_bits() | 1 << 63 | 1);
+        let x = Column::from_values(
+            DataType::Float,
+            &[f64::NAN, neg_nan, 0.0, -0.0, 1.0, f64::NAN].map(Value::Float),
+        )
+        .unwrap();
+        let x = Column::concat(&[x, Column::from_values(DataType::Float, &[Value::Null]).unwrap()])
+            .unwrap();
+        let tag = Column::from_values(DataType::Str, &vec![Value::Str("t".into()); 7]).unwrap();
+        let slots = |cols: &[&Column], typed: bool, nulls: Nulls| {
+            let types: Vec<DataType> = cols.iter().map(|c| c.dtype()).collect();
+            let mut table = KeyTable::new(typed.then_some(types.as_slice()), nulls);
+            let mut slots = Vec::new();
+            table.intern(7, cols, &mut slots).unwrap();
+            assert_eq!(matches!(table.arm, Arm::Bytes(_)), !typed || cols.len() > 2);
+            slots
+        };
+        let z = NO_SLOT;
+        for typed in [true, false] {
+            assert_eq!(slots(&[&x], typed, Nulls::Grouped), [0, 0, 1, 1, 2, 0, 3]);
+            assert_eq!(slots(&[&x], typed, Nulls::Unmatched), [z, z, 0, 0, 1, z, z]);
+            assert_eq!(slots(&[&x, &x], typed, Nulls::Grouped), [0, 0, 1, 1, 2, 0, 3]);
+            assert_eq!(slots(&[&x, &x], typed, Nulls::Unmatched), [z, z, 0, 0, 1, z, z]);
+        }
+        assert_eq!(slots(&[&x, &tag], false, Nulls::Unmatched), [z, z, 0, 0, 1, z, z]);
     }
 
     fn nullable_int_batch(name: &str, keys: &[Option<i64>]) -> RecordBatch {
@@ -1646,13 +1635,14 @@ mod tests {
         let build = nullable_int_batch("k", &[Some(1), None, Some(0), Some(0), Some(3)]);
         let probe = nullable_int_batch("k", &[Some(1), None, Some(0), Some(2)]);
 
-        let fast = JoinBuild::new(build.clone(), vec![0]);
+        let fast = JoinBuild::new(build.clone(), vec![0]).unwrap();
         assert!(
-            matches!(fast.map, KeyMap::Int(_)),
-            "nullable BIGINT keys must not evict the join from the typed fast path"
+            matches!(fast.table.arm, Arm::One { .. }),
+            "nullable BIGINT keys must not evict the join from the typed arm"
         );
-        let generic = JoinBuild::with_strategy(build, vec![0], true);
-        assert!(matches!(generic.map, KeyMap::Generic(_)));
+        let generic =
+            JoinBuild::with_table(build, vec![0], KeyTable::new(None, Nulls::Unmatched)).unwrap();
+        assert!(matches!(generic.table.arm, Arm::Bytes(_)));
 
         for outer in [false, true] {
             let f = fast.probe(&probe, &[0], outer).unwrap();
@@ -1690,9 +1680,11 @@ mod tests {
         let build = mk(&[(Some(0), Some(0)), (Some(0), None), (None, Some(0)), (Some(1), Some(2))]);
         let probe = mk(&[(Some(0), Some(0)), (None, None), (Some(0), None), (Some(1), Some(2))]);
 
-        let fast = JoinBuild::new(build.clone(), vec![0, 1]);
-        assert!(matches!(fast.map, KeyMap::Int2(_)));
-        let generic = JoinBuild::with_strategy(build, vec![0, 1], true);
+        let fast = JoinBuild::new(build.clone(), vec![0, 1]).unwrap();
+        assert!(matches!(fast.table.arm, Arm::Two { .. }));
+        let generic =
+            JoinBuild::with_table(build, vec![0, 1], KeyTable::new(None, Nulls::Unmatched))
+                .unwrap();
         for outer in [false, true] {
             let f = fast.probe(&probe, &[0, 1], outer).unwrap();
             let g = generic.probe(&probe, &[0, 1], outer).unwrap();
@@ -1705,7 +1697,7 @@ mod tests {
     #[test]
     fn join_build_probe_matches_lists_per_row() {
         let build = nullable_int_batch("k", &[Some(5), Some(5), None, Some(7)]);
-        let jb = JoinBuild::new(build, vec![0]);
+        let jb = JoinBuild::new(build, vec![0]).unwrap();
         let probe = nullable_int_batch("k", &[Some(5), Some(6), None, Some(7)]);
         let matches = jb.probe_matches(&probe, &[0]).unwrap();
         let want: [&[usize]; 4] = [&[0, 1], &[], &[], &[3]];
@@ -1725,11 +1717,12 @@ mod tests {
         batches.iter().flat_map(|b| b.rows()).map(|r| r.into_iter().map(cell).collect()).collect()
     }
 
-    /// The typed folds and group maps against the boxed per-row fold they
-    /// replaced, bitwise and in output order: ungrouped (also on empty
-    /// input), one nullable BIGINT key, two BIGINT keys, a VARCHAR key and a
-    /// mixed key, over several batches of NULL, NaN, ±0.0, ±inf, non-dyadic
-    /// floats and BIGINTs that wrap.
+    /// The typed folds and the key table against the boxed per-row fold
+    /// they replaced, bitwise and in output order: ungrouped (also on empty
+    /// input), one nullable BIGINT key, two BIGINT keys, a VARCHAR key, a
+    /// mixed key, a FLOAT key and a FLOAT-and-BIGINT key, and DISTINCT
+    /// aggregates over every argument type, over several batches of NULL,
+    /// NaN, ±0.0, ±inf, non-dyadic floats and BIGINTs that wrap.
     #[test]
     fn typed_aggregates_match_the_boxed_fold_bitwise() {
         let schema = Schema::new(vec![
@@ -1769,6 +1762,9 @@ mod tests {
             call(AggFunc::Sum, Some(3), true),
             call(AggFunc::Avg, Some(3), true),
             call(AggFunc::Avg, Some(4), true),
+            call(AggFunc::Count, Some(3), true),
+            call(AggFunc::Count, Some(2), true),
+            call(AggFunc::Sum, Some(4), true),
         ];
         let agg_types = [
             DataType::Int,
@@ -1787,6 +1783,9 @@ mod tests {
             DataType::Float,
             DataType::Float,
             DataType::Float,
+            DataType::Int,
+            DataType::Int,
+            DataType::Int,
         ];
         for round in 0..40 {
             let batches: Vec<RecordBatch> = (0..3)
@@ -1806,7 +1805,7 @@ mod tests {
                     RecordBatch::from_rows(schema.clone(), &rows).unwrap()
                 })
                 .collect();
-            for group in [vec![], vec![0], vec![0, 1], vec![2], vec![0, 2]] {
+            for group in [vec![], vec![0], vec![0, 1], vec![2], vec![0, 2], vec![3], vec![3, 0]] {
                 let fields: Vec<Field> = group
                     .iter()
                     .map(|&c| schema.fields[c].clone())

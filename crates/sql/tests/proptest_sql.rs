@@ -359,15 +359,19 @@ proptest! {
 }
 
 /// One row of the oracle's tables, `a (k BIGINT, x FLOAT, s VARCHAR)` and
-/// `b (k BIGINT, y FLOAT, t VARCHAR)`, every column nullable. Floats are multiples of 0.5, so sums are exact in any
-/// order.
+/// `b (k BIGINT, y FLOAT, t VARCHAR)`, every column nullable. Floats are
+/// multiples of 0.5, −0.0 or NaN, so sums are exact in any order.
 type OracleRow = (Option<i64>, Option<f64>, Option<String>);
 
 fn arb_oracle_rows() -> impl Strategy<Value = Vec<OracleRow>> {
     proptest::collection::vec(
         (
             proptest::option::of(-1i64..3),
-            proptest::option::of((-2i64..4).prop_map(|h| h as f64 / 2.0)),
+            proptest::option::of(prop_oneof![
+                4 => (-2i64..4).prop_map(|h| h as f64 / 2.0),
+                1 => Just(-0.0),
+                1 => Just(f64::NAN),
+            ]),
             proptest::option::of(
                 prop_oneof![Just(""), Just("p"), Just("q")].prop_map(String::from),
             ),
@@ -376,18 +380,39 @@ fn arb_oracle_rows() -> impl Strategy<Value = Vec<OracleRow>> {
     )
 }
 
+/// Loads `a` and `b` exactly (no text round trip for NaN or −0.0).
 fn oracle_db(a: &[OracleRow], b: &[OracleRow]) -> Database {
     let db = Database::new();
     for (name, cols, rows) in [("a", "x FLOAT, s VARCHAR", a), ("b", "y FLOAT, t VARCHAR", b)] {
         db.execute(&format!("CREATE TABLE {name} (k BIGINT, {cols})")).unwrap();
-        for (k, x, s) in rows {
-            let k = k.map_or("NULL".to_string(), |k| k.to_string());
-            let x = x.map_or("NULL".to_string(), |x| format!("{x:?}"));
-            let s = s.as_ref().map_or("NULL".to_string(), |s| format!("'{s}'"));
-            db.execute(&format!("INSERT INTO {name} VALUES ({k}, {x}, {s})")).unwrap();
+        let schema = db.catalog().get(name).unwrap().read().schema().clone();
+        let cells: Vec<Vec<Value>> = rows.iter().map(|r| oracle_cells(Some(r)).to_vec()).collect();
+        if !cells.is_empty() {
+            db.append_batches(name, &[RecordBatch::from_rows(schema, &cells).unwrap()]).unwrap();
         }
     }
     db
+}
+
+/// A row's cells; `None` is the NULL row an outer join pads with.
+fn oracle_cells(r: Option<&OracleRow>) -> [Value; 3] {
+    match r {
+        Some((k, x, s)) => [
+            k.map_or(Value::Null, Value::Int),
+            x.map_or(Value::Null, Value::Float),
+            s.clone().map_or(Value::Null, Value::Str),
+        ],
+        None => [Value::Null, Value::Null, Value::Null],
+    }
+}
+
+/// A value as grouping and DISTINCT compare it: −0.0 is 0.0, and every NaN
+/// is one value.
+fn group_form(v: &Value) -> String {
+    match v {
+        Value::Float(x) if *x == 0.0 => "Float(0.0)".to_string(),
+        v => format!("{v:?}"),
+    }
 }
 
 /// A query shape for the pruning oracle.
@@ -397,8 +422,9 @@ struct Shape {
     join: u8,
     /// `AND a.x <= b.y` in ON (not for cross joins).
     residual: bool,
-    /// The equi-key pairs BIGINT with FLOAT: `a.k = b.y`, not `a.k = b.k`.
-    mixed_key: bool,
+    /// The equi-key: 0 `a.k = b.k` (BIGINT), 1 `a.k = b.y` (BIGINT with
+    /// FLOAT), 2 `a.x = b.y` (FLOAT, with NaN and ±0.0).
+    key: u8,
     /// `WHERE a.x > threshold`.
     filter: Option<i64>,
     /// 0 `SELECT *`, 1 two columns, 2 `COUNT(*)`, 3 `GROUP BY a.s`,
@@ -412,25 +438,16 @@ struct Shape {
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
     (
-        (0u8..4, any::<bool>(), any::<bool>()),
+        (0u8..4, any::<bool>(), 0u8..3),
         proptest::option::of(-1i64..2),
         0u8..5,
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
     )
-        .prop_map(
-            |((join, residual, mixed_key), filter, select, distinct, union_all, derived)| Shape {
-                join,
-                residual,
-                mixed_key,
-                filter,
-                select,
-                distinct,
-                union_all,
-                derived,
-            },
-        )
+        .prop_map(|((join, residual, key), filter, select, distinct, union_all, derived)| {
+            Shape { join, residual, key, filter, select, distinct, union_all, derived }
+        })
 }
 
 impl Shape {
@@ -441,8 +458,8 @@ impl Shape {
             kind => {
                 let kw = ["JOIN", "LEFT JOIN", "RIGHT JOIN"][kind as usize];
                 let residual = if self.residual { " AND a.x <= b.y" } else { "" };
-                let key = if self.mixed_key { "b.y" } else { "b.k" };
-                format!("{a} {kw} b ON a.k = {key}{residual}")
+                let key = ["a.k = b.k", "a.k = b.y", "a.x = b.y"][self.key as usize];
+                format!("{a} {kw} b ON {key}{residual}")
             }
         };
         let filter = self.filter.map_or(String::new(), |t| format!(" WHERE a.x > {t}"));
@@ -464,24 +481,17 @@ impl Shape {
     /// The same query, straight-line: nested loops over the rows, then the
     /// select list, DISTINCT and UNION ALL by hand.
     fn reference(&self, a: &[OracleRow], b: &[OracleRow]) -> Vec<Vec<Value>> {
-        let cells = |r: Option<&OracleRow>| -> [Value; 3] {
-            match r {
-                Some((k, x, s)) => [
-                    k.map_or(Value::Null, Value::Int),
-                    x.map_or(Value::Null, Value::Float),
-                    s.clone().map_or(Value::Null, Value::Str),
-                ],
-                None => [Value::Null, Value::Null, Value::Null],
-            }
-        };
+        let cells = oracle_cells;
         let matches = |l: &OracleRow, r: &OracleRow| -> bool {
             if self.join == 3 {
                 return true;
             }
-            let keys = match (l.0, self.mixed_key) {
-                (Some(x), false) => r.0 == Some(x),
-                (Some(x), true) => r.1 == Some(x as f64),
-                (None, _) => false,
+            // `Option<f64>`'s `==` is IEEE: NaN equals nothing, 0.0 = −0.0.
+            let keys = match (self.key, l.0, l.1) {
+                (0, Some(x), _) => r.0 == Some(x),
+                (1, Some(x), _) => r.1 == Some(x as f64),
+                (2, _, Some(x)) => r.1 == Some(x),
+                _ => false,
             };
             let residual = !self.residual || matches!((l.1, r.1), (Some(x), Some(y)) if x <= y);
             keys && residual
@@ -547,11 +557,13 @@ impl Shape {
             _ => joined.iter().map(|r| vec![r[5].clone()]).collect(),
         };
         if self.distinct && matches!(self.select, 0 | 1) {
-            let mut seen: Vec<Vec<Value>> = Vec::new();
+            // The first row of each distinct value stays.
+            let mut seen: Vec<Vec<String>> = Vec::new();
             out.retain(|r| {
-                let fresh = !seen.contains(r);
+                let form: Vec<String> = r.iter().map(group_form).collect();
+                let fresh = !seen.contains(&form);
                 if fresh {
-                    seen.push(r.clone());
+                    seen.push(form);
                 }
                 fresh
             });
@@ -578,8 +590,9 @@ proptest! {
     /// (with and without a residual ON condition), filters, grouping,
     /// `COUNT(*)`, ORDER BY on an unselected column, `SELECT *`, DISTINCT,
     /// UNION ALL and a derived table, all over nullable columns with
-    /// duplicate and NULL keys (BIGINT = BIGINT, or BIGINT = FLOAT), against
-    /// a straight-line nested-loop reference.
+    /// duplicate and NULL keys (BIGINT = BIGINT, BIGINT = FLOAT, or FLOAT =
+    /// FLOAT with NaN and ±0.0), against a straight-line nested-loop
+    /// reference.
     #[test]
     fn pruned_plans_match_nested_loop_reference(
         a in arb_oracle_rows(),
@@ -672,7 +685,8 @@ fn agg_db(a: &[AggRow], b: &[AggRow]) -> Database {
 }
 
 /// An aggregate-oracle query: 0 inner, 1 left, 2 right join of `ga` and
-/// `gb` on `k`, or 3 `gb` alone; grouped by nothing, one BIGINT key or two.
+/// `gb` on `k`, or 3 `gb` alone; grouped by nothing, one BIGINT key, two,
+/// or one FLOAT key.
 #[derive(Debug, Clone, Copy)]
 struct AggShape {
     join: u8,
@@ -686,9 +700,11 @@ impl AggShape {
         match (self.join, self.keys) {
             (_, 0) => ("", &[]),
             (3, 1) => ("b.k", &[3]),
-            (3, _) => ("b.k, b.n", &[3, 5]),
+            (3, 2) => ("b.k, b.n", &[3, 5]),
+            (3, _) => ("b.x", &[4]),
             (_, 1) => ("a.k", &[0]),
-            _ => ("a.k, b.k", &[0, 3]),
+            (_, 2) => ("a.k, b.k", &[0, 3]),
+            _ => ("a.x", &[1]),
         }
     }
 
@@ -702,7 +718,8 @@ impl AggShape {
         };
         let (keys, _) = self.keys();
         let aggs = "SUM(b.x), MIN(b.x), MAX(b.x), AVG(b.x), COUNT(b.x), \
-                    SUM(b.n), MIN(b.n), MAX(b.n), AVG(b.n), COUNT(*), AVG(DISTINCT b.n)";
+                    SUM(b.n), MIN(b.n), MAX(b.n), AVG(b.n), COUNT(*), AVG(DISTINCT b.n), \
+                    COUNT(DISTINCT b.x), SUM(DISTINCT b.x), AVG(DISTINCT b.x)";
         if keys.is_empty() {
             format!("SELECT {aggs} FROM {from}")
         } else {
@@ -767,6 +784,9 @@ impl AggShape {
             rows: i64,
             /// The distinct `n`s, first seen first.
             n_distinct: Vec<i64>,
+            /// The distinct `x`s (−0.0 is 0.0, every NaN one), first seen
+            /// first.
+            x_distinct: Vec<Value>,
         }
         let (_, key_cols) = self.keys();
         let mut groups: Vec<(Vec<Value>, Fold)> = Vec::new();
@@ -775,8 +795,10 @@ impl AggShape {
         }
         for pair in joined {
             let row = cells(pair);
+            // Keys compare in group form; a group reports its first key.
             let key: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
-            let g = match groups.iter().position(|(k, _)| *k == key) {
+            let form = |k: &[Value]| k.iter().map(group_form).collect::<Vec<_>>();
+            let g = match groups.iter().position(|(k, _)| form(k) == form(&key)) {
                 Some(g) => g,
                 None => {
                     groups.push((key, Fold::default()));
@@ -786,6 +808,9 @@ impl AggShape {
             let f = &mut groups[g].1;
             f.rows += 1;
             if let Value::Float(x) = row[4] {
+                if !f.x_distinct.iter().any(|d| group_form(d) == group_form(&row[4])) {
+                    f.x_distinct.push(row[4].clone());
+                }
                 f.x_sum = Some(f.x_sum.unwrap_or(0.0) + x);
                 if f.x_min.is_none_or(|m| x.total_cmp(&m).is_lt()) {
                     f.x_min = Some(x);
@@ -816,6 +841,9 @@ impl AggShape {
                 let n_distinct_avg = (f.n_n > 0).then(|| {
                     f.n_distinct.iter().map(|&n| n as f64).sum::<f64>() / f.n_distinct.len() as f64
                 });
+                let xs = f.x_distinct.iter().filter_map(Value::as_float);
+                let x_distinct_sum = (f.x_n > 0).then(|| xs.fold(0.0, |s, x| s + x));
+                let x_distinct_avg = x_distinct_sum.map(|s| s / f.x_distinct.len() as f64);
                 key.into_iter()
                     .chain([
                         float(f.x_sum),
@@ -829,6 +857,9 @@ impl AggShape {
                         float(n_avg),
                         Value::Int(f.rows),
                         float(n_distinct_avg),
+                        Value::Int(f.x_distinct.len() as i64),
+                        float(x_distinct_sum),
+                        float(x_distinct_avg),
                     ])
                     .collect()
             })
@@ -863,19 +894,21 @@ fn as_bit_rows(rows: &[Vec<Value>]) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// SUM / MIN / MAX / AVG / COUNT over FLOAT and BIGINT arguments, and
-    /// AVG(DISTINCT) over BIGINT —
+    /// SUM / MIN / MAX / AVG / COUNT over FLOAT and BIGINT arguments,
+    /// AVG(DISTINCT) over BIGINT and COUNT / SUM / AVG(DISTINCT) over FLOAT —
     /// NULL, NaN, ±0.0, ±inf, non-dyadic floats and wrapping BIGINT sums —
     /// ungrouped (also over empty input), grouped by a nullable BIGINT key
-    /// (NULL is a group) and by two BIGINT keys, over inner, left and right
-    /// joins and a plain scan, against a straight-line reference that folds
-    /// in join-output order. Compared bitwise.
+    /// (NULL is a group), by two BIGINT keys and by a nullable FLOAT key
+    /// (every NaN one group, 0.0 and −0.0 one, reported as the first seen),
+    /// over inner, left and right joins and a plain scan, against a
+    /// straight-line reference that folds in join-output order. Compared
+    /// bitwise.
     #[test]
     fn aggregates_match_join_order_reference_bitwise(
         a in arb_agg_rows(),
         b in arb_agg_rows(),
         join in 0u8..4,
-        keys in 0u8..3,
+        keys in 0u8..4,
     ) {
         let shape = AggShape { join, keys };
         let db = agg_db(&a, &b);

@@ -16,8 +16,8 @@
 //!   that Vertexica's *update-vs-replace* optimization (§2.3) relies on;
 //! * [`partition`] — hash partitioning of batches, used by *vertex batching*
 //!   (§2.3) to split the table union across worker UDFs;
-//! * [`persist`] — a compact binary on-disk format used for durability and
-//!   superstep checkpointing;
+//! * [`persist`] — the compact, checksummed binary table image the
+//!   durability layer flushes and recovers;
 //! * [`wal`] — the durability layer: an append-only, checksummed write-ahead
 //!   log, segment flushing, a manifest-anchored checkpoint/truncate cycle,
 //!   and crash recovery ([`wal::open_durable`]) with byte-budget crash

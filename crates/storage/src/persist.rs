@@ -1,26 +1,19 @@
 //! Compact binary persistence for tables.
 //!
-//! Two self-describing formats, both ending in a CRC32 trailer so torn or
+//! One self-describing format, `VXTB2`, ending in a CRC32 trailer so torn or
 //! bit-flipped files surface as [`StorageError::Corrupt`] instead of decoding
-//! silently:
-//!
-//! * **`VXTB1` (logical)** — [`table_to_bytes`] writes the table's logical
-//!   content (delete vectors applied, WOS included) with per-column
-//!   auto-encoding. A restored table is equivalent under scans even if its
-//!   physical segment layout differs. Used by superstep checkpointing.
-//! * **`VXTB2` (physical)** — [`table_to_bytes_physical`] preserves the exact
-//!   WOS rows, per-segment encoded columns, per-segment **and per-block** zone
-//!   maps, and delete vectors, so `decode(encode(t))` re-serializes
-//!   byte-identically. This is the format the durability layer
-//!   ([`crate::wal`]) flushes and recovers, which is what makes "recovered
-//!   state is bitwise the committed state" a testable invariant.
+//! silently: [`table_to_bytes_physical`] preserves the exact WOS rows,
+//! per-segment encoded columns, per-segment **and per-block** zone maps, and
+//! delete vectors, so `decode(encode(t))` re-serializes byte-identically.
+//! This is the format the durability layer ([`crate::wal`]) flushes and
+//! recovers, which is what makes "recovered state is bitwise the committed
+//! state" a testable invariant.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 
-use crate::batch::RecordBatch;
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnBuilder, ColumnData};
 use crate::encoding::EncodedColumn;
@@ -29,7 +22,6 @@ use crate::table::{Row, Segment, Table, TableOptions, ZoneMap};
 use crate::value::{DataType, Field, Schema, Value};
 use crate::wal::crc32;
 
-const MAGIC: &[u8; 6] = b"VXTB1\n";
 const MAGIC_PHYSICAL: &[u8; 6] = b"VXTB2\n";
 
 pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -452,66 +444,6 @@ pub(crate) fn get_segment(buf: &mut &[u8]) -> StorageResult<Segment> {
     Segment::from_parts(num_rows, columns, zone_maps, block_zone_maps)
 }
 
-/// Serializes a table's logical content to bytes.
-pub fn table_to_bytes(table: &Table) -> StorageResult<Vec<u8>> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    put_str(&mut buf, table.name());
-    let schema = table.schema();
-    put_schema(&mut buf, schema);
-    put_options(&mut buf, table.options());
-
-    // Logical content: scan everything into one batch, encode per column.
-    let batches = table.scan(None, &[])?;
-    let merged = RecordBatch::concat(schema.clone(), &batches)?;
-    buf.put_u64_le(merged.num_rows() as u64);
-    for col in merged.columns() {
-        put_encoded_column(&mut buf, &EncodedColumn::encode_auto(col));
-    }
-    let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    Ok(buf)
-}
-
-/// Reconstructs a table from bytes produced by [`table_to_bytes`].
-pub fn table_from_bytes(buf: &[u8]) -> StorageResult<Table> {
-    let mut buf = check_magic_and_crc(buf, MAGIC)?;
-    let buf = &mut buf;
-    let name = get_str(buf)?;
-    let schema = get_schema(buf)?;
-    let options = get_options(buf)?;
-
-    if buf.len() < 8 {
-        return Err(StorageError::Corrupt("truncated row count".into()));
-    }
-    let num_rows = buf.get_u64_le() as usize;
-    let mut columns = Vec::with_capacity(schema.len());
-    for f in &schema.fields {
-        let enc = get_encoded_column(buf)?;
-        let col = enc.decode()?;
-        if col.len() != num_rows {
-            return Err(StorageError::Corrupt(format!(
-                "column {} has {} rows, expected {num_rows}",
-                f.name,
-                col.len()
-            )));
-        }
-        if col.dtype() != f.dtype {
-            return Err(StorageError::Corrupt(format!(
-                "column {} type mismatch after decode",
-                f.name
-            )));
-        }
-        columns.push(col);
-    }
-    let mut table = Table::new(name, schema.clone(), options);
-    if num_rows > 0 {
-        let batch = RecordBatch::new(schema, columns)?;
-        table.append_batch(&batch)?;
-    }
-    Ok(table)
-}
-
 /// Validates a file's magic and CRC32 trailer, returning the payload slice
 /// between them (magic excluded, trailer excluded).
 pub(crate) fn check_magic_and_crc<'a>(buf: &'a [u8], magic: &[u8; 6]) -> StorageResult<&'a [u8]> {
@@ -535,9 +467,9 @@ pub(crate) fn check_magic_and_crc<'a>(buf: &'a [u8], magic: &[u8; 6]) -> Storage
 
 /// Serializes a table's exact **physical** state: WOS rows, ROS segments with
 /// their encoded columns and zone maps (segment- and block-level), and delete
-/// vectors. Unlike [`table_to_bytes`], the reconstructed table is
-/// byte-identical under re-serialization — the durability layer's bitwise
-/// recovery invariant rests on this.
+/// vectors. The reconstructed table is byte-identical under
+/// re-serialization — the durability layer's bitwise recovery invariant
+/// rests on this.
 pub fn table_to_bytes_physical(table: &Table) -> StorageResult<Vec<u8>> {
     Ok(table_to_bytes_physical_indexed(table)?.0)
 }
@@ -668,22 +600,10 @@ pub fn table_from_bytes_physical_indexed(full: &[u8]) -> StorageResult<(Table, V
     Ok((table, spans))
 }
 
-/// Writes a table to a file.
-pub fn write_table(table: &Table, path: impl AsRef<Path>) -> StorageResult<()> {
-    let bytes = table_to_bytes(table)?;
-    std::fs::write(path, bytes)?;
-    Ok(())
-}
-
-/// Reads a table from a file.
-pub fn read_table(path: impl AsRef<Path>) -> StorageResult<Table> {
-    let bytes = std::fs::read(path)?;
-    table_from_bytes(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::RecordBatch;
     use crate::table::ColumnPredicate;
     use crate::table::PredicateOp;
     use crate::table::BLOCK_ROWS;
@@ -714,8 +634,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_logical_content() {
         let t = sample_table();
-        let bytes = table_to_bytes(&t).unwrap();
-        let back = table_from_bytes(&bytes).unwrap();
+        let bytes = table_to_bytes_physical(&t).unwrap();
+        let back = table_from_bytes_physical(&bytes).unwrap();
         assert_eq!(back.name(), "sample");
         assert_eq!(back.num_rows(), 50);
         let orig = RecordBatch::concat(t.schema().clone(), &t.scan(None, &[]).unwrap()).unwrap();
@@ -739,8 +659,8 @@ mod tests {
             .unwrap();
         let ids: Vec<u64> = scans.iter().flat_map(|(_, ids)| ids.clone()).collect();
         t.delete_rowids(&ids).unwrap();
-        let bytes = table_to_bytes(&t).unwrap();
-        let back = table_from_bytes(&bytes).unwrap();
+        let bytes = table_to_bytes_physical(&t).unwrap();
+        let back = table_from_bytes_physical(&bytes).unwrap();
         assert_eq!(back.num_rows(), 40);
     }
 
@@ -750,23 +670,23 @@ mod tests {
         let dir = std::env::temp_dir().join("vertexica_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.vxtb");
-        write_table(&t, &path).unwrap();
-        let back = read_table(&path).unwrap();
+        std::fs::write(&path, table_to_bytes_physical(&t).unwrap()).unwrap();
+        let back = table_from_bytes_physical(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(back.num_rows(), t.num_rows());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn bad_magic_rejected() {
-        assert!(matches!(table_from_bytes(b"NOTAMAGIC"), Err(StorageError::Corrupt(_))));
+        assert!(matches!(table_from_bytes_physical(b"NOTAMAGIC"), Err(StorageError::Corrupt(_))));
     }
 
     #[test]
     fn truncated_file_rejected() {
         let t = sample_table();
-        let bytes = table_to_bytes(&t).unwrap();
+        let bytes = table_to_bytes_physical(&t).unwrap();
         for cut in [7, 20, bytes.len() / 2, bytes.len() - 3] {
-            assert!(table_from_bytes(&bytes[..cut]).is_err(), "cut at {cut} should fail");
+            assert!(table_from_bytes_physical(&bytes[..cut]).is_err(), "cut at {cut} should fail");
         }
     }
 
@@ -774,8 +694,8 @@ mod tests {
     fn empty_table_roundtrip() {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
         let t = Table::new("empty", schema, TableOptions::default());
-        let bytes = table_to_bytes(&t).unwrap();
-        let back = table_from_bytes(&bytes).unwrap();
+        let bytes = table_to_bytes_physical(&t).unwrap();
+        let back = table_from_bytes_physical(&bytes).unwrap();
         assert_eq!(back.num_rows(), 0);
         assert_eq!(back.schema().len(), 1);
     }
@@ -940,7 +860,7 @@ mod tests {
         let mut opts = TableOptions::default().with_moveout_threshold(7).compressed();
         opts.sort_key = vec![0];
         let t = Table::new("opt", schema, opts);
-        let back = table_from_bytes(&table_to_bytes(&t).unwrap()).unwrap();
+        let back = table_from_bytes_physical(&table_to_bytes_physical(&t).unwrap()).unwrap();
         assert_eq!(back.options().moveout_threshold, 7);
         assert!(back.options().compress);
         assert_eq!(back.options().sort_key, vec![0]);

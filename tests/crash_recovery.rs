@@ -417,26 +417,6 @@ fn segment_file_corruption_is_detected() {
 }
 
 #[test]
-fn logical_persist_corruption_is_detected() {
-    // The VXTB1 logical format gets the same treatment: truncations and
-    // flips surface as errors, never panics.
-    let mut t = Table::new("t", pair_schema(), TableOptions::default().with_moveout_threshold(4));
-    for i in 0..20 {
-        t.insert_row(vec![Value::Int(i), Value::Int(i * 2)]).unwrap();
-    }
-    let clean = persist::table_to_bytes(&t).unwrap();
-    persist::table_from_bytes(&clean).unwrap();
-    for cut in 0..clean.len() {
-        assert!(persist::table_from_bytes(&clean[..cut]).is_err());
-    }
-    for pos in (0..clean.len()).step_by(3) {
-        let mut bytes = clean.clone();
-        bytes[pos] ^= 0x08;
-        assert!(persist::table_from_bytes(&bytes).is_err(), "flip at {pos} undetected");
-    }
-}
-
-#[test]
 fn physical_persist_truncations_all_error() {
     let mut t = Table::new("t", pair_schema(), TableOptions::default().with_moveout_threshold(4));
     for i in 0..40 {

@@ -67,6 +67,7 @@ const RECOVERY_FILES: &[&str] = &[
     "crates/core/src/shard.rs",
     "crates/sql/src/parser.rs",
     "crates/sql/src/physical.rs",
+    "crates/sql/src/expr.rs",
 ];
 
 /// `std::sync::` items that must come from the seam instead.
