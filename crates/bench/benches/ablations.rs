@@ -4,9 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
-use vertexica::{run_program, InputMode, VertexicaConfig};
+use vertexica::{run_program, VertexicaConfig};
 use vertexica_algorithms::vc::PageRank;
-use vertexica_bench::{figure2_dataset, fresh_session, HarnessConfig};
+use vertexica_bench::{
+    figure2_dataset, fresh_session, input_assembly_session, input_assembly_sql, HarnessConfig,
+};
 
 fn micro_cfg() -> HarnessConfig {
     HarnessConfig {
@@ -18,16 +20,14 @@ fn micro_cfg() -> HarnessConfig {
 }
 
 fn bench_input_assembly(c: &mut Criterion) {
-    let graph = figure2_dataset("twitter", &micro_cfg());
+    // The paper's union-vs-join contrast as its two SQL statements, over the
+    // tables one PageRank superstep leaves behind.
+    let session = input_assembly_session(&figure2_dataset("twitter", &micro_cfg()));
     let mut group = c.benchmark_group("ablation_input_assembly");
     group.sample_size(10);
-    for (label, mode) in [("union", InputMode::TableUnion), ("join", InputMode::ThreeWayJoin)] {
-        group.bench_function(BenchmarkId::new("pagerank5", label), |b| {
-            b.iter(|| {
-                let session = fresh_session(&graph);
-                let config = VertexicaConfig::default().with_input_mode(mode);
-                run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap()
-            })
+    for (label, sql) in input_assembly_sql(&session) {
+        group.bench_function(BenchmarkId::new("sql", label), |b| {
+            b.iter(|| session.db().execute(&sql).unwrap().into_batches().unwrap())
         });
     }
     group.finish();

@@ -7,9 +7,11 @@
 
 use std::sync::Arc;
 
-use vertexica::{run_program, InputMode, VertexicaConfig};
+use vertexica::{run_program, VertexicaConfig};
 use vertexica_algorithms::vc::{PageRank, Sssp};
-use vertexica_bench::{figure2_dataset, fresh_session, HarnessConfig};
+use vertexica_bench::{
+    figure2_dataset, fresh_session, input_assembly_session, input_assembly_sql, HarnessConfig,
+};
 use vertexica_common::timer::Stopwatch;
 use vertexica_common::WorkerPool;
 use vertexica_sql::Database;
@@ -37,15 +39,17 @@ fn main() {
     );
 
     if exp == "union-vs-join" || exp == "all" {
-        println!("## §2.3 Table Unions: input assembly strategy (PageRank)");
-        for (label, mode) in
-            [("table-union", InputMode::TableUnion), ("3-way-join", InputMode::ThreeWayJoin)]
-        {
-            let session = fresh_session(&graph);
-            let config = VertexicaConfig::default().with_input_mode(mode);
+        println!("## §2.3 Table Unions: worker input as one SQL statement");
+        println!("# After one PageRank superstep, combiner off (one message per edge):");
+        println!("# the common-schema UNION ALL vs the 3-way join of the vertex,");
+        println!("# message and edge tables, each run through Database::execute.");
+        let session = input_assembly_session(&graph);
+        for (label, sql) in input_assembly_sql(&session) {
             let sw = Stopwatch::start();
-            run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap();
-            println!("{label:<14} {:.3}s", sw.elapsed_secs());
+            let batches = session.db().execute(&sql).unwrap().into_batches().unwrap();
+            let secs = sw.elapsed_secs();
+            let rows: usize = batches.iter().map(|b| b.num_rows()).sum();
+            println!("{label:<14} {secs:.4}s  rows={rows}");
         }
         println!();
     }
@@ -164,10 +168,20 @@ fn main() {
     }
 }
 
+/// Writes one experiment's JSON as `bench-out/<file>` (the directory is
+/// created if missing), never over the committed `BENCH_*.json` files.
+fn write_bench_json(file: &str, json: &str) {
+    let dir = std::path::Path::new("bench-out");
+    std::fs::create_dir_all(dir).expect("create bench-out");
+    let path = dir.join(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
+
 /// Durability ablation: the same PageRank run in-memory, write-ahead-logged
 /// without fsync, and fully fsynced — isolating what the WAL append, the
 /// grouped-commit table flushes, and `fsync` each cost. Writes
-/// `BENCH_pr7.json` into the current directory.
+/// `bench-out/BENCH_pr7.json`.
 fn wal_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig) {
     println!("## Durability: WAL + grouped-commit flush + fsync (PageRank)");
     println!("# in-memory: the baseline database (no durability);");
@@ -220,8 +234,7 @@ fn wal_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig) 
         cfg.scale,
         lines.join(",\n")
     );
-    std::fs::write("BENCH_pr7.json", &json).expect("write BENCH_pr7.json");
-    println!("wrote BENCH_pr7.json");
+    write_bench_json("BENCH_pr7.json", &json);
     println!();
 }
 
@@ -229,7 +242,7 @@ fn wal_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig) 
 /// buffer pool unbounded, then squeezed to fractions of the checkpointed
 /// footprint — isolating what clock eviction and reload-on-miss cost (and
 /// proving the budgeted runs stay at or below their cap while producing the
-/// same ranks). Writes `BENCH_pr8.json` into the current directory.
+/// same ranks). Writes `bench-out/BENCH_pr8.json`.
 fn evict_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig) {
     use vertexica::session::edge_schema;
     use vertexica_common::graph::EdgeList;
@@ -341,8 +354,7 @@ fn evict_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
         cfg.scale,
         lines.join(",\n")
     );
-    std::fs::write("BENCH_pr8.json", &json).expect("write BENCH_pr8.json");
-    println!("wrote BENCH_pr8.json");
+    write_bench_json("BENCH_pr8.json", &json);
     println!();
 }
 
@@ -352,7 +364,7 @@ fn evict_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
 /// rows, routed bytes, load skew, early partition seals). On few-core hosts
 /// the routing counters — not wall clock — are the experiment; the JSON
 /// discloses the core count for exactly that reason. Writes
-/// `BENCH_pr9.json` into the current directory.
+/// `bench-out/BENCH_pr9.json`.
 fn shard_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig) {
     use vertexica::shard::{run_sharded, ShardedDatabase, ShardedGraphSession};
 
@@ -415,7 +427,6 @@ fn shard_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
         cfg.scale,
         lines.join(",\n")
     );
-    std::fs::write("BENCH_pr9.json", &json).expect("write BENCH_pr9.json");
-    println!("wrote BENCH_pr9.json");
+    write_bench_json("BENCH_pr9.json", &json);
     println!();
 }

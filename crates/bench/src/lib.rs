@@ -137,6 +137,39 @@ pub fn fresh_session(graph: &EdgeList) -> GraphSession {
     session
 }
 
+/// A session over `graph` as the worker input of a PageRank superstep sees
+/// it: one superstep run with the combiner off, so the message table holds
+/// every raw message (one per edge).
+pub fn input_assembly_session(graph: &EdgeList) -> GraphSession {
+    let session = fresh_session(graph);
+    let config = VertexicaConfig::default().with_combiner(false).with_max_supersteps(1);
+    run_program(&session, Arc::new(PageRank::new(PR_ITERATIONS, DAMPING)), &config)
+        .expect("one PageRank superstep");
+    session
+}
+
+/// The paper's two ways to build worker input (§2.3 "Table Unions"), as the
+/// SQL statements over `session`'s tables, labelled: the common-schema
+/// `UNION ALL` of the vertex, edge and message tables that Vertexica runs,
+/// and the 3-way join it rejects, which yields *E × M* rows for a vertex
+/// with *E* edges and *M* messages.
+pub fn input_assembly_sql(session: &GraphSession) -> [(&'static str, String); 2] {
+    let (v, e, m) = (session.vertex_table(), session.edge_table(), session.message_table());
+    let union = format!(
+        "SELECT id AS vid, 0 AS kind, CAST(NULL AS BIGINT) AS other, \
+                CAST(NULL AS FLOAT) AS weight, value AS payload, halted FROM {v} \
+         UNION ALL \
+         SELECT src, 1, dst, weight, CAST(NULL AS VARBINARY), CAST(NULL AS BOOLEAN) FROM {e} \
+         UNION ALL \
+         SELECT recipient, 2, sender, CAST(NULL AS FLOAT), value, CAST(NULL AS BOOLEAN) FROM {m}"
+    );
+    let join = format!(
+        "SELECT v.id, v.value, v.halted, m.sender, m.value AS mvalue, e.dst, e.weight \
+         FROM {v} v LEFT JOIN {m} m ON m.recipient = v.id LEFT JOIN {e} e ON e.src = v.id"
+    );
+    [("table-union", union), ("3-way-join", join)]
+}
+
 // ---- the four systems ----
 
 /// System 1: the transactional graph database, with DNF budget.

@@ -2,21 +2,9 @@
 //! its caller builds: no default reads the environment, so the same code
 //! runs the same configuration in every process.
 
-/// How worker input is assembled from the vertex/edge/message tables (§2.3,
-/// "Table Unions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputMode {
-    /// Rename the three tables to a common schema and UNION them — the
-    /// paper's optimization.
-    TableUnion,
-    /// The naive 3-way join baseline the paper argues against (kept for the
-    /// ablation benchmark).
-    ThreeWayJoin,
-}
-
 /// Tuning knobs for a vertex-centric run. Defaults follow the paper:
-/// workers = cores, a fixed partition count for vertex batching, table-union
-/// input, and threshold-based update-vs-replace.
+/// workers = cores, a fixed partition count for vertex batching, and
+/// threshold-based update-vs-replace.
 #[derive(Debug, Clone)]
 pub struct VertexicaConfig {
     /// Parallel worker UDF instances ("as many workers as the number of
@@ -26,8 +14,6 @@ pub struct VertexicaConfig {
     /// batches; the extreme (one vertex per partition) degenerates to one UDF
     /// call per vertex, which §2.3 warns against.
     pub num_partitions: usize,
-    /// Worker input assembly strategy.
-    pub input_mode: InputMode,
     /// If the fraction of updated vertices is **at or above** this threshold,
     /// rebuild the vertex table — a LEFT-JOIN-equivalent merge of the old
     /// rows with the delta, committed as fresh segments ("replace"); below
@@ -71,7 +57,6 @@ impl Default for VertexicaConfig {
         VertexicaConfig {
             num_workers: cores,
             num_partitions: cores * 4,
-            input_mode: InputMode::TableUnion,
             replace_threshold: 0.2,
             use_combiner: true,
             stream_chunk_rows: crate::input::STREAM_CHUNK_ROWS,
@@ -90,11 +75,6 @@ impl VertexicaConfig {
 
     pub fn with_partitions(mut self, n: usize) -> Self {
         self.num_partitions = n.max(1);
-        self
-    }
-
-    pub fn with_input_mode(mut self, mode: InputMode) -> Self {
-        self.input_mode = mode;
         self
     }
 
@@ -138,7 +118,6 @@ mod tests {
         let c = VertexicaConfig::default();
         assert!(c.num_workers >= 1);
         assert!(c.num_partitions >= c.num_workers);
-        assert_eq!(c.input_mode, InputMode::TableUnion);
         assert!(c.replace_threshold > 0.0 && c.replace_threshold < 1.0);
     }
 

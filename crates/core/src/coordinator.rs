@@ -9,8 +9,8 @@
 //! [`register_as_procedure`]), vertex initialization, and the run's
 //! statistics. Every superstep has one shape:
 //!
-//! 1. assemble worker input ([`crate::input::assemble_chunks`], union or
-//!    join mode), pulled through scan cursors and streamed chunk by chunk —
+//! 1. assemble worker input ([`crate::input::assemble_chunks`], the table
+//!    union), pulled through scan cursors and streamed chunk by chunk —
 //!    the full table union never materializes; the static edge table stays
 //!    out of it when the run reads edges from the session's
 //!    [`crate::projection::EdgeProjection`], resolved once before superstep 0;
@@ -96,8 +96,7 @@ pub struct SuperstepStats {
     /// The most un-emitted **source-scan** data assemble ever held at once,
     /// in estimated bytes. Scans are pulled through cursors, so this is one
     /// in-flight batch per source — strictly below
-    /// [`input_bytes`](Self::input_bytes) on any multi-batch input (the
-    /// 3-way-join input also holds its two hash-join build sides).
+    /// [`input_bytes`](Self::input_bytes) on any multi-batch input.
     pub peak_resident_scan_bytes: usize,
     /// Compute partitions dispatched by a **seal** — their last planned row
     /// landed while assemble was still streaming — as opposed to the
@@ -158,7 +157,7 @@ pub struct RunStats {
     /// [`EdgeProjection`] before superstep 0: the one-off cost of the first
     /// run after a load or an edge mutation. 0.0 when the cached projection
     /// was still current, and when the run streams edge rows instead
-    /// (budgeted or 3-way-join runs). Included in
+    /// (budgeted runs). Included in
     /// [`total_secs`](Self::total_secs).
     pub projection_build_secs: f64,
     /// Heap bytes of the projection the run read its edges from (0 when it
@@ -308,7 +307,6 @@ pub fn register_as_procedure<P: VertexProgram + 'static>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::config::InputMode;
     use vertexica_common::graph::EdgeList;
     use vertexica_common::pregel::{VertexContext, VertexContextExt};
     use vertexica_common::VertexId;
@@ -365,12 +363,6 @@ pub(crate) mod tests {
     #[test]
     fn single_partition_single_worker_same_answer() {
         let vals = run_maxid(VertexicaConfig::default().with_partitions(1).with_workers(1));
-        assert_eq!(vals, vec![(0, 2), (1, 2), (2, 2), (3, 4), (4, 4)]);
-    }
-
-    #[test]
-    fn join_input_mode_same_answer() {
-        let vals = run_maxid(VertexicaConfig::default().with_input_mode(InputMode::ThreeWayJoin));
         assert_eq!(vals, vec![(0, 2), (1, 2), (2, 2), (3, 4), (4, 4)]);
     }
 

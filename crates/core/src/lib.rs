@@ -9,8 +9,8 @@
 //! * the [`coordinator`] is a stored procedure driving supersteps;
 //! * the [`worker`] is a transform UDF (one instance per partition, run on a
 //!   pool sized to the core count);
-//! * [`input`] assembles worker input either as a **table union** (the
-//!   paper's key optimization) or as the naive **3-way join** baseline;
+//! * [`input`] assembles worker input as a **table union** (the paper's key
+//!   optimization) of the vertex, edge and message tables;
 //! * [`projection`] keeps the static edge table out of that per-superstep
 //!   input: a sorted CSR image built once and borrowed by every worker;
 //! * [`apply`] writes superstep results back using the **update-vs-replace**
@@ -36,7 +36,7 @@ pub mod session;
 pub mod shard;
 pub mod worker;
 
-pub use config::{InputMode, VertexicaConfig};
+pub use config::VertexicaConfig;
 pub use coordinator::{run_program, RunStats, SuperstepStats};
 pub use error::{VertexicaError, VertexicaResult};
 pub use projection::EdgeProjection;

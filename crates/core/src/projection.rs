@@ -15,9 +15,8 @@
 //! [`Table::data_version`](vertexica_storage::Table::data_version): any DML,
 //! swap or recovery since the build redraws the stamp and forces a rebuild.
 //!
-//! Whether a run uses it is decided from what the run can observe
-//! (table-union input, no budget on the buffer pool — see `for_run`); there
-//! is no switch.
+//! Whether a run uses it is decided from what the run can observe (no
+//! budget on the buffer pool — see `for_run`); there is no switch.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -26,7 +25,6 @@ use vertexica_common::graph::{Edge, VertexId};
 use vertexica_common::timer::Stopwatch;
 use vertexica_storage::ScanCursor;
 
-use crate::config::{InputMode, VertexicaConfig};
 use crate::error::{VertexicaError, VertexicaResult};
 use crate::session::GraphSession;
 
@@ -150,28 +148,22 @@ impl GraphSession {
     }
 }
 
-/// The projection a run under `config` reads its edges from, with the
-/// seconds spent building it — or `None` when the run streams edge rows
-/// through the union instead:
+/// The projection a run reads its edges from, with the seconds spent
+/// building it — or `None` when the run streams edge rows through the union
+/// instead. Only a run on an unbudgeted buffer pool reads it: a memory
+/// budget says the database may not hold its working set outside the pool,
+/// and the projection is a decoded copy of the run's largest table. Under a
+/// budget a run keeps streaming edge rows, segment by evictable segment.
 ///
-/// * Only the table-union input reads the projection: the 3-way join is the
-///   ablation baseline whose cost *is* the edge join.
-/// * Only a run on an unbudgeted buffer pool does: a memory budget says the
-///   database may not hold its working set outside the pool, and the
-///   projection is a decoded copy of the run's largest table. Under a budget
-///   a run keeps streaming edge rows, segment by evictable segment.
-///
-/// The budget is read from the pool, not from `config`: a run only ever
-/// *sets* the pool's budget (`memory_budget_bytes: None` means "leave it"),
-/// so a pool budgeted by an earlier run or by `BufferPool::set_budget` is
-/// still evicting whatever this run's config says. Call this after the run
-/// has applied its own budget to the pool.
+/// The budget is read from the pool, not from the run's config: a run only
+/// ever *sets* the pool's budget (`memory_budget_bytes: None` means "leave
+/// it"), so a pool budgeted by an earlier run or by `BufferPool::set_budget`
+/// is still evicting whatever this run's config says. Call this after the
+/// run has applied its own budget to the pool.
 pub(crate) fn for_run(
     session: &GraphSession,
-    config: &VertexicaConfig,
 ) -> VertexicaResult<(Option<Arc<EdgeProjection>>, f64)> {
-    let budgeted = session.db().catalog().buffer_pool().budget().is_some();
-    if config.input_mode != InputMode::TableUnion || budgeted {
+    if session.db().catalog().buffer_pool().budget().is_some() {
         return Ok((None, 0.0));
     }
     let (projection, build_secs) = session.edge_projection()?;
@@ -410,16 +402,13 @@ mod tests {
     fn budgeted_pools_and_join_runs_stream_edge_rows() {
         let g = session();
         let pool = g.db().catalog().buffer_pool().clone();
-        let union = VertexicaConfig::default();
-        assert!(for_run(&g, &union).unwrap().0.is_some());
-        let join = union.clone().with_input_mode(InputMode::ThreeWayJoin);
-        assert!(for_run(&g, &join).unwrap().0.is_none());
-        // The pool's budget decides, whatever the config says: `None` there
-        // leaves a budget set earlier in force.
+        assert!(for_run(&g).unwrap().0.is_some());
+        // The pool's budget decides, whatever a run's config says: `None`
+        // there leaves a budget set earlier in force.
         pool.set_budget(Some(1 << 20));
-        assert!(for_run(&g, &union).unwrap().0.is_none());
+        assert!(for_run(&g).unwrap().0.is_none());
         pool.set_budget(None);
-        assert!(for_run(&g, &union).unwrap().0.is_some());
+        assert!(for_run(&g).unwrap().0.is_some());
     }
 
     #[test]

@@ -113,7 +113,7 @@ use vertexica_storage::partition::split_batch;
 use vertexica_storage::{RecordBatch, Segment, Table, TableOptions, Value};
 
 use crate::apply::{apply_parallel, ParallelApply};
-use crate::config::{InputMode, VertexicaConfig};
+use crate::config::VertexicaConfig;
 use crate::coordinator::{initialize_vertices_with_total, RunStats, SuperstepStats};
 use crate::error::{VertexicaError, VertexicaResult};
 use crate::input::{assemble_chunks, message_union_batch, partition_row_plan};
@@ -547,8 +547,6 @@ fn init_stamp_table(
 /// N = 1, and for N ≥ 2 these coercions (each proven bitwise-safe by the
 /// equivalence harness):
 ///
-/// * `input_mode = TableUnion` — the sharded exchange is built into the
-///   union's plan-sealed producer;
 /// * `use_combiner = false` — the combiner folds per recipient *within the
 ///   producing shard*, which groups non-associative f64 folds differently
 ///   than the single-database run (see the module docs); raw messages make
@@ -560,7 +558,6 @@ fn sharded_config(config: &VertexicaConfig, num_shards: usize, durable: bool) ->
     if num_shards < 2 {
         return c;
     }
-    c.input_mode = InputMode::TableUnion;
     c.use_combiner = false;
     c.durable = durable;
     if let Some(budget) = c.memory_budget_bytes {
@@ -748,7 +745,7 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     // Control plane: plan every destination's per-partition row counts and
     // swap matrices with the peers. expected[p] = what partition p of THIS
     // shard will receive from all N sources — the seal thresholds.
-    let counts = partition_row_plan(sess, config.input_mode, n, parts, edge_rows)?;
+    let counts = partition_row_plan(sess, n, parts, edge_rows)?;
     let matrix = exchange.counts.exchange(shard, counts, &exchange.abort)?;
     let expected: Vec<u64> = (0..parts).map(|p| matrix.iter().map(|m| m[shard][p]).sum()).collect();
     let input_rows: u64 = expected.iter().sum();
@@ -783,38 +780,32 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
             // own chunks, opportunistically drain inbound boxes so remote
             // rows keep flowing (and sealing partitions) while both sides
             // still stream.
-            let peak = assemble_chunks(
-                sess,
-                config.input_mode,
-                config.stream_chunk_rows,
-                edge_rows,
-                &mut |chunk| {
-                    if exchange.aborted() {
-                        return Err(VertexicaError::Runtime("sharded superstep aborted".into()));
+            let peak = assemble_chunks(sess, config.stream_chunk_rows, edge_rows, &mut |chunk| {
+                if exchange.aborted() {
+                    return Err(VertexicaError::Runtime("sharded superstep aborted".into()));
+                }
+                for (d, piece) in split_batch(&chunk, &[0], n).map_err(VertexicaError::from)? {
+                    if d == shard {
+                        chunk_sink(piece).map_err(VertexicaError::from)?;
+                    } else {
+                        exchange
+                            .remote_messages
+                            .fetch_add(piece.num_rows() as u64, Ordering::Relaxed);
+                        exchange
+                            .routed_bytes
+                            .fetch_add(piece.estimated_bytes() as u64, Ordering::Relaxed);
+                        exchange.boxes[shard][d].push(piece);
                     }
-                    for (d, piece) in split_batch(&chunk, &[0], n).map_err(VertexicaError::from)? {
-                        if d == shard {
+                }
+                for j in 0..n {
+                    if j != shard {
+                        for piece in exchange.boxes[j][shard].try_drain() {
                             chunk_sink(piece).map_err(VertexicaError::from)?;
-                        } else {
-                            exchange
-                                .remote_messages
-                                .fetch_add(piece.num_rows() as u64, Ordering::Relaxed);
-                            exchange
-                                .routed_bytes
-                                .fetch_add(piece.estimated_bytes() as u64, Ordering::Relaxed);
-                            exchange.boxes[shard][d].push(piece);
                         }
                     }
-                    for j in 0..n {
-                        if j != shard {
-                            for piece in exchange.boxes[j][shard].try_drain() {
-                                chunk_sink(piece).map_err(VertexicaError::from)?;
-                            }
-                        }
-                    }
-                    Ok(())
-                },
-            )
+                }
+                Ok(())
+            })
             .map_err(|e| match e {
                 VertexicaError::Sql(e) => e,
                 other => SqlError::Execution(other.to_string()),
@@ -1013,7 +1004,7 @@ pub(crate) fn run_shards<P: VertexProgram + 'static>(
     let mut edges = Vec::with_capacity(n);
     let mut projection_build_secs = 0.0;
     for sess in sessions {
-        let (projection, secs) = crate::projection::for_run(sess, config)?;
+        let (projection, secs) = crate::projection::for_run(sess)?;
         edges.push(projection);
         projection_build_secs += secs;
     }
@@ -1341,7 +1332,7 @@ fn repair_shard<P: VertexProgram + 'static>(
     let msg_prev_segments =
         db.encode_segments_for(&msg_prev_table, db.scan_table(&sess.message_table(), None, &[])?)?;
 
-    let (edges, _) = crate::projection::for_run(sess, config)?;
+    let (edges, _) = crate::projection::for_run(sess)?;
     let edge_rows = edges.is_none();
     let worker: Arc<dyn TransformUdf> = Arc::new(VertexWorker {
         program: program.clone(),
@@ -1361,23 +1352,17 @@ fn repair_shard<P: VertexProgram + 'static>(
         parts,
         None,
         &mut |chunk_sink| {
-            let peak = assemble_chunks(
-                sess,
-                config.input_mode,
-                config.stream_chunk_rows,
-                edge_rows,
-                &mut |chunk| {
-                    for (d, piece) in split_batch(&chunk, &[0], n).map_err(VertexicaError::from)? {
-                        // Own rows feed the worker. Remote-owned rows in the
-                        // local message table were already consumed by their
-                        // (ahead or just-repaired) owners — drop them.
-                        if d == shard {
-                            chunk_sink(piece).map_err(VertexicaError::from)?;
-                        }
+            let peak = assemble_chunks(sess, config.stream_chunk_rows, edge_rows, &mut |chunk| {
+                for (d, piece) in split_batch(&chunk, &[0], n).map_err(VertexicaError::from)? {
+                    // Own rows feed the worker. Remote-owned rows in the
+                    // local message table were already consumed by their
+                    // (ahead or just-repaired) owners — drop them.
+                    if d == shard {
+                        chunk_sink(piece).map_err(VertexicaError::from)?;
                     }
-                    Ok(())
-                },
-            )
+                }
+                Ok(())
+            })
             .map_err(|e| match e {
                 VertexicaError::Sql(e) => e,
                 other => SqlError::Execution(other.to_string()),

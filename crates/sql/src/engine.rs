@@ -18,7 +18,7 @@ use crate::functions::{FunctionRegistry, ScalarFunction};
 use crate::logical::LogicalPlan;
 use crate::optimizer::optimize;
 use crate::parser::{parse_script, parse_statement};
-use crate::physical::{execute, ExecContext, JoinBuild};
+use crate::physical::{execute, ExecContext};
 use crate::planner::Planner;
 use crate::udf::TransformUdf;
 
@@ -791,26 +791,6 @@ impl Database {
             out.push(batch);
         }
         Ok(out)
-    }
-
-    /// Scans `build_table` (projected) through a cursor and hashes it once
-    /// on `key_columns` into a reusable [`JoinBuild`], which callers then
-    /// probe one batch at a time ([`JoinBuild::probe_matches`]).
-    /// `key_columns` index the *projected* batch.
-    pub fn hash_join_build(
-        &self,
-        build_table: &str,
-        projection: Option<&[usize]>,
-        key_columns: Vec<usize>,
-    ) -> SqlResult<JoinBuild> {
-        let mut cursor = self.scan_cursor(build_table, projection, &[])?;
-        let schema = cursor.schema().clone();
-        let mut batches = Vec::new();
-        while let Some(batch) = cursor.next_batch()? {
-            batches.push(batch);
-        }
-        let build = RecordBatch::concat(schema, &batches)?;
-        JoinBuild::new(build, key_columns)
     }
 
     /// Direct bulk append (bypasses SQL) — used for graph loading.

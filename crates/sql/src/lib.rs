@@ -30,5 +30,4 @@ pub mod udf;
 
 pub use engine::{Database, QueryResult};
 pub use error::{SqlError, SqlResult};
-pub use physical::{take_or_null, JoinBuild, NO_ROW};
 pub use udf::TransformUdf;

@@ -530,15 +530,11 @@ fn key_cols<'a>(batch: &'a RecordBatch, keys: &[usize]) -> Vec<&'a Column> {
 
 /// The build row an unmatched probe row pairs with under an outer join: the
 /// gather ([`take_or_null`]) emits NULL for it.
-pub const NO_ROW: usize = usize::MAX;
+const NO_ROW: usize = usize::MAX;
 
 /// A hashed equi-join **build side**, reusable across any number of probe
-/// batches — the engine's streaming-join primitive. The build batch is
-/// hashed exactly once; probes then stream through it one batch at a time
-/// ([`JoinBuild::probe_matches`], and the join executor's index-vector
-/// probe), so a pull-based scan can feed the probe side without ever
-/// materializing it (the 3-way-join worker input in `core::input` does).
-/// The [`LogicalPlan::Join`] executor probes it once per probe-side batch.
+/// batches. The build batch is hashed exactly once; the
+/// [`LogicalPlan::Join`] executor then probes it once per probe-side batch.
 ///
 /// The table is CSR-shaped: a `KeyTable` gives each distinct key a slot,
 /// and slot `s`'s build rows are `rows[offsets[s]..offsets[s + 1]]`, filled
@@ -548,9 +544,9 @@ pub const NO_ROW: usize = usize::MAX;
 /// **NULL and NaN keys never match** (`=` semantics): build rows holding one
 /// get no slot, and probe rows holding one match nothing (null-extending
 /// under outer joins). `0.0` and `-0.0` match.
-pub struct JoinBuild {
-    batch: RecordBatch,
-    keys: Vec<usize>,
+struct JoinBuild {
+    /// Build-side key columns; a probe must bring as many.
+    arity: usize,
     table: KeyTable,
     offsets: Vec<usize>,
     rows: Vec<usize>,
@@ -559,19 +555,19 @@ pub struct JoinBuild {
 impl JoinBuild {
     /// Hashes `batch` on `key_columns`; the key table's arm follows their
     /// types.
-    pub fn new(batch: RecordBatch, key_columns: Vec<usize>) -> SqlResult<Self> {
+    fn new(batch: &RecordBatch, key_columns: &[usize]) -> SqlResult<Self> {
         let types: Vec<DataType> = key_columns.iter().map(|&c| batch.column(c).dtype()).collect();
         Self::with_table(batch, key_columns, KeyTable::new(Some(&types), Nulls::Unmatched))
     }
 
     fn with_table(
-        batch: RecordBatch,
-        key_columns: Vec<usize>,
+        batch: &RecordBatch,
+        key_columns: &[usize],
         mut table: KeyTable,
     ) -> SqlResult<Self> {
         // Each build row's slot (`NO_SLOT` for a NULL or NaN key).
         let mut row_slot = Vec::new();
-        table.intern(batch.num_rows(), &key_cols(&batch, &key_columns), &mut row_slot)?;
+        table.intern(batch.num_rows(), &key_cols(batch, key_columns), &mut row_slot)?;
         // Counting sort of the build rows by slot; a stable fill keeps each
         // slot's rows in build-row order.
         let slots = table.len();
@@ -589,79 +585,36 @@ impl JoinBuild {
             rows[fill[s as usize]] = i;
             fill[s as usize] += 1;
         }
-        Ok(JoinBuild { batch, keys: key_columns, table, offsets, rows })
-    }
-
-    /// The hashed build-side batch.
-    pub fn batch(&self) -> &RecordBatch {
-        &self.batch
-    }
-
-    /// The build-side key columns this table was hashed on.
-    pub fn key_columns(&self) -> &[usize] {
-        &self.keys
-    }
-
-    /// Rows in the build side (including NULL-key rows, which match nothing).
-    pub fn num_rows(&self) -> usize {
-        self.batch.num_rows()
-    }
-
-    /// Streams every probe row's build-side match list to `f`. NULL and NaN
-    /// probe keys (and unmatched keys) yield an empty slice.
-    fn for_each_probe_row<'s>(
-        &'s self,
-        probe: &RecordBatch,
-        probe_keys: &[usize],
-        mut f: impl FnMut(usize, &'s [usize]),
-    ) -> SqlResult<()> {
-        if probe_keys.len() != self.keys.len() {
-            return Err(SqlError::Execution(format!(
-                "join probe key arity {} does not match build arity {}",
-                probe_keys.len(),
-                self.keys.len()
-            )));
-        }
-        let mut slots = Vec::new();
-        self.table.lookup(probe.num_rows(), &key_cols(probe, probe_keys), &mut slots);
-        for (i, &s) in slots.iter().enumerate() {
-            let matches = match s {
-                NO_SLOT => &[],
-                s => &self.rows[self.offsets[s as usize]..self.offsets[s as usize + 1]],
-            };
-            f(i, matches);
-        }
-        Ok(())
+        Ok(JoinBuild { arity: key_columns.len(), table, offsets, rows })
     }
 
     /// Probes one batch: the matched `(probe row, build row)` pairs, probe
     /// row by probe row and each row's matches in build-row order; with
-    /// `outer`, an unmatched (or NULL-key) probe row pairs with [`NO_ROW`]
-    /// exactly once, in its place.
+    /// `outer`, an unmatched (or NULL- or NaN-key) probe row pairs with
+    /// [`NO_ROW`] exactly once, in its place.
     fn probe(
         &self,
         probe: &RecordBatch,
         probe_keys: &[usize],
         outer: bool,
     ) -> SqlResult<JoinIndices> {
+        if probe_keys.len() != self.arity {
+            return Err(SqlError::Execution(format!(
+                "join probe key arity {} does not match build arity {}",
+                probe_keys.len(),
+                self.arity
+            )));
+        }
+        let mut slots = Vec::new();
+        self.table.lookup(probe.num_rows(), &key_cols(probe, probe_keys), &mut slots);
         let mut out = JoinIndices::with_capacity(probe.num_rows());
-        self.for_each_probe_row(probe, probe_keys, |i, matches| {
-            out.push_matches(i, matches, outer)
-        })?;
-        Ok(out)
-    }
-
-    /// Probes one batch, returning each probe row's build-row match list
-    /// (empty = no match or NULL key), borrowed from the build table — the
-    /// shape multi-build compositions like the 3-way-join input re-shape
-    /// consume.
-    pub fn probe_matches(
-        &self,
-        probe: &RecordBatch,
-        probe_keys: &[usize],
-    ) -> SqlResult<Vec<&[usize]>> {
-        let mut out = Vec::with_capacity(probe.num_rows());
-        self.for_each_probe_row(probe, probe_keys, |_, matches| out.push(matches))?;
+        for (i, &s) in slots.iter().enumerate() {
+            let matches = match s {
+                NO_SLOT => &[],
+                s => &self.rows[self.offsets[s as usize]..self.offsets[s as usize + 1]],
+            };
+            out.push_matches(i, matches, outer);
+        }
         Ok(out)
     }
 }
@@ -721,7 +674,7 @@ impl JoinIndices {
 
 /// Gathers `col`'s rows at `indices`, typed; a [`NO_ROW`] index gathers a
 /// NULL (the null-extended side of an outer join).
-pub fn take_or_null(col: &Column, indices: &[usize]) -> Column {
+fn take_or_null(col: &Column, indices: &[usize]) -> Column {
     if !indices.contains(&NO_ROW) {
         return col.take(indices);
     }
@@ -836,7 +789,7 @@ fn execute_join(
         None
     } else {
         let keyed = with_float_keys(&build, &build_keys, &float_keys)?;
-        Some(JoinBuild::new(keyed.unwrap_or_else(|| build.clone()), build_keys)?)
+        Some(JoinBuild::new(keyed.as_ref().unwrap_or(&build), &build_keys)?)
     };
     // Without equi-keys every probe row meets every build row.
     let every_build_row: Vec<usize> =
@@ -1635,13 +1588,13 @@ mod tests {
         let build = nullable_int_batch("k", &[Some(1), None, Some(0), Some(0), Some(3)]);
         let probe = nullable_int_batch("k", &[Some(1), None, Some(0), Some(2)]);
 
-        let fast = JoinBuild::new(build.clone(), vec![0]).unwrap();
+        let fast = JoinBuild::new(&build, &[0]).unwrap();
         assert!(
             matches!(fast.table.arm, Arm::One { .. }),
             "nullable BIGINT keys must not evict the join from the typed arm"
         );
         let generic =
-            JoinBuild::with_table(build, vec![0], KeyTable::new(None, Nulls::Unmatched)).unwrap();
+            JoinBuild::with_table(&build, &[0], KeyTable::new(None, Nulls::Unmatched)).unwrap();
         assert!(matches!(generic.table.arm, Arm::Bytes(_)));
 
         for outer in [false, true] {
@@ -1680,11 +1633,10 @@ mod tests {
         let build = mk(&[(Some(0), Some(0)), (Some(0), None), (None, Some(0)), (Some(1), Some(2))]);
         let probe = mk(&[(Some(0), Some(0)), (None, None), (Some(0), None), (Some(1), Some(2))]);
 
-        let fast = JoinBuild::new(build.clone(), vec![0, 1]).unwrap();
+        let fast = JoinBuild::new(&build, &[0, 1]).unwrap();
         assert!(matches!(fast.table.arm, Arm::Two { .. }));
         let generic =
-            JoinBuild::with_table(build, vec![0, 1], KeyTable::new(None, Nulls::Unmatched))
-                .unwrap();
+            JoinBuild::with_table(&build, &[0, 1], KeyTable::new(None, Nulls::Unmatched)).unwrap();
         for outer in [false, true] {
             let f = fast.probe(&probe, &[0, 1], outer).unwrap();
             let g = generic.probe(&probe, &[0, 1], outer).unwrap();
@@ -1695,15 +1647,18 @@ mod tests {
     }
 
     #[test]
-    fn join_build_probe_matches_lists_per_row() {
+    fn join_build_probe_lists_matches_per_row() {
         let build = nullable_int_batch("k", &[Some(5), Some(5), None, Some(7)]);
-        let jb = JoinBuild::new(build, vec![0]).unwrap();
+        let jb = JoinBuild::new(&build, &[0]).unwrap();
         let probe = nullable_int_batch("k", &[Some(5), Some(6), None, Some(7)]);
-        let matches = jb.probe_matches(&probe, &[0]).unwrap();
-        let want: [&[usize]; 4] = [&[0, 1], &[], &[], &[3]];
-        assert_eq!(matches, want);
-        assert_eq!(jb.num_rows(), 4);
-        assert_eq!(jb.key_columns(), &[0]);
+        // Each probe row's matches in build-row order; the NULL build row
+        // matches nothing, and the unmatched and NULL probe rows pair with
+        // `NO_ROW` once, in place, only under `outer`.
+        let inner = JoinIndices { probe: vec![0, 0, 3], build: vec![0, 1, 3] };
+        assert_eq!(jb.probe(&probe, &[0], false).unwrap(), inner);
+        let outer =
+            JoinIndices { probe: vec![0, 0, 1, 2, 3], build: vec![0, 1, NO_ROW, NO_ROW, 3] };
+        assert_eq!(jb.probe(&probe, &[0], true).unwrap(), outer);
     }
 
     /// A value's comparable form: floats by bit pattern (one string for

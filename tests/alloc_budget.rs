@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vertexica::sql::Database;
-use vertexica::{run_program, GraphSession, InputMode, VertexicaConfig};
+use vertexica::{run_program, GraphSession, VertexicaConfig};
 use vertexica_algorithms::vc::PageRank;
 use vertexica_graphgen::rmat::{rmat_graph, RmatConfig};
 
@@ -66,7 +66,6 @@ fn allocations_and_messages(pool_budget: Option<usize>) -> (u64, u64) {
     let config = VertexicaConfig::default()
         .with_workers(2)
         .with_partitions(8)
-        .with_input_mode(InputMode::TableUnion)
         .with_combiner(false)
         .with_memory_budget(pool_budget);
     let program = Arc::new(PageRank::new(SUPERSTEPS - 1, 0.85));

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vertexica::sql::Database;
-use vertexica::{run_program, GraphSession, InputMode, VertexicaConfig};
+use vertexica::{run_program, GraphSession, VertexicaConfig};
 use vertexica_algorithms::reference;
 use vertexica_algorithms::sqlalgo;
 use vertexica_algorithms::vc::{ConnectedComponents, PageRank, Sssp};
@@ -249,7 +249,6 @@ fn every_vertexica_configuration_agrees() {
     let expected = reference::pagerank(&graph, 6, 0.85);
     let configs = [
         VertexicaConfig::default(),
-        VertexicaConfig::default().with_input_mode(InputMode::ThreeWayJoin),
         VertexicaConfig::default().with_workers(1).with_partitions(1),
         VertexicaConfig::default().with_workers(8).with_partitions(64),
         VertexicaConfig::default().with_replace_threshold(0.0),
@@ -271,8 +270,6 @@ fn every_vertexica_configuration_agrees() {
 }
 
 /// The directed and undirected graphs of the oracle and invariance tests.
-/// Neither has parallel edges: the 3-way join collapses duplicate edges by
-/// construction.
 fn invariance_graphs() -> (EdgeList, EdgeList) {
     let graph =
         rmat_graph(&RmatConfig { scale: 6, num_edges: 400, seed: 17, ..Default::default() });
@@ -547,8 +544,8 @@ where
 
 /// The invariance cells: every vertex-centric algorithm — plus two
 /// superstep-capped runs whose message tables are still non-empty — under
-/// {TableUnion, ThreeWayJoin} input × `replace_threshold` {0, 1.01} ×
-/// {1 worker / 1 partition, 8 workers / 64 partitions}, with the combiner on
+/// `replace_threshold` {0, 1.01} × {1 worker / 1 partition, 8 workers / 64
+/// partitions}, with the combiner on
 /// and off, must leave **bitwise-identical** vertex tables, message tables
 /// and per-superstep message and vertex-change counts. With the combiner on,
 /// workers fold messages per compute partition, so those cells are compared
@@ -556,17 +553,17 @@ where
 /// three run in parallel; each durable store's reference cells are also held
 /// to the in-memory store's.
 #[test]
-fn input_mode_apply_arm_and_parallelism_are_bitwise_invariant() {
+fn apply_arm_and_parallelism_are_bitwise_invariant() {
     invariance_matrix(Store::Memory);
 }
 
 #[test]
-fn input_mode_apply_arm_and_parallelism_are_bitwise_invariant_durable() {
+fn apply_arm_and_parallelism_are_bitwise_invariant_durable() {
     invariance_matrix(Store::Durable);
 }
 
 #[test]
-fn input_mode_apply_arm_and_parallelism_are_bitwise_invariant_budgeted() {
+fn apply_arm_and_parallelism_are_bitwise_invariant_budgeted() {
     invariance_matrix(Store::Budget256KiB);
 }
 
@@ -615,31 +612,28 @@ fn invariance_matrix(store: Store) {
                 if combiner {
                     reference = None;
                 }
-                for mode in [InputMode::TableUnion, InputMode::ThreeWayJoin] {
-                    for threshold in [0.0, 1.01] {
-                        let config = VertexicaConfig::default()
-                            .with_workers(workers)
-                            .with_partitions(partitions)
-                            .with_combiner(combiner)
-                            .with_input_mode(mode)
-                            .with_replace_threshold(threshold);
-                        let what = format!(
-                            "{name}: cell ({store:?}, combiner={combiner}, {workers} workers / \
-                             {partitions} partitions, {mode:?}, replace_threshold={threshold})"
-                        );
-                        let result = cell(store, &config);
-                        let Some(expected) = &reference else {
-                            assert!(!result.vertex_bits.is_empty(), "{what}: no vertices");
-                            if store != Store::Memory {
-                                let memory = cell(Store::Memory, &config);
-                                let diverged = format!("{what} diverged from the in-memory store");
-                                assert_eq!(written(&memory), written(&result), "{diverged}");
-                            }
-                            reference = Some(result);
-                            continue;
-                        };
-                        assert_eq!(written(expected), written(&result), "{what} diverged");
-                    }
+                for threshold in [0.0, 1.01] {
+                    let config = VertexicaConfig::default()
+                        .with_workers(workers)
+                        .with_partitions(partitions)
+                        .with_combiner(combiner)
+                        .with_replace_threshold(threshold);
+                    let what = format!(
+                        "{name}: cell ({store:?}, combiner={combiner}, {workers} workers / \
+                         {partitions} partitions, replace_threshold={threshold})"
+                    );
+                    let result = cell(store, &config);
+                    let Some(expected) = &reference else {
+                        assert!(!result.vertex_bits.is_empty(), "{what}: no vertices");
+                        if store != Store::Memory {
+                            let memory = cell(Store::Memory, &config);
+                            let diverged = format!("{what} diverged from the in-memory store");
+                            assert_eq!(written(&memory), written(&result), "{diverged}");
+                        }
+                        reference = Some(result);
+                        continue;
+                    };
+                    assert_eq!(written(expected), written(&result), "{what} diverged");
                 }
             }
         }
@@ -791,40 +785,6 @@ fn over_budget_pagerank_completes_with_bounded_residency() {
     drop(ref_db);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&ref_dir).ok();
-}
-
-/// Sealed join partitions: with the join-mode row plan, the 3-way-join
-/// input's partitions seal the moment their last planned row lands. A
-/// planned run in which some partition never sealed fails with a plan
-/// violation, so completing is itself the proof; how many seals land before
-/// end-of-stream depends on scheduling (the deterministic proof of early
-/// dispatch is `pipelined_plan_dispatches_before_assemble_finishes` in the
-/// SQL engine's tests), so only its bound is checked here.
-#[test]
-fn join_mode_seals_partitions_and_dispatches_early() {
-    let graph = erdos_renyi(300, 2400, 13);
-    let partitions = 8;
-    let config = VertexicaConfig::default()
-        .with_workers(4)
-        .with_partitions(partitions)
-        .with_input_mode(InputMode::ThreeWayJoin)
-        .with_stream_chunk_rows(128);
-    let expected = reference::pagerank(&graph, 4, 0.85);
-    for store in STORES {
-        let session = session_for(store, &graph);
-        let stats =
-            run_program(&session, Arc::new(PageRank::new(4, 0.85)), &store.config(config.clone()))
-                .unwrap();
-        for s in &stats.per_superstep {
-            assert!(s.early_dispatches <= partitions, "{store:?} superstep {}: {s:?}", s.superstep);
-        }
-
-        // And the sealed-join run still computes the right answer.
-        let vx: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-        for (id, rank) in &vx {
-            assert!((rank - expected[*id as usize]).abs() < 1e-9, "{store:?} vertex {id}");
-        }
-    }
 }
 
 /// Overlap accounting on dense supersteps with many small chunks. Whether a

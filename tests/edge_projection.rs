@@ -1,10 +1,9 @@
 //! Differential tests of the engine against `algorithms::reference` on
 //! degenerate graphs. Every graph runs through every configuration that
 //! changes how a superstep reads or writes its tables — the default
-//! (edges from the sorted projection), 3-way-join input, a durable
-//! database, a 256 KiB memory budget (edges streamed as rows) and two
-//! shards — and the projection and edge-row paths are held bitwise to each
-//! other.
+//! (edges from the sorted projection), a durable database, a 256 KiB memory
+//! budget (edges streamed as rows) and two shards — and the projection and
+//! edge-row paths are held bitwise to each other.
 
 use std::sync::Arc;
 
@@ -13,7 +12,7 @@ use vertexica::shard::{run_sharded, ShardedDatabase, ShardedGraphSession};
 use vertexica::sql::Database;
 use vertexica::storage::partition::int_key_partition;
 use vertexica::storage::{RecordBatch, Value};
-use vertexica::{run_program, GraphSession, InputMode, RunStats, VertexicaConfig};
+use vertexica::{run_program, GraphSession, RunStats, VertexicaConfig};
 use vertexica_algorithms::reference;
 use vertexica_algorithms::vc::{PageRank, Sssp};
 use vertexica_common::graph::{Edge, EdgeList};
@@ -26,14 +25,12 @@ const DAMPING: f64 = 0.85;
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Cell {
     Default,
-    ThreeWayJoin,
     Durable,
     Budget256KiB,
     TwoShards,
 }
 
-const CELLS: [Cell; 5] =
-    [Cell::Default, Cell::ThreeWayJoin, Cell::Durable, Cell::Budget256KiB, Cell::TwoShards];
+const CELLS: [Cell; 4] = [Cell::Default, Cell::Durable, Cell::Budget256KiB, Cell::TwoShards];
 
 /// Appends `graph` to the sessions with every id shifted up by `base`
 /// (wrapping into negative BIGINTs past 2⁶³), each row on the session that
@@ -93,7 +90,6 @@ fn run<P: VertexProgram<Value = f64> + 'static>(
             let g = GraphSession::create(Arc::new(db), "g").unwrap();
             load(std::slice::from_ref(&g), graph, base);
             let config = match cell {
-                Cell::ThreeWayJoin => config.with_input_mode(InputMode::ThreeWayJoin),
                 Cell::Durable => config.with_durable(true),
                 Cell::Budget256KiB => config.with_durable(true).with_memory_budget(Some(256 << 10)),
                 _ => config,
@@ -123,15 +119,6 @@ fn assert_close(got: &[f64], want: &[f64], what: &str) {
     }
 }
 
-/// Whether `graph` repeats an edge exactly — which the 3-way join collapses
-/// into one by construction.
-fn has_exact_duplicate_edges(graph: &EdgeList) -> bool {
-    let mut keys: Vec<(u64, u64, u64)> =
-        graph.edges.iter().map(|e| (e.src, e.dst, e.weight.to_bits())).collect();
-    keys.sort_unstable();
-    keys.windows(2).any(|w| w[0] == w[1])
-}
-
 /// PageRank and SSSP in every cell against the reference; the projection
 /// (default) and edge-row (budgeted) runs also bit for bit.
 fn check(what: &str, graph: &EdgeList, base: u64) {
@@ -140,9 +127,6 @@ fn check(what: &str, graph: &EdgeList, base: u64) {
     let to_bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut projected = None;
     for cell in CELLS {
-        if cell == Cell::ThreeWayJoin && has_exact_duplicate_edges(graph) {
-            continue;
-        }
         let what = format!("{what} [{cell:?}]");
         let (ranks, stats) = run(cell, graph, base, PageRank::new(ITERATIONS, DAMPING));
         assert_close(&ranks, &pagerank, &what);

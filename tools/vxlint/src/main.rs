@@ -30,6 +30,10 @@
 //! * **exp-ci-smoke** — every `--exp` ablation mode the bench binary
 //!   dispatches on must have a smoke invocation (`--exp <mode>`) in
 //!   `.github/workflows/ci.yml`, so no experiment can silently rot.
+//! * **config-docs** — two-way: every `pub` field of `VertexicaConfig`
+//!   (`crates/core/src/config.rs`) must have a row in the first table under
+//!   the README's `## Configuration` heading, and every row there must name
+//!   a live field.
 //!
 //! Line-level suppression (first two rules only), reason mandatory:
 //!
@@ -54,6 +58,7 @@ const RULE_SYNC_SEAM: &str = "sync-seam";
 const RULE_NO_UNWRAP: &str = "no-unwrap-recovery";
 const RULE_ENV_DOCS: &str = "env-var-docs";
 const RULE_EXP_SMOKE: &str = "exp-ci-smoke";
+const RULE_CONFIG_DOCS: &str = "config-docs";
 
 /// Paths (relative, `/`-separated) whose files the sync-seam rule skips.
 const SEAM_ALLOWED: &[&str] = &["crates/shims/", "crates/common/src/sync/"];
@@ -106,6 +111,7 @@ fn main() -> ExitCode {
     diags.extend(check_no_unwrap_recovery(&root));
     diags.extend(check_env_var_docs(&root));
     diags.extend(check_exp_ci_smoke(&root));
+    diags.extend(check_config_docs(&root));
 
     for d in &diags {
         println!("{d}");
@@ -463,6 +469,57 @@ fn check_exp_ci_smoke(root: &Path) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: config-docs
+// ---------------------------------------------------------------------------
+
+/// The `pub` field names of `struct VertexicaConfig` in `src`.
+fn scan_config_fields(src: &str) -> BTreeSet<String> {
+    let body = src.split("pub struct VertexicaConfig {").nth(1).unwrap_or("");
+    let body = body.split("\n}").next().unwrap_or("");
+    body.lines()
+        .filter_map(|line| line.trim().strip_prefix("pub ")?.split_once(':'))
+        .map(|(name, _)| name.trim().to_string())
+        .collect()
+}
+
+/// The knob each row of the first table under the README's
+/// `## Configuration` heading names: the row's first backquoted word.
+fn scan_config_rows(readme: &str) -> BTreeSet<String> {
+    let section = readme.split("\n## Configuration\n").nth(1).unwrap_or("");
+    section
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .map(str::to_string)
+        .collect()
+}
+
+fn check_config_docs(root: &Path) -> Vec<Diagnostic> {
+    let read = |file: &str| fs::read_to_string(root.join(file)).unwrap_or_default();
+    let fields = scan_config_fields(&read("crates/core/src/config.rs"));
+    config_docs_diagnostics(&fields, &scan_config_rows(&read("README.md")))
+}
+
+/// The config-docs findings: a field without a README row, and a row naming
+/// no field.
+fn config_docs_diagnostics(fields: &BTreeSet<String>, rows: &BTreeSet<String>) -> Vec<Diagnostic> {
+    let diag = |message: String| Diagnostic {
+        rule: RULE_CONFIG_DOCS,
+        file: "README.md".to_string(),
+        line: 0,
+        message,
+    };
+    let undocumented = fields.difference(rows).map(|f| {
+        diag(format!("`VertexicaConfig::{f}` has no row in the README's configuration table"))
+    });
+    let stale = rows.difference(fields).map(|r| {
+        diag(format!("the README's configuration table names `{r}`, which is no config field"))
+    });
+    undocumented.chain(stale).collect()
+}
+
+// ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
@@ -581,6 +638,30 @@ mod tests {
                     "ci.yml".to_string(),
                     "`VERTEXICA_GONE` is named in ci.yml but no crate reads it".to_string()
                 ),
+            ]
+        );
+    }
+
+    #[test]
+    fn config_docs_is_two_way() {
+        let fields = scan_config_fields(
+            "/// Knobs.\npub struct VertexicaConfig {\n    /// Workers.\n    pub num_workers: usize,\n    \
+             pub durable: bool,\n}\n\nimpl VertexicaConfig {\n    pub fn x(self) {}\n}\n",
+        );
+        let rows = scan_config_rows(
+            "# T\n\n## Configuration\n\n| Knob | Default |\n|---|---|\n\
+             | `num_workers` | cores |\n| `input_mode` | `TableUnion` |\n\n\
+             | `VERTEXICA_SCALE` | 0.01 |\n\n## Next\n\n| `durable` | off |\n",
+        );
+        assert_eq!(fields.iter().collect::<Vec<_>>(), ["durable", "num_workers"]);
+        assert_eq!(rows.iter().collect::<Vec<_>>(), ["input_mode", "num_workers"]);
+        let found: Vec<String> =
+            config_docs_diagnostics(&fields, &rows).into_iter().map(|d| d.message).collect();
+        assert_eq!(
+            found,
+            [
+                "`VertexicaConfig::durable` has no row in the README's configuration table",
+                "the README's configuration table names `input_mode`, which is no config field",
             ]
         );
     }
