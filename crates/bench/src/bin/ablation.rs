@@ -17,6 +17,10 @@ use vertexica_common::WorkerPool;
 use vertexica_sql::Database;
 use vertexica_storage::{DataType, RecordBatch};
 
+/// The `--exp` values `main` runs.
+const MODES: &str =
+    "union-vs-join|worker-scaling|batching|update-vs-replace|pool-size|wal|evict|shard|all";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let exp = args
@@ -26,6 +30,10 @@ fn main() {
         .map(|s| s.as_str())
         .unwrap_or("all")
         .to_string();
+    if !MODES.split('|').any(|mode| mode == exp) {
+        eprintln!("unknown --exp {exp:?}; valid modes: {MODES}");
+        std::process::exit(2);
+    }
 
     let cfg = HarnessConfig::from_env();
     // Ablations use the small (Twitter-profile) dataset so every variant —

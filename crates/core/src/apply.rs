@@ -13,22 +13,28 @@
 //! partition's output is read as typed column slices **on the pool worker
 //! that finished it** and references to its rows are scattered into apply
 //! buckets ([`ParallelApply::absorb`]; the payload bytes stay in the
-//! worker's output column), the new vertex/message tables are built as
-//! per-bucket ROS segments in parallel on the same pool — each gathers its
-//! payloads once, in sorted order, and the vertex rebuild is a per-bucket
-//! LEFT-JOIN-equivalent merge — and the commit is one atomic catalog-level
-//! contents swap ([`vertexica_sql::Database::commit_tables_segmented`]).
+//! worker's output column). The buckets are **owner cells**
+//! ([`vertexica_storage::partition::owner`]): a message goes to its
+//! recipient's `(shard, partition)`, a state row to its vertex's partition.
+//! The new vertex/message tables are built as one sorted ROS segment per
+//! non-empty cell, in parallel on the same pool — each gathers its payloads
+//! once, in sorted order, and the vertex rebuild merges the partition's old
+//! rows, sorted by id, with its state rows — and the commit is one atomic
+//! catalog-level contents swap
+//! ([`vertexica_sql::Database::commit_tables_segmented`]). The next
+//! superstep's scatter hands each such segment to its partition whole, and
+//! the worker merges those sorted runs instead of sorting its input.
 //! Canonicalizing sorts at every segment boundary make the result
-//! independent of partition completion order, bucket count and worker
-//! count; `tests/cross_engine_equivalence.rs` holds every vertex-centric
-//! algorithm to an independent reference implementation.
+//! independent of partition completion order and worker count;
+//! `tests/cross_engine_equivalence.rs` holds every vertex-centric algorithm
+//! to an independent reference implementation.
 
 use vertexica_common::sync::Mutex;
 
 use vertexica_common::hash::FxHashMap;
 use vertexica_common::pregel::{AggKind, VertexProgram};
 use vertexica_common::VertexData;
-use vertexica_storage::partition::{hash_partition, int_key_partition};
+use vertexica_storage::partition::{owner, split_batch};
 use vertexica_storage::{BlobData, Column, ColumnBuilder, DataType, RecordBatch, Value};
 
 use crate::config::VertexicaConfig;
@@ -47,6 +53,10 @@ pub struct SuperstepOutcome {
     pub replaced: bool,
     /// Whether every vertex has voted to halt.
     pub all_halted: bool,
+    /// Segments apply built in parallel on the pool: the larger of the
+    /// message table's and the vertex table's count of non-empty owner
+    /// cells (the vertex table's counts only when it was replaced).
+    pub apply_parallelism: usize,
 }
 
 /// One worker output batch ([`crate::worker::worker_output_schema`]) as
@@ -156,7 +166,7 @@ pub fn apply_outputs<P: VertexProgram>(
     outputs: Vec<RecordBatch>,
     total_vertices: u64,
 ) -> VertexicaResult<SuperstepOutcome> {
-    let apply = ParallelApply::for_program(program, config.num_workers.max(1));
+    let apply = ParallelApply::for_program(program, 1, config.num_partitions);
     for (i, batch) in outputs.iter().enumerate() {
         apply.absorb(i, std::slice::from_ref(batch))?;
     }
@@ -206,9 +216,9 @@ impl MessageColumns {
 /// Builds the message-table rows for `messages`, which must arrive sorted by
 /// `(recipient, sender, payload)`. With `use_combiner`, partials addressed
 /// to the same recipient are folded with the program's combiner in exactly
-/// that order. Apply calls this per recipient-hash bucket: a restriction of
-/// the global sorted order, so every per-recipient fold sequence is the same
-/// whatever the bucket count.
+/// that order, and rows leave in recipient order. Apply calls this per owner
+/// cell: a restriction of the global sorted order, so every per-recipient
+/// fold sequence is the same whatever the cell count.
 fn message_rows<'a, P: VertexProgram>(
     program: &P,
     use_combiner: bool,
@@ -219,27 +229,30 @@ fn message_rows<'a, P: VertexProgram>(
         messages.for_each(|(to, from, bytes)| out.push(to, from, bytes));
         return Ok(out);
     }
-    let mut folded: FxHashMap<u64, (u64, P::Message)> = FxHashMap::default();
+    // A recipient's messages are adjacent: fold them, and emit the fold
+    // when the recipient changes.
+    let mut open: Option<(u64, u64, P::Message)> = None;
     for (to, from, bytes) in messages {
         let Some(m) = P::Message::from_bytes(bytes) else {
             return Err(VertexicaError::Codec("cannot decode message for combine".into()));
         };
-        match folded.remove(&to) {
-            None => {
-                folded.insert(to, (from, m));
-            }
-            Some((sender, existing)) => match program.combine(&existing, &m) {
-                Some(c) => {
-                    folded.insert(to, (sender, c));
-                }
+        open = match open.take() {
+            Some((at, sender, acc)) if at == to => match program.combine(&acc, &m) {
+                Some(c) => Some((to, sender, c)),
                 None => {
-                    out.push_encoded(to, sender, &existing);
+                    out.push_encoded(to, sender, &acc);
                     out.push_encoded(to, from, &m);
+                    None
                 }
             },
-        }
+            Some((at, sender, acc)) => {
+                out.push_encoded(at, sender, &acc);
+                Some((to, from, m))
+            }
+            None => Some((to, from, m)),
+        };
     }
-    for (to, (from, m)) in folded {
+    if let Some((to, from, m)) = open {
         out.push_encoded(to, from, &m);
     }
     Ok(out)
@@ -272,10 +285,6 @@ struct MessageRef {
 /// partition order) whose payload columns they point into.
 type BucketRefs<R> = Vec<(usize, Vec<R>)>;
 
-/// One row of a rebuilt vertex segment: `(id, value, halted)`, the last two
-/// NULL as stored.
-type VertexRow<'a> = (i64, Option<&'a [u8]>, Option<bool>);
-
 /// One partition's parsed worker output, **pre-scattered into apply
 /// buckets** — the per-partition segment builder state.
 struct PartitionDelta {
@@ -283,9 +292,10 @@ struct PartitionDelta {
     /// The payload column of each absorbed output batch; [`CellRef::batch`]
     /// indexes this.
     payloads: Vec<Column>,
-    /// Updates scattered by vertex-id hash: `updates[bucket]`.
+    /// Updates by their vertex's owner partition: `updates[partition]`.
     updates: Vec<Vec<UpdateRef>>,
-    /// Messages scattered by recipient hash: `messages[bucket]`.
+    /// Messages by their recipient's owner cell:
+    /// `messages[shard * partitions + partition]`.
     messages: Vec<Vec<MessageRef>>,
     agg_partials: Vec<(String, i64, f64)>,
 }
@@ -300,21 +310,25 @@ struct PartitionDelta {
 /// final vector push is serialized behind the mutex.
 pub struct ParallelApply {
     agg_specs: FxHashMap<String, AggKind>,
-    buckets: usize,
+    /// The run's shard count and compute partition count: the owner cells.
+    shards: usize,
+    partitions: usize,
     deltas: Mutex<Vec<PartitionDelta>>,
 }
 
 impl ParallelApply {
-    /// A collector scattering into `buckets` apply segments, validating
-    /// aggregator names against `program`'s specs.
-    pub fn for_program<P: VertexProgram>(program: &P, buckets: usize) -> Self {
+    /// A collector scattering into the owner cells of `shards` shards ×
+    /// `partitions` compute partitions, validating aggregator names against
+    /// `program`'s specs.
+    pub fn for_program<P: VertexProgram>(program: &P, shards: usize, partitions: usize) -> Self {
         ParallelApply {
             agg_specs: program
                 .aggregators()
                 .into_iter()
                 .map(|s| (s.name.to_string(), s.kind))
                 .collect(),
-            buckets: buckets.max(1),
+            shards: shards.max(1),
+            partitions: partitions.max(1),
             deltas: Mutex::new(Vec::new()),
         }
     }
@@ -330,8 +344,8 @@ impl ParallelApply {
         let mut delta = PartitionDelta {
             partition,
             payloads: Vec::with_capacity(batches.len()),
-            updates: (0..self.buckets).map(|_| Vec::new()).collect(),
-            messages: (0..self.buckets).map(|_| Vec::new()).collect(),
+            updates: (0..self.partitions).map(|_| Vec::new()).collect(),
+            messages: (0..self.shards * self.partitions).map(|_| Vec::new()).collect(),
             agg_partials: Vec::new(),
         };
         for batch in batches {
@@ -342,15 +356,16 @@ impl ParallelApply {
                 let payload = CellRef { batch: batch_index, row };
                 match rows.get(row as usize, &self.agg_specs)? {
                     OutputRow::State { vid, halted } => {
-                        delta.updates[int_key_partition(vid, self.buckets)].push(UpdateRef {
-                            vid,
-                            halted,
-                            payload,
-                        });
+                        let (_, partition) = owner(vid, self.shards, self.partitions);
+                        delta.updates[partition].push(UpdateRef { vid, halted, payload });
                     }
                     OutputRow::Message { to, from } => {
-                        delta.messages[int_key_partition(to as i64, self.buckets)]
-                            .push(MessageRef { to, from, payload });
+                        let (shard, partition) = owner(to as i64, self.shards, self.partitions);
+                        delta.messages[shard * self.partitions + partition].push(MessageRef {
+                            to,
+                            from,
+                            payload,
+                        });
                     }
                     OutputRow::Aggregate { name, vid, value } => {
                         delta.agg_partials.push((name.to_string(), vid, value));
@@ -375,23 +390,21 @@ impl ParallelApply {
     }
 }
 
-/// The segment-parallel apply path: scatter per-partition deltas into
-/// recipient/vertex-hash buckets, build each bucket's new table segment in
-/// parallel on the shared pool, and commit both tables with atomic
-/// catalog-level contents swaps. `extra_commit` holds further pre-encoded
-/// tables riding the same grouped commit: every run swaps its stamp table
-/// (and a durable sharded run the retained previous-superstep message
-/// table) **atomically with** the superstep's vertex/message replacement,
-/// so crash recovery always observes a shard at exactly one superstep
-/// boundary.
+/// The segment-parallel apply path: transpose per-partition deltas into
+/// owner cells, build each non-empty cell's new table segment in parallel
+/// on the shared pool, and commit both tables with atomic catalog-level
+/// contents swaps. `extra_commit` holds further pre-encoded tables riding
+/// the same grouped commit: every run swaps its stamp table (and a durable
+/// sharded run the retained previous-superstep message table) **atomically
+/// with** the superstep's vertex/message replacement, so crash recovery
+/// always observes a shard at exactly one superstep boundary.
 ///
-/// The result does not depend on the bucket count, which is what lets the
-/// same run on any `num_workers` agree bitwise: every bucket is sorted by
-/// `(recipient, sender, payload)` (a restriction of one global sorted
-/// sequence, so per-recipient combine folds see identical sequences);
-/// updates are keyed by vertex id, which is unique, so override maps agree;
-/// and the worker's canonical total-order input sort makes downstream
-/// compute independent of physical table row order (bucket-major).
+/// Every message segment holds one owner cell's rows sorted by `(recipient,
+/// sender, payload)` (a restriction of one global sorted sequence, so
+/// per-recipient combine folds see identical sequences at any cell count),
+/// and every replaced vertex segment one partition's rows sorted by id: each
+/// is one sorted run of the worker's canonical input order, handed to its
+/// partition whole by the next superstep's scatter.
 ///
 /// Commit protocol: **all** segments for both tables are fully encoded
 /// first; only then are the message table and the vertex table swapped, in
@@ -411,28 +424,29 @@ pub fn apply_parallel<P: VertexProgram>(
     total_vertices: u64,
     extra_commit: Vec<(String, Vec<vertexica_storage::Segment>)>,
 ) -> VertexicaResult<SuperstepOutcome> {
-    let ParallelApply { buckets, deltas, .. } = apply;
+    let ParallelApply { shards, partitions, deltas, .. } = apply;
     let mut deltas = deltas.into_inner();
     deltas.sort_by_key(|d| d.partition);
     let pool = session.db().runtime().clone();
 
-    // Transpose the per-partition deltas into per-bucket lists. `absorb`
-    // already scattered each partition's rows by hash, so this moves whole
-    // vectors of references (O(partitions × buckets) pointer swaps), never
+    // Transpose the per-partition deltas into per-cell lists. `absorb`
+    // already scattered each partition's rows by owner, so this moves whole
+    // vectors of references (O(partitions × cells) pointer swaps), never
     // individual rows; each list remembers which delta's payload columns
     // its references point into.
     let mut payloads: Vec<Vec<Column>> = Vec::with_capacity(deltas.len());
-    let mut msg_buckets: Vec<BucketRefs<MessageRef>> = (0..buckets).map(|_| Vec::new()).collect();
-    let mut upd_buckets: Vec<BucketRefs<UpdateRef>> = (0..buckets).map(|_| Vec::new()).collect();
+    let mut msg_cells: Vec<BucketRefs<MessageRef>> =
+        (0..shards * partitions).map(|_| Vec::new()).collect();
+    let mut upd_cells: Vec<BucketRefs<UpdateRef>> = (0..partitions).map(|_| Vec::new()).collect();
     let mut vertex_changes = 0usize;
     for (d, delta) in deltas.into_iter().enumerate() {
         payloads.push(delta.payloads);
-        for (b, refs) in delta.messages.into_iter().enumerate() {
-            msg_buckets[b].push((d, refs));
+        for (c, refs) in delta.messages.into_iter().enumerate() {
+            msg_cells[c].push((d, refs));
         }
-        for (b, refs) in delta.updates.into_iter().enumerate() {
+        for (p, refs) in delta.updates.into_iter().enumerate() {
             vertex_changes += refs.len();
-            upd_buckets[b].push((d, refs));
+            upd_cells[p].push((d, refs));
         }
     }
     let cells: Vec<Vec<&BlobData>> = payloads
@@ -457,121 +471,68 @@ pub fn apply_parallel<P: VertexProgram>(
     let replaced = vertex_changes > 0
         && (change_ratio >= config.replace_threshold || session.db().is_durable());
 
-    // ---- messages: build each bucket's segment in parallel ----
+    // ---- messages: build each non-empty cell's segment in parallel ----
+    msg_cells.retain(|parts| parts.iter().any(|(_, refs)| !refs.is_empty()));
+    let msg_fanout = msg_cells.len();
     let use_combiner = config.use_combiner;
     let msg_results: Vec<VertexicaResult<(usize, RecordBatch)>> =
-        pool.map_indexed(msg_buckets, |_, parts| {
-            let mut bucket: Vec<(u64, u64, &[u8])> =
+        pool.map_indexed(msg_cells, |_, parts| {
+            let mut cell: Vec<(u64, u64, &[u8])> =
                 Vec::with_capacity(parts.iter().map(|(_, refs)| refs.len()).sum());
             for (d, refs) in &parts {
-                bucket.extend(refs.iter().map(|m| (m.to, m.from, payload(*d, m.payload))));
+                cell.extend(refs.iter().map(|m| (m.to, m.from, payload(*d, m.payload))));
             }
             // Canonicalizing sort at the segment boundary, over borrowed
-            // payload slices: the bucket holds the globally sorted message
-            // sequence restricted to this bucket, so the per-recipient
-            // combine folds identically for any bucket count. Rows that tie
-            // are identical, so an unstable sort cannot reorder anything
-            // observable.
-            bucket.sort_unstable();
-            let rows = message_rows(program, use_combiner, bucket.into_iter())?;
+            // payload slices: every partition may message this cell. Rows
+            // that tie are identical, so an unstable sort cannot reorder
+            // anything observable.
+            cell.sort_unstable();
+            let rows = message_rows(program, use_combiner, cell.into_iter())?;
             Ok((rows.len(), rows.finish()?))
         });
     let mut num_messages = 0usize;
-    let mut msg_batches = Vec::with_capacity(buckets);
+    let mut msg_batches = Vec::with_capacity(msg_fanout);
     for r in msg_results {
         let (count, batch) = r?;
         num_messages += count;
-        if batch.num_rows() > 0 {
-            msg_batches.push(batch);
-        }
+        msg_batches.push(batch);
     }
 
-    // ---- vertices: per-bucket LEFT-JOIN-equivalent merge, in parallel ----
+    // ---- vertices: per-partition LEFT-JOIN-equivalent merge, in parallel ----
     let mut vertex_batches = Vec::new();
     let mut active_after_replace = 0i64;
     if replaced {
-        // Partition the old table's batches on the pool (one task per
-        // storage batch), then transpose into per-bucket batch lists. The
-        // hash matches `int_key_partition`, so each old row meets its
-        // override in the same bucket.
+        // The old table by owner partition (one task per storage batch). A
+        // segment an earlier replace wrote holds one partition's rows and
+        // is handed over whole; unaligned batches (the initial table, rows
+        // updated in place) are split.
         let old = session.db().scan_table(&session.vertex_table(), None, &[])?;
-        let old_parted: Vec<VertexicaResult<Vec<Vec<RecordBatch>>>> =
-            pool.map_indexed(old, |_, batch| {
-                hash_partition(std::slice::from_ref(&batch), &[0], buckets)
-                    .map_err(VertexicaError::from)
+        let old_split: Vec<VertexicaResult<Vec<(usize, RecordBatch)>>> = pool
+            .map_indexed(old, |_, batch| {
+                split_batch(&batch, &[0], partitions).map_err(VertexicaError::from)
             });
-        let mut old_buckets: Vec<Vec<RecordBatch>> = (0..buckets).map(|_| Vec::new()).collect();
-        for per_batch in old_parted {
-            for (b, v) in per_batch?.into_iter().enumerate() {
-                old_buckets[b].extend(v);
+        let mut old_parts: Vec<Vec<RecordBatch>> = (0..partitions).map(|_| Vec::new()).collect();
+        for pieces in old_split {
+            for (p, piece) in pieces? {
+                old_parts[p].push(piece);
             }
         }
-        let work: Vec<(Vec<RecordBatch>, BucketRefs<UpdateRef>)> =
-            old_buckets.into_iter().zip(std::mem::take(&mut upd_buckets)).collect();
-        let results: Vec<VertexicaResult<(RecordBatch, i64)>> =
-            pool.map_indexed(work, |_, (old_batches, upd_parts)| {
-                // Vertex ids are unique across partitions, so inserts never
-                // collide.
-                let ovr: FxHashMap<i64, (&[u8], bool)> = upd_parts
-                    .iter()
-                    .flat_map(|(d, refs)| {
-                        refs.iter().map(|u| (u.vid, (payload(*d, u.payload), u.halted)))
-                    })
-                    .collect();
-                let mut rows: Vec<VertexRow<'_>> = Vec::new();
-                for batch in &old_batches {
-                    let mistyped =
-                        || VertexicaError::Runtime("vertex table column mistyped".into());
-                    let ids = Nullable::of(batch.column(0), Column::as_int).ok_or_else(mistyped)?;
-                    let values =
-                        Nullable::of(batch.column(1), Column::as_blob).ok_or_else(mistyped)?;
-                    let halted =
-                        Nullable::of(batch.column(2), Column::as_bool).ok_or_else(mistyped)?;
-                    for i in 0..batch.num_rows() {
-                        let id = *ids.get(i).ok_or_else(|| {
-                            VertexicaError::Runtime("vertex row without id".into())
-                        })?;
-                        rows.push(match ovr.get(&id) {
-                            Some(&(bytes, halt)) => (id, Some(bytes), Some(halt)),
-                            // LEFT JOIN + COALESCE: untouched rows survive
-                            // as-is; updates without an old row are dropped.
-                            None => (id, values.get(i), halted.get(i).copied()),
-                        });
-                    }
-                }
-                rows.sort_by_key(|r| r.0);
-                let mut ids = ColumnBuilder::with_capacity(DataType::Int, rows.len());
-                let mut values = ColumnBuilder::with_capacity(DataType::Blob, rows.len());
-                let mut halted = ColumnBuilder::with_capacity(DataType::Bool, rows.len());
-                let mut active = 0i64;
-                for (id, value, halt) in rows {
-                    if halt == Some(false) {
-                        active += 1;
-                    }
-                    ids.push_int(id);
-                    match value {
-                        Some(bytes) => values.push_blob(bytes),
-                        None => values.push_null(),
-                    }
-                    halted
-                        .push(halt.map_or(Value::Null, Value::Bool))
-                        .map_err(VertexicaError::from)?;
-                }
-                let batch = RecordBatch::new(
-                    vertex_schema(),
-                    vec![ids.finish(), values.finish(), halted.finish()],
-                )
-                .map_err(VertexicaError::from)?;
-                Ok((batch, active))
+        let work: Vec<(Vec<RecordBatch>, BucketRefs<UpdateRef>)> = old_parts
+            .into_iter()
+            .zip(std::mem::take(&mut upd_cells))
+            .filter(|(old, _)| !old.is_empty())
+            .collect();
+        let results: Vec<VertexicaResult<(RecordBatch, i64)>> = pool
+            .map_indexed(work, |_, (old_batches, upd_parts)| {
+                rebuild_partition(&old_batches, &upd_parts, &payload)
             });
         for r in results {
             let (batch, active) = r?;
             active_after_replace += active;
-            if batch.num_rows() > 0 {
-                vertex_batches.push(batch);
-            }
+            vertex_batches.push(batch);
         }
     }
+    let apply_parallelism = msg_fanout.max(vertex_batches.len());
 
     // ---- commit: encode EVERYTHING, then swap both tables at once ----
     // Both tables' segments are fully encoded before either contents swap,
@@ -598,7 +559,7 @@ pub fn apply_parallel<P: VertexProgram>(
         // The *update* arm mutates the vertex table directly (delete +
         // re-insert); it is inherently per-row, not atomic with the message
         // swap — exactly the trade the paper's threshold policy makes.
-        let mut updates: Vec<(i64, Vec<u8>, bool)> = upd_buckets
+        let mut updates: Vec<(i64, Vec<u8>, bool)> = upd_cells
             .iter()
             .flatten()
             .flat_map(|(d, refs)| {
@@ -627,7 +588,71 @@ pub fn apply_parallel<P: VertexProgram>(
         messages: num_messages,
         replaced,
         all_halted: remaining == 0,
+        apply_parallelism,
     })
+}
+
+/// One replaced vertex segment: partition `old_batches`' rows in id order,
+/// each overridden by its state row in `updates` if it has one (LEFT JOIN +
+/// COALESCE: untouched rows survive as they are, and a state row without an
+/// old row is dropped). A segment an earlier replace wrote is one sorted
+/// run, and the worker emits its state rows in id order, so both stable
+/// sorts below only confirm their runs (or merge a few); the rows meet in
+/// one linear merge. Returns the segment and its count of active vertices.
+fn rebuild_partition<'a>(
+    old_batches: &[RecordBatch],
+    updates: &BucketRefs<UpdateRef>,
+    payload: &impl Fn(usize, CellRef) -> &'a [u8],
+) -> VertexicaResult<(RecordBatch, i64)> {
+    let mistyped = || VertexicaError::Runtime("vertex table column mistyped".into());
+    let mut values = Vec::with_capacity(old_batches.len());
+    let mut halted = Vec::with_capacity(old_batches.len());
+    let mut old: Vec<(i64, usize, usize)> = Vec::new();
+    for (b, batch) in old_batches.iter().enumerate() {
+        let ids = Nullable::of(batch.column(0), Column::as_int).ok_or_else(mistyped)?;
+        values.push(Nullable::of(batch.column(1), Column::as_blob).ok_or_else(mistyped)?);
+        halted.push(Nullable::of(batch.column(2), Column::as_bool).ok_or_else(mistyped)?);
+        for i in 0..batch.num_rows() {
+            let id = *ids
+                .get(i)
+                .ok_or_else(|| VertexicaError::Runtime("vertex row without id".into()))?;
+            old.push((id, b, i));
+        }
+    }
+    old.sort_by_key(|&(id, ..)| id);
+    let mut new: Vec<(i64, &[u8], bool)> = updates
+        .iter()
+        .flat_map(|(d, refs)| refs.iter().map(|u| (u.vid, payload(*d, u.payload), u.halted)))
+        .collect();
+    new.sort_by_key(|&(vid, ..)| vid);
+    let mut new = new.into_iter().peekable();
+
+    let mut ids = ColumnBuilder::with_capacity(DataType::Int, old.len());
+    let mut value_col = ColumnBuilder::with_capacity(DataType::Blob, old.len());
+    let mut halted_col = ColumnBuilder::with_capacity(DataType::Bool, old.len());
+    let mut active = 0i64;
+    for (id, b, i) in old {
+        while new.next_if(|&(vid, ..)| vid < id).is_some() {}
+        let (value, halt) = match new.peek() {
+            Some(&(vid, bytes, halt)) if vid == id => (Some(bytes), Some(halt)),
+            _ => (values[b].get(i), halted[b].get(i).copied()),
+        };
+        if halt == Some(false) {
+            active += 1;
+        }
+        ids.push_int(id);
+        match value {
+            Some(bytes) => value_col.push_blob(bytes),
+            None => value_col.push_null(),
+        }
+        halted_col.push(halt.map_or(Value::Null, Value::Bool)).map_err(VertexicaError::from)?;
+    }
+    let batch = RecordBatch::new(
+        vertex_schema(),
+        vec![ids.finish(), value_col.finish(), halted_col.finish()],
+    )
+    .map_err(VertexicaError::from)?;
+    Ok((batch, active))
 }
 
 /// The *update* path: in-place DML against the existing vertex table.

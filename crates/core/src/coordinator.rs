@@ -14,20 +14,26 @@
 //!    the full table union never materializes; the static edge table stays
 //!    out of it when the run reads edges from the session's
 //!    [`crate::projection::EdgeProjection`], resolved once before superstep 0;
-//! 2. scatter each chunk by vertex-id hash (vertex batching) on a pool task,
-//!    into partitions **sealed** by a key-column prescan
+//! 2. scatter each chunk by its rows' owner partition
+//!    ([`vertexica_storage::partition::owner`]; vertex batching) on a pool
+//!    task, into partitions **sealed** by a key-column prescan
 //!    ([`crate::input::partition_row_plan`]) that tells each partition how
-//!    many rows it will receive — summed over every shard's contribution;
+//!    many rows it will receive — summed over every shard's contribution. A
+//!    segment apply wrote holds one owner cell's rows, so it reaches its
+//!    partition whole, without a copy;
 //! 3. run a partition's worker UDF on the **shared runtime pool**
 //!    ([`vertexica_common::runtime::WorkerPool`]) owned by the `Database`
 //!    the moment its last row lands — while assemble is still streaming
-//!    later chunks. The pool's persistent threads are resized once per run
-//!    to `num_workers`; per-worker deques and work stealing smooth out
-//!    skewed partitions;
+//!    later chunks. The worker's canonical order is a merge of the sorted
+//!    segment runs it was handed; it sorts only input that arrives out of
+//!    order. The pool's persistent threads are resized once per run to
+//!    `num_workers`; per-worker deques and work stealing smooth out skewed
+//!    partitions;
 //! 4. apply outputs via update-vs-replace ([`crate::apply`]): each
-//!    partition's output is parsed and scattered into apply buckets on the
-//!    worker that produced it, and the commit builds the new table segments
-//!    in parallel;
+//!    partition's output is parsed and scattered into owner cells on the
+//!    worker that produced it, and the commit builds one sorted segment per
+//!    non-empty cell, in parallel — the aligned input of step 2 next
+//!    superstep;
 //! 5. aggregator exchange and fold, then the apply commit, which also
 //!    stamps the superstep ([`crate::shard`]'s module docs); halt check.
 //!
@@ -71,8 +77,9 @@ pub struct SuperstepStats {
     pub compute_secs: f64,
     /// Wall-clock seconds applying outputs (table writes, halt check).
     pub apply_secs: f64,
-    /// Width of the apply fan-out: the number of segment buckets built in
-    /// parallel on the pool (the run's `num_workers`).
+    /// Width of the apply fan-out: the segments built in parallel, one per
+    /// non-empty owner cell — per shard the larger of the message table's
+    /// and the replaced vertex table's count, summed over shards.
     pub apply_parallelism: usize,
     /// Seconds worker-UDF compute tasks ran **while assemble was still
     /// streaming chunks** — the overlap the pipelined dataflow exists to
@@ -84,8 +91,8 @@ pub struct SuperstepStats {
     /// Pool tasks this superstep obtained by work stealing.
     pub steals: u64,
     /// Scopes entered from inside a pool task this superstep (nested
-    /// parallelism, e.g. a big partition's worker sorting its input on the
-    /// pool), from [`vertexica_common::runtime::PoolMetrics::nested_scopes`].
+    /// parallelism; no superstep stage opens one, so this reads 0), from
+    /// [`vertexica_common::runtime::PoolMetrics::nested_scopes`].
     pub nested_scopes: u64,
     /// Largest single in-flight input chunk, in estimated bytes — on any
     /// multi-chunk input far below [`input_bytes`](Self::input_bytes),

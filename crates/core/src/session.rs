@@ -118,8 +118,8 @@ impl GraphSession {
     }
 
     /// Sharded bulk load: keeps only the rows this engine shard **owns**
-    /// under the engine-wide ownership hash
-    /// ([`vertexica_storage::partition::int_key_partition`] over vid) —
+    /// under the engine-wide ownership rule (the shard half of
+    /// [`vertexica_storage::partition::owner`] over vid) —
     /// vertex rows where `owner(id) == shard` and edge rows where
     /// `owner(src) == shard`, so every vertex is colocated with its outbound
     /// edges. `load_edges` is exactly shard 0 of 1 (the hash maps everything
@@ -136,7 +136,7 @@ impl GraphSession {
         num_shards: usize,
     ) -> VertexicaResult<()> {
         assert!(shard < num_shards.max(1), "shard {shard} out of range for {num_shards} shards");
-        let owner = |id: i64| vertexica_storage::partition::int_key_partition(id, num_shards);
+        let owner = |id: i64| vertexica_storage::partition::owner(id, num_shards, 1).0;
         let seg_rows = crate::input::STREAM_CHUNK_ROWS;
         // Vertices.
         let n = graph.num_vertices as usize;

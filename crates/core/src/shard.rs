@@ -2,9 +2,9 @@
 //!
 //! A [`ShardedDatabase`] owns N fully independent [`Database`] engines —
 //! each with its own catalog, worker pool and (when durable) its own WAL
-//! directory under `<root>/shard<k>/`. Shard ownership is the engine-wide
-//! ownership hash [`vertexica_storage::partition::int_key_partition`] over
-//! vertex id: a vertex row, its
+//! directory under `<root>/shard<k>/`. Shard ownership is the shard half of
+//! the engine-wide ownership rule [`vertexica_storage::partition::owner`]
+//! over vertex id: a vertex row, its
 //! outbound edges (keyed by `src`) and its inbound messages (keyed by
 //! `recipient`) all land on the owning shard, so at superstep time **only
 //! message rows ever cross a shard boundary** — a shard's message table
@@ -40,7 +40,11 @@
 //!    its last inbound row lands** (the summed count matrices told it
 //!    exactly how many to expect), not at any superstep-wide barrier;
 //! 4. after compute, swaps its aggregator partials at a second rendezvous,
-//!    folds them, and commits its apply (see *The stamp* below).
+//!    folds them, and commits its apply (see *The stamp* below). Apply
+//!    writes one message segment per recipient `(shard, partition)` owner
+//!    cell — the shard count need not divide the partition count — so next
+//!    superstep each segment crosses to its owner shard, and reaches its
+//!    partition there, whole.
 //!
 //! Rows never wait at a barrier. Besides the partials rendezvous, the halting
 //! vote is two-phase: each shard reports its local pending-message and
@@ -764,10 +768,9 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
         num_vertices,
         prev_aggregates: Arc::new(prev_aggregates.clone()),
         use_combiner: config.use_combiner,
-        pool: Some(db.runtime().clone()),
         edges,
     });
-    let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
+    let apply = ParallelApply::for_program(program.as_ref(), n, parts);
 
     let pipeline = db.run_transform_pipelined(
         &worker,
@@ -1176,7 +1179,7 @@ fn superstep_loop<P: VertexProgram + 'static>(
             assemble_secs: fmax(|r| r.pipeline.assemble_secs),
             compute_secs: fmax(|r| r.pipeline.compute_secs),
             apply_secs: fmax(|r| r.apply_secs),
-            apply_parallelism: config.num_workers.max(1),
+            apply_parallelism: reports.iter().map(|r| r.outcome.apply_parallelism).sum(),
             overlap_secs: fmax(|r| r.pipeline.overlap_secs),
             queue_wait_secs: reports.iter().map(|r| r.pool_delta.queue_wait_secs).sum(),
             steals: reports.iter().map(|r| r.pool_delta.tasks_stolen).sum(),
@@ -1340,11 +1343,10 @@ fn repair_shard<P: VertexProgram + 'static>(
         num_vertices: behind.num_vertices,
         prev_aggregates: Arc::new(behind.aggregates.clone()),
         use_combiner: config.use_combiner,
-        pool: Some(db.runtime().clone()),
         edges,
     });
     let parts = config.num_partitions.max(1);
-    let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
+    let apply = ParallelApply::for_program(program.as_ref(), n, parts);
     let mut remote = Some(remote);
     db.run_transform_pipelined(
         &worker,
@@ -1388,7 +1390,7 @@ mod tests {
     use super::*;
     use crate::coordinator::tests::MaxId;
     use crate::coordinator::{resume_program, run_program};
-    use vertexica_storage::partition::int_key_partition;
+    use vertexica_storage::partition::owner;
 
     /// Two components joined through several cross-owner edges, big enough
     /// that 2 and 3 shards each own something.
@@ -1488,11 +1490,11 @@ mod tests {
             for row in sess.db().query(&format!("SELECT id FROM {}", sess.vertex_table())).unwrap()
             {
                 let id = row[0].as_int().unwrap();
-                assert_eq!(int_key_partition(id, 3), k, "vertex {id} misplaced");
+                assert_eq!(owner(id, 3, 1).0, k, "vertex {id} misplaced");
             }
             for row in sess.db().query(&format!("SELECT src FROM {}", sess.edge_table())).unwrap() {
                 let src = row[0].as_int().unwrap();
-                assert_eq!(int_key_partition(src, 3), k, "edge src {src} misplaced");
+                assert_eq!(owner(src, 3, 1).0, k, "edge src {src} misplaced");
             }
         }
     }

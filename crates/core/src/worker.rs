@@ -5,7 +5,9 @@
 //! number of cores" (§2.2). Each worker receives one hash partition of the
 //! table union, sorts it by vertex id (vertex batching, §2.3), reconstructs
 //! each vertex's value/edges/messages, runs `compute`, and emits new vertex
-//! states, outgoing messages and aggregator contributions as rows. A
+//! states, outgoing messages and aggregator contributions as rows. Apply
+//! writes one sorted segment per owner cell, so a partition's input mostly
+//! arrives as a few already-sorted runs, and the sort is a merge of them. A
 //! vertex's edges come either from the partition's own edge rows or, when the
 //! run has one, from the session's [`EdgeProjection`] — then the partition
 //! holds vertex and message rows only.
@@ -15,7 +17,6 @@ use std::sync::Arc;
 use vertexica_common::graph::{Edge, VertexId};
 use vertexica_common::hash::FxHashMap;
 use vertexica_common::pregel::{AggKind, VertexContext, VertexProgram};
-use vertexica_common::runtime::WorkerPool;
 use vertexica_common::VertexData;
 use vertexica_sql::{SqlError, SqlResult, TransformUdf};
 use vertexica_storage::{
@@ -24,13 +25,6 @@ use vertexica_storage::{
 
 use crate::input::{KIND_EDGE, KIND_MESSAGE, KIND_VERTEX};
 use crate::projection::{cmp_weight, EdgeProjection};
-
-/// Partitions at or above this row count sort their canonical input order
-/// on the pool (chunk sorts in parallel + pairwise merges) instead of on
-/// the worker alone. The worker itself runs *on* a pool thread, so this is
-/// a nested scope — the runtime's help-first barrier makes it safe at any
-/// pool size.
-pub const PARALLEL_SORT_MIN_ROWS: usize = 4096;
 
 /// Output-row kinds emitted by workers.
 pub const OUT_STATE: i64 = 0;
@@ -65,9 +59,6 @@ pub struct VertexWorker<P: VertexProgram> {
     pub prev_aggregates: Arc<FxHashMap<String, f64>>,
     /// Pre-combine messages per recipient within the partition.
     pub use_combiner: bool,
-    /// The shared runtime pool, for sorting big partitions with nested
-    /// parallelism (`None`: always sort on the calling thread).
-    pub pool: Option<Arc<WorkerPool>>,
     /// Where out-edges come from: the session's sorted edge projection, or
     /// (`None`) the `KIND_EDGE` rows of the partition itself. Never both — an
     /// edge row reaching a worker that holds a projection is an error.
@@ -112,7 +103,8 @@ impl<'a> Nullable<'a, BlobData> {
 }
 
 /// One input row of a partition: which batch, which row in it. The worker
-/// sorts these instead of merging the batches first — the rows never move.
+/// sorts these instead of concatenating the batches first — the rows never
+/// move.
 #[derive(Clone, Copy)]
 struct RowRef {
     batch: u32,
@@ -126,12 +118,11 @@ struct RowRef {
 /// messages — then every remaining column as a tiebreak. A mere (vid, kind)
 /// key leaves ties (a vertex's edges, its messages) in input order, which
 /// silently couples compute to the physical row order of the underlying
-/// tables, which apply writes bucket-major — a different (but content-equal)
-/// order for every bucket count and apply arm. With a total order, any two
+/// tables, which apply writes cell-major — a different (but content-equal)
+/// order for every partition count and apply arm. With a total order, any two
 /// runs that agree on partition *contents* produce bitwise-identical compute
 /// — which the invariance cells of the equivalence harness assert. Rows tying on every
-/// column are interchangeable, so `sort_unstable` (and any run-merge order in
-/// the parallel sort) is safe.
+/// column are interchangeable, so the order of ties cannot change compute.
 ///
 /// The order is `Value::total_cmp` column by column, computed without boxing
 /// a `Value`: each column holds one type, so only that type's arm of
@@ -236,30 +227,6 @@ impl<'a, P: VertexProgram> VertexContext<P::Value, P::Message> for WorkerCtx<'a,
     }
 }
 
-/// Merges two runs sorted under `cmp` into one. Ties take from `a` first;
-/// tying rows are byte-identical under the total order, so merge order
-/// cannot change compute.
-fn merge_runs(
-    a: Vec<RowRef>,
-    b: Vec<RowRef>,
-    cmp: &impl Fn(RowRef, RowRef) -> std::cmp::Ordering,
-) -> Vec<RowRef> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ai, mut bi) = (0, 0);
-    while ai < a.len() && bi < b.len() {
-        if cmp(a[ai], b[bi]).is_le() {
-            out.push(a[ai]);
-            ai += 1;
-        } else {
-            out.push(b[bi]);
-            bi += 1;
-        }
-    }
-    out.extend_from_slice(&a[ai..]);
-    out.extend_from_slice(&b[bi..]);
-    out
-}
-
 impl<P: VertexProgram> VertexWorker<P> {
     fn decode_value(bytes: &[u8]) -> SqlResult<P::Value> {
         P::Value::from_bytes(bytes)
@@ -299,36 +266,13 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
             };
             order.extend((0..rows).map(|row| RowRef { batch: batch_idx, row }));
         }
+        // The batches are the segments apply wrote, one per owner cell and
+        // each sorted in this order, or pieces of unaligned input (edge
+        // rows, the initial vertex table, rows updated in place, user DML).
+        // The stable sort finds the already-sorted runs and merges them; it
+        // sorts only what arrives out of order.
         let n = order.len();
-        let lanes = self.pool.as_ref().map_or(1, |p| p.size());
-        if n >= PARALLEL_SORT_MIN_ROWS && lanes > 1 {
-            // Big partition: sort contiguous runs as pool tasks — a nested
-            // scope when this worker itself runs on the pool — then merge.
-            let pool = self.pool.as_ref().expect("lanes > 1 implies a pool");
-            let run_len = n.div_ceil(lanes);
-            pool.scope(|s| {
-                for run in order.chunks_mut(run_len) {
-                    let cmp = &cmp;
-                    s.spawn(move || run.sort_unstable_by(|&a, &b| cmp(a, b)));
-                }
-            });
-            let mut runs: Vec<Vec<RowRef>> =
-                order.chunks(run_len).map(<[RowRef]>::to_vec).collect();
-            while runs.len() > 1 {
-                let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-                let mut it = runs.into_iter();
-                while let Some(a) = it.next() {
-                    match it.next() {
-                        Some(b) => next.push(merge_runs(a, b, &cmp)),
-                        None => next.push(a),
-                    }
-                }
-                runs = next;
-            }
-            order = runs.pop().unwrap_or_default();
-        } else {
-            order.sort_unstable_by(|&a, &b| cmp(a, b));
-        }
+        order.sort_by(|&a, &b| cmp(a, b));
 
         // Outputs: rows go into the output batch's column builders as they
         // are produced, payloads encoded straight into the blob column.
@@ -640,7 +584,6 @@ mod tests {
             num_vertices: 3,
             prev_aggregates: Arc::new(FxHashMap::default()),
             use_combiner: combiner,
-            pool: None,
             edges: None,
         }
     }
@@ -729,55 +672,59 @@ mod tests {
         assert!(rows_of_kind(&out, OUT_STATE).len() <= 1);
     }
 
-    #[test]
-    fn parallel_sort_is_bitwise_identical_to_serial() {
-        // A partition big enough to cross PARALLEL_SORT_MIN_ROWS, with
-        // deliberately shuffled rows: the pooled sort path must produce
-        // byte-identical output batches to the pool-less worker — and, when
-        // invoked from inside a pool task (as the engine does), must
-        // register as a *nested* scope.
-        let n_vertices = PARALLEL_SORT_MIN_ROWS / 2;
-        let vertices: Vec<(u64, f64, bool)> =
-            (0..n_vertices as u64).map(|i| (i, (i % 97) as f64, false)).collect();
-        let edges: Vec<(u64, u64)> =
-            (0..n_vertices as u64).map(|i| (i, (i * 31 + 7) % n_vertices as u64)).collect();
-        let msgs: Vec<(u64, u64, f64)> = (0..n_vertices as u64)
-            .map(|i| (i, (i + 1) % n_vertices as u64, (i % 13) as f64))
-            .collect();
-        let mut input = build_input(&vertices, &edges, &msgs);
-        // Shuffle rows deterministically so the sort has real work.
-        let rows = input.num_rows();
-        let perm: Vec<usize> = (0..rows).map(|i| (i * 7919) % rows).collect();
-        // 7919 is prime and rows isn't a multiple of it ⇒ perm is a bijection.
-        assert_eq!(perm.iter().collect::<std::collections::HashSet<_>>().len(), rows);
-        input = input.take(&perm).unwrap();
-        assert!(input.num_rows() >= PARALLEL_SORT_MIN_ROWS);
-
-        let serial = worker(1, true).execute(vec![input.clone()]).unwrap();
-
-        let pool = Arc::new(WorkerPool::new(4));
-        let mut pooled_worker = worker(1, true);
-        pooled_worker.pool = Some(pool.clone());
-        let before = pool.metrics();
-        // Run the worker the way the engine does: as a pool task.
-        let result: vertexica_common::sync::Mutex<Option<SqlResult<Vec<RecordBatch>>>> =
-            vertexica_common::sync::Mutex::new(None);
-        pool.scope(|s| {
-            let result = &result;
-            let pooled_worker = &pooled_worker;
-            let input = input.clone();
-            s.spawn(move || {
-                *result.lock() = Some(pooled_worker.execute(vec![input]));
-            });
+    /// Sorts rows into the worker's canonical order: `Value::total_cmp`
+    /// column by column.
+    fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+        rows.sort_by(|a, b| {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let pooled = result.into_inner().unwrap().unwrap();
-        let delta = pool.metrics().delta_since(&before);
-        assert!(delta.nested_scopes >= 1, "pooled sort from a worker must nest: {delta:?}");
+        rows
+    }
 
-        let rows_of = |out: &[RecordBatch]| -> Vec<Vec<Value>> {
-            out.iter().flat_map(|b| (0..b.num_rows()).map(move |i| b.row(i))).collect()
-        };
-        assert_eq!(rows_of(&serial), rows_of(&pooled));
+    #[test]
+    fn input_runs_sorted_or_not_give_identical_output() {
+        // One partition's rows as one shuffled batch, as sorted runs whose
+        // concatenation is unsorted (the owner-aligned segments apply
+        // writes), and as shuffled pieces: the worker's sort must make the
+        // three bitwise identical. Vertices have several edges and messages
+        // each, so a run left unsorted reorders a vertex's edges or message
+        // slice.
+        let n = 2048u64;
+        let vertices: Vec<(u64, f64, bool)> = (0..n).map(|i| (i, (i % 97) as f64, false)).collect();
+        let edges: Vec<(u64, u64)> =
+            (0..n).flat_map(|i| [(i, (i * 31 + 7) % n), (i, (i * 17 + 3) % n)]).collect();
+        let msgs: Vec<(u64, u64, f64)> = (0..n)
+            .flat_map(|i| [(i, (i + 5) % n, (i % 13) as f64), (i, (i + 1) % n, (i % 7) as f64)])
+            .collect();
+        let input = build_input(&vertices, &edges, &msgs);
+        let rows = input.num_rows();
+        // 7919 is prime and rows isn't a multiple of it: a bijection.
+        let perm: Vec<usize> = (0..rows).map(|i| (i * 7919) % rows).collect();
+        let shuffled = input.take(&perm).unwrap();
+
+        let sorted = canonical(input.rows());
+        let runs: Vec<RecordBatch> = (0..3)
+            .map(|r| {
+                let run: Vec<Vec<Value>> = sorted.iter().skip(r).step_by(3).cloned().collect();
+                RecordBatch::from_rows(union_schema(), &run).unwrap()
+            })
+            .collect();
+        let pieces: Vec<RecordBatch> = (0..5)
+            .map(|k| {
+                shuffled.take(&(k * rows / 5..(k + 1) * rows / 5).collect::<Vec<_>>()).unwrap()
+            })
+            .collect();
+
+        let expected = all_rows(&worker(1, true).execute(vec![shuffled]).unwrap());
+        assert!(!expected.is_empty());
+        for (what, input) in [("sorted runs", runs), ("shuffled pieces", pieces)] {
+            let out = worker(1, true).execute(input).unwrap();
+            assert_eq!(all_rows(&out), expected, "{what}");
+        }
     }
 
     fn all_rows(out: &[RecordBatch]) -> Vec<Vec<Value>> {

@@ -487,8 +487,8 @@ impl Database {
     /// compute task from the worker it is running on** — a continuation
     /// spawn onto the same scope — so compute genuinely starts while the
     /// producer is still streaming later chunks. Partitions not covered by
-    /// a plan (`expected_rows = None`, e.g. the 3-way-join replay) are
-    /// dispatched when production and scattering have both finished.
+    /// a plan (`expected_rows = None`, e.g. a shard's crash-repair re-run)
+    /// are dispatched when production and scattering have both finished.
     ///
     /// `sink` is called once per non-empty partition with
     /// `(partition_index, output_batches)`, from whichever worker finished
@@ -1684,7 +1684,7 @@ mod tests {
         let mut per_part: Vec<Vec<i64>> = vec![Vec::new(); parts];
         let mut k = 0i64;
         while per_part.iter().any(|v| v.len() < 8) {
-            per_part[vertexica_storage::partition::int_key_partition(k, parts)].push(k);
+            per_part[vertexica_storage::partition::owner(k, 1, parts).1].push(k);
             k += 1;
         }
         let chunks = int_chunks(&per_part);
@@ -1882,11 +1882,11 @@ mod tests {
         // 512 keys hashing to partition 0, then one key for each other
         // partition.
         let mut keys: Vec<i64> = (0..)
-            .filter(|&k| vertexica_storage::partition::int_key_partition(k, parts) == 0)
+            .filter(|&k| vertexica_storage::partition::owner(k, 1, parts).1 == 0)
             .take(512)
             .collect();
         keys.extend((1..parts).map(|p| {
-            (0..).find(|&k| vertexica_storage::partition::int_key_partition(k, parts) == p).unwrap()
+            (0..).find(|&k| vertexica_storage::partition::owner(k, 1, parts).1 == p).unwrap()
         }));
         let before = db.runtime().metrics();
 

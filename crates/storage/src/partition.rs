@@ -10,17 +10,19 @@ use crate::batch::RecordBatch;
 use crate::error::{StorageError, StorageResult};
 use vertexica_common::hash::mix64;
 
-/// The partition a single non-null integer key lands in — exactly the row
-/// placement [`partition_assignments`] computes for a one-column Int key.
-///
-/// The parallel apply path uses this to scatter parsed update/message rows
-/// (plain `i64` ids, no longer inside a batch) into apply segments that stay
-/// consistent with batch-level partitioning.
-pub fn int_key_partition(key: i64, num_partitions: usize) -> usize {
-    assert!(num_partitions > 0, "num_partitions must be positive");
-    // Mirrors Column::hash_combine for an Int column folded into a zero
-    // seed: h = mix64(rotl(0, 23) ^ mix64(key)).
-    (mix64(mix64(key as u64)) % num_partitions as u64) as usize
+/// Where vertex `id` lives: `(shard, partition)`, the shard `h % num_shards`
+/// and the compute partition `h % num_partitions` of one hash
+/// `h = mix64(mix64(id))`. This is the engine's one ownership rule: the
+/// sharded load places rows by it, [`split_batch`] scatters a chunk by it
+/// (the hash of a one-column Int key in [`partition_assignments`]), and
+/// apply writes one segment per `(shard, partition)` cell by it, so the
+/// segments apply writes come back to the next superstep's scatter whole.
+pub fn owner(id: i64, num_shards: usize, num_partitions: usize) -> (usize, usize) {
+    assert!(num_shards > 0 && num_partitions > 0, "shard and partition counts must be positive");
+    // Column::hash_combine for an Int column folded into a zero seed:
+    // h = mix64(rotl(0, 23) ^ mix64(key)).
+    let h = mix64(mix64(id as u64));
+    ((h % num_shards as u64) as usize, (h % num_partitions as u64) as usize)
 }
 
 /// Computes, for every row across `batches`, the target partition in
@@ -83,6 +85,12 @@ pub fn split_batch(
     // One source of truth for row placement: the same assignment rule as
     // the one-shot path.
     let assign = partition_assignments(std::slice::from_ref(batch), key_columns, num_partitions);
+    // A chunk whose rows all land in one partition (a segment apply wrote
+    // for one owner cell) is handed over whole, without a copy.
+    let first = assign[0][0];
+    if assign[0].iter().all(|&p| p == first) {
+        return Ok(vec![(first, batch.clone())]);
+    }
     let mut indices: Vec<Vec<usize>> = vec![Vec::new(); num_partitions];
     for (row, &p) in assign[0].iter().enumerate() {
         indices[p].push(row);
@@ -115,9 +123,9 @@ pub fn split_batch(
 /// expected row is scattered the partition **seals**: [`absorb`] hands its
 /// accumulated batches back to the caller, which can start computing on
 /// them while later chunks are still streaming — the heart of the pipelined
-/// superstep. Without a plan (or for open-ended sources like the 3-way-join
-/// replay, whose row placement isn't known up front) nothing seals until
-/// [`drain_unsealed`] is called at end-of-stream.
+/// superstep. Without a plan (the crash-repair re-run, whose remote input
+/// is not prescanned) nothing seals until [`drain_unsealed`] is called at
+/// end-of-stream.
 ///
 /// [`absorb`]: StreamingPartitioner::absorb
 /// [`drain_unsealed`]: StreamingPartitioner::drain_unsealed
@@ -340,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn int_key_partition_matches_batch_assignments() {
+    fn owner_matches_batch_assignments() {
         let keys: Vec<i64> = (-64..64).chain([i64::MIN, i64::MAX, 1 << 40]).collect();
         let batch = {
             let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
@@ -350,11 +358,9 @@ mod tests {
         for parts in [1usize, 2, 7, 16] {
             let assign = partition_assignments(std::slice::from_ref(&batch), &[0], parts);
             for (row, &k) in keys.iter().enumerate() {
-                assert_eq!(
-                    int_key_partition(k, parts),
-                    assign[0][row],
-                    "key {k} with {parts} partitions"
-                );
+                // Both halves of the cell: shard and partition.
+                assert_eq!(owner(k, 1, parts).1, assign[0][row], "key {k}, {parts} partitions");
+                assert_eq!(owner(k, parts, 1).0, assign[0][row], "key {k}, {parts} shards");
             }
         }
     }

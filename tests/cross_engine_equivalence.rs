@@ -1067,7 +1067,7 @@ fn sharded_checkpoint_resume_is_bitwise_identical() {
 /// [`load_edges_finely_segmented`]), respecting the ownership hash.
 fn load_edges_finely_segmented_sharded(ss: &ShardedGraphSession, graph: &EdgeList) {
     use vertexica::session::edge_schema;
-    use vertexica::storage::partition::int_key_partition;
+    use vertexica::storage::partition::owner;
     use vertexica::storage::{ColumnBuilder, DataType, RecordBatch};
     let n = ss.num_shards();
     let base = EdgeList::new(graph.num_vertices, vec![]);
@@ -1080,7 +1080,7 @@ fn load_edges_finely_segmented_sharded(ss: &ShardedGraphSession, graph: &EdgeLis
             let mut created = ColumnBuilder::new(DataType::Int);
             let mut etype = ColumnBuilder::new(DataType::Str);
             let mut rows = 0;
-            for e in chunk.iter().filter(|e| int_key_partition(e.src as i64, n) == k) {
+            for e in chunk.iter().filter(|e| owner(e.src as i64, n, 1).0 == k) {
                 src.push_int(e.src as i64);
                 dst.push_int(e.dst as i64);
                 weight.push_float(e.weight);

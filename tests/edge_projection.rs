@@ -10,7 +10,7 @@ use std::sync::Arc;
 use vertexica::session::{edge_schema, vertex_schema};
 use vertexica::shard::{run_sharded, ShardedDatabase, ShardedGraphSession};
 use vertexica::sql::Database;
-use vertexica::storage::partition::int_key_partition;
+use vertexica::storage::partition;
 use vertexica::storage::{RecordBatch, Value};
 use vertexica::{run_program, GraphSession, RunStats, VertexicaConfig};
 use vertexica_algorithms::reference;
@@ -37,7 +37,7 @@ const CELLS: [Cell; 4] = [Cell::Default, Cell::Durable, Cell::Budget256KiB, Cell
 /// owns it: a vertex by its id, an edge by its source.
 fn load(sessions: &[GraphSession], graph: &EdgeList, base: u64) {
     let id = |v: u64| Value::Int(base.wrapping_add(v) as i64);
-    let owner = |v: u64| int_key_partition(base.wrapping_add(v) as i64, sessions.len());
+    let owner = |v: u64| partition::owner(base.wrapping_add(v) as i64, sessions.len(), 1).0;
     for (k, session) in sessions.iter().enumerate() {
         let vertices: Vec<Vec<Value>> = (0..graph.num_vertices)
             .filter(|&v| owner(v) == k)

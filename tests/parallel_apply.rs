@@ -6,12 +6,14 @@
 //! into an apply task mid-build and assert the graph's tables come through
 //! untouched: old segments still visible, no torn swap, pool still healthy.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use vertexica::apply::apply_outputs;
 use vertexica::coordinator::initialize_vertices;
 use vertexica::sql::Database;
+use vertexica::storage::partition::owner;
 use vertexica::storage::{RecordBatch, Value};
 use vertexica::worker::{worker_output_schema, OUT_MESSAGE, OUT_STATE};
 use vertexica::{run_program, GraphSession, VertexicaConfig};
@@ -163,21 +165,30 @@ fn erroring_apply_parse_leaves_tables_untouched() {
     assert_eq!(table_state(&g, &g.message_table()), message_before);
 }
 
+/// The owner partitions of vertex ids `ids` on one shard.
+fn owner_partitions(ids: std::ops::Range<i64>, parts: usize) -> BTreeSet<usize> {
+    ids.map(|id| owner(id, 1, parts).1).collect()
+}
+
 #[test]
 fn apply_parallelism_is_observable_per_superstep() {
     let graph = EdgeList::from_pairs((0..64u64).map(|i| (i, (i + 1) % 64)));
-    // The apply fan-out is one segment bucket per worker.
-    for workers in [1, 3] {
+    // The apply fan-out is one segment per non-empty owner cell. On a cycle
+    // every vertex receives a message, so a superstep that sends any
+    // writes a message segment for every partition that owns a vertex.
+    for (workers, parts) in [(1, 1), (1, 3), (3, 8)] {
         let db = Arc::new(Database::new());
         let g = GraphSession::create(db, "g").unwrap();
         g.load_edges(&graph).unwrap();
-        let config = VertexicaConfig::default().with_workers(workers);
+        let config = VertexicaConfig::default().with_workers(workers).with_partitions(parts);
         let stats = run_program(&g, Arc::new(PageRank::new(3, 0.85)), &config).unwrap();
         assert!(stats.supersteps >= 2);
+        let cells = owner_partitions(0..64, parts).len();
         for s in &stats.per_superstep {
+            let expected = if s.messages > 0 || s.replaced { cells } else { 0 };
             assert_eq!(
-                s.apply_parallelism, workers,
-                "superstep {} ({workers} workers)",
+                s.apply_parallelism, expected,
+                "superstep {} ({workers} workers, {parts} partitions)",
                 s.superstep
             );
         }
@@ -266,22 +277,31 @@ fn segmented_replace_produces_correct_zone_maps_and_prunable_segments() {
 #[test]
 fn parallel_replace_writes_one_segment_per_nonempty_bucket() {
     // A dense superstep under parallel apply leaves the vertex table
-    // bucket-segmented (one ROS segment per non-empty hash bucket) — and
-    // never more than the apply fan-out. The graph must be asymmetric so
-    // PageRank actually changes values (a plain cycle would fixpoint
-    // immediately and never trigger a replace).
+    // segmented by owner cell: one ROS segment per partition that owns a
+    // vertex, holding only that partition's vertices. The graph must be
+    // asymmetric so PageRank actually changes values (a plain cycle would
+    // fixpoint immediately and never trigger a replace).
     let graph = vertexica_graphgen::models::erdos_renyi(200, 800, 7);
     let db = Arc::new(Database::new());
     let g = GraphSession::create(db, "g").unwrap();
     g.load_edges(&graph).unwrap();
+    let parts = 6;
     let config = VertexicaConfig::default()
         .with_workers(4)
+        .with_partitions(parts)
         .with_replace_threshold(0.0)
         .with_max_supersteps(2);
     run_program(&g, Arc::new(PageRank::new(2, 0.85)), &config).unwrap();
     let handle = g.db().catalog().get(&g.vertex_table()).unwrap();
     let guard = handle.read();
-    assert!(guard.num_segments() >= 2, "expected a bucket-segmented table");
-    assert!(guard.num_segments() <= 4, "no more segments than apply buckets");
+    assert_eq!(guard.num_segments(), owner_partitions(0..200, parts).len());
+    let mut seen = BTreeSet::new();
+    for handle in guard.segments() {
+        let ids = handle.read().unwrap().encoded_column(0).decode().unwrap();
+        let cells: BTreeSet<usize> =
+            (0..ids.len()).map(|i| owner(ids.value(i).as_int().unwrap(), 1, parts).1).collect();
+        assert_eq!(cells.len(), 1, "a segment spans owner cells: {cells:?}");
+        assert!(seen.insert(cells), "two segments share an owner cell");
+    }
     assert_eq!(guard.num_rows(), 200);
 }
