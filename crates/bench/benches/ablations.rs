@@ -7,7 +7,8 @@ use std::time::Duration;
 use vertexica::{run_program, VertexicaConfig};
 use vertexica_algorithms::vc::PageRank;
 use vertexica_bench::{
-    figure2_dataset, fresh_session, input_assembly_session, input_assembly_sql, HarnessConfig,
+    figure2_dataset, fresh_session, input_assembly_session, input_assembly_sql,
+    update_vs_replace_sql, value_table, HarnessConfig, UPDATE_PERCENTS,
 };
 
 fn micro_cfg() -> HarnessConfig {
@@ -50,19 +51,23 @@ fn bench_batching(c: &mut Criterion) {
 }
 
 fn bench_update_vs_replace(c: &mut Criterion) {
-    let graph = figure2_dataset("twitter", &micro_cfg());
+    // The paper's update-vs-replace contrast as its two SQL statements, on a
+    // vertex-shaped table. Each replace sample also drops the table it wrote.
+    const TABLE: &str = "vertex_value";
+    let session = fresh_session(&figure2_dataset("twitter", &micro_cfg()));
+    value_table(&session, TABLE);
     let mut group = c.benchmark_group("ablation_update_vs_replace");
     group.sample_size(10);
-    for (label, threshold) in
-        [("always_replace", 0.0f64), ("paper_0.2", 0.2), ("always_update", 1.01)]
-    {
-        group.bench_function(BenchmarkId::new("pagerank5", label), |b| {
-            b.iter(|| {
-                let session = fresh_session(&graph);
-                let config = VertexicaConfig::default().with_replace_threshold(threshold);
-                run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap()
-            })
-        });
+    for percent in UPDATE_PERCENTS {
+        for (label, sql) in update_vs_replace_sql(TABLE, percent) {
+            group.bench_function(BenchmarkId::new(label, format!("{percent}pct")), |b| {
+                b.iter(|| {
+                    let rows = session.db().execute(&sql).unwrap().affected();
+                    session.db().execute(&format!("DROP TABLE IF EXISTS {TABLE}_new")).unwrap();
+                    rows
+                })
+            });
+        }
     }
     group.finish();
 }

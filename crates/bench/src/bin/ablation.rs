@@ -8,9 +8,10 @@
 use std::sync::Arc;
 
 use vertexica::{run_program, VertexicaConfig};
-use vertexica_algorithms::vc::{PageRank, Sssp};
+use vertexica_algorithms::vc::PageRank;
 use vertexica_bench::{
-    figure2_dataset, fresh_session, input_assembly_session, input_assembly_sql, HarnessConfig,
+    figure2_dataset, fresh_session, input_assembly_session, input_assembly_sql,
+    update_vs_replace_sql, value_table, HarnessConfig, UPDATE_PERCENTS,
 };
 use vertexica_common::timer::Stopwatch;
 use vertexica_common::WorkerPool;
@@ -151,30 +152,27 @@ fn main() {
     }
 
     if exp == "update-vs-replace" || exp == "all" {
-        println!("## §2.3 Update vs Replace: threshold sweep");
-        println!("# PageRank touches every vertex each superstep (dense updates);");
-        println!("# SSSP touches a shrinking frontier (sparse updates).");
-        for (wl, dense) in [("pagerank", true), ("sssp", false)] {
-            for threshold in [0.0, 0.2, 0.5, 1.01] {
-                let session = fresh_session(&graph);
-                let config = VertexicaConfig::default().with_replace_threshold(threshold);
+        println!("## §2.3 Update vs Replace: a superstep's vertex writes as one SQL statement");
+        println!("# A vertex-shaped table (id, FLOAT value, halted), one row per vertex;");
+        println!("# f of its rows get a new value, by an in-place UPDATE or by a");
+        println!("# CREATE TABLE … AS SELECT that rewrites them and copies the rest (the");
+        println!("# replace the engine always runs), each through Database::execute on a");
+        println!("# fresh copy of the table.");
+        let session = fresh_session(&graph);
+        for percent in UPDATE_PERCENTS {
+            for (label, sql) in update_vs_replace_sql(VALUE_TABLE, percent) {
+                value_table(&session, VALUE_TABLE);
                 let sw = Stopwatch::start();
-                let stats = if dense {
-                    run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap()
-                } else {
-                    run_program(&session, Arc::new(Sssp::new(0)), &config).unwrap()
-                };
-                let replaced = stats.per_superstep.iter().filter(|s| s.replaced).count();
-                println!(
-                    "{wl:<9} threshold={threshold:<5} {:.3}s  (replaced {}/{} supersteps)",
-                    sw.elapsed_secs(),
-                    replaced,
-                    stats.per_superstep.len()
-                );
+                let rows = session.db().execute(&sql).unwrap().affected();
+                let secs = sw.elapsed_secs();
+                println!("f={percent:>3}%  {label:<8} {secs:.4}s  rows={rows}");
             }
         }
     }
 }
+
+/// The table `--exp update-vs-replace` writes.
+const VALUE_TABLE: &str = "vertex_value";
 
 /// Writes one experiment's JSON as `bench-out/<file>` (the directory is
 /// created if missing), never over the committed `BENCH_*.json` files.
@@ -388,11 +386,8 @@ fn shard_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
     // The combiner is pinned off on every variant (the sharded coordinator
     // coerces it off; the 1-shard baseline must run the same fold), so ranks
     // are bitwise-comparable across the sweep.
-    let config = VertexicaConfig::default()
-        .with_workers(4)
-        .with_partitions(16)
-        .with_combiner(false)
-        .with_replace_threshold(0.0);
+    let config =
+        VertexicaConfig::default().with_workers(4).with_partitions(16).with_combiner(false);
     let mut lines = Vec::new();
     let mut reference: Option<Vec<(vertexica_common::VertexId, f64)>> = None;
     for shards in [1usize, 2, 4] {

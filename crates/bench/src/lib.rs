@@ -170,6 +170,42 @@ pub fn input_assembly_sql(session: &GraphSession) -> [(&'static str, String); 2]
     [("table-union", union), ("3-way-join", join)]
 }
 
+/// The shares of vertices, in percent, whose value the update-vs-replace
+/// ablation changes.
+pub const UPDATE_PERCENTS: [u32; 3] = [1, 20, 100];
+
+/// (Re)creates `table` in `session`'s database: a vertex-shaped table with
+/// one row per vertex of the session's vertex table (`id`, a FLOAT `value`,
+/// `halted`). Drops `{table}_new`, the replace statement's output, if an
+/// earlier statement left it.
+pub fn value_table(session: &GraphSession, table: &str) {
+    let db = session.db();
+    for name in [table.to_string(), format!("{table}_new")] {
+        db.execute(&format!("DROP TABLE IF EXISTS {name}")).expect("drop");
+    }
+    let v = session.vertex_table();
+    db.execute(&format!(
+        "CREATE TABLE {table} AS SELECT id, 1.0 / (id + 1) AS value, halted FROM {v}"
+    ))
+    .expect("create the value table");
+}
+
+/// The paper's two ways to write a superstep's new vertex values (§2.3
+/// "Update vs. Replace"), as SQL over [`value_table`]'s `table` for the
+/// `percent` % of rows with `id % 100 < percent`, labelled: an in-place
+/// `UPDATE` of those rows, and the replace, a `CREATE TABLE … AS SELECT`
+/// into `{table}_new` that rewrites them with `CASE` and copies the rest.
+/// The engine always replaces; these keep the paper's contrast measurable.
+pub fn update_vs_replace_sql(table: &str, percent: u32) -> [(&'static str, String); 2] {
+    let (changed, new_value) = (format!("id % 100 < {percent}"), "value * 0.85 + 0.15");
+    let update = format!("UPDATE {table} SET value = {new_value} WHERE {changed}");
+    let replace = format!(
+        "CREATE TABLE {table}_new AS SELECT id, \
+         CASE WHEN {changed} THEN {new_value} ELSE value END AS value, halted FROM {table}"
+    );
+    [("update", update), ("replace", replace)]
+}
+
 // ---- the four systems ----
 
 /// System 1: the transactional graph database, with DNF budget.

@@ -5,9 +5,12 @@
 //! and a fresh message set. Naively UPDATE-ing the vertex table and
 //! DELETE+INSERT-ing messages "can slow down the performance significantly".
 //! Vertexica instead *replaces* tables: build `vertex_new` by LEFT JOINing
-//! the old vertex table with the superstep's delta and swap it in. When few
-//! tuples changed (below a threshold), in-place updates win — so the policy
-//! is threshold-based.
+//! the old vertex table with the superstep's delta and swap it in. The paper
+//! keeps in-place updates for deltas below a threshold; here a replace is a
+//! per-partition linear merge that also counts the active vertices, so every
+//! superstep that changes a vertex replaces, and every superstep commit is
+//! atomic. `ablation --exp update-vs-replace` keeps the paper's contrast as
+//! two SQL statements.
 //!
 //! The policy runs **segment-parallel** ([`apply_parallel`]): each
 //! partition's output is read as typed column slices **on the pool worker
@@ -49,7 +52,7 @@ pub struct SuperstepOutcome {
     pub vertex_changes: usize,
     /// Messages delivered into the next superstep.
     pub messages: usize,
-    /// Whether the vertex table was replaced (vs updated in place).
+    /// Whether the vertex table was replaced: whether any vertex changed.
     pub replaced: bool,
     /// Whether every vertex has voted to halt.
     pub all_halted: bool,
@@ -164,13 +167,12 @@ pub fn apply_outputs<P: VertexProgram>(
     program: &P,
     config: &VertexicaConfig,
     outputs: Vec<RecordBatch>,
-    total_vertices: u64,
 ) -> VertexicaResult<SuperstepOutcome> {
     let apply = ParallelApply::for_program(program, 1, config.num_partitions);
     for (i, batch) in outputs.iter().enumerate() {
         apply.absorb(i, std::slice::from_ref(batch))?;
     }
-    apply_parallel(session, program, config, apply, total_vertices, Vec::new())
+    apply_parallel(session, program, config, apply, Vec::new())
 }
 
 /// The three column builders of one message-table segment
@@ -392,12 +394,13 @@ impl ParallelApply {
 
 /// The segment-parallel apply path: transpose per-partition deltas into
 /// owner cells, build each non-empty cell's new table segment in parallel
-/// on the shared pool, and commit both tables with atomic catalog-level
-/// contents swaps. `extra_commit` holds further pre-encoded tables riding
-/// the same grouped commit: every run swaps its stamp table (and a durable
-/// sharded run the retained previous-superstep message table) **atomically
-/// with** the superstep's vertex/message replacement, so crash recovery
-/// always observes a shard at exactly one superstep boundary.
+/// on the shared pool, and commit both tables with one atomic catalog-level
+/// contents swap. The vertex table is rebuilt when any vertex changed, and
+/// left as it is otherwise. `extra_commit` holds further pre-encoded tables
+/// riding the same grouped commit: every run swaps its stamp table (and a
+/// durable sharded run the retained previous-superstep message table)
+/// **atomically with** the superstep's vertex/message replacement, so crash
+/// recovery always observes a shard at exactly one superstep boundary.
 ///
 /// Every message segment holds one owner cell's rows sorted by `(recipient,
 /// sender, payload)` (a restriction of one global sorted sequence, so
@@ -408,20 +411,14 @@ impl ParallelApply {
 ///
 /// Commit protocol: **all** segments for both tables are fully encoded
 /// first; only then are the message table and the vertex table swapped, in
-/// that order. Any error or panic during parsing, combining, or segment
-/// encoding leaves both tables untouched — there is no torn state to clean
-/// up (the crash/abort test injects a pool-task panic to prove it). The
-/// exception is the below-threshold *update* arm, which mutates the vertex
-/// table in place after the message swap and is inherently non-atomic —
-/// the same trade the paper makes. A durable database never takes it: a
-/// crash between the two writes would leave messages and stamp at `s` with
-/// vertices at `s − 1`, a state a resume would read as committed.
+/// one grouped commit. Any error or panic during parsing, combining, or
+/// segment encoding leaves both tables untouched — there is no torn state to
+/// clean up (the crash/abort test injects a pool-task panic to prove it).
 pub fn apply_parallel<P: VertexProgram>(
     session: &GraphSession,
     program: &P,
     config: &VertexicaConfig,
     apply: ParallelApply,
-    total_vertices: u64,
     extra_commit: Vec<(String, Vec<vertexica_storage::Segment>)>,
 ) -> VertexicaResult<SuperstepOutcome> {
     let ParallelApply { shards, partitions, deltas, .. } = apply;
@@ -465,11 +462,8 @@ pub fn apply_parallel<P: VertexProgram>(
     // The bytes a reference from delta `d` points at.
     let payload = |d: usize, at: CellRef| cells[d][at.batch as usize].get(at.row as usize);
 
-    // ---- update-vs-replace decision (needs the global delta size) ----
-    let change_ratio =
-        if total_vertices == 0 { 0.0 } else { vertex_changes as f64 / total_vertices as f64 };
-    let replaced = vertex_changes > 0
-        && (change_ratio >= config.replace_threshold || session.db().is_durable());
+    // Every superstep that changes a vertex replaces the vertex table.
+    let replaced = vertex_changes > 0;
 
     // ---- messages: build each non-empty cell's segment in parallel ----
     msg_cells.retain(|parts| parts.iter().any(|(_, refs)| !refs.is_empty()));
@@ -505,7 +499,7 @@ pub fn apply_parallel<P: VertexProgram>(
         // The old table by owner partition (one task per storage batch). A
         // segment an earlier replace wrote holds one partition's rows and
         // is handed over whole; unaligned batches (the initial table, rows
-        // updated in place) are split.
+        // of user DML) are split.
         let old = session.db().scan_table(&session.vertex_table(), None, &[])?;
         let old_split: Vec<VertexicaResult<Vec<(usize, RecordBatch)>>> = pool
             .map_indexed(old, |_, batch| {
@@ -517,11 +511,8 @@ pub fn apply_parallel<P: VertexProgram>(
                 old_parts[p].push(piece);
             }
         }
-        let work: Vec<(Vec<RecordBatch>, BucketRefs<UpdateRef>)> = old_parts
-            .into_iter()
-            .zip(std::mem::take(&mut upd_cells))
-            .filter(|(old, _)| !old.is_empty())
-            .collect();
+        let work: Vec<(Vec<RecordBatch>, BucketRefs<UpdateRef>)> =
+            old_parts.into_iter().zip(upd_cells).filter(|(old, _)| !old.is_empty()).collect();
         let results: Vec<VertexicaResult<(RecordBatch, i64)>> = pool
             .map_indexed(work, |_, (old_batches, upd_parts)| {
                 rebuild_partition(&old_batches, &upd_parts, &payload)
@@ -542,38 +533,21 @@ pub fn apply_parallel<P: VertexProgram>(
     // with the vertex table still at N. The commit call can only fail on
     // shape mismatches that are impossible by construction here (the
     // batches were built against the live schemas above).
-    let msg_segments = session.db().encode_segments_for(&session.message_table(), msg_batches)?;
-    let vertex_segments = if replaced {
-        Some(session.db().encode_segments_for(&session.vertex_table(), vertex_batches)?)
-    } else {
-        None
-    };
-    let mut commit_group = vec![(session.message_table(), msg_segments)];
-    let vertex_replaced = vertex_segments.is_some();
-    if let Some(segments) = vertex_segments {
-        commit_group.push((session.vertex_table(), segments));
+    let mut commit_group = vec![(
+        session.message_table(),
+        session.db().encode_segments_for(&session.message_table(), msg_batches)?,
+    )];
+    if replaced {
+        let vertex_segments =
+            session.db().encode_segments_for(&session.vertex_table(), vertex_batches)?;
+        commit_group.push((session.vertex_table(), vertex_segments));
     }
     commit_group.extend(extra_commit);
     session.db().commit_tables_segmented(commit_group)?;
-    if !vertex_replaced && vertex_changes > 0 {
-        // The *update* arm mutates the vertex table directly (delete +
-        // re-insert); it is inherently per-row, not atomic with the message
-        // swap — exactly the trade the paper's threshold policy makes.
-        let mut updates: Vec<(i64, Vec<u8>, bool)> = upd_cells
-            .iter()
-            .flatten()
-            .flat_map(|(d, refs)| {
-                refs.iter().map(|u| (u.vid, payload(*d, u.payload).to_vec(), u.halted))
-            })
-            .collect();
-        updates.sort();
-        update_vertices_in_place(session, &updates)?;
-    }
 
     // ---- halting check ----
-    // After a replace we counted the active vertices while building the
-    // segments (the table *is* what we just wrote), saving a full SQL scan;
-    // the in-place path still asks the table.
+    // A replace counted the active vertices while building the segments
+    // (the table *is* what we just wrote); an unchanged table asks SQL.
     let remaining = if replaced {
         active_after_replace
     } else {
@@ -655,35 +629,6 @@ fn rebuild_partition<'a>(
     Ok((batch, active))
 }
 
-/// The *update* path: in-place DML against the existing vertex table.
-fn update_vertices_in_place(
-    session: &GraphSession,
-    updates: &[(i64, Vec<u8>, bool)],
-) -> VertexicaResult<()> {
-    let table = session.db().catalog().get(&session.vertex_table())?;
-    let by_id: FxHashMap<i64, (&Vec<u8>, bool)> =
-        updates.iter().map(|(id, b, h)| (*id, (b, *h))).collect();
-    let scans = {
-        let guard = table.read();
-        guard.scan_with_rowids(None, &[])?
-    };
-    let mut dml: Vec<(u64, Vec<Value>)> = Vec::with_capacity(updates.len());
-    for (batch, rowids) in scans {
-        let ids = batch.column(0);
-        for (i, &rowid) in rowids.iter().enumerate().take(batch.num_rows()) {
-            let id = ids.value(i).as_int().unwrap_or(i64::MIN);
-            if let Some((bytes, halted)) = by_id.get(&id) {
-                dml.push((
-                    rowid,
-                    vec![Value::Int(id), Value::Blob((*bytes).clone()), Value::Bool(*halted)],
-                ));
-            }
-        }
-    }
-    table.write().update_rows(dml)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,7 +654,10 @@ mod tests {
     }
 
     fn setup() -> GraphSession {
-        let db = Arc::new(Database::new());
+        setup_in(Arc::new(Database::new()))
+    }
+
+    fn setup_in(db: Arc<Database>) -> GraphSession {
         let g = GraphSession::create(db, "g").unwrap();
         g.load_edges(&EdgeList::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3)])).unwrap();
         // Initialize values so the vertex table is fully formed.
@@ -746,28 +694,15 @@ mod tests {
     }
 
     #[test]
-    fn small_delta_updates_in_place() {
-        let g = setup();
-        let cfg = VertexicaConfig::default().with_replace_threshold(0.5).with_combiner(false);
-        let out = out_batch(vec![state_row(1, 7.5, false)]);
-        let outcome = apply_outputs(&g, &Noop, &cfg, vec![out], 4).unwrap();
-        assert!(!outcome.replaced);
-        assert_eq!(outcome.vertex_changes, 1);
-        let vals: Vec<(VertexId, f64)> = g.vertex_values().unwrap();
-        assert_eq!(vals[1], (1, 7.5));
-        assert_eq!(vals[0], (0, 0.0));
-    }
-
-    #[test]
     fn large_delta_replaces_table() {
         let g = setup();
-        let cfg = VertexicaConfig::default().with_replace_threshold(0.5).with_combiner(false);
+        let cfg = VertexicaConfig::default().with_combiner(false);
         let out = out_batch(vec![
             state_row(0, 1.0, false),
             state_row(1, 2.0, false),
             state_row(2, 3.0, false),
         ]);
-        let outcome = apply_outputs(&g, &Noop, &cfg, vec![out], 4).unwrap();
+        let outcome = apply_outputs(&g, &Noop, &cfg, vec![out]).unwrap();
         assert!(outcome.replaced);
         let vals: Vec<(VertexId, f64)> = g.vertex_values().unwrap();
         assert_eq!(vals.len(), 4);
@@ -785,7 +720,7 @@ mod tests {
         g.db().append_batches(&g.message_table(), &[stale]).unwrap();
 
         let out = out_batch(vec![msg_row(2, 0, 4.5), msg_row(3, 1, 5.5)]);
-        let outcome = apply_outputs(&g, &Noop, &cfg, vec![out], 4).unwrap();
+        let outcome = apply_outputs(&g, &Noop, &cfg, vec![out]).unwrap();
         assert_eq!(outcome.messages, 2);
         let n = g.db().query_int(&format!("SELECT COUNT(*) FROM {}", g.message_table())).unwrap();
         assert_eq!(n, 2);
@@ -803,7 +738,7 @@ mod tests {
         // Two partitions each sent a partial to vertex 2.
         let out1 = out_batch(vec![msg_row(2, 0, 1.0)]);
         let out2 = out_batch(vec![msg_row(2, 1, 2.0)]);
-        let outcome = apply_outputs(&g, &Noop, &cfg, vec![out1, out2], 4).unwrap();
+        let outcome = apply_outputs(&g, &Noop, &cfg, vec![out1, out2]).unwrap();
         assert_eq!(outcome.messages, 1);
         let rows = g.db().query(&format!("SELECT value FROM {}", g.message_table())).unwrap();
         assert_eq!(rows[0][0], Value::Blob(3.0f64.to_bytes()));
@@ -812,16 +747,16 @@ mod tests {
     #[test]
     fn all_halted_detection() {
         let g = setup();
-        let cfg = VertexicaConfig::default().with_replace_threshold(0.0);
+        let cfg = VertexicaConfig::default();
         let out = out_batch(vec![
             state_row(0, 0.0, true),
             state_row(1, 0.0, true),
             state_row(2, 0.0, true),
             state_row(3, 0.0, true),
         ]);
-        let outcome = apply_outputs(&g, &Noop, &cfg, vec![out], 4).unwrap();
+        let outcome = apply_outputs(&g, &Noop, &cfg, vec![out]).unwrap();
         assert!(outcome.all_halted);
-        assert!(outcome.replaced); // threshold 0 forces replace
+        assert!(outcome.replaced); // every changing superstep replaces
     }
 
     /// A program with one declared aggregator, so an aggregate row's name
@@ -839,27 +774,34 @@ mod tests {
         }
     }
 
-    /// Feeds `batch` through apply with the replace arm and with the
-    /// in-place update arm forced; both must refuse it with a runtime error
-    /// naming `row_kind` and `column`, and leave the tables as they were.
+    /// Feeds `batch` through apply on an in-memory database and on a durable
+    /// (write-ahead-logged) one, the catalog's two commit paths; both must
+    /// refuse it with a runtime error naming `row_kind` and `column`, and
+    /// leave the tables as they were.
     fn assert_both_paths_reject(batch: RecordBatch, row_kind: &str, column: &str) {
-        for threshold in [0.0, 1.01] {
-            let g = setup();
+        let dir = std::env::temp_dir().join(
+            format!("vertexica_apply_reject_{}_{row_kind}_{column}", std::process::id())
+                .replace(' ', "_"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        for durable in [false, true] {
+            let db = if durable { Database::open(&dir).unwrap() } else { Database::new() };
+            let g = setup_in(Arc::new(db));
             let before: Vec<(VertexId, f64)> = g.vertex_values().unwrap();
-            let cfg =
-                VertexicaConfig::default().with_combiner(false).with_replace_threshold(threshold);
-            let err = apply_outputs(&g, &Counting, &cfg, vec![batch.clone()], 4).unwrap_err();
+            let cfg = VertexicaConfig::default().with_combiner(false);
+            let err = apply_outputs(&g, &Counting, &cfg, vec![batch.clone()]).unwrap_err();
             let VertexicaError::Runtime(msg) = &err else {
-                panic!("threshold={threshold}: expected a runtime error, got {err:?}");
+                panic!("durable={durable}: expected a runtime error, got {err:?}");
             };
             assert!(
                 msg.contains(row_kind) && msg.contains(column),
-                "threshold={threshold}: {msg:?} should name {row_kind:?} and {column:?}"
+                "durable={durable}: {msg:?} should name {row_kind:?} and {column:?}"
             );
             assert_eq!(g.vertex_values::<f64>().unwrap(), before);
             let n = g.db().query_int(&format!("SELECT COUNT(*) FROM {}", g.message_table()));
             assert_eq!(n.unwrap(), 0);
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -907,7 +849,7 @@ mod tests {
     fn empty_outputs_are_fine() {
         let g = setup();
         let cfg = VertexicaConfig::default();
-        let outcome = apply_outputs(&g, &Noop, &cfg, vec![], 4).unwrap();
+        let outcome = apply_outputs(&g, &Noop, &cfg, vec![]).unwrap();
         assert_eq!(outcome.vertex_changes, 0);
         assert_eq!(outcome.messages, 0);
         assert!(!outcome.replaced);

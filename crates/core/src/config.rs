@@ -3,8 +3,7 @@
 //! runs the same configuration in every process.
 
 /// Tuning knobs for a vertex-centric run. Defaults follow the paper:
-/// workers = cores, a fixed partition count for vertex batching, and
-/// threshold-based update-vs-replace.
+/// workers = cores and a fixed partition count for vertex batching.
 #[derive(Debug, Clone)]
 pub struct VertexicaConfig {
     /// Parallel worker UDF instances ("as many workers as the number of
@@ -14,12 +13,6 @@ pub struct VertexicaConfig {
     /// batches; the extreme (one vertex per partition) degenerates to one UDF
     /// call per vertex, which §2.3 warns against.
     pub num_partitions: usize,
-    /// If the fraction of updated vertices is **at or above** this threshold,
-    /// rebuild the vertex table — a LEFT-JOIN-equivalent merge of the old
-    /// rows with the delta, committed as fresh segments ("replace"); below
-    /// it, update in place. A durable database always replaces, so every
-    /// superstep commits atomically.
-    pub replace_threshold: f64,
     /// Fold messages to the same recipient with the program's combiner (when
     /// the program provides one).
     pub use_combiner: bool,
@@ -31,10 +24,9 @@ pub struct VertexicaConfig {
     /// Run against a **durable** database: the coordinator checkpoints the
     /// write-ahead-logged catalog before the first superstep and after the
     /// run. Every superstep's vertex table, message table and stamp ride one
-    /// atomic WAL commit record (a durable database always takes the
-    /// replace arm), so a crash at any point recovers to a committed
-    /// superstep boundary, and [`crate::coordinator::resume_program`] runs
-    /// on from it. Meaningless (and harmless) on an in-memory
+    /// atomic WAL commit record, so a crash at any point recovers to a
+    /// committed superstep boundary, and
+    /// [`crate::coordinator::resume_program`] runs on from it. Meaningless (and harmless) on an in-memory
     /// [`vertexica_sql::Database::new`] database — checkpointing a
     /// non-durable catalog is a no-op. Defaults to **off**.
     pub durable: bool,
@@ -57,7 +49,6 @@ impl Default for VertexicaConfig {
         VertexicaConfig {
             num_workers: cores,
             num_partitions: cores * 4,
-            replace_threshold: 0.2,
             use_combiner: true,
             stream_chunk_rows: crate::input::STREAM_CHUNK_ROWS,
             durable: false,
@@ -75,11 +66,6 @@ impl VertexicaConfig {
 
     pub fn with_partitions(mut self, n: usize) -> Self {
         self.num_partitions = n.max(1);
-        self
-    }
-
-    pub fn with_replace_threshold(mut self, t: f64) -> Self {
-        self.replace_threshold = t.clamp(0.0, 1.0 + f64::EPSILON);
         self
     }
 
@@ -118,7 +104,6 @@ mod tests {
         let c = VertexicaConfig::default();
         assert!(c.num_workers >= 1);
         assert!(c.num_partitions >= c.num_workers);
-        assert!(c.replace_threshold > 0.0 && c.replace_threshold < 1.0);
     }
 
     #[test]
@@ -126,7 +111,5 @@ mod tests {
         let c = VertexicaConfig::default().with_workers(0).with_partitions(0);
         assert_eq!(c.num_workers, 1);
         assert_eq!(c.num_partitions, 1);
-        let c = VertexicaConfig::default().with_replace_threshold(-3.0);
-        assert_eq!(c.replace_threshold, 0.0);
     }
 }

@@ -29,7 +29,7 @@
 //!    order. The pool's persistent threads are resized once per run to
 //!    `num_workers`; per-worker deques and work stealing smooth out skewed
 //!    partitions;
-//! 4. apply outputs via update-vs-replace ([`crate::apply`]): each
+//! 4. apply outputs by replacing tables ([`crate::apply`]): each
 //!    partition's output is parsed and scattered into owner cells on the
 //!    worker that produced it, and the commit builds one sorted segment per
 //!    non-empty cell, in parallel — the aligned input of step 2 next
@@ -65,7 +65,8 @@ pub struct SuperstepStats {
     pub messages: usize,
     /// Vertices whose value or halt state changed.
     pub vertex_changes: usize,
-    /// Whether the vertex table was replaced (vs updated in place).
+    /// Whether this superstep changed a vertex, and so replaced the vertex
+    /// table (a superstep that changes none leaves it as it is).
     pub replaced: bool,
     /// Wall-clock seconds assembling + partitioning worker input.
     pub assemble_secs: f64,
@@ -380,13 +381,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn forced_replace_and_forced_update_agree() {
-        let a = run_maxid(VertexicaConfig::default().with_replace_threshold(0.0));
-        let b = run_maxid(VertexicaConfig::default().with_replace_threshold(1.0));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn max_supersteps_caps_run() {
         let db = Arc::new(Database::new());
         let g = GraphSession::create(db, "g").unwrap();
@@ -402,12 +396,7 @@ pub(crate) mod tests {
         let db = Arc::new(Database::new());
         let g = GraphSession::create(db, "g").unwrap();
         g.load_edges(&two_components()).unwrap();
-        let stats = run_program(
-            &g,
-            Arc::new(MaxId),
-            &VertexicaConfig::default().with_replace_threshold(0.0),
-        )
-        .unwrap();
+        let stats = run_program(&g, Arc::new(MaxId), &VertexicaConfig::default()).unwrap();
         assert!(stats.total_messages > 0);
         assert!(stats.per_superstep[0].replaced);
         assert!(stats.per_superstep[0].messages > 0);

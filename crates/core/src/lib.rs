@@ -13,9 +13,9 @@
 //!   optimization) of the vertex, edge and message tables;
 //! * [`projection`] keeps the static edge table out of that per-superstep
 //!   input: a sorted CSR image built once and borrowed by every worker;
-//! * [`apply`] writes superstep results back using the **update-vs-replace**
-//!   policy (in-place updates below a change-ratio threshold, left-join +
-//!   table-swap replacement above it);
+//! * [`apply`] writes superstep results back by **replacing** tables (§2.3's
+//!   left-join + table swap, as one per-partition merge): every superstep
+//!   that changes a vertex rebuilds the vertex table in one atomic commit;
 //! * [`shard`] holds the one superstep loop, whose every apply commit also
 //!   stamps the superstep it committed: a run resumes from that stamp
 //!   ([`coordinator::resume_program`], [`resume_sharded`]), in process or

@@ -74,8 +74,8 @@
 //! superstep's **output** aggregates as `f64::to_bits`. The aggregates are
 //! folded before the commit: each shard swaps its per-vertex partials with
 //! its peers through a second rendezvous, after compute, and folds the
-//! whole set. A durable database always takes the replace arm, so no vertex
-//! write lands after the commit the stamp rides.
+//! whole set. Apply writes nothing outside that commit, so no vertex write
+//! lands after the commit the stamp rides.
 //!
 //! A shard's stamp therefore names exactly the superstep its tables hold,
 //! and resuming is reading it: [`crate::coordinator::resume_program`] and
@@ -884,7 +884,7 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     let mut extra = vec![stamp_segments(sess, superstep as i64, num_vertices, n, &aggregates)?];
     extra.extend(msg_prev);
     let sw = Stopwatch::start();
-    let outcome = apply_parallel(sess, program.as_ref(), config, apply, num_vertices, extra)?;
+    let outcome = apply_parallel(sess, program.as_ref(), config, apply, extra)?;
     let apply_secs = sw.elapsed_secs();
 
     let pool_delta = db.runtime().metrics().delta_since(&pool_before);
@@ -1381,7 +1381,7 @@ fn repair_shard<P: VertexProgram + 'static>(
         stamp_segments(sess, superstep as i64, behind.num_vertices, n, aggregates)?,
         (msg_prev_table, msg_prev_segments),
     ];
-    apply_parallel(sess, program.as_ref(), config, apply, behind.num_vertices, extra)?;
+    apply_parallel(sess, program.as_ref(), config, apply, extra)?;
     Ok(())
 }
 
@@ -1406,11 +1406,7 @@ mod tests {
     }
 
     fn test_config() -> VertexicaConfig {
-        VertexicaConfig::default()
-            .with_workers(2)
-            .with_partitions(8)
-            .with_combiner(false)
-            .with_replace_threshold(0.0)
+        VertexicaConfig::default().with_workers(2).with_partitions(8).with_combiner(false)
     }
 
     fn plain_run() -> (Vec<(VertexId, u64)>, RunStats) {

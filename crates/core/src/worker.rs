@@ -268,7 +268,7 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
         }
         // The batches are the segments apply wrote, one per owner cell and
         // each sorted in this order, or pieces of unaligned input (edge
-        // rows, the initial vertex table, rows updated in place, user DML).
+        // rows, the initial vertex table, user DML).
         // The stable sort finds the already-sorted runs and merges them; it
         // sorts only what arrives out of order.
         let n = order.len();

@@ -514,10 +514,9 @@ fn checkpoint_before_a_blob_heavy_apply_reopens_bitwise() {
         let config = VertexicaConfig::default()
             .with_workers(2)
             .with_combiner(false)
-            .with_replace_threshold(0.0)
             .with_durable(true)
             .with_memory_budget(budget);
-        let outcome = apply_outputs(&g, &Noop, &config, vec![out], N).unwrap();
+        let outcome = apply_outputs(&g, &Noop, &config, vec![out]).unwrap();
         assert!(outcome.replaced);
         assert_eq!((outcome.vertex_changes, outcome.messages), (N as usize, 1000));
 

@@ -6,9 +6,9 @@
 //!
 //! The engine is held to oracles that share none of its code
 //! (`algorithms::reference`, `GiraphEngine`); on top of that, the knobs that
-//! must not change an answer — input mode, worker and partition counts,
-//! update-vs-replace, durability, memory budget, shard count — are checked
-//! for bitwise invariance.
+//! must not change an answer — worker and partition counts, the combiner,
+//! durability, memory budget, shard count — are checked for bitwise
+//! invariance.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -251,8 +251,6 @@ fn every_vertexica_configuration_agrees() {
         VertexicaConfig::default(),
         VertexicaConfig::default().with_workers(1).with_partitions(1),
         VertexicaConfig::default().with_workers(8).with_partitions(64),
-        VertexicaConfig::default().with_replace_threshold(0.0),
-        VertexicaConfig::default().with_replace_threshold(1.01),
         VertexicaConfig::default().with_combiner(false),
     ];
     for store in STORES {
@@ -290,6 +288,16 @@ where
     vx.into_iter().map(|(_, value)| value).collect()
 }
 
+/// `got` and `expected` agree vertex for vertex: both infinite, or within
+/// 1e-9.
+fn assert_close(name: &str, got: &[f64], expected: &[f64]) {
+    assert_eq!(got.len(), expected.len(), "{name}");
+    for (id, (a, b)) in got.iter().zip(expected).enumerate() {
+        let same = (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9;
+        assert!(same, "{name} vertex {id}: {a} vs {b}");
+    }
+}
+
 /// Engine ≡ an independent oracle on every vertex-centric algorithm:
 /// PageRank, SSSP and connected components against the plain-array
 /// `algorithms::reference`; collaborative filtering, random walk with
@@ -303,13 +311,6 @@ fn every_algorithm_matches_an_independent_oracle() {
         CollaborativeFiltering, LabelPropagation, RandomWalkWithRestart,
     };
     let (graph, undirected) = invariance_graphs();
-    let assert_close = |name: &str, got: &[f64], expected: &[f64]| {
-        assert_eq!(got.len(), expected.len(), "{name}");
-        for (id, (a, b)) in got.iter().zip(expected).enumerate() {
-            let same = (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9;
-            assert!(same, "{name} vertex {id}: {a} vs {b}");
-        }
-    };
 
     let pagerank = reference::pagerank(&graph, 6, 0.85);
     let sssp = reference::sssp(&graph, 0);
@@ -338,6 +339,35 @@ fn every_algorithm_matches_an_independent_oracle() {
         assert_eq!(factors.len(), cf_giraph.len());
         for (id, (got, expected)) in factors.iter().zip(&cf_giraph).enumerate() {
             assert_close(&format!("{store:?} collaborative filtering vertex {id}"), got, expected);
+        }
+    }
+}
+
+/// Degenerate graphs against the same oracle: vc PageRank, SSSP and
+/// connected components match `algorithms::reference` value for value on an
+/// empty graph, one isolated vertex, a lone self-loop, duplicate parallel
+/// edges and an SSSP source that reaches nothing, in memory and on disk.
+#[test]
+fn degenerate_graphs_match_the_reference() {
+    let graphs = [
+        ("empty", EdgeList::new(0, Vec::new())),
+        ("one isolated vertex", EdgeList::new(1, Vec::new())),
+        ("a lone self-loop", EdgeList::from_pairs([(0, 0)])),
+        ("parallel edges", EdgeList::from_pairs([(0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (2, 0)])),
+        // Vertex 0, the SSSP source, has no edges.
+        ("an unreachable source", EdgeList::from_pairs([(1, 2), (2, 3), (3, 1)])),
+    ];
+    for store in [Store::Memory, Store::Durable] {
+        for (name, graph) in &graphs {
+            let what = format!("{store:?}, {name}");
+            let pr = vertexica_values(store, graph, PageRank::new(6, 0.85));
+            assert_close(&format!("{what}: pagerank"), &pr, &reference::pagerank(graph, 6, 0.85));
+            let dist = vertexica_values(store, graph, Sssp::new(0));
+            assert_close(&format!("{what}: sssp"), &dist, &reference::sssp(graph, 0));
+            let undirected = graph.undirected();
+            let labels = vertexica_values(store, &undirected, ConnectedComponents);
+            let expected = reference::weakly_connected_components(&undirected);
+            assert_eq!(labels, expected, "{what}: connected components");
         }
     }
 }
@@ -543,27 +573,27 @@ where
 }
 
 /// The invariance cells: every vertex-centric algorithm — plus two
-/// superstep-capped runs whose message tables are still non-empty — under
-/// `replace_threshold` {0, 1.01} × {1 worker / 1 partition, 8 workers / 64
-/// partitions}, with the combiner on
+/// superstep-capped runs whose message tables are still non-empty — at
+/// {1 worker / 1 partition, 8 workers / 64 partitions}, with the combiner on
 /// and off, must leave **bitwise-identical** vertex tables, message tables
-/// and per-superstep message and vertex-change counts. With the combiner on,
-/// workers fold messages per compute partition, so those cells are compared
-/// at equal worker/partition counts only. One test per [`Store`], so the
-/// three run in parallel; each durable store's reference cells are also held
-/// to the in-memory store's.
+/// and per-superstep message counts, vertex-change counts and replace flags.
+/// With the combiner on, workers fold messages per compute partition, so
+/// those cells are compared at equal worker/partition counts only, which
+/// leaves each durable store's cell and the in-memory one. One test per
+/// [`Store`], so the three run in parallel; each durable store's reference
+/// cells are also held to the in-memory store's.
 #[test]
-fn apply_arm_and_parallelism_are_bitwise_invariant() {
+fn parallelism_is_bitwise_invariant() {
     invariance_matrix(Store::Memory);
 }
 
 #[test]
-fn apply_arm_and_parallelism_are_bitwise_invariant_durable() {
+fn parallelism_is_bitwise_invariant_durable() {
     invariance_matrix(Store::Durable);
 }
 
 #[test]
-fn apply_arm_and_parallelism_are_bitwise_invariant_budgeted() {
+fn parallelism_is_bitwise_invariant_budgeted() {
     invariance_matrix(Store::Budget256KiB);
 }
 
@@ -599,12 +629,6 @@ fn invariance_matrix(store: Store) {
         ),
     ];
 
-    // Which apply arm ran is a knob under test; everything it wrote is not.
-    let written = |r: &CellResult| {
-        let outcomes: Vec<(usize, usize)> =
-            r.per_superstep.iter().map(|&(m, v, _)| (m, v)).collect();
-        (r.vertex_bits.clone(), r.message_bits.clone(), outcomes)
-    };
     for (name, cell) in &algorithms {
         for combiner in [false, true] {
             let mut reference: Option<CellResult> = None;
@@ -612,29 +636,26 @@ fn invariance_matrix(store: Store) {
                 if combiner {
                     reference = None;
                 }
-                for threshold in [0.0, 1.01] {
-                    let config = VertexicaConfig::default()
-                        .with_workers(workers)
-                        .with_partitions(partitions)
-                        .with_combiner(combiner)
-                        .with_replace_threshold(threshold);
-                    let what = format!(
-                        "{name}: cell ({store:?}, combiner={combiner}, {workers} workers / \
-                         {partitions} partitions, replace_threshold={threshold})"
-                    );
-                    let result = cell(store, &config);
-                    let Some(expected) = &reference else {
-                        assert!(!result.vertex_bits.is_empty(), "{what}: no vertices");
-                        if store != Store::Memory {
-                            let memory = cell(Store::Memory, &config);
-                            let diverged = format!("{what} diverged from the in-memory store");
-                            assert_eq!(written(&memory), written(&result), "{diverged}");
-                        }
-                        reference = Some(result);
-                        continue;
-                    };
-                    assert_eq!(written(expected), written(&result), "{what} diverged");
-                }
+                let config = VertexicaConfig::default()
+                    .with_workers(workers)
+                    .with_partitions(partitions)
+                    .with_combiner(combiner);
+                let what = format!(
+                    "{name}: cell ({store:?}, combiner={combiner}, {workers} workers / \
+                     {partitions} partitions)"
+                );
+                let result = cell(store, &config);
+                let Some(expected) = &reference else {
+                    assert!(!result.vertex_bits.is_empty(), "{what}: no vertices");
+                    if store != Store::Memory {
+                        let memory = cell(Store::Memory, &config);
+                        let diverged = format!("{what} diverged from the in-memory store");
+                        assert_eq!(memory, result, "{diverged}");
+                    }
+                    reference = Some(result);
+                    continue;
+                };
+                assert_eq!(*expected, result, "{what} diverged");
             }
         }
     }
@@ -900,16 +921,14 @@ fn sharded_message_bits(ss: &ShardedGraphSession) -> Vec<(i64, Option<i64>, Opti
 
 /// Cell config for the shard matrix. The combiner is off on *both* sides
 /// (the sharded coordinator coerces it off — it groups f64 folds by
-/// producing shard) and the replace threshold is pinned to the value the
-/// durable sharded coercion uses, so the 1-shard reference runs the exact
-/// same apply arm. Small stream chunks give the exchange real scatter
-/// granularity, so cross-shard sealing (early dispatch) is observable.
+/// producing shard), so the 1-shard reference runs the exact same fold.
+/// Small stream chunks give the exchange real scatter granularity, so
+/// cross-shard sealing (early dispatch) is observable.
 fn shard_cell_config(cap: u64) -> VertexicaConfig {
     VertexicaConfig::default()
         .with_workers(4)
         .with_partitions(16)
         .with_combiner(false)
-        .with_replace_threshold(0.0)
         .with_stream_chunk_rows(128)
         .with_max_supersteps(cap)
 }

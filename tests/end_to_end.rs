@@ -138,26 +138,25 @@ fn checkpoint_failure_injection_and_resume() {
     }
 }
 
-/// A durable database always replaces: each superstep that changes a vertex
-/// commits the whole vertex table as one image, whatever `replace_threshold`
-/// says. SSSP down a chain changes one vertex a superstep, and no change
-/// ratio reaches a threshold of 1.01, so the in-memory database updates in
-/// place on every superstep and the durable one replaces on every one.
+/// Every superstep that changes a vertex replaces the vertex table, in
+/// memory as on a durable database, and one that changes none leaves it as
+/// it is. SSSP down a chain changes one vertex of thirteen a superstep, the
+/// smallest delta a run makes.
 #[test]
-fn a_durable_database_always_replaces() {
+fn every_changing_superstep_replaces() {
     let graph = EdgeList::from_pairs((0..12).map(|v| (v, v + 1)));
-    let config = VertexicaConfig::default().with_replace_threshold(1.01);
     let dir = durable_dir("replace");
     for durable in [false, true] {
         let db = if durable { open_durable(&dir, None) } else { Arc::new(Database::new()) };
         let session = GraphSession::create(db, "chain").unwrap();
         session.load_edges(&graph).unwrap();
-        let stats = run_program(&session, Arc::new(Sssp::new(0)), &config).unwrap();
-        let changed: Vec<_> = stats.per_superstep.iter().filter(|s| s.vertex_changes > 0).collect();
-        assert!(changed.len() >= 12, "durable {durable}: {} supersteps changed", changed.len());
-        for s in changed {
+        let stats =
+            run_program(&session, Arc::new(Sssp::new(0)), &VertexicaConfig::default()).unwrap();
+        let changed = stats.per_superstep.iter().filter(|s| s.vertex_changes > 0).count();
+        assert!(changed >= 12, "durable {durable}: {changed} supersteps changed");
+        for s in &stats.per_superstep {
             let (step, n) = (s.superstep, s.vertex_changes);
-            assert_eq!(s.replaced, durable, "durable {durable}: superstep {step}, {n} changes");
+            assert_eq!(s.replaced, n > 0, "durable {durable}: superstep {step}, {n} changes");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -58,8 +58,8 @@ fn uniform_stamp(values: &[(VertexId, u64)]) -> u64 {
 
 /// Never halts: every superstep, every vertex stamps the superstep number
 /// into its value and messages all neighbors, so every superstep replaces
-/// the full vertex table (replace_threshold 0 forces the atomic grouped
-/// commit path) with a uniformly-stamped generation.
+/// the full vertex table in one atomic grouped commit with a
+/// uniformly-stamped generation.
 struct SuperstepStamp;
 
 impl VertexProgram for SuperstepStamp {
@@ -130,7 +130,6 @@ fn crash_child_worker() {
     let config = VertexicaConfig::default()
         .with_workers(2)
         .with_partitions(4)
-        .with_replace_threshold(0.0)
         .with_durable(true)
         .with_memory_budget(budget)
         .with_max_supersteps(u64::MAX);

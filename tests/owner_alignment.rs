@@ -5,12 +5,14 @@
 //! `(recipient, sender, payload)`, and a replaced vertex segment holds one
 //! partition's rows sorted by id. The next superstep hands each such segment
 //! to its partition whole, and the worker's stable sort merges those runs.
-//! The first test checks the layout after every superstep; the second holds
-//! the worker to one output however its input is cut into runs, on the
-//! inputs that do not arrive aligned.
+//! Every superstep that changes a vertex replaces the vertex table, so with
+//! no user DML the table stays aligned. The first two tests check the layout
+//! after every superstep; the rest hold the worker to one output however its
+//! input is cut into runs, on the inputs that do not arrive aligned.
 
 use std::sync::Arc;
 
+use vertexica::coordinator::resume_program;
 use vertexica::input::{assemble_chunks, STREAM_CHUNK_ROWS};
 use vertexica::sql::{Database, TransformUdf};
 use vertexica::storage::partition::{owner, split_batch};
@@ -18,7 +20,9 @@ use vertexica::storage::{RecordBatch, Value};
 use vertexica::worker::VertexWorker;
 use vertexica::{resume_sharded, run_sharded, GraphSession, ShardedDatabase, ShardedGraphSession};
 use vertexica::{run_program, VertexicaConfig};
+use vertexica_algorithms::reference;
 use vertexica_algorithms::vc::{PageRank, Sssp};
+use vertexica_common::graph::EdgeList;
 use vertexica_common::hash::FxHashMap;
 use vertexica_common::pregel::VertexProgram;
 
@@ -37,6 +41,8 @@ fn segments(sess: &GraphSession, table: &str) -> Vec<Vec<Vec<Value>>> {
             (0..seg.num_rows()).map(|r| columns.iter().map(|c| c.value(r)).collect()).collect()
         })
         .collect();
+    assert_eq!(guard.wos_rows(), 0, "{table}: write-store rows");
+    assert!(guard.delete_vectors().iter().all(|d| !d.any()), "{table}: deleted rows");
     assert_eq!(segments.iter().map(Vec::len).sum::<usize>(), guard.num_rows(), "{table}");
     segments
 }
@@ -97,8 +103,7 @@ fn every_superstep_leaves_one_sorted_segment_per_owner_cell() {
                 let config = VertexicaConfig::default()
                     .with_workers(2)
                     .with_partitions(parts)
-                    .with_combiner(combiner)
-                    .with_replace_threshold(0.0);
+                    .with_combiner(combiner);
                 // One superstep per call, so the tables are checked after
                 // each commit.
                 for s in 1..=supersteps {
@@ -120,8 +125,52 @@ fn every_superstep_leaves_one_sorted_segment_per_owner_cell() {
     }
 }
 
+/// SSSP's frontier shrinks to a few vertices a superstep, and the default
+/// config replaces the vertex table on each of them: after superstep 0,
+/// which changes every vertex's halt flag, the table is one sorted segment
+/// per partition after every superstep.
+#[test]
+fn sssp_keeps_the_vertex_table_aligned_at_the_default_config() {
+    // A chain through every vertex, with random shortcuts.
+    let shortcuts = vertexica_graphgen::models::erdos_renyi(150, 100, 5).edges;
+    let graph = EdgeList::from_pairs(
+        (0..149).map(|v| (v, v + 1)).chain(shortcuts.iter().map(|e| (e.src, e.dst))),
+    );
+    let g = session(&graph);
+    let config = VertexicaConfig::default();
+    let parts = config.num_partitions;
+    let mut deltas = Vec::new();
+    for s in 1.. {
+        let capped = config.clone().with_max_supersteps(s);
+        let program = Arc::new(Sssp::new(0));
+        let stats = if s == 1 {
+            run_program(&g, program, &capped).unwrap()
+        } else {
+            resume_program(&g, program, &capped).unwrap()
+        };
+        if stats.supersteps == 0 {
+            break;
+        }
+        assert_aligned(&g, 0, 1, parts, true);
+        let step = &stats.per_superstep[0];
+        assert_eq!(step.replaced, step.vertex_changes > 0, "superstep {}", step.superstep);
+        deltas.push(step.vertex_changes);
+    }
+    // The run had supersteps that changed a small share of the vertices.
+    assert!(deltas.iter().any(|&d| d > 0 && d < 150 / 10), "deltas {deltas:?}");
+    assert_sssp_from_0_is_the_reference(&g, &graph);
+}
+
+/// `g`'s vertex values are, bit for bit, the reference's SSSP distances
+/// from vertex 0 over `graph`.
+fn assert_sssp_from_0_is_the_reference(g: &GraphSession, graph: &EdgeList) {
+    let expected: Vec<u64> = reference::sssp(graph, 0).iter().map(|d| d.to_bits()).collect();
+    let got: Vec<(u64, f64)> = g.vertex_values().unwrap();
+    assert_eq!(got.iter().map(|(_, d)| d.to_bits()).collect::<Vec<_>>(), expected);
+}
+
 /// A fresh in-memory session holding `graph`.
-fn session(graph: &vertexica_common::graph::EdgeList) -> GraphSession {
+fn session(graph: &EdgeList) -> GraphSession {
     let g = GraphSession::create(Arc::new(Database::new()), "g").unwrap();
     g.load_edges(graph).unwrap();
     g
@@ -212,8 +261,8 @@ fn worker<P: VertexProgram>(program: P, superstep: u64, num_vertices: u64) -> Ve
 /// 60 vertices, each with four out-edges listed in descending destination
 /// order: the edge table sorts its segments by source only, so edge rows
 /// arrive out of canonical order.
-fn graph() -> vertexica_common::graph::EdgeList {
-    vertexica_common::graph::EdgeList::from_pairs(
+fn graph() -> EdgeList {
+    EdgeList::from_pairs(
         (0..60u64).flat_map(|v| (1..5).map(move |d| (v, (v * 7 + 60 - d * 11) % 60))),
     )
 }
@@ -263,15 +312,19 @@ fn worker_sorts_user_inserted_messages() {
 
 #[test]
 fn worker_sorts_a_vertex_table_updated_in_place() {
-    // SSSP's first superstep changes every vertex's halt flag; a threshold
-    // above 1 sends it down the in-place update arm.
+    // SSSP's first superstep replaces the vertex table with one sorted
+    // segment per partition; a user's UPDATE then deletes some of its rows
+    // and re-inserts them after the segments, out of owner order.
     let g = session(&graph());
-    let config = VertexicaConfig::default()
-        .with_workers(2)
-        .with_partitions(PARTS)
-        .with_replace_threshold(1.01)
-        .with_max_supersteps(1);
-    let stats = run_program(&g, Arc::new(Sssp::new(0)), &config).unwrap();
-    assert!(!stats.per_superstep[0].replaced && stats.per_superstep[0].vertex_changes > 0);
+    let config = VertexicaConfig::default().with_workers(2).with_partitions(PARTS);
+    run_program(&g, Arc::new(Sssp::new(0)), &config.clone().with_max_supersteps(1)).unwrap();
+    let updated = g
+        .db()
+        .execute(&format!("UPDATE {} SET halted = FALSE WHERE id % 7 = 3", g.vertex_table()))
+        .unwrap();
+    assert!(updated.affected() > 0);
     assert_partitions_invariant(&g, Sssp::new(0), 1, "vertex table updated in place");
+    // The run goes on from the updated table to the reference's answer.
+    resume_program(&g, Arc::new(Sssp::new(0)), &config).unwrap();
+    assert_sssp_from_0_is_the_reference(&g, &graph());
 }

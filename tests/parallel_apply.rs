@@ -116,7 +116,7 @@ fn panicking_apply_task_leaves_tables_untouched() {
         RecordBatch::from_rows(worker_output_schema(), &[state_row(1, 2.0), msg_row(2, 1, 5.0)])
             .unwrap();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        apply_outputs(&g, &PoisonCombine, &config, vec![out1, out2], 4)
+        apply_outputs(&g, &PoisonCombine, &config, vec![out1, out2])
     }));
     assert!(result.is_err(), "the pool task's panic must propagate to the apply caller");
 
@@ -130,7 +130,7 @@ fn panicking_apply_task_leaves_tables_untouched() {
         &[state_row(0, 7.0), msg_row(2, 0, 1.0), msg_row(2, 1, 2.0)],
     )
     .unwrap();
-    let outcome = apply_outputs(&g, &PoisonCombine, &config, vec![ok], 4).unwrap();
+    let outcome = apply_outputs(&g, &PoisonCombine, &config, vec![ok]).unwrap();
     assert_eq!(outcome.messages, 1); // combined 1.0 + 2.0
     assert_eq!(outcome.vertex_changes, 1);
 }
@@ -160,7 +160,7 @@ fn erroring_apply_parse_leaves_tables_untouched() {
     )
     .unwrap();
     let config = VertexicaConfig::default().with_workers(4);
-    assert!(apply_outputs(&g, &PoisonCombine, &config, vec![bad], 4).is_err());
+    assert!(apply_outputs(&g, &PoisonCombine, &config, vec![bad]).is_err());
     assert_eq!(table_state(&g, &g.vertex_table()), vertex_before);
     assert_eq!(table_state(&g, &g.message_table()), message_before);
 }
@@ -209,10 +209,7 @@ fn segmented_replace_produces_correct_zone_maps_and_prunable_segments() {
     let db = Arc::new(Database::new());
     let g = GraphSession::create(db, "g").unwrap();
     g.load_edges(&graph).unwrap();
-    let config = VertexicaConfig::default()
-        .with_workers(4)
-        .with_replace_threshold(0.0)
-        .with_max_supersteps(2);
+    let config = VertexicaConfig::default().with_workers(4).with_max_supersteps(2);
     run_program(&g, Arc::new(PageRank::new(2, 0.85)), &config).unwrap();
 
     let handle = g.db().catalog().get(&g.vertex_table()).unwrap();
@@ -286,11 +283,8 @@ fn parallel_replace_writes_one_segment_per_nonempty_bucket() {
     let g = GraphSession::create(db, "g").unwrap();
     g.load_edges(&graph).unwrap();
     let parts = 6;
-    let config = VertexicaConfig::default()
-        .with_workers(4)
-        .with_partitions(parts)
-        .with_replace_threshold(0.0)
-        .with_max_supersteps(2);
+    let config =
+        VertexicaConfig::default().with_workers(4).with_partitions(parts).with_max_supersteps(2);
     run_program(&g, Arc::new(PageRank::new(2, 0.85)), &config).unwrap();
     let handle = g.db().catalog().get(&g.vertex_table()).unwrap();
     let guard = handle.read();

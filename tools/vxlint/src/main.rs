@@ -15,8 +15,9 @@
 //!   of the recovery-critical files (`storage/src/wal.rs`, `persist.rs`,
 //!   `catalog.rs`, `buffer_pool.rs`, whose segment reload parses spill
 //!   bytes from disk, `core/src/shard.rs`, which reads the superstep
-//!   stamp a resume or a repair starts from, and `sql/src/parser.rs` and
-//!   `physical.rs`, which take hostile SQL text and any table's rows).
+//!   stamp a resume or a repair starts from, `core/src/apply.rs`, which
+//!   builds every superstep commit, and `sql/src/parser.rs`, `physical.rs`
+//!   and `expr.rs`, which take hostile SQL text and any table's rows).
 //!   Crash recovery, reload, resume and query execution must degrade to
 //!   typed errors, never panic on bad input. `self.expect(` is not flagged:
 //!   it is the parser's own token check, not `Option::expect`.
@@ -70,6 +71,7 @@ const RECOVERY_FILES: &[&str] = &[
     "crates/storage/src/catalog.rs",
     "crates/storage/src/buffer_pool.rs",
     "crates/core/src/shard.rs",
+    "crates/core/src/apply.rs",
     "crates/sql/src/parser.rs",
     "crates/sql/src/physical.rs",
     "crates/sql/src/expr.rs",
