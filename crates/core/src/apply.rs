@@ -503,7 +503,7 @@ pub fn apply_parallel<P: VertexProgram>(
         let old = session.db().scan_table(&session.vertex_table(), None, &[])?;
         let old_split: Vec<VertexicaResult<Vec<(usize, RecordBatch)>>> = pool
             .map_indexed(old, |_, batch| {
-                split_batch(&batch, &[0], partitions).map_err(VertexicaError::from)
+                split_batch(&batch, &[0], shards, partitions).map_err(VertexicaError::from)
             });
         let mut old_parts: Vec<Vec<RecordBatch>> = (0..partitions).map(|_| Vec::new()).collect();
         for pieces in old_split {

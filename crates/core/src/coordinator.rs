@@ -9,11 +9,11 @@
 //! [`register_as_procedure`]), vertex initialization, and the run's
 //! statistics. Every superstep has one shape:
 //!
-//! 1. assemble worker input ([`crate::input::assemble_chunks`], the table
-//!    union), pulled through scan cursors and streamed chunk by chunk —
-//!    the full table union never materializes; the static edge table stays
-//!    out of it when the run reads edges from the session's
-//!    [`crate::projection::EdgeProjection`], resolved once before superstep 0;
+//! 1. assemble worker input ([`crate::input::assemble_chunks`], the vertex ∪
+//!    message table union), pulled through scan cursors and streamed chunk by
+//!    chunk — the full union never materializes. Workers read out-edges from
+//!    the session's [`crate::projection::EdgeProjection`], resolved once
+//!    before superstep 0, whose pieces are buffer-pool segments;
 //! 2. scatter each chunk by its rows' owner partition
 //!    ([`vertexica_storage::partition::owner`]; vertex batching) on a pool
 //!    task, into partitions **sealed** by a key-column prescan
@@ -163,13 +163,12 @@ pub struct RunStats {
     pub aggregates: FxHashMap<String, f64>,
     /// Seconds this run spent building the session's
     /// [`EdgeProjection`] before superstep 0: the one-off cost of the first
-    /// run after a load or an edge mutation. 0.0 when the cached projection
-    /// was still current, and when the run streams edge rows instead
-    /// (budgeted runs). Included in
-    /// [`total_secs`](Self::total_secs).
+    /// run after a load, an edge mutation, a reopen or a change of shard or
+    /// partition count. 0.0 when the cached projection was still current.
+    /// Included in [`total_secs`](Self::total_secs).
     pub projection_build_secs: f64,
-    /// Heap bytes of the projection the run read its edges from (0 when it
-    /// streamed edge rows) — memory held outside the buffer pool.
+    /// Estimated bytes of the projection pieces the run read its edges
+    /// from: buffer-pool segments, evictable on a durable database.
     pub projection_bytes: usize,
 }
 
@@ -180,32 +179,9 @@ pub fn initialize_vertices<P: VertexProgram>(
     program: &P,
 ) -> VertexicaResult<u64> {
     let n = session.num_vertices()?;
-    initialize_vertices_with_total(session, program, n, Vec::new(), None)?;
+    let (edges, _) = session.edge_projection(1, 1)?;
+    initialize_vertices_with_total(session, program, n, Vec::new(), &edges)?;
     Ok(n)
-}
-
-/// `(id, out-degree)` of every vertex-table row, ascending by id. With the
-/// run's edge projection at hand only the vertex id column is scanned and
-/// each degree is the length of the vertex's CSR range; without one, the
-/// relational [`GraphSession::out_degrees`].
-fn vertex_degrees(
-    session: &GraphSession,
-    edges: Option<&EdgeProjection>,
-) -> VertexicaResult<Vec<(vertexica_common::VertexId, u64)>> {
-    let Some(edges) = edges else { return session.out_degrees() };
-    let mut ids: Vec<i64> = Vec::new();
-    let mut cursor = session.db().scan_cursor(&session.vertex_table(), Some(&[0]), &[])?;
-    while let Some(batch) = cursor.next_batch()? {
-        let column = batch
-            .column(0)
-            .as_int()
-            .ok_or_else(|| VertexicaError::Runtime("vertex table: id is not BIGINT".into()))?;
-        ids.extend_from_slice(column);
-    }
-    // The relational form groups and orders by id.
-    ids.sort_unstable();
-    ids.dedup();
-    Ok(ids.into_iter().map(|id| (id as u64, edges.out_edges(id as u64).len() as u64)).collect())
 }
 
 /// [`initialize_vertices`] with the *global* vertex count supplied by the
@@ -213,9 +189,9 @@ fn vertex_degrees(
 /// vertices, but `InitContext::num_vertices` (e.g. PageRank's `1/N` seed)
 /// must reflect the whole graph — so the coordinator passes the cross-shard
 /// total while each shard initializes just its local rows.
-/// Out-degrees are computed locally, which is exact because every vertex's
-/// outbound edges are colocated with it by the ownership hash — from `edges`
-/// when the run has a projection (`vertex_degrees`).
+/// Out-degrees are computed locally from the run's projection `edges`,
+/// which is exact because every vertex's outbound edges are colocated with
+/// it by the ownership hash.
 ///
 /// `extra` rides the same grouped catalog commit as the vertex/message
 /// initialization — a run passes each shard's freshly stamped stamp table
@@ -225,9 +201,9 @@ pub(crate) fn initialize_vertices_with_total<P: VertexProgram>(
     program: &P,
     num_vertices: u64,
     extra: Vec<(String, vertexica_storage::Table)>,
-    edges: Option<&EdgeProjection>,
+    edges: &EdgeProjection,
 ) -> VertexicaResult<()> {
-    let degrees = vertex_degrees(session, edges)?;
+    let degrees = edges.vertex_degrees(session)?;
     let n = num_vertices;
     let mut ids = ColumnBuilder::with_capacity(DataType::Int, degrees.len());
     let mut values = ColumnBuilder::with_capacity(DataType::Blob, degrees.len());
@@ -419,11 +395,20 @@ pub(crate) mod tests {
         ))
         .unwrap();
         g.add_edge(9, 0, 1.0, 0, None).unwrap();
-        let (projection, _) = g.edge_projection().unwrap();
-        assert_eq!(projection.out_edges(9).len(), 1);
-        let from_projection = vertex_degrees(&g, Some(&projection)).unwrap();
+        let (projection, _) = g.edge_projection(1, 4).unwrap();
+        let from_projection = projection.vertex_degrees(&g).unwrap();
         assert_eq!(from_projection, vec![(0, 3), (1, 1), (2, 1), (3, 0), (4, 0)]);
-        assert_eq!(from_projection, g.out_degrees().unwrap());
+        let relational: Vec<(VertexId, u64)> = g
+            .db()
+            .query(
+                "SELECT v.id, COUNT(e.src) FROM g_vertex v LEFT JOIN g_edge e ON v.id = e.src \
+                 GROUP BY v.id ORDER BY v.id",
+            )
+            .unwrap()
+            .iter()
+            .map(|r| (r[0].as_int().unwrap() as VertexId, r[1].as_int().unwrap() as u64))
+            .collect();
+        assert_eq!(from_projection, relational);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! * the [`worker`] is a transform UDF (one instance per partition, run on a
 //!   pool sized to the core count);
 //! * [`input`] assembles worker input as a **table union** (the paper's key
-//!   optimization) of the vertex, edge and message tables;
+//!   optimization) of the vertex and message tables;
 //! * [`projection`] keeps the static edge table out of that per-superstep
-//!   input: a sorted CSR image built once and borrowed by every worker;
+//!   input: a sorted table of it, one buffer-pool segment per partition,
+//!   built once and pinned by each partition's worker;
 //! * [`apply`] writes superstep results back by **replacing** tables (§2.3's
 //!   left-join + table swap, as one per-partition merge): every superstep
 //!   that changes a vertex rebuilds the vertex table in one atomic commit;

@@ -1,173 +1,261 @@
-//! The sorted edge projection: a read-only CSR image of a session's edge
-//! table.
+//! The sorted edge projection: the catalog table `<graph>_edge_proj (src,
+//! dst, weight)` that every run reads out-edges from.
 //!
-//! The edge table never changes during a run, yet the table-union input
-//! re-scans it, re-hashes it into compute partitions and re-sorts it inside
-//! every worker, every superstep. An [`EdgeProjection`] does that work once:
-//! all live edge rows, decoded to [`Edge`]s in one contiguous vector sorted
-//! the way a worker would have sorted them, plus a sorted index from each
-//! distinct `src` to its range. Workers then borrow a vertex's out-edges as a
-//! slice, and edge rows leave the scan → scatter → sort path entirely.
+//! The edge table never changes during a run, so instead of re-scanning,
+//! re-hashing and re-sorting it every superstep a build writes it once as one
+//! ROS segment (a **piece**) per owner partition ([`owner`] over `src`),
+//! sorted by `(src, dst)`, then `weight` NULL first in IEEE total order — how
+//! Vertica keeps graph data. The pieces are committed like apply's segments
+//! ([`vertexica_sql::Database::commit_tables_segmented`]): the buffer pool
+//! accounts for them, and a durable commit gives each a spill twin, so a
+//! budget evicts a piece and the worker that pins it reloads it.
 //!
-//! A projection is built lazily by [`GraphSession::edge_projection`] on the
-//! first run that wants one, cached on the session (clones share the cache),
-//! and revalidated at the start of every run against the edge table's
-//! [`Table::data_version`](vertexica_storage::Table::data_version): any DML,
-//! swap or recovery since the build redraws the stamp and forces a rebuild.
-//!
-//! Whether a run uses it is decided from what the run can observe (no
-//! budget on the buffer pool — see `for_run`); there is no switch.
+//! [`GraphSession::edge_projection`] builds lazily and caches the handles on
+//! the session, revalidated against the edge table's
+//! [`Table::data_version`](vertexica_storage::Table::data_version) and the
+//! run's shard and partition counts; a reopened database rebuilds.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use vertexica_common::graph::{Edge, VertexId};
 use vertexica_common::timer::Stopwatch;
-use vertexica_storage::ScanCursor;
+use vertexica_storage::encoding::EncodedColumn;
+use vertexica_storage::partition::owner;
+use vertexica_storage::{
+    Bitmap, Column, ColumnData, DataType, Field, PinnedSegment, RecordBatch, ScanCursor, Schema,
+    Segment, SegmentHandle,
+};
 
 use crate::error::{VertexicaError, VertexicaResult};
 use crate::session::GraphSession;
+use crate::worker::Nullable;
 
-/// All live rows of an edge table, sorted by `(src, dst, weight)` and indexed
-/// by `src`. Immutable once built.
-#[derive(Debug)]
-pub struct EdgeProjection {
-    /// The edge table's data version the image was built from.
-    version: u64,
-    /// Every edge, grouped by `src`; within a group in the order the worker's
-    /// canonical row sort produces (see [`EdgeProjection::build`]).
-    edges: Vec<Edge>,
-    /// Distinct `src` ids, ascending as the table's BIGINTs.
-    srcs: Vec<i64>,
-    /// `edges[offsets[i]..offsets[i + 1]]` are the out-edges of `srcs[i]`.
-    offsets: Vec<usize>,
+/// Schema of the projection table.
+pub fn edge_proj_schema() -> Arc<Schema> {
+    Schema::new(vec![
+        Field::not_null("src", DataType::Int),
+        Field::not_null("dst", DataType::Int),
+        Field::new("weight", DataType::Float),
+    ])
 }
 
-/// `NULL` first, then IEEE total order: `Value::total_cmp` on a FLOAT column.
-pub(crate) fn cmp_weight(a: Option<f64>, b: Option<f64>) -> Ordering {
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => x.total_cmp(&y),
+/// One build's piece handles, indexed by owner partition (`None` where no
+/// edge's source lives), with the edge table version and the shard and
+/// partition counts they were cut for.
+#[derive(Debug)]
+pub struct EdgeProjection {
+    version: u64,
+    num_shards: usize,
+    num_partitions: usize,
+    pieces: Vec<Option<SegmentHandle>>,
+}
+
+fn malformed(column: &str) -> VertexicaError {
+    VertexicaError::Runtime(format!("{column} is mistyped"))
+}
+
+/// Drains `cursor` — the edge table's `(src, dst, weight)`, `rows` live
+/// rows — into one sorted batch per non-empty owner partition, in partition
+/// order. The rows are decoded into one vector sized once, which is freed
+/// whole when the pieces exist.
+fn sorted_pieces(
+    mut cursor: ScanCursor,
+    rows: usize,
+    num_shards: usize,
+    num_partitions: usize,
+) -> VertexicaResult<Vec<(usize, RecordBatch)>> {
+    let mut edges: Vec<(u32, i64, i64, Option<f64>)> = Vec::with_capacity(rows);
+    while let Some(batch) = cursor.next_batch()? {
+        let (src_col, dst_col) = (batch.column(0), batch.column(1));
+        let src = src_col.as_int().ok_or_else(|| malformed("edge table: src"))?;
+        let dst = dst_col.as_int().ok_or_else(|| malformed("edge table: dst"))?;
+        let weight = Nullable::of(batch.column(2), Column::as_float)
+            .ok_or_else(|| malformed("edge table: weight"))?;
+        if src_col.null_count() + dst_col.null_count() > 0 {
+            return Err(VertexicaError::Runtime("edge table: NULL src or dst".into()));
+        }
+        edges.extend((0..batch.num_rows()).map(|i| {
+            let (_, p) = owner(src[i], num_shards, num_partitions);
+            (p as u32, src[i], dst[i], weight.get(i).copied())
+        }));
     }
+    // By partition, then `(src, dst)`, then `weight`: NULL first, then IEEE
+    // total order (`Value::total_cmp`).
+    edges.sort_unstable_by(|a, b| {
+        (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)).then(match (a.3, b.3) {
+            (Some(x), Some(y)) => x.total_cmp(&y),
+            (x, y) => x.is_some().cmp(&y.is_some()),
+        })
+    });
+    let mut pieces = Vec::new();
+    for rows in edges.chunk_by(|a, b| a.0 == b.0) {
+        let ints = |f: fn(&(u32, i64, i64, Option<f64>)) -> i64| {
+            ColumnData::Int(rows.iter().map(f).collect())
+        };
+        let weights = ColumnData::Float(rows.iter().map(|r| r.3.unwrap_or(0.0)).collect());
+        let valid = Bitmap::from_iter_bool(rows.iter().map(|r| r.3.is_some()));
+        let columns = vec![
+            Column::new(ints(|r| r.1), None),
+            Column::new(ints(|r| r.2), None),
+            Column::new(weights, Some(valid)),
+        ];
+        pieces.push((rows[0].0 as usize, RecordBatch::new(edge_proj_schema(), columns)?));
+    }
+    Ok(pieces)
 }
 
 impl EdgeProjection {
-    /// Drains `cursor` — a scan of the edge table projected to
-    /// `(src, dst, weight)` — into a projection stamped `version`.
-    ///
-    /// Within one `src` the order is the one the worker's row sort gives a
-    /// vertex's edge rows: `dst` as a signed BIGINT, then `weight` with NULL
-    /// first and floats in IEEE total order. Only after sorting does a NULL
-    /// weight become the worker's default of 1.0, so a run through the
-    /// projection hands `compute` the same edge slice, element for element,
-    /// as a run through edge rows.
-    fn build(version: u64, mut cursor: ScanCursor) -> VertexicaResult<EdgeProjection> {
-        let malformed = |what: &str| VertexicaError::Runtime(format!("edge table: {what}"));
-        let mut rows: Vec<(i64, i64, Option<f64>)> = Vec::new();
-        while let Some(batch) = cursor.next_batch()? {
-            let (src_col, dst_col, weight_col) =
-                (batch.column(0), batch.column(1), batch.column(2));
-            let src = src_col.as_int().ok_or_else(|| malformed("src is not BIGINT"))?;
-            let dst = dst_col.as_int().ok_or_else(|| malformed("dst is not BIGINT"))?;
-            let weight = weight_col.as_float().ok_or_else(|| malformed("weight is not FLOAT"))?;
-            if src_col.null_count() + dst_col.null_count() > 0 {
-                return Err(malformed("NULL src or dst"));
-            }
-            rows.reserve(batch.num_rows());
-            for i in 0..batch.num_rows() {
-                rows.push((src[i], dst[i], (!weight_col.is_null(i)).then_some(weight[i])));
-            }
-        }
-        rows.sort_unstable_by(|a, b| {
-            (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| cmp_weight(a.2, b.2))
-        });
-
-        let mut edges = Vec::with_capacity(rows.len());
-        let mut srcs: Vec<i64> = Vec::new();
-        let mut offsets: Vec<usize> = Vec::new();
-        for (src, dst, weight) in rows {
-            if srcs.last() != Some(&src) {
-                srcs.push(src);
-                offsets.push(edges.len());
-            }
-            edges.push(Edge::weighted(src as VertexId, dst as VertexId, weight.unwrap_or(1.0)));
-        }
-        offsets.push(edges.len());
-        Ok(EdgeProjection { version, edges, srcs, offsets })
-    }
-
-    /// The out-edges of `vid`, borrowed from the projection (empty when the
-    /// vertex has none).
-    pub fn out_edges(&self, vid: VertexId) -> &[Edge] {
-        match self.srcs.binary_search(&(vid as i64)) {
-            Ok(i) => &self.edges[self.offsets[i]..self.offsets[i + 1]],
-            Err(_) => &[],
-        }
-    }
-
-    /// Number of edges in the image.
+    /// Number of edges in the pieces.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.pieces.iter().flatten().map(SegmentHandle::num_rows).sum()
     }
 
-    /// Heap bytes held by the image.
+    /// Estimated bytes of the pieces, resident or not.
     pub fn estimated_bytes(&self) -> usize {
-        self.edges.len() * std::mem::size_of::<Edge>()
-            + self.srcs.len() * std::mem::size_of::<i64>()
-            + self.offsets.len() * std::mem::size_of::<usize>()
+        self.pieces.iter().flatten().map(SegmentHandle::estimated_bytes).sum()
     }
+
+    /// The piece handles, indexed by owner partition.
+    pub fn pieces(&self) -> &[Option<SegmentHandle>] {
+        &self.pieces
+    }
+
+    /// Pins the piece of the partition that owns `vid` — reloading it if the
+    /// pool evicted it — for as long as the returned [`PinnedPiece`] lives.
+    pub fn pin(&self, vid: VertexId) -> VertexicaResult<PinnedPiece<'_>> {
+        let (_, partition) = owner(vid as i64, self.num_shards, self.num_partitions);
+        let segment = self.pieces[partition].as_ref().map(SegmentHandle::read).transpose()?;
+        Ok(PinnedPiece { projection: self, partition, segment })
+    }
+
+    /// `(id, out-degree)` of every row of `session`'s vertex table,
+    /// ascending by id (0 for a vertex without out-edges): only the id
+    /// column is scanned, and each piece is pinned once, for the ids its
+    /// partition owns.
+    pub fn vertex_degrees(&self, session: &GraphSession) -> VertexicaResult<Vec<(VertexId, u64)>> {
+        let mut ids: Vec<i64> = Vec::new();
+        let mut cursor = session.db().scan_cursor(&session.vertex_table(), Some(&[0]), &[])?;
+        while let Some(batch) = cursor.next_batch()? {
+            let column = batch.column(0).as_int();
+            ids.extend_from_slice(column.ok_or_else(|| malformed("vertex table: id"))?);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); self.num_partitions];
+        for (i, &id) in ids.iter().enumerate() {
+            owned[owner(id, self.num_shards, self.num_partitions).1].push(i);
+        }
+        let mut degrees = vec![0u64; ids.len()];
+        for (piece, owned) in self.pieces.iter().zip(owned).filter(|(_, o)| !o.is_empty()) {
+            let Some(piece) = piece else { continue };
+            let segment = piece.read()?;
+            let (src, _, _) = columns(&segment)?;
+            for i in owned {
+                degrees[i] = src_range(src, ids[i]).len() as u64;
+            }
+        }
+        Ok(ids.into_iter().map(|id| id as VertexId).zip(degrees).collect())
+    }
+}
+
+/// One partition's piece, pinned (`segment` is `None` when the partition
+/// has no out-edges): a worker holds it for its partition.
+#[derive(Debug)]
+pub struct PinnedPiece<'a> {
+    projection: &'a EdgeProjection,
+    partition: usize,
+    segment: Option<PinnedSegment>,
+}
+
+impl PinnedPiece<'_> {
+    /// Replaces `out` with the out-edges of `vid`, copied from the piece's
+    /// typed columns in projection order, a NULL weight read as 1.0. A
+    /// vertex of another partition is an error: its edges are not here.
+    pub fn out_edges(&self, vid: VertexId, out: &mut Vec<Edge>) -> VertexicaResult<()> {
+        out.clear();
+        let p = self.projection;
+        let (_, partition) = owner(vid as i64, p.num_shards, p.num_partitions);
+        if partition != self.partition {
+            return Err(VertexicaError::Runtime(format!(
+                "vertex {vid} belongs to partition {partition}, not to the pinned piece's {}",
+                self.partition
+            )));
+        }
+        let Some(segment) = &self.segment else { return Ok(()) };
+        let (src, dst, weight) = columns(segment)?;
+        out.extend(src_range(src, vid as i64).map(|i| {
+            Edge::weighted(vid, dst[i] as VertexId, weight.get(i).copied().unwrap_or(1.0))
+        }));
+        Ok(())
+    }
+}
+
+/// A piece's `(src, dst, weight)` columns as typed slices.
+type PieceColumns<'a> = (&'a [i64], &'a [i64], Nullable<'a, [f64]>);
+
+fn columns(segment: &Segment) -> VertexicaResult<PieceColumns<'_>> {
+    let bad = || VertexicaError::Runtime("edge projection piece is not plain typed columns".into());
+    let column = |i| match segment.encoded_column(i) {
+        EncodedColumn::Plain(column) => Ok(column),
+        _ => Err(bad()),
+    };
+    let weight = Nullable::of(column(2)?, Column::as_float).ok_or_else(bad)?;
+    Ok((column(0)?.as_int().ok_or_else(bad)?, column(1)?.as_int().ok_or_else(bad)?, weight))
+}
+
+/// The rows of the sorted `src` column that hold `vid`.
+fn src_range(src: &[i64], vid: i64) -> std::ops::Range<usize> {
+    let start = src.partition_point(|&s| s < vid);
+    start..start + src[start..].partition_point(|&s| s == vid)
 }
 
 impl GraphSession {
-    /// The session's edge projection, current as of this call, and the
-    /// seconds the call spent building it: the cached image (and 0.0) when
-    /// the edge table still carries the stamp it was built from, otherwise a
-    /// fresh build that replaces it.
+    /// The session's edge projection for a run over `num_shards` shards and
+    /// `num_partitions` partitions, and the seconds the call spent building
+    /// it: the cached handles (and 0.0) when the edge table still carries
+    /// the stamp they were built from at those counts, otherwise a fresh
+    /// build that rewrites the projection table in one grouped commit.
     ///
     /// The stamp and the scan snapshot are taken under one table read guard,
-    /// so no writer can land between them and leave an image that claims a
-    /// version it does not hold. The cache lock is held across the build, so
-    /// concurrent callers (session clones) build once.
-    pub fn edge_projection(&self) -> VertexicaResult<(Arc<EdgeProjection>, f64)> {
-        let table = self.db().catalog().get(&self.edge_table())?;
+    /// so pieces can never claim a version they do not hold. The cache lock
+    /// is held across the build, so concurrent callers build once.
+    pub fn edge_projection(
+        &self,
+        num_shards: usize,
+        num_partitions: usize,
+    ) -> VertexicaResult<(Arc<EdgeProjection>, f64)> {
+        let (num_shards, num_partitions) = (num_shards.max(1), num_partitions.max(1));
+        let catalog = self.db().catalog();
+        let table = catalog.get(&self.edge_table())?;
         let mut cached = self.projection.lock();
         let sw = Stopwatch::start();
-        let (version, cursor) = {
+        let (version, rows, cursor) = {
             let guard = table.read();
-            let version = guard.data_version();
-            if let Some(hit) = cached.as_ref().filter(|p| p.version == version) {
+            let key = (guard.data_version(), num_shards, num_partitions);
+            if let Some(hit) =
+                cached.as_ref().filter(|p| (p.version, p.num_shards, p.num_partitions) == key)
+            {
                 return Ok((hit.clone(), 0.0));
             }
-            (version, guard.scan_cursor(Some(&[0, 1, 2]), &[])?)
+            (key.0, guard.num_rows(), guard.scan_cursor(Some(&[0, 1, 2]), &[])?)
         };
-        let built = Arc::new(EdgeProjection::build(version, cursor)?);
+        let pieces = sorted_pieces(cursor, rows, num_shards, num_partitions)?;
+        let name = self.edge_proj_table();
+        let batches = pieces.iter().map(|(_, b)| b.clone()).collect();
+        let segments = self.db().encode_segments_for(&name, batches)?;
+        self.db().commit_tables_segmented(vec![(name.clone(), segments)])?;
+        let handles = catalog.get(&name)?.read().segments().to_vec();
+        if handles.len() != pieces.len() {
+            return Err(VertexicaError::Runtime(format!("{name} changed during its build")));
+        }
+        let mut slots = vec![None; num_partitions];
+        for ((p, _), handle) in pieces.iter().zip(handles) {
+            slots[*p] = Some(handle);
+        }
+        let built = Arc::new(EdgeProjection { version, num_shards, num_partitions, pieces: slots });
         *cached = Some(built.clone());
         Ok((built, sw.elapsed_secs()))
     }
-}
-
-/// The projection a run reads its edges from, with the seconds spent
-/// building it — or `None` when the run streams edge rows through the union
-/// instead. Only a run on an unbudgeted buffer pool reads it: a memory
-/// budget says the database may not hold its working set outside the pool,
-/// and the projection is a decoded copy of the run's largest table. Under a
-/// budget a run keeps streaming edge rows, segment by evictable segment.
-///
-/// The budget is read from the pool, not from the run's config: a run only
-/// ever *sets* the pool's budget (`memory_budget_bytes: None` means "leave
-/// it"), so a pool budgeted by an earlier run or by `BufferPool::set_budget`
-/// is still evicting whatever this run's config says. Call this after the
-/// run has applied its own budget to the pool.
-pub(crate) fn for_run(
-    session: &GraphSession,
-) -> VertexicaResult<(Option<Arc<EdgeProjection>>, f64)> {
-    if session.db().catalog().buffer_pool().budget().is_some() {
-        return Ok((None, 0.0));
-    }
-    let (projection, build_secs) = session.edge_projection()?;
-    Ok((Some(projection), build_secs))
 }
 
 #[cfg(test)]
@@ -176,7 +264,7 @@ mod tests {
     use std::collections::BTreeMap;
     use vertexica_common::graph::EdgeList;
     use vertexica_sql::Database;
-    use vertexica_storage::{RecordBatch, Table, Value};
+    use vertexica_storage::{Table, Value};
 
     /// What the projection must equal: a straight scan of the edge table,
     /// grouped by `src`, each group ordered by `(dst, weight)` under
@@ -206,12 +294,17 @@ mod tests {
         adjacency
     }
 
+    fn out_edges(projection: &EdgeProjection, vid: VertexId) -> Vec<Edge> {
+        let mut edges = vec![Edge::new(7, 7)];
+        projection.pin(vid).unwrap().out_edges(vid, &mut edges).unwrap();
+        edges
+    }
+
     fn assert_matches_scan(g: &GraphSession, projection: &EdgeProjection) {
         let expected = scan_adjacency(g);
         assert_eq!(projection.num_edges(), expected.values().map(Vec::len).sum::<usize>());
         for (src, want) in &expected {
-            let got: Vec<(i64, u64)> = projection
-                .out_edges(*src as VertexId)
+            let got: Vec<(i64, u64)> = out_edges(projection, *src as VertexId)
                 .iter()
                 .map(|e| {
                     assert_eq!(e.src, *src as VertexId);
@@ -221,7 +314,12 @@ mod tests {
             assert_eq!(&got, want, "out-edges of {src}");
         }
         let absent = expected.keys().max().map_or(0, |m| m + 1);
-        assert!(projection.out_edges(absent as VertexId).is_empty());
+        assert!(out_edges(projection, absent as VertexId).is_empty());
+        // Every vertex-table row's degree, 0 for one without out-edges.
+        for (id, degree) in projection.vertex_degrees(g).unwrap() {
+            let want = expected.get(&(id as i64)).map_or(0, Vec::len);
+            assert_eq!(degree, want as u64, "degree of {id}");
+        }
     }
 
     fn session() -> GraphSession {
@@ -264,30 +362,52 @@ mod tests {
             assert!(guard.num_segments() >= 4 && guard.wos_rows() == 1);
             assert!(guard.delete_vectors().iter().any(|d| d.any()));
         }
-        let (projection, _) = g.edge_projection().unwrap();
-        assert_matches_scan(&g, &projection);
-        // NULL sorts first among (5 → 0) and then reads as the default 1.0.
-        let weights: Vec<f64> = projection.out_edges(5).iter().map(|e| e.weight).collect();
-        assert_eq!(weights, vec![1.0, 2.0]);
+        for (shards, parts) in [(1, 1), (1, 3), (2, 4)] {
+            let (projection, _) = g.edge_projection(shards, parts).unwrap();
+            // At two shards only the sources shard 0 would own are looked
+            // up there, but a session holds whatever its edge table holds.
+            assert_matches_scan(&g, &projection);
+            // NULL sorts first among (5 → 0) and then reads as the default 1.0.
+            let weights: Vec<f64> = out_edges(&projection, 5).iter().map(|e| e.weight).collect();
+            assert_eq!(weights, vec![1.0, 2.0]);
+        }
     }
 
     #[test]
     fn empty_edge_table_projects_to_nothing() {
         let g = GraphSession::create(Arc::new(Database::new()), "g").unwrap();
-        let (projection, _) = g.edge_projection().unwrap();
+        let (projection, _) = g.edge_projection(1, 4).unwrap();
         assert_eq!(projection.num_edges(), 0);
-        assert!(projection.out_edges(0).is_empty());
+        assert!(projection.pieces().iter().all(Option::is_none));
+        assert!(out_edges(&projection, 0).is_empty());
+    }
+
+    #[test]
+    fn a_vertex_of_another_partition_is_an_error() {
+        let g = session();
+        let (projection, _) = g.edge_projection(1, 8).unwrap();
+        let piece = projection.pin(0).unwrap();
+        let stranger = (1..).find(|&v| owner(v, 1, 8).1 != owner(0, 1, 8).1).unwrap();
+        let mut edges = Vec::new();
+        assert!(matches!(
+            piece.out_edges(stranger as VertexId, &mut edges),
+            Err(VertexicaError::Runtime(_))
+        ));
     }
 
     #[test]
     fn cached_until_the_edge_table_changes() {
         let g = session();
-        let (first, build_secs) = g.edge_projection().unwrap();
+        let (first, build_secs) = g.edge_projection(1, 1).unwrap();
         assert!(build_secs > 0.0);
         // A clone shares the cache; DML on the *other* tables leaves it valid.
         g.add_vertex(9).unwrap();
-        let (hit, secs) = g.clone().edge_projection().unwrap();
+        let (hit, secs) = g.clone().edge_projection(1, 1).unwrap();
         assert!(Arc::ptr_eq(&first, &hit) && secs == 0.0);
+        // Another partition count is another layout.
+        let (other, secs) = g.edge_projection(1, 4).unwrap();
+        assert!(!Arc::ptr_eq(&first, &other) && secs > 0.0);
+        assert_matches_scan(&g, &other);
 
         let edge_table = g.edge_table();
         let catalog = g.db().catalog().clone();
@@ -295,10 +415,10 @@ mod tests {
         // that also drops a deleted row's slot.
         g.add_edge(1, 0, 1.0, 0, None).unwrap();
         assert_eq!(g.remove_edge(3, 3).unwrap(), 1);
-        let (first, _) = g.edge_projection().unwrap();
+        let (first, _) = g.edge_projection(1, 1).unwrap();
         catalog.get(&edge_table).unwrap().write().moveout().unwrap();
         catalog.get(&edge_table).unwrap().write().mergeout().unwrap();
-        let (hit, secs) = g.edge_projection().unwrap();
+        let (hit, secs) = g.edge_projection(1, 1).unwrap();
         assert!(Arc::ptr_eq(&first, &hit) && secs == 0.0);
         assert_matches_scan(&g, &hit);
 
@@ -350,10 +470,10 @@ mod tests {
         let mut previous = first;
         for (what, mutate) in &mutations {
             mutate(&g);
-            let (rebuilt, secs) = g.edge_projection().unwrap();
+            let (rebuilt, secs) = g.edge_projection(1, 1).unwrap();
             assert!(!Arc::ptr_eq(&previous, &rebuilt) && secs > 0.0, "{what} must rebuild");
             assert_matches_scan(&g, &rebuilt);
-            let (hit, secs) = g.edge_projection().unwrap();
+            let (hit, secs) = g.edge_projection(1, 1).unwrap();
             assert!(Arc::ptr_eq(&rebuilt, &hit) && secs == 0.0, "{what}: second call must hit");
             previous = rebuilt;
         }
@@ -361,7 +481,8 @@ mod tests {
     }
 
     /// Unbounded, and with a pool budget below the graph's checkpointed
-    /// bytes, so the rebuild reads segments back from their spill images.
+    /// bytes, so the rebuild reads segments back from their spill images —
+    /// and then the pieces themselves, which the commit gave spill twins.
     #[test]
     fn reopened_durable_database_rebuilds_once() {
         for budget in [None, Some(64)] {
@@ -382,33 +503,22 @@ mod tests {
                 }
                 // Left in the WAL only: recovery has to replay it.
                 g.add_edge(2, 1, 0.5, 0, None).unwrap();
-                g.edge_projection().unwrap();
+                g.edge_projection(1, 2).unwrap();
             }
             let g = GraphSession::open(open(), "g").unwrap();
-            let (rebuilt, secs) = g.edge_projection().unwrap();
+            let (rebuilt, secs) = g.edge_projection(1, 2).unwrap();
             assert!(secs > 0.0, "a freshly opened session has no cache");
             assert_eq!(rebuilt.num_edges(), 4);
+            let twins = rebuilt.pieces().iter().flatten().all(|h| h.spill_addr().is_some());
+            assert!(twins, "{budget:?}: the commit gives every piece a spill twin");
             assert_matches_scan(&g, &rebuilt);
-            let (hit, secs) = g.edge_projection().unwrap();
+            let (hit, secs) = g.edge_projection(1, 2).unwrap();
             assert!(Arc::ptr_eq(&rebuilt, &hit) && secs == 0.0);
             let reloads = g.db().catalog().buffer_pool().stats().reloads;
             assert_eq!(reloads > 0, budget.is_some(), "{budget:?}: reloads {reloads}");
             drop(g);
             let _ = std::fs::remove_dir_all(&dir);
         }
-    }
-
-    #[test]
-    fn budgeted_pools_and_join_runs_stream_edge_rows() {
-        let g = session();
-        let pool = g.db().catalog().buffer_pool().clone();
-        assert!(for_run(&g).unwrap().0.is_some());
-        // The pool's budget decides, whatever a run's config says: `None`
-        // there leaves a budget set earlier in force.
-        pool.set_budget(Some(1 << 20));
-        assert!(for_run(&g).unwrap().0.is_none());
-        pool.set_budget(None);
-        assert!(for_run(&g).unwrap().0.is_some());
     }
 
     #[test]
@@ -426,6 +536,6 @@ mod tests {
         );
         let batch = RecordBatch::from_rows(schema, &[row.to_vec()]).unwrap();
         g.db().append_batches(&g.edge_table(), &[batch]).unwrap();
-        assert!(matches!(g.edge_projection(), Err(VertexicaError::Runtime(_))));
+        assert!(matches!(g.edge_projection(1, 1), Err(VertexicaError::Runtime(_))));
     }
 }

@@ -11,7 +11,10 @@
 //!
 //! plus the run's bookkeeping table `<name>_stamp (key, value)`: the last
 //! superstep a run committed, written in the same grouped commit as the
-//! vertex and message tables ([`crate::shard`]'s module docs).
+//! vertex and message tables ([`crate::shard`]'s module docs), and the edge
+//! projection `<name>_edge_proj (src, dst, weight)`: the edge table sorted
+//! and segmented by owner partition, which runs read out-edges from
+//! ([`crate::projection`]).
 
 use std::sync::Arc;
 
@@ -41,8 +44,8 @@ impl GraphSession {
         GraphSession { db, name: name.to_ascii_lowercase(), projection: Arc::new(Mutex::new(None)) }
     }
 
-    /// Creates the vertex/edge/message tables and the stamp table for a new
-    /// graph.
+    /// Creates the vertex/edge/message tables, the stamp table and the
+    /// (empty) edge projection table for a new graph.
     pub fn create(db: Arc<Database>, name: &str) -> VertexicaResult<Self> {
         let session = GraphSession::unchecked(db, name);
         let catalog = session.db.catalog();
@@ -62,18 +65,24 @@ impl GraphSession {
             TableOptions::default().sorted_by(vec![0]),
         )?;
         catalog.create_table(&session.stamp_table(), stamp_schema(), TableOptions::default())?;
+        catalog.create_table(
+            &session.edge_proj_table(),
+            crate::projection::edge_proj_schema(),
+            TableOptions::default(),
+        )?;
         Ok(session)
     }
 
     /// Opens an existing graph by name.
     pub fn open(db: Arc<Database>, name: &str) -> VertexicaResult<Self> {
         let session = GraphSession::unchecked(db, name);
-        // Validate all four tables exist.
+        // Validate all five tables exist.
         for t in [
             session.vertex_table(),
             session.edge_table(),
             session.message_table(),
             session.stamp_table(),
+            session.edge_proj_table(),
         ] {
             session.db.catalog().get(&t)?;
         }
@@ -104,6 +113,12 @@ impl GraphSession {
     /// the vertex and shard counts, and its output aggregates.
     pub fn stamp_table(&self) -> String {
         format!("{}_stamp", self.name)
+    }
+
+    /// The edge projection table: the pieces [`GraphSession::edge_projection`]
+    /// writes.
+    pub fn edge_proj_table(&self) -> String {
+        format!("{}_edge_proj", self.name)
     }
 
     /// Bulk-loads an edge list: all edges into the edge table, and one vertex
@@ -236,25 +251,6 @@ impl GraphSession {
         Ok(self.db.query_int(&format!("SELECT COUNT(*) FROM {}", self.edge_table()))? as u64)
     }
 
-    /// Out-degree per vertex (vertices without out-edges get 0), computed
-    /// relationally.
-    pub fn out_degrees(&self) -> VertexicaResult<Vec<(VertexId, u64)>> {
-        let rows = self.db.query(&format!(
-            "SELECT v.id, COUNT(e.src) FROM {v} v LEFT JOIN {e} e ON v.id = e.src \
-             GROUP BY v.id ORDER BY v.id",
-            v = self.vertex_table(),
-            e = self.edge_table()
-        ))?;
-        Ok(rows
-            .into_iter()
-            .map(|r| {
-                let id = r[0].as_int().unwrap_or(0) as VertexId;
-                let d = r[1].as_int().unwrap_or(0) as u64;
-                (id, d)
-            })
-            .collect())
-    }
-
     /// Decodes all vertex values, sorted by id. Blob decoding is
     /// embarrassingly parallel over storage batches, so it runs on the
     /// database's shared worker pool (sequential inline when the pool has a
@@ -305,6 +301,7 @@ impl GraphSession {
         catalog.drop_table_if_exists(&self.edge_table())?;
         catalog.drop_table_if_exists(&self.message_table())?;
         catalog.drop_table_if_exists(&self.stamp_table())?;
+        catalog.drop_table_if_exists(&self.edge_proj_table())?;
         catalog.drop_table_if_exists(&format!("{}_vertex_new", self.name))?;
         catalog.drop_table_if_exists(&format!("{}_message_new", self.name))?;
         Ok(())
@@ -401,7 +398,8 @@ mod tests {
         let db = Arc::new(Database::new());
         let g = GraphSession::create(db, "g").unwrap();
         g.load_edges(&diamond()).unwrap();
-        let deg = g.out_degrees().unwrap();
+        let (edges, _) = g.edge_projection(1, 3).unwrap();
+        let deg = edges.vertex_degrees(&g).unwrap();
         assert_eq!(deg, vec![(0, 2), (1, 1), (2, 1), (3, 0)]);
     }
 

@@ -723,9 +723,8 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     prev_aggregates: &FxHashMap<String, f64>,
     agg_specs: &FxHashMap<String, AggKind>,
     msg_prev_table: Option<&str>,
-    edges: Option<Arc<EdgeProjection>>,
+    edges: Arc<EdgeProjection>,
 ) -> VertexicaResult<ShardReport> {
-    let edge_rows = edges.is_none();
     let n = exchange.num_shards();
     let parts = config.num_partitions.max(1);
     let db = sess.db();
@@ -749,7 +748,7 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     // Control plane: plan every destination's per-partition row counts and
     // swap matrices with the peers. expected[p] = what partition p of THIS
     // shard will receive from all N sources — the seal thresholds.
-    let counts = partition_row_plan(sess, n, parts, edge_rows)?;
+    let counts = partition_row_plan(sess, n, parts)?;
     let matrix = exchange.counts.exchange(shard, counts, &exchange.abort)?;
     let expected: Vec<u64> = (0..parts).map(|p| matrix.iter().map(|m| m[shard][p]).sum()).collect();
     let input_rows: u64 = expected.iter().sum();
@@ -775,6 +774,7 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
     let pipeline = db.run_transform_pipelined(
         &worker,
         vec![0],
+        n,
         parts,
         Some(expected),
         &mut |chunk_sink| {
@@ -783,11 +783,11 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
             // own chunks, opportunistically drain inbound boxes so remote
             // rows keep flowing (and sealing partitions) while both sides
             // still stream.
-            let peak = assemble_chunks(sess, config.stream_chunk_rows, edge_rows, &mut |chunk| {
+            let peak = assemble_chunks(sess, config.stream_chunk_rows, &mut |chunk| {
                 if exchange.aborted() {
                     return Err(VertexicaError::Runtime("sharded superstep aborted".into()));
                 }
-                for (d, piece) in split_batch(&chunk, &[0], n).map_err(VertexicaError::from)? {
+                for (d, piece) in split_batch(&chunk, &[0], 1, n).map_err(VertexicaError::from)? {
                     if d == shard {
                         chunk_sink(piece).map_err(VertexicaError::from)?;
                     } else {
@@ -1007,7 +1007,7 @@ pub(crate) fn run_shards<P: VertexProgram + 'static>(
     let mut edges = Vec::with_capacity(n);
     let mut projection_build_secs = 0.0;
     for sess in sessions {
-        let (projection, secs) = crate::projection::for_run(sess)?;
+        let (projection, secs) = sess.edge_projection(n, config.num_partitions)?;
         edges.push(projection);
         projection_build_secs += secs;
     }
@@ -1023,7 +1023,7 @@ pub(crate) fn run_shards<P: VertexProgram + 'static>(
                     program.as_ref(),
                     num_vertices,
                     vec![stamp],
-                    edges.as_deref(),
+                    edges,
                 )?;
             }
             if config.durable {
@@ -1066,7 +1066,7 @@ fn superstep_loop<P: VertexProgram + 'static>(
     num_vertices: u64,
     start_superstep: u64,
     mut prev_aggregates: FxHashMap<String, f64>,
-    edges: &[Option<Arc<EdgeProjection>>],
+    edges: &[Arc<EdgeProjection>],
 ) -> VertexicaResult<RunStats> {
     let n = sessions.len();
     // The crash-repair retention, which only a durable sharded run keeps.
@@ -1075,7 +1075,7 @@ fn superstep_loop<P: VertexProgram + 'static>(
     let agg_specs: FxHashMap<String, AggKind> =
         program.aggregators().into_iter().map(|s| (s.name.to_string(), s.kind)).collect();
     let mut stats = RunStats {
-        projection_bytes: edges.iter().flatten().map(|e| e.estimated_bytes()).sum(),
+        projection_bytes: edges.iter().map(|e| e.estimated_bytes()).sum(),
         ..RunStats::default()
     };
     let max_supersteps = config.max_supersteps.min(program.max_supersteps());
@@ -1322,7 +1322,7 @@ fn repair_shard<P: VertexProgram + 'static>(
             peer.message_table()
         };
         for batch in peer.db().scan_table(&table, None, &[])? {
-            for (d, piece) in split_batch(&batch, &[0], n).map_err(VertexicaError::from)? {
+            for (d, piece) in split_batch(&batch, &[0], 1, n).map_err(VertexicaError::from)? {
                 if d == shard {
                     remote.push(message_union_batch(&piece)?);
                 }
@@ -1335,8 +1335,8 @@ fn repair_shard<P: VertexProgram + 'static>(
     let msg_prev_segments =
         db.encode_segments_for(&msg_prev_table, db.scan_table(&sess.message_table(), None, &[])?)?;
 
-    let (edges, _) = crate::projection::for_run(sess)?;
-    let edge_rows = edges.is_none();
+    let parts = config.num_partitions.max(1);
+    let (edges, _) = sess.edge_projection(n, parts)?;
     let worker: Arc<dyn TransformUdf> = Arc::new(VertexWorker {
         program: program.clone(),
         superstep,
@@ -1345,17 +1345,17 @@ fn repair_shard<P: VertexProgram + 'static>(
         use_combiner: config.use_combiner,
         edges,
     });
-    let parts = config.num_partitions.max(1);
     let apply = ParallelApply::for_program(program.as_ref(), n, parts);
     let mut remote = Some(remote);
     db.run_transform_pipelined(
         &worker,
         vec![0],
+        n,
         parts,
         None,
         &mut |chunk_sink| {
-            let peak = assemble_chunks(sess, config.stream_chunk_rows, edge_rows, &mut |chunk| {
-                for (d, piece) in split_batch(&chunk, &[0], n).map_err(VertexicaError::from)? {
+            let peak = assemble_chunks(sess, config.stream_chunk_rows, &mut |chunk| {
+                for (d, piece) in split_batch(&chunk, &[0], 1, n).map_err(VertexicaError::from)? {
                     // Own rows feed the worker. Remote-owned rows in the
                     // local message table were already consumed by their
                     // (ahead or just-repaired) owners — drop them.

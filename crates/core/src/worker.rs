@@ -3,14 +3,17 @@
 //! "The worker is the container for the vertex-compute function … workers run
 //! as database UDFs and typically there are as many parallel workers as the
 //! number of cores" (§2.2). Each worker receives one hash partition of the
-//! table union, sorts it by vertex id (vertex batching, §2.3), reconstructs
-//! each vertex's value/edges/messages, runs `compute`, and emits new vertex
-//! states, outgoing messages and aggregator contributions as rows. Apply
-//! writes one sorted segment per owner cell, so a partition's input mostly
-//! arrives as a few already-sorted runs, and the sort is a merge of them. A
-//! vertex's edges come either from the partition's own edge rows or, when the
-//! run has one, from the session's [`EdgeProjection`] — then the partition
-//! holds vertex and message rows only.
+//! table union (vertex and message rows), sorts it by vertex id (vertex
+//! batching, §2.3), reconstructs each vertex's value/edges/messages, runs
+//! `compute`, and emits new vertex states, outgoing messages and aggregator
+//! contributions as rows. Apply writes one sorted segment per owner cell, so
+//! a partition's input mostly arrives as a few already-sorted runs, and the
+//! sort is a merge of them. A vertex's edges come from the run's
+//! [`EdgeProjection`]: the worker pins its partition's piece at its first
+//! active vertex and holds it for the rest of the partition, and for each
+//! active vertex copies that vertex's range of the piece into one reused
+//! buffer — a superstep's edge cost follows the degrees of its active
+//! vertices, not the size of the piece.
 
 use std::sync::Arc;
 
@@ -23,8 +26,8 @@ use vertexica_storage::{
     Bitmap, BlobData, Column, ColumnBuilder, DataType, Field, RecordBatch, Schema, Value,
 };
 
-use crate::input::{KIND_EDGE, KIND_MESSAGE, KIND_VERTEX};
-use crate::projection::{cmp_weight, EdgeProjection};
+use crate::input::{KIND_MESSAGE, KIND_VERTEX};
+use crate::projection::{EdgeProjection, PinnedPiece};
 
 /// Output-row kinds emitted by workers.
 pub const OUT_STATE: i64 = 0;
@@ -59,10 +62,9 @@ pub struct VertexWorker<P: VertexProgram> {
     pub prev_aggregates: Arc<FxHashMap<String, f64>>,
     /// Pre-combine messages per recipient within the partition.
     pub use_combiner: bool,
-    /// Where out-edges come from: the session's sorted edge projection, or
-    /// (`None`) the `KIND_EDGE` rows of the partition itself. Never both — an
-    /// edge row reaching a worker that holds a projection is an error.
-    pub edges: Option<Arc<EdgeProjection>>,
+    /// Where out-edges come from: the session's sorted edge projection,
+    /// built for the run's shard and partition counts.
+    pub edges: Arc<EdgeProjection>,
 }
 
 /// One nullable column as its typed storage (`[T]`, or [`BlobData`] for a
@@ -111,12 +113,12 @@ struct RowRef {
     row: u32,
 }
 
-/// The six union-schema columns of one partition batch, as typed slices.
+/// The five union-schema columns of one partition batch, as typed slices.
 ///
 /// [`RowKeys::cmp`] is the worker's canonical **total** order: (vid, kind)
-/// first — the paper's per-partition sort, vertex tuple leading its edges and
+/// first — the paper's per-partition sort, vertex tuple leading its
 /// messages — then every remaining column as a tiebreak. A mere (vid, kind)
-/// key leaves ties (a vertex's edges, its messages) in input order, which
+/// key leaves ties (a vertex's messages) in input order, which
 /// silently couples compute to the physical row order of the underlying
 /// tables, which apply writes cell-major — a different (but content-equal)
 /// order for every partition count and apply arm. With a total order, any two
@@ -133,14 +135,13 @@ struct RowKeys<'a> {
     vids: &'a [i64],
     kinds: &'a [i64],
     other: Nullable<'a, [i64]>,
-    weight: Nullable<'a, [f64]>,
     payload: Nullable<'a, BlobData>,
     halted: Nullable<'a, [bool]>,
 }
 
 impl<'a> RowKeys<'a> {
     fn of(batch: &'a RecordBatch) -> SqlResult<Self> {
-        if batch.num_columns() != 6 {
+        if batch.num_columns() != 5 {
             return Err(SqlError::Udf("worker input is not in the union schema".into()));
         }
         let key = |i: usize, what: &str| {
@@ -152,11 +153,9 @@ impl<'a> RowKeys<'a> {
             kinds: key(1, "kind column")?,
             other: Nullable::of(batch.column(2), Column::as_int)
                 .ok_or_else(|| mistyped("other"))?,
-            weight: Nullable::of(batch.column(3), Column::as_float)
-                .ok_or_else(|| mistyped("weight"))?,
-            payload: Nullable::of(batch.column(4), Column::as_blob)
+            payload: Nullable::of(batch.column(3), Column::as_blob)
                 .ok_or_else(|| mistyped("payload"))?,
-            halted: Nullable::of(batch.column(5), Column::as_bool)
+            halted: Nullable::of(batch.column(4), Column::as_bool)
                 .ok_or_else(|| mistyped("halted"))?,
         })
     }
@@ -166,7 +165,6 @@ impl<'a> RowKeys<'a> {
         (self.vids[a], self.kinds[a])
             .cmp(&(other.vids[b], other.kinds[b]))
             .then_with(|| self.other.get(a).cmp(&other.other.get(b)))
-            .then_with(|| cmp_weight(self.weight.get(a).copied(), other.weight.get(b).copied()))
             .then_with(|| self.payload.get(a).cmp(&other.payload.get(b)))
             .then_with(|| self.halted.get(a).cmp(&other.halted.get(b)))
     }
@@ -251,7 +249,7 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
     fn execute(&self, partition: Vec<RecordBatch>) -> SqlResult<Vec<RecordBatch>> {
         // Sort the partition's rows by (vid, kind, …): the paper's
         // per-partition sort on vertex id, with the vertex tuple leading its
-        // edges and messages.
+        // messages.
         let keys: Vec<RowKeys<'_>> = partition.iter().map(RowKeys::of).collect::<SqlResult<_>>()?;
         let at = |r: RowRef| (&keys[r.batch as usize], r.row as usize);
         let cmp = |a: RowRef, b: RowRef| {
@@ -267,8 +265,8 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
             order.extend((0..rows).map(|row| RowRef { batch: batch_idx, row }));
         }
         // The batches are the segments apply wrote, one per owner cell and
-        // each sorted in this order, or pieces of unaligned input (edge
-        // rows, the initial vertex table, user DML).
+        // each sorted in this order, or pieces of unaligned input (the
+        // initial vertex table, user DML).
         // The stable sort finds the already-sorted runs and merges them; it
         // sorts only what arrives out of order.
         let n = order.len();
@@ -283,7 +281,10 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
 
         // Walk vertex groups. The per-vertex buffers are reused across
         // vertices, so a vertex costs no allocation of the worker's own.
-        let mut row_edges: Vec<Edge> = Vec::new();
+        // The partition's projection piece is pinned at its first active
+        // vertex: a partition with none never touches it.
+        let mut piece: Option<PinnedPiece> = None;
+        let mut edges: Vec<Edge> = Vec::new();
         let mut msgs: Vec<P::Message> = Vec::new();
         let mut sent: Vec<(VertexId, P::Message)> = Vec::new();
         let mut agg_out: Vec<(String, f64)> = Vec::new();
@@ -294,7 +295,6 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
             let vid = first.vids[row] as VertexId;
             let mut j = i;
             let mut vertex_row: Option<RowRef> = None;
-            row_edges.clear();
             msgs.clear();
             while j < n {
                 let (k, row) = at(order[j]);
@@ -303,17 +303,6 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
                 }
                 match k.kinds[row] {
                     KIND_VERTEX => vertex_row = Some(order[j]),
-                    KIND_EDGE => {
-                        if self.edges.is_some() {
-                            return Err(SqlError::Udf(format!(
-                                "edge row for vertex {vid} reached a worker that reads edges \
-                                 from the projection"
-                            )));
-                        }
-                        let dst = k.other.get(row).copied().unwrap_or(0) as VertexId;
-                        let w = k.weight.get(row).copied().unwrap_or(1.0);
-                        row_edges.push(Edge::weighted(vid, dst, w));
-                    }
                     KIND_MESSAGE => {
                         let bytes = k
                             .payload
@@ -343,17 +332,18 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
                 .get(vrow)
                 .ok_or_else(|| SqlError::Udf(format!("vertex {vid} has no initialized value")))?;
             let value = Self::decode_value(old_bytes)?;
-            let edges: &[Edge] = match &self.edges {
-                Some(projection) => projection.out_edges(vid),
-                None => &row_edges,
+            let pinned = match &mut piece {
+                Some(pinned) => pinned,
+                None => piece.insert(self.edges.pin(vid).map_err(udf_error)?),
             };
+            pinned.out_edges(vid, &mut edges).map_err(udf_error)?;
 
             let mut ctx: WorkerCtx<'_, P> = WorkerCtx {
                 id: vid,
                 superstep: self.superstep,
                 num_vertices: self.num_vertices,
                 value,
-                edges,
+                edges: &edges,
                 sent: std::mem::take(&mut sent),
                 voted_halt: false,
                 agg_out: std::mem::take(&mut agg_out),
@@ -421,6 +411,10 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
         }
         Ok(vec![out.finish()?])
     }
+}
+
+fn udf_error(e: crate::error::VertexicaError) -> SqlError {
+    SqlError::Udf(e.to_string())
 }
 
 /// The column builders of one worker output batch
@@ -536,32 +530,17 @@ mod tests {
         }
     }
 
-    /// Builds a union-schema batch for: vertex rows with f64 values, edges,
+    /// Builds a union-schema batch for: vertex rows with f64 values,
     /// messages of f64.
-    fn build_input(
-        vertices: &[(u64, f64, bool)],
-        edges: &[(u64, u64)],
-        msgs: &[(u64, u64, f64)],
-    ) -> RecordBatch {
+    fn build_input(vertices: &[(u64, f64, bool)], msgs: &[(u64, u64, f64)]) -> RecordBatch {
         let mut rows = Vec::new();
         for (id, v, halted) in vertices {
             rows.push(vec![
                 Value::Int(*id as i64),
                 Value::Int(KIND_VERTEX),
                 Value::Null,
-                Value::Null,
                 Value::Blob(v.to_bytes()),
                 Value::Bool(*halted),
-            ]);
-        }
-        for (s, d) in edges {
-            rows.push(vec![
-                Value::Int(*s as i64),
-                Value::Int(KIND_EDGE),
-                Value::Int(*d as i64),
-                Value::Float(1.0),
-                Value::Null,
-                Value::Null,
             ]);
         }
         for (to, from, m) in msgs {
@@ -569,7 +548,6 @@ mod tests {
                 Value::Int(*to as i64),
                 Value::Int(KIND_MESSAGE),
                 Value::Int(*from as i64),
-                Value::Null,
                 Value::Blob(m.to_bytes()),
                 Value::Null,
             ]);
@@ -577,14 +555,24 @@ mod tests {
         RecordBatch::from_rows(union_schema(), &rows).unwrap()
     }
 
-    fn worker(superstep: u64, combiner: bool) -> VertexWorker<MaxProp> {
+    /// The projection of a graph holding `edges`, at one shard and
+    /// `partitions` partitions.
+    fn projection(edges: &[(u64, u64)], partitions: usize) -> Arc<EdgeProjection> {
+        use vertexica_common::graph::EdgeList;
+        let g = crate::GraphSession::create(Arc::new(vertexica_sql::Database::new()), "g").unwrap();
+        g.load_edges(&EdgeList::from_pairs(edges.iter().copied())).unwrap();
+        g.edge_projection(1, partitions).unwrap().0
+    }
+
+    /// A worker reading `edges` from a one-partition projection.
+    fn worker(edges: &[(u64, u64)], superstep: u64, combiner: bool) -> VertexWorker<MaxProp> {
         VertexWorker {
             program: Arc::new(MaxProp),
             superstep,
             num_vertices: 3,
             prev_aggregates: Arc::new(FxHashMap::default()),
             use_combiner: combiner,
-            edges: None,
+            edges: projection(edges, 1),
         }
     }
 
@@ -597,12 +585,8 @@ mod tests {
 
     #[test]
     fn superstep_zero_activates_everyone() {
-        let input = build_input(
-            &[(0, 0.0, false), (1, 1.0, false), (2, 2.0, false)],
-            &[(0, 1), (1, 2)],
-            &[],
-        );
-        let out = worker(0, false).execute(vec![input]).unwrap();
+        let input = build_input(&[(0, 0.0, false), (1, 1.0, false), (2, 2.0, false)], &[]);
+        let out = worker(&[(0, 1), (1, 2)], 0, false).execute(vec![input]).unwrap();
         // Every vertex emits a state row (it halted, at minimum).
         assert_eq!(rows_of_kind(&out, OUT_STATE).len(), 3);
         // Vertices 0 and 1 send to their neighbour; 2 has no edges.
@@ -619,16 +603,16 @@ mod tests {
 
     #[test]
     fn halted_vertices_without_messages_skip() {
-        let input = build_input(&[(0, 0.0, true), (1, 1.0, true)], &[(0, 1)], &[]);
-        let out = worker(1, false).execute(vec![input]).unwrap();
+        let input = build_input(&[(0, 0.0, true), (1, 1.0, true)], &[]);
+        let out = worker(&[(0, 1)], 1, false).execute(vec![input]).unwrap();
         assert!(rows_of_kind(&out, OUT_STATE).is_empty());
         assert!(rows_of_kind(&out, OUT_MESSAGE).is_empty());
     }
 
     #[test]
     fn message_reactivates_halted_vertex() {
-        let input = build_input(&[(1, 1.0, true)], &[(1, 0)], &[(1, 0, 9.0)]);
-        let out = worker(1, false).execute(vec![input]).unwrap();
+        let input = build_input(&[(1, 1.0, true)], &[(1, 0, 9.0)]);
+        let out = worker(&[(1, 0)], 1, false).execute(vec![input]).unwrap();
         let states = rows_of_kind(&out, OUT_STATE);
         assert_eq!(states.len(), 1);
         // New value is 9.0.
@@ -642,8 +626,8 @@ mod tests {
         // Vertex already halted=false... superstep 1, has a message smaller
         // than its value, so value doesn't change — but it votes halt, which
         // *is* a state change. Pre-halt it so the vote matches the old state:
-        let input = build_input(&[(1, 5.0, true)], &[], &[(1, 0, 1.0)]);
-        let out = worker(1, false).execute(vec![input]).unwrap();
+        let input = build_input(&[(1, 5.0, true)], &[(1, 0, 1.0)]);
+        let out = worker(&[], 1, false).execute(vec![input]).unwrap();
         // Message is smaller: value unchanged; votes halt → halted stays
         // true → no state row at all.
         assert!(rows_of_kind(&out, OUT_STATE).is_empty());
@@ -653,12 +637,8 @@ mod tests {
     fn combiner_folds_messages() {
         // Two vertices both send to vertex 2; with combiner only one message
         // row survives carrying the max.
-        let input = build_input(
-            &[(0, 10.0, false), (1, 20.0, false), (2, 0.0, false)],
-            &[(0, 2), (1, 2)],
-            &[],
-        );
-        let out = worker(0, true).execute(vec![input]).unwrap();
+        let input = build_input(&[(0, 10.0, false), (1, 20.0, false), (2, 0.0, false)], &[]);
+        let out = worker(&[(0, 2), (1, 2)], 0, true).execute(vec![input]).unwrap();
         let msgs = rows_of_kind(&out, OUT_MESSAGE);
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0][3], Value::Blob(20.0f64.to_bytes()));
@@ -666,8 +646,8 @@ mod tests {
 
     #[test]
     fn message_to_missing_vertex_dropped() {
-        let input = build_input(&[(0, 0.0, false)], &[], &[(99, 0, 1.0)]);
-        let out = worker(1, false).execute(vec![input]).unwrap();
+        let input = build_input(&[(0, 0.0, false)], &[(99, 0, 1.0)]);
+        let out = worker(&[], 1, false).execute(vec![input]).unwrap();
         // No crash; only vertex 0's state.
         assert!(rows_of_kind(&out, OUT_STATE).len() <= 1);
     }
@@ -690,9 +670,8 @@ mod tests {
         // One partition's rows as one shuffled batch, as sorted runs whose
         // concatenation is unsorted (the owner-aligned segments apply
         // writes), and as shuffled pieces: the worker's sort must make the
-        // three bitwise identical. Vertices have several edges and messages
-        // each, so a run left unsorted reorders a vertex's edges or message
-        // slice.
+        // three bitwise identical. Vertices have several messages each, so a
+        // run left unsorted reorders a vertex's message slice.
         let n = 2048u64;
         let vertices: Vec<(u64, f64, bool)> = (0..n).map(|i| (i, (i % 97) as f64, false)).collect();
         let edges: Vec<(u64, u64)> =
@@ -700,7 +679,12 @@ mod tests {
         let msgs: Vec<(u64, u64, f64)> = (0..n)
             .flat_map(|i| [(i, (i + 5) % n, (i % 13) as f64), (i, (i + 1) % n, (i % 7) as f64)])
             .collect();
-        let input = build_input(&vertices, &edges, &msgs);
+        let input = build_input(&vertices, &msgs);
+        let worker = |superstep, combiner| VertexWorker {
+            num_vertices: n,
+            edges: projection(&edges, 1),
+            ..worker(&[], superstep, combiner)
+        };
         let rows = input.num_rows();
         // 7919 is prime and rows isn't a multiple of it: a bijection.
         let perm: Vec<usize> = (0..rows).map(|i| (i * 7919) % rows).collect();
@@ -731,48 +715,58 @@ mod tests {
         out.iter().flat_map(RecordBatch::rows).collect()
     }
 
+    /// At four partitions each partition's worker reads its vertices'
+    /// edges from its own piece, and together they emit what one worker
+    /// over the whole graph does; a vertex of another partition is an error.
     #[test]
-    fn projection_worker_matches_edge_row_worker_and_rejects_edge_rows() {
-        use vertexica_common::graph::EdgeList;
-        let edges = [(0, 1), (1, 2), (0, 2), (0, 1)];
-        let g = crate::GraphSession::create(Arc::new(vertexica_sql::Database::new()), "g").unwrap();
-        g.load_edges(&EdgeList::from_pairs(edges)).unwrap();
-        let (projection, _) = g.edge_projection().unwrap();
-        let mut from_projection = worker(0, false);
-        from_projection.edges = Some(projection);
+    fn each_partition_reads_its_own_piece() {
+        use vertexica_storage::partition::{owner, split_batch};
+        let edges: Vec<(u64, u64)> =
+            (0..40u64).flat_map(|v| [(v, (v * 7 + 3) % 40), (v, (v + 1) % 40)]).collect();
+        let vertices: Vec<(u64, f64, bool)> = (0..40).map(|v| (v, v as f64, false)).collect();
+        let msgs: Vec<(u64, u64, f64)> =
+            (0..40).map(|v| (v, (v + 9) % 40, 50.0 - v as f64)).collect();
+        let input = build_input(&vertices, &msgs);
+        let whole = VertexWorker { edges: projection(&edges, 1), ..worker(&[], 1, false) };
+        let split = VertexWorker { edges: projection(&edges, 4), ..worker(&[], 1, false) };
+        let mut pieces = Vec::new();
+        for (_, part) in split_batch(&input, &[0], 1, 4).unwrap() {
+            pieces.extend(all_rows(&split.execute(vec![part]).unwrap()));
+        }
+        let mut expected = all_rows(&whole.execute(vec![input]).unwrap());
+        let sort = |rows: &mut Vec<Vec<Value>>| rows.sort_by_key(|r| format!("{r:?}"));
+        sort(&mut pieces);
+        sort(&mut expected);
+        assert_eq!(pieces, expected);
 
-        let vertices = [(0, 0.0, false), (1, 1.0, false), (2, 2.0, false)];
-        let msgs = [(2, 0, 5.0), (2, 1, 4.0)];
-        let with_rows = worker(0, false).execute(vec![build_input(&vertices, &edges, &msgs)]);
-        let without = from_projection.execute(vec![build_input(&vertices, &[], &msgs)]);
-        assert_eq!(all_rows(&with_rows.unwrap()), all_rows(&without.unwrap()));
-
-        // The two edge sources never merge: a stray edge row is an error.
-        let stray = from_projection.execute(vec![build_input(&vertices, &[(0, 1)], &[])]);
-        assert!(matches!(stray, Err(SqlError::Udf(msg)) if msg.contains("projection")));
+        // Vertices of two partitions in one worker's input.
+        let stranger = (1..40).find(|&v| owner(v, 1, 4).1 != owner(0, 1, 4).1).unwrap();
+        let mixed = build_input(&[(0, 0.0, false), (stranger as u64, 1.0, false)], &[]);
+        let wrong = split.execute(vec![mixed]);
+        assert!(matches!(wrong, Err(SqlError::Udf(msg)) if msg.contains("partition")));
     }
 
     #[test]
     fn typed_row_order_is_the_value_total_cmp_chain() {
-        // Every pair of rows — across two batches, with NULLs, NaN, -0.0 and
-        // an empty blob beside a NULL one — must order exactly as the boxed
-        // `Value::total_cmp` comparison of all six columns does.
+        // Every pair of rows — across two batches, with NULLs and an empty
+        // blob beside a NULL one — must order exactly as the boxed
+        // `Value::total_cmp` comparison of all five columns does.
         let blob = |b: &[u8]| Value::Blob(b.to_vec());
-        let tails: Vec<[Value; 4]> = vec![
-            [Value::Null, Value::Null, Value::Null, Value::Null],
-            [Value::Int(-1), Value::Float(f64::NAN), blob(b""), Value::Bool(false)],
-            [Value::Int(-1), Value::Float(-0.0), blob(b"\x00"), Value::Bool(true)],
-            [Value::Int(-1), Value::Float(0.0), blob(b"\x00\x01"), Value::Null],
-            [Value::Int(7), Value::Float(-f64::NAN), blob(b"\xff"), Value::Bool(true)],
-            [Value::Int(7), Value::Null, Value::Null, Value::Bool(false)],
-            [Value::Int(i64::MAX), Value::Float(f64::NEG_INFINITY), blob(b"\x00"), Value::Null],
+        let tails: Vec<[Value; 3]> = vec![
+            [Value::Null, Value::Null, Value::Null],
+            [Value::Int(-1), blob(b""), Value::Bool(false)],
+            [Value::Int(-1), blob(b"\x00"), Value::Bool(true)],
+            [Value::Int(-1), blob(b"\x00\x01"), Value::Null],
+            [Value::Int(7), blob(b"\xff"), Value::Bool(true)],
+            [Value::Int(7), Value::Null, Value::Bool(false)],
+            [Value::Int(i64::MAX), blob(b"\x00"), Value::Null],
             // Alike but for a NULL against an empty payload: both are
             // zero-length cells, and only validity orders them.
-            [Value::Int(9), Value::Float(1.0), Value::Null, Value::Bool(true)],
-            [Value::Int(9), Value::Float(1.0), blob(b""), Value::Bool(true)],
+            [Value::Int(9), Value::Null, Value::Bool(true)],
+            [Value::Int(9), blob(b""), Value::Bool(true)],
         ];
         let mut rows = Vec::new();
-        for (vid, kind) in [(i64::MIN, 0), (3, 2), (3, 0), (3, 1), (i64::MAX, 2)] {
+        for (vid, kind) in [(i64::MIN, 0), (3, 1), (3, 0), (i64::MAX, 1)] {
             for tail in &tails {
                 let mut row = vec![Value::Int(vid), Value::Int(kind)];
                 row.extend(tail.iter().cloned());
@@ -811,12 +805,11 @@ mod tests {
             Value::Int(0),
             Value::Int(KIND_VERTEX),
             Value::Null,
-            Value::Null,
             Value::Blob(vec![1, 2, 3]), // not a valid f64
             Value::Bool(false),
         ]];
         let input = RecordBatch::from_rows(union_schema(), &rows).unwrap();
-        assert!(worker(0, false).execute(vec![input]).is_err());
+        assert!(worker(&[], 0, false).execute(vec![input]).is_err());
     }
 
     #[test]
@@ -826,10 +819,9 @@ mod tests {
             Value::Int(KIND_VERTEX),
             Value::Null,
             Value::Null,
-            Value::Null,
             Value::Bool(false),
         ]];
         let input = RecordBatch::from_rows(union_schema(), &rows).unwrap();
-        assert!(worker(0, false).execute(vec![input]).is_err());
+        assert!(worker(&[], 0, false).execute(vec![input]).is_err());
     }
 }

@@ -471,7 +471,9 @@ impl Database {
     }
 
     /// Runs a transform UDF over a produced input stream, hash-partitioned
-    /// on `key_columns` into `num_partitions` — the paper's worker
+    /// on `key_columns` into `num_partitions` — the partition half of
+    /// [`vertexica_storage::partition::owner`] for one shard of a
+    /// `num_shards`-shard run (1 outside one) — the paper's worker
     /// invocation (§2.2–§2.3: parallel workers + vertex batching) — fully
     /// pipelined: input production, partition scatter and per-partition
     /// compute overlap on the shared pool.
@@ -517,10 +519,12 @@ impl Database {
     /// it ever held at once while producing. The value is passed
     /// through as [`PipelinedReport::peak_resident_scan_bytes`] (0 if the
     /// producer doesn't measure).
+    #[allow(clippy::too_many_arguments)]
     pub fn run_transform_pipelined(
         &self,
         udf: &Arc<dyn TransformUdf>,
         key_columns: Vec<usize>,
+        num_shards: usize,
         num_partitions: usize,
         expected_rows: Option<Vec<u64>>,
         produce: &mut dyn FnMut(&mut ChunkSink<'_>) -> SqlResult<usize>,
@@ -547,7 +551,7 @@ impl Database {
                 let bytes = chunk.estimated_bytes();
                 input_bytes += bytes;
                 peak_chunk_bytes = peak_chunk_bytes.max(bytes);
-                let pieces = split_batch(&chunk, &key_columns, num_partitions)?;
+                let pieces = split_batch(&chunk, &key_columns, num_shards, num_partitions)?;
                 sealed.extend(partitioner.absorb(pieces)?);
                 Ok(())
             })?;
@@ -579,6 +583,7 @@ impl Database {
             sink,
             partitioner: Mutex::new(partitioner),
             key_columns,
+            num_shards,
             num_partitions,
             planned,
             failure: Mutex::new(None),
@@ -624,12 +629,16 @@ impl Database {
                 shared.scatter_pending.fetch_add(1, Ordering::SeqCst);
                 scope.spawn(move || {
                     if shared.failure.lock().is_none() {
-                        let sealed =
-                            split_batch(&chunk, &shared.key_columns, shared.num_partitions)
-                                .map_err(SqlError::from)
-                                .and_then(|pieces| {
-                                    shared.partitioner.lock().absorb(pieces).map_err(Into::into)
-                                });
+                        let sealed = split_batch(
+                            &chunk,
+                            &shared.key_columns,
+                            shared.num_shards,
+                            shared.num_partitions,
+                        )
+                        .map_err(SqlError::from)
+                        .and_then(|pieces| {
+                            shared.partitioner.lock().absorb(pieces).map_err(Into::into)
+                        });
                         match sealed {
                             Ok(sealed) => pipe_dispatch(shared, scope, sealed, true),
                             Err(e) => shared.fail(e),
@@ -850,6 +859,7 @@ struct PipeShared<'a> {
     sink: &'a (dyn Fn(usize, Vec<RecordBatch>) -> SqlResult<()> + Sync),
     partitioner: Mutex<StreamingPartitioner>,
     key_columns: Vec<usize>,
+    num_shards: usize,
     num_partitions: usize,
     /// Whether the partitioner was armed with an expected-rows plan — in
     /// which case *every* partition must seal by itself and an end-of-stream
@@ -1507,6 +1517,7 @@ mod tests {
         let report = db.run_transform_pipelined(
             udf,
             vec![0],
+            1,
             parts,
             plan,
             &mut |sink| {
@@ -1539,6 +1550,7 @@ mod tests {
         db.run_transform_pipelined(
             &udf,
             vec![0],
+            1,
             12,
             None,
             &mut |sink| sink(int_chunks(&[(0..96).collect()]).remove(0)).map(|_| 0),
@@ -1621,6 +1633,7 @@ mod tests {
                 .run_transform_pipelined(
                     &udf,
                     vec![0],
+                    1,
                     6,
                     Some(chunk_plan(&chunks, 6)),
                     &mut |sink| chunks.iter().try_for_each(|c| sink(c.clone())).map(|_| 0),
@@ -1700,6 +1713,7 @@ mod tests {
             .run_transform_pipelined(
                 &udf,
                 vec![0],
+                1,
                 parts,
                 Some(plan),
                 &mut |sink| {
@@ -1740,6 +1754,7 @@ mod tests {
                 .run_transform_pipelined(
                     &udf,
                     vec![0],
+                    1,
                     2,
                     None,
                     &mut |sink| {
@@ -1796,6 +1811,7 @@ mod tests {
                 .run_transform_pipelined(
                     &ok,
                     vec![0],
+                    1,
                     4,
                     None,
                     &mut |sink| {

@@ -20,6 +20,16 @@
 //!   address (a segment newer than the last checkpoint has no disk twin and
 //!   is never evictable — "eviction only behind the watermark"), and
 //!   entries whose second-chance bit is set.
+//! * New resident bytes — a registered segment, a reload — are admitted in
+//!   one step under the registry lock: make room, then charge them. Several
+//!   workers reloading at once (each pins its partition's edge-projection
+//!   piece for the whole partition) therefore cannot all pass the same
+//!   capacity check and overshoot the budget together.
+//!
+//! The pool does not know tables: vertex, message and edge-projection
+//! segments are all just entries. A grouped commit on a durable database
+//! writes each new table's image and assigns its segments' spill addresses
+//! before installing them, so committed segments are evictable at once.
 //!
 //! Lock order: the pool's registry lock and each entry's state lock are
 //! never both *blocked on* in opposite orders. A reloading pin holds its
@@ -233,16 +243,30 @@ impl SegmentHandle {
         let dir = pool
             .dir()
             .ok_or_else(|| StorageError::Internal("buffer pool has no spill directory".into()))?;
-        // Make room first. Holding our state lock here is fine: the evictor
-        // only try_locks entry state and skips us (we're pinned anyway).
-        pool.ensure_capacity(self.entry.bytes);
-        let seg = persist::read_segment_at(dir.join(&addr.file), addr.offset, addr.len, addr.crc)?;
-        if seg.num_rows() != self.entry.num_rows {
-            return Err(StorageError::Corrupt("reloaded segment row-count mismatch".into()));
-        }
-        let seg = Arc::new(seg);
+        // Make room and charge the bytes first, in one step, so concurrent
+        // reloads cannot all pass the same capacity check. Holding our state
+        // lock here is fine: the evictor only try_locks entry state and
+        // skips us (we're pinned anyway).
+        pool.admit(self.entry.bytes);
+        let reloaded =
+            persist::read_segment_at(dir.join(&addr.file), addr.offset, addr.len, addr.crc)
+                .and_then(|seg| {
+                    if seg.num_rows() != self.entry.num_rows {
+                        return Err(StorageError::Corrupt(
+                            "reloaded segment row-count mismatch".into(),
+                        ));
+                    }
+                    Ok(Arc::new(seg))
+                });
+        let seg = match reloaded {
+            Ok(seg) => seg,
+            Err(e) => {
+                pool.sub_resident(self.entry.bytes);
+                return Err(e);
+            }
+        };
         *state = SlotState::Resident(seg.clone());
-        pool.note_reload(self.entry.bytes);
+        pool.reloads.fetch_add(1, Ordering::Relaxed);
         Ok(seg)
     }
 }
@@ -341,16 +365,24 @@ impl BufferPool {
             return;
         }
         *entry.pool.lock() = Arc::downgrade(self);
-        let resident_bytes = if handle.is_resident() { entry.bytes } else { 0 };
-        if resident_bytes > 0 {
-            self.ensure_capacity(resident_bytes);
+        if handle.is_resident() {
+            self.admit(entry.bytes);
+        }
+        self.registry.lock().entries.push(Arc::downgrade(entry));
+    }
+
+    /// Makes room for `incoming` bytes and charges them, in one step under
+    /// the registry lock when budgeted: two admissions can never both pass
+    /// one capacity check, so concurrent reloads (workers pinning pieces at
+    /// once) overshoot the budget by no more than the unevictable set does.
+    fn admit(&self, incoming: usize) {
+        if self.budget().is_none() {
+            self.add_resident(incoming);
+            return;
         }
         let mut reg = self.registry.lock();
-        reg.entries.push(Arc::downgrade(entry));
-        drop(reg);
-        if resident_bytes > 0 {
-            self.add_resident(resident_bytes);
-        }
+        self.evict_locked(&mut reg, incoming);
+        self.add_resident(incoming);
     }
 
     /// Evicts cold entries until `resident + incoming <= budget` or nothing
@@ -363,7 +395,12 @@ impl BufferPool {
         {
             return;
         }
-        let mut reg = self.registry.lock();
+        self.evict_locked(&mut self.registry.lock(), incoming);
+    }
+
+    /// The sweep of [`BufferPool::ensure_capacity`], under the registry lock.
+    fn evict_locked(&self, reg: &mut Registry, incoming: usize) {
+        let Some(budget) = self.budget() else { return };
         let n = reg.entries.len();
         if n == 0 {
             return;
@@ -467,11 +504,6 @@ impl BufferPool {
 
     fn sub_resident(&self, bytes: usize) {
         self.resident_bytes.fetch_sub(bytes as u64, Ordering::SeqCst);
-    }
-
-    fn note_reload(&self, bytes: usize) {
-        self.add_resident(bytes);
-        self.reloads.fetch_add(1, Ordering::Relaxed);
     }
 }
 

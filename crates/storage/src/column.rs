@@ -179,26 +179,35 @@ impl Column {
         Ok(b.finish())
     }
 
-    /// Column of `n` copies of one value.
+    /// Column of `n` copies of one value, built in one step per type: a
+    /// NULL is `n` default cells under an all-zero validity bitmap, as `n`
+    /// [`ColumnBuilder::push_null`] calls would leave them.
     pub fn repeat(dtype: DataType, value: &Value, n: usize) -> StorageResult<Self> {
-        if dtype == DataType::Blob {
-            if value.is_null() {
-                let all_null = (n > 0).then(|| Bitmap::zeros(n));
-                return Ok(Column::new(ColumnData::Blob(BlobData::empty_cells(n)), all_null));
-            }
-            let value = value.coerce(dtype)?;
-            let cell = value.as_blob().expect("coerce guarantees matching type");
-            let mut cells = BlobData::with_capacity(n, n * cell.len());
-            for _ in 0..n {
-                cells.push(cell);
-            }
-            return Ok(Column::new(ColumnData::Blob(cells), None));
+        if value.is_null() {
+            let data = match dtype {
+                DataType::Bool => ColumnData::Bool(vec![false; n]),
+                DataType::Int => ColumnData::Int(vec![0; n]),
+                DataType::Float => ColumnData::Float(vec![0.0; n]),
+                DataType::Str => ColumnData::Str(vec![String::new(); n]),
+                DataType::Blob => ColumnData::Blob(BlobData::empty_cells(n)),
+            };
+            return Ok(Column::new(data, Some(Bitmap::zeros(n))));
         }
-        let mut b = ColumnBuilder::with_capacity(dtype, n);
-        for _ in 0..n {
-            b.push(value.clone())?;
-        }
-        Ok(b.finish())
+        let data = match value.coerce(dtype)? {
+            Value::Bool(x) => ColumnData::Bool(vec![x; n]),
+            Value::Int(x) => ColumnData::Int(vec![x; n]),
+            Value::Float(x) => ColumnData::Float(vec![x; n]),
+            Value::Str(x) => ColumnData::Str(vec![x; n]),
+            Value::Blob(cell) => {
+                let mut cells = BlobData::with_capacity(n, n * cell.len());
+                for _ in 0..n {
+                    cells.push(&cell);
+                }
+                ColumnData::Blob(cells)
+            }
+            Value::Null => unreachable!("a non-NULL value coerces to a non-NULL value"),
+        };
+        Ok(Column::new(data, None))
     }
 
     pub fn len(&self) -> usize {
@@ -579,6 +588,36 @@ mod tests {
     fn int_col(vals: &[i64]) -> Column {
         Column::from_values(DataType::Int, &vals.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>())
             .unwrap()
+    }
+
+    /// `repeat` builds typed storage directly; it must leave exactly the
+    /// column `n` builder pushes leave — data, validity and byte estimate.
+    #[test]
+    fn repeat_equals_the_builder_built_column() {
+        let cases = [
+            (DataType::Bool, Value::Bool(true)),
+            (DataType::Int, Value::Int(-7)),
+            (DataType::Float, Value::Float(2.5)),
+            (DataType::Float, Value::Int(3)),
+            (DataType::Str, Value::Str("ab".into())),
+            (DataType::Blob, Value::Blob(vec![1, 2, 3])),
+        ];
+        for (dtype, value) in cases {
+            for value in [Value::Null, value] {
+                for n in [0usize, 1, 1000] {
+                    let mut b = ColumnBuilder::new(dtype);
+                    for _ in 0..n {
+                        b.push(value.clone()).unwrap();
+                    }
+                    let built = b.finish();
+                    let repeated = Column::repeat(dtype, &value, n).unwrap();
+                    let what = format!("{dtype:?} × {value:?} × {n}");
+                    assert_eq!(format!("{repeated:?}"), format!("{built:?}"), "{what}");
+                    assert_eq!(repeated.estimated_bytes(), built.estimated_bytes(), "{what}");
+                }
+            }
+        }
+        assert!(Column::repeat(DataType::Int, &Value::Str("x".into()), 2).is_err());
     }
 
     #[test]

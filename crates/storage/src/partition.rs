@@ -11,38 +11,57 @@ use crate::error::{StorageError, StorageResult};
 use vertexica_common::hash::mix64;
 
 /// Where vertex `id` lives: `(shard, partition)`, the shard `h % num_shards`
-/// and the compute partition `h % num_partitions` of one hash
+/// and the compute partition `(h / num_shards) % num_partitions` of one hash
 /// `h = mix64(mix64(id))`. This is the engine's one ownership rule: the
 /// sharded load places rows by it, [`split_batch`] scatters a chunk by it
-/// (the hash of a one-column Int key in [`partition_assignments`]), and
-/// apply writes one segment per `(shard, partition)` cell by it, so the
-/// segments apply writes come back to the next superstep's scatter whole.
+/// (the hash of a one-column Int key in [`partition_assignments`]), apply
+/// writes one segment per `(shard, partition)` cell by it, and the edge
+/// projection keeps one piece per partition by it, so the segments apply
+/// writes come back to the next superstep's scatter whole.
+///
+/// The partition divides the shard's share out of the hash first: with
+/// `h % num_partitions`, a shard count and a partition count with a common
+/// factor `g` would leave shard `k` only the partitions `p ≡ k (mod g)`. At
+/// one shard the partition is `h % num_partitions`.
 pub fn owner(id: i64, num_shards: usize, num_partitions: usize) -> (usize, usize) {
     assert!(num_shards > 0 && num_partitions > 0, "shard and partition counts must be positive");
     // Column::hash_combine for an Int column folded into a zero seed:
     // h = mix64(rotl(0, 23) ^ mix64(key)).
     let h = mix64(mix64(id as u64));
-    ((h % num_shards as u64) as usize, (h % num_partitions as u64) as usize)
+    ((h % num_shards as u64) as usize, partition_of(h, num_shards, num_partitions))
+}
+
+/// The partition half of [`owner`] for key hash `h`.
+#[inline]
+pub fn partition_of(h: u64, num_shards: usize, num_partitions: usize) -> usize {
+    ((h / num_shards as u64) % num_partitions as u64) as usize
 }
 
 /// Computes, for every row across `batches`, the target partition in
-/// `0..num_partitions` by hashing the `key_columns`.
+/// `0..num_partitions` by hashing the `key_columns`: `h % num_partitions`,
+/// which is [`owner`]'s partition at one shard and its shard at one
+/// partition.
 pub fn partition_assignments(
     batches: &[RecordBatch],
     key_columns: &[usize],
     num_partitions: usize,
 ) -> Vec<Vec<usize>> {
     assert!(num_partitions > 0, "num_partitions must be positive");
-    batches
-        .iter()
-        .map(|batch| {
-            let mut hashes = vec![0u64; batch.num_rows()];
-            for &k in key_columns {
-                batch.column(k).hash_combine(&mut hashes);
-            }
-            hashes.iter().map(|h| (h % num_partitions as u64) as usize).collect()
-        })
-        .collect()
+    batches.iter().map(|batch| assignments(batch, key_columns, 1, num_partitions)).collect()
+}
+
+/// [`partition_of`] for every row of `batch`.
+fn assignments(
+    batch: &RecordBatch,
+    key_columns: &[usize],
+    num_shards: usize,
+    num_partitions: usize,
+) -> Vec<usize> {
+    let mut hashes = vec![0u64; batch.num_rows()];
+    for &k in key_columns {
+        batch.column(k).hash_combine(&mut hashes);
+    }
+    hashes.iter().map(|&h| partition_of(h, num_shards, num_partitions)).collect()
 }
 
 /// Splits `batches` into `num_partitions` groups of batches by hashing the
@@ -70,29 +89,33 @@ pub fn hash_partition(
 /// task per chunk on the worker pool) can hash and copy rows *outside* the
 /// lock guarding the shared partitioner, then [`StreamingPartitioner::absorb`]
 /// the pieces under it. Only non-empty pieces are returned.
+///
+/// A row goes to [`partition_of`] its hash: the compute partition [`owner`]
+/// gives it within one shard of a `num_shards`-shard run. With
+/// `num_shards = 1` that is `h % num_partitions`, which is also how a chunk
+/// is split across `num_partitions` *shards*.
 pub fn split_batch(
     batch: &RecordBatch,
     key_columns: &[usize],
+    num_shards: usize,
     num_partitions: usize,
 ) -> StorageResult<Vec<(usize, RecordBatch)>> {
-    assert!(num_partitions > 0, "num_partitions must be positive");
+    assert!(num_shards > 0 && num_partitions > 0, "shard and partition counts must be positive");
     if batch.num_rows() == 0 {
         return Ok(Vec::new());
     }
     if num_partitions == 1 {
         return Ok(vec![(0, batch.clone())]);
     }
-    // One source of truth for row placement: the same assignment rule as
-    // the one-shot path.
-    let assign = partition_assignments(std::slice::from_ref(batch), key_columns, num_partitions);
+    let assign = assignments(batch, key_columns, num_shards, num_partitions);
     // A chunk whose rows all land in one partition (a segment apply wrote
     // for one owner cell) is handed over whole, without a copy.
-    let first = assign[0][0];
-    if assign[0].iter().all(|&p| p == first) {
+    let first = assign[0];
+    if assign.iter().all(|&p| p == first) {
         return Ok(vec![(first, batch.clone())]);
     }
     let mut indices: Vec<Vec<usize>> = vec![Vec::new(); num_partitions];
-    for (row, &p) in assign[0].iter().enumerate() {
+    for (row, &p) in assign.iter().enumerate() {
         indices[p].push(row);
     }
     let mut pieces = Vec::new();
@@ -183,7 +206,7 @@ impl StreamingPartitioner {
     /// is armed, is reported by [`StreamingPartitioner::absorb`]; `push`
     /// keeps everything accumulated for [`StreamingPartitioner::finish`]).
     pub fn push(&mut self, batch: &RecordBatch) -> StorageResult<()> {
-        let pieces = split_batch(batch, &self.key_columns, self.partitions.len())?;
+        let pieces = split_batch(batch, &self.key_columns, 1, self.partitions.len())?;
         for (p, piece) in pieces {
             self.partitions[p].push(piece);
         }
@@ -365,6 +388,30 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_shard_uses_every_partition() {
+        // Shard and partition counts with a common factor: `h % P` would
+        // leave shard k only the partitions p ≡ k (mod gcd).
+        for (shards, parts) in [(2usize, 4usize), (2, 2), (3, 6), (4, 8)] {
+            let mut seen = vec![vec![false; parts]; shards];
+            for k in 0..4096i64 {
+                let (s, p) = owner(k, shards, parts);
+                seen[s][p] = true;
+            }
+            assert!(seen.iter().flatten().all(|&b| b), "{shards} shards × {parts} partitions");
+        }
+        // The in-shard scatter places every row where `owner` does.
+        let keys: Vec<i64> = (-300..300).collect();
+        for (shards, parts) in [(1usize, 7usize), (2, 4), (3, 6)] {
+            for (p, piece) in split_batch(&batch_with_ids(&keys), &[0], shards, parts).unwrap() {
+                for row in piece.rows() {
+                    let k = row[0].as_int().unwrap();
+                    assert_eq!(owner(k, shards, parts).1, p, "key {k}, {shards}×{parts}");
+                }
+            }
+        }
+    }
+
     /// Expected-rows plan for a set of chunks: count rows per partition the
     /// same way the scatter will.
     fn row_plan(chunks: &[RecordBatch], parts: usize) -> Vec<u64> {
@@ -387,7 +434,7 @@ mod tests {
         let mut split = StreamingPartitioner::new(vec![0], 5);
         for c in &chunks {
             pushed.push(c).unwrap();
-            for (p, piece) in split_batch(c, &[0], 5).unwrap() {
+            for (p, piece) in split_batch(c, &[0], 1, 5).unwrap() {
                 split.partitions[p].push(piece);
             }
         }
@@ -416,7 +463,7 @@ mod tests {
         let mut sealed_rows: Vec<Option<Vec<Vec<crate::value::Value>>>> = vec![None; parts];
         let mut seal_chunk: Vec<Option<usize>> = vec![None; parts];
         for (ci, c) in chunks.iter().enumerate() {
-            let pieces = split_batch(c, &[0], parts).unwrap();
+            let pieces = split_batch(c, &[0], 1, parts).unwrap();
             for (p, batches) in partitioner.absorb(pieces).unwrap() {
                 assert!(sealed_rows[p].is_none(), "partition {p} sealed twice");
                 sealed_rows[p] = Some(batches.iter().flat_map(|b| b.rows()).collect());
@@ -455,7 +502,7 @@ mod tests {
         let victim = plan.iter().position(|&n| n > 1).unwrap();
         plan[victim] -= 1;
         let mut partitioner = StreamingPartitioner::with_expected_rows(vec![0], parts, plan);
-        let pieces = split_batch(&chunk, &[0], parts).unwrap();
+        let pieces = split_batch(&chunk, &[0], 1, parts).unwrap();
         assert!(partitioner.absorb(pieces).is_err(), "excess rows must not pass silently");
     }
 
@@ -463,7 +510,7 @@ mod tests {
     fn planless_partitioner_seals_only_on_drain() {
         let chunk = batch_with_ids(&(0..64).collect::<Vec<_>>());
         let mut partitioner = StreamingPartitioner::new(vec![0], 4);
-        let sealed = partitioner.absorb(split_batch(&chunk, &[0], 4).unwrap()).unwrap();
+        let sealed = partitioner.absorb(split_batch(&chunk, &[0], 1, 4).unwrap()).unwrap();
         assert!(sealed.is_empty(), "no plan, nothing seals early");
         assert!(!partitioner.fully_sealed());
         let drained = partitioner.drain_unsealed();

@@ -686,6 +686,55 @@ mod resume {
         assert_eq!(boundaries.len(), 3, "the three crashes must land on distinct supersteps");
     }
 
+    /// A crash inside the edge projection's commit — the first durable
+    /// write of a run on a fresh graph — reopens cleanly, with no stamp to
+    /// resume from; the next run rebuilds the projection and matches
+    /// `algorithms::reference`.
+    #[test]
+    fn crash_inside_the_projection_commit_reopens_and_rebuilds() {
+        let graph = graph();
+        let expected = vertexica_algorithms::reference::pagerank(&graph, 10, 0.85);
+        for budget in BUDGETS {
+            let config = config().with_memory_budget(budget);
+            let loaded = |dir: &std::path::Path| {
+                let db = open(dir, budget);
+                let g = GraphSession::create(db.clone(), "g").unwrap();
+                g.load_edges(&graph).unwrap();
+                (db, g)
+            };
+            let dir = temp_dir("proj_ref");
+            let (pre, built) = {
+                let (db, g) = loaded(&dir);
+                let pre = durable_bytes(&db);
+                g.edge_projection(1, config.num_partitions).unwrap();
+                (pre, durable_bytes(&db))
+            };
+            std::fs::remove_dir_all(&dir).ok();
+            assert!(built > pre, "{budget:?}: the projection commit writes");
+
+            let dir = temp_dir("proj_crash");
+            {
+                let (db, g) = loaded(&dir);
+                assert_eq!(durable_bytes(&db), pre, "durable prefix must be deterministic");
+                let sink = db.catalog().wal_sink().expect("durable database has a WAL sink");
+                sink.set_crash_budget(Some((built - pre) / 2));
+                assert!(run_program(&g, program(), &config).is_err(), "the crash must fail");
+            }
+            let g = GraphSession::open(open(&dir, budget), "g").unwrap();
+            let stamp = format!("SELECT COUNT(*) FROM {}", g.stamp_table());
+            assert_eq!(g.db().query_int(&stamp).unwrap(), 0, "{budget:?}: nothing was stamped");
+            let stats = run_program(&g, program(), &config).unwrap();
+            assert!(stats.projection_build_secs > 0.0, "{budget:?}: a reopen rebuilds");
+            let ranks: Vec<(u64, f64)> = g.vertex_values().unwrap();
+            assert_eq!(ranks.len(), expected.len());
+            for ((v, got), want) in ranks.iter().zip(&expected) {
+                assert!((got - want).abs() < 1e-9, "{budget:?} vertex {v}: {got} vs {want}");
+            }
+            drop(g);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     /// The same at two shards: shard 1's WAL dies inside its commit of a
     /// superstep shard 0 committed. `resume_sharded` repairs shard 1 with
     /// its own stamp's aggregates, stamps the ahead shard's, and runs on —

@@ -1,9 +1,9 @@
 //! Differential tests of the engine against `algorithms::reference` on
 //! degenerate graphs. Every graph runs through every configuration that
-//! changes how a superstep reads or writes its tables — the default
-//! (edges from the sorted projection), a durable database, a 256 KiB memory
-//! budget (edges streamed as rows) and two shards — and the projection and
-//! edge-row paths are held bitwise to each other.
+//! changes how a superstep reads or writes its tables — the default, a
+//! durable database, a 256 KiB memory budget (projection pieces evicted and
+//! reloaded) and two shards — and every run reads its edges from the sorted
+//! projection. The budgeted run is held bitwise to the default one.
 
 use std::sync::Arc;
 
@@ -119,8 +119,8 @@ fn assert_close(got: &[f64], want: &[f64], what: &str) {
     }
 }
 
-/// PageRank and SSSP in every cell against the reference; the projection
-/// (default) and edge-row (budgeted) runs also bit for bit.
+/// PageRank and SSSP in every cell against the reference; the default and
+/// budgeted runs also bit for bit.
 fn check(what: &str, graph: &EdgeList, base: u64) {
     let pagerank = reference::pagerank(graph, ITERATIONS as usize, DAMPING);
     let sssp = reference::sssp(graph, 0);
@@ -132,19 +132,15 @@ fn check(what: &str, graph: &EdgeList, base: u64) {
         assert_close(&ranks, &pagerank, &what);
         let (dist, _) = run(cell, graph, base, Sssp::new(base));
         assert_close(&dist, &sssp, &what);
+        let edges = graph.num_edges() > 0;
+        assert_eq!(stats.projection_bytes > 0, edges, "{what}: every run reads the projection");
         match cell {
-            Cell::Default => {
-                assert!(stats.projection_bytes > 0, "{what}: an unbudgeted union run reads it");
-                projected = Some((to_bits(&ranks), to_bits(&dist)));
-            }
-            Cell::Budget256KiB => {
-                assert_eq!((stats.projection_bytes, stats.projection_build_secs), (0, 0.0));
-                assert_eq!(
-                    projected.as_ref(),
-                    Some(&(to_bits(&ranks), to_bits(&dist))),
-                    "{what}: projection and edge-row paths diverged"
-                );
-            }
+            Cell::Default => projected = Some((to_bits(&ranks), to_bits(&dist))),
+            Cell::Budget256KiB => assert_eq!(
+                projected.as_ref(),
+                Some(&(to_bits(&ranks), to_bits(&dist))),
+                "{what}: the budgeted run diverged from the default one"
+            ),
             _ => {}
         }
     }
@@ -213,30 +209,65 @@ fn ids_from_2_pow_63_are_negative_bigints() {
     check("ids from 2^63", &weighted(6, EXTREME_IDS), 1 << 63);
 }
 
-/// `with_memory_budget(None)` leaves the pool's budget alone, so a run that
-/// follows a budgeted one on the same session is still on an evicting pool
-/// and must keep streaming edge rows; clearing the pool's budget is what
-/// brings the projection back.
+/// Every row of `table`, as stored, in `Value::total_cmp` order: blob
+/// payloads compare byte for byte, so equal rows are bitwise equal.
+fn table_rows(g: &GraphSession, table: &str) -> Vec<Vec<Value>> {
+    let mut rows: Vec<Vec<Value>> =
+        g.db().scan_table(table, None, &[]).unwrap().iter().flat_map(RecordBatch::rows).collect();
+    rows.sort_by(|a, b| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rows
+}
+
+/// Under a one-byte budget on a durable database every projection piece is
+/// evicted between runs: the workers find them non-resident, reload them at
+/// their pins, and leave the vertex and message tables bitwise equal to the
+/// unbudgeted run's.
 #[test]
-fn an_unbudgeted_config_on_a_still_budgeted_pool_streams_edge_rows() {
-    let graph = weighted(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]);
-    let g = GraphSession::create(Arc::new(Database::new()), "g").unwrap();
-    g.load_edges(&graph).unwrap();
-    let pool = g.db().catalog().buffer_pool().clone();
-    pool.set_budget(None);
-    let unbudgeted = VertexicaConfig::default().with_durable(false).with_memory_budget(None);
-    let budgeted = unbudgeted.clone().with_memory_budget(Some(1 << 30));
-    let run = |config: &VertexicaConfig| {
-        let stats = run_program(&g, Arc::new(PageRank::new(ITERATIONS, DAMPING)), config).unwrap();
-        let ranks: Vec<f64> =
-            g.vertex_values::<f64>().unwrap().into_iter().map(|(_, v)| v).collect();
-        assert_close(&ranks, &reference::pagerank(&graph, ITERATIONS as usize, DAMPING), "ring");
-        stats.projection_bytes
+fn a_one_byte_budget_reloads_projection_pieces_where_workers_pin_them() {
+    let graph = vertexica_graphgen::models::erdos_renyi(200, 900, 3);
+    let partitions = 4;
+    // Capped mid-run, so the message table is not empty.
+    let program = || Arc::new(PageRank::new(ITERATIONS, DAMPING));
+    let config = VertexicaConfig::default()
+        .with_workers(2)
+        .with_partitions(partitions)
+        .with_durable(true)
+        .with_max_supersteps(5);
+    let run = |budget: Option<usize>| {
+        let dir = durable_dir();
+        let db = Database::open(&dir).unwrap();
+        db.catalog().buffer_pool().set_budget(budget);
+        let g = GraphSession::create(Arc::new(db), "g").unwrap();
+        g.load_edges(&graph).unwrap();
+        let config = config.clone().with_memory_budget(budget);
+        // The first run builds the projection; the second finds it cached.
+        run_program(&g, program(), &config).unwrap();
+        let (projection, secs) = g.edge_projection(1, partitions).unwrap();
+        assert_eq!(secs, 0.0, "{budget:?}: the run's projection is cached");
+        let pieces: Vec<_> = projection.pieces().iter().flatten().collect();
+        assert_eq!(pieces.len(), partitions);
+        let resident = pieces.iter().filter(|h| h.is_resident()).count();
+        let pool = g.db().catalog().buffer_pool().clone();
+        let reloads = pool.stats().reloads;
+        let stats = run_program(&g, program(), &config).unwrap();
+        assert_eq!(stats.projection_build_secs, 0.0);
+        let reloaded = pool.stats().reloads - reloads;
+        let tables = (table_rows(&g, &g.vertex_table()), table_rows(&g, &g.message_table()));
+        drop(g);
+        std::fs::remove_dir_all(&dir).ok();
+        (tables, resident, reloaded)
     };
-    assert!(run(&unbudgeted) > 0);
-    assert_eq!(run(&budgeted), 0);
-    assert_eq!(pool.budget(), Some(1 << 30), "the run's budget stays on the pool");
-    assert_eq!(run(&unbudgeted), 0, "the pool is still evicting: no copy outside it");
-    pool.set_budget(None);
-    assert!(run(&unbudgeted) > 0);
+    let (unbudgeted, resident, reloaded) = run(None);
+    assert_eq!((resident, reloaded), (partitions, 0), "an unbudgeted pool never evicts");
+    let (budgeted, resident, reloaded) = run(Some(1));
+    assert_eq!(resident, 0, "every piece is evicted before the run pins it");
+    assert!(reloaded >= partitions as u64, "{reloaded} reloads: each piece at least once");
+    assert!(!unbudgeted.1.is_empty(), "a capped run leaves messages");
+    assert!(budgeted == unbudgeted, "the budgeted run's tables diverged");
 }

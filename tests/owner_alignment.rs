@@ -6,9 +6,10 @@
 //! partition's rows sorted by id. The next superstep hands each such segment
 //! to its partition whole, and the worker's stable sort merges those runs.
 //! Every superstep that changes a vertex replaces the vertex table, so with
-//! no user DML the table stays aligned. The first two tests check the layout
-//! after every superstep; the rest hold the worker to one output however its
-//! input is cut into runs, on the inputs that do not arrive aligned.
+//! no user DML the table stays aligned. The edge projection is cut the same
+//! way: one piece per owner partition, in projection order. The first three
+//! tests check those layouts; the rest hold the worker to one output however
+//! its input is cut into runs, on the inputs that do not arrive aligned.
 
 use std::sync::Arc;
 
@@ -118,9 +119,58 @@ fn every_superstep_leaves_one_sorted_segment_per_owner_cell() {
                     assert!(step.apply_parallelism <= shards * shards * parts);
                     for (k, sess) in ss.shard_sessions().iter().enumerate() {
                         assert_aligned(sess, k, shards, parts, step.replaced);
+                        assert_projection_aligned(sess, k, shards, parts);
                     }
                 }
             }
+        }
+    }
+}
+
+/// Shard `k`'s edge projection table: one piece per owner cell of the shard,
+/// none twice, rows in projection order — `(src, dst)`, then `weight` NULL
+/// first in IEEE total order, which is `Value::total_cmp` column by column —
+/// and every edge row of the shard in some piece.
+fn assert_projection_aligned(sess: &GraphSession, k: usize, shards: usize, parts: usize) {
+    let what = format!("{shards} shards × {parts} partitions, shard {k}, edge projection");
+    let pieces = segments(sess, &sess.edge_proj_table());
+    let mut cells = Vec::new();
+    for piece in &pieces {
+        let cell = cell_of(piece, shards, parts, &what);
+        assert_eq!(cell.0, k, "{what}: a piece of another shard");
+        let in_order = piece.windows(2).all(|w| {
+            w[0].iter()
+                .zip(&w[1])
+                .map(|(a, b)| a.total_cmp(b))
+                .find(|o| o.is_ne())
+                .is_none_or(std::cmp::Ordering::is_lt)
+        });
+        assert!(in_order, "{what}: rows out of projection order");
+        cells.push(cell);
+    }
+    let distinct: std::collections::BTreeSet<_> = cells.iter().collect();
+    assert_eq!(distinct.len(), cells.len(), "{what}: two pieces share a cell");
+    let edges = sess.num_edges().unwrap() as usize;
+    assert_eq!(pieces.iter().map(Vec::len).sum::<usize>(), edges, "{what}: edge rows");
+}
+
+/// At 2 shards × 4 partitions the shard and partition counts share a
+/// factor; every shard must still compute all 4 of its partitions, so its
+/// replaced vertex table and its projection have 4 non-empty segments each.
+#[test]
+fn every_shard_fills_every_partition() {
+    let graph = vertexica_graphgen::models::erdos_renyi(128, 512, 9);
+    let ss = ShardedGraphSession::create(ShardedDatabase::new(2), "g").unwrap();
+    ss.load_edges(&graph).unwrap();
+    let config = VertexicaConfig::default().with_workers(2).with_partitions(4);
+    run_sharded(&ss, Arc::new(PageRank::new(3, 0.85)), &config).unwrap();
+    for (k, sess) in ss.shard_sessions().iter().enumerate() {
+        assert_aligned(sess, k, 2, 4, true);
+        assert_projection_aligned(sess, k, 2, 4);
+        for table in [sess.vertex_table(), sess.edge_proj_table()] {
+            let segments = segments(sess, &table);
+            let non_empty = segments.iter().filter(|s| !s.is_empty()).count();
+            assert_eq!(non_empty, 4, "shard {k}: {table} has {non_empty} non-empty segments");
         }
     }
 }
@@ -180,8 +230,8 @@ fn session(graph: &EdgeList) -> GraphSession {
 /// it: each assembled chunk split by owner partition.
 fn partition_inputs(g: &GraphSession, parts: usize) -> Vec<Vec<RecordBatch>> {
     let mut inputs: Vec<Vec<RecordBatch>> = vec![Vec::new(); parts];
-    assemble_chunks(g, STREAM_CHUNK_ROWS, true, &mut |chunk| {
-        for (p, piece) in split_batch(&chunk, &[0], parts)? {
+    assemble_chunks(g, STREAM_CHUNK_ROWS, &mut |chunk| {
+        for (p, piece) in split_batch(&chunk, &[0], 1, parts)? {
             inputs[p].push(piece);
         }
         Ok(())
@@ -207,7 +257,8 @@ fn canonical_rows(batches: &[RecordBatch]) -> Vec<Vec<Value>> {
 /// delivered them, as one canonically sorted batch, as one shuffled batch,
 /// as sorted runs whose concatenation is unsorted, and as shuffled pieces —
 /// and demands bitwise-identical output. Returns whether the scatter's own
-/// pieces held a run out of canonical order.
+/// pieces, in the order they arrived, are out of canonical order — so the
+/// worker had to merge or sort them.
 fn assert_layout_invariant<P: VertexProgram>(
     worker: &VertexWorker<P>,
     pieces: Vec<RecordBatch>,
@@ -217,7 +268,7 @@ fn assert_layout_invariant<P: VertexProgram>(
     let batch = |rows: &[Vec<Value>]| RecordBatch::from_rows(schema.clone(), rows).unwrap();
     let sorted = canonical_rows(&pieces);
     let n = sorted.len();
-    let unsorted_run = pieces.iter().any(|p| canonical_rows(std::slice::from_ref(p)) != p.rows());
+    let unsorted_run = sorted != pieces.iter().flat_map(RecordBatch::rows).collect::<Vec<_>>();
     // A fixed permutation: 7919 is prime, and `n` is never a multiple of it
     // here.
     assert_ne!(n % 7919, 0);
@@ -243,24 +294,29 @@ fn assert_layout_invariant<P: VertexProgram>(
     unsorted_run
 }
 
-/// A worker for `program` at `superstep`, reading edges from its input
-/// rows.
-fn worker<P: VertexProgram>(program: P, superstep: u64, num_vertices: u64) -> VertexWorker<P> {
+/// A worker for `program` at `superstep` on one of `g`'s [`PARTS`]
+/// partitions, reading edges from `g`'s projection.
+fn worker<P: VertexProgram>(
+    g: &GraphSession,
+    program: P,
+    superstep: u64,
+    num_vertices: u64,
+) -> VertexWorker<P> {
     VertexWorker {
         program: Arc::new(program),
         superstep,
         num_vertices,
         prev_aggregates: Arc::new(FxHashMap::default()),
         // Without the combiner a vertex's messages leave in its edges'
-        // order, so a misordered edge run shows in the output.
+        // order, so a misordered run shows in the output.
         use_combiner: false,
-        edges: None,
+        edges: g.edge_projection(1, PARTS).unwrap().0,
     }
 }
 
 /// 60 vertices, each with four out-edges listed in descending destination
-/// order: the edge table sorts its segments by source only, so edge rows
-/// arrive out of canonical order.
+/// order: the edge table sorts its segments by source only, so the
+/// projection has to sort them.
 fn graph() -> EdgeList {
     EdgeList::from_pairs(
         (0..60u64).flat_map(|v| (1..5).map(move |d| (v, (v * 7 + 60 - d * 11) % 60))),
@@ -280,19 +336,11 @@ fn assert_partitions_invariant<P: VertexProgram + Clone>(
 ) {
     let mut unsorted_runs = 0;
     for (p, pieces) in partition_inputs(g, PARTS).into_iter().enumerate() {
-        let w = worker(program.clone(), superstep, 60);
+        let w = worker(g, program.clone(), superstep, 60);
         let what = format!("{what}, partition {p}");
         unsorted_runs += usize::from(assert_layout_invariant(&w, pieces, &what));
     }
-    assert!(unsorted_runs > 0, "{what}: the scatter delivered only sorted runs");
-}
-
-#[test]
-fn worker_sorts_edge_rows() {
-    // Edge rows, as a run with a memory budget streams them.
-    let g = session(&graph());
-    vertexica::coordinator::initialize_vertices(&g, &PageRank::new(4, 0.85)).unwrap();
-    assert_partitions_invariant(&g, PageRank::new(4, 0.85), 0, "edge rows");
+    assert!(unsorted_runs > 0, "{what}: the scatter delivered every partition in order");
 }
 
 #[test]

@@ -357,19 +357,19 @@ proptest! {
         });
         prop_assert_eq!(table.read().num_rows(), expected.len());
 
-        let (projection, _) = session.edge_projection().unwrap();
+        let (projection, _) = session.edge_projection(1, 3).unwrap();
         prop_assert_eq!(projection.num_edges(), expected.len());
+        let mut edges = Vec::new();
         for src in 0..10i64 {
             let want: Vec<(i64, u64)> = expected
                 .iter()
                 .filter(|r| r.0 == src)
                 .map(|r| (r.1, r.2.unwrap_or(1.0).to_bits()))
                 .collect();
-            let got: Vec<(i64, u64)> = projection
-                .out_edges(src as VertexId)
-                .iter()
-                .map(|e| (e.dst as i64, e.weight.to_bits()))
-                .collect();
+            let piece = projection.pin(src as VertexId).unwrap();
+            piece.out_edges(src as VertexId, &mut edges).unwrap();
+            let got: Vec<(i64, u64)> =
+                edges.iter().map(|e| (e.dst as i64, e.weight.to_bits())).collect();
             prop_assert_eq!(got, want, "out-edges of {}", src);
         }
     }

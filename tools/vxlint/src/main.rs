@@ -72,6 +72,7 @@ const RECOVERY_FILES: &[&str] = &[
     "crates/storage/src/buffer_pool.rs",
     "crates/core/src/shard.rs",
     "crates/core/src/apply.rs",
+    "crates/core/src/projection.rs",
     "crates/sql/src/parser.rs",
     "crates/sql/src/physical.rs",
     "crates/sql/src/expr.rs",
